@@ -46,9 +46,10 @@ from .selfcomm import (
 )
 from .towers import (
     CuntzWitness,
+    ElementSpectrum,
     PushStepResult,
+    Support,
     TowerModel,
-    apply_ramp,
     block_two_commutator_split,
     cuntz_witness,
     make_block_tower,

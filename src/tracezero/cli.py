@@ -19,20 +19,21 @@ the splitmix64 generator in ``tracezero.rand``, so repeated runs are
 byte-identical.
 
 Exit codes: 0 = all certified bounds pass, 1 = a certified bound or a
-verify comparison failed, 2 = invalid input (a JSON error object
-{"error", "path"} is emitted).
+verify comparison failed, or an internal numerical check failed (then a
+JSON error object {"error", "path"} is emitted), 2 = invalid input (a JSON
+error object {"error", "path"} is emitted).
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
 import jsonschema
-import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericsError
 from .jsonio import (
     field_from_json,
     field_to_json,
@@ -45,13 +46,7 @@ from .ozfield import barycentric_subdivide, decompose_field, greedy_coloring, su
 from .rand import SplitMix64, random_trace_zero_hermitian
 from .schemas import INPUT_SCHEMAS
 from .selfcomm import self_commutator_decompose, tight_commutator_decompose
-from .towers import (
-    TowerModel,
-    apply_ramp,
-    block_two_commutator_split,
-    support_basis,
-    tower_iterate,
-)
+from .towers import TowerModel, block_two_commutator_split, make_block_tower, tower_iterate
 
 COMMANDS = tuple(INPUT_SCHEMAS)
 
@@ -107,17 +102,9 @@ def _decomposition_result(dec) -> dict:
     }
 
 
-def _handle_decompose(cfg: RunConfig, doc: dict):
+def _handle_decompose(construct, cfg: RunConfig, doc: dict):
     a = matrix_from_json(doc, name="input matrix")
-    dec = self_commutator_decompose(a, trace_tol=cfg.tol)
-    report = verify_decomposition(a, dec)
-    return {"result": _decomposition_result(dec), "report": report.to_json()}, \
-        (0 if report.all_passed else 1)
-
-
-def _handle_decompose_tight(cfg: RunConfig, doc: dict):
-    a = matrix_from_json(doc, name="input matrix")
-    dec = tight_commutator_decompose(a, trace_tol=cfg.tol)
+    dec = construct(a, trace_tol=cfg.tol)
     report = verify_decomposition(a, dec)
     return {"result": _decomposition_result(dec), "report": report.to_json()}, \
         (0 if report.all_passed else 1)
@@ -152,27 +139,16 @@ def _handle_decompose_field(cfg: RunConfig, doc: dict):
 
 def _tower_from_json(doc: dict) -> TowerModel:
     blocks_doc = doc["blocks"]
-    if all(isinstance(b, dict) and "rank" in b for b in blocks_doc):
-        ranks = [int(b["rank"]) for b in blocks_doc]
-        total = sum(ranks)
-        n = int(doc.get("ambient", total))
-        if n < total:
-            raise InvalidInputError(f"ambient size {n} too small for ranks {ranks}")
-        elements = []
-        start = 0
-        for r in ranks:
-            e = np.zeros((n, n), dtype=complex)
-            e[start:start + r, start:start + r] = np.eye(r)
-            elements.append(e)
-            start += r
-    else:
-        elements = [matrix_from_json(b, name="tower block") for b in blocks_doc]
-    count = len(elements)
+    count = len(blocks_doc)
     epsilon = float(doc.get("epsilon", 0.5))
     deltas = [float(d) for d in doc.get("deltas", [2.0 ** -(i + 1) for i in range(count - 1)])]
+    L, K, M = (int(doc.get(key, 1)) for key in ("L", "K", "M"))
+    if all(isinstance(b, dict) and "rank" in b for b in blocks_doc):
+        return make_block_tower([b["rank"] for b in blocks_doc], L, K, M,
+                                ambient=doc.get("ambient"), epsilon=epsilon, deltas=deltas)
+    elements = [matrix_from_json(b, name="tower block") for b in blocks_doc]
     return TowerModel(elements=elements, epsilons=[epsilon] * count,
-                      L=int(doc.get("L", 1)), K=int(doc.get("K", 1)),
-                      M=int(doc.get("M", 1)), deltas=deltas)
+                      L=L, K=K, M=M, deltas=deltas)
 
 
 def _handle_fack_run(cfg: RunConfig, doc: dict):
@@ -183,7 +159,7 @@ def _handle_fack_run(cfg: RunConfig, doc: dict):
         echo = dict(doc)
     else:
         rng = SplitMix64(cfg.seed)
-        q = support_basis(apply_ramp(tower.elements[0], tower.epsilons[0], "plus"))
+        q = tower.spectra[0].plus.basis
         h = random_trace_zero_hermitian(rng, q.shape[1])
         z0 = q @ h @ q.conj().T
         z0 = (z0 + z0.conj().T) / 2.0
@@ -241,8 +217,8 @@ def _handle_tower(cfg: RunConfig, doc: dict):
 
 
 _HANDLERS = {
-    "decompose": _handle_decompose,
-    "decompose-tight": _handle_decompose_tight,
+    "decompose": functools.partial(_handle_decompose, self_commutator_decompose),
+    "decompose-tight": functools.partial(_handle_decompose, tight_commutator_decompose),
     "decompose-field": _handle_decompose_field,
     "fack-run": _handle_fack_run,
     "block-split": _handle_block_split,
@@ -329,6 +305,8 @@ def run(cfg: RunConfig, input_doc: dict):
         return {"error": exc.message, "path": exc.json_path}, 2
     except InvalidInputError as exc:
         return {"error": str(exc), "path": cfg.in_path or "stdin"}, 2
+    except NumericsError as exc:
+        return {"error": str(exc), "path": cfg.in_path or "stdin"}, 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -193,33 +193,15 @@ _CROSS_PRODUCTS = (
 )
 
 
-def orthogonality_defect(pairs) -> float:
-    """Largest norm among the cross products that collapse requires to vanish."""
-    worst = 0.0
-    mats = [(as_matrix(c, square=True), as_matrix(d, square=True)) for c, d in pairs]
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            if i == j:
-                continue
-            ci, di = mats[i]
-            cj, dj = mats[j]
-            for _, prod in _CROSS_PRODUCTS:
-                worst = max(worst, operator_norm(prod(ci, dj)))
-            worst = max(worst, operator_norm(ci.conj().T @ cj))
-            worst = max(worst, operator_norm(ci @ cj.conj().T))
-            worst = max(worst, operator_norm(di.conj().T @ dj))
-            worst = max(worst, operator_norm(di @ dj.conj().T))
-    return worst
-
-
 def collapse_orthogonal(pairs, *, dim: int | None = None,
                         product_tol: float = 1e-10):
     """Merge commutator pairs with mutually orthogonal supports into one.
 
     Requires, for every i != j, that c_i* d_j, c_i d_j, c_i* d_j* vanish and
     that the c's (resp. d's) are orthogonal among themselves; then
-    [sum c_i, sum d_i] = sum [c_i, d_i].  Violations raise with the offending
-    pair named.
+    [sum c_i, sum d_i] = sum [c_i, d_i].  Returns (c, d, defect) with defect
+    the largest of those cross-product norms.  Violations raise with the
+    offending pair named.
     """
     mats = [(as_matrix(c, square=True, name="c"), as_matrix(d, square=True, name="d"))
             for c, d in pairs]
@@ -227,11 +209,12 @@ def collapse_orthogonal(pairs, *, dim: int | None = None,
         if dim is None:
             raise InvalidInputError("empty pair list needs an explicit dim")
         zero = np.zeros((dim, dim), dtype=complex)
-        return zero, zero.copy()
+        return zero, zero.copy(), 0.0
     shape = mats[0][0].shape
     for c, d in mats:
         if c.shape != shape or d.shape != shape:
             raise InvalidInputError("collapse pairs must share one square shape")
+    defect = 0.0
     for i in range(len(mats)):
         for j in range(len(mats)):
             if i == j:
@@ -239,19 +222,20 @@ def collapse_orthogonal(pairs, *, dim: int | None = None,
             ci, di = mats[i]
             cj, dj = mats[j]
             for label, prod in _CROSS_PRODUCTS:
-                if operator_norm(prod(ci, dj)) > product_tol:
+                norm = operator_norm(prod(ci, dj))
+                if norm > product_tol:
                     raise PreconditionError(
                         f"pairs {i} and {j} are not orthogonal: {label} != 0")
-            if (operator_norm(ci.conj().T @ cj) > product_tol
-                    or operator_norm(ci @ cj.conj().T) > product_tol):
-                raise PreconditionError(f"pairs {i} and {j}: c factors overlap")
-            if (operator_norm(di.conj().T @ dj) > product_tol
-                    or operator_norm(di @ dj.conj().T) > product_tol):
-                raise PreconditionError(f"pairs {i} and {j}: d factors overlap")
+                defect = max(defect, norm)
+            for label, x, y in (("c", ci, cj), ("d", di, dj)):
+                norm = max(operator_norm(x.conj().T @ y), operator_norm(x @ y.conj().T))
+                if norm > product_tol:
+                    raise PreconditionError(f"pairs {i} and {j}: {label} factors overlap")
+                defect = max(defect, norm)
     c_total = sum(c for c, _ in mats)
     d_total = sum(d for _, d in mats)
     target = sum(commutator(c, d) for c, d in mats)
     scale = max(1.0, max(operator_norm(c) * operator_norm(d) for c, d in mats))
     if operator_norm(commutator(c_total, d_total) - target) > 1e-9 * scale:
         raise NumericsError("collapsed commutator failed to reproduce the sum")
-    return c_total, d_total
+    return c_total, d_total, defect

@@ -13,11 +13,12 @@ mutually-orthogonal stages.
 
 ``g_{eps/2}`` is the piecewise-linear ramp that is 0 on [0, eps/2] and 1 on
 [eps, infinity); the only property used is g_{eps/2}(a) y = y for y
-supported in her((a-eps)_+).
+supported in her((a-eps)_+).  Each tower element is eigendecomposed once,
+into an ``ElementSpectrum``; witnesses and push steps read its supports.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +33,12 @@ from .matcore import (
     operator_norm,
     require_hermitian,
 )
-from .selfcomm import collapse_orthogonal, orthogonality_defect, tight_commutator_decompose
+from .selfcomm import collapse_orthogonal, tight_commutator_decompose
 
 RANK_TOL = 1e-8
 NEUMANN_TOL = 1e-10
 NEUMANN_MAX_ITER = 10_000
+TOWER_ENTRY_BUDGET = 2 ** 26  # complex entries: the elements and a witness's range check
 
 
 @dataclass(frozen=True)
@@ -58,48 +60,65 @@ def _psd_eigensystem(a, tol: float = 1e-10):
     return es
 
 
-def apply_ramp(a, epsilon: float, mode: str = "ramp") -> np.ndarray:
-    """Functional calculus on a PSD matrix: the ramp g_{eps/2} or (t-eps)_+."""
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
-    es = _psd_eigensystem(a)
-    lam = np.clip(es.eigenvalues, 0.0, None)
-    if mode == "ramp":
-        f = SpectralRamp(epsilon).profile(lam)
-    elif mode == "plus":
-        f = np.maximum(lam - epsilon, 0.0)
-    else:
-        raise InvalidInputError(f"unknown ramp mode: {mode!r}")
-    u = es.unitary
-    return (u * f) @ u.conj().T
+@dataclass(frozen=True)
+class Support:
+    """A PSD matrix B diag(values) B*, kept as an orthonormal basis B of its
+    support and the positive values on it; the rank is the basis width.  The
+    matrix and the support projection are formed when read."""
+
+    basis: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_eigen(cls, unitary, values) -> "Support":
+        """Support of U diag(values) U* for nonnegative values: the columns of
+        U whose value exceeds RANK_TOL times the largest, in U's order."""
+        top = float(np.max(values)) if values.size else 0.0
+        keep = values > RANK_TOL * top
+        return cls(basis=unitary[:, keep], values=values[keep])
+
+    @classmethod
+    def of(cls, a) -> "Support":
+        """Support of a PSD matrix, from its own eigendecomposition."""
+        es = _psd_eigensystem(a)
+        return cls.from_eigen(es.unitary, np.clip(es.eigenvalues, 0.0, None))
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return (self.basis * self.values) @ self.basis.conj().T
+
+    @property
+    def projection(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
 
 
-def thresholded_rank(a, rel_tol: float = RANK_TOL) -> int:
-    """Rank with singular values below rel_tol * largest treated as zero."""
-    m = as_matrix(a)
-    if m.size == 0:
-        return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    top = float(sv[0]) if sv.size else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.sum(sv > rel_tol * top))
+@dataclass(frozen=True)
+class ElementSpectrum:
+    """Spectral data of a PSD element e at threshold eps, all from one
+    eigendecomposition: the supports of the ramp g = g_{eps/2}(e) and of
+    (e-eps)_+, and the square root of g."""
 
+    g: Support
+    plus: Support
 
-def support_basis(a, rel_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal eigenbasis of the support of a PSD matrix (ascending order)."""
-    es = _psd_eigensystem(a)
-    lam = es.eigenvalues
-    top = float(np.max(lam)) if lam.size else 0.0
-    if top <= 0.0:
-        return np.zeros((as_matrix(a).shape[0], 0), dtype=complex)
-    keep = lam > rel_tol * top
-    return es.unitary[:, keep]
+    @classmethod
+    def of(cls, e, epsilon: float) -> "ElementSpectrum":
+        if epsilon <= 0:
+            raise InvalidInputError("epsilon must be positive")
+        es = _psd_eigensystem(e)
+        lam = np.clip(es.eigenvalues, 0.0, None)
+        u = es.unitary
+        return cls(g=Support.from_eigen(u, SpectralRamp(epsilon).profile(lam)),
+                   plus=Support.from_eigen(u, np.maximum(lam - epsilon, 0.0)))
 
-
-def support_projection(a, rel_tol: float = RANK_TOL) -> np.ndarray:
-    q = support_basis(a, rel_tol)
-    return q @ q.conj().T
+    @property
+    def g_sqrt(self) -> np.ndarray:
+        b = self.g.basis
+        return (b * np.sqrt(self.g.values)) @ b.conj().T
 
 
 @dataclass
@@ -120,48 +139,34 @@ class CuntzWitness:
     ranks: dict
 
 
-def cuntz_witness(a, b, L: int, K: int, epsilon: float, *,
-                  rel_tol: float = RANK_TOL) -> CuntzWitness:
+def cuntz_witness(a_spec: ElementSpectrum, b_support: Support, L: int,
+                  K: int) -> CuntzWitness:
     """Build V with V*V = g_{eps/2}(a) (x) 1_L and range(VV*) inside range(c).
 
-    c is (a-eps)_+ on the first L-1 diagonal blocks and b on the last K.
-    Requires L*rank(g) <= (L-1)*rank((a-eps)_+) + K*rank(b); the partial
-    isometry pairs ascending eigenbases, so the construction is
-    deterministic.
+    c is (a-eps)_+ on the first L-1 diagonal blocks and b on the last K;
+    ``a_spec`` carries g, its square root and both supports of a, and
+    ``b_support`` the support of b.  Requires L*rank(g) <=
+    (L-1)*rank((a-eps)_+) + K*rank(b); the partial isometry pairs ascending
+    eigenbases, so the construction is deterministic.
     """
     if L < 1 or K < 1:
         raise InvalidInputError("L and K must be positive integers")
-    am = require_hermitian(a, name="a")
-    bm = require_hermitian(b, name="b")
-    if am.shape != bm.shape:
+    g, a_plus = a_spec.g, a_spec.plus
+    n = g.basis.shape[0]
+    if b_support.basis.shape[0] != n:
         raise InvalidInputError("a and b must act on the same space")
-    n = am.shape[0]
 
-    es = _psd_eigensystem(am)
-    lam = np.clip(es.eigenvalues, 0.0, None)
-    ramp = SpectralRamp(epsilon).profile(lam)
-    u = es.unitary
-    g = (u * ramp) @ u.conj().T
-    g_sqrt = (u * np.sqrt(ramp)) @ u.conj().T
-    a_plus = (u * np.maximum(lam - epsilon, 0.0)) @ u.conj().T
-
-    r_g = thresholded_rank(g, rel_tol)
-    r_ap = thresholded_rank(a_plus, rel_tol)
-    r_b = thresholded_rank(bm, rel_tol)
-    lhs = L * r_g
-    rhs = (L - 1) * r_ap + K * r_b
+    lhs = L * g.rank
+    rhs = (L - 1) * a_plus.rank + K * b_support.rank
     if lhs > rhs:
         raise PreconditionError(
             f"rank comparison fails: L*rank(g) = {lhs} > "
             f"(L-1)*rank((a-eps)_+) + K*rank(b) = {rhs}")
 
-    u_g = support_basis(g, rel_tol)
-    u_ap = support_basis(a_plus, rel_tol)
-    u_b = support_basis(bm, rel_tol)
-
-    sources = [(j, u_g[:, s]) for j in range(L) for s in range(r_g)]
-    targets = [(i, u_ap[:, t]) for i in range(L - 1) for t in range(r_ap)]
-    targets += [(i, u_b[:, t]) for i in range(L - 1, L + K - 1) for t in range(r_b)]
+    sources = [(j, g.basis[:, s]) for j in range(L) for s in range(g.rank)]
+    targets = [(i, a_plus.basis[:, t]) for i in range(L - 1) for t in range(a_plus.rank)]
+    targets += [(i, b_support.basis[:, t])
+                for i in range(L - 1, L + K - 1) for t in range(b_support.rank)]
 
     big_rows = (L + K - 1) * n
     big_cols = L * n
@@ -169,13 +174,12 @@ def cuntz_witness(a, b, L: int, K: int, epsilon: float, *,
     for m, (j, svec) in enumerate(sources):
         i, tvec = targets[m]
         w[i * n:(i + 1) * n, j * n:(j + 1) * n] += np.outer(tvec, svec.conj())
-    v_big = w @ np.kron(np.eye(L), g_sqrt)
+    v_big = w @ np.kron(np.eye(L), a_spec.g_sqrt)
     blocks = [[v_big[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(L)]
               for i in range(L + K - 1)]
 
-    vstarv_error = operator_norm(v_big.conj().T @ v_big - np.kron(np.eye(L), g))
-    p_ap = support_projection(a_plus, rel_tol)
-    p_b = support_projection(bm, rel_tol)
+    vstarv_error = operator_norm(v_big.conj().T @ v_big - np.kron(np.eye(L), g.matrix))
+    p_ap, p_b = a_plus.projection, b_support.projection
     p_c = np.zeros((big_rows, big_rows), dtype=complex)
     for i in range(L + K - 1):
         p_c[i * n:(i + 1) * n, i * n:(i + 1) * n] = p_ap if i < L - 1 else p_b
@@ -187,7 +191,7 @@ def cuntz_witness(a, b, L: int, K: int, epsilon: float, *,
         raise NumericsError(f"witness range check failed: {range_error:.3e}")
     return CuntzWitness(L=L, K=K, n=n, V=v_big, blocks=blocks,
                         vstarv_error=vstarv_error, range_error=range_error,
-                        ranks={"g": r_g, "a_plus": r_ap, "b": r_b})
+                        ranks={"g": g.rank, "a_plus": a_plus.rank, "b": b_support.rank})
 
 
 @dataclass
@@ -205,8 +209,8 @@ class PushStepResult:
         return all(c.passed for c in self.checks)
 
 
-def push_step(x, a, b, L: int, K: int, epsilon: float, *,
-              rel_tol: float = RANK_TOL) -> PushStepResult:
+def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
+              K: int) -> PushStepResult:
     """Split x in her((a-eps)_+) into L(L+K-1) commutators + her(b) remainder.
 
     Solves y = x + Phi(y) by iteration, where Phi averages conjugation by
@@ -217,12 +221,12 @@ def push_step(x, a, b, L: int, K: int, epsilon: float, *,
     """
     xm = as_matrix(x, square=True, name="x")
     x_norm = operator_norm(xm)
-    p_ap = support_projection(apply_ramp(a, epsilon, "plus"), rel_tol)
+    p_ap = a_spec.plus.projection
     compress_defect = operator_norm(xm - p_ap @ xm @ p_ap)
     if compress_defect > 1e-8 * max(1.0, x_norm):
         raise PreconditionError(
             f"x is not supported in her((a-eps)_+): defect {compress_defect:.3e}")
-    wit = cuntz_witness(a, b, L, K, epsilon, rel_tol=rel_tol)
+    wit = cuntz_witness(a_spec, b_support, L, K)
     v = wit.blocks
 
     def phi(y):
@@ -259,7 +263,7 @@ def push_step(x, a, b, L: int, K: int, epsilon: float, *,
     recon_err = operator_norm(xm - recon)
     rem_norm = operator_norm(remainder)
     worst_product = max(operator_norm(c) * operator_norm(d) for c, d in pairs)
-    p_b = support_projection(b, rel_tol)
+    p_b = b_support.projection
     rem_defect = operator_norm(remainder - p_b @ remainder @ p_b)
     count = L * (L + K - 1)
     checks = [
@@ -287,7 +291,8 @@ class TowerModel:
     truncation schedule.
 
     Blocks with index >= 1 must be mutually orthogonal; consecutive blocks
-    must satisfy the rank comparison that feeds ``push_step``.
+    must satisfy the rank comparison that feeds ``push_step``.  ``spectra``
+    holds one ``ElementSpectrum`` per element at its threshold.
     """
 
     elements: list
@@ -296,6 +301,7 @@ class TowerModel:
     K: int
     M: int
     deltas: list
+    spectra: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.elements) < 1:
@@ -313,18 +319,20 @@ class TowerModel:
         shape = self.elements[0].shape
         if any(e.shape != shape for e in self.elements):
             raise InvalidInputError("all tower elements must share one size")
+        _require_tower_budget(len(self.elements), shape[0], self.L, self.K)
+        norms = [operator_norm(e) for e in self.elements]
         for i in range(1, len(self.elements)):
             for j in range(i + 1, len(self.elements)):
                 defect = operator_norm(self.elements[i] @ self.elements[j])
-                if defect > 1e-10 * max(1.0, operator_norm(self.elements[i])
-                                        * operator_norm(self.elements[j])):
+                if defect > 1e-10 * max(1.0, norms[i] * norms[j]):
                     raise PreconditionError(
                         f"tower blocks {i} and {j} are not orthogonal: {defect:.3e}")
+        self.spectra = [ElementSpectrum.of(e, eps)
+                        for e, eps in zip(self.elements, self.epsilons)]
         for i in range(len(self.elements) - 1):
-            g_rank = thresholded_rank(apply_ramp(self.elements[i], self.epsilons[i], "ramp"))
-            ap_rank = thresholded_rank(apply_ramp(self.elements[i], self.epsilons[i], "plus"))
-            b_rank = thresholded_rank(
-                apply_ramp(self.elements[i + 1], self.epsilons[i + 1], "plus"))
+            g_rank = self.spectra[i].g.rank
+            ap_rank = self.spectra[i].plus.rank
+            b_rank = self.spectra[i + 1].plus.rank
             if self.L * g_rank > (self.L - 1) * ap_rank + self.K * b_rank:
                 raise PreconditionError(
                     f"rank condition fails between blocks {i} and {i + 1}: "
@@ -333,6 +341,16 @@ class TowerModel:
     @property
     def depth_limit(self) -> int:
         return len(self.elements) - 1
+
+
+def _require_tower_budget(count: int, n: int, L: int, K: int):
+    """Reject towers whose elements plus the ((L+K-1)n)^2 matrices of a
+    witness's range check exceed TOWER_ENTRY_BUDGET entries."""
+    entries = (count + (L + K - 1) ** 2) * n * n
+    if entries > TOWER_ENTRY_BUDGET:
+        raise InvalidInputError(
+            f"tower needs {entries} complex entries ({count} elements of size {n}, "
+            f"L={L}, K={K}), over the budget of {TOWER_ENTRY_BUDGET}")
 
 
 def make_block_tower(block_ranks, L: int = 1, K: int = 1, M: int = 1, *,
@@ -345,7 +363,8 @@ def make_block_tower(block_ranks, L: int = 1, K: int = 1, M: int = 1, *,
     total = sum(ranks)
     n = total if ambient is None else int(ambient)
     if n < total:
-        raise InvalidInputError(f"ambient size {n} is too small for ranks {ranks}")
+        raise InvalidInputError(f"ambient size {n} too small for ranks {ranks}")
+    _require_tower_budget(len(ranks), n, L, K)
     elements = []
     start = 0
     for r in ranks:
@@ -401,7 +420,7 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     z_norm = operator_norm(zm)
     if abs(np.trace(zm)) > 1e-9 * n * max(1.0, z_norm):
         raise InvalidInputError("z0 must be trace zero")
-    p0 = support_projection(apply_ramp(tower.elements[0], tower.epsilons[0], "plus"))
+    p0 = tower.spectra[0].plus.projection
     if operator_norm(zm - p0 @ zm @ p0) > 1e-8 * max(1.0, z_norm):
         raise PreconditionError("z0 is not supported in her((e_0 - eps_0)_+)")
 
@@ -420,17 +439,14 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     stage_checks = []
     z = zm
     for t in range(1, depth + 1):
-        b = apply_ramp(tower.elements[t], tower.epsilons[t], "plus")
-        step = push_step(z, tower.elements[t - 1], b, tower.L, tower.K,
-                         tower.epsilons[t - 1])
+        step = push_step(z, tower.spectra[t - 1], tower.spectra[t].plus, tower.L, tower.K)
         stage_pairs.append(step.pairs)
         stage_checks.append(step.checks)
         z = step.remainder
 
     # Exact in-block finish: compress to the final block and use the
     # two-factor shift decomposition there.
-    b_final = apply_ramp(tower.elements[depth], tower.epsilons[depth], "plus")
-    q = support_basis(b_final)
+    q = tower.spectra[depth].plus.basis
     if q.shape[1] == 0:
         raise PreconditionError(f"tower block {depth} has empty support above its threshold")
     z_small = q.conj().T @ z @ q
@@ -460,8 +476,9 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
         family_sizes.append(slots)
         for k in range(slots):
             slot = [item[k] for item in items if k < len(item)]
-            collapse_defect = max(collapse_defect, orthogonality_defect(slot))
-            factors.append(collapse_orthogonal(slot))
+            c, d, defect = collapse_orthogonal(slot)
+            collapse_defect = max(collapse_defect, defect)
+            factors.append((c, d))
 
     decomp = CommutatorDecomposition(
         kind=KIND_GENERAL,

@@ -35,7 +35,14 @@ from tracezero.selfcomm import (
     signed_order,
     tight_commutator_decompose,
 )
-from tracezero.towers import block_two_commutator_split, make_block_tower, push_step, tower_iterate
+from tracezero.towers import (
+    ElementSpectrum,
+    Support,
+    block_two_commutator_split,
+    make_block_tower,
+    push_step,
+    tower_iterate,
+)
 
 
 def conclude(num, label, ok, detail=""):
@@ -157,7 +164,7 @@ def test_criterion_06_push_step_certificates():
             h = random_trace_zero_hermitian(rng, r_a)
             x = np.zeros((n, n), dtype=complex)
             x[:r_a, :r_a] = h
-            res = push_step(x, a, b, L, K, 0.5)
+            res = push_step(x, ElementSpectrum.of(a, 0.5), Support.of(b), L, K)
             x_norm = operator_norm(x)
             recon = sum(commutator(c, d) for c, d in res.pairs) + res.remainder
             ok = ok and len(res.pairs) == L * (L + K - 1)

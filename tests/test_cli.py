@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+import tracezero
 from tracezero.cli import RunConfig, compare_json, run_from_args
+from tracezero.errors import NumericsError
 from tracezero.jsonio import field_to_json, matrix_to_json
 from tracezero.matcore import commutator
 from tracezero.ozfield import circle_complex, make_field
@@ -119,6 +121,40 @@ class TestCommands:
         code, doc, _ = run_cmd("block-split", sample_block_split_doc())
         assert code == 0
         assert doc["report"]["all_passed"]
+
+    def test_oversized_tower_exits_2_before_allocating(self):
+        # 100000^2 complex entries would need about 160 GB
+        code, doc, _ = run_cmd("fack-run", {"tower": {"blocks": [{"rank": 100000}]}})
+        assert code == 2
+        assert "budget" in doc["error"]
+        assert doc["path"] == "stdin"
+
+    def test_numerics_error_exits_1_with_json(self, monkeypatch):
+        def broken(a, **kwargs):
+            raise NumericsError("eigendecomposition failed the reconstruction check")
+
+        monkeypatch.setattr("tracezero.selfcomm.hermitian_eig", broken)
+        code, doc, _ = run_cmd("decompose", matrix_to_json(SZ))
+        assert code == 1
+        assert doc == {"error": "eigendecomposition failed the reconstruction check",
+                       "path": "stdin"}
+
+    def test_fack_run_eigendecomposes_each_element_once(self, monkeypatch):
+        original = tracezero.matcore.hermitian_eig
+        calls = []
+
+        def counting(a, **kwargs):
+            calls.append(1)
+            return original(a, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tracezero") and getattr(module, "hermitian_eig", None) is original:
+                monkeypatch.setattr(module, "hermitian_eig", counting)
+        blocks = 5
+        doc = {"tower": {"blocks": [{"rank": 3}] * blocks}, "depth": blocks - 1}
+        code, _, _ = run_cmd("fack-run", doc, "--seed", "4")
+        assert code == 0
+        assert 0 < len(calls) <= 3 * blocks + 1
 
 
 class TestDeterminismAndVerify:

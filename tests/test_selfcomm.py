@@ -193,12 +193,12 @@ class TestCollapseOrthogonal:
     def test_single_pair(self):
         c = np.diag([1.0, 0.0]).astype(complex)
         d = np.diag([0.0, 0.0]).astype(complex)
-        c2, d2 = collapse_orthogonal([(c, d)])
+        c2, d2, _ = collapse_orthogonal([(c, d)])
         np.testing.assert_array_equal(c2, c)
         np.testing.assert_array_equal(d2, d)
 
     def test_empty_list(self):
-        c, d = collapse_orthogonal([], dim=3)
+        c, d, _ = collapse_orthogonal([], dim=3)
         assert operator_norm(c) == 0.0 and operator_norm(d) == 0.0
 
     def test_empty_list_needs_dim(self):
@@ -219,8 +219,32 @@ class TestCollapseOrthogonal:
             d[sl, sl] = random_trace_zero_hermitian(rng, 2)
             pairs.append((c, d))
             full += commutator(c, d)
-        c, d = collapse_orthogonal(pairs)
+        c, d, _ = collapse_orthogonal(pairs)
         np.testing.assert_allclose(commutator(c, d), full, atol=1e-12)
+
+    def test_defect_is_largest_cross_product(self):
+        # reference: every cross product collapse needs to vanish, measured directly
+        eta = 1e-12
+        c0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        d0 = np.diag([0.5, 0.0, 0.0]).astype(complex)
+        c1 = np.diag([eta, 1.0, 0.0]).astype(complex)
+        d1 = np.diag([0.0, 0.0, 2.0]).astype(complex)
+        d1[0, 1] = eta
+        pairs = [(c0, d0), (c1, d1)]
+        expected = 0.0
+        for i in range(2):
+            for j in range(2):
+                if i == j:
+                    continue
+                ci, di = pairs[i]
+                cj, dj = pairs[j]
+                for prod in (ci.conj().T @ dj, ci @ dj, ci.conj().T @ dj.conj().T,
+                             ci.conj().T @ cj, ci @ cj.conj().T,
+                             di.conj().T @ dj, di @ dj.conj().T):
+                    expected = max(expected, operator_norm(prod))
+        assert expected > 0.0
+        _, _, defect = collapse_orthogonal(pairs)
+        assert defect == expected
 
     def test_violation_names_pair(self):
         c = np.diag([1.0, 0.0]).astype(complex)

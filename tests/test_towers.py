@@ -5,15 +5,13 @@ from tracezero.errors import InvalidInputError, PreconditionError
 from tracezero.matcore import commutator, operator_norm, verify_decomposition
 from tracezero.rand import SplitMix64, random_complex_matrix, random_hermitian
 from tracezero.towers import (
+    ElementSpectrum,
+    Support,
     TowerModel,
-    apply_ramp,
     block_two_commutator_split,
     cuntz_witness,
     make_block_tower,
     push_step,
-    support_basis,
-    support_projection,
-    thresholded_rank,
     tower_iterate,
 )
 
@@ -30,13 +28,13 @@ def embedded_trace_zero(rng, n, lo, hi):
 class TestRamp:
     def test_plus_mode(self):
         a = np.diag([1.0, 0.1]).astype(complex)
-        np.testing.assert_allclose(apply_ramp(a, 0.5, "plus"), np.diag([0.5, 0.0]),
-                                   atol=1e-14)
+        np.testing.assert_allclose(ElementSpectrum.of(a, 0.5).plus.matrix,
+                                   np.diag([0.5, 0.0]), atol=1e-14)
 
     def test_ramp_mode(self):
         a = np.diag([1.0, 0.1]).astype(complex)
-        np.testing.assert_allclose(apply_ramp(a, 0.5, "ramp"), np.diag([1.0, 0.0]),
-                                   atol=1e-14)
+        np.testing.assert_allclose(ElementSpectrum.of(a, 0.5).g.matrix,
+                                   np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_ramp_acts_as_unit_on_high_spectrum(self):
         # oracle: spectral projection onto eigenvalues > eps
@@ -44,13 +42,14 @@ class TestRamp:
         m = random_complex_matrix(rng, 6)
         a = m @ m.conj().T  # PSD
         eps = 0.5 * operator_norm(a)
-        g = apply_ramp(a, eps, "ramp")
-        p = support_projection(apply_ramp(a, eps, "plus"))
+        spec = ElementSpectrum.of(a, eps)
+        g = spec.g.matrix
+        p = spec.plus.projection
         assert operator_norm(g @ p - p) <= 1e-10
 
     def test_rejects_negative_spectrum(self):
         with pytest.raises(InvalidInputError):
-            apply_ramp(np.diag([1.0, -0.5]).astype(complex), 0.2)
+            ElementSpectrum.of(np.diag([1.0, -0.5]).astype(complex), 0.2)
 
     def test_ramp_profile_window(self):
         from tracezero.towers import SpectralRamp
@@ -65,21 +64,21 @@ class TestRamp:
 class TestCuntzWitness:
     def test_a_equals_b(self):
         a = np.diag([1.0, 0.8, 0.0]).astype(complex)
-        wit = cuntz_witness(a, a, 1, 1, 0.1)
+        wit = cuntz_witness(ElementSpectrum.of(a, 0.1), Support.of(a), 1, 1)
         assert wit.vstarv_error <= 1e-12
         assert wit.range_error <= 1e-12
 
     def test_two_by_two_swap(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
-        wit = cuntz_witness(a, b, 1, 1, 0.1)
+        wit = cuntz_witness(ElementSpectrum.of(a, 0.1), Support.of(b), 1, 1)
         # V = e21 up to phase: single nonzero entry of modulus 1 at (1, 0)
         np.testing.assert_allclose(np.abs(wit.V), [[0.0, 0.0], [1.0, 0.0]], atol=1e-12)
 
     def test_rank_failure(self):
         with pytest.raises(PreconditionError, match="rank comparison"):
-            cuntz_witness(np.eye(2, dtype=complex),
-                          np.diag([1.0, 0.0]).astype(complex), 1, 1, 0.1)
+            cuntz_witness(ElementSpectrum.of(np.eye(2, dtype=complex), 0.1),
+                          Support.of(np.diag([1.0, 0.0]).astype(complex)), 1, 1)
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     @pytest.mark.parametrize("K", [1, 2, 3])
@@ -92,7 +91,7 @@ class TestCuntzWitness:
         a[:r_a, :r_a] = np.eye(r_a)
         b = np.zeros((n, n), dtype=complex)
         b[r_a:, r_a:] = np.eye(r_b)
-        wit = cuntz_witness(a, b, L, K, 0.5)
+        wit = cuntz_witness(ElementSpectrum.of(a, 0.5), Support.of(b), L, K)
         assert wit.vstarv_error <= 1e-8
         assert wit.range_error <= 1e-8
         assert np.kron(np.eye(L), np.eye(n)).shape[0] == wit.V.shape[1]
@@ -103,7 +102,8 @@ class TestPushStep:
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
         lam = 0.7
-        res = push_step(lam * np.diag([1.0, 0.0]).astype(complex), a, b, 1, 1, 0.1)
+        res = push_step(lam * np.diag([1.0, 0.0]).astype(complex),
+                        ElementSpectrum.of(a, 0.1), Support.of(b), 1, 1)
         assert len(res.pairs) == 1
         c, d = res.pairs[0]
         np.testing.assert_allclose(commutator(c, d) + res.remainder,
@@ -114,7 +114,7 @@ class TestPushStep:
     def test_zero_input(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
-        res = push_step(np.zeros((2, 2)), a, b, 1, 1, 0.1)
+        res = push_step(np.zeros((2, 2)), ElementSpectrum.of(a, 0.1), Support.of(b), 1, 1)
         assert operator_norm(res.remainder) == 0.0
         assert all(operator_norm(d) == 0.0 for _, d in res.pairs)
 
@@ -122,7 +122,7 @@ class TestPushStep:
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(PreconditionError, match="supported"):
-            push_step(np.eye(2, dtype=complex), a, b, 1, 1, 0.1)
+            push_step(np.eye(2, dtype=complex), ElementSpectrum.of(a, 0.1), Support.of(b), 1, 1)
 
     def test_six_by_six_L2_K1(self):
         rng = SplitMix64(42)
@@ -132,7 +132,7 @@ class TestPushStep:
         b = np.zeros((n, n), dtype=complex)
         b[3:, 3:] = np.eye(3)
         x = embedded_trace_zero(rng, n, 0, 3)
-        res = push_step(x, a, b, 2, 1, 0.5)
+        res = push_step(x, ElementSpectrum.of(a, 0.5), Support.of(b), 2, 1)
         assert len(res.pairs) == 2 * (2 + 1 - 1)  # L(L+K-1) = 4
         assert res.all_passed
 
@@ -148,7 +148,7 @@ class TestPushStep:
         b = np.zeros((n, n), dtype=complex)
         b[r_a:, r_a:] = np.eye(r_b)
         x = embedded_trace_zero(rng, n, 0, r_a)
-        res = push_step(x, a, b, L, K, 0.5)
+        res = push_step(x, ElementSpectrum.of(a, 0.5), Support.of(b), L, K)
         x_norm = operator_norm(x)
         assert len(res.pairs) == L * (L + K - 1)
         recon = sum(commutator(c, d) for c, d in res.pairs) + res.remainder
@@ -169,7 +169,7 @@ class TestPushStep:
         a[:r_a, :r_a] = np.eye(r_a)
         b = np.zeros((n, n), dtype=complex)
         b[r_a:, r_a:] = np.eye(r_b)
-        wit = cuntz_witness(a, b, L, K, 0.5)
+        wit = cuntz_witness(ElementSpectrum.of(a, 0.5), Support.of(b), L, K)
         for _ in range(10):
             y = embedded_trace_zero(rng, n, 0, r_a)
             y /= operator_norm(y)
@@ -331,9 +331,9 @@ class TestBlockSplit:
         # e = ramp of c acts as a unit on her((c - eps)_+)
         c = np.diag([1.0, 0.9, 0.1]).astype(complex)
         eps = 0.5
-        e = apply_ramp(c, eps, "ramp")
-        cp = apply_ramp(c, eps, "plus")
-        q = support_basis(cp)
+        spec = ElementSpectrum.of(c, eps)
+        e = spec.g.matrix
+        q = spec.plus.basis
         rng = SplitMix64(63)
         d = 2
         her = lambda: q @ random_complex_matrix(rng, q.shape[1]) @ q.conj().T
@@ -347,6 +347,6 @@ class TestBlockSplit:
 
 
 def test_thresholded_rank():
-    assert thresholded_rank(np.diag([1.0, 1e-12, 0.0])) == 1
-    assert thresholded_rank(np.zeros((3, 3))) == 0
-    assert thresholded_rank(np.eye(4)) == 4
+    assert Support.of(np.diag([1.0, 1e-12, 0.0])).rank == 1
+    assert Support.of(np.zeros((3, 3))).rank == 0
+    assert Support.of(np.eye(4)).rank == 4
