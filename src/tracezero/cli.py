@@ -35,6 +35,7 @@ import jsonschema
 
 from .errors import InvalidInputError, NumericsError
 from .jsonio import (
+    encode,
     field_from_json,
     field_to_json,
     matrix_from_json,
@@ -42,9 +43,15 @@ from .jsonio import (
 )
 from .matcore import operator_norm, verify_decomposition
 from .obstruct import BundleExpr, obstruction_certificate, pp_example, villadsen_tower
-from .ozfield import barycentric_subdivide, decompose_field, greedy_coloring, subdivide_field
+from .ozfield import (
+    barycentric_subdivide,
+    decompose_field,
+    greedy_coloring,
+    require_refine_budget,
+    subdivide_field,
+)
 from .rand import SplitMix64, random_trace_zero_hermitian
-from .schemas import INPUT_SCHEMAS
+from .schemas import INPUT_SCHEMAS, validate
 from .selfcomm import self_commutator_decompose, tight_commutator_decompose
 from .towers import TowerModel, block_two_commutator_split, make_block_tower, tower_iterate
 
@@ -81,10 +88,6 @@ class RunConfig:
                 "depth": self.depth}
 
 
-def encode(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 # --------------------------------------------------------------------------
 # Handlers.  Each returns (output document, exit code).
 
@@ -112,6 +115,7 @@ def _handle_decompose(construct, cfg: RunConfig, doc: dict):
 
 def _handle_decompose_field(cfg: RunConfig, doc: dict):
     fld = field_from_json(doc)
+    require_refine_budget(fld.complex, cfg.refine)
     if cfg.refine > 0:
         for _ in range(cfg.refine):
             sub = barycentric_subdivide(fld.complex)
@@ -282,7 +286,7 @@ def _handle_verify(cfg: RunConfig, doc: dict):
 
 def _build_output(cfg: RunConfig, input_doc: dict):
     """Dispatch and wrap in the standard envelope."""
-    jsonschema.validate(input_doc, INPUT_SCHEMAS[cfg.command])
+    validate(input_doc, cfg.command)
     if cfg.command == "verify":
         body, code = _handle_verify(cfg, input_doc)
     else:
@@ -344,7 +348,7 @@ def run_from_args(argv, stdin_text: str | None = None):
         else:
             text = stdin_text if stdin_text is not None else sys.stdin.read()
         input_doc = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         return 2, encode({"error": f"cannot read input: {exc}", "path": args.in_path or "stdin"})
     if not isinstance(input_doc, dict):
         return 2, encode({"error": "input must be a JSON object", "path": args.in_path or "stdin"})

@@ -29,6 +29,7 @@ from .matcore import (
 from .selfcomm import self_commutator_decompose
 
 DEFAULT_GRID_ORDER = 8
+REFINE_SIMPLEX_BUDGET = 2 ** 15  # maximal simplices after barycentric refinement
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,20 @@ def barycentric_subdivide(complex_: SimplicialComplex) -> BarycentricSubdivision
     sub = SimplicialComplex.make(len(faces), flags)
     coloring = VertexColoring.make([len(f) - 1 for f in faces])
     return BarycentricSubdivision(complex=sub, coloring=coloring, parent_faces=tuple(faces))
+
+
+def require_refine_budget(complex_: SimplicialComplex, refine: int):
+    """Reject ``refine`` barycentric refinements when the projected count,
+    maximal simplices * ((d+1)!)^refine, exceeds REFINE_SIMPLEX_BUDGET."""
+    count = len(complex_.maximal_simplices)
+    factor = math.factorial(complex_.dimension + 1)
+    for _ in range(refine if factor > 1 else 0):
+        count *= factor
+        if count > REFINE_SIMPLEX_BUDGET:
+            raise InvalidInputError(
+                f"refine {refine} of {len(complex_.maximal_simplices)} maximal simplices of "
+                f"dimension {complex_.dimension} projects over the budget of "
+                f"{REFINE_SIMPLEX_BUDGET} simplices")
 
 
 def circle_complex(n_vertices: int) -> SimplicialComplex:
