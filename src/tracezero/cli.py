@@ -141,11 +141,20 @@ def _handle_decompose_field(cfg: RunConfig, doc: dict):
         (0 if fd.report.all_passed else 1)
 
 
+def _as_float(value, name: str) -> float:
+    """float(value), with an integer too large for a float as invalid input."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{name} is too large for a float") from None
+
+
 def _tower_from_json(doc: dict) -> TowerModel:
     blocks_doc = doc["blocks"]
     count = len(blocks_doc)
-    epsilon = float(doc.get("epsilon", 0.5))
-    deltas = [float(d) for d in doc.get("deltas", [2.0 ** -(i + 1) for i in range(count - 1)])]
+    epsilon = _as_float(doc.get("epsilon", 0.5), "tower.epsilon")
+    deltas = [_as_float(d, f"tower.deltas[{i}]") for i, d in
+              enumerate(doc.get("deltas", [2.0 ** -(i + 1) for i in range(count - 1)]))]
     L, K, M = (int(doc.get(key, 1)) for key in ("L", "K", "M"))
     if all(isinstance(b, dict) and "rank" in b for b in blocks_doc):
         return make_block_tower([b["rank"] for b in blocks_doc], L, K, M,
@@ -271,7 +280,7 @@ def _handle_verify(cfg: RunConfig, doc: dict):
         raise InvalidInputError(f"cannot verify output of command {inner_command!r}")
     params = doc["parameters"]
     inner_cfg = RunConfig(command=inner_command,
-                          tol=float(params.get("tol", 1e-9)),
+                          tol=_as_float(params.get("tol", 1e-9), "parameters.tol"),
                           seed=int(params.get("seed", 0)),
                           refine=int(params.get("refine", 0)),
                           depth=params.get("depth"))
@@ -348,7 +357,9 @@ def run_from_args(argv, stdin_text: str | None = None):
         else:
             text = stdin_text if stdin_text is not None else sys.stdin.read()
         input_doc = json.loads(text)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integer literals longer than
+        # the interpreter will convert (4300 digits by default).
         return 2, encode({"error": f"cannot read input: {exc}", "path": args.in_path or "stdin"})
     if not isinstance(input_doc, dict):
         return 2, encode({"error": "input must be a JSON object", "path": args.in_path or "stdin"})

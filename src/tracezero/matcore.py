@@ -4,7 +4,10 @@ Matrices are plain complex128 numpy arrays; the structured results
 (eigensystems, commutator decompositions, verification reports) are small
 dataclasses.  Conventions fixed here and relied on everywhere else:
 
-* ``operator_norm`` is the largest singular value;
+* ``operator_norm`` is the largest singular value; every norm a result
+  reports is one.  A norm that only decides pass or fail goes through
+  ``norm_exceeds``, which settles the comparison by the Frobenius bound
+  and takes the SVD only when that bound cannot;
 * ``hermitian_eig`` returns eigenvalues ascending with a deterministic
   eigenvector phase (the first component of modulus > 1e-8 is made real
   positive), so bit-identical inputs give bit-identical output;
@@ -15,6 +18,7 @@ All operations are pure and never mutate their inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,11 @@ from .errors import InvalidInputError, NumericsError
 
 HERMITIAN_TOL = 1e-12
 PHASE_CUTOFF = 1e-8
+# The Frobenius screen.  np.linalg.norm sums unscaled squares: below the
+# floor, squares of small entries may have underflowed, so the sum can miss
+# them; the margin covers SVD rounding where the two norms agree (rank 1).
+FROBENIUS_FLOOR = 1e-140
+FROBENIUS_MARGIN = 1e-6
 
 
 def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -52,6 +61,28 @@ def operator_norm(a) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def frobenius_bound(m) -> float:
+    """A sound upper bound on ``operator_norm(m)`` from ||m||_2 <= ||m||_F.
+
+    Exact 0 only for the zero matrix; inf, meaning "take the SVD", where
+    the unscaled sum of squares may have underflowed or overflowed.
+    """
+    m = np.asarray(m)
+    with np.errstate(over="ignore"):
+        f = float(np.linalg.norm(m))
+    if f == 0.0 and not m.any():
+        return 0.0
+    if not FROBENIUS_FLOOR <= f < math.inf:
+        return math.inf
+    return f * (1.0 + FROBENIUS_MARGIN)
+
+
+def norm_exceeds(m, bound: float) -> bool:
+    """Exactly ``operator_norm(m) > bound``; the SVD runs only when the
+    Frobenius bound cannot settle the comparison."""
+    return frobenius_bound(m) > bound and operator_norm(m) > bound
 
 
 def max_abs(a) -> float:
@@ -103,10 +134,11 @@ def hermitian_eig(a, *, tol_unitary: float = 1e-10, tol_recon: float = 1e-10) ->
     eigenvalues, u = np.linalg.eigh(h)
     u = _fix_phases(u)
     n = m.shape[0]
-    if operator_norm(u @ u.conj().T - np.eye(n)) > tol_unitary:
+    if norm_exceeds(u @ u.conj().T - np.eye(n), tol_unitary):
         raise NumericsError("eigenvector matrix failed the unitarity check")
-    recon = (u * eigenvalues) @ u.conj().T
-    if operator_norm(m - recon) > tol_recon * max(1.0, operator_norm(m)):
+    recon_err = m - (u * eigenvalues) @ u.conj().T
+    if (frobenius_bound(recon_err) > tol_recon
+            and operator_norm(recon_err) > tol_recon * max(1.0, operator_norm(m))):
         raise NumericsError("eigendecomposition failed the reconstruction check")
     return EigenSystem(eigenvalues=eigenvalues, unitary=u)
 

@@ -28,6 +28,10 @@ from . import ozfield
 MAX_EXPANSION_TERMS = 2_000_000
 
 VILLADSEN_MMAX_LIMIT = 3
+# The largest m whose certificate coefficient m! has at most 4300 digits,
+# CPython's default limit (sys.int_info.default_max_str_digits) for turning
+# an int into text, so the certificate can be written as JSON.
+PP_EXAMPLE_M_LIMIT = 1558
 
 
 @dataclass
@@ -338,6 +342,10 @@ def pp_example(m: int) -> PPExample:
     octahedral sphere is attached for inspection."""
     if m < 1:
         raise InvalidInputError("m must be at least 1")
+    if m > PP_EXAMPLE_M_LIMIT:
+        raise InvalidInputError(
+            f"m is capped at {PP_EXAMPLE_M_LIMIT}: the certificate's coefficient m! "
+            "must print as a JSON integer")
     p = BundleExpr.line((1,) * m)
     cert = obstruction_certificate(p, m)
     description = {

@@ -15,6 +15,7 @@ decompositions keep their final count small.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .matcore import (
     CommutatorDecomposition,
     as_matrix,
     commutator,
+    frobenius_bound,
     hermitian_eig,
     operator_norm,
     require_hermitian,
@@ -186,10 +188,17 @@ def tight_commutator_decompose(a, *, trace_tol: float = TRACE_TOL) -> Commutator
     )
 
 
+# Products that vanish when pairs (c_i, d_i), (c_j, d_j) have mutually
+# orthogonal supports, in checking order, each with the end of the message
+# that names its violation.
 _CROSS_PRODUCTS = (
-    ("c*.d", lambda c, d: c.conj().T @ d),
-    ("c.d", lambda c, d: c @ d),
-    ("c*.d*", lambda c, d: c.conj().T @ d.conj().T),
+    (" are not orthogonal: c*.d != 0", lambda ci, di, cj, dj: ci.conj().T @ dj),
+    (" are not orthogonal: c.d != 0", lambda ci, di, cj, dj: ci @ dj),
+    (" are not orthogonal: c*.d* != 0", lambda ci, di, cj, dj: ci.conj().T @ dj.conj().T),
+    (": c factors overlap", lambda ci, di, cj, dj: ci.conj().T @ cj),
+    (": c factors overlap", lambda ci, di, cj, dj: ci @ cj.conj().T),
+    (": d factors overlap", lambda ci, di, cj, dj: di.conj().T @ dj),
+    (": d factors overlap", lambda ci, di, cj, dj: di @ dj.conj().T),
 )
 
 
@@ -201,7 +210,9 @@ def collapse_orthogonal(pairs, *, dim: int | None = None,
     that the c's (resp. d's) are orthogonal among themselves; then
     [sum c_i, sum d_i] = sum [c_i, d_i].  Returns (c, d, defect) with defect
     the largest of those cross-product norms.  Violations raise with the
-    offending pair named.
+    first offending pair named.  A product whose Frobenius bound is at most
+    the defect so far can neither raise nor change it, so only the others
+    (none, when the supports are exactly orthogonal) take an SVD.
     """
     mats = [(as_matrix(c, square=True, name="c"), as_matrix(d, square=True, name="d"))
             for c, d in pairs]
@@ -215,27 +226,19 @@ def collapse_orthogonal(pairs, *, dim: int | None = None,
         if c.shape != shape or d.shape != shape:
             raise InvalidInputError("collapse pairs must share one square shape")
     defect = 0.0
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            if i == j:
+    for i, j in itertools.permutations(range(len(mats)), 2):
+        for violation, prod in _CROSS_PRODUCTS:
+            p = prod(*mats[i], *mats[j])
+            if frobenius_bound(p) <= defect:
                 continue
-            ci, di = mats[i]
-            cj, dj = mats[j]
-            for label, prod in _CROSS_PRODUCTS:
-                norm = operator_norm(prod(ci, dj))
-                if norm > product_tol:
-                    raise PreconditionError(
-                        f"pairs {i} and {j} are not orthogonal: {label} != 0")
-                defect = max(defect, norm)
-            for label, x, y in (("c", ci, cj), ("d", di, dj)):
-                norm = max(operator_norm(x.conj().T @ y), operator_norm(x @ y.conj().T))
-                if norm > product_tol:
-                    raise PreconditionError(f"pairs {i} and {j}: {label} factors overlap")
-                defect = max(defect, norm)
+            norm = operator_norm(p)
+            if norm > product_tol:
+                raise PreconditionError(f"pairs {i} and {j}{violation}")
+            defect = max(defect, norm)
     c_total = sum(c for c, _ in mats)
     d_total = sum(d for _, d in mats)
-    target = sum(commutator(c, d) for c, d in mats)
-    scale = max(1.0, max(operator_norm(c) * operator_norm(d) for c, d in mats))
-    if operator_norm(commutator(c_total, d_total) - target) > 1e-9 * scale:
+    err = commutator(c_total, d_total) - sum(commutator(c, d) for c, d in mats)
+    if frobenius_bound(err) > 1e-9 and operator_norm(err) > 1e-9 * max(
+            1.0, max(operator_norm(c) * operator_norm(d) for c, d in mats)):
         raise NumericsError("collapsed commutator failed to reproduce the sum")
     return c_total, d_total, defect

@@ -29,7 +29,9 @@ from .matcore import (
     CommutatorDecomposition,
     as_matrix,
     commutator,
+    frobenius_bound,
     hermitian_eig,
+    norm_exceeds,
     operator_norm,
     require_hermitian,
 )
@@ -222,10 +224,10 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
     xm = as_matrix(x, square=True, name="x")
     x_norm = operator_norm(xm)
     p_ap = a_spec.plus.projection
-    compress_defect = operator_norm(xm - p_ap @ xm @ p_ap)
-    if compress_defect > 1e-8 * max(1.0, x_norm):
-        raise PreconditionError(
-            f"x is not supported in her((a-eps)_+): defect {compress_defect:.3e}")
+    compress_defect = xm - p_ap @ xm @ p_ap
+    if norm_exceeds(compress_defect, 1e-8 * max(1.0, x_norm)):
+        raise PreconditionError("x is not supported in her((a-eps)_+): "
+                                f"defect {operator_norm(compress_defect):.3e}")
     wit = cuntz_witness(a_spec, b_support, L, K)
     v = wit.blocks
 
@@ -242,7 +244,7 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
         y = xm.copy()
         for _ in range(NEUMANN_MAX_ITER):
             fy = phi(y)
-            if operator_norm(y - fy - xm) <= NEUMANN_TOL * x_norm:
+            if not norm_exceeds(y - fy - xm, NEUMANN_TOL * x_norm):
                 break
             y = xm + fy
         else:
@@ -320,11 +322,14 @@ class TowerModel:
         if any(e.shape != shape for e in self.elements):
             raise InvalidInputError("all tower elements must share one size")
         _require_tower_budget(len(self.elements), shape[0], self.L, self.K)
-        norms = [operator_norm(e) for e in self.elements]
         for i in range(1, len(self.elements)):
             for j in range(i + 1, len(self.elements)):
-                defect = operator_norm(self.elements[i] @ self.elements[j])
-                if defect > 1e-10 * max(1.0, norms[i] * norms[j]):
+                ei, ej = self.elements[i], self.elements[j]
+                product = ei @ ej
+                if frobenius_bound(product) <= 1e-10:
+                    continue
+                defect = operator_norm(product)
+                if defect > 1e-10 * max(1.0, operator_norm(ei) * operator_norm(ej)):
                     raise PreconditionError(
                         f"tower blocks {i} and {j} are not orthogonal: {defect:.3e}")
         self.spectra = [ElementSpectrum.of(e, eps)
@@ -421,7 +426,7 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     if abs(np.trace(zm)) > 1e-9 * n * max(1.0, z_norm):
         raise InvalidInputError("z0 must be trace zero")
     p0 = tower.spectra[0].plus.projection
-    if operator_norm(zm - p0 @ zm @ p0) > 1e-8 * max(1.0, z_norm):
+    if norm_exceeds(zm - p0 @ zm @ p0, 1e-8 * max(1.0, z_norm)):
         raise PreconditionError("z0 is not supported in her((e_0 - eps_0)_+)")
 
     count_n = tower.L * (tower.L + tower.K - 1)
@@ -431,7 +436,7 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
             kind=KIND_GENERAL, factors=[], residual=zm.copy(),
             claimed_bounds=[("reconstruction_residual", 1e-8 * max(1.0, z_norm)),
                             ("commutator_count", float(count_bound))])
-        report = TowerRunReport(stage_checks=[], inblock_residual=operator_norm(zm),
+        report = TowerRunReport(stage_checks=[], inblock_residual=z_norm,
                                 collapse_defect=0.0, family_sizes=[0, 0])
         return decomp, report
 
@@ -543,14 +548,14 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
     comms = [commutator(x, y) for x, y in xy]
     defects = [diag[i] - comms[i] for i in range(d)]
     if d == 1:
-        if operator_norm(defects[0]) > 1e-8 * max(1.0, b_norm):
+        if norm_exceeds(defects[0], 1e-8 * max(1.0, b_norm)):
             raise InvalidInputError("with one block, b_11 must itself be [x_1, y_1]")
         zero = np.zeros_like(bm)
         checks = [BoundCheck("shift_reconstruction", 1e-9 * max(1.0, b_norm), 0.0,
                              0.0, True)]
         return BlockSplitResult(zero, zero.copy(), zero.copy(), bm.copy(), checks)
     total = sum(defects)
-    if operator_norm(total) > 1e-8 * max(1.0, b_norm):
+    if norm_exceeds(total, 1e-8 * max(1.0, b_norm)):
         raise InvalidInputError(
             "diagonal blocks minus commutators must sum to zero "
             f"(defect {operator_norm(total):.3e})")
@@ -561,9 +566,11 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
         acc = acc + defects[i]
         partial.append(acc.copy())
     for i, s in enumerate(partial):
-        s_norm = operator_norm(s)
-        if (operator_norm(em @ s - s) > 1e-9 * max(1.0, s_norm)
-                or operator_norm(s @ em - s) > 1e-9 * max(1.0, s_norm)):
+        unit_defects = (em @ s - s, s @ em - s)
+        if not any(frobenius_bound(u) > 1e-9 for u in unit_defects):
+            continue
+        tol = 1e-9 * max(1.0, operator_norm(s))
+        if any(operator_norm(u) > tol for u in unit_defects):
             raise PreconditionError(
                 f"e does not act as a unit on partial sum {i + 1}")
 

@@ -55,8 +55,8 @@ def sample_block_split_doc():
     }
 
 
-def sample_tower_doc():
-    return {"tower": {"blocks": [{"rank": 3}] * 4, "L": 1, "K": 1, "M": 1},
+def sample_tower_doc(L=1, K=1):
+    return {"tower": {"blocks": [{"rank": 3}] * 4, "L": L, "K": K, "M": 1},
             "depth": 3}
 
 
@@ -160,6 +160,74 @@ class TestCommands:
         assert code == 0
         assert 0 < len(calls) <= 3 * blocks + 1
 
+    def test_fack_run_collapse_takes_no_svd_on_orthogonal_blocks(self, monkeypatch):
+        norms, slots = [], []
+        norm, collapse = tracezero.selfcomm.operator_norm, tracezero.towers.collapse_orthogonal
+
+        def counting_norm(a):
+            norms.append(1)
+            return norm(a)
+
+        def counting_collapse(pairs):
+            slots.append(len(pairs))
+            return collapse(pairs)
+
+        monkeypatch.setattr(tracezero.selfcomm, "operator_norm", counting_norm)
+        monkeypatch.setattr(tracezero.towers, "collapse_orthogonal", counting_collapse)
+        doc = {"tower": {"blocks": [{"rank": 3}] * 5}, "depth": 4}
+        code, _, _ = run_cmd("fack-run", doc, "--seed", "4")
+        assert code == 0
+        assert max(slots) > 1
+        assert norms == []
+
+
+def _overlapping_blocks_doc():
+    blocks = [np.diag(d).astype(complex) for d in
+              ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0], [0.0, 0.0, 1.0, 1.0])]
+    return {"tower": {"blocks": [matrix_to_json(b) for b in blocks]}}
+
+
+def _unsupported_z0_doc():
+    z0 = np.diag([0.0, 0.0, 1.0, -1.0]).astype(complex)
+    return {"tower": {"blocks": [{"rank": 2}, {"rank": 2}]}, "z0": matrix_to_json(z0)}
+
+
+def _unbalanced_block_split_doc():
+    doc = sample_block_split_doc()
+    doc["b"]["entries"][0][0][0] += 1e-3
+    return doc
+
+
+class TestFrobeniusScreen:
+    """The screen decides pass/fail norms only: with it forced to defer to
+    the SVD everywhere, every document, error documents included, is the
+    same byte for byte."""
+
+    @pytest.mark.parametrize("command, make_doc, flags, exit_code", [
+        ("fack-run", sample_tower_doc, ("--seed", "3"), 0),
+        ("fack-run", lambda: sample_tower_doc(2, 2), ("--seed", "3"), 0),
+        ("decompose", lambda: matrix_to_json(_M3), (), 0),
+        ("decompose-field", sample_field_doc, ("--refine", "1"), 0),
+        ("block-split", sample_block_split_doc, (), 0),
+        ("fack-run", _overlapping_blocks_doc, (), 2),
+        ("fack-run", _unsupported_z0_doc, (), 2),
+        ("block-split", _unbalanced_block_split_doc, (), 2),
+    ])
+    def test_screen_never_changes_output(self, monkeypatch, command, make_doc, flags,
+                                         exit_code):
+        text = json.dumps(make_doc())
+        screened = run_from_args([command, *flags], stdin_text=text)
+        assert screened[0] == exit_code
+        original = tracezero.matcore.frobenius_bound
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tracezero") and getattr(module, "frobenius_bound",
+                                                        None) is original:
+                monkeypatch.setattr(module, "frobenius_bound", lambda m: math.inf)
+        assert run_from_args([command, *flags], stdin_text=text) == screened
+
+
+_HUGE = 10 ** 400  # a JSON integer, but too large for a float
+
 
 class TestHostileInput:
     def test_huge_integer_entry_exits_2(self):
@@ -186,6 +254,32 @@ class TestHostileInput:
         doc = json.loads(out)
         assert doc["input"]["extra"] == json.loads(text)["extra"]
         assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("fack-run", {"tower": {"blocks": [{"rank": 2}] * 2, "epsilon": _HUGE}},
+         "tower.epsilon is too large for a float"),
+        ("fack-run", {"tower": {"blocks": [{"rank": 2}] * 3, "deltas": [0.5, _HUGE]}},
+         "tower.deltas[1] is too large for a float"),
+        ("pp-example", {"m": _HUGE},
+         "m is capped at 1558: the certificate's coefficient m! must print as a JSON integer"),
+        ("verify", {"command": "decompose", "parameters": {"tol": _HUGE}, "input": {}},
+         "parameters.tol is too large for a float"),
+    ])
+    def test_huge_integer_field_exits_2(self, command, doc, message):
+        code, out = run_from_args([command], stdin_text=json.dumps(doc))
+        assert code == 2
+        assert json.loads(out) == {"error": message, "path": "stdin"}
+
+    def test_pp_example_cap_is_the_last_printable_coefficient(self):
+        assert run_cmd("pp-example", {"m": 1558})[0] == 0
+        assert run_cmd("pp-example", {"m": 1559})[0] == 2
+
+    def test_integer_literal_over_the_digit_limit_exits_2(self):
+        code, out = run_from_args(["pp-example"], stdin_text='{"m": 1' + "0" * 5000 + "}")
+        doc = json.loads(out)
+        assert code == 2
+        assert doc["error"].startswith("cannot read input: Exceeds the limit")
+        assert doc["path"] == "stdin"
 
     def test_refine_over_budget_exits_2_before_subdividing(self, monkeypatch):
         def refuse(complex_):

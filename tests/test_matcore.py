@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracezero.errors import InvalidInputError
@@ -8,8 +10,10 @@ from tracezero.matcore import (
     KIND_SELF,
     CommutatorDecomposition,
     commutator,
+    frobenius_bound,
     hermitian_eig,
     is_hermitian,
+    norm_exceeds,
     operator_norm,
     verify_decomposition,
 )
@@ -75,6 +79,65 @@ class TestOperatorNorm:
             u = random_unitary(SplitMix64(100 + seed), 6)
             assert operator_norm(u @ a @ u.conj().T) == pytest.approx(
                 operator_norm(a), rel=1e-9)
+
+
+@st.composite
+def scaled_matrices(draw):
+    """Matrices over the whole float range: full rank or rank 1 at scales
+    1e-300..1e300, the zero matrix, and matrices of subnormal entries."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["full", "rank1", "zero", "subnormal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "subnormal":
+        return (rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))) * 5e-324
+    u = rng.standard_normal((n, 2)) @ [1.0, 1j]
+    v = rng.standard_normal((n, 2)) @ [1.0, 1j]
+    base = (np.outer(u, v.conj()) if kind == "rank1"
+            else rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return base * 10.0 ** draw(st.integers(-300, 300))
+
+
+def exact_frobenius(m):
+    return math.hypot(*np.abs(m).ravel())  # scaled: no squares underflow or overflow
+
+
+class TestFrobeniusScreen:
+    BOUNDS = {
+        "norm": operator_norm,
+        "ulp above": lambda m: float(np.nextafter(operator_norm(m), np.inf)),
+        "ulp below": lambda m: float(np.nextafter(operator_norm(m), 0.0)),
+        "frobenius": exact_frobenius,
+        "zero": lambda m: 0.0,
+    }
+
+    @settings(max_examples=400, deadline=None)
+    @given(scaled_matrices(), st.sampled_from(sorted(BOUNDS)))
+    @example(1e-170 * np.eye(3, dtype=complex), "ulp below")
+    @example(1e200 * np.eye(3, dtype=complex), "ulp below")
+    @example(np.full((2, 2), 5e-324, dtype=complex), "zero")
+    def test_decides_exactly_as_the_svd(self, m, bound_name):
+        b = self.BOUNDS[bound_name](m)
+        assert norm_exceeds(m, b) == (operator_norm(m) > b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scaled_matrices())
+    def test_bound_is_sound(self, m):
+        assert frobenius_bound(m) >= operator_norm(m)
+
+    def test_underflowed_squares_go_to_the_svd(self):
+        assert norm_exceeds(1e-170 * np.eye(3), 1e-171)
+        assert frobenius_bound(np.full((2, 2), 5e-324)) == np.inf
+
+    def test_overflowed_squares_go_to_the_svd(self):
+        assert norm_exceeds(1e200 * np.eye(3), 1e199)
+        assert frobenius_bound(1e200 * np.eye(3)) == np.inf
+
+    def test_zero_only_for_the_zero_matrix(self):
+        assert frobenius_bound(np.zeros((3, 3), dtype=complex)) == 0.0
+        assert frobenius_bound(np.zeros((0, 0))) == 0.0
+        assert not norm_exceeds(np.zeros((3, 3)), 0.0)
 
 
 class TestHermitianEig:

@@ -251,3 +251,25 @@ class TestCollapseOrthogonal:
         d = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(PreconditionError, match="0 and 1"):
             collapse_orthogonal([(c, d), (c, d)])
+
+    def test_tiny_overlap_is_measured_exactly(self):
+        # 1e-170 squares to 0 in a Frobenius sum; the defect must still see it
+        c0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        c1 = np.diag([1e-170, 1.0, 0.0]).astype(complex)
+        d1 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        _, _, defect = collapse_orthogonal([(c0, np.zeros_like(c0)), (c1, d1)])
+        assert defect == 1e-170
+
+    def test_first_violation_in_loop_order_is_named(self):
+        # pairs 0, 1: c0* d1 has Frobenius norm 1.13e-10 but operator norm
+        # 0.8e-10, so it passes; pairs 0, 2 (c*.d, 2e-10) fail before the
+        # larger c overlap of pairs 1 and 2 (5.0)
+        c0 = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        d1 = np.diag([0.8e-10, 0.8e-10, 0.0]).astype(complex)
+        c1 = np.diag([0.0, 0.0, 5.0]).astype(complex)
+        c2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        d2 = np.diag([0.0, 2e-10, 0.0]).astype(complex)
+        pairs = [(c0, np.zeros_like(c0)), (c1, d1), (c2, d2)]
+        with pytest.raises(PreconditionError) as info:
+            collapse_orthogonal(pairs)
+        assert str(info.value) == "pairs 0 and 2 are not orthogonal: c*.d != 0"
