@@ -2,40 +2,13 @@
 """Mesh-refinement study on the circle: PL-sample a smooth trace-zero loop,
 decompose, and watch the residual against the smooth target contract."""
 import argparse
+import pathlib
+import sys
 
-import numpy as np
-
-from tracezero.ozfield import (
-    circle_complex,
-    decompose_field,
-    field_residual_against,
-    greedy_coloring,
-    make_field,
-)
-
-SZ = np.diag([1.0, -1.0]).astype(complex)
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
-
-def target(theta):
-    return np.sin(theta) * SZ + np.cos(theta) * SX + np.sin(2 * theta) * SY
-
-
-def residual_at(n_vertices):
-    c = circle_complex(n_vertices)
-    angles = [2 * np.pi * v / n_vertices for v in range(n_vertices)]
-    fld = make_field(c, [target(t) for t in angles])
-    fd = decompose_field(fld, greedy_coloring(c))
-
-    def smooth(idx, w):
-        v0, v1 = c.maximal_simplices[idx]
-        a0, a1 = angles[v0], angles[v1]
-        if v0 == 0 and v1 == n_vertices - 1:
-            a0 = 2 * np.pi
-        return target(w[0] * a0 + w[1] * a1)
-
-    return field_residual_against(fd, fld, smooth)
+# The target loop and its residual live in tests/helpers.py, which the
+# refinement tests also use.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from helpers import circle_refinement_residual  # noqa: E402
 
 
 def main():
@@ -48,7 +21,7 @@ def main():
     print(f"{'vertices':>10} {'residual':>14} {'ratio':>8}")
     for level in range(args.levels):
         n = args.base * 2 ** level
-        resid = residual_at(n)
+        resid = circle_refinement_residual(n)
         ratio = "" if previous is None else f"{resid / previous:8.3f}"
         print(f"{n:>10} {resid:>14.6e} {ratio:>8}")
         previous = resid

@@ -44,6 +44,7 @@ from .jsonio import (
 from .matcore import operator_norm, verify_decomposition
 from .obstruct import BundleExpr, obstruction_certificate, pp_example, villadsen_tower
 from .ozfield import (
+    GRID_ORDER,
     barycentric_subdivide,
     decompose_field,
     greedy_coloring,
@@ -56,6 +57,7 @@ from .selfcomm import self_commutator_decompose, tight_commutator_decompose
 from .towers import TowerModel, block_two_commutator_split, make_block_tower, tower_iterate
 
 COMMANDS = tuple(INPUT_SCHEMAS)
+COMPARE_REL, COMPARE_ABS = 1e-9, 1e-12  # verify's tolerance per number
 
 
 @dataclasses.dataclass
@@ -127,7 +129,7 @@ def _handle_decompose_field(cfg: RunConfig, doc: dict):
     result = {
         "coloring": list(coloring.colors),
         "color_count": coloring.color_count,
-        "grid_order": fd.grid_order,
+        "grid_order": GRID_ORDER,
         "sup_norm": fd.sup_norm,
         "factors": [
             {"color": factor.color,
@@ -241,8 +243,9 @@ _HANDLERS = {
 }
 
 
-def compare_json(expected, actual, path="$", rel=1e-9, abs_tol=1e-12, out=None):
-    """Collect paths where two JSON trees differ beyond tolerance."""
+def compare_json(expected, actual, path="$", out=None):
+    """Collect paths where two JSON trees differ beyond COMPARE_ABS +
+    COMPARE_REL times the larger magnitude."""
     if out is None:
         out = []
     if len(out) >= 20:
@@ -252,21 +255,21 @@ def compare_json(expected, actual, path="$", rel=1e-9, abs_tol=1e-12, out=None):
             if key not in expected or key not in actual:
                 out.append(f"{path}.{key}: missing on one side")
             else:
-                compare_json(expected[key], actual[key], f"{path}.{key}", rel, abs_tol, out)
+                compare_json(expected[key], actual[key], f"{path}.{key}", out)
         return out
     if isinstance(expected, list) and isinstance(actual, list):
         if len(expected) != len(actual):
             out.append(f"{path}: length {len(expected)} vs {len(actual)}")
             return out
         for i, (e, a) in enumerate(zip(expected, actual)):
-            compare_json(e, a, f"{path}[{i}]", rel, abs_tol, out)
+            compare_json(e, a, f"{path}[{i}]", out)
         return out
     if isinstance(expected, bool) or isinstance(actual, bool):
         if expected is not actual:
             out.append(f"{path}: {expected} vs {actual}")
         return out
     if isinstance(expected, (int, float)) and isinstance(actual, (int, float)):
-        if abs(expected - actual) > abs_tol + rel * max(abs(expected), abs(actual)):
+        if abs(expected - actual) > COMPARE_ABS + COMPARE_REL * max(abs(expected), abs(actual)):
             out.append(f"{path}: {expected} vs {actual}")
         return out
     if expected != actual:
@@ -278,12 +281,13 @@ def _handle_verify(cfg: RunConfig, doc: dict):
     inner_command = doc["command"]
     if inner_command not in _HANDLERS:
         raise InvalidInputError(f"cannot verify output of command {inner_command!r}")
-    params = doc["parameters"]
+    params = doc["parameters"]  # typed by the verify schema; ranges are RunConfig's
+    depth = params.get("depth")
     inner_cfg = RunConfig(command=inner_command,
                           tol=_as_float(params.get("tol", 1e-9), "parameters.tol"),
                           seed=int(params.get("seed", 0)),
                           refine=int(params.get("refine", 0)),
-                          depth=params.get("depth"))
+                          depth=None if depth is None else int(depth))
     redone = _build_output(inner_cfg, doc["input"])
     mismatches = compare_json(doc, redone[0])
     verified = not mismatches and redone[1] == 0
@@ -343,7 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_from_args(argv, stdin_text: str | None = None):
     """Parse argv, run, write --out if given; returns (exit code, output text)."""
-    args = build_parser().parse_args(argv)
+    return _run_parsed(build_parser().parse_args(argv), stdin_text)
+
+
+def _run_parsed(args, stdin_text: str | None = None):
     try:
         cfg = RunConfig(command=args.command, tol=args.tol, seed=args.seed,
                         refine=args.refine, depth=args.depth,
@@ -372,9 +379,9 @@ def run_from_args(argv, stdin_text: str | None = None):
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    code, text = run_from_args(argv)
-    if "--out" not in argv:
+    args = build_parser().parse_args(argv)
+    code, text = _run_parsed(args)
+    if not args.out_path:
         sys.stdout.write(text)
     return code
 

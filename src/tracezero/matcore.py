@@ -26,6 +26,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericsError
 
 HERMITIAN_TOL = 1e-12
+EIG_TOL = 1e-10  # unitarity and reconstruction checks of hermitian_eig
 PHASE_CUTOFF = 1e-8
 # The Frobenius screen.  np.linalg.norm sums unscaled squares: below the
 # floor, squares of small entries may have underflowed, so the sum can miss
@@ -95,15 +96,15 @@ def hermitian_defect(a) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(a) -> bool:
     m = as_matrix(a, square=True)
-    return hermitian_defect(m) <= tol * (1.0 + max_abs(m))
+    return hermitian_defect(m) <= HERMITIAN_TOL * (1.0 + max_abs(m))
 
 
-def require_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     m = as_matrix(a, square=True, name=name)
-    if not is_hermitian(m, tol):
-        raise InvalidInputError(f"{name} is not Hermitian within tolerance {tol}")
+    if not is_hermitian(m):
+        raise InvalidInputError(f"{name} is not Hermitian within tolerance {HERMITIAN_TOL}")
     return m
 
 
@@ -127,18 +128,18 @@ def _fix_phases(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def hermitian_eig(a, *, tol_unitary: float = 1e-10, tol_recon: float = 1e-10) -> EigenSystem:
+def hermitian_eig(a) -> EigenSystem:
     """Diagonalize a Hermitian matrix with the deterministic phase convention."""
     m = require_hermitian(a)
     h = (m + m.conj().T) / 2.0
     eigenvalues, u = np.linalg.eigh(h)
     u = _fix_phases(u)
     n = m.shape[0]
-    if norm_exceeds(u @ u.conj().T - np.eye(n), tol_unitary):
+    if norm_exceeds(u @ u.conj().T - np.eye(n), EIG_TOL):
         raise NumericsError("eigenvector matrix failed the unitarity check")
     recon_err = m - (u * eigenvalues) @ u.conj().T
-    if (frobenius_bound(recon_err) > tol_recon
-            and operator_norm(recon_err) > tol_recon * max(1.0, operator_norm(m))):
+    if (frobenius_bound(recon_err) > EIG_TOL
+            and operator_norm(recon_err) > EIG_TOL * max(1.0, operator_norm(m))):
         raise NumericsError("eigendecomposition failed the reconstruction check")
     return EigenSystem(eigenvalues=eigenvalues, unitary=u)
 

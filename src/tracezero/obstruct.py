@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -298,6 +299,11 @@ def obstruction_certificate(q: BundleExpr, n: int) -> ObstructionCertificate:
     if n < 1:
         raise InvalidInputError("n must be positive")
     cls = euler_class(q.repeated(n))
+    digits = sys.get_int_max_str_digits()  # 0: no limit
+    if digits and any(abs(c) >= 10 ** digits for c in cls.coefficients.values()):
+        raise InvalidInputError(
+            f"an Euler-class coefficient has over {digits} digits and cannot print "
+            "as a JSON integer")
     return ObstructionCertificate(
         kind="one_not_below_nq",
         params={"n": n, "rank": q.rank, "variables": q.variable_count},

@@ -8,11 +8,12 @@ weighting the factors by sqrt(hat) therefore yields one order-zero factor
 per color whose self-commutators sum back, exactly, to the interpolated
 field: color count = dimension + 1 factors for barycentric colorings.
 
-Verification is pointwise on a deterministic barycentric lattice
-(default order 8 per maximal simplex).
+Verification is pointwise on a deterministic barycentric lattice of order
+GRID_ORDER per maximal simplex.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +29,12 @@ from .matcore import (
 )
 from .selfcomm import self_commutator_decompose
 
-DEFAULT_GRID_ORDER = 8
+GRID_ORDER = 8
+# Lattice points of one maximal simplex with k vertices: C(k + 7, 8), so
+# dimension 8 (12870 points) fits and dimension 9 does not.
+GRID_POINT_BUDGET = 2 ** 14
+RECON_TOL = 1e-8  # grid residual, relative to the field's sup norm
+TRACE_TOL = 1e-10  # vertex trace, relative to n times the vertex norm
 REFINE_SIMPLEX_BUDGET = 2 ** 15  # maximal simplices after barycentric refinement
 
 
@@ -193,15 +199,13 @@ class SimplicialField:
         return self.values[0].shape[0]
 
     def value_at(self, simplex_index: int, weights) -> np.ndarray:
+        """The field at barycentric weights on one maximal simplex: a matrix
+        for one row of weights, a stack of matrices for rows of them."""
         verts = self.complex.maximal_simplices[simplex_index]
         w = np.asarray(weights, dtype=float)
-        if w.size != len(verts):
+        if w.shape[-1:] != (len(verts),):
             raise InvalidInputError("barycentric weight count does not match simplex")
-        return sum(w[i] * self.values[v] for i, v in enumerate(verts))
-
-    def sup_norm(self) -> float:
-        """max over vertices of the operator norm (= sup over the complex, by convexity)."""
-        return max(operator_norm(v) for v in self.values)
+        return np.einsum("...v,vij->...ij", w, np.stack([self.values[v] for v in verts]))
 
 
 def make_field(complex_: SimplicialComplex, values) -> SimplicialField:
@@ -228,16 +232,18 @@ def subdivide_field(fld: SimplicialField, sub: BarycentricSubdivision) -> Simpli
     return make_field(sub.complex, values)
 
 
-def is_trace_zero_field(fld: SimplicialField, tol: float = 1e-10) -> bool:
+def is_trace_zero_field(fld: SimplicialField) -> bool:
     """Pointwise trace zero; checking vertices suffices since the trace is PL."""
     n = fld.matrix_size
     return all(
-        abs(np.trace(v)) <= tol * n * max(1e-300, operator_norm(v))
+        abs(np.trace(v)) <= TRACE_TOL * n * max(1e-300, operator_norm(v))
         for v in fld.values)
 
 
+@functools.cache
 def barycentric_lattice(n_weights: int, order: int) -> np.ndarray:
-    """All lattice points (i_1/order, ..., i_k/order) with sum 1, as rows."""
+    """All lattice points (i_1/order, ..., i_k/order) with sum 1, as rows of
+    a read-only array built once per (n_weights, order)."""
     rows = []
     for cut in itertools.combinations(range(order + n_weights - 1), n_weights - 1):
         prev = -1
@@ -247,10 +253,12 @@ def barycentric_lattice(n_weights: int, order: int) -> np.ndarray:
             prev = c
         comp.append(order + n_weights - 2 - prev)
         rows.append(comp)
-    return np.asarray(rows, dtype=float) / order
+    lattice = np.asarray(rows, dtype=float) / order
+    lattice.setflags(write=False)
+    return lattice
 
 
-def sample_grid(complex_: SimplicialComplex, order: int = DEFAULT_GRID_ORDER):
+def sample_grid(complex_: SimplicialComplex, order: int = GRID_ORDER):
     """Deterministic (simplex index, barycentric weights) evaluation points."""
     out = []
     for idx, simplex in enumerate(complex_.maximal_simplices):
@@ -301,43 +309,51 @@ class SqrtWeightedFactor:
     color: int
     entries: tuple  # ((vertex, matrix), ...)
 
-    def entry_map(self) -> dict:
-        return {v: x for v, x in self.entries}
-
-    def evaluate(self, simplex_vertices, weights) -> np.ndarray:
-        lookup = self.entry_map()
-        w = np.asarray(weights, dtype=float)
-        size = self.entries[0][1].shape[0]
-        y = np.zeros((size, size), dtype=complex)
-        for i, v in enumerate(simplex_vertices):
-            if v in lookup and w[i] > 0.0:
-                y += math.sqrt(w[i]) * lookup[v]
-        return y
-
 
 @dataclass
 class FieldDecomposition:
     factors: list  # one SqrtWeightedFactor per color
     report: VerificationReport
     sup_norm: float
-    grid_order: int
 
 
-def decompose_field(fld: SimplicialField, coloring: VertexColoring, *,
-                    grid_order: int = DEFAULT_GRID_ORDER,
-                    recon_tol: float = 1e-8) -> FieldDecomposition:
+def _simplex_reconstruction(x_factors, simplex, w) -> np.ndarray:
+    """sum_k [y_k*, y_k] on one maximal simplex at every row of weights w,
+    with y = sqrt(w_i) x_{v_i}: vertex v_i is the only one of its color on
+    the simplex, so it alone carries that color's factor there."""
+    recon = np.zeros((len(w),) + x_factors[simplex[0]].shape, dtype=complex)
+    for i, v in enumerate(simplex):
+        y = np.sqrt(w[:, i])[:, None, None] * x_factors[v]
+        y_star = y.conj().transpose(0, 2, 1)
+        recon += y_star @ y - y @ y_star
+    return recon
+
+
+def _max_singular_value(stack) -> float:
+    return float(np.max(np.linalg.svd(stack, compute_uv=False)))
+
+
+def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDecomposition:
     """Decompose a pointwise trace-zero field into color_count self-commutators.
 
     Each vertex value is written as [x_v*, x_v]; color k collects its
     vertices into one sqrt(hat)-weighted factor y_k.  Disjoint same-color
     stars make the cross terms vanish, so sum_k [y_k*, y_k] equals the PL
-    interpolation of the field; the residual is measured on the sample grid,
-    as is the bound norm(y_k)^2 <= 2*sup_norm + 1e-8.
+    interpolation of the field; the residual is measured on the sample grid.
+    The bound norm(y_k)^2 <= 2*sup_norm + 1e-8 is checked at the vertices,
+    where norm(sqrt(w) x_v) peaks (w = 1, a lattice point).
     """
+    for simplex in fld.complex.maximal_simplices:
+        points = math.comb(len(simplex) + GRID_ORDER - 1, GRID_ORDER)
+        if points > GRID_POINT_BUDGET:
+            raise InvalidInputError(
+                f"simplex {simplex} of dimension {len(simplex) - 1} needs {points} grid "
+                f"points, over the budget of {GRID_POINT_BUDGET}")
     require_proper(fld.complex, coloring)
     n = fld.matrix_size
+    norms = [operator_norm(value) for value in fld.values]
     for v, value in enumerate(fld.values):
-        if abs(np.trace(value)) > 1e-10 * n * max(1.0, operator_norm(value)):
+        if abs(np.trace(value)) > TRACE_TOL * n * max(1.0, norms[v]):
             raise InvalidInputError(f"vertex {v} value has nonzero trace")
     x_factors = [self_commutator_decompose(value).factors[0] for value in fld.values]
 
@@ -347,32 +363,22 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring, *,
                         if coloring.colors[v] == k)
         factors.append(SqrtWeightedFactor(color=k, entries=entries))
 
-    sup = fld.sup_norm()
+    sup = max(norms)
+    covered = {v for simplex in fld.complex.maximal_simplices for v in simplex}
+    norm_sq = max((operator_norm(x_factors[v]) ** 2 for v in covered), default=0.0)
     residual = 0.0
     partition_defect = 0.0
-    norm_sq = [0.0] * coloring.color_count
     for idx, simplex in enumerate(fld.complex.maximal_simplices):
-        w = barycentric_lattice(len(simplex), grid_order)  # P x (d+1)
-        stack = np.stack([fld.values[v] for v in simplex])
-        target = np.einsum("pv,vij->pij", w, stack)
-        recon = np.zeros_like(target)
-        for i, v in enumerate(simplex):
-            # v is the only vertex of its color on this simplex
-            y = np.sqrt(w[:, i])[:, None, None] * x_factors[v]
-            y_star = y.conj().transpose(0, 2, 1)
-            recon += y_star @ y - y @ y_star
-            sv = np.linalg.svd(y, compute_uv=False)
-            norm_sq[coloring.colors[v]] = max(norm_sq[coloring.colors[v]],
-                                              float(np.max(sv) ** 2))
-        diff_sv = np.linalg.svd(recon - target, compute_uv=False)
-        residual = max(residual, float(np.max(diff_sv)))
+        w = barycentric_lattice(len(simplex), GRID_ORDER)  # P x (d+1)
+        recon = _simplex_reconstruction(x_factors, simplex, w)
+        residual = max(residual, _max_singular_value(recon - fld.value_at(idx, w)))
         partition_defect = max(partition_defect, float(np.max(np.abs(w.sum(axis=1) - 1.0))))
 
     checks = [
-        BoundCheck("grid_residual", recon_tol * max(sup, 1e-30), residual, 0.0,
-                   residual <= recon_tol * max(sup, 1e-30)),
-        BoundCheck("max_factor_norm_sq", 2.0 * sup + 1e-8, max(norm_sq, default=0.0),
-                   0.0, max(norm_sq, default=0.0) <= 2.0 * sup + 1e-8),
+        BoundCheck("grid_residual", RECON_TOL * max(sup, 1e-30), residual, 0.0,
+                   residual <= RECON_TOL * max(sup, 1e-30)),
+        BoundCheck("max_factor_norm_sq", 2.0 * sup + 1e-8, norm_sq,
+                   0.0, norm_sq <= 2.0 * sup + 1e-8),
         BoundCheck("factor_count", float(coloring.color_count), float(len(factors)),
                    0.0, len(factors) == coloring.color_count),
         BoundCheck("partition_of_unity_defect", 1e-12, partition_defect, 0.0,
@@ -381,8 +387,7 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring, *,
     report = VerificationReport(residual_norm=residual,
                                 commutator_count=len(factors),
                                 bound_checks=checks)
-    return FieldDecomposition(factors=factors, report=report, sup_norm=sup,
-                              grid_order=grid_order)
+    return FieldDecomposition(factors=factors, report=report, sup_norm=sup)
 
 
 def field_residual_against(fld_factors: FieldDecomposition, fld: SimplicialField,
@@ -392,12 +397,10 @@ def field_residual_against(fld_factors: FieldDecomposition, fld: SimplicialField
     ``target(simplex_index, weights) -> matrix`` lets callers measure against
     a smooth (non-PL) field; used for mesh-refinement studies.
     """
+    x_factors = {v: x for factor in fld_factors.factors for v, x in factor.entries}
     worst = 0.0
     for idx, simplex in enumerate(fld.complex.maximal_simplices):
-        for w in barycentric_lattice(len(simplex), fld_factors.grid_order):
-            recon = np.zeros((fld.matrix_size, fld.matrix_size), dtype=complex)
-            for factor in fld_factors.factors:
-                y = factor.evaluate(simplex, w)
-                recon += y.conj().T @ y - y @ y.conj().T
-            worst = max(worst, operator_norm(recon - target(idx, w)))
+        w = barycentric_lattice(len(simplex), GRID_ORDER)
+        recon = _simplex_reconstruction(x_factors, simplex, w)
+        worst = max(worst, _max_singular_value(recon - np.stack([target(idx, row) for row in w])))
     return worst

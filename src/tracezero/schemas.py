@@ -164,7 +164,15 @@ INPUT_SCHEMAS = {
         "required": ["command", "parameters", "input"],
         "properties": {
             "command": {"type": "string"},
-            "parameters": {"type": "object"},
+            "parameters": {
+                "type": "object",
+                "properties": {
+                    "tol": {"type": "number"},
+                    "seed": {"type": "integer"},
+                    "refine": {"type": "integer"},
+                    "depth": {"type": ["integer", "null"]},
+                },
+            },
             "input": {"type": "object"},
         },
     },

@@ -35,6 +35,7 @@ from .matcore import (
 )
 
 TRACE_TOL = 1e-9
+PRODUCT_TOL = 1e-10  # largest cross product collapse_orthogonal accepts
 
 
 @dataclass(frozen=True)
@@ -202,8 +203,7 @@ _CROSS_PRODUCTS = (
 )
 
 
-def collapse_orthogonal(pairs, *, dim: int | None = None,
-                        product_tol: float = 1e-10):
+def collapse_orthogonal(pairs, *, dim: int | None = None):
     """Merge commutator pairs with mutually orthogonal supports into one.
 
     Requires, for every i != j, that c_i* d_j, c_i d_j, c_i* d_j* vanish and
@@ -232,7 +232,7 @@ def collapse_orthogonal(pairs, *, dim: int | None = None,
             if frobenius_bound(p) <= defect:
                 continue
             norm = operator_norm(p)
-            if norm > product_tol:
+            if norm > PRODUCT_TOL:
                 raise PreconditionError(f"pairs {i} and {j}{violation}")
             defect = max(defect, norm)
     c_total = sum(c for c, _ in mats)

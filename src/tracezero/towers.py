@@ -39,6 +39,7 @@ from .selfcomm import collapse_orthogonal, tight_commutator_decompose
 
 RANK_TOL = 1e-8
 NEUMANN_TOL = 1e-10
+PSD_TOL = 1e-10  # most negative eigenvalue a PSD element may have
 NEUMANN_MAX_ITER = 10_000
 TOWER_ENTRY_BUDGET = 2 ** 26  # complex entries: the elements and a witness's range check
 
@@ -54,9 +55,9 @@ class SpectralRamp:
         return np.clip((np.asarray(t, dtype=float) - half) / half, 0.0, 1.0)
 
 
-def _psd_eigensystem(a, tol: float = 1e-10):
+def _psd_eigensystem(a):
     es = hermitian_eig(a)
-    if es.eigenvalues.size and float(es.eigenvalues[0]) < -tol:
+    if es.eigenvalues.size and float(es.eigenvalues[0]) < -PSD_TOL:
         raise InvalidInputError(
             f"matrix has negative spectrum beyond tolerance: {float(es.eigenvalues[0]):.3e}")
     return es

@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracezero
-from tracezero.cli import RunConfig, compare_json, encode, run_from_args
+from tracezero.cli import RunConfig, compare_json, encode, main, run_from_args
 from tracezero.errors import NumericsError
 from tracezero.jsonio import field_to_json, matrix_to_json
 from tracezero.matcore import commutator
-from tracezero.ozfield import circle_complex, make_field
+from tracezero.ozfield import SimplicialComplex, circle_complex, make_field
 from tracezero.rand import SplitMix64, random_complex_matrix, random_trace_zero_hermitian
 from tracezero.schemas import INPUT_SCHEMAS, NAMED_SCHEMAS, validate
 
@@ -291,6 +291,56 @@ class TestHostileInput:
         assert "budget" in doc["error"]
         assert doc["path"] == "stdin"
 
+    def test_simplex_over_the_grid_budget_exits_2_before_sampling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("worked on an over-budget simplex")
+
+        monkeypatch.setattr("tracezero.ozfield.barycentric_lattice", refuse)
+        monkeypatch.setattr("tracezero.ozfield.self_commutator_decompose", refuse)
+        simplex = SimplicialComplex.make(16, [range(16)])
+        code, doc, _ = run_cmd("decompose-field", field_to_json(make_field(simplex, [SZ] * 16)))
+        assert code == 2
+        assert doc == {"error": f"simplex {tuple(range(16))} of dimension 15 needs 490314 grid "
+                                "points, over the budget of 16384", "path": "stdin"}
+
+    def test_dimension_8_simplex_is_within_the_grid_budget(self):
+        simplex = SimplicialComplex.make(9, [range(9)])
+        code, doc, _ = run_cmd("decompose-field", field_to_json(make_field(simplex, [SZ] * 9)))
+        assert code == 0
+        assert doc["result"]["color_count"] == 9
+
+    @pytest.mark.parametrize("name, message", [
+        ("tol", "'x' is not of type 'number'"),
+        ("seed", "'x' is not of type 'integer'"),
+        ("refine", "'x' is not of type 'integer'"),
+        ("depth", "'x' is not of type 'integer', 'null'"),
+    ])
+    def test_verify_parameter_of_the_wrong_type_exits_2(self, name, message):
+        doc = {"command": "tower", "parameters": {name: "x"}, "input": {"m_max": 1}}
+        code, out, _ = run_cmd("verify", doc)
+        assert code == 2
+        assert out == {"error": message, "path": f"$.parameters.{name}"}
+
+    def test_verify_parameter_out_of_range_keeps_its_message(self):
+        doc = {"command": "tower", "parameters": {"seed": -1}, "input": {"m_max": 1}}
+        assert run_cmd("verify", doc)[:2] == (2, {"error": "seed must fit in 64 bits",
+                                                  "path": "stdin"})
+
+    def test_verify_accepts_an_integral_float_depth(self):
+        _, out, _ = run_cmd("fack-run", sample_tower_doc(), "--depth", "2")
+        out["parameters"]["depth"] = 2.0
+        code, vdoc, _ = run_cmd("verify", out)
+        assert code == 0
+        assert vdoc["result"]["verified"]
+
+    def test_obstruct_coefficient_over_the_digit_limit_exits_2(self):
+        doc = {"q": {"variables": 300, "summands": [[10 ** 18] * 300]}, "n": 300}
+        code, out, _ = run_cmd("obstruct", doc)
+        assert code == 2
+        assert out == {"error": f"an Euler-class coefficient has over "
+                                f"{sys.get_int_max_str_digits()} digits and cannot print "
+                                "as a JSON integer", "path": "stdin"}
+
 
 def _tower_matrix_doc():
     blocks = [matrix_to_json(np.diag([1.0, 0.0, 0.0]).astype(complex)),
@@ -455,6 +505,15 @@ class TestEntryPoints:
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert doc["command"] == "decompose"
+
+    def test_main_prints_only_without_out(self, tmp_path, capsys):
+        in_path = tmp_path / "in.json"
+        out_path = tmp_path / "out.json"
+        in_path.write_text(json.dumps(matrix_to_json(SZ)))
+        assert main(["decompose", f"--in={in_path}", f"--out={out_path}"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["decompose", f"--in={in_path}"]) == 0
+        assert capsys.readouterr().out == out_path.read_text()
 
 
 class TestConfig:

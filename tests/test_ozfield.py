@@ -1,6 +1,15 @@
+import itertools
+import math
+import os
+import pathlib
+import subprocess
+import sys
+import types
+
 import numpy as np
 import pytest
 
+from tracezero import ozfield
 from tracezero.errors import InvalidInputError
 from tracezero.matcore import operator_norm
 from tracezero.ozfield import (
@@ -9,6 +18,7 @@ from tracezero.ozfield import (
     barycentric_subdivide,
     circle_complex,
     decompose_field,
+    field_residual_against,
     greedy_coloring,
     is_proper,
     is_trace_zero_field,
@@ -106,6 +116,24 @@ class TestGrid:
     def test_lattice_count(self):
         # compositions of 8 into 3 parts: C(10, 2) = 45
         assert barycentric_lattice(3, 8).shape[0] == 45
+
+    def test_lattice_is_built_once_and_read_only(self):
+        w = barycentric_lattice(4, 8)
+        assert barycentric_lattice(4, 8) is w
+        assert not w.flags.writeable
+
+    def test_value_at_rows_is_a_stack_of_values(self):
+        c = solid_triangle_complex()
+        fld = make_field(c, [SZ, SX, SY])
+        w = barycentric_lattice(3, 4)
+        stack = fld.value_at(0, w)
+        assert stack.shape == (len(w), 2, 2)
+        for row, value in zip(w, stack):
+            np.testing.assert_array_equal(value, fld.value_at(0, row))
+        np.testing.assert_allclose(fld.value_at(0, [0.5, 0.25, 0.25]),
+                                   0.5 * SZ + 0.25 * SX + 0.25 * SY, atol=1e-15)
+        with pytest.raises(InvalidInputError):
+            fld.value_at(0, [0.5, 0.5])
 
     def test_same_color_hats_disjoint(self):
         sub = barycentric_subdivide(octahedron_complex())
@@ -259,3 +287,107 @@ def test_subdivide_field_is_exact_on_pl():
     for new_v, face in enumerate(sub.parent_faces):
         expected = sum(parent.values[v] for v in face) / len(face)
         np.testing.assert_allclose(child.values[new_v], expected, atol=1e-14)
+
+
+def _pointwise_reference(fd, fld, target=None):
+    """Residual and largest squared factor norm by the pointwise loop over
+    the order-8 lattice: at each point y_k = sum over color-k vertices of
+    sqrt(w_i) x_{v_i}, one matrix at a time.  ``target(idx, w)`` defaults to
+    the PL interpolation of the field."""
+    lookups = [dict(factor.entries) for factor in fd.factors]
+    size = fld.matrix_size
+    residual = norm_sq = 0.0
+    for idx, simplex in enumerate(fld.complex.maximal_simplices):
+        for w in barycentric_lattice(len(simplex), 8):
+            recon = np.zeros((size, size), dtype=complex)
+            for lookup in lookups:
+                y = np.zeros((size, size), dtype=complex)
+                for i, v in enumerate(simplex):
+                    if v in lookup and w[i] > 0.0:
+                        y += math.sqrt(w[i]) * lookup[v]
+                recon += y.conj().T @ y - y @ y.conj().T
+                norm_sq = max(norm_sq, operator_norm(y) ** 2)
+            expected = (sum(w[i] * fld.values[v] for i, v in enumerate(simplex))
+                        if target is None else target(idx, w))
+            residual = max(residual, operator_norm(recon - expected))
+    return residual, norm_sq
+
+
+def _reference_cases():
+    rng = SplitMix64(57)
+    octa = barycentric_subdivide(octahedron_complex())
+    tetra = SimplicialComplex.make(4, [(0, 1, 2, 3)])
+    # vertex 4 lies in no simplex: its factor must not count in any norm
+    cycle = SimplicialComplex.make(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    cases = []
+    for complex_, coloring, n, scale in [(octa.complex, octa.coloring, 3, 1.0),
+                                         (tetra, greedy_coloring(tetra), 2, 1.0),
+                                         (cycle, greedy_coloring(cycle), 2, 100.0)]:
+        vals = [random_trace_zero_hermitian(rng, n) for _ in range(complex_.vertex_count)]
+        vals[-1] = scale * vals[-1]
+        cases.append((make_field(complex_, vals), coloring))
+    return cases
+
+
+_CASE_IDS = ["refined-octahedron", "tetrahedron", "cycle-with-isolated-vertex"]
+
+
+@pytest.mark.parametrize("case", range(3), ids=_CASE_IDS)
+def test_decompose_field_matches_the_pointwise_reference(case):
+    fld, coloring = _reference_cases()[case]
+    fd = decompose_field(fld, coloring)
+    residual, norm_sq = _pointwise_reference(fd, fld)
+    measured = {check.name: check.measured_value for check in fd.report.bound_checks}
+    assert fd.sup_norm == max(operator_norm(v) for v in fld.values)
+    assert measured["grid_residual"] == pytest.approx(residual, abs=1e-13 * fd.sup_norm)
+    assert fd.report.residual_norm == measured["grid_residual"]
+    assert measured["max_factor_norm_sq"] == pytest.approx(norm_sq, rel=1e-12)
+    isolated = [v for v in range(fld.complex.vertex_count)
+                if all(v not in s for s in fld.complex.maximal_simplices)]
+    for v in isolated:
+        x = dict(fd.factors[coloring.colors[v]].entries)[v]
+        assert operator_norm(x) ** 2 > 2.0 * measured["max_factor_norm_sq"]
+
+    # against a non-PL target the residual is far from rounding
+    def bent(idx, w):
+        return fld.value_at(idx, w) + float(np.prod(w)) * np.eye(fld.matrix_size)
+
+    expected = _pointwise_reference(fd, fld, bent)[0]
+    assert expected > 1e-3
+    assert field_residual_against(fd, fld, bent) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", range(3), ids=_CASE_IDS)
+def test_decompose_field_residual_of_wrong_factors_matches_the_reference(case, monkeypatch):
+    # scaling vertex v's factor by 1 + v/100 gives every simplex its own
+    # residual, far from rounding, so each one has to be measured
+    exact = ozfield.self_commutator_decompose
+    calls = itertools.count()
+
+    def scaled(value):
+        return types.SimpleNamespace(
+            factors=[(1.0 + 0.01 * next(calls)) * exact(value).factors[0]])
+
+    monkeypatch.setattr(ozfield, "self_commutator_decompose", scaled)
+    fld, coloring = _reference_cases()[case]
+    fd = decompose_field(fld, coloring)
+    residual, norm_sq = _pointwise_reference(fd, fld)
+    assert residual > 1e-3
+    assert fd.report.residual_norm == pytest.approx(residual, rel=1e-12)
+    measured = {check.name: check.measured_value for check in fd.report.bound_checks}
+    assert measured["max_factor_norm_sq"] == pytest.approx(norm_sq, rel=1e-12)
+
+
+def test_mesh_refinement_script_prints_its_table():
+    from helpers import circle_refinement_residual
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "mesh_refinement.py"), "--levels", "2"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["vertices", "residual", "ratio"]
+    assert [row[0] for row in rows] == ["8", "16"]
+    coarse, fine = (float(row[1]) for row in rows)
+    assert fine == pytest.approx(circle_refinement_residual(16), rel=1e-6)
+    assert float(rows[1][2]) == pytest.approx(fine / coarse, abs=1e-3)
