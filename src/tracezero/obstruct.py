@@ -1,12 +1,13 @@
 """Exact-integer cohomology engine for obstruction certificates.
 
 Works in the square-free ring Z[a_1..a_m]/(a_i^2 = 0): classes are maps
-{subset of variable indices} -> integer, multiplication merges disjoint
-subsets and kills overlapping ones.  The Euler class of a sum of line
-bundles over a product of 2-spheres is the product of the summands' degree
-vectors as linear forms; a unit below n copies of a bundle would give its
-n-fold sum a nowhere-vanishing section, so a nonvanishing Euler class of
-the n-fold sum certifies that no such comparison exists.
+{monomial bitmask} -> integer, bit i-1 standing for a_i; multiplication
+merges disjoint monomials (ka | kb) and kills overlapping ones (ka & kb).
+The Euler class of a sum of line bundles over a product of 2-spheres is
+the product of the summands' degree vectors as linear forms; a unit below
+n copies of a bundle would give its n-fold sum a nowhere-vanishing
+section, so a nonvanishing Euler class of the n-fold sum certifies that
+no such comparison exists.
 
 Everything here is exact integer arithmetic (m! coefficients overflow
 64 bits quickly); no floats.
@@ -27,6 +28,10 @@ from . import ozfield
 # Refuse explicit expansions beyond this many monomials; the tower audit
 # uses the factored representation instead.
 MAX_EXPANSION_TERMS = 2_000_000
+# Refuse an Euler class whose products would visit more pairs of monomials
+# than this in total, each visit one pure-Python dict update; the bound is
+# taken from the factor sizes before any product (require_product_budget).
+MAX_PAIR_VISITS = 2 ** 24
 
 VILLADSEN_MMAX_LIMIT = 3
 # The largest m whose certificate coefficient m! has at most 4300 digits,
@@ -37,129 +42,44 @@ PP_EXAMPLE_M_LIMIT = 1558
 
 @dataclass
 class SquareFreeClass:
-    """Element of Z[a_1..a_m]/(a_i^2 = 0); keys are subsets of {1..m}."""
+    """Element of Z[a_1..a_m]/(a_i^2 = 0): maps a monomial's bitmask (bit
+    i-1 stands for a_i) to its nonzero integer coefficient."""
 
     variable_count: int
     coefficients: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.variable_count < 0:
-            raise InvalidInputError("variable_count must be nonnegative")
-        clean = {}
-        for subset, coeff in self.coefficients.items():
-            key = frozenset(int(i) for i in subset)
-            if any(not (1 <= i <= self.variable_count) for i in key):
-                raise InvalidInputError(f"subset {sorted(key)} out of range")
-            coeff = int(coeff)
-            if coeff:
-                clean[key] = clean.get(key, 0) + coeff
-        self.coefficients = {k: v for k, v in clean.items() if v}
-
-    @classmethod
-    def zero(cls, m: int) -> "SquareFreeClass":
-        return cls(m, {})
-
     @classmethod
     def one(cls, m: int) -> "SquareFreeClass":
-        return cls(m, {frozenset(): 1})
-
-    @classmethod
-    def generator(cls, m: int, i: int) -> "SquareFreeClass":
-        return cls(m, {frozenset({i}): 1})
-
-    @classmethod
-    def linear(cls, coeffs) -> "SquareFreeClass":
-        coeffs = [int(c) for c in coeffs]
-        return cls(len(coeffs), {frozenset({i + 1}): c
-                                 for i, c in enumerate(coeffs) if c})
+        return cls(m, {0: 1})
 
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def coefficient(self, subset) -> int:
-        return self.coefficients.get(frozenset(subset), 0)
-
-    def _require_same_ring(self, other: "SquareFreeClass"):
-        if self.variable_count != other.variable_count:
-            raise InvalidInputError("variable counts differ")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SquareFreeClass):
-            return NotImplemented
-        return (self.variable_count == other.variable_count
-                and self.coefficients == other.coefficients)
-
-    def __add__(self, other: "SquareFreeClass") -> "SquareFreeClass":
-        self._require_same_ring(other)
-        out = dict(self.coefficients)
-        for k, v in other.coefficients.items():
-            out[k] = out.get(k, 0) + v
-        return SquareFreeClass(self.variable_count, out)
-
-    def __neg__(self) -> "SquareFreeClass":
-        return SquareFreeClass(self.variable_count,
-                               {k: -v for k, v in self.coefficients.items()})
-
-    def __sub__(self, other: "SquareFreeClass") -> "SquareFreeClass":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return SquareFreeClass(self.variable_count,
-                                   {k: other * v for k, v in self.coefficients.items()})
-        if isinstance(other, SquareFreeClass):
-            return sqfree_mul(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "SquareFreeClass":
-        if e < 0:
-            raise InvalidInputError("negative powers are not defined")
-        out = SquareFreeClass.one(self.variable_count)
-        for _ in range(e):
-            out = sqfree_mul(out, self)
-        return out
-
     def to_json(self) -> dict:
-        return {sub_key(k): v for k, v in
-                sorted(self.coefficients.items(), key=lambda kv: sorted(kv[0]))}
-
-    @classmethod
-    def from_json(cls, m: int, doc: dict) -> "SquareFreeClass":
-        coeffs = {}
-        for key, v in doc.items():
-            subset = frozenset(int(t) for t in key.split(",")) if key else frozenset()
-            coeffs[subset] = int(v)
-        return cls(m, coeffs)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for k in sorted(self.coefficients, key=lambda s: (len(s), sorted(s))):
-            mono = "*".join(f"a{i}" for i in sorted(k)) or "1"
-            terms.append(f"{self.coefficients[k]}*{mono}")
-        return " + ".join(terms)
+        """Keys are the monomial's indices, e.g. "1,3" for a_1 a_3 and "" for
+        the unit, in the order of their sorted index lists."""
+        terms = sorted((_indices(k), v) for k, v in self.coefficients.items())
+        return {",".join(map(str, idx)): v for idx, v in terms}
 
 
-def sub_key(subset) -> str:
-    return ",".join(str(i) for i in sorted(subset))
+def _indices(key: int) -> list:
+    return [i + 1 for i, bit in enumerate(reversed(bin(key)[2:])) if bit == "1"]
 
 
 def sqfree_mul(a: SquareFreeClass, b: SquareFreeClass) -> SquareFreeClass:
-    """Bilinear product with a_i^2 = 0: overlapping subsets annihilate."""
-    a._require_same_ring(b)
+    """Bilinear product with a_i^2 = 0: overlapping monomials annihilate."""
+    if a.variable_count != b.variable_count:
+        raise InvalidInputError("variable counts differ")
     out = {}
+    b_terms = list(b.coefficients.items())
     for ka, va in a.coefficients.items():
-        for kb, vb in b.coefficients.items():
-            if ka & kb:
-                continue
-            key = ka | kb
-            out[key] = out.get(key, 0) + va * vb
+        for kb, vb in b_terms:
+            if not ka & kb:
+                key = ka | kb
+                out[key] = out.get(key, 0) + va * vb
     if len(out) > MAX_EXPANSION_TERMS:
         raise InvalidInputError("expansion too large for the explicit ring")
-    return SquareFreeClass(a.variable_count, out)
+    return SquareFreeClass(a.variable_count, {k: v for k, v in out.items() if v})
 
 
 def linear_power(coeffs, e: int, m: int | None = None) -> SquareFreeClass:
@@ -172,21 +92,20 @@ def linear_power(coeffs, e: int, m: int | None = None) -> SquareFreeClass:
     m = len(coeffs) if m is None else m
     if e < 0:
         raise InvalidInputError("negative powers are not defined")
-    if e == 0:
-        return SquareFreeClass.one(m)
     support = [i for i, c in enumerate(coeffs) if c]
     if e > len(support):
-        return SquareFreeClass.zero(m)
+        return SquareFreeClass(m, {})
     if math.comb(len(support), e) > MAX_EXPANSION_TERMS:
         raise InvalidInputError("expansion too large for the explicit ring")
     fact = math.factorial(e)
     out = {}
     for subset in itertools.combinations(support, e):
         prod = fact
+        key = 0
         for i in subset:
             prod *= coeffs[i]
-        if prod:
-            out[frozenset(i + 1 for i in subset)] = prod
+            key |= 1 << i
+        out[key] = prod
     return SquareFreeClass(m, out)
 
 
@@ -226,26 +145,12 @@ class BundleExpr:
     def rank(self) -> int:
         return len(self.summands)
 
-    def direct_sum(self, other: "BundleExpr") -> "BundleExpr":
-        if self.variable_count != other.variable_count:
-            raise InvalidInputError("variable counts differ")
-        return BundleExpr(self.variable_count, self.summands + other.summands)
-
     def repeated(self, n: int) -> "BundleExpr":
         if n < 1:
             raise InvalidInputError("need at least one copy")
         if n * len(self.summands) > 1_000_000:
             raise InvalidInputError("repeated bundle would exceed a million summands")
         return BundleExpr(self.variable_count, self.summands * n)
-
-    def tensor_line(self, coeffs) -> "BundleExpr":
-        """Tensor by a line bundle: adds its degree vector to every summand."""
-        coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) != self.variable_count:
-            raise InvalidInputError("degree vector length must equal variable count")
-        return BundleExpr(self.variable_count,
-                          tuple(tuple(a + b for a, b in zip(vec, coeffs))
-                                for vec in self.summands))
 
     def trivialization_rank(self) -> int:
         """An n with [bundle] <= n [trivial line]: sum over summands of
@@ -264,12 +169,41 @@ class BundleExpr:
 def euler_class(bundle: BundleExpr) -> SquareFreeClass:
     """Product over summands of their degree linear forms, in the quotient ring."""
     m = bundle.variable_count
+    groups = sorted(Counter(bundle.summands).items())
+    require_product_budget(groups)
     out = SquareFreeClass.one(m)
-    for vec, count in sorted(Counter(bundle.summands).items()):
+    for vec, count in groups:
         out = sqfree_mul(out, linear_power(vec, count, m))
         if out.is_zero():
             return out
     return out
+
+
+def require_product_budget(groups):
+    """Reject an Euler class whose products would visit more than
+    MAX_PAIR_VISITS pairs of monomials, before any product is formed.
+
+    A product of a and b visits |a| * |b| pairs.  linear_power(vec, count)
+    has C(support, count) terms; the running class has at most
+    min(C(variables touched, degree), product of the factor sizes), since
+    each of its monomials is a degree-sized set of touched variables.
+    """
+    visits = 0
+    size = 1
+    touched = 0
+    degree = 0
+    for vec, count in groups:
+        terms = math.comb(sum(1 for c in vec if c), count)
+        visits += size * terms
+        if visits > MAX_PAIR_VISITS:
+            raise InvalidInputError(
+                f"the Euler class needs over {MAX_PAIR_VISITS} monomial pair products, "
+                "too many for the explicit ring")
+        if not terms:
+            return  # euler_class stops at the first zero factor
+        touched |= sum(1 << i for i, c in enumerate(vec) if c)
+        degree += count
+        size = min(math.comb(touched.bit_count(), degree), size * terms)
 
 
 @dataclass
@@ -300,7 +234,8 @@ def obstruction_certificate(q: BundleExpr, n: int) -> ObstructionCertificate:
         raise InvalidInputError("n must be positive")
     cls = euler_class(q.repeated(n))
     digits = sys.get_int_max_str_digits()  # 0: no limit
-    if digits and any(abs(c) >= 10 ** digits for c in cls.coefficients.values()):
+    limit = 10 ** digits
+    if digits and any(abs(c) >= limit for c in cls.coefficients.values()):
         raise InvalidInputError(
             f"an Euler-class coefficient has over {digits} digits and cannot print "
             "as a JSON integer")

@@ -33,6 +33,10 @@ GRID_ORDER = 8
 # Lattice points of one maximal simplex with k vertices: C(k + 7, 8), so
 # dimension 8 (12870 points) fits and dimension 9 does not.
 GRID_POINT_BUDGET = 2 ** 14
+# Lattice work of the whole complex: lattice points * vertices, summed over
+# the maximal simplices. Admits 2^15 triangles (45 points * 3 vertices each,
+# about 4.4M), and as many tetrahedra as three refinements of one give.
+COMPLEX_GRID_BUDGET = 2 ** 24
 RECON_TOL = 1e-8  # grid residual, relative to the field's sup norm
 TRACE_TOL = 1e-10  # vertex trace, relative to n times the vertex norm
 REFINE_SIMPLEX_BUDGET = 2 ** 15  # maximal simplices after barycentric refinement
@@ -343,12 +347,19 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
     The bound norm(y_k)^2 <= 2*sup_norm + 1e-8 is checked at the vertices,
     where norm(sqrt(w) x_v) peaks (w = 1, a lattice point).
     """
+    work = 0
     for simplex in fld.complex.maximal_simplices:
         points = math.comb(len(simplex) + GRID_ORDER - 1, GRID_ORDER)
         if points > GRID_POINT_BUDGET:
             raise InvalidInputError(
                 f"simplex {simplex} of dimension {len(simplex) - 1} needs {points} grid "
                 f"points, over the budget of {GRID_POINT_BUDGET}")
+        work += points * len(simplex)
+    if work > COMPLEX_GRID_BUDGET:
+        raise InvalidInputError(
+            f"the complex's grid work, lattice points times vertices over its "
+            f"{len(fld.complex.maximal_simplices)} maximal simplices, is {work}, over the "
+            f"budget of {COMPLEX_GRID_BUDGET}")
     require_proper(fld.complex, coloring)
     n = fld.matrix_size
     norms = [operator_norm(value) for value in fld.values]

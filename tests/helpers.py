@@ -1,4 +1,5 @@
-"""Shared helpers for the smooth-target mesh refinement checks."""
+"""Shared test helpers: the smooth-target mesh refinement checks, and the
+bitmask keys and frozenset reference of the square-free ring."""
 
 import numpy as np
 
@@ -30,3 +31,32 @@ def circle_refinement_residual(n_vertices: int, target=smooth_circle_target) -> 
         return target(w[0] * a0 + w[1] * a1)
 
     return field_residual_against(fd, fld, smooth)
+
+
+def monomial(*indices) -> int:
+    """The bitmask key of a_i1 * a_i2 * ... in tracezero.obstruct: bit i-1 for a_i."""
+    return sum(1 << (i - 1) for i in set(indices))
+
+
+def frozenset_mul(a: dict, b: dict) -> dict:
+    """The square-free product on frozenset-keyed monomials, zeros dropped:
+    the reference the bitmask ring is compared against."""
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            if ka & kb:
+                continue
+            key = ka | kb
+            out[key] = out.get(key, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_euler_class(summands) -> dict:
+    """The Euler class of a sum of line bundles as SquareFreeClass.to_json()
+    writes it: the summands' linear forms multiplied one at a time by
+    frozenset_mul."""
+    out = {frozenset(): 1}
+    for vec in summands:
+        out = frozenset_mul(out, {frozenset({i + 1}): c for i, c in enumerate(vec) if c})
+    return {",".join(str(i) for i in sorted(k)): v
+            for k, v in sorted(out.items(), key=lambda kv: sorted(kv[0]))}

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from helpers import circle_refinement_residual
+from helpers import circle_refinement_residual, monomial
 from tracezero.cli import run_from_args
 from tracezero.jsonio import field_to_json, matrix_to_json
 from tracezero.matcore import commutator, operator_norm, verify_decomposition
@@ -236,7 +236,7 @@ def test_criterion_09_exact_cohomology():
     start = time.perf_counter()
     ok = True
     for m in range(1, 9):
-        expected = SquareFreeClass(m, {frozenset(range(1, m + 1)): math.factorial(m)})
+        expected = SquareFreeClass(m, {monomial(*range(1, m + 1)): math.factorial(m)})
         ok = ok and linear_power([1] * m, m) == expected
     for m in range(1, 7):
         ok = ok and obstruction_certificate(BundleExpr.line((1,) * m), m).verdict

@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -340,6 +342,36 @@ class TestHostileInput:
         assert out == {"error": f"an Euler-class coefficient has over "
                                 f"{sys.get_int_max_str_digits()} digits and cannot print "
                                 "as a JSON integer", "path": "stdin"}
+
+    @pytest.mark.parametrize("q", [
+        # 12 distinct dense summands over 24 variables
+        {"variables": 24, "summands": [[2 if i == j else 1 for i in range(24)]
+                                       for j in range(12)]},
+        # at most C(23, 22) terms in the result, but two factors of C(23, 11) terms
+        {"variables": 23, "summands": [[1] * 23] * 11 + [[2] * 23] * 11},
+    ])
+    def test_obstruct_over_the_product_budget_exits_2_at_once(self, q):
+        start = time.perf_counter()
+        code, out, _ = run_cmd("obstruct", {"q": q, "n": 1})
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == {"error": "the Euler class needs over 16777216 monomial pair products, "
+                                "too many for the explicit ring", "path": "stdin"}
+
+    def test_complex_over_the_grid_work_budget_exits_2_before_decomposing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("decomposed a vertex of an over-budget complex")
+
+        monkeypatch.setattr("tracezero.ozfield.self_commutator_decompose", refuse)
+        simplices = list(itertools.combinations(range(12), 9))
+        doc = field_to_json(make_field(SimplicialComplex.make(12, simplices), [SZ] * 12))
+        start = time.perf_counter()
+        code, out, _ = run_cmd("decompose-field", doc)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == {"error": "the complex's grid work, lattice points times vertices over "
+                                "its 220 maximal simplices, is 25482600, over the budget of "
+                                "16777216", "path": "stdin"}
 
 
 def _tower_matrix_doc():

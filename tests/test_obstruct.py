@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import monomial, reference_euler_class
 from tracezero.errors import InvalidInputError
 from tracezero.obstruct import (
     BundleExpr,
@@ -20,26 +22,46 @@ from tracezero.obstruct import (
 from tracezero.ozfield import is_trace_zero_field
 
 
+def normal(m, coeffs) -> SquareFreeClass:
+    return SquareFreeClass(m, {k: v for k, v in coeffs.items() if v})
+
+
+def add(a: SquareFreeClass, b: SquareFreeClass) -> SquareFreeClass:
+    out = dict(a.coefficients)
+    for k, v in b.coefficients.items():
+        out[k] = out.get(k, 0) + v
+    return normal(a.variable_count, out)
+
+
+def linear(coeffs) -> SquareFreeClass:
+    return normal(len(coeffs), {monomial(i + 1): c for i, c in enumerate(coeffs)})
+
+
+def power(a: SquareFreeClass, e: int) -> SquareFreeClass:
+    out = SquareFreeClass.one(a.variable_count)
+    for _ in range(e):
+        out = sqfree_mul(out, a)
+    return out
+
+
 def random_class(rng, m, max_terms=4):
     coeffs = {}
     for _ in range(rng.randint(0, max_terms)):
-        subset = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m)))
-        coeffs[subset] = rng.randint(-9, 9)
-    return SquareFreeClass(m, coeffs)
+        key = monomial(*rng.sample(range(1, m + 1), rng.randint(0, m)))
+        coeffs[key] = rng.randint(-9, 9)
+    return normal(m, coeffs)
 
 
 class TestRing:
     def test_square_vanishes(self):
-        a1 = SquareFreeClass.generator(3, 1)
+        a1 = SquareFreeClass(3, {monomial(1): 1})
         assert sqfree_mul(a1, a1).is_zero()
 
     def test_binomial_square(self):
-        s = SquareFreeClass.linear([1, 1])
-        assert (s ** 2) == SquareFreeClass(2, {frozenset({1, 2}): 2})
+        assert power(linear([1, 1]), 2).to_json() == {"1,2": 2}
 
     def test_degree_exceeds_variables(self):
-        s = SquareFreeClass.linear([1, 1, 1])
-        assert (s ** 4).is_zero()
+        assert power(linear([1, 1, 1]), 4).is_zero()
 
     def test_variable_count_mismatch(self):
         with pytest.raises(InvalidInputError):
@@ -54,7 +76,7 @@ class TestRing:
             c = random_class(rng, m)
             assert sqfree_mul(a, b) == sqfree_mul(b, a)
             assert sqfree_mul(sqfree_mul(a, b), c) == sqfree_mul(a, sqfree_mul(b, c))
-            assert sqfree_mul(a, b + c) == sqfree_mul(a, b) + sqfree_mul(a, c)
+            assert sqfree_mul(a, add(b, c)) == add(sqfree_mul(a, b), sqfree_mul(a, c))
 
     @given(st.integers(1, 5), st.data())
     @settings(max_examples=60, deadline=None)
@@ -63,28 +85,22 @@ class TestRing:
             n_terms = data.draw(st.integers(0, 3))
             coeffs = {}
             for _ in range(n_terms):
-                subset = frozenset(data.draw(
-                    st.sets(st.integers(1, m), max_size=m)))
-                coeffs[subset] = data.draw(st.integers(-9, 9))
-            return SquareFreeClass(m, coeffs)
+                key = monomial(*data.draw(st.sets(st.integers(1, m), max_size=m)))
+                coeffs[key] = data.draw(st.integers(-9, 9))
+            return normal(m, coeffs)
 
         a, b, c = draw_class(), draw_class(), draw_class()
         assert sqfree_mul(a, b) == sqfree_mul(b, a)
-        assert sqfree_mul(a, b + c) == sqfree_mul(a, b) + sqfree_mul(a, c)
+        assert sqfree_mul(a, add(b, c)) == add(sqfree_mul(a, b), sqfree_mul(a, c))
 
     def test_linear_power_closed_form(self):
         # oracle: repeated multiplication
-        s = SquareFreeClass.linear([2, -1, 3, 1])
-        by_mul = SquareFreeClass.one(4)
-        for _ in range(3):
-            by_mul = sqfree_mul(by_mul, s)
-        assert linear_power([2, -1, 3, 1], 3) == by_mul
+        assert linear_power([2, -1, 3, 1], 3) == power(linear([2, -1, 3, 1]), 3)
 
     def test_top_power_factorial(self):
         for m in range(1, 9):
             cls = linear_power([1] * m, m)
-            assert cls == SquareFreeClass(
-                m, {frozenset(range(1, m + 1)): math.factorial(m)})
+            assert cls == SquareFreeClass(m, {monomial(*range(1, m + 1)): math.factorial(m)})
 
     def test_power_beyond_support_vanishes(self):
         for k in range(1, 9):
@@ -92,10 +108,14 @@ class TestRing:
                 assert linear_power([1] * k, e).is_zero()
 
     def test_json_round_trip(self):
-        cls = SquareFreeClass(3, {frozenset(): 4, frozenset({1, 3}): -2})
+        cls = SquareFreeClass(3, {monomial(): 4, monomial(1, 3): -2})
         doc = cls.to_json()
         assert doc == {"": 4, "1,3": -2}
-        assert SquareFreeClass.from_json(3, doc) == cls
+        keys = {monomial(*(int(t) for t in key.split(",") if t)): v for key, v in doc.items()}
+        assert SquareFreeClass(3, keys) == cls
+        # keys follow their sorted index lists, not the bitmasks' order
+        assert list(SquareFreeClass(3, {monomial(2): 1, monomial(1, 3): 1}).to_json()) == [
+            "1,3", "2"]
 
 
 class TestEulerClass:
@@ -103,11 +123,11 @@ class TestEulerClass:
         assert euler_class(BundleExpr.line((0,))).is_zero()
 
     def test_degree_one_line(self):
-        assert euler_class(BundleExpr.bott()) == SquareFreeClass(1, {frozenset({1}): 1})
+        assert euler_class(BundleExpr.bott()) == SquareFreeClass(1, {monomial(1): 1})
 
     def test_two_sphere_product(self):
         b = BundleExpr.line((1, 1)).repeated(2)
-        assert euler_class(b) == SquareFreeClass(2, {frozenset({1, 2}): 2})
+        assert euler_class(b) == SquareFreeClass(2, {monomial(1, 2): 2})
 
     def test_multiplicative_over_direct_sum(self):
         rng = random.Random(11)
@@ -119,20 +139,38 @@ class TestEulerClass:
                   for _ in range(rng.randint(1, 3))]
             b1 = BundleExpr.make(m, s1)
             b2 = BundleExpr.make(m, s2)
-            assert euler_class(b1.direct_sum(b2)) == sqfree_mul(
+            assert euler_class(BundleExpr.make(m, s1 + s2)) == sqfree_mul(
                 euler_class(b1), euler_class(b2))
 
-    def test_tensor_line_adds_degrees(self):
-        b = BundleExpr.make(2, [(1, 0), (0, 1)])
-        t = b.tensor_line((1, 1))
-        assert t.summands == ((2, 1), (1, 2))
+    @given(st.integers(0, 12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_frozenset_reference(self, m, data):
+        vector = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+        pool = data.draw(st.lists(vector, min_size=1, max_size=4))
+        summands = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+        bundle = BundleExpr.make(m, summands).repeated(data.draw(st.integers(1, 3)))
+        assert euler_class(bundle).to_json() == reference_euler_class(bundle.summands)
+
+    def test_top_coefficient_is_the_permanent(self):
+        rng = random.Random(13)
+        for m in range(1, 8):
+            for trial in range(6):
+                rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+                if trial % 2:
+                    rows[-1] = rows[0]  # a repeated summand
+                permanent = sum(math.prod(rows[i][p[i]] for i in range(m))
+                                for p in itertools.permutations(range(m)))
+                top = monomial(*range(1, m + 1))
+                cls = euler_class(BundleExpr.make(m, rows))
+                assert set(cls.coefficients) <= {top}
+                assert cls.coefficients.get(top, 0) == permanent
 
 
 class TestObstructionCertificate:
     def test_degree_one_over_sphere(self):
         cert = obstruction_certificate(BundleExpr.bott(), 1)
         assert cert.verdict
-        assert cert.euler_class == SquareFreeClass(1, {frozenset({1}): 1})
+        assert cert.euler_class == SquareFreeClass(1, {monomial(1): 1})
 
     def test_cube_of_plane_class_vanishes(self):
         cert = obstruction_certificate(BundleExpr.line((1, 1)), 3)
@@ -143,14 +181,14 @@ class TestObstructionCertificate:
             cert = obstruction_certificate(BundleExpr.line((1,) * m), m)
             assert cert.verdict
             assert cert.euler_class == SquareFreeClass(
-                m, {frozenset(range(1, m + 1)): math.factorial(m)})
+                m, {monomial(*range(1, m + 1)): math.factorial(m)})
 
 
 class TestPPExample:
     def test_m_one(self):
         ex = pp_example(1)
         assert ex.certificate.verdict
-        assert ex.certificate.euler_class == SquareFreeClass(1, {frozenset({1}): 1})
+        assert ex.certificate.euler_class == SquareFreeClass(1, {monomial(1): 1})
         assert ex.field is not None
         assert ex.field.complex.vertex_count == 6
         assert is_trace_zero_field(ex.field)
@@ -158,8 +196,7 @@ class TestPPExample:
     def test_m_three(self):
         ex = pp_example(3)
         assert ex.certificate.verdict
-        assert ex.certificate.euler_class == SquareFreeClass(
-            3, {frozenset({1, 2, 3}): 6})
+        assert ex.certificate.euler_class == SquareFreeClass(3, {monomial(1, 2, 3): 6})
         assert ex.field is None
 
     def test_m_zero_rejected(self):
