@@ -8,6 +8,7 @@ dataclasses.  Conventions fixed here and relied on everywhere else:
   reports is one.  A norm that only decides pass or fail goes through
   ``norm_exceeds``, which settles the comparison by the Frobenius bound
   and takes the SVD only when that bound cannot;
+* a product that ``NonzeroPattern`` proves exactly zero need not be formed;
 * ``hermitian_eig`` returns eigenvalues ascending with a deterministic
   eigenvector phase (the first component of modulus > 1e-8 is made real
   positive), so bit-identical inputs give bit-identical output;
@@ -84,6 +85,32 @@ def norm_exceeds(m, bound: float) -> bool:
     """Exactly ``operator_norm(m) > bound``; the SVD runs only when the
     Frobenius bound cannot settle the comparison."""
     return frobenius_bound(m) > bound and operator_norm(m) > bound
+
+
+@dataclass(frozen=True)
+class NonzeroPattern:
+    """Which rows and which columns of a matrix hold a nonzero entry.
+
+    The structural-zero screen: for finite matrices, ``a @ b`` is exactly
+    the zero matrix when no index k has column k of a and row k of b both
+    nonzero, since every term of every entry then has a factor +-0.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def of(cls, m) -> "NonzeroPattern":
+        nonzero = np.asarray(m) != 0
+        return cls(rows=nonzero.any(axis=1), cols=nonzero.any(axis=0))
+
+    @property
+    def adjoint(self) -> "NonzeroPattern":
+        return NonzeroPattern(rows=self.cols, cols=self.rows)
+
+    def product_vanishes(self, right: "NonzeroPattern") -> bool:
+        """True when (this matrix) @ (right's matrix) is exactly zero."""
+        return not np.any(self.cols & right.rows)
 
 
 def max_abs(a) -> float:

@@ -26,6 +26,7 @@ from .matcore import (
     KIND_GENERAL,
     KIND_SELF,
     CommutatorDecomposition,
+    NonzeroPattern,
     as_matrix,
     commutator,
     frobenius_bound,
@@ -190,17 +191,27 @@ def tight_commutator_decompose(a, *, trace_tol: float = TRACE_TOL) -> Commutator
 
 
 # Products that vanish when pairs (c_i, d_i), (c_j, d_j) have mutually
-# orthogonal supports, in checking order, each with the end of the message
-# that names its violation.
+# orthogonal supports, in checking order: the end of the message that names
+# the violation, then the operand taken from pair i and the one from pair j.
 _CROSS_PRODUCTS = (
-    (" are not orthogonal: c*.d != 0", lambda ci, di, cj, dj: ci.conj().T @ dj),
-    (" are not orthogonal: c.d != 0", lambda ci, di, cj, dj: ci @ dj),
-    (" are not orthogonal: c*.d* != 0", lambda ci, di, cj, dj: ci.conj().T @ dj.conj().T),
-    (": c factors overlap", lambda ci, di, cj, dj: ci.conj().T @ cj),
-    (": c factors overlap", lambda ci, di, cj, dj: ci @ cj.conj().T),
-    (": d factors overlap", lambda ci, di, cj, dj: di.conj().T @ dj),
-    (": d factors overlap", lambda ci, di, cj, dj: di @ dj.conj().T),
+    (" are not orthogonal: c*.d != 0", "c*", "d"),
+    (" are not orthogonal: c.d != 0", "c", "d"),
+    (" are not orthogonal: c*.d* != 0", "c*", "d*"),
+    (": c factors overlap", "c*", "c"),
+    (": c factors overlap", "c", "c*"),
+    (": d factors overlap", "d*", "d"),
+    (": d factors overlap", "d", "d*"),
 )
+
+
+def _operands(c: np.ndarray, d: np.ndarray) -> dict:
+    """c, d and their adjoints, each with its nonzero pattern."""
+    out = {}
+    for name, m in (("c", c), ("d", d)):
+        pattern = NonzeroPattern.of(m)
+        out[name] = (m, pattern)
+        out[name + "*"] = (m.conj().T, pattern.adjoint)
+    return out
 
 
 def collapse_orthogonal(pairs, *, dim: int | None = None):
@@ -212,7 +223,8 @@ def collapse_orthogonal(pairs, *, dim: int | None = None):
     the largest of those cross-product norms.  Violations raise with the
     first offending pair named.  A product whose Frobenius bound is at most
     the defect so far can neither raise nor change it, so only the others
-    (none, when the supports are exactly orthogonal) take an SVD.
+    (none, when the supports are exactly orthogonal) take an SVD; one that
+    the operands' nonzero patterns prove exactly zero is not even formed.
     """
     mats = [(as_matrix(c, square=True, name="c"), as_matrix(d, square=True, name="d"))
             for c, d in pairs]
@@ -225,10 +237,14 @@ def collapse_orthogonal(pairs, *, dim: int | None = None):
     for c, d in mats:
         if c.shape != shape or d.shape != shape:
             raise InvalidInputError("collapse pairs must share one square shape")
+    operands = [_operands(c, d) for c, d in mats]
     defect = 0.0
     for i, j in itertools.permutations(range(len(mats)), 2):
-        for violation, prod in _CROSS_PRODUCTS:
-            p = prod(*mats[i], *mats[j])
+        for violation, left, right in _CROSS_PRODUCTS:
+            (a, a_pattern), (b, b_pattern) = operands[i][left], operands[j][right]
+            if a_pattern.product_vanishes(b_pattern):
+                continue
+            p = a @ b
             if frobenius_bound(p) <= defect:
                 continue
             norm = operator_norm(p)

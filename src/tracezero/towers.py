@@ -27,6 +27,7 @@ from .matcore import (
     KIND_GENERAL,
     BoundCheck,
     CommutatorDecomposition,
+    NonzeroPattern,
     as_matrix,
     commutator,
     frobenius_bound,
@@ -42,6 +43,7 @@ NEUMANN_TOL = 1e-10
 PSD_TOL = 1e-10  # most negative eigenvalue a PSD element may have
 NEUMANN_MAX_ITER = 10_000
 TOWER_ENTRY_BUDGET = 2 ** 26  # complex entries: the elements and a witness's range check
+TOWER_PAIR_BUDGET = 2 ** 9  # commutator pairs over all stages, (blocks-1)*L*(L+K-1)
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,6 @@ class CuntzWitness:
     n: int
     V: np.ndarray
     blocks: list
-    vstarv_error: float
-    range_error: float
     ranks: dict
 
 
@@ -181,19 +181,20 @@ def cuntz_witness(a_spec: ElementSpectrum, b_support: Support, L: int,
     blocks = [[v_big[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(L)]
               for i in range(L + K - 1)]
 
-    vstarv_error = operator_norm(v_big.conj().T @ v_big - np.kron(np.eye(L), g.matrix))
+    vstarv_defect = v_big.conj().T @ v_big - np.kron(np.eye(L), g.matrix)
+    if norm_exceeds(vstarv_defect, 1e-8):
+        raise NumericsError(
+            f"witness V*V check failed: {operator_norm(vstarv_defect):.3e}")
     p_ap, p_b = a_plus.projection, b_support.projection
     p_c = np.zeros((big_rows, big_rows), dtype=complex)
     for i in range(L + K - 1):
         p_c[i * n:(i + 1) * n, i * n:(i + 1) * n] = p_ap if i < L - 1 else p_b
     vvs = v_big @ v_big.conj().T
-    range_error = operator_norm(vvs - p_c @ vvs @ p_c)
-    if vstarv_error > 1e-8:
-        raise NumericsError(f"witness V*V check failed: {vstarv_error:.3e}")
-    if range_error > 1e-8:
-        raise NumericsError(f"witness range check failed: {range_error:.3e}")
+    range_defect = vvs - p_c @ vvs @ p_c
+    if norm_exceeds(range_defect, 1e-8):
+        raise NumericsError(
+            f"witness range check failed: {operator_norm(range_defect):.3e}")
     return CuntzWitness(L=L, K=K, n=n, V=v_big, blocks=blocks,
-                        vstarv_error=vstarv_error, range_error=range_error,
                         ranks={"g": g.rank, "a_plus": a_plus.rank, "b": b_support.rank})
 
 
@@ -203,7 +204,8 @@ class PushStepResult:
 
     pairs: list  # (c, d) with sum [c, d] + remainder = x
     remainder: np.ndarray
-    y_norm: float
+    remainder_norm: float
+    y: np.ndarray  # the fixed point y = x + Phi(y)
     witness: CuntzWitness
     checks: list
 
@@ -213,17 +215,19 @@ class PushStepResult:
 
 
 def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
-              K: int) -> PushStepResult:
+              K: int, *, x_norm: float | None = None) -> PushStepResult:
     """Split x in her((a-eps)_+) into L(L+K-1) commutators + her(b) remainder.
 
     Solves y = x + Phi(y) by iteration, where Phi averages conjugation by
     the first L-1 block rows of the witness; norm(Phi) <= (L-1)/L makes the
     iteration contract with norm(y) <= L*norm(x).  The commutators are
     (1/L)[v_ij*, v_ij y] over all blocks, and the remainder collects the
-    last K block rows.
+    last K block rows.  ``x_norm``, when the caller already holds
+    ``operator_norm(x)``, saves taking it again.
     """
     xm = as_matrix(x, square=True, name="x")
-    x_norm = operator_norm(xm)
+    if x_norm is None:
+        x_norm = operator_norm(xm)
     p_ap = a_spec.plus.projection
     compress_defect = xm - p_ap @ xm @ p_ap
     if norm_exceeds(compress_defect, 1e-8 * max(1.0, x_norm)):
@@ -281,8 +285,8 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
         BoundCheck("commutator_count", float(count), float(len(pairs)), 0.0,
                    len(pairs) == count),
     ]
-    return PushStepResult(pairs=pairs, remainder=remainder,
-                          y_norm=operator_norm(y), witness=wit, checks=checks)
+    return PushStepResult(pairs=pairs, remainder=remainder, remainder_norm=rem_norm,
+                          y=y, witness=wit, checks=checks)
 
 
 # --------------------------------------------------------------------------
@@ -323,8 +327,11 @@ class TowerModel:
         if any(e.shape != shape for e in self.elements):
             raise InvalidInputError("all tower elements must share one size")
         _require_tower_budget(len(self.elements), shape[0], self.L, self.K)
+        patterns = [NonzeroPattern.of(e) for e in self.elements]
         for i in range(1, len(self.elements)):
             for j in range(i + 1, len(self.elements)):
+                if patterns[i].product_vanishes(patterns[j]):
+                    continue
                 ei, ej = self.elements[i], self.elements[j]
                 product = ei @ ej
                 if frobenius_bound(product) <= 1e-10:
@@ -350,8 +357,14 @@ class TowerModel:
 
 
 def _require_tower_budget(count: int, n: int, L: int, K: int):
-    """Reject towers whose elements plus the ((L+K-1)n)^2 matrices of a
-    witness's range check exceed TOWER_ENTRY_BUDGET entries."""
+    """Reject towers whose push steps form more than TOWER_PAIR_BUDGET
+    commutator pairs in all, or whose elements plus the ((L+K-1)n)^2
+    matrices of a witness's range check exceed TOWER_ENTRY_BUDGET entries."""
+    pairs = (count - 1) * L * (L + K - 1)
+    if pairs > TOWER_PAIR_BUDGET:
+        raise InvalidInputError(
+            f"tower forms {pairs} commutator pairs ({count} elements, L={L}, K={K}), "
+            f"over the budget of {TOWER_PAIR_BUDGET}")
     entries = (count + (L + K - 1) ** 2) * n * n
     if entries > TOWER_ENTRY_BUDGET:
         raise InvalidInputError(
@@ -443,12 +456,13 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
 
     stage_pairs = []
     stage_checks = []
-    z = zm
+    z, x_norm = zm, z_norm
     for t in range(1, depth + 1):
-        step = push_step(z, tower.spectra[t - 1], tower.spectra[t].plus, tower.L, tower.K)
+        step = push_step(z, tower.spectra[t - 1], tower.spectra[t].plus, tower.L, tower.K,
+                         x_norm=x_norm)
         stage_pairs.append(step.pairs)
         stage_checks.append(step.checks)
-        z = step.remainder
+        z, x_norm = step.remainder, step.remainder_norm
 
     # Exact in-block finish: compress to the final block and use the
     # two-factor shift decomposition there.

@@ -1,13 +1,33 @@
-"""Shared test helpers: the smooth-target mesh refinement checks, and the
-bitmask keys and frozenset reference of the square-free ring."""
+"""Shared test helpers: running the scripts, the smooth-target mesh
+refinement checks, the bitmask keys and frozenset reference of the
+square-free ring, and the unscreened reference of collapse_orthogonal."""
+
+import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
+from tracezero.errors import NumericsError, PreconditionError
+from tracezero.matcore import commutator, frobenius_bound, operator_norm
 from tracezero.ozfield import circle_complex, decompose_field, field_residual_against, greedy_coloring, make_field
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+def run_script(name: str, *args: str) -> str:
+    """stdout of scripts/<name> run with this checkout's src/ on the path."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name), *args],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    return proc.stdout
 
 
 def smooth_circle_target(theta: float) -> np.ndarray:
@@ -60,3 +80,35 @@ def reference_euler_class(summands) -> dict:
         out = frozenset_mul(out, {frozenset({i + 1}): c for i, c in enumerate(vec) if c})
     return {",".join(str(i) for i in sorted(k)): v
             for k, v in sorted(out.items(), key=lambda kv: sorted(kv[0]))}
+
+
+def reference_collapse(mats):
+    """collapse_orthogonal on a non-empty list of same-shape (c, d) arrays,
+    forming every cross product: the reference the structural-zero screen
+    is compared against."""
+    products = (
+        (" are not orthogonal: c*.d != 0", lambda ci, di, cj, dj: ci.conj().T @ dj),
+        (" are not orthogonal: c.d != 0", lambda ci, di, cj, dj: ci @ dj),
+        (" are not orthogonal: c*.d* != 0", lambda ci, di, cj, dj: ci.conj().T @ dj.conj().T),
+        (": c factors overlap", lambda ci, di, cj, dj: ci.conj().T @ cj),
+        (": c factors overlap", lambda ci, di, cj, dj: ci @ cj.conj().T),
+        (": d factors overlap", lambda ci, di, cj, dj: di.conj().T @ dj),
+        (": d factors overlap", lambda ci, di, cj, dj: di @ dj.conj().T),
+    )
+    defect = 0.0
+    for i, j in itertools.permutations(range(len(mats)), 2):
+        for violation, prod in products:
+            p = prod(*mats[i], *mats[j])
+            if frobenius_bound(p) <= defect:
+                continue
+            norm = operator_norm(p)
+            if norm > 1e-10:
+                raise PreconditionError(f"pairs {i} and {j}{violation}")
+            defect = max(defect, norm)
+    c_total = sum(c for c, _ in mats)
+    d_total = sum(d for _, d in mats)
+    err = commutator(c_total, d_total) - sum(commutator(c, d) for c, d in mats)
+    if frobenius_bound(err) > 1e-9 and operator_norm(err) > 1e-9 * max(
+            1.0, max(operator_norm(c) * operator_norm(d) for c, d in mats)):
+        raise NumericsError("collapsed commutator failed to reproduce the sum")
+    return c_total, d_total, defect

@@ -18,7 +18,12 @@ from tracezero.errors import NumericsError
 from tracezero.jsonio import field_to_json, matrix_to_json
 from tracezero.matcore import commutator
 from tracezero.ozfield import SimplicialComplex, circle_complex, make_field
-from tracezero.rand import SplitMix64, random_complex_matrix, random_trace_zero_hermitian
+from tracezero.rand import (
+    SplitMix64,
+    random_complex_matrix,
+    random_trace_zero_hermitian,
+    random_unitary,
+)
 from tracezero.schemas import INPUT_SCHEMAS, NAMED_SCHEMAS, validate
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -182,10 +187,68 @@ class TestCommands:
         assert max(slots) > 1
         assert norms == []
 
+    def test_fack_run_collapse_forms_no_cross_product_on_block_towers(self, monkeypatch):
+        # every cross product is proved zero by its operands' nonzero patterns,
+        # so the Frobenius bound is taken only by each slot's reproduce check
+        bounds, slots = [], []
+        bound, collapse = tracezero.selfcomm.frobenius_bound, tracezero.towers.collapse_orthogonal
+
+        def counting_bound(m):
+            bounds.append(1)
+            return bound(m)
+
+        def counting_collapse(pairs):
+            slots.append(len(pairs))
+            return collapse(pairs)
+
+        monkeypatch.setattr(tracezero.selfcomm, "frobenius_bound", counting_bound)
+        monkeypatch.setattr(tracezero.towers, "collapse_orthogonal", counting_collapse)
+        doc = {"tower": {"blocks": [{"rank": 3}] * 5}, "depth": 4}
+        code, _, _ = run_cmd("fack-run", doc, "--seed", "4")
+        assert code == 0
+        assert max(slots) > 1
+        assert len(bounds) == len(slots)
+
+    def test_fack_run_on_a_rotated_tower_takes_the_dense_path(self):
+        diagonals = np.repeat(np.eye(4), 2, axis=1)  # four rank-2 blocks in size 8
+        code, doc, _ = run_cmd("fack-run", _rotated_tower_doc(diagonals), "--seed", "6")
+        assert code == 0
+        assert doc["report"]["all_passed"]
+        assert doc["result"]["tower_report"]["all_passed"]
+        # dense cross products are formed and measured: zero only up to rounding
+        assert 0.0 < doc["result"]["tower_report"]["collapse_defect"] <= 1e-10
+
+    def test_fack_run_rejects_a_rotated_overlapping_tower(self):
+        code, doc, _ = run_cmd("fack-run", _rotated_tower_doc(_OVERLAPPING_DIAGONALS))
+        assert code == 2
+        assert doc["error"].startswith("tower blocks 1 and 2 are not orthogonal: ")
+
+    @pytest.mark.parametrize("tower, depth", [
+        ({"blocks": [{"rank": 1}, {"rank": 1}], "L": 160}, 1),
+        ({"blocks": [{"rank": 2}] * 3, "L": 32}, 2),
+        ({"blocks": [{"rank": 1}, {"rank": 1}], "L": 4000}, 1),
+    ])
+    def test_tower_over_the_pair_budget_exits_2_at_once(self, tower, depth):
+        start = time.perf_counter()
+        code, doc, _ = run_cmd("fack-run", {"tower": tower, "depth": depth})
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert set(doc) == {"error", "path"}
+        assert "commutator pairs" in doc["error"] and "over the budget of 512" in doc["error"]
+
+
+_OVERLAPPING_DIAGONALS = ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0], [0.0, 0.0, 1.0, 1.0])
+
 
 def _overlapping_blocks_doc():
-    blocks = [np.diag(d).astype(complex) for d in
-              ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0], [0.0, 0.0, 1.0, 1.0])]
+    blocks = [np.diag(d).astype(complex) for d in _OVERLAPPING_DIAGONALS]
+    return {"tower": {"blocks": [matrix_to_json(b) for b in blocks]}}
+
+
+def _rotated_tower_doc(diagonals, seed=31):
+    """Explicit blocks U diag(d) U* for a seeded unitary U: dense matrices."""
+    u = random_unitary(SplitMix64(seed), len(diagonals[0]))
+    blocks = [u @ np.diag(d).astype(complex) @ u.conj().T for d in diagonals]
     return {"tower": {"blocks": [matrix_to_json(b) for b in blocks]}}
 
 

@@ -1,9 +1,5 @@
 import itertools
 import math
-import os
-import pathlib
-import subprocess
-import sys
 import types
 
 import numpy as np
@@ -379,13 +375,9 @@ def test_decompose_field_residual_of_wrong_factors_matches_the_reference(case, m
 
 
 def test_mesh_refinement_script_prints_its_table():
-    from helpers import circle_refinement_residual
-    repo = pathlib.Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(repo / "scripts" / "mesh_refinement.py"), "--levels", "2"],
-        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
-    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    from helpers import circle_refinement_residual, run_script
+    stdout = run_script("mesh_refinement.py", "--levels", "2")
+    header, *rows = [line.split() for line in stdout.splitlines()]
     assert header == ["vertices", "residual", "ratio"]
     assert [row[0] for row in rows] == ["8", "16"]
     coarse, fine = (float(row[1]) for row in rows)

@@ -1,11 +1,13 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracezero.errors import InvalidInputError, PreconditionError
+from helpers import reference_collapse, run_script
+from tracezero.errors import InvalidInputError, NumericsError, PreconditionError
 from tracezero.matcore import commutator, operator_norm, verify_decomposition
 from tracezero.rand import SplitMix64, random_trace_zero_hermitian, random_unitary
 from tracezero.selfcomm import (
@@ -189,7 +191,49 @@ class TestTightCommutatorDecompose:
             assert operator_norm(x) * operator_norm(y) <= a_norm + 1e-9
 
 
+_ENTRIES = st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 1e-11, 0.5, -1.0, 2.0])
+
+
+@st.composite
+def block_sparse_pairs(draw):
+    """1 to 4 pairs (c, d) of n x n matrices.  The rows and the columns of
+    each matrix of pair i are the indices pair i owns plus, sometimes, one
+    more index, drawn apart for rows and columns, which another pair may own."""
+    n = draw(st.integers(2, 6))
+    count = draw(st.integers(1, 4))
+    owner = draw(st.lists(st.integers(-1, count - 1), min_size=n, max_size=n))
+    extra = st.lists(st.integers(0, n - 1), max_size=1)
+    pairs = []
+    for i in range(count):
+        owned = [k for k in range(n) if owner[k] == i]
+        pair = []
+        for _ in range(2):
+            m = np.zeros((n, n), dtype=complex)
+            rows, cols = owned + draw(extra), owned + draw(extra)
+            for row in rows:
+                for col in cols:
+                    m[row, col] = complex(draw(_ENTRIES), draw(_ENTRIES))
+            pair.append(m)
+        pairs.append(tuple(pair))
+    return pairs
+
+
 class TestCollapseOrthogonal:
+    @given(block_sparse_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_screen_matches_unscreened_reference(self, pairs):
+        try:
+            expected = reference_collapse(pairs)
+        except (PreconditionError, NumericsError) as err:
+            with pytest.raises(type(err)) as info:
+                collapse_orthogonal(pairs)
+            assert str(info.value) == str(err)
+            return
+        c, d, defect = collapse_orthogonal(pairs)
+        assert c.tobytes() == expected[0].tobytes()
+        assert d.tobytes() == expected[1].tobytes()
+        assert defect == expected[2]
+
     def test_single_pair(self):
         c = np.diag([1.0, 0.0]).astype(complex)
         d = np.diag([0.0, 0.0]).astype(complex)
@@ -273,3 +317,10 @@ class TestCollapseOrthogonal:
         with pytest.raises(PreconditionError) as info:
             collapse_orthogonal(pairs)
         assert str(info.value) == "pairs 0 and 2 are not orthogonal: c*.d != 0"
+
+
+def test_decompose_random_script_prints_json():
+    doc = json.loads(run_script("decompose_random.py", "--count", "5", "--size", "6"))
+    assert (doc["count"], doc["size"], len(doc["rows"])) == (5, 6, 5)
+    assert doc["worst_self_ratio"] <= 2.0 + 1e-9
+    assert doc["worst_tight_ratio"] <= 1.0 + 1e-9

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tracezero.errors import InvalidInputError, PreconditionError
+from helpers import run_script
+from tracezero.errors import InvalidInputError, NumericsError, PreconditionError
 from tracezero.matcore import commutator, operator_norm, verify_decomposition
 from tracezero.rand import SplitMix64, random_complex_matrix, random_hermitian
 from tracezero.towers import (
@@ -61,12 +62,25 @@ class TestRamp:
         assert ramp.profile(2.0) == 1.0
 
 
+def witness_errors(v, g, p_ap, p_b, L, K):
+    """||V*V - g (x) 1_L|| and ||VV* - P_c VV* P_c||, with P_c = p_ap on the
+    first L-1 diagonal blocks and p_b on the last K."""
+    vstarv = np.linalg.norm(v.conj().T @ v - np.kron(np.eye(L), g), 2)
+    p_c = (np.kron(np.diag([1.0] * (L - 1) + [0.0] * K), p_ap)
+           + np.kron(np.diag([0.0] * (L - 1) + [1.0] * K), p_b))
+    vvs = v @ v.conj().T
+    return vstarv, np.linalg.norm(vvs - p_c @ vvs @ p_c, 2)
+
+
 class TestCuntzWitness:
     def test_a_equals_b(self):
         a = np.diag([1.0, 0.8, 0.0]).astype(complex)
         wit = cuntz_witness(ElementSpectrum.of(a, 0.1), Support.of(a), 1, 1)
-        assert wit.vstarv_error <= 1e-12
-        assert wit.range_error <= 1e-12
+        # g = g_{0.05}(a) and the supports of (a - 0.1)_+ and a: all diag(1, 1, 0)
+        p = np.diag([1.0, 1.0, 0.0])
+        vstarv, range_error = witness_errors(wit.V, p, p, p, 1, 1)
+        assert vstarv <= 1e-12
+        assert range_error <= 1e-12
 
     def test_two_by_two_swap(self):
         a = np.diag([1.0, 0.0]).astype(complex)
@@ -92,9 +106,21 @@ class TestCuntzWitness:
         b = np.zeros((n, n), dtype=complex)
         b[r_a:, r_a:] = np.eye(r_b)
         wit = cuntz_witness(ElementSpectrum.of(a, 0.5), Support.of(b), L, K)
-        assert wit.vstarv_error <= 1e-8
-        assert wit.range_error <= 1e-8
+        # a and b are projections, so g = (a - 0.5)_+'s support projection = a
+        vstarv, range_error = witness_errors(wit.V, a, a, b, L, K)
+        assert vstarv <= 1e-8
+        assert range_error <= 1e-8
         assert np.kron(np.eye(L), np.eye(n)).shape[0] == wit.V.shape[1]
+
+    def test_defective_witness_reports_its_error(self):
+        # a support basis 2*e_0 is not orthonormal: V = 8 e_1 e_0*, so
+        # V*V - g = 64 e_0 e_0* - 4 e_0 e_0* has norm 60
+        e0 = np.array([[2.0], [0.0]], dtype=complex)
+        e1 = np.array([[0.0], [1.0]], dtype=complex)
+        spec = ElementSpectrum(g=Support(basis=e0, values=np.array([1.0])),
+                               plus=Support(basis=e0[:, :0], values=np.zeros(0)))
+        with pytest.raises(NumericsError, match=r"^witness V\*V check failed: 6\.000e\+01$"):
+            cuntz_witness(spec, Support(basis=e1, values=np.array([1.0])), 1, 1)
 
 
 class TestPushStep:
@@ -156,7 +182,21 @@ class TestPushStep:
         assert operator_norm(res.remainder) <= K * x_norm + 1e-8
         for c, d in res.pairs:
             assert operator_norm(c) * operator_norm(d) <= x_norm + 1e-8
-        assert res.y_norm <= L * x_norm + 1e-6
+        assert np.linalg.norm(res.y, 2) <= L * x_norm + 1e-6
+        assert res.remainder_norm == operator_norm(res.remainder)
+
+    def test_given_x_norm_is_used_as_is(self):
+        a = np.diag([1.0, 0.0]).astype(complex)
+        b = np.diag([0.0, 1.0]).astype(complex)
+        x = np.diag([0.7, 0.0]).astype(complex)
+        spec, b_support = ElementSpectrum.of(a, 0.1), Support.of(b)
+        measured = push_step(x, spec, b_support, 1, 1)
+        given = push_step(x, spec, b_support, 1, 1, x_norm=operator_norm(x))
+        assert [c.to_json() for c in given.checks] == [c.to_json() for c in measured.checks]
+        # the claimed bounds are read from x_norm, not re-measured
+        halved = push_step(x, spec, b_support, 1, 1, x_norm=0.35)
+        assert halved.checks[1].claimed_bound == 1 * 0.35 + 1e-8
+        assert not halved.all_passed
 
     def test_averaging_map_contraction(self):
         # norm(Phi) <= (L-1)/L, sampled on unit-norm test elements
@@ -189,6 +229,14 @@ class TestTowerModel:
         # block 1 larger than K * block 2
         with pytest.raises(PreconditionError, match="rank condition"):
             make_block_tower([2, 4, 1], L=1, K=1)
+
+    def test_pair_budget_bounds_the_whole_tower(self):
+        # (blocks - 1) * L * (L + K - 1) commutator pairs: 16 * 32 = 512 is admitted
+        assert make_block_tower([1, 1], L=16, K=17).L == 16
+        with pytest.raises(InvalidInputError, match="528 commutator pairs"):
+            make_block_tower([1, 1], L=16, K=18)
+        with pytest.raises(InvalidInputError, match="over the budget of 512"):
+            make_block_tower([1] * 18, L=2, K=15)
 
     def test_make_block_tower(self):
         tower = make_block_tower([2, 2, 2], L=1, K=1, ambient=8)
@@ -350,3 +398,9 @@ def test_thresholded_rank():
     assert Support.of(np.diag([1.0, 1e-12, 0.0])).rank == 1
     assert Support.of(np.zeros((3, 3))).rank == 0
     assert Support.of(np.eye(4)).rank == 4
+
+
+def test_tower_audit_script_verifies_its_demo():
+    stdout = run_script("tower_audit.py", "--m-max", "2", "--depth", "3")
+    assert "verified True" in stdout
+    assert "collapse defect 0.000e+00" in stdout
