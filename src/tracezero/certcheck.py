@@ -1,0 +1,881 @@
+"""Independent checks of output documents: what ``verify`` runs.
+
+An output document is a certificate.  It echoes its input and states a
+result with claimed bounds.  Each checker here re-derives those claims
+from the document alone, in the sense of McConnell, Mehlhorn, Naeher &
+Schweitzer, "Certifying algorithms", Computer Science Review 5 (2011): it
+decodes the echoed input and the emitted factors, recomputes the sums of
+commutators and the residual, and re-measures every bound against the
+statement the command certifies.  No constructor and no
+eigendecomposition is called, so a construction bug that the producer's
+own report repeats is still caught.
+
+A failed check is one line "<path>: <check> ...", <path> being a JSON path
+into the verify document.  What a document states but does not carry the
+data to rebuild (a tower's per-stage checks, the collapse defect, the
+lattice's partition-of-unity defect) is checked for internal consistency
+only: measured <= claimed + tolerance exactly when ``passed``, and
+``all_passed`` agrees.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from jsonschema import ValidationError
+
+from .errors import InvalidInputError
+from .jsonio import field_from_json, matrix_from_json
+from .matcore import BoundCheck, commutator, is_hermitian, operator_norm
+from .obstruct import MAX_PAIR_VISITS, PP_EXAMPLE_M_LIMIT, VILLADSEN_MMAX_LIMIT
+from .ozfield import GRID_ORDER, RECON_TOL, require_refine_budget
+from .schemas import validate
+
+# A value the document reports and the checker re-measures must agree to
+# this, relative to max(1, the scale of the quantity).
+AGREE = 1e-9
+
+
+class Malformed(Exception):
+    """A part of the document that a check needs is missing or ill-typed."""
+
+    def __init__(self, path: str, text: str):
+        super().__init__(f"{path}: {text}")
+
+
+class Findings:
+    """The failed checks of one document, in the order they were made."""
+
+    def __init__(self):
+        self.failures = []
+
+    def fail(self, path: str, text: str):
+        self.failures.append(f"{path}: {text}")
+
+    def require(self, ok: bool, path: str, text: str):
+        if not ok:
+            self.fail(path, text)
+
+
+def _agree(reported: float, measured: float, scale: float = 1.0) -> bool:
+    return abs(reported - measured) <= AGREE * max(1.0, scale, abs(measured))
+
+
+# --------------------------------------------------------------------------
+# Typed access to the document.  Each raises Malformed naming the path.
+
+def _get(node, key: str, path: str):
+    if not isinstance(node, dict):
+        raise Malformed(path, "is not an object")
+    if key not in node:
+        raise Malformed(f"{path}.{key}", "missing")
+    return node[key]
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise Malformed(path, f"{value!r} is not an object")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise Malformed(path, f"{value!r} is not a list")
+    return value
+
+
+def _number(value, path: str) -> float:
+    if type(value) not in (int, float):
+        raise Malformed(path, f"{value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise Malformed(path, "is too large for a float") from None
+
+
+def _integer(value, path: str) -> int:
+    if type(value) is not int:
+        raise Malformed(path, f"{value!r} is not an integer")
+    return value
+
+
+def _boolean(value, path: str) -> bool:
+    if type(value) is not bool:
+        raise Malformed(path, f"{value!r} is not true or false")
+    return value
+
+
+def _schema_checked(value, command: str, path: str):
+    """Raise Malformed at the first place ``value`` breaks the input schema
+    of ``command``."""
+    try:
+        validate(value, command)
+    except ValidationError as exc:
+        raise Malformed(path + exc.json_path[1:], exc.message) from None
+
+
+def _matrix(value, path: str, n: int | None = None) -> np.ndarray:
+    """A matrix document of the result, decoded; ``n`` is the size it must have."""
+    _schema_checked(value, "decompose", path)  # decompose's input is one matrix
+    try:
+        m = matrix_from_json(value)
+    except InvalidInputError as exc:
+        raise Malformed(path, str(exc)) from None
+    if n is not None and m.shape[0] != n:
+        raise Malformed(f"{path}.n", f"{m.shape[0]} differs from the input's {n}")
+    return m
+
+
+def _norm(m: np.ndarray, path: str) -> float:
+    """operator_norm of a matrix formed from the document's numbers; one
+    that overflowed a float is a malformed document, not a norm."""
+    if not np.all(np.isfinite(m)):
+        raise Malformed(path, "overflows a float")
+    return operator_norm(m)
+
+
+def _rerooted(exc: ValidationError, key: str) -> ValidationError:
+    """``exc`` with its path moved under ``key``, for a document checked
+    as a part of a larger one."""
+    root = exc
+    while root.parent is not None:
+        root = root.parent
+    root.relative_path.appendleft(key)
+    return exc
+
+
+# --------------------------------------------------------------------------
+# Claimed bounds.
+
+@dataclass(frozen=True)
+class Statement:
+    """What a named bound certifies: the bound the command's theorem gives,
+    the checker's own measurement of the quantity (None where the document
+    lacks the data for one), the tolerance of the comparison, whether the
+    measurement is the quantity itself or only a lower bound on it, and the
+    quantity's scale for agreement with the reported measurement."""
+
+    bound: float
+    measured: float | None
+    tolerance: float
+    exact: bool = True
+    scale: float = 1.0
+
+
+def _consistent(f: Findings, path: str, entry: dict) -> tuple:
+    """Read one reported bound check and require passed <=> measured <=
+    claimed + tolerance; returns (name, claimed, measured, tolerance, passed)."""
+    name = _get(entry, "name", path)
+    if not isinstance(name, str):
+        raise Malformed(f"{path}.name", f"{name!r} is not a string")
+    claimed = _number(_get(entry, "claimed_bound", path), f"{path}.claimed_bound")
+    measured = _number(_get(entry, "measured_value", path), f"{path}.measured_value")
+    tolerance = _number(_get(entry, "tolerance", path), f"{path}.tolerance")
+    passed = _boolean(_get(entry, "passed", path), f"{path}.passed")
+    f.require(passed == (measured <= claimed + tolerance), f"{path}.passed",
+              f"{name}: passed is {str(passed).lower()} but measured {measured!r} against "
+              f"claimed bound {claimed!r} + tolerance {tolerance!r}")
+    return name, claimed, measured, tolerance, passed
+
+
+def _check_all_passed(f: Findings, node: dict, path: str, passes: list):
+    all_passed = _boolean(_get(node, "all_passed", path), f"{path}.all_passed")
+    f.require(all_passed == all(passes), f"{path}.all_passed",
+              f"is {str(all_passed).lower()} but the checks it covers say "
+              f"{str(all(passes)).lower()}")
+
+
+def _check_bounds(f: Findings, report: dict, statements: dict,
+                  claims: dict | None = None, claims_path: str = ""):
+    """Every reported bound check against the command's ``statements``;
+    ``claims``, when the result repeats the claimed bounds, must agree."""
+    path = "$.report.bound_checks"
+    entries = _list(_get(report, "bound_checks", "$.report"), path)
+    passes, seen = [], set()
+    for i, entry in enumerate(entries):
+        p = f"{path}[{i}]"
+        name, claimed, measured, tolerance, passed = _consistent(f, p, entry)
+        passes.append(passed)
+        if name not in statements:
+            f.fail(f"{p}.name", f"unknown bound name {name!r}")
+            continue
+        if name in seen:
+            f.fail(f"{p}.name", f"{name} is checked twice")
+        seen.add(name)
+        st = statements[name]
+        f.require(claimed <= st.bound + AGREE * max(1.0, abs(st.bound)), f"{p}.claimed_bound",
+                  f"{name}: claimed bound {claimed!r} is weaker than the certified {st.bound!r}")
+        f.require(_agree(tolerance, st.tolerance), f"{p}.tolerance",
+                  f"{name}: tolerance {tolerance!r} differs from {st.tolerance!r}")
+        if claims is not None and name in claims:
+            f.require(claims[name] == claimed, f"{claims_path}.{name}",
+                      f"{claims[name]!r} differs from the report's claimed bound {claimed!r}")
+        if st.measured is None:
+            continue
+        if st.exact:
+            f.require(_agree(measured, st.measured, st.scale), f"{p}.measured_value",
+                      f"{name}: reported {measured!r} but re-measured {st.measured!r}")
+        else:
+            f.require(st.measured <= measured + AGREE * max(1.0, st.scale),
+                      f"{p}.measured_value",
+                      f"{name}: reported {measured!r} is below its re-measured lower bound "
+                      f"{st.measured!r}")
+        check = BoundCheck(name, claimed, st.measured, st.tolerance,
+                           st.measured <= claimed + st.tolerance)
+        f.require(check.passed, p, f"{name}: re-measured {check.measured_value!r} exceeds "
+                                   f"claimed bound {check.claimed_bound!r}")
+    for name in statements:
+        f.require(name in seen, path, f"no check of {name}")
+    if claims is not None:
+        for name in claims:
+            f.require(name in statements, f"{claims_path}.{name}", f"unknown bound name {name!r}")
+            _number(claims[name], f"{claims_path}.{name}")
+        for name in statements:
+            f.require(name in claims, claims_path, f"no claim of {name}")
+    _check_all_passed(f, report, "$.report", passes)
+
+
+def _no_bounds(f: Findings, report: dict, all_passed: bool):
+    """The report of an exact command: no bound checks, and all_passed as
+    the result implies."""
+    entries = _list(_get(report, "bound_checks", "$.report"), "$.report.bound_checks")
+    f.require(entries == [], "$.report.bound_checks", "an exact result claims no bounds")
+    _check_all_passed(f, report, "$.report", [all_passed])
+
+
+# --------------------------------------------------------------------------
+# Sums of commutators.
+
+def _commutator_sum(f: Findings, result: dict, kind: str, n: int, with_norms: bool):
+    """Decode the factors and return (sum of their commutators, factor count,
+    largest norm claim term): norm(x)^2 for [x*, x], norm(x)*norm(y) for
+    [x, y], when ``with_norms``."""
+    found = _get(result, "kind", "$.result")
+    f.require(found == kind, "$.result.kind", f"{found!r} is not {kind!r}")
+    factors = _list(_get(result, "factors", "$.result"), "$.result.factors")
+    total = np.zeros((n, n), dtype=complex)
+    worst = 0.0
+    for i, factor in enumerate(factors):
+        p = f"$.result.factors[{i}]"
+        x = _matrix(_get(factor, "x", p), f"{p}.x", n)
+        if kind == "self_commutators":
+            total += commutator(x.conj().T, x)
+            x_norm = operator_norm(x) if with_norms else 0.0
+            term = x_norm * x_norm
+        else:
+            y = _matrix(_get(factor, "y", p), f"{p}.y", n)
+            total += commutator(x, y)
+            term = operator_norm(x) * operator_norm(y) if with_norms else 0.0
+        worst = max(worst, term)
+    return total, len(factors), worst
+
+
+def _check_headline(f: Findings, report: dict, residual: float, count: int, scale: float):
+    """The report's residual_norm, norm(a - sum of commutators), and its count."""
+    reported = _number(_get(report, "residual_norm", "$.report"), "$.report.residual_norm")
+    f.require(_agree(reported, residual, scale), "$.report.residual_norm",
+              f"reported {reported!r} but the input minus the factors' commutators has "
+              f"norm {residual!r}")
+    reported = _integer(_get(report, "commutator_count", "$.report"), "$.report.commutator_count")
+    f.require(reported == count, "$.report.commutator_count",
+              f"{reported} but the result has {count} factors")
+
+
+def _norm_ratio(worst: float, a_norm: float):
+    """(measured, tolerance) of a factor-norm claim relative to norm(a)."""
+    if a_norm == 0.0:
+        return (0.0 if worst <= 1e-9 else math.inf), 0.0
+    return worst / a_norm, 1e-9 / a_norm
+
+
+def _check_single_commutator(f: Findings, doc: dict, kind: str, norm_claim: str,
+                             norm_bound: float, **_):
+    """decompose (a = [x*, x], norm(x)^2 <= 2 norm(a)) and decompose-tight
+    (a = [x, y], norm(x) norm(y) <= norm(a)): one factor, no residual term."""
+    a = matrix_from_json(doc["input"], name="input matrix")
+    n = a.shape[0]
+    result = _object(_get(doc, "result", "$"), "$.result")
+    report = _object(_get(doc, "report", "$"), "$.report")
+    total, count, worst = _commutator_sum(f, result, kind, n, with_norms=True)
+    f.require(count == 1, "$.result.factors", f"{count} factors, but the statement is one")
+    declared = _number(_get(result, "residual_norm", "$.result"), "$.result.residual_norm")
+    f.require(declared == 0.0, "$.result.residual_norm",
+              f"{declared!r}, but a single commutator leaves no residual term")
+    a_norm = operator_norm(a)
+    residual = _norm(a - total, "$.result.factors")
+    measured, tolerance = _norm_ratio(worst, a_norm)
+    statements = {
+        "reconstruction_residual": Statement(1e-9 * max(1.0, a_norm), residual, 0.0,
+                                             scale=a_norm),
+        norm_claim: Statement(norm_bound, measured, tolerance),
+    }
+    bounds = _object(_get(result, "bounds", "$.result"), "$.result.bounds")
+    _check_bounds(f, report, statements, bounds, "$.result.bounds")
+    _check_headline(f, report, residual, count, a_norm)
+
+
+# --------------------------------------------------------------------------
+# fack-run.
+
+def _float_input(value, name: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{name} is too large for a float") from None
+
+
+def _block_zero_support(tower: dict, n: int, epsilon: float) -> np.ndarray:
+    """Orthonormal basis of the support of (e_0 - eps)_+, from a singular
+    value decomposition where e_0 is a matrix: e_0 is PSD, so its singular
+    values are its eigenvalues."""
+    blocks = tower["blocks"]
+    if all("rank" in b for b in blocks):  # 0/1 projections, block 0 first
+        ambient = tower.get("ambient", sum(b["rank"] for b in blocks))
+        if ambient != n:
+            raise Malformed("$.input.z0.n", f"{n} differs from the tower's size {ambient}")
+        return np.eye(n, dtype=complex)[:, :blocks[0]["rank"] if epsilon < 1.0 else 0]
+    e0 = matrix_from_json(blocks[0], name="tower block")
+    if e0.shape[0] != n:
+        raise Malformed("$.input.z0.n", f"{n} differs from the tower's size {e0.shape[0]}")
+    u, s, _ = np.linalg.svd(e0)
+    lifted = np.maximum(s - epsilon, 0.0)
+    top = float(np.max(lifted)) if lifted.size else 0.0
+    return u[:, lifted > 1e-8 * top] if top > 0.0 else u[:, :0]
+
+
+def _check_fack_run(f: Findings, doc: dict, depth: int | None, **_):
+    """z0 Hermitian, trace zero, inside block 0; z0 = sum [x, y] + residual
+    with norm(residual) <= delta_depth and at most L(L+K-1) + max(M,
+    L(L+K-1)) factors."""
+    echo = doc["input"]
+    tower = echo["tower"]
+    blocks = len(tower["blocks"])
+    L, K, M = (int(tower.get(key, 1)) for key in ("L", "K", "M"))
+    epsilon = _float_input(tower.get("epsilon", 0.5), "tower.epsilon")
+    deltas = [_float_input(d, f"tower.deltas[{i}]") for i, d in
+              enumerate(tower.get("deltas", [2.0 ** -(i + 1) for i in range(blocks - 1)]))]
+    if len(deltas) != blocks - 1:
+        raise InvalidInputError("need one delta per stage")
+    if depth is None:
+        depth = int(echo.get("depth", blocks - 1))
+    if not 0 <= depth <= blocks - 1:
+        raise InvalidInputError(f"depth must lie in [0, {blocks - 1}]")
+    z0 = matrix_from_json(_get(echo, "z0", "$.input"), name="z0")
+    n = z0.shape[0]
+    z_norm = operator_norm(z0)
+    scale = max(1.0, z_norm)
+    f.require(is_hermitian(z0), "$.input.z0", "is not Hermitian")
+    f.require(abs(np.trace(z0)) <= 1e-9 * n * scale, "$.input.z0", "is not trace zero")
+    q = _block_zero_support(tower, n, epsilon)
+    outside = operator_norm(z0 - q @ (q.conj().T @ z0 @ q) @ q.conj().T)
+    f.require(outside <= 1e-8 * scale, "$.input.z0",
+              f"leaves her((e_0 - eps)_+): norm {outside!r} outside it")
+
+    result = _object(_get(doc, "result", "$"), "$.result")
+    report = _object(_get(doc, "report", "$"), "$.report")
+    total, count, _ = _commutator_sum(f, result, "general_commutators", n, with_norms=False)
+    per_stage = L * (L + K - 1)
+    count_bound = per_stage + max(M, per_stage)
+    found = _integer(_get(result, "depth", "$.result"), "$.result.depth")
+    f.require(found == depth, "$.result.depth", f"{found} but the run's depth is {depth}")
+    declared = _number(_get(result, "residual_norm", "$.result"), "$.result.residual_norm")
+    residual = _norm(z0 - total, "$.result.factors")
+    statements = {
+        # norm(z0 - sum - R) >= |norm(z0 - sum) - norm(R)|, R the declared residual
+        "reconstruction_residual": Statement(1e-8 * scale, abs(residual - declared), 0.0,
+                                             exact=False, scale=z_norm),
+        "commutator_count": Statement(_float_input(count_bound, "the commutator count bound"),
+                                      float(count), 0.0),
+    }
+    if depth > 0:
+        statements["residual_norm"] = Statement(deltas[depth - 1], declared, 1e-12,
+                                                scale=z_norm)
+    bounds = _object(_get(result, "bounds", "$.result"), "$.result.bounds")
+    _check_bounds(f, report, statements, bounds, "$.result.bounds")
+    _check_headline(f, report, residual, count, z_norm)
+    _check_tower_report(f, result, depth, per_stage, declared, count)
+
+
+# The checks of one push step; only its commutator count can be rebuilt
+# from the document.
+_STAGE_CHECKS = ("commutator_count", "max_norm_product", "reconstruction_residual",
+                 "remainder_in_hereditary", "remainder_norm")
+
+
+def _check_tower_report(f: Findings, result: dict, depth: int, per_stage: int,
+                        declared: float, count: int):
+    path = "$.result.tower_report"
+    tower_report = _object(_get(result, "tower_report", "$.result"), path)
+    stages = _list(_get(tower_report, "stage_checks", path), f"{path}.stage_checks")
+    f.require(len(stages) == depth, f"{path}.stage_checks",
+              f"{len(stages)} stages but depth {depth}")
+    passes = []
+    for t, stage in enumerate(stages):
+        p = f"{path}.stage_checks[{t}]"
+        read = [_consistent(f, f"{p}[{i}]", entry) for i, entry in enumerate(_list(stage, p))]
+        passes += [passed for *_, passed in read]
+        names = sorted(name for name, *_ in read)
+        f.require(names == list(_STAGE_CHECKS), p,
+                  f"checks {names}, not one each of {list(_STAGE_CHECKS)}")
+        for name, claimed, measured, _, _ in read:
+            f.require(name != "commutator_count" or claimed == measured == per_stage, p,
+                      f"a push step forms {per_stage} commutators, not {measured!r} "
+                      f"against a claimed {claimed!r}")
+    _check_all_passed(f, tower_report, path, passes)
+    inblock = _number(_get(tower_report, "inblock_residual", path), f"{path}.inblock_residual")
+    f.require(inblock == declared, f"{path}.inblock_residual",
+              f"{inblock!r} differs from the result's residual_norm {declared!r}")
+    defect = _number(_get(tower_report, "collapse_defect", path), f"{path}.collapse_defect")
+    f.require(0.0 <= defect < math.inf, f"{path}.collapse_defect",
+              f"{defect!r} is not a norm")
+    sizes = _list(_get(tower_report, "family_sizes", path), f"{path}.family_sizes")
+    sizes = [_integer(s, f"{path}.family_sizes[{i}]") for i, s in enumerate(sizes)]
+    f.require(len(sizes) == 2 and min(sizes) >= 0 and sum(sizes) == count,
+              f"{path}.family_sizes", f"{sizes} does not split the {count} factors in two")
+
+
+# --------------------------------------------------------------------------
+# decompose-field.
+
+def barycentric_refinement(simplices, values, levels: int):
+    """``levels`` barycentric subdivisions of a complex, with its PL field.
+
+    The new vertices are the nonempty faces of the old complex, numbered in
+    (size, vertex tuple) order as output documents number them; each carries
+    the mean of its face's values and is colored by the face's dimension.
+    The new maximal simplices are the flags of faces, one of each size,
+    inside an old maximal simplex.  Returns (simplices, values, colors), the
+    simplices as a sorted list of ascending tuples and colors None for
+    ``levels`` = 0.
+    """
+    simplices = sorted(tuple(sorted(s)) for s in simplices)
+    colors = None
+    for _ in range(levels):
+        faces = sorted({face for s in simplices for size in range(1, len(s) + 1)
+                        for face in itertools.combinations(s, size)},
+                       key=lambda face: (len(face), face))
+        number = {face: i for i, face in enumerate(faces)}
+
+        def flags(face):
+            """Chains of faces ending at ``face``, as ascending face numbers."""
+            if len(face) == 1:
+                return [(number[face],)]
+            return [chain + (number[face],) for i in range(len(face))
+                    for chain in flags(face[:i] + face[i + 1:])]
+
+        simplices = sorted({chain for s in simplices for chain in flags(s)})
+        values = [sum(values[v] for v in face) / len(face) for face in faces]
+        colors = [len(face) - 1 for face in faces]
+    return simplices, values, colors
+
+
+def _check_decompose_field(f: Findings, doc: dict, refine: int, **_):
+    """The emitted field is the refined input; the coloring is proper; each
+    vertex is in its color's factor once, with [x_v*, x_v] = value_v."""
+    fld = field_from_json(doc["input"])
+    require_refine_budget(fld.complex, refine)
+    simplices, values, colors = barycentric_refinement(
+        fld.complex.maximal_simplices, fld.values, refine)
+    vertex_count, n = len(values), fld.matrix_size
+    value_stack = np.stack(values)
+    result = _object(_get(doc, "result", "$"), "$.result")
+    report = _object(_get(doc, "report", "$"), "$.report")
+
+    emitted = _get(result, "field", "$.result")
+    _schema_checked(emitted, "decompose-field", "$.result.field")
+    try:
+        out = field_from_json(emitted)
+    except InvalidInputError as exc:
+        raise Malformed("$.result.field", str(exc)) from None
+    f.require(out.complex.vertex_count == vertex_count, "$.result.field.complex.vertices",
+              f"{out.complex.vertex_count}, but the refined input has {vertex_count}")
+    f.require(list(out.complex.maximal_simplices) == simplices,
+              "$.result.field.complex.simplices", "differ from the refined input's")
+    if out.complex.vertex_count == vertex_count and out.matrix_size == n:
+        gap = np.max(np.abs(np.stack(out.values) - value_stack), axis=(1, 2))
+        for v in np.flatnonzero(gap > AGREE * max(1.0, float(np.max(np.abs(value_stack))))):
+            f.fail(f'$.result.field.values["{v}"]', "differs from the refined input's value")
+
+    coloring = [_integer(c, f"$.result.coloring[{v}]") for v, c in
+                enumerate(_list(_get(result, "coloring", "$.result"), "$.result.coloring"))]
+    if len(coloring) != vertex_count or not 0 <= min(coloring) <= max(coloring) < vertex_count:
+        raise Malformed("$.result.coloring",
+                        f"is not one color in 0..{vertex_count - 1} per vertex")
+    for s in simplices:
+        f.require(len({coloring[v] for v in s}) == len(s), "$.result.coloring",
+                  f"simplex {list(s)} repeats a color")
+    color_count = max(coloring) + 1
+    found = _integer(_get(result, "color_count", "$.result"), "$.result.color_count")
+    f.require(found == color_count, "$.result.color_count",
+              f"{found}, but the coloring uses {color_count}")
+    if colors is not None:
+        f.require(color_count == max(colors) + 1, "$.result.color_count",
+                  f"{color_count}, but a barycentric subdivision needs {max(colors) + 1}")
+    found = _get(result, "grid_order", "$.result")
+    f.require(found == GRID_ORDER, "$.result.grid_order", f"{found!r} is not {GRID_ORDER}")
+
+    factors = _list(_get(result, "factors", "$.result"), "$.result.factors")
+    x = {}
+    for k, factor in enumerate(factors):
+        p = f"$.result.factors[{k}]"
+        color = _integer(_get(factor, "color", p), f"{p}.color")
+        f.require(color == k, f"{p}.color", f"{color}, but factor {k} carries color {k}")
+        for j, entry in enumerate(_list(_get(factor, "entries", p), f"{p}.entries")):
+            q = f"{p}.entries[{j}]"
+            v = _integer(_get(entry, "vertex", q), f"{q}.vertex")
+            if not 0 <= v < vertex_count or v in x:
+                raise Malformed(f"{q}.vertex", f"{v} is no vertex, or a vertex seen before")
+            f.require(coloring[v] == color, f"{q}.vertex",
+                      f"vertex {v} has color {coloring[v]}, not {color}")
+            x[v] = _matrix(_get(entry, "x", q), f"{q}.x", n)
+    missing = sorted(set(range(vertex_count)) - set(x))
+    if missing:
+        raise Malformed("$.result.factors", f"vertices {missing} have no factor")
+
+    xs = np.stack([x[v] for v in range(vertex_count)])
+    brackets = xs.conj().transpose(0, 2, 1) @ xs - xs @ xs.conj().transpose(0, 2, 1)
+    if not np.all(np.isfinite(brackets)):
+        raise Malformed("$.result.factors", "overflows a float")
+    residuals = np.linalg.norm(brackets - value_stack, 2, axis=(1, 2))
+    x_norms_sq = np.linalg.norm(xs, 2, axis=(1, 2)) ** 2
+    sup = float(np.max(np.linalg.norm(value_stack, 2, axis=(1, 2))))
+    recon_bound = RECON_TOL * max(sup, 1e-30)
+    for v in np.flatnonzero(residuals > recon_bound):
+        f.fail(f"$.result.factors[{coloring[v]}]",
+               f"vertex {v}: norm([x*, x] - value) = {float(residuals[v])!r} exceeds "
+               f"{recon_bound!r}")
+    covered = sorted({v for s in simplices for v in s})
+    grid_residual = float(np.max(residuals[covered]))
+    statements = {
+        # sum_k [y_k*, y_k] - field = sum_i w_i ([x_i*, x_i] - value_i) on a
+        # simplex: largest at a vertex, and the lattice holds the vertices
+        "grid_residual": Statement(recon_bound, grid_residual, 0.0, scale=sup),
+        "max_factor_norm_sq": Statement(2.0 * sup + 1e-8, float(np.max(x_norms_sq[covered])),
+                                        0.0, scale=sup),
+        "factor_count": Statement(float(color_count), float(len(factors)), 0.0),
+        "partition_of_unity_defect": Statement(1e-12, None, 0.0),
+    }
+    _check_bounds(f, report, statements)
+    _check_headline(f, report, grid_residual, len(factors), sup)
+    reported = _number(_get(result, "sup_norm", "$.result"), "$.result.sup_norm")
+    f.require(_agree(reported, sup, sup), "$.result.sup_norm",
+              f"reported {reported!r} but the largest vertex value norm is {sup!r}")
+
+
+# --------------------------------------------------------------------------
+# block-split.
+
+def _check_block_split(f: Findings, doc: dict, **_):
+    """b = [S, E] + rest, [S, E] the block diagonal of b_ii - [x_i, y_i] and
+    the diagonal blocks of rest the commutators [x_i, y_i]."""
+    echo = doc["input"]
+    b = matrix_from_json(echo["b"], name="b")
+    pairs = [(matrix_from_json(p["x"], name="x"), matrix_from_json(p["y"], name="y"))
+             for p in echo["pairs"]]
+    d = int(echo["blocks"])
+    if b.shape[0] % d or len(pairs) != d:
+        raise InvalidInputError(f"matrix size {b.shape[0]} is not {d} equal blocks, one per pair")
+    r = b.shape[0] // d
+    if any(x.shape[0] != r or y.shape[0] != r for x, y in pairs):
+        raise InvalidInputError("pair factors must have the block size")
+    n = b.shape[0]
+    result = _object(_get(doc, "result", "$"), "$.result")
+    report = _object(_get(doc, "report", "$"), "$.report")
+    s = _matrix(_get(result, "shift_upper", "$.result"), "$.result.shift_upper", n)
+    t = _matrix(_get(result, "shift_lower", "$.result"), "$.result.shift_lower", n)
+    rest = _matrix(_get(result, "rest", "$.result"), "$.result.rest", n)
+
+    b_norm = operator_norm(b)
+    blocks = [slice(i * r, (i + 1) * r) for i in range(d)]
+    brackets = [commutator(x, y) for x, y in pairs]
+    diag_part = np.zeros_like(b)
+    if d > 1:  # with one block, b itself is the commutator and nothing is split
+        for i, k in enumerate(blocks):
+            diag_part[k, k] = b[k, k] - brackets[i]
+    shift = commutator(s, t)
+    rest_diagonal = max(_norm(rest[k, k] - brackets[i], "$.result.rest")
+                        for i, k in enumerate(blocks))
+    split = _norm(b - shift - rest, "$.result")
+    f.require(split <= 1e-9 * max(1.0, b_norm), "$.result.rest",
+              f"norm(b - [S, E] - rest) = {split!r} exceeds {1e-9 * max(1.0, b_norm)!r}")
+    statements = {"shift_reconstruction": Statement(
+        1e-9 * max(1.0, b_norm), _norm(shift - diag_part, "$.result.shift_upper"), 0.0,
+        scale=b_norm)}
+    if d > 1:
+        statements["rest_diagonal_is_commutators"] = Statement(
+            1e-10 * max(1.0, b_norm), rest_diagonal, 0.0, scale=b_norm)
+    else:  # the input's own precondition: b is [x_1, y_1]
+        f.require(rest_diagonal <= 1e-8 * max(1.0, b_norm), "$.result.rest",
+                  f"norm(rest - [x_1, y_1]) = {rest_diagonal!r} exceeds "
+                  f"{1e-8 * max(1.0, b_norm)!r}")
+    _check_bounds(f, report, statements)
+    reported = _number(_get(result, "diag_part_norm", "$.result"), "$.result.diag_part_norm")
+    diag_norm = _norm(diag_part, "$.input")
+    f.require(_agree(reported, diag_norm, b_norm), "$.result.diag_part_norm",
+              f"reported {reported!r} but the block-diagonal defect has norm {diag_norm!r}")
+
+
+# --------------------------------------------------------------------------
+# Exact results: obstruct, pp-example, tower.
+
+def _match(f: Findings, path: str, found, expected):
+    """Exact equality of JSON values, bool apart from int; one failure per
+    differing leaf, missing key or extra key."""
+    if isinstance(expected, dict):
+        if not isinstance(found, dict):
+            f.fail(path, f"{found!r} is not an object")
+            return
+        for key in sorted(set(expected) | set(found)):
+            if key not in found:
+                f.fail(f"{path}.{key}", "missing")
+            elif key not in expected:
+                f.fail(f"{path}.{key}", "is not part of this result")
+            else:
+                _match(f, f"{path}.{key}", found[key], expected[key])
+    elif isinstance(expected, list):
+        if not isinstance(found, list) or len(found) != len(expected):
+            f.fail(path, f"is not a list of {len(expected)} items")
+            return
+        for i, (item, want) in enumerate(zip(found, expected)):
+            _match(f, f"{path}[{i}]", item, want)
+    elif type(found) is not type(expected) or found != expected:
+        f.fail(path, f"{found!r}, expected {expected!r}")
+
+
+def euler_class_by_forms(forms) -> dict:
+    """Product of linear forms in Z[a_1..a_m]/(a_i^2 = 0), one form at a
+    time: out[S | bit_i] += c_i * in[S] for each i not in S.  Keys are
+    monomial bitmasks, bit i-1 for a_i.
+
+    The work, visits of (monomial, variable) pairs, is bounded before any
+    product: before the j-th form the class has at most min(C(variables
+    touched, j - 1), product of the earlier forms' supports) monomials.
+    Over MAX_PAIR_VISITS is invalid input.
+    """
+    supports = [[(1 << i, c) for i, c in enumerate(form) if c] for form in forms]
+    visits, size, touched = 0, 1, 0
+    for j, support in enumerate(supports):
+        visits += size * len(support)
+        if visits > MAX_PAIR_VISITS:
+            raise InvalidInputError(
+                f"checking the Euler class needs over {MAX_PAIR_VISITS} monomial-variable "
+                "products, too many for the explicit ring")
+        if not support:
+            break
+        touched |= sum(bit for bit, _ in support)
+        size = min(math.comb(touched.bit_count(), j + 1), size * len(support))
+    terms = {0: 1}
+    for support in supports:
+        out = {}
+        for monomial, coefficient in terms.items():
+            for bit, c in support:
+                if not monomial & bit:
+                    out[monomial | bit] = out.get(monomial | bit, 0) + coefficient * c
+        terms = {key: value for key, value in out.items() if value}
+        if not terms:
+            break
+    return terms
+
+
+def _key(mask: int) -> str:
+    """The euler_class key of a monomial bitmask: its indices, "1,3" for a_1 a_3."""
+    return ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _monomial(key: str, variables: int):
+    """The bitmask of an euler_class key ("" or "i,j,..." ascending in
+    1..variables), or None if it names no monomial of the ring."""
+    try:
+        indices = [int(part) for part in key.split(",")] if key else []
+    except ValueError:
+        return None
+    if any(not 1 <= i <= variables for i in indices):
+        return None
+    mask = sum(1 << (i - 1) for i in set(indices))
+    return mask if _key(mask) == key else None
+
+
+def _check_euler_class(f: Findings, path: str, found, expected: dict, variables: int):
+    """An emitted euler_class against the class ``expected`` (bitmask keys)."""
+    found = _object(found, path)
+    seen = set()
+    for key, value in found.items():
+        mask = _monomial(key, variables)
+        if mask is None:
+            f.fail(f'{path}["{key}"]', f"is not a monomial of Z[a_1..a_{variables}]/(a_i^2)")
+            continue
+        seen.add(mask)
+        want = expected.get(mask, 0)
+        f.require(type(value) is int and value == want, f'{path}["{key}"]',
+                  f"coefficient {value!r}, but the product of the forms gives {want}")
+    for mask in sorted(set(expected) - seen):
+        f.fail(path, f'no term "{_key(mask)}", whose coefficient is {expected[mask]}')
+
+
+def _check_obstruct(f: Findings, doc: dict, **_):
+    """The Euler class of n copies of q, recomputed one linear form at a
+    time, and the verdict that it is nonzero."""
+    q, copies = doc["input"]["q"], int(doc["input"]["n"])
+    variables, summands = int(q["variables"]), q["summands"]
+    if any(len(vec) != variables for vec in summands):
+        raise InvalidInputError("degree vector length must equal variable count")
+    if len(summands) * copies > variables:  # every monomial of that degree has a square
+        expected = {}
+    else:
+        expected = euler_class_by_forms(summands * copies)
+    result = _object(_get(doc, "result", "$"), "$.result")
+    _check_euler_class(f, "$.result.euler_class", _get(result, "euler_class", "$.result"),
+                       expected, variables)
+    rest = {key: value for key, value in result.items() if key != "euler_class"}
+    _match(f, "$.result", rest, {
+        "kind": "one_not_below_nq",
+        "params": {"n": copies, "rank": len(summands), "variables": variables},
+        "verdict": bool(expected),
+        "failed_hypothesis": None,
+    })
+    _no_bounds(f, _object(_get(doc, "report", "$"), "$.report"), True)
+
+
+# The Bloch vectors of the octahedron's vertices in pp-example's m = 1 field.
+_OCTAHEDRON = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+
+
+def _check_bott_field(f: Findings, found):
+    """diag(1, -P(v)) over the octahedral sphere, P(v) the projection onto
+    the spin state of Bloch vector v."""
+    path = "$.result.field"
+    _schema_checked(found, "decompose-field", path)
+    try:
+        fld = field_from_json(found)
+    except InvalidInputError as exc:
+        raise Malformed(path, str(exc)) from None
+    triangles = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    f.require(fld.complex.vertex_count == 6 and list(fld.complex.maximal_simplices) == triangles,
+              f"{path}.complex", "is not the octahedral sphere")
+    for v, (x, y, z) in enumerate(_OCTAHEDRON[:fld.complex.vertex_count]):
+        p = np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2.0
+        want = np.zeros((3, 3), dtype=complex)
+        want[0, 0], want[1:, 1:] = 1.0, -p
+        found_value = fld.values[v]
+        f.require(found_value.shape == want.shape and np.array_equal(found_value, want),
+                  f'{path}.values["{v}"]', "is not diag(1, -P(v))")
+
+
+def _check_pp_example(f: Findings, doc: dict, **_):
+    """(S^2)^m, the line bundle of degree (1, ..., 1) and its m-fold sum,
+    whose Euler class is m! a_1...a_m."""
+    m = int(doc["input"]["m"])
+    if m > PP_EXAMPLE_M_LIMIT:
+        raise InvalidInputError(f"m is capped at {PP_EXAMPLE_M_LIMIT}")
+    result = _object(_get(doc, "result", "$"), "$.result")
+    certificate = _object(_get(result, "certificate", "$.result"), "$.result.certificate")
+    _check_euler_class(f, "$.result.certificate.euler_class",
+                       _get(certificate, "euler_class", "$.result.certificate"),
+                       {(1 << m) - 1: math.factorial(m)}, m)
+    _match(f, "$.result.certificate",
+           {key: value for key, value in certificate.items() if key != "euler_class"},
+           {"kind": "one_not_below_nq", "params": {"n": m, "rank": 1, "variables": m},
+            "verdict": True, "failed_hypothesis": None})
+    _match(f, "$.result.description", _get(result, "description", "$.result"), {
+        "space": f"(S^2)^{m}",
+        "bundle": {"variables": m, "summands": [[1] * m]},
+        "element": "diag(unit_line, -p) in the hereditary of unit_line + p",
+        "self_commutator_count_obstructed": m,
+    })
+    found = _get(result, "field", "$.result")
+    if m == 1:
+        _check_bott_field(f, found)
+    else:
+        f.require(found is None, "$.result.field", "is attached only for m = 1")
+    f.require(set(result) == {"certificate", "description", "field"}, "$.result",
+              f"keys {sorted(result)} are not certificate, description and field")
+    _no_bounds(f, _object(_get(doc, "report", "$"), "$.report"), True)
+
+
+def _check_tower(f: Findings, doc: dict, **_):
+    """The sphere-product tower's integers: l_1 = 1 and l_n = 2^(n-2)
+    after it, M_n = sum_{i<=n} l_i 2^(k_i), k_1 = 1, k_(n+1) = n M_n l_(n+1);
+    block j survives stage m when m M_m l_j <= k_j."""
+    m_max = int(doc["input"]["m_max"])
+    if m_max > VILLADSEN_MMAX_LIMIT:
+        raise InvalidInputError(f"m_max is capped at {VILLADSEN_MMAX_LIMIT}")
+    l = [1] + [2 ** (i - 1) for i in range(1, m_max + 1)]
+    k, big_m = [1], []
+    for n in range(1, m_max + 1):
+        big_m.append(sum(l[i] << k[i] for i in range(n)))
+        k.append(n * big_m[-1] * l[n])
+    certificates = []
+    for m in range(1, m_max + 1):
+        for n in range(1, m_max + 2 - m):
+            blocks = [{"block": j, "copies": str(l[j - 1]),
+                       "exponent": str(m * big_m[m - 1] * l[j - 1]),
+                       "block_variables": str(k[j - 1]),
+                       "nonvanishing": m * big_m[m - 1] * l[j - 1] <= k[j - 1]}
+                      for j in range(m + 1, m + n + 1)]
+            certificates.append({"m": m, "n": n, "blocks": blocks,
+                                 "verdict": all(b["nonvanishing"] for b in blocks)})
+    all_true = all(c["verdict"] for c in certificates)
+    result = _get(doc, "result", "$")
+    _match(f, "$.result", result, {
+        "m_max": m_max,
+        "k": [str(v) for v in k], "l": [str(v) for v in l], "M": [str(v) for v in big_m],
+        "certificates": certificates,
+        "notes": {
+            "l_recursion": "l_1 = 1, l_(n+1) = l_1 + ... + l_n",
+            "l_values_double_from_third_term": all(
+                l[i + 1] == 2 * l[i] for i in range(1, len(l) - 1)),
+            "l_matches_2_pow_n_minus_1_from_second_term": all(
+                l[i] == 2 ** i for i in range(1, len(l))),
+        },
+        "all_verdicts_true": all_true,
+    })
+    _no_bounds(f, _object(_get(doc, "report", "$"), "$.report"), all_true)
+
+
+# --------------------------------------------------------------------------
+
+CHECKERS = {
+    "decompose": lambda f, doc, **kw: _check_single_commutator(
+        f, doc, "self_commutators", "norm_sq_over_norm_a", 2.0),
+    "decompose-tight": lambda f, doc, **kw: _check_single_commutator(
+        f, doc, "general_commutators", "norm_product_over_norm_a", 1.0),
+    "decompose-field": _check_decompose_field,
+    "fack-run": _check_fack_run,
+    "block-split": _check_block_split,
+    "obstruct": _check_obstruct,
+    "pp-example": _check_pp_example,
+    "tower": _check_tower,
+}
+
+
+def implied_exit_code(doc: dict) -> int:
+    """The exit code the document's own report implies: 0 when its report
+    (and a fack-run's tower report) says all checks passed, else 1."""
+    reports = [doc.get("report")]
+    if doc.get("command") == "fack-run":
+        result = doc.get("result")
+        reports.append(result.get("tower_report") if isinstance(result, dict) else None)
+    return 0 if all(isinstance(r, dict) and r.get("all_passed") is True for r in reports) else 1
+
+
+def check_certificate(doc: dict, *, refine: int, depth: int | None) -> list:
+    """The failed checks of one output document, [] when it certifies its
+    claims.  ``refine`` and ``depth`` are its run's parameters.  A document
+    whose echoed input is invalid raises what that input would raise
+    (a ValidationError with its path inside ``doc``, or InvalidInputError)."""
+    command = doc["command"]
+    if command not in CHECKERS:
+        raise InvalidInputError(f"cannot verify output of command {command!r}")
+    try:
+        validate(doc["input"], command)
+    except ValidationError as exc:
+        raise _rerooted(exc, "input") from None
+    f = Findings()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is a finding
+            CHECKERS[command](f, doc, refine=refine, depth=depth)
+    except Malformed as exc:
+        f.failures.append(str(exc))
+    return f.failures

@@ -10,16 +10,17 @@ block-split      block matrix with commutator diagonal sum -> [S, E] + rest
 obstruct         bundle + n -> Euler-class nonvanishing certificate
 pp-example       m -> obstructed element description + certificate
 tower            m_max -> tower sequences and stage certificates
-verify           re-derive a previous output document and compare
+verify           check the claims of a previous output document
 
 Every output embeds the command, the effective parameters, and the full
-input, so ``verify`` can re-run the computation and compare all numeric
-claims.  Randomness (the fack-run demo element) comes only from --seed via
-the splitmix64 generator in ``tracezero.rand``, so repeated runs are
-byte-identical.
+input, so it is a certificate: ``verify`` checks its claims from the
+document alone with the independent checkers of ``tracezero.certcheck``,
+which run no constructor.  Randomness (the fack-run demo element) comes
+only from --seed via the splitmix64 generator in ``tracezero.rand``, so
+repeated runs are byte-identical.
 
 Exit codes: 0 = all certified bounds pass, 1 = a certified bound or a
-verify comparison failed, or an internal numerical check failed (then a
+verify check failed, or an internal numerical check failed (then a
 JSON error object {"error", "path"} is emitted), 2 = invalid input (a JSON
 error object {"error", "path"} is emitted).
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import sys
 
@@ -57,7 +57,6 @@ from .selfcomm import self_commutator_decompose, tight_commutator_decompose
 from .towers import TowerModel, block_two_commutator_split, make_block_tower, tower_iterate
 
 COMMANDS = tuple(INPUT_SCHEMAS)
-COMPARE_REL, COMPARE_ABS = 1e-9, 1e-12  # verify's tolerance per number
 
 
 @dataclasses.dataclass
@@ -107,7 +106,9 @@ def _decomposition_result(dec) -> dict:
     }
 
 
-def _handle_decompose(construct, cfg: RunConfig, doc: dict):
+def _handle_decompose(cfg: RunConfig, doc: dict):
+    construct = (tight_commutator_decompose if cfg.command == "decompose-tight"
+                 else self_commutator_decompose)
     a = matrix_from_json(doc, name="input matrix")
     dec = construct(a, trace_tol=cfg.tol)
     report = verify_decomposition(a, dec)
@@ -232,8 +233,8 @@ def _handle_tower(cfg: RunConfig, doc: dict):
 
 
 _HANDLERS = {
-    "decompose": functools.partial(_handle_decompose, self_commutator_decompose),
-    "decompose-tight": functools.partial(_handle_decompose, tight_commutator_decompose),
+    "decompose": _handle_decompose,
+    "decompose-tight": _handle_decompose,
     "decompose-field": _handle_decompose_field,
     "fack-run": _handle_fack_run,
     "block-split": _handle_block_split,
@@ -243,56 +244,22 @@ _HANDLERS = {
 }
 
 
-def compare_json(expected, actual, path="$", out=None):
-    """Collect paths where two JSON trees differ beyond COMPARE_ABS +
-    COMPARE_REL times the larger magnitude."""
-    if out is None:
-        out = []
-    if len(out) >= 20:
-        return out
-    if isinstance(expected, dict) and isinstance(actual, dict):
-        for key in sorted(set(expected) | set(actual)):
-            if key not in expected or key not in actual:
-                out.append(f"{path}.{key}: missing on one side")
-            else:
-                compare_json(expected[key], actual[key], f"{path}.{key}", out)
-        return out
-    if isinstance(expected, list) and isinstance(actual, list):
-        if len(expected) != len(actual):
-            out.append(f"{path}: length {len(expected)} vs {len(actual)}")
-            return out
-        for i, (e, a) in enumerate(zip(expected, actual)):
-            compare_json(e, a, f"{path}[{i}]", out)
-        return out
-    if isinstance(expected, bool) or isinstance(actual, bool):
-        if expected is not actual:
-            out.append(f"{path}: {expected} vs {actual}")
-        return out
-    if isinstance(expected, (int, float)) and isinstance(actual, (int, float)):
-        if abs(expected - actual) > COMPARE_ABS + COMPARE_REL * max(abs(expected), abs(actual)):
-            out.append(f"{path}: {expected} vs {actual}")
-        return out
-    if expected != actual:
-        out.append(f"{path}: {expected!r} vs {actual!r}")
-    return out
-
-
 def _handle_verify(cfg: RunConfig, doc: dict):
-    inner_command = doc["command"]
-    if inner_command not in _HANDLERS:
-        raise InvalidInputError(f"cannot verify output of command {inner_command!r}")
+    # Imported on first use: no other command needs the checker, so their
+    # start-up does not pay for loading it.
+    from .certcheck import check_certificate, implied_exit_code
+
     params = doc["parameters"]  # typed by the verify schema; ranges are RunConfig's
     depth = params.get("depth")
-    inner_cfg = RunConfig(command=inner_command,
+    inner_cfg = RunConfig(command=cfg.command,  # range checks of the inner run's flags
                           tol=_as_float(params.get("tol", 1e-9), "parameters.tol"),
                           seed=int(params.get("seed", 0)),
                           refine=int(params.get("refine", 0)),
                           depth=None if depth is None else int(depth))
-    redone = _build_output(inner_cfg, doc["input"])
-    mismatches = compare_json(doc, redone[0])
-    verified = not mismatches and redone[1] == 0
-    result = {"verified": verified, "mismatches": mismatches,
-              "inner_exit_code": redone[1]}
+    mismatches = check_certificate(doc, refine=inner_cfg.refine, depth=inner_cfg.depth)
+    inner_code = implied_exit_code(doc)
+    verified = not mismatches and inner_code == 0
+    result = {"verified": verified, "mismatches": mismatches, "inner_exit_code": inner_code}
     return {"result": result, "report": {"bound_checks": [], "all_passed": verified}}, \
         (0 if verified else 1)
 

@@ -1,0 +1,367 @@
+"""The independent checker behind ``verify``: it accepts honest documents,
+rejects tampered ones and wrong constructions, and runs no constructor."""
+import ast
+import copy
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tracezero
+from helpers import monomial
+from test_cli import ALL_RUNS, _M3, _rotated_tower_doc, run_cmd, sample_tower_doc
+from tracezero.certcheck import barycentric_refinement, euler_class_by_forms, implied_exit_code
+from tracezero.errors import InvalidInputError
+from tracezero.jsonio import field_to_json, matrix_to_json
+from tracezero.matcore import commutator
+from tracezero.obstruct import BundleExpr, euler_class
+from tracezero.ozfield import (
+    SimplicialComplex,
+    barycentric_subdivide,
+    make_field,
+    octahedron_complex,
+    subdivide_field,
+)
+from tracezero.rand import SplitMix64, random_trace_zero_hermitian
+
+CERTCHECK = pathlib.Path(tracezero.__file__).parent / "certcheck.py"
+
+
+def outputs():
+    """(command, output document) for every ALL_RUNS command."""
+    out = []
+    for command, make_doc, flags in ALL_RUNS:
+        code, doc, _ = run_cmd(command, make_doc(), *flags)
+        assert code == 0
+        out.append((command, doc))
+    return out
+
+
+def verify(doc):
+    code, out, _ = run_cmd("verify", doc)
+    return code, out["result"]
+
+
+# --------------------------------------------------------------------------
+# Tampered copies.  Each command has a factor entry changed, a factor
+# dropped, and a claimed bound lowered below its measured value; for the
+# exact commands, which claim no bounds, a claimed integer is lowered.
+
+def _bump_largest(matrix_doc):
+    """Add 1 to the real part of the entry of largest modulus."""
+    entries = matrix_doc["entries"]
+    n = matrix_doc["n"]
+    i, j = max(((i, j) for i in range(n) for j in range(n)),
+               key=lambda ij: abs(complex(*entries[ij[0]][ij[1]])))
+    entries[i][j][0] += 1.0
+
+
+def _lower_bound(doc, name):
+    """Claim the bound ``name`` below its measured value, everywhere it is
+    stated, leaving ``passed`` as it was."""
+    for check in doc["report"]["bound_checks"]:
+        if check["name"] == name:
+            check["claimed_bound"] = check["measured_value"] - 1.0
+            if name in doc["result"].get("bounds", {}):
+                doc["result"]["bounds"][name] = check["claimed_bound"]
+            return
+    raise AssertionError(f"no bound {name}")
+
+
+def _bump_euler_class(cls):
+    key = next(iter(cls))
+    cls[key] += 1
+
+
+def _lower_block_variables(doc):
+    block = doc["result"]["certificates"][0]["blocks"][0]
+    block["block_variables"] = str(int(block["exponent"]) - 1)
+
+
+TAMPERS = {
+    "decompose": (
+        lambda d: _bump_largest(d["result"]["factors"][0]["x"]),
+        lambda d: d["result"]["factors"].pop(),
+        lambda d: _lower_bound(d, "norm_sq_over_norm_a")),
+    "decompose-tight": (
+        lambda d: _bump_largest(d["result"]["factors"][0]["y"]),
+        lambda d: d["result"]["factors"].pop(),
+        lambda d: _lower_bound(d, "norm_product_over_norm_a")),
+    "decompose-field": (
+        lambda d: _bump_largest(d["result"]["factors"][0]["entries"][0]["x"]),
+        lambda d: d["result"]["factors"].pop(),
+        lambda d: _lower_bound(d, "max_factor_norm_sq")),
+    "fack-run": (
+        lambda d: _bump_largest(d["result"]["factors"][0]["x"]),
+        lambda d: d["result"]["factors"].pop(),
+        lambda d: _lower_bound(d, "commutator_count")),
+    "block-split": (
+        lambda d: _bump_largest(d["result"]["shift_upper"]),
+        lambda d: d["result"].pop("shift_lower"),
+        lambda d: _lower_bound(d, "shift_reconstruction")),
+    "obstruct": (
+        lambda d: _bump_euler_class(d["result"]["euler_class"]),
+        lambda d: d["result"]["euler_class"].clear(),
+        lambda d: d["result"]["params"].update(n=d["result"]["params"]["n"] - 1)),
+    "pp-example": (
+        lambda d: _bump_euler_class(d["result"]["certificate"]["euler_class"]),
+        lambda d: d["result"]["certificate"]["euler_class"].clear(),
+        lambda d: d["result"]["description"].update(self_commutator_count_obstructed=1)),
+    "tower": (
+        lambda d: d["result"]["k"].__setitem__(-1, str(int(d["result"]["k"][-1]) + 1)),
+        lambda d: d["result"]["certificates"].pop(),
+        _lower_block_variables),
+}
+
+
+def test_every_command_has_its_tampers():
+    assert sorted(TAMPERS) == sorted(command for command, _, _ in ALL_RUNS)
+
+
+@pytest.mark.parametrize("command, doc", outputs(), ids=[c for c, _, _ in ALL_RUNS])
+@pytest.mark.parametrize("tamper", range(3), ids=["entry-changed", "factor-dropped",
+                                                  "bound-lowered"])
+def test_tampered_copy_is_rejected(command, doc, tamper):
+    assert verify(doc) == (0, {"verified": True, "mismatches": [], "inner_exit_code": 0})
+    tampered = copy.deepcopy(doc)
+    TAMPERS[command][tamper](tampered)
+    code, result = verify(tampered)
+    assert code == 1
+    assert result["verified"] is False
+    assert result["mismatches"]
+    assert all(m.startswith("$.") for m in result["mismatches"])
+
+
+def test_mismatches_name_the_failed_check():
+    _, doc, _ = run_cmd("decompose-tight", matrix_to_json(_M3))
+    _lower_bound(doc, "norm_product_over_norm_a")
+    code, result = verify(doc)
+    assert code == 1
+    assert result["inner_exit_code"] == 0  # the document's own report still passes
+    measured = doc["report"]["bound_checks"][1]["measured_value"]
+    assert result["mismatches"] == [
+        f"$.report.bound_checks[1].passed: norm_product_over_norm_a: passed is true but "
+        f"measured {measured!r} against claimed bound {measured - 1.0!r} + tolerance "
+        f"{doc['report']['bound_checks'][1]['tolerance']!r}",
+        f"$.report.bound_checks[1]: norm_product_over_norm_a: re-measured {measured!r} "
+        f"exceeds claimed bound {measured - 1.0!r}",
+    ]
+
+
+def test_a_document_whose_report_fails_has_inner_exit_code_1():
+    _, doc, _ = run_cmd("tower", {"m_max": 2})
+    doc["report"]["all_passed"] = False
+    code, result = verify(doc)
+    assert code == 1
+    assert result["inner_exit_code"] == 1
+    assert result["mismatches"] == [
+        "$.report.all_passed: is false but the checks it covers say true"]
+
+
+# --------------------------------------------------------------------------
+# Independence from the constructors.
+
+def test_a_wrong_construction_with_a_passing_report_is_rejected(monkeypatch):
+    # the bug halves x and books the difference as a declared residual, so the
+    # producer's own report, which measures a - [x, y] - residual, passes;
+    # re-running the constructor would reproduce the document exactly
+    original = tracezero.selfcomm.tight_commutator_decompose
+
+    def halved(a, **kwargs):
+        dec = original(a, **kwargs)
+        [(x, y)] = dec.factors
+        dec.factors = [(x / 2, y)]
+        dec.residual = a - commutator(x / 2, y)
+        return dec
+
+    monkeypatch.setattr(tracezero.cli, "tight_commutator_decompose", halved)
+    code, doc, _ = run_cmd("decompose-tight", matrix_to_json(_M3))
+    assert code == 0 and doc["report"]["all_passed"]
+    code, result = verify(doc)
+    assert code == 1
+    assert result["inner_exit_code"] == 0
+    assert result["mismatches"][0].startswith(
+        "$.result.residual_norm: ") and "leaves no residual term" in result["mismatches"][0]
+    assert any(m.startswith("$.report.bound_checks[0]: reconstruction_residual: re-measured ")
+               for m in result["mismatches"])
+
+
+CONSTRUCTORS = ("self_commutator_decompose", "tight_commutator_decompose", "decompose_field",
+                "barycentric_subdivide", "subdivide_field", "greedy_coloring", "TowerModel",
+                "make_block_tower", "tower_iterate", "push_step", "cuntz_witness",
+                "collapse_orthogonal", "block_two_commutator_split", "hermitian_eig",
+                "verify_decomposition", "euler_class", "sqfree_mul", "linear_power",
+                "obstruction_certificate", "pp_example", "villadsen_tower", "matrix_to_json",
+                "field_to_json")
+
+
+def test_verify_calls_no_constructor(monkeypatch):
+    docs = outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify called a constructor")
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tracezero"):
+            for attr in CONSTRUCTORS:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+                    patched += 1
+    assert patched >= len(CONSTRUCTORS)
+    for command, doc in docs:
+        assert verify(doc) == (0, {"verified": True, "mismatches": [], "inner_exit_code": 0}), \
+            command
+
+
+def _imported_names(tree):
+    """(module, name) for every import in a module, relative modules by their
+    last component, and (module, None) for a whole-module import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[-1], None
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                yield module, alias.name
+
+
+def test_checker_imports_no_constructor():
+    forbidden_modules = {"selfcomm", "towers", "cli", "tracezero"}
+    forbidden_names = {
+        "ozfield": {"decompose_field", "barycentric_subdivide", "subdivide_field",
+                    "greedy_coloring", "self_commutator_decompose", "field_residual_against"},
+        "obstruct": {"euler_class", "sqfree_mul", "linear_power", "obstruction_certificate",
+                     "pp_example", "villadsen_tower", "distance_lower_bound_cert"},
+        "matcore": {"hermitian_eig", "verify_decomposition"},
+        "jsonio": {"matrix_to_json", "field_to_json"},
+    }
+    imports = list(_imported_names(ast.parse(CERTCHECK.read_text())))
+    assert ("matcore", "operator_norm") in imports  # the guard reads real imports
+    for module, name in imports:
+        assert module not in forbidden_modules, f"certcheck imports {module}"
+        assert name not in forbidden_names.get(module, set()), f"certcheck imports {name}"
+        assert name != "*"
+
+
+# --------------------------------------------------------------------------
+# Documents the round trip of test_cli does not cover.
+
+def _field_doc(complex_, n, seed):
+    rng = SplitMix64(seed)
+    return field_to_json(make_field(
+        complex_, [random_trace_zero_hermitian(rng, n) for _ in range(complex_.vertex_count)]))
+
+
+_CYCLE_AND_POINT = SimplicialComplex.make(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
+_B = np.diag([1.0, -1.0]).astype(complex)
+_X = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("command, doc, flags", [
+    ("decompose", matrix_to_json(np.zeros((3, 3))), ()),
+    ("decompose-tight", matrix_to_json(np.zeros((3, 3))), ()),
+    ("decompose-tight", matrix_to_json(np.array([[0.0]])), ()),
+    ("fack-run", sample_tower_doc(2, 2), ("--seed", "3")),
+    ("fack-run", sample_tower_doc(), ("--depth", "0")),
+    ("fack-run", {"tower": {"blocks": [{"rank": 3}] * 4, "ambient": 14, "epsilon": 0.7},
+                  "depth": 2}, ("--seed", "2")),
+    ("fack-run", _rotated_tower_doc(np.repeat(np.eye(4), 2, axis=1)), ("--seed", "6")),
+    ("decompose-field", _field_doc(octahedron_complex(), 3, 4), ("--refine", "2")),
+    ("decompose-field", _field_doc(_CYCLE_AND_POINT, 2, 5), ()),
+    ("decompose-field", _field_doc(_CYCLE_AND_POINT, 2, 6), ("--refine", "1")),
+    ("block-split", {"blocks": 1, "b": matrix_to_json(_B),
+                     "pairs": [{"x": matrix_to_json(_X), "y": matrix_to_json(_X.T)}],
+                     "e": matrix_to_json(np.eye(2))}, ()),
+    ("obstruct", {"q": {"variables": 2, "summands": [[1, 1]]}, "n": 2}, ()),
+    ("obstruct", {"q": {"variables": 2, "summands": [[1, 0]]}, "n": 2}, ()),
+    ("obstruct", {"q": {"variables": 0, "summands": [[]]}, "n": 1}, ()),
+    ("pp-example", {"m": 1}, ()),
+    ("pp-example", {"m": 40}, ()),
+    ("tower", {"m_max": 3}, ()),
+])
+def test_more_documents_verify(command, doc, flags):
+    code, out, _ = run_cmd(command, doc, *flags)
+    assert code == 0
+    assert verify(out) == (0, {"verified": True, "mismatches": [], "inner_exit_code": 0})
+
+
+def test_verify_uses_the_run_parameters():
+    _, out, _ = run_cmd("decompose-field", _field_doc(octahedron_complex(), 2, 7), "--refine", "1")
+    out["parameters"]["refine"] = 0
+    code, result = verify(out)
+    assert code == 1
+    assert "$.result.field.complex.vertices: 26, but the refined input has 6" in \
+        result["mismatches"]
+
+
+def test_rotated_tower_z0_outside_block_0_is_rejected():
+    _, out, _ = run_cmd("fack-run", _rotated_tower_doc(np.repeat(np.eye(4), 2, axis=1)),
+                        "--seed", "6")
+    z0 = np.zeros((8, 8), dtype=complex)
+    z0[6, 6], z0[7, 7] = 1.0, -1.0  # trace zero and Hermitian, but in no block's support
+    out["input"]["z0"] = matrix_to_json(z0)
+    code, result = verify(out)
+    assert code == 1
+    assert any(m.startswith("$.input.z0: leaves her((e_0 - eps)_+)")
+               for m in result["mismatches"])
+
+
+def test_implied_exit_code():
+    assert implied_exit_code({"command": "tower", "report": {"all_passed": True}}) == 0
+    assert implied_exit_code({"command": "tower", "report": {"all_passed": 1}}) == 1
+    assert implied_exit_code({"command": "tower"}) == 1
+    passing = {"command": "fack-run", "report": {"all_passed": True}}
+    assert implied_exit_code({**passing, "result": {"tower_report": {"all_passed": True}}}) == 0
+    assert implied_exit_code({**passing, "result": {"tower_report": {"all_passed": False}}}) == 1
+    assert implied_exit_code({**passing, "result": []}) == 1
+
+
+# --------------------------------------------------------------------------
+# The checker's own algebra against the constructors'.
+
+_forms = st.integers(0, 7).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=1, max_size=4),
+    st.integers(1, 3)))
+
+
+@given(_forms)
+@settings(max_examples=200, deadline=None)
+def test_euler_class_by_forms_matches_the_ring_product(case):
+    m, summands, copies = case
+    expected = euler_class(BundleExpr.make(m, summands * copies)).coefficients
+    assert euler_class_by_forms(summands * copies) == expected
+
+
+def test_euler_class_by_forms_top_coefficient():
+    assert euler_class_by_forms([[1, 1, 1]] * 3) == {monomial(1, 2, 3): 6}
+    assert euler_class_by_forms([[1, 2], [3, 4]]) == {monomial(1, 2): 4 + 6}
+    assert euler_class_by_forms([[0, 0]]) == {}
+
+
+def test_euler_class_by_forms_refuses_over_the_budget():
+    dense = [[2 if i == j else 1 for i in range(24)] for j in range(12)]
+    with pytest.raises(InvalidInputError, match="over 16777216"):
+        euler_class_by_forms(dense)
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+@pytest.mark.parametrize("complex_", [octahedron_complex(), _CYCLE_AND_POINT,
+                                      SimplicialComplex.make(4, [(0, 1, 2, 3)])])
+def test_barycentric_refinement_matches_ozfield(complex_, levels):
+    rng = SplitMix64(8)
+    fld = make_field(complex_, [random_trace_zero_hermitian(rng, 2)
+                                for _ in range(complex_.vertex_count)])
+    simplices, values, colors = barycentric_refinement(
+        complex_.maximal_simplices, fld.values, levels)
+    for _ in range(levels):
+        sub = barycentric_subdivide(fld.complex)
+        fld = subdivide_field(fld, sub)
+    assert simplices == list(fld.complex.maximal_simplices)
+    assert colors == list(sub.coloring.colors)
+    np.testing.assert_allclose(np.stack(values), np.stack(fld.values), rtol=0, atol=1e-15)

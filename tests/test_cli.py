@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracezero
-from tracezero.cli import RunConfig, compare_json, encode, main, run_from_args
+from tracezero.cli import RunConfig, encode, main, run_from_args
 from tracezero.errors import NumericsError
 from tracezero.jsonio import field_to_json, matrix_to_json
 from tracezero.matcore import commutator
@@ -421,6 +421,82 @@ class TestHostileInput:
         assert out == {"error": "the Euler class needs over 16777216 monomial pair products, "
                                 "too many for the explicit ring", "path": "stdin"}
 
+    def test_verify_without_a_result_exits_1(self):
+        _, out, _ = run_cmd("decompose", matrix_to_json(SZ))
+        del out["result"]
+        code, vdoc, _ = run_cmd("verify", out)
+        assert code == 1
+        assert vdoc["result"] == {"verified": False, "mismatches": ["$.result: missing"],
+                                  "inner_exit_code": 0}
+
+    def test_verify_of_a_factor_of_another_size_exits_1(self):
+        _, out, _ = run_cmd("decompose", matrix_to_json(SZ))
+        out["result"]["factors"][0]["x"] = matrix_to_json(np.eye(3))
+        code, vdoc, _ = run_cmd("verify", out)
+        assert code == 1
+        assert vdoc["result"]["mismatches"] == [
+            "$.result.factors[0].x.n: 3 differs from the input's 2"]
+
+    @pytest.mark.parametrize("path, value, mismatch", [
+        (("result", "residual_norm"), "0.0", "$.result.residual_norm: '0.0' is not a number"),
+        (("result", "bounds"), [1], "$.result.bounds: [1] is not an object"),
+        (("result", "factors", 0, "y"), {"n": 2, "entries": [[[0, 0], [0, "1"]]]},
+         "$.result.factors[0].y.entries[0][1][1]: '1' is not of type 'number'"),
+        (("report", "bound_checks", 0, "passed"), "yes",
+         "$.report.bound_checks[0].passed: 'yes' is not true or false"),
+        # finite entries whose commutator with y, e_21, is x_22 - x_11 = inf
+        (("result", "factors", 0, "x"), {"n": 2, "entries": [[[-1.7e308, 0], [0, 0]],
+                                                              [[0, 0], [1.7e308, 0]]]},
+         "$.result.factors: overflows a float"),
+    ])
+    def test_verify_of_an_ill_typed_result_exits_1(self, path, value, mismatch):
+        _, out, _ = run_cmd("decompose-tight", matrix_to_json(SZ))
+        parent = out
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        code, vdoc, _ = run_cmd("verify", out)
+        assert code == 1
+        assert vdoc["result"]["mismatches"] == [mismatch]
+
+    def test_verify_of_an_unknown_bound_name_exits_1(self):
+        _, out, _ = run_cmd("decompose", matrix_to_json(SZ))
+        out["report"]["bound_checks"][1]["name"] = "norm_of_nothing"
+        out["result"]["bounds"]["norm_of_nothing"] = 0.5
+        code, vdoc, _ = run_cmd("verify", out)
+        assert code == 1
+        assert vdoc["result"]["mismatches"] == [
+            "$.report.bound_checks[1].name: unknown bound name 'norm_of_nothing'",
+            "$.report.bound_checks: no check of norm_sq_over_norm_a",
+            "$.result.bounds.norm_of_nothing: unknown bound name 'norm_of_nothing'"]
+
+    @pytest.mark.parametrize("key", ["0", "1,1", "99", "2,1", "", "x", "1,"])
+    def test_verify_of_an_euler_class_key_outside_the_ring_exits_1(self, key):
+        _, out, _ = run_cmd("obstruct", {"q": {"variables": 2, "summands": [[1, 1]]}, "n": 2})
+        out["result"]["euler_class"][key] = 1
+        code, vdoc, _ = run_cmd("verify", out)
+        assert code == 1
+        message = ("coefficient 1, but the product of the forms gives 0" if key == ""
+                   else "is not a monomial of Z[a_1..a_2]/(a_i^2)")
+        assert vdoc["result"]["mismatches"] == [f'$.result.euler_class["{key}"]: {message}']
+
+    def test_verify_of_a_bundle_over_the_product_budget_exits_2_at_once(self):
+        q = {"variables": 24, "summands": [[2 if i == j else 1 for i in range(24)]
+                                           for j in range(12)]}
+        doc = {"command": "obstruct", "parameters": {}, "input": {"q": q, "n": 1},
+               "result": {}, "report": {}}
+        start = time.perf_counter()
+        code, out, _ = run_cmd("verify", doc)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == {"error": "checking the Euler class needs over 16777216 monomial-variable "
+                                "products, too many for the explicit ring", "path": "stdin"}
+
+    def test_verify_of_a_missing_input_field_reports_its_path(self):
+        doc = {"command": "decompose", "parameters": {}, "input": {"n": 2}}
+        assert run_cmd("verify", doc)[:2] == (
+            2, {"error": "'entries' is a required property", "path": "$.input"})
+
     def test_complex_over_the_grid_work_budget_exits_2_before_decomposing(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("decomposed a vertex of an over-budget complex")
@@ -476,26 +552,40 @@ _SCHEMA_VIOLATIONS = {
 }
 
 
+def _violating(doc, edits):
+    for path, value in edits:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
 class TestSchemaErrorParity:
     """Exit-2 documents are those of jsonschema.validate on the whole schema."""
 
     @pytest.mark.parametrize("case", sorted(_SCHEMA_VIOLATIONS))
     def test_error_document_matches_jsonschema(self, case):
         command, make_doc, edits = _SCHEMA_VIOLATIONS[case]
-        doc = make_doc()
-        for path, value in edits:
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key]
-            if value is _DELETE:
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = value
+        doc = _violating(make_doc(), edits)
         with pytest.raises(jsonschema.ValidationError) as info:
             jsonschema.validate(doc, INPUT_SCHEMAS[command])
         code, out, _ = run_cmd(command, doc)
         assert code == 2
         assert out == {"error": info.value.message, "path": info.value.json_path}
+
+    @pytest.mark.parametrize("case", sorted(_SCHEMA_VIOLATIONS))
+    def test_verify_reports_schema_errors_inside_its_input(self, case):
+        command, make_doc, edits = _SCHEMA_VIOLATIONS[case]
+        doc = _violating(make_doc(), edits)
+        with pytest.raises(jsonschema.ValidationError) as info:
+            jsonschema.validate(doc, INPUT_SCHEMAS[command])
+        code, out, _ = run_cmd("verify", {"command": command, "parameters": {}, "input": doc})
+        assert code == 2
+        assert out == {"error": info.value.message, "path": "$.input" + info.value.json_path[1:]}
 
     def test_rank_block_with_junk_entries_is_accepted(self):
         doc = sample_tower_doc()
@@ -619,18 +709,6 @@ class TestConfig:
     def test_unknown_command(self):
         with pytest.raises(Exception):
             RunConfig(command="nope")
-
-
-class TestCompareJson:
-    def test_equal(self):
-        assert compare_json({"a": [1.0, {"b": True}]}, {"a": [1.0, {"b": True}]}) == []
-
-    def test_float_tolerance(self):
-        assert compare_json({"x": 1.0}, {"x": 1.0 + 1e-13}) == []
-        assert compare_json({"x": 1.0}, {"x": 1.1})
-
-    def test_bool_vs_number(self):
-        assert compare_json({"x": True}, {"x": 1})
 
 
 def test_published_schemas_match_source():
