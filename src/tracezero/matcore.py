@@ -7,7 +7,9 @@ dataclasses.  Conventions fixed here and relied on everywhere else:
 * ``operator_norm`` is the largest singular value; every norm a result
   reports is one.  A norm that only decides pass or fail goes through
   ``norm_exceeds``, which settles the comparison by the Frobenius bound
-  and takes the SVD only when that bound cannot;
+  and takes the SVD only when that bound cannot; the largest norm of a
+  stack goes through ``max_operator_norm``, which takes the SVD only of
+  matrices whose Frobenius bound can beat the running max;
 * a product that ``NonzeroPattern`` proves exactly zero need not be formed;
 * ``hermitian_eig`` returns eigenvalues ascending with a deterministic
   eigenvector phase (the first component of modulus > 1e-8 is made real
@@ -81,10 +83,38 @@ def frobenius_bound(m) -> float:
     return f * (1.0 + FROBENIUS_MARGIN)
 
 
+def frobenius_bounds(stack) -> np.ndarray:
+    """``frobenius_bound`` of every matrix of a stack (k, rows, cols) at
+    once, from one sum of squares per matrix."""
+    m = np.ascontiguousarray(stack, dtype=complex)
+    parts = m.view(float).reshape(len(m), 2 * m.shape[1] * m.shape[2])
+    with np.errstate(over="ignore"):
+        f = np.sqrt(np.einsum("ki,ki->k", parts, parts))
+        bound = np.where((FROBENIUS_FLOOR <= f) & (f < math.inf),
+                         f * (1.0 + FROBENIUS_MARGIN), math.inf)
+    return np.where((f == 0.0) & ~m.any(axis=(1, 2)), 0.0, bound)
+
+
 def norm_exceeds(m, bound: float) -> bool:
     """Exactly ``operator_norm(m) > bound``; the SVD runs only when the
     Frobenius bound cannot settle the comparison."""
     return frobenius_bound(m) > bound and operator_norm(m) > bound
+
+
+def max_operator_norm(stack, floor: float = 0.0) -> float:
+    """Exactly ``max(floor, max(operator_norm(m) for m in stack))``.
+
+    Matrices are taken in descending order of their Frobenius bound, and
+    the SVDs stop at the first bound that cannot beat the running max.
+    """
+    stack = np.asarray(stack)
+    best = float(floor)
+    bounds = frobenius_bounds(stack)
+    for k in np.argsort(-bounds, kind="stable"):
+        if bounds[k] <= best:
+            break
+        best = max(best, operator_norm(stack[k]))
+    return best
 
 
 @dataclass(frozen=True)

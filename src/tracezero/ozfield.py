@@ -9,7 +9,12 @@ per color whose self-commutators sum back, exactly, to the interpolated
 field: color count = dimension + 1 factors for barycentric colorings.
 
 Verification is pointwise on a deterministic barycentric lattice of order
-GRID_ORDER per maximal simplex.
+GRID_ORDER per maximal simplex.  A lattice weight is always one of the
+GRID_ORDER + 1 levels j / GRID_ORDER, so each bracket [y*, y] is formed
+once per (vertex, level) and the lattice sums are gathered from that table.
+Every norm the grid reports is a maximum, taken by ``max_operator_norm``:
+it takes the SVD only of the matrices whose Frobenius bound can beat the
+largest norm found so far.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ from .matcore import (
     BoundCheck,
     VerificationReport,
     as_matrix,
+    max_operator_norm,
     operator_norm,
 )
 from .selfcomm import self_commutator_decompose
@@ -40,6 +46,10 @@ COMPLEX_GRID_BUDGET = 2 ** 24
 RECON_TOL = 1e-8  # grid residual, relative to the field's sup norm
 TRACE_TOL = 1e-10  # vertex trace, relative to n times the vertex norm
 REFINE_SIMPLEX_BUDGET = 2 ** 15  # maximal simplices after barycentric refinement
+GRID_CHUNK = 2 ** 9  # lattice points per step of the grid pass, so its memory stays flat
+# The weights an order-GRID_ORDER lattice point can give a vertex.
+LEVELS = np.arange(GRID_ORDER + 1) / GRID_ORDER
+LEVELS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -55,6 +65,8 @@ class SimplicialComplex:
         if not self.maximal_simplices:
             raise InvalidInputError("at least one maximal simplex is required")
         for simplex in self.maximal_simplices:
+            if not simplex:
+                raise InvalidInputError("a maximal simplex is empty")
             if len(set(simplex)) != len(simplex):
                 raise InvalidInputError(f"simplex {simplex} repeats a vertex")
             if any(not (0 <= v < self.vertex_count) for v in simplex):
@@ -321,20 +333,43 @@ class FieldDecomposition:
     sup_norm: float
 
 
-def _simplex_reconstruction(x_factors, simplex, w) -> np.ndarray:
-    """sum_k [y_k*, y_k] on one maximal simplex at every row of weights w,
-    with y = sqrt(w_i) x_{v_i}: vertex v_i is the only one of its color on
-    the simplex, so it alone carries that color's factor there."""
-    recon = np.zeros((len(w),) + x_factors[simplex[0]].shape, dtype=complex)
-    for i, v in enumerate(simplex):
-        y = np.sqrt(w[:, i])[:, None, None] * x_factors[v]
-        y_star = y.conj().transpose(0, 2, 1)
-        recon += y_star @ y - y @ y_star
-    return recon
+def _bracket_table(xs) -> np.ndarray:
+    """table[v, j] = [y*, y] with y = sqrt(LEVELS[j]) x_v, for a stack xs of
+    vertex factors: every term of sum_k [y_k*, y_k] on the lattice.  Vertex
+    v_i is the only one of its color on a simplex, so at weights w it alone
+    carries that color's factor there, as sqrt(w_i) x_{v_i}."""
+    y = np.sqrt(LEVELS)[:, None, None] * xs[:, None]
+    y_star = y.conj().swapaxes(-1, -2)
+    return y_star @ y - y @ y_star
 
 
-def _max_singular_value(stack) -> float:
-    return float(np.max(np.linalg.svd(stack, compute_uv=False)))
+def _lattice_sums(complex_: SimplicialComplex, tables):
+    """Walk the order-GRID_ORDER lattice of every maximal simplex, simplices
+    grouped by size, GRID_CHUNK points at a time.  For each chunk yield the
+    simplex index and the weights w of each point, and for each table (one
+    matrix per vertex and level, as LEVELS[j] weights it) the sum over the
+    simplex's vertices v_i of table[v_i, j] with LEVELS[j] = w_i, taken from
+    zeros in vertex order: bit for bit what forming every term at every
+    point and adding them in that order gives."""
+    groups = {}
+    for idx, simplex in enumerate(complex_.maximal_simplices):
+        groups.setdefault(len(simplex), []).append(idx)
+    for size, members in sorted(groups.items()):
+        lattice = barycentric_lattice(size, GRID_ORDER)
+        levels = np.rint(lattice * GRID_ORDER).astype(np.intp)
+        vertices = np.array([complex_.maximal_simplices[idx] for idx in members])
+        members = np.array(members)
+        points = len(lattice)
+        for start in range(0, len(members) * points, GRID_CHUNK):
+            rows = np.arange(start, min(start + GRID_CHUNK, len(members) * points))
+            which, point = np.divmod(rows, points)
+            sums = []
+            for table in tables:
+                total = np.zeros((len(rows),) + table.shape[2:], dtype=complex)
+                for i in range(size):
+                    total += table[vertices[which, i], levels[point, i]]
+                sums.append(total)
+            yield members[which], lattice[point], sums
 
 
 def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDecomposition:
@@ -343,9 +378,12 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
     Each vertex value is written as [x_v*, x_v]; color k collects its
     vertices into one sqrt(hat)-weighted factor y_k.  Disjoint same-color
     stars make the cross terms vanish, so sum_k [y_k*, y_k] equals the PL
-    interpolation of the field; the residual is measured on the sample grid.
-    The bound norm(y_k)^2 <= 2*sup_norm + 1e-8 is checked at the vertices,
-    where norm(sqrt(w) x_v) peaks (w = 1, a lattice point).
+    interpolation of the field; the residual is measured on the sample grid,
+    GRID_CHUNK lattice points at a time, from the (vertex, level) tables of
+    brackets and of weighted values.  The bound norm(y_k)^2 <= 2*sup_norm +
+    1e-8 is checked at the vertices, where norm(sqrt(w) x_v) peaks (w = 1, a
+    lattice point).  The residual, sup_norm and factor norm are the exact
+    SVD maxima; the Frobenius screen only skips SVDs that cannot change them.
     """
     work = 0
     for simplex in fld.complex.maximal_simplices:
@@ -362,9 +400,9 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
             f"budget of {COMPLEX_GRID_BUDGET}")
     require_proper(fld.complex, coloring)
     n = fld.matrix_size
-    norms = [operator_norm(value) for value in fld.values]
     for v, value in enumerate(fld.values):
-        if abs(np.trace(value)) > TRACE_TOL * n * max(1.0, norms[v]):
+        trace = abs(np.trace(value))
+        if trace > TRACE_TOL * n and trace > TRACE_TOL * n * operator_norm(value):
             raise InvalidInputError(f"vertex {v} value has nonzero trace")
     x_factors = [self_commutator_decompose(value).factors[0] for value in fld.values]
 
@@ -374,16 +412,18 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
                         if coloring.colors[v] == k)
         factors.append(SqrtWeightedFactor(color=k, entries=entries))
 
-    sup = max(norms)
-    covered = {v for simplex in fld.complex.maximal_simplices for v in simplex}
-    norm_sq = max((operator_norm(x_factors[v]) ** 2 for v in covered), default=0.0)
+    values = np.stack(fld.values)
+    xs = np.stack(x_factors)
+    sup = max_operator_norm(values)
+    covered = sorted({v for simplex in fld.complex.maximal_simplices for v in simplex})
+    norm_sq = max_operator_norm(xs[covered]) ** 2
     residual = 0.0
-    partition_defect = 0.0
-    for idx, simplex in enumerate(fld.complex.maximal_simplices):
-        w = barycentric_lattice(len(simplex), GRID_ORDER)  # P x (d+1)
-        recon = _simplex_reconstruction(x_factors, simplex, w)
-        residual = max(residual, _max_singular_value(recon - fld.value_at(idx, w)))
-        partition_defect = max(partition_defect, float(np.max(np.abs(w.sum(axis=1) - 1.0))))
+    tables = (_bracket_table(xs), LEVELS[:, None, None] * values[:, None])
+    for _, _, (recon, interpolated) in _lattice_sums(fld.complex, tables):
+        residual = max_operator_norm(recon - interpolated, floor=residual)
+    partition_defect = max(
+        float(np.max(np.abs(barycentric_lattice(size, GRID_ORDER).sum(axis=1) - 1.0)))
+        for size in {len(simplex) for simplex in fld.complex.maximal_simplices})
 
     checks = [
         BoundCheck("grid_residual", RECON_TOL * max(sup, 1e-30), residual, 0.0,
@@ -408,10 +448,10 @@ def field_residual_against(fld_factors: FieldDecomposition, fld: SimplicialField
     ``target(simplex_index, weights) -> matrix`` lets callers measure against
     a smooth (non-PL) field; used for mesh-refinement studies.
     """
-    x_factors = {v: x for factor in fld_factors.factors for v, x in factor.entries}
+    x_factors = dict(entry for factor in fld_factors.factors for entry in factor.entries)
+    xs = np.stack([x_factors[v] for v in range(fld.complex.vertex_count)])
     worst = 0.0
-    for idx, simplex in enumerate(fld.complex.maximal_simplices):
-        w = barycentric_lattice(len(simplex), GRID_ORDER)
-        recon = _simplex_reconstruction(x_factors, simplex, w)
-        worst = max(worst, _max_singular_value(recon - np.stack([target(idx, row) for row in w])))
+    for simplices, weights, (recon,) in _lattice_sums(fld.complex, (_bracket_table(xs),)):
+        expected = np.stack([target(idx, w) for idx, w in zip(simplices.tolist(), weights)])
+        worst = max_operator_norm(recon - expected, floor=worst)
     return worst

@@ -1,6 +1,7 @@
 """Shared test helpers: running the scripts, the smooth-target mesh
 refinement checks, the bitmask keys and frozenset reference of the
-square-free ring, and the unscreened reference of collapse_orthogonal."""
+square-free ring, the unscreened reference of collapse_orthogonal, and the
+per-simplex reference of the field grid pass."""
 
 import itertools
 import os
@@ -12,7 +13,15 @@ import numpy as np
 
 from tracezero.errors import NumericsError, PreconditionError
 from tracezero.matcore import commutator, frobenius_bound, operator_norm
-from tracezero.ozfield import circle_complex, decompose_field, field_residual_against, greedy_coloring, make_field
+from tracezero.ozfield import (
+    GRID_ORDER,
+    barycentric_lattice,
+    circle_complex,
+    decompose_field,
+    field_residual_against,
+    greedy_coloring,
+    make_field,
+)
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -112,3 +121,35 @@ def reference_collapse(mats):
             1.0, max(operator_norm(c) * operator_norm(d) for c, d in mats)):
         raise NumericsError("collapsed commutator failed to reproduce the sum")
     return c_total, d_total, defect
+
+
+def reference_brackets(x_factors, simplex, w) -> np.ndarray:
+    """sum_k [y_k*, y_k] on one maximal simplex at every row of weights w,
+    y = sqrt(w_i) x_{v_i} formed point by point: the reference of the
+    (vertex, level) bracket table."""
+    recon = np.zeros((len(w),) + x_factors[simplex[0]].shape, dtype=complex)
+    for i, v in enumerate(simplex):
+        y = np.sqrt(w[:, i])[:, None, None] * x_factors[v]
+        y_star = y.conj().transpose(0, 2, 1)
+        recon += y_star @ y - y @ y_star
+    return recon
+
+
+def reference_field_grid(fd, fld, target=None):
+    """(grid residual, sup_norm, max_factor_norm_sq) of a field decomposition
+    measured simplex by simplex: reference_brackets at every lattice point
+    of the simplex, one stacked SVD of its residuals, and an SVD of every
+    vertex value and covered vertex factor.  The reference the grid pass and
+    its Frobenius screen are compared against; ``target(idx, w)`` replaces
+    the field as in field_residual_against."""
+    x_factors = {v: x for factor in fd.factors for v, x in factor.entries}
+    residual = 0.0
+    for idx, simplex in enumerate(fld.complex.maximal_simplices):
+        w = barycentric_lattice(len(simplex), GRID_ORDER)
+        expected = (fld.value_at(idx, w) if target is None
+                    else np.stack([target(idx, row) for row in w]))
+        residual = max(residual, float(np.max(np.linalg.svd(
+            reference_brackets(x_factors, simplex, w) - expected, compute_uv=False))))
+    covered = {v for simplex in fld.complex.maximal_simplices for v in simplex}
+    return (residual, max(operator_norm(value) for value in fld.values),
+            max(operator_norm(x_factors[v]) ** 2 for v in covered))

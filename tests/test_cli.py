@@ -264,9 +264,9 @@ def _unbalanced_block_split_doc():
 
 
 class TestFrobeniusScreen:
-    """The screen decides pass/fail norms only: with it forced to defer to
-    the SVD everywhere, every document, error documents included, is the
-    same byte for byte."""
+    """The screen decides pass/fail norms and skips SVDs that cannot change
+    a reported maximum: with it forced to defer to the SVD everywhere, every
+    document, error documents included, is the same byte for byte."""
 
     @pytest.mark.parametrize("command, make_doc, flags, exit_code", [
         ("fack-run", sample_tower_doc, ("--seed", "3"), 0),
@@ -288,6 +288,9 @@ class TestFrobeniusScreen:
             if name.startswith("tracezero") and getattr(module, "frobenius_bound",
                                                         None) is original:
                 monkeypatch.setattr(module, "frobenius_bound", lambda m: math.inf)
+        # and max_operator_norm's screen, which bounds whole stacks at once
+        monkeypatch.setattr(tracezero.matcore, "frobenius_bounds",
+                            lambda stack: np.full(np.shape(stack)[:-2], math.inf))
         assert run_from_args([command, *flags], stdin_text=text) == screened
 
 
@@ -367,6 +370,28 @@ class TestHostileInput:
         assert code == 2
         assert doc == {"error": f"simplex {tuple(range(16))} of dimension 15 needs 490314 grid "
                                 "points, over the budget of 16384", "path": "stdin"}
+
+    @pytest.mark.parametrize("refine", ["0", "1"])
+    def test_empty_simplex_exits_2(self, refine):
+        doc = sample_field_doc()
+        doc["complex"]["simplices"].append([])
+        code, out, _ = run_cmd("decompose-field", doc, "--refine", refine)
+        assert code == 2
+        assert out == {"error": "a maximal simplex is empty", "path": "stdin"}
+
+    def test_verify_of_an_echoed_empty_simplex_exits_2(self):
+        _, out, _ = run_cmd("decompose-field", sample_field_doc(), "--refine", "1")
+        out["input"]["complex"]["simplices"].append([])
+        code, vdoc, _ = run_cmd("verify", out)
+        assert code == 2
+        assert vdoc == {"error": "a maximal simplex is empty", "path": "stdin"}
+
+    def test_verify_of_an_emitted_empty_simplex_exits_1(self):
+        _, out, _ = run_cmd("decompose-field", sample_field_doc())
+        out["result"]["field"]["complex"]["simplices"].append([])
+        code, vdoc, _ = run_cmd("verify", out)
+        assert code == 1
+        assert "$.result.field: a maximal simplex is empty" in vdoc["result"]["mismatches"]
 
     def test_dimension_8_simplex_is_within_the_grid_budget(self):
         simplex = SimplicialComplex.make(9, [range(9)])

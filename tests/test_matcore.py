@@ -11,8 +11,10 @@ from tracezero.matcore import (
     CommutatorDecomposition,
     commutator,
     frobenius_bound,
+    frobenius_bounds,
     hermitian_eig,
     is_hermitian,
+    max_operator_norm,
     norm_exceeds,
     operator_norm,
     verify_decomposition,
@@ -82,10 +84,11 @@ class TestOperatorNorm:
 
 
 @st.composite
-def scaled_matrices(draw):
+def scaled_matrices(draw, n=None):
     """Matrices over the whole float range: full rank or rank 1 at scales
-    1e-300..1e300, the zero matrix, and matrices of subnormal entries."""
-    n = draw(st.integers(1, 4))
+    1e-300..1e300, the zero matrix, and matrices of subnormal entries; n x n
+    for a given n, else of a drawn size."""
+    n = draw(st.integers(1, 4)) if n is None else n
     kind = draw(st.sampled_from(["full", "rank1", "zero", "subnormal"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "zero":
@@ -138,6 +141,93 @@ class TestFrobeniusScreen:
         assert frobenius_bound(np.zeros((3, 3), dtype=complex)) == 0.0
         assert frobenius_bound(np.zeros((0, 0))) == 0.0
         assert not norm_exceeds(np.zeros((3, 3)), 0.0)
+
+
+@st.composite
+def scaled_stacks(draw):
+    """Stacks of 0 to 8 same-size scaled_matrices, some of them repeated."""
+    n = draw(st.integers(1, 4))
+    mats = draw(st.lists(scaled_matrices(n), max_size=8))
+    mats += [mats[i] for i in draw(st.lists(st.integers(0, len(mats) - 1), max_size=3))
+             ] if mats else []
+    return np.array(mats, dtype=complex).reshape(len(mats), n, n)
+
+
+def _svd_max(stack):
+    return max((operator_norm(m) for m in stack), default=None)
+
+
+class TestMaxOperatorNorm:
+    FLOORS = {
+        "none": None,
+        "zero": lambda top: 0.0,
+        "max": lambda top: top,
+        "ulp above": lambda top: float(np.nextafter(top, np.inf)),
+        "ulp below": lambda top: float(np.nextafter(top, 0.0)),
+        "above every norm": lambda top: 2.0 * top + 1.0,
+    }
+
+    def _check(self, stack, floor_name):
+        top = _svd_max(stack)
+        floor = self.FLOORS[floor_name]
+        if floor is None:
+            assert max_operator_norm(stack) == (0.0 if top is None else top)
+            return
+        f = floor(0.0 if top is None else top)
+        expected = f if top is None else max(f, top)
+        assert max_operator_norm(stack, floor=f) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(scaled_stacks(), st.sampled_from(sorted(FLOORS)))
+    def test_equals_the_largest_svd_norm(self, stack, floor_name):
+        self._check(stack, floor_name)
+
+    @pytest.mark.parametrize("floor_name", sorted(FLOORS))
+    @pytest.mark.parametrize("stack", [
+        np.zeros((3, 2, 2), dtype=complex),
+        # subnormal entries: the squares underflow, so the Frobenius sum is 0
+        np.full((2, 3, 3), 5e-324, dtype=complex) * np.array([1, 3])[:, None, None],
+        # 1e200 entries: the squares overflow
+        np.array([1e200 * np.eye(3), 2e200 * np.eye(3), np.ones((3, 3))], dtype=complex),
+        # rank 1: the Frobenius and operator norms agree
+        np.array([np.outer([1, 2], [3, 1j]), np.outer([2, 1], [1, 1])], dtype=complex),
+        # exact ties
+        np.array([np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]), np.diag([1.0, 0.0])],
+                 dtype=complex),
+        np.zeros((0, 4, 4), dtype=complex),
+    ], ids=["zero", "subnormal", "overflowing", "rank-1", "ties", "empty"])
+    def test_edge_stacks(self, stack, floor_name):
+        self._check(stack, floor_name)
+
+    def test_stops_once_no_bound_can_beat_the_running_max(self, monkeypatch):
+        import tracezero.matcore as matcore
+        calls = []
+        monkeypatch.setattr(matcore, "operator_norm",
+                            lambda m: calls.append(m) or operator_norm(m))
+        small = np.random.default_rng(3).standard_normal((50, 4, 4)) * 1e-3
+        stack = np.concatenate([small, [np.diag([5.0, -5.0, 0.0, 0.0])]])
+        assert max_operator_norm(stack) == 5.0
+        assert len(calls) == 1
+        assert max_operator_norm(stack, floor=8.0) == 8.0  # over its bound 5 * sqrt(2)
+        assert len(calls) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(scaled_stacks())
+    def test_stack_bounds_are_sound_and_screen_as_the_scalar_bound(self, stack):
+        bounds = frobenius_bounds(stack)
+        assert bounds.shape == (len(stack),)
+        for m, b in zip(stack, bounds):
+            assert b >= operator_norm(m)
+            assert (b == 0.0) == (frobenius_bound(m) == 0.0)
+            assert (b == np.inf) == (frobenius_bound(m) == np.inf)
+
+    def test_stack_bounds_of_edge_matrices(self):
+        stack = np.array([np.eye(2), np.zeros((2, 2)), np.full((2, 2), 5e-324),
+                          1e200 * np.eye(2)], dtype=complex)
+        assert frobenius_bounds(stack).tolist() == [math.sqrt(2) * (1 + 1e-6), 0.0, np.inf,
+                                                    np.inf]
+        assert frobenius_bounds(np.zeros((0, 3, 3))).shape == (0,)
+        assert frobenius_bounds(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
 
 
 class TestHermitianEig:

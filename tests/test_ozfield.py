@@ -328,6 +328,19 @@ def _reference_cases():
 _CASE_IDS = ["refined-octahedron", "tetrahedron", "cycle-with-isolated-vertex"]
 
 
+def _scale_factors_by_vertex(monkeypatch):
+    """Scale vertex v's factor by 1 + v/100: every simplex then has its own
+    residual, far from rounding."""
+    exact = ozfield.self_commutator_decompose
+    calls = itertools.count()
+
+    def scaled(value):
+        return types.SimpleNamespace(
+            factors=[(1.0 + 0.01 * next(calls)) * exact(value).factors[0]])
+
+    monkeypatch.setattr(ozfield, "self_commutator_decompose", scaled)
+
+
 @pytest.mark.parametrize("case", range(3), ids=_CASE_IDS)
 def test_decompose_field_matches_the_pointwise_reference(case):
     fld, coloring = _reference_cases()[case]
@@ -355,16 +368,8 @@ def test_decompose_field_matches_the_pointwise_reference(case):
 
 @pytest.mark.parametrize("case", range(3), ids=_CASE_IDS)
 def test_decompose_field_residual_of_wrong_factors_matches_the_reference(case, monkeypatch):
-    # scaling vertex v's factor by 1 + v/100 gives every simplex its own
-    # residual, far from rounding, so each one has to be measured
-    exact = ozfield.self_commutator_decompose
-    calls = itertools.count()
-
-    def scaled(value):
-        return types.SimpleNamespace(
-            factors=[(1.0 + 0.01 * next(calls)) * exact(value).factors[0]])
-
-    monkeypatch.setattr(ozfield, "self_commutator_decompose", scaled)
+    # every simplex has its own residual, so each one has to be measured
+    _scale_factors_by_vertex(monkeypatch)
     fld, coloring = _reference_cases()[case]
     fd = decompose_field(fld, coloring)
     residual, norm_sq = _pointwise_reference(fd, fld)
@@ -372,6 +377,89 @@ def test_decompose_field_residual_of_wrong_factors_matches_the_reference(case, m
     assert fd.report.residual_norm == pytest.approx(residual, rel=1e-12)
     measured = {check.name: check.measured_value for check in fd.report.bound_checks}
     assert measured["max_factor_norm_sq"] == pytest.approx(norm_sq, rel=1e-12)
+
+
+def _mixed_field():
+    """A triangle refined twice (36 triangles), a dangling edge, a 5-simplex
+    (1287 lattice points, more than one chunk), a vertex that is its own
+    maximal simplex and a vertex in no simplex, with random values."""
+    triangle = barycentric_subdivide(barycentric_subdivide(solid_triangle_complex()).complex)
+    simplices = list(triangle.complex.maximal_simplices) + [(0, 25), tuple(range(26, 32)), (32,)]
+    complex_ = SimplicialComplex.make(34, simplices)
+    rng = SplitMix64(59)
+    vals = [random_trace_zero_hermitian(rng, 3) * (1.0 + v % 5) for v in range(34)]
+    return make_field(complex_, vals), greedy_coloring(complex_)
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["exact-factors", "scaled-factors"])
+def test_grid_pass_is_bit_identical_to_the_per_simplex_reference(scaled, monkeypatch):
+    from helpers import reference_field_grid
+    if scaled:
+        _scale_factors_by_vertex(monkeypatch)
+    fld, coloring = _mixed_field()
+    points = sum(len(barycentric_lattice(len(s), 8)) for s in fld.complex.maximal_simplices)
+    assert points > 4 * ozfield.GRID_CHUNK
+    fd = decompose_field(fld, coloring)
+    residual, sup, norm_sq = reference_field_grid(fd, fld)
+    assert (residual > 1e-3) == scaled
+    measured = {check.name: check.measured_value for check in fd.report.bound_checks}
+    assert fd.report.residual_norm == measured["grid_residual"] == residual
+    assert fd.sup_norm == sup
+    assert measured["max_factor_norm_sq"] == norm_sq
+
+    def bent(idx, w):
+        return fld.value_at(idx, w) + float(np.prod(w)) * np.eye(fld.matrix_size)
+
+    expected = reference_field_grid(fd, fld, bent)[0]
+    assert expected > 1e-3
+    assert field_residual_against(fd, fld, bent) == expected
+
+
+def test_lattice_sums_visit_every_point_once_and_match_the_pointwise_sums():
+    from helpers import reference_brackets
+    fld, coloring = _mixed_field()
+    x_factors = [x for _, x in sorted(
+        (entry for factor in decompose_field(fld, coloring).factors for entry in factor.entries),
+        key=lambda entry: entry[0])]
+    values = np.stack(fld.values)
+    tables = (ozfield._bracket_table(np.stack(x_factors)),
+              ozfield.LEVELS[:, None, None] * values[:, None])
+    seen = {}
+    for simplices, weights, (recon, value) in ozfield._lattice_sums(fld.complex, tables):
+        assert len(simplices) <= ozfield.GRID_CHUNK
+        for idx, w, r, val in zip(simplices.tolist(), weights, recon, value):
+            assert (idx, tuple(w)) not in seen
+            seen[idx, tuple(w)] = r, val
+    points = 0
+    for idx, simplex in enumerate(fld.complex.maximal_simplices):
+        w = barycentric_lattice(len(simplex), 8)
+        points += len(w)
+        for row, r, val in zip(w, reference_brackets(x_factors, simplex, w), fld.value_at(idx, w)):
+            assert np.array_equal(seen[idx, tuple(row)][0], r)
+            assert np.array_equal(seen[idx, tuple(row)][1], val)
+    assert len(seen) == points
+
+
+def test_grid_pass_takes_an_svd_for_few_lattice_matrices(monkeypatch):
+    from tracezero import matcore
+    calls = itertools.count()
+
+    def counted(m):
+        next(calls)
+        return operator_norm(m)
+
+    monkeypatch.setattr(matcore, "operator_norm", counted)
+    monkeypatch.setattr(ozfield, "operator_norm", counted)
+    rng = SplitMix64(61)
+    fld = make_field(octahedron_complex(),
+                     [random_trace_zero_hermitian(rng, 4) for _ in range(6)])
+    for _ in range(2):
+        sub = barycentric_subdivide(fld.complex)
+        fld = subdivide_field(fld, sub)
+    decompose_field(fld, sub.coloring)
+    lattice_matrices = 45 * len(fld.complex.maximal_simplices)
+    assert lattice_matrices == 12960
+    assert next(calls) < 0.05 * lattice_matrices
 
 
 def test_mesh_refinement_script_prints_its_table():
