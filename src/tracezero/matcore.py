@@ -67,20 +67,23 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def frobenius_bound(m) -> float:
-    """A sound upper bound on ``operator_norm(m)`` from ||m||_2 <= ||m||_F.
+def _frobenius_screen(f, zero):
+    """The screen's rule, elementwise on Frobenius norms f: f in
+    [FROBENIUS_FLOOR, inf) bounds the operator norm as f * (1 +
+    FROBENIUS_MARGIN); elsewhere the unscaled sum of squares may have
+    underflowed or overflowed, so the bound is inf, meaning "take the SVD",
+    except where ``zero`` marks the zero matrix, whose f = 0 bounds it
+    exactly.  Callers hold np.errstate(over="ignore")."""
+    return np.where(zero | ((FROBENIUS_FLOOR <= f) & (f < math.inf)),
+                    f * (1.0 + FROBENIUS_MARGIN), math.inf)
 
-    Exact 0 only for the zero matrix; inf, meaning "take the SVD", where
-    the unscaled sum of squares may have underflowed or overflowed.
-    """
+
+def frobenius_bound(m) -> float:
+    """A sound upper bound on ``operator_norm(m)`` from ||m||_2 <= ||m||_F."""
     m = np.asarray(m)
     with np.errstate(over="ignore"):
         f = float(np.linalg.norm(m))
-    if f == 0.0 and not m.any():
-        return 0.0
-    if not FROBENIUS_FLOOR <= f < math.inf:
-        return math.inf
-    return f * (1.0 + FROBENIUS_MARGIN)
+        return float(_frobenius_screen(f, f == 0.0 and not m.any()))
 
 
 def frobenius_bounds(stack) -> np.ndarray:
@@ -90,9 +93,7 @@ def frobenius_bounds(stack) -> np.ndarray:
     parts = m.view(float).reshape(len(m), 2 * m.shape[1] * m.shape[2])
     with np.errstate(over="ignore"):
         f = np.sqrt(np.einsum("ki,ki->k", parts, parts))
-        bound = np.where((FROBENIUS_FLOOR <= f) & (f < math.inf),
-                         f * (1.0 + FROBENIUS_MARGIN), math.inf)
-    return np.where((f == 0.0) & ~m.any(axis=(1, 2)), 0.0, bound)
+        return _frobenius_screen(f, (f == 0.0) & ~parts.any(axis=1))
 
 
 def norm_exceeds(m, bound: float) -> bool:

@@ -10,8 +10,9 @@ field: color count = dimension + 1 factors for barycentric colorings.
 
 Verification is pointwise on a deterministic barycentric lattice of order
 GRID_ORDER per maximal simplex.  A lattice weight is always one of the
-GRID_ORDER + 1 levels j / GRID_ORDER, so each bracket [y*, y] is formed
-once per (vertex, level) and the lattice sums are gathered from that table.
+GRID_ORDER + 1 levels j / GRID_ORDER, so the grid pass forms each bracket
+[y*, y] once per (vertex, level) pair a chunk of lattice points uses, and
+gathers the chunk's lattice sums from those.
 Every norm the grid reports is a maximum, taken by ``max_operator_norm``:
 it takes the SVD only of the matrices whose Frobenius bound can beat the
 largest norm found so far.
@@ -46,7 +47,9 @@ COMPLEX_GRID_BUDGET = 2 ** 24
 RECON_TOL = 1e-8  # grid residual, relative to the field's sup norm
 TRACE_TOL = 1e-10  # vertex trace, relative to n times the vertex norm
 REFINE_SIMPLEX_BUDGET = 2 ** 15  # maximal simplices after barycentric refinement
-GRID_CHUNK = 2 ** 9  # lattice points per step of the grid pass, so its memory stays flat
+# Matrix entries per stack of the grid pass (256 KiB of complex), so its
+# memory stays flat in the matrix size and the number of vertices.
+GRID_CHUNK_ENTRIES = 2 ** 14
 # The weights an order-GRID_ORDER lattice point can give a vertex.
 LEVELS = np.arange(GRID_ORDER + 1) / GRID_ORDER
 LEVELS.setflags(write=False)
@@ -333,43 +336,72 @@ class FieldDecomposition:
     sup_norm: float
 
 
-def _bracket_table(xs) -> np.ndarray:
-    """table[v, j] = [y*, y] with y = sqrt(LEVELS[j]) x_v, for a stack xs of
-    vertex factors: every term of sum_k [y_k*, y_k] on the lattice.  Vertex
-    v_i is the only one of its color on a simplex, so at weights w it alone
-    carries that color's factor there, as sqrt(w_i) x_{v_i}."""
-    y = np.sqrt(LEVELS)[:, None, None] * xs[:, None]
+def _brackets(x, levels) -> np.ndarray:
+    """[y*, y] with y = sqrt(level) x, for a stack of factors x and one level
+    each."""
+    y = np.sqrt(levels)[:, None, None] * x
     y_star = y.conj().swapaxes(-1, -2)
     return y_star @ y - y @ y_star
 
 
-def _lattice_sums(complex_: SimplicialComplex, tables):
+def _gather(terms, slot) -> np.ndarray:
+    """Row r is sum_i terms[slot[r, i]], from zeros in the order of i."""
+    total = np.zeros((len(slot),) + terms.shape[1:], dtype=complex)
+    for i in range(slot.shape[1]):
+        total += terms[slot[:, i]]
+    return total
+
+
+def _lattice_sums(fld: SimplicialField, x_of, interpolate: bool = False):
     """Walk the order-GRID_ORDER lattice of every maximal simplex, simplices
-    grouped by size, GRID_CHUNK points at a time.  For each chunk yield the
-    simplex index and the weights w of each point, and for each table (one
-    matrix per vertex and level, as LEVELS[j] weights it) the sum over the
-    simplex's vertices v_i of table[v_i, j] with LEVELS[j] = w_i, taken from
-    zeros in vertex order: bit for bit what forming every term at every
-    point and adding them in that order gives."""
+    grouped by size, GRID_CHUNK_ENTRIES matrix entries (at least one point)
+    at a time.  For each chunk yield the simplex index and the weights w of
+    each point, the sum over the simplex's vertices v_i of [y*, y] with
+    y = sqrt(w_i) x_{v_i} (``x_of[v]``) and, if ``interpolate``, of
+    w_i value_{v_i}.  Vertex v_i is the only one of its color on a simplex,
+    so at w it alone carries that color's factor there, and the first sum
+    is sum_k [y_k*, y_k].  Each term depends only on the vertex and its
+    level w_i = j / GRID_ORDER, so it is formed once per (vertex, level)
+    pair the chunk uses.  Both sums start from zeros and add in vertex
+    order: bit for bit what forming every term at every point gives."""
+    n = fld.matrix_size
+    step = max(1, GRID_CHUNK_ENTRIES // (n * n))
     groups = {}
-    for idx, simplex in enumerate(complex_.maximal_simplices):
+    for idx, simplex in enumerate(fld.complex.maximal_simplices):
         groups.setdefault(len(simplex), []).append(idx)
     for size, members in sorted(groups.items()):
         lattice = barycentric_lattice(size, GRID_ORDER)
         levels = np.rint(lattice * GRID_ORDER).astype(np.intp)
-        vertices = np.array([complex_.maximal_simplices[idx] for idx in members])
+        vertices = np.array([fld.complex.maximal_simplices[idx] for idx in members])
         members = np.array(members)
         points = len(lattice)
-        for start in range(0, len(members) * points, GRID_CHUNK):
-            rows = np.arange(start, min(start + GRID_CHUNK, len(members) * points))
-            which, point = np.divmod(rows, points)
-            sums = []
-            for table in tables:
-                total = np.zeros((len(rows),) + table.shape[2:], dtype=complex)
-                for i in range(size):
-                    total += table[vertices[which, i], levels[point, i]]
-                sums.append(total)
-            yield members[which], lattice[point], sums
+        for start in range(0, len(members) * points, step):
+            which, point = np.divmod(np.arange(start, min(start + step, len(members) * points)),
+                                     points)
+            used, local = np.unique(vertices[which], return_inverse=True)
+            keys = local.reshape(len(which), size) * (GRID_ORDER + 1) + levels[point]
+            present = np.zeros(len(used) * (GRID_ORDER + 1), dtype=bool)
+            present[keys] = True
+            slot = (np.cumsum(present) - 1)[keys]
+            pair_vertex, pair_level = np.divmod(np.flatnonzero(present), GRID_ORDER + 1)
+            x = np.stack([x_of[v] for v in used.tolist()])
+            recon = _gather(_brackets(x[pair_vertex], LEVELS[pair_level]), slot)
+            if not interpolate:
+                yield members[which], lattice[point], recon
+                continue
+            values = np.stack([fld.values[v] for v in used.tolist()])
+            weighted = LEVELS[pair_level][:, None, None] * values[pair_vertex]
+            yield members[which], lattice[point], recon, _gather(weighted, slot)
+
+
+def _max_norm(mats) -> float:
+    """max_operator_norm of a list of n x n matrices, stacked
+    GRID_CHUNK_ENTRIES entries at a time."""
+    step = max(1, GRID_CHUNK_ENTRIES // mats[0].size) if mats else 1
+    best = 0.0
+    for start in range(0, len(mats), step):
+        best = max_operator_norm(np.stack(mats[start:start + step]), floor=best)
+    return best
 
 
 def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDecomposition:
@@ -379,8 +411,8 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
     vertices into one sqrt(hat)-weighted factor y_k.  Disjoint same-color
     stars make the cross terms vanish, so sum_k [y_k*, y_k] equals the PL
     interpolation of the field; the residual is measured on the sample grid,
-    GRID_CHUNK lattice points at a time, from the (vertex, level) tables of
-    brackets and of weighted values.  The bound norm(y_k)^2 <= 2*sup_norm +
+    GRID_CHUNK_ENTRIES matrix entries at a time, each bracket formed once
+    per (vertex, level) a chunk uses.  The bound norm(y_k)^2 <= 2*sup_norm +
     1e-8 is checked at the vertices, where norm(sqrt(w) x_v) peaks (w = 1, a
     lattice point).  The residual, sup_norm and factor norm are the exact
     SVD maxima; the Frobenius screen only skips SVDs that cannot change them.
@@ -412,14 +444,11 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
                         if coloring.colors[v] == k)
         factors.append(SqrtWeightedFactor(color=k, entries=entries))
 
-    values = np.stack(fld.values)
-    xs = np.stack(x_factors)
-    sup = max_operator_norm(values)
+    sup = _max_norm(fld.values)
     covered = sorted({v for simplex in fld.complex.maximal_simplices for v in simplex})
-    norm_sq = max_operator_norm(xs[covered]) ** 2
+    norm_sq = _max_norm([x_factors[v] for v in covered]) ** 2
     residual = 0.0
-    tables = (_bracket_table(xs), LEVELS[:, None, None] * values[:, None])
-    for _, _, (recon, interpolated) in _lattice_sums(fld.complex, tables):
+    for _, _, recon, interpolated in _lattice_sums(fld, x_factors, interpolate=True):
         residual = max_operator_norm(recon - interpolated, floor=residual)
     partition_defect = max(
         float(np.max(np.abs(barycentric_lattice(size, GRID_ORDER).sum(axis=1) - 1.0)))
@@ -449,9 +478,8 @@ def field_residual_against(fld_factors: FieldDecomposition, fld: SimplicialField
     a smooth (non-PL) field; used for mesh-refinement studies.
     """
     x_factors = dict(entry for factor in fld_factors.factors for entry in factor.entries)
-    xs = np.stack([x_factors[v] for v in range(fld.complex.vertex_count)])
     worst = 0.0
-    for simplices, weights, (recon,) in _lattice_sums(fld.complex, (_bracket_table(xs),)):
+    for simplices, weights, recon in _lattice_sums(fld, x_factors):
         expected = np.stack([target(idx, w) for idx, w in zip(simplices.tolist(), weights)])
         worst = max_operator_norm(recon - expected, floor=worst)
     return worst

@@ -396,9 +396,10 @@ def test_grid_pass_is_bit_identical_to_the_per_simplex_reference(scaled, monkeyp
     from helpers import reference_field_grid
     if scaled:
         _scale_factors_by_vertex(monkeypatch)
+    monkeypatch.setattr(ozfield, "GRID_CHUNK_ENTRIES", 2 ** 10)  # 113 points per chunk
     fld, coloring = _mixed_field()
     points = sum(len(barycentric_lattice(len(s), 8)) for s in fld.complex.maximal_simplices)
-    assert points > 4 * ozfield.GRID_CHUNK
+    assert points * fld.matrix_size ** 2 > 16 * ozfield.GRID_CHUNK_ENTRIES
     fd = decompose_field(fld, coloring)
     residual, sup, norm_sq = reference_field_grid(fd, fld)
     assert (residual > 1e-3) == scaled
@@ -415,18 +416,16 @@ def test_grid_pass_is_bit_identical_to_the_per_simplex_reference(scaled, monkeyp
     assert field_residual_against(fd, fld, bent) == expected
 
 
-def test_lattice_sums_visit_every_point_once_and_match_the_pointwise_sums():
+def test_lattice_sums_visit_every_point_once_and_match_the_pointwise_sums(monkeypatch):
     from helpers import reference_brackets
+    monkeypatch.setattr(ozfield, "GRID_CHUNK_ENTRIES", 2 ** 10)
     fld, coloring = _mixed_field()
     x_factors = [x for _, x in sorted(
         (entry for factor in decompose_field(fld, coloring).factors for entry in factor.entries),
         key=lambda entry: entry[0])]
-    values = np.stack(fld.values)
-    tables = (ozfield._bracket_table(np.stack(x_factors)),
-              ozfield.LEVELS[:, None, None] * values[:, None])
     seen = {}
-    for simplices, weights, (recon, value) in ozfield._lattice_sums(fld.complex, tables):
-        assert len(simplices) <= ozfield.GRID_CHUNK
+    for simplices, weights, recon, value in ozfield._lattice_sums(fld, x_factors, True):
+        assert len(simplices) * fld.matrix_size ** 2 <= ozfield.GRID_CHUNK_ENTRIES
         for idx, w, r, val in zip(simplices.tolist(), weights, recon, value):
             assert (idx, tuple(w)) not in seen
             seen[idx, tuple(w)] = r, val
@@ -438,6 +437,42 @@ def test_lattice_sums_visit_every_point_once_and_match_the_pointwise_sums():
             assert np.array_equal(seen[idx, tuple(row)][0], r)
             assert np.array_equal(seen[idx, tuple(row)][1], val)
     assert len(seen) == points
+
+
+def test_field_residual_against_needs_factors_only_on_covered_vertices():
+    fld, coloring = _mixed_field()
+    fd = decompose_field(fld, coloring)
+    covered = {v for simplex in fld.complex.maximal_simplices for v in simplex}
+    assert covered != set(range(fld.complex.vertex_count))
+    factors = [ozfield.SqrtWeightedFactor(color=f.color, entries=tuple(
+        (v, x) for v, x in f.entries if v in covered)) for f in fd.factors]
+    trimmed = ozfield.FieldDecomposition(factors=factors, report=fd.report, sup_norm=fd.sup_norm)
+    assert field_residual_against(trimmed, fld, fld.value_at) == \
+        field_residual_against(fd, fld, fld.value_at)
+
+
+def test_grid_pass_memory_is_a_few_chunks():
+    # The pass holds a bounded number of chunk-sized stacks, whatever the
+    # vertex count: brackets are formed per chunk.  Here one table of
+    # brackets over every (vertex, level) would alone fill 56 chunks.
+    import tracemalloc
+    from tracezero.matcore import max_operator_norm
+    rng = SplitMix64(67)
+    fld = make_field(solid_triangle_complex(),
+                     [random_trace_zero_hermitian(rng, 64) for _ in range(3)])
+    for _ in range(2):
+        fld = subdivide_field(fld, barycentric_subdivide(fld.complex))
+    chunk_bytes = ozfield.GRID_CHUNK_ENTRIES * 16
+    assert fld.complex.vertex_count * 9 * 64 ** 2 * 16 > 56 * chunk_bytes
+    tracemalloc.start()
+    try:
+        worst = 0.0
+        for _, _, recon, interpolated in ozfield._lattice_sums(fld, fld.values, True):
+            worst = max_operator_norm(recon - interpolated, floor=worst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * chunk_bytes
 
 
 def test_grid_pass_takes_an_svd_for_few_lattice_matrices(monkeypatch):
