@@ -27,10 +27,10 @@ import numpy as np
 from jsonschema import ValidationError
 
 from .errors import InvalidInputError
-from .jsonio import field_from_json, matrix_from_json
-from .matcore import BoundCheck, commutator, is_hermitian, operator_norm
-from .obstruct import MAX_PAIR_VISITS, PP_EXAMPLE_M_LIMIT, VILLADSEN_MMAX_LIMIT
-from .ozfield import GRID_ORDER, RECON_TOL, require_refine_budget
+from .jsonio import TowerInput, decode_input, field_from_json, float_from_json, matrix_from_json
+from .matcore import commutator, is_hermitian, norm_ratio, operator_norm
+from .obstruct import MAX_PAIR_VISITS
+from .ozfield import GRID_ORDER, RECON_TOL, SimplicialField, require_refine_budget
 from .schemas import validate
 
 # A value the document reports and the checker re-measures must agree to
@@ -107,22 +107,21 @@ def _boolean(value, path: str) -> bool:
     return value
 
 
-def _schema_checked(value, command: str, path: str):
-    """Raise Malformed at the first place ``value`` breaks the input schema
-    of ``command``."""
+def _decoded(value, command: str, path: str, decode):
+    """A part of the result, decoded by ``decode`` after the input schema of
+    ``command``; what either rejects is Malformed, at its first bad place."""
     try:
         validate(value, command)
+        return decode(value)
     except ValidationError as exc:
         raise Malformed(path + exc.json_path[1:], exc.message) from None
+    except InvalidInputError as exc:
+        raise Malformed(path, str(exc)) from None
 
 
 def _matrix(value, path: str, n: int | None = None) -> np.ndarray:
     """A matrix document of the result, decoded; ``n`` is the size it must have."""
-    _schema_checked(value, "decompose", path)  # decompose's input is one matrix
-    try:
-        m = matrix_from_json(value)
-    except InvalidInputError as exc:
-        raise Malformed(path, str(exc)) from None
+    m = _decoded(value, "decompose", path, matrix_from_json)  # decompose's input is a matrix
     if n is not None and m.shape[0] != n:
         raise Malformed(f"{path}.n", f"{m.shape[0]} differs from the input's {n}")
     return m
@@ -222,10 +221,8 @@ def _check_bounds(f: Findings, report: dict, statements: dict,
                       f"{p}.measured_value",
                       f"{name}: reported {measured!r} is below its re-measured lower bound "
                       f"{st.measured!r}")
-        check = BoundCheck(name, claimed, st.measured, st.tolerance,
-                           st.measured <= claimed + st.tolerance)
-        f.require(check.passed, p, f"{name}: re-measured {check.measured_value!r} exceeds "
-                                   f"claimed bound {check.claimed_bound!r}")
+        f.require(st.measured <= claimed + st.tolerance, p,
+                  f"{name}: re-measured {st.measured!r} exceeds claimed bound {claimed!r}")
     for name in statements:
         f.require(name in seen, path, f"no check of {name}")
     if claims is not None:
@@ -283,18 +280,10 @@ def _check_headline(f: Findings, report: dict, residual: float, count: int, scal
               f"{reported} but the result has {count} factors")
 
 
-def _norm_ratio(worst: float, a_norm: float):
-    """(measured, tolerance) of a factor-norm claim relative to norm(a)."""
-    if a_norm == 0.0:
-        return (0.0 if worst <= 1e-9 else math.inf), 0.0
-    return worst / a_norm, 1e-9 / a_norm
-
-
-def _check_single_commutator(f: Findings, doc: dict, kind: str, norm_claim: str,
-                             norm_bound: float, **_):
+def _check_single_commutator(f: Findings, doc: dict, a: np.ndarray, kind: str,
+                             norm_claim: str, norm_bound: float):
     """decompose (a = [x*, x], norm(x)^2 <= 2 norm(a)) and decompose-tight
     (a = [x, y], norm(x) norm(y) <= norm(a)): one factor, no residual term."""
-    a = matrix_from_json(doc["input"], name="input matrix")
     n = a.shape[0]
     result = _object(_get(doc, "result", "$"), "$.result")
     report = _object(_get(doc, "report", "$"), "$.report")
@@ -305,7 +294,7 @@ def _check_single_commutator(f: Findings, doc: dict, kind: str, norm_claim: str,
               f"{declared!r}, but a single commutator leaves no residual term")
     a_norm = operator_norm(a)
     residual = _norm(a - total, "$.result.factors")
-    measured, tolerance = _norm_ratio(worst, a_norm)
+    measured, tolerance = norm_ratio(worst, a_norm)
     statements = {
         "reconstruction_residual": Statement(1e-9 * max(1.0, a_norm), residual, 0.0,
                                              scale=a_norm),
@@ -319,56 +308,32 @@ def _check_single_commutator(f: Findings, doc: dict, kind: str, norm_claim: str,
 # --------------------------------------------------------------------------
 # fack-run.
 
-def _float_input(value, name: str) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidInputError(f"{name} is too large for a float") from None
-
-
-def _block_zero_support(tower: dict, n: int, epsilon: float) -> np.ndarray:
+def _block_zero_support(tower: TowerInput, n: int) -> np.ndarray:
     """Orthonormal basis of the support of (e_0 - eps)_+, from a singular
     value decomposition where e_0 is a matrix: e_0 is PSD, so its singular
     values are its eigenvalues."""
-    blocks = tower["blocks"]
-    if all("rank" in b for b in blocks):  # 0/1 projections, block 0 first
-        ambient = tower.get("ambient", sum(b["rank"] for b in blocks))
-        if ambient != n:
-            raise Malformed("$.input.z0.n", f"{n} differs from the tower's size {ambient}")
-        return np.eye(n, dtype=complex)[:, :blocks[0]["rank"] if epsilon < 1.0 else 0]
-    e0 = matrix_from_json(blocks[0], name="tower block")
-    if e0.shape[0] != n:
-        raise Malformed("$.input.z0.n", f"{n} differs from the tower's size {e0.shape[0]}")
-    u, s, _ = np.linalg.svd(e0)
-    lifted = np.maximum(s - epsilon, 0.0)
+    if tower.ambient != n:
+        raise Malformed("$.input.z0.n", f"{n} differs from the tower's size {tower.ambient}")
+    if tower.ranks is not None:  # 0/1 projections, block 0 first
+        return np.eye(n, dtype=complex)[:, :tower.ranks[0] if tower.epsilon < 1.0 else 0]
+    u, s, _ = np.linalg.svd(tower.elements[0])
+    lifted = np.maximum(s - tower.epsilon, 0.0)
     top = float(np.max(lifted)) if lifted.size else 0.0
     return u[:, lifted > 1e-8 * top] if top > 0.0 else u[:, :0]
 
 
-def _check_fack_run(f: Findings, doc: dict, depth: int | None, **_):
+def _check_fack_run(f: Findings, doc: dict, tower: TowerInput, depth: int | None, **_):
     """z0 Hermitian, trace zero, inside block 0; z0 = sum [x, y] + residual
     with norm(residual) <= delta_depth and at most L(L+K-1) + max(M,
     L(L+K-1)) factors."""
-    echo = doc["input"]
-    tower = echo["tower"]
-    blocks = len(tower["blocks"])
-    L, K, M = (int(tower.get(key, 1)) for key in ("L", "K", "M"))
-    epsilon = _float_input(tower.get("epsilon", 0.5), "tower.epsilon")
-    deltas = [_float_input(d, f"tower.deltas[{i}]") for i, d in
-              enumerate(tower.get("deltas", [2.0 ** -(i + 1) for i in range(blocks - 1)]))]
-    if len(deltas) != blocks - 1:
-        raise InvalidInputError("need one delta per stage")
-    if depth is None:
-        depth = int(echo.get("depth", blocks - 1))
-    if not 0 <= depth <= blocks - 1:
-        raise InvalidInputError(f"depth must lie in [0, {blocks - 1}]")
-    z0 = matrix_from_json(_get(echo, "z0", "$.input"), name="z0")
+    depth = tower.run_depth(depth)
+    z0 = matrix_from_json(_get(doc["input"], "z0", "$.input"), name="z0")
     n = z0.shape[0]
     z_norm = operator_norm(z0)
     scale = max(1.0, z_norm)
     f.require(is_hermitian(z0), "$.input.z0", "is not Hermitian")
     f.require(abs(np.trace(z0)) <= 1e-9 * n * scale, "$.input.z0", "is not trace zero")
-    q = _block_zero_support(tower, n, epsilon)
+    q = _block_zero_support(tower, n)
     outside = operator_norm(z0 - q @ (q.conj().T @ z0 @ q) @ q.conj().T)
     f.require(outside <= 1e-8 * scale, "$.input.z0",
               f"leaves her((e_0 - eps)_+): norm {outside!r} outside it")
@@ -376,8 +341,8 @@ def _check_fack_run(f: Findings, doc: dict, depth: int | None, **_):
     result = _object(_get(doc, "result", "$"), "$.result")
     report = _object(_get(doc, "report", "$"), "$.report")
     total, count, _ = _commutator_sum(f, result, "general_commutators", n, with_norms=False)
-    per_stage = L * (L + K - 1)
-    count_bound = per_stage + max(M, per_stage)
+    per_stage = tower.L * (tower.L + tower.K - 1)
+    count_bound = per_stage + max(tower.M, per_stage)
     found = _integer(_get(result, "depth", "$.result"), "$.result.depth")
     f.require(found == depth, "$.result.depth", f"{found} but the run's depth is {depth}")
     declared = _number(_get(result, "residual_norm", "$.result"), "$.result.residual_norm")
@@ -386,11 +351,11 @@ def _check_fack_run(f: Findings, doc: dict, depth: int | None, **_):
         # norm(z0 - sum - R) >= |norm(z0 - sum) - norm(R)|, R the declared residual
         "reconstruction_residual": Statement(1e-8 * scale, abs(residual - declared), 0.0,
                                              exact=False, scale=z_norm),
-        "commutator_count": Statement(_float_input(count_bound, "the commutator count bound"),
+        "commutator_count": Statement(float_from_json(count_bound, "the commutator count bound"),
                                       float(count), 0.0),
     }
     if depth > 0:
-        statements["residual_norm"] = Statement(deltas[depth - 1], declared, 1e-12,
+        statements["residual_norm"] = Statement(tower.deltas[depth - 1], declared, 1e-12,
                                                 scale=z_norm)
     bounds = _object(_get(result, "bounds", "$.result"), "$.result.bounds")
     _check_bounds(f, report, statements, bounds, "$.result.bounds")
@@ -471,10 +436,9 @@ def barycentric_refinement(simplices, values, levels: int):
     return simplices, values, colors
 
 
-def _check_decompose_field(f: Findings, doc: dict, refine: int, **_):
+def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine: int, **_):
     """The emitted field is the refined input; the coloring is proper; each
     vertex is in its color's factor once, with [x_v*, x_v] = value_v."""
-    fld = field_from_json(doc["input"])
     require_refine_budget(fld.complex, refine)
     simplices, values, colors = barycentric_refinement(
         fld.complex.maximal_simplices, fld.values, refine)
@@ -483,12 +447,8 @@ def _check_decompose_field(f: Findings, doc: dict, refine: int, **_):
     result = _object(_get(doc, "result", "$"), "$.result")
     report = _object(_get(doc, "report", "$"), "$.report")
 
-    emitted = _get(result, "field", "$.result")
-    _schema_checked(emitted, "decompose-field", "$.result.field")
-    try:
-        out = field_from_json(emitted)
-    except InvalidInputError as exc:
-        raise Malformed("$.result.field", str(exc)) from None
+    out = _decoded(_get(result, "field", "$.result"), "decompose-field", "$.result.field",
+                   field_from_json)
     f.require(out.complex.vertex_count == vertex_count, "$.result.field.complex.vertices",
               f"{out.complex.vertex_count}, but the refined input has {vertex_count}")
     f.require(list(out.complex.maximal_simplices) == simplices,
@@ -567,20 +527,12 @@ def _check_decompose_field(f: Findings, doc: dict, refine: int, **_):
 # --------------------------------------------------------------------------
 # block-split.
 
-def _check_block_split(f: Findings, doc: dict, **_):
+def _check_block_split(f: Findings, doc: dict, inp: tuple, **_):
     """b = [S, E] + rest, [S, E] the block diagonal of b_ii - [x_i, y_i] and
     the diagonal blocks of rest the commutators [x_i, y_i]."""
-    echo = doc["input"]
-    b = matrix_from_json(echo["b"], name="b")
-    pairs = [(matrix_from_json(p["x"], name="x"), matrix_from_json(p["y"], name="y"))
-             for p in echo["pairs"]]
-    d = int(echo["blocks"])
-    if b.shape[0] % d or len(pairs) != d:
-        raise InvalidInputError(f"matrix size {b.shape[0]} is not {d} equal blocks, one per pair")
-    r = b.shape[0] // d
-    if any(x.shape[0] != r or y.shape[0] != r for x, y in pairs):
-        raise InvalidInputError("pair factors must have the block size")
+    b, d, pairs, _ = inp
     n = b.shape[0]
+    r = n // d
     result = _object(_get(doc, "result", "$"), "$.result")
     report = _object(_get(doc, "report", "$"), "$.report")
     s = _matrix(_get(result, "shift_upper", "$.result"), "$.result.shift_upper", n)
@@ -714,13 +666,11 @@ def _check_euler_class(f: Findings, path: str, found, expected: dict, variables:
         f.fail(path, f'no term "{_key(mask)}", whose coefficient is {expected[mask]}')
 
 
-def _check_obstruct(f: Findings, doc: dict, **_):
+def _check_obstruct(f: Findings, doc: dict, inp: tuple, **_):
     """The Euler class of n copies of q, recomputed one linear form at a
     time, and the verdict that it is nonzero."""
-    q, copies = doc["input"]["q"], int(doc["input"]["n"])
-    variables, summands = int(q["variables"]), q["summands"]
-    if any(len(vec) != variables for vec in summands):
-        raise InvalidInputError("degree vector length must equal variable count")
+    q, copies = inp
+    variables, summands = q.variable_count, q.summands
     if len(summands) * copies > variables:  # every monomial of that degree has a square
         expected = {}
     else:
@@ -746,11 +696,7 @@ def _check_bott_field(f: Findings, found):
     """diag(1, -P(v)) over the octahedral sphere, P(v) the projection onto
     the spin state of Bloch vector v."""
     path = "$.result.field"
-    _schema_checked(found, "decompose-field", path)
-    try:
-        fld = field_from_json(found)
-    except InvalidInputError as exc:
-        raise Malformed(path, str(exc)) from None
+    fld = _decoded(found, "decompose-field", path, field_from_json)
     triangles = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
     f.require(fld.complex.vertex_count == 6 and list(fld.complex.maximal_simplices) == triangles,
               f"{path}.complex", "is not the octahedral sphere")
@@ -763,12 +709,9 @@ def _check_bott_field(f: Findings, found):
                   f'{path}.values["{v}"]', "is not diag(1, -P(v))")
 
 
-def _check_pp_example(f: Findings, doc: dict, **_):
+def _check_pp_example(f: Findings, doc: dict, m: int, **_):
     """(S^2)^m, the line bundle of degree (1, ..., 1) and its m-fold sum,
     whose Euler class is m! a_1...a_m."""
-    m = int(doc["input"]["m"])
-    if m > PP_EXAMPLE_M_LIMIT:
-        raise InvalidInputError(f"m is capped at {PP_EXAMPLE_M_LIMIT}")
     result = _object(_get(doc, "result", "$"), "$.result")
     certificate = _object(_get(result, "certificate", "$.result"), "$.result.certificate")
     _check_euler_class(f, "$.result.certificate.euler_class",
@@ -794,13 +737,10 @@ def _check_pp_example(f: Findings, doc: dict, **_):
     _no_bounds(f, _object(_get(doc, "report", "$"), "$.report"), True)
 
 
-def _check_tower(f: Findings, doc: dict, **_):
+def _check_tower(f: Findings, doc: dict, m_max: int, **_):
     """The sphere-product tower's integers: l_1 = 1 and l_n = 2^(n-2)
     after it, M_n = sum_{i<=n} l_i 2^(k_i), k_1 = 1, k_(n+1) = n M_n l_(n+1);
     block j survives stage m when m M_m l_j <= k_j."""
-    m_max = int(doc["input"]["m_max"])
-    if m_max > VILLADSEN_MMAX_LIMIT:
-        raise InvalidInputError(f"m_max is capped at {VILLADSEN_MMAX_LIMIT}")
     l = [1] + [2 ** (i - 1) for i in range(1, m_max + 1)]
     k, big_m = [1], []
     for n in range(1, m_max + 1):
@@ -837,10 +777,10 @@ def _check_tower(f: Findings, doc: dict, **_):
 # --------------------------------------------------------------------------
 
 CHECKERS = {
-    "decompose": lambda f, doc, **kw: _check_single_commutator(
-        f, doc, "self_commutators", "norm_sq_over_norm_a", 2.0),
-    "decompose-tight": lambda f, doc, **kw: _check_single_commutator(
-        f, doc, "general_commutators", "norm_product_over_norm_a", 1.0),
+    "decompose": lambda f, doc, a, **_: _check_single_commutator(
+        f, doc, a, "self_commutators", "norm_sq_over_norm_a", 2.0),
+    "decompose-tight": lambda f, doc, a, **_: _check_single_commutator(
+        f, doc, a, "general_commutators", "norm_product_over_norm_a", 1.0),
     "decompose-field": _check_decompose_field,
     "fack-run": _check_fack_run,
     "block-split": _check_block_split,
@@ -862,9 +802,10 @@ def implied_exit_code(doc: dict) -> int:
 
 def check_certificate(doc: dict, *, refine: int, depth: int | None) -> list:
     """The failed checks of one output document, [] when it certifies its
-    claims.  ``refine`` and ``depth`` are its run's parameters.  A document
-    whose echoed input is invalid raises what that input would raise
-    (a ValidationError with its path inside ``doc``, or InvalidInputError)."""
+    claims.  ``refine`` and ``depth`` are its run's parameters.  The echoed
+    input is read by the command's own schema and decoder, so an invalid one
+    raises what the command raises on it (a ValidationError with its path
+    inside ``doc``, or InvalidInputError)."""
     command = doc["command"]
     if command not in CHECKERS:
         raise InvalidInputError(f"cannot verify output of command {command!r}")
@@ -875,7 +816,8 @@ def check_certificate(doc: dict, *, refine: int, depth: int | None) -> list:
     f = Findings()
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is a finding
-            CHECKERS[command](f, doc, refine=refine, depth=depth)
+            CHECKERS[command](f, doc, decode_input(command, doc["input"]), refine=refine,
+                              depth=depth)
     except Malformed as exc:
         f.failures.append(str(exc))
     return f.failures

@@ -35,16 +35,19 @@ import jsonschema
 
 from .errors import InvalidInputError, NumericsError
 from .jsonio import (
+    TowerInput,
+    decode_input,
     encode,
-    field_from_json,
     field_to_json,
+    float_from_json,
     matrix_from_json,
     matrix_to_json,
 )
 from .matcore import operator_norm, verify_decomposition
-from .obstruct import BundleExpr, obstruction_certificate, pp_example, villadsen_tower
+from .obstruct import obstruction_certificate, pp_example, villadsen_tower
 from .ozfield import (
     GRID_ORDER,
+    SimplicialField,
     barycentric_subdivide,
     decompose_field,
     greedy_coloring,
@@ -68,7 +71,6 @@ class RunConfig:
     depth: int | None = None
     in_path: str | None = None
     out_path: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -81,8 +83,6 @@ class RunConfig:
             raise InvalidInputError("depth must be nonnegative")
         if not (0 <= self.seed < 2 ** 64):
             raise InvalidInputError("seed must fit in 64 bits")
-        if self.fmt != "json":
-            raise InvalidInputError("only --format json is supported")
 
     def parameters(self) -> dict:
         return {"tol": self.tol, "seed": self.seed, "refine": self.refine,
@@ -90,7 +90,9 @@ class RunConfig:
 
 
 # --------------------------------------------------------------------------
-# Handlers.  Each returns (output document, exit code).
+# Handlers.  Each takes the decoded input and returns (output body, exit code);
+# "generated" input parts (a fack-run's random z0) join the echoed input, and a
+# body without "report" has no bound checks and passes exactly when it exits 0.
 
 def _decomposition_result(dec) -> dict:
     if dec.kind == "self_commutators":
@@ -106,18 +108,16 @@ def _decomposition_result(dec) -> dict:
     }
 
 
-def _handle_decompose(cfg: RunConfig, doc: dict):
+def _handle_decompose(cfg: RunConfig, a):
     construct = (tight_commutator_decompose if cfg.command == "decompose-tight"
                  else self_commutator_decompose)
-    a = matrix_from_json(doc, name="input matrix")
     dec = construct(a, trace_tol=cfg.tol)
     report = verify_decomposition(a, dec)
     return {"result": _decomposition_result(dec), "report": report.to_json()}, \
         (0 if report.all_passed else 1)
 
 
-def _handle_decompose_field(cfg: RunConfig, doc: dict):
-    fld = field_from_json(doc)
+def _handle_decompose_field(cfg: RunConfig, fld: SimplicialField):
     require_refine_budget(fld.complex, cfg.refine)
     if cfg.refine > 0:
         for _ in range(cfg.refine):
@@ -144,58 +144,36 @@ def _handle_decompose_field(cfg: RunConfig, doc: dict):
         (0 if fd.report.all_passed else 1)
 
 
-def _as_float(value, name: str) -> float:
-    """float(value), with an integer too large for a float as invalid input."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidInputError(f"{name} is too large for a float") from None
-
-
-def _tower_from_json(doc: dict) -> TowerModel:
-    blocks_doc = doc["blocks"]
-    count = len(blocks_doc)
-    epsilon = _as_float(doc.get("epsilon", 0.5), "tower.epsilon")
-    deltas = [_as_float(d, f"tower.deltas[{i}]") for i, d in
-              enumerate(doc.get("deltas", [2.0 ** -(i + 1) for i in range(count - 1)]))]
-    L, K, M = (int(doc.get(key, 1)) for key in ("L", "K", "M"))
-    if all(isinstance(b, dict) and "rank" in b for b in blocks_doc):
-        return make_block_tower([b["rank"] for b in blocks_doc], L, K, M,
-                                ambient=doc.get("ambient"), epsilon=epsilon, deltas=deltas)
-    elements = [matrix_from_json(b, name="tower block") for b in blocks_doc]
-    return TowerModel(elements=elements, epsilons=[epsilon] * count,
-                      L=L, K=K, M=M, deltas=deltas)
-
-
-def _handle_fack_run(cfg: RunConfig, doc: dict):
-    tower = _tower_from_json(doc["tower"])
-    depth = cfg.depth if cfg.depth is not None else int(doc.get("depth", tower.depth_limit))
-    if "z0" in doc:
-        z0 = matrix_from_json(doc["z0"], name="z0")
-        echo = dict(doc)
+def _handle_fack_run(cfg: RunConfig, inp: TowerInput):
+    if inp.ranks is not None:
+        tower = make_block_tower(inp.ranks, inp.L, inp.K, inp.M, ambient=inp.ambient,
+                                 epsilon=inp.epsilon, deltas=inp.deltas)
+    else:
+        tower = TowerModel(elements=inp.elements, epsilons=[inp.epsilon] * len(inp.elements),
+                           L=inp.L, K=inp.K, M=inp.M, deltas=inp.deltas)
+    depth = inp.run_depth(cfg.depth)
+    generated = {}
+    if inp.z0 is not None:
+        z0 = matrix_from_json(inp.z0, name="z0")
     else:
         rng = SplitMix64(cfg.seed)
         q = tower.spectra[0].plus.basis
         h = random_trace_zero_hermitian(rng, q.shape[1])
         z0 = q @ h @ q.conj().T
         z0 = (z0 + z0.conj().T) / 2.0
-        echo = dict(doc)
-        echo["z0"] = matrix_to_json(z0)
+        generated["z0"] = matrix_to_json(z0)
     dec, run_report = tower_iterate(z0, tower, depth)
     report = verify_decomposition(z0, dec)
     result = _decomposition_result(dec)
     result["depth"] = depth
     result["tower_report"] = run_report.to_json()
     ok = report.all_passed and run_report.all_passed
-    return {"input": echo, "result": result, "report": report.to_json()}, (0 if ok else 1)
+    return {"generated": generated, "result": result, "report": report.to_json()}, \
+        (0 if ok else 1)
 
 
-def _handle_block_split(cfg: RunConfig, doc: dict):
-    b = matrix_from_json(doc["b"], name="b")
-    pairs = [(matrix_from_json(p["x"], name="x"), matrix_from_json(p["y"], name="y"))
-             for p in doc["pairs"]]
-    e = matrix_from_json(doc["e"], name="e")
-    res = block_two_commutator_split(b, int(doc["blocks"]), pairs, e)
+def _handle_block_split(cfg: RunConfig, inp: tuple):
+    res = block_two_commutator_split(*inp)
     result = {
         "shift_upper": matrix_to_json(res.shift_upper),
         "shift_lower": matrix_to_json(res.shift_lower),
@@ -207,29 +185,23 @@ def _handle_block_split(cfg: RunConfig, doc: dict):
     return {"result": result, "report": report}, (0 if res.all_passed else 1)
 
 
-def _handle_obstruct(cfg: RunConfig, doc: dict):
-    q = BundleExpr.from_json(doc["q"])
-    cert = obstruction_certificate(q, int(doc["n"]))
-    return {"result": cert.to_json(),
-            "report": {"bound_checks": [], "all_passed": True}}, 0
+def _handle_obstruct(cfg: RunConfig, inp: tuple):
+    return {"result": obstruction_certificate(*inp).to_json()}, 0
 
 
-def _handle_pp_example(cfg: RunConfig, doc: dict):
-    ex = pp_example(int(doc["m"]))
+def _handle_pp_example(cfg: RunConfig, m: int):
+    ex = pp_example(m)
     result = {
         "description": ex.description,
         "certificate": ex.certificate.to_json(),
         "field": None if ex.field is None else field_to_json(ex.field),
     }
-    return {"result": result,
-            "report": {"bound_checks": [], "all_passed": True}}, 0
+    return {"result": result}, 0
 
 
-def _handle_tower(cfg: RunConfig, doc: dict):
-    spec = villadsen_tower(int(doc["m_max"]))
-    ok = spec.all_verdicts_true
-    return {"result": spec.to_json(),
-            "report": {"bound_checks": [], "all_passed": ok}}, (0 if ok else 1)
+def _handle_tower(cfg: RunConfig, m_max: int):
+    spec = villadsen_tower(m_max)
+    return {"result": spec.to_json()}, (0 if spec.all_verdicts_true else 1)
 
 
 _HANDLERS = {
@@ -252,7 +224,7 @@ def _handle_verify(cfg: RunConfig, doc: dict):
     params = doc["parameters"]  # typed by the verify schema; ranges are RunConfig's
     depth = params.get("depth")
     inner_cfg = RunConfig(command=cfg.command,  # range checks of the inner run's flags
-                          tol=_as_float(params.get("tol", 1e-9), "parameters.tol"),
+                          tol=float_from_json(params.get("tol", 1e-9), "parameters.tol"),
                           seed=int(params.get("seed", 0)),
                           refine=int(params.get("refine", 0)),
                           depth=None if depth is None else int(depth))
@@ -260,23 +232,22 @@ def _handle_verify(cfg: RunConfig, doc: dict):
     inner_code = implied_exit_code(doc)
     verified = not mismatches and inner_code == 0
     result = {"verified": verified, "mismatches": mismatches, "inner_exit_code": inner_code}
-    return {"result": result, "report": {"bound_checks": [], "all_passed": verified}}, \
-        (0 if verified else 1)
+    return {"result": result}, (0 if verified else 1)
 
 
 def _build_output(cfg: RunConfig, input_doc: dict):
-    """Dispatch and wrap in the standard envelope."""
+    """Validate, decode, dispatch, and wrap in the standard envelope."""
     validate(input_doc, cfg.command)
     if cfg.command == "verify":
         body, code = _handle_verify(cfg, input_doc)
     else:
-        body, code = _HANDLERS[cfg.command](cfg, input_doc)
+        body, code = _HANDLERS[cfg.command](cfg, decode_input(cfg.command, input_doc))
     doc = {
         "command": cfg.command,
         "parameters": cfg.parameters(),
-        "input": body.get("input", input_doc),
+        "input": {**input_doc, **body["generated"]} if body.get("generated") else input_doc,
         "result": body["result"],
-        "report": body["report"],
+        "report": body.get("report", {"bound_checks": [], "all_passed": code == 0}),
     }
     return doc, code
 
@@ -321,7 +292,7 @@ def _run_parsed(args, stdin_text: str | None = None):
     try:
         cfg = RunConfig(command=args.command, tol=args.tol, seed=args.seed,
                         refine=args.refine, depth=args.depth,
-                        in_path=args.in_path, out_path=args.out_path, fmt=args.fmt)
+                        in_path=args.in_path, out_path=args.out_path)
     except InvalidInputError as exc:
         return 2, encode({"error": str(exc), "path": ""})
     try:

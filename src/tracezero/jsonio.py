@@ -1,8 +1,12 @@
-"""JSON codecs for matrices, complexes, and fields, and the output encoder.
+"""JSON codecs for matrices, complexes, and fields, the decoders of every
+command's input, and the output encoder.
 
 Matrix schema: {"n": int, "entries": [[[re, im], ...], ...]} row-major.
 Field schema: {"complex": {"vertices": int, "simplices": [[ids]]},
                "n": int, "values": {"<vertex>": matrix}}.
+
+``decode_input`` reads a command's input, for the command and for ``verify``
+alike, by every rule that needs no construction.
 
 ``encode`` writes a document byte for byte as json.dumps(doc, indent=2,
 sort_keys=True) + newline would, but renders each grid of [re, im] pairs from
@@ -12,12 +16,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .matcore import as_matrix
+from .matcore import as_matrix, require_block_layout, require_hermitian
+from .obstruct import BundleExpr, require_pp_example_m, require_tower_m_max
 from .ozfield import SimplicialComplex, SimplicialField, make_field
 from .schemas import grid_numbers
 
@@ -88,6 +94,103 @@ def field_from_json(doc: dict) -> SimplicialField:
             raise InvalidInputError(f"value at vertex {v} is not {n} x {n}")
         values.append(m)
     return make_field(complex_, values)
+
+
+def float_from_json(value, name: str) -> float:
+    """float(value), with an integer too large for a float as invalid input."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{name} is too large for a float") from None
+
+
+# --------------------------------------------------------------------------
+# Command inputs.
+
+@dataclass(frozen=True)
+class TowerInput:
+    """A fack-run input: blocks as ``ranks`` of 0/1 projections or as
+    Hermitian ``elements`` (the other None), all of size ``ambient``;
+    defaults applied, but ``depth`` and ``z0`` (a matrix document) as given."""
+
+    ranks: list | None
+    elements: list | None
+    ambient: int
+    L: int
+    K: int
+    M: int
+    epsilon: float
+    deltas: list
+    depth: int | None
+    z0: dict | None
+
+    def run_depth(self, flag: int | None) -> int:
+        """The --depth ``flag``, else the input's depth, else the last stage."""
+        stages = len(self.deltas)
+        depth = flag if flag is not None else self.depth if self.depth is not None else stages
+        if not 0 <= depth <= stages:
+            raise InvalidInputError(f"depth must lie in [0, {stages}]")
+        return depth
+
+
+def _tower_input(doc: dict) -> TowerInput:
+    tower = doc["tower"]
+    blocks = tower["blocks"]
+    epsilon = float_from_json(tower.get("epsilon", 0.5), "tower.epsilon")
+    deltas = [float_from_json(d, f"tower.deltas[{i}]") for i, d in
+              enumerate(tower.get("deltas", [2.0 ** -(i + 1) for i in range(len(blocks) - 1)]))]
+    L, K, M = (int(tower.get(key, 1)) for key in ("L", "K", "M"))
+    ranks = elements = None
+    if all(isinstance(b, dict) and "rank" in b for b in blocks):
+        ranks = [int(b["rank"]) for b in blocks]
+        ambient = int(tower.get("ambient", sum(ranks)))
+        if ambient < sum(ranks):
+            raise InvalidInputError(f"ambient size {ambient} too small for ranks {ranks}")
+    else:
+        elements = [matrix_from_json(b, name="tower block") for b in blocks]
+        ambient = elements[0].shape[0]
+    if len(deltas) != len(blocks) - 1:
+        raise InvalidInputError("need one delta per stage")
+    if elements is not None:
+        elements = [require_hermitian(e, name=f"e_{i}") for i, e in enumerate(elements)]
+        if any(e.shape[0] != ambient for e in elements):
+            raise InvalidInputError("all tower elements must share one size")
+    depth = None if doc.get("depth") is None else int(doc["depth"])
+    return TowerInput(ranks, elements, ambient, L, K, M, epsilon, deltas, depth, doc.get("z0"))
+
+
+def _block_split_input(doc: dict) -> tuple:
+    b = matrix_from_json(doc["b"], name="b")
+    pairs = [(matrix_from_json(p["x"], name="x"), matrix_from_json(p["y"], name="y"))
+             for p in doc["pairs"]]
+    e = matrix_from_json(doc["e"], name="e")
+    d = int(doc["blocks"])
+    require_block_layout(b.shape[0], d, pairs, e)
+    return b, d, pairs, e
+
+
+def _obstruct_input(doc: dict) -> tuple:
+    q = BundleExpr.from_json(doc["q"])
+    return q, q.require_copies(int(doc["n"]))
+
+
+_DECODERS = {
+    **dict.fromkeys(("decompose", "decompose-tight"),
+                    lambda doc: matrix_from_json(doc, name="input matrix")),
+    "decompose-field": lambda doc: field_from_json(doc),  # by name, as tracers wrap it
+    "fack-run": _tower_input,
+    "block-split": _block_split_input,
+    "obstruct": _obstruct_input,
+    "pp-example": lambda doc: require_pp_example_m(int(doc["m"])),
+    "tower": lambda doc: require_tower_m_max(int(doc["m_max"])),
+}
+
+
+def decode_input(command: str, doc: dict):
+    """The schema-valid input of ``command``, checked in the command's order and
+    with its messages: a matrix, SimplicialField, TowerInput, (b, blocks, pairs, e),
+    (q, n), m or m_max."""
+    return _DECODERS[command](doc)
 
 
 def encode(doc) -> str:

@@ -22,7 +22,7 @@ All operations are pure and never mutate their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -144,19 +144,11 @@ class NonzeroPattern:
         return not np.any(self.cols & right.rows)
 
 
-def max_abs(a) -> float:
-    m = as_matrix(a)
-    return float(np.max(np.abs(m))) if m.size else 0.0
-
-
-def hermitian_defect(a) -> float:
-    m = as_matrix(a, square=True)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
 def is_hermitian(a) -> bool:
+    """max |a - a*| <= HERMITIAN_TOL * (1 + max |a|) entrywise."""
     m = as_matrix(a, square=True)
-    return hermitian_defect(m) <= HERMITIAN_TOL * (1.0 + max_abs(m))
+    return not m.size or bool(
+        np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL * (1.0 + float(np.max(np.abs(m)))))
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -164,6 +156,21 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     if not is_hermitian(m):
         raise InvalidInputError(f"{name} is not Hermitian within tolerance {HERMITIAN_TOL}")
     return m
+
+
+def require_block_layout(n: int, d: int, pairs, e) -> int:
+    """The block size r of an n x n matrix cut into d equal blocks, with one
+    (x, y) pair of r x r factors per block and e of size r."""
+    if d < 1 or n % d:
+        raise InvalidInputError(f"matrix size {n} is not {d} equal blocks")
+    r = n // d
+    if len(pairs) != d:
+        raise InvalidInputError("need one (x, y) pair per diagonal block")
+    if e.shape[0] != r:
+        raise InvalidInputError("e must have the block size")
+    if any(x.shape[0] != r or y.shape[0] != r for x, y in pairs):
+        raise InvalidInputError("pair factors must have the block size")
+    return r
 
 
 @dataclass(frozen=True)
@@ -251,16 +258,13 @@ class BoundCheck:
     claimed_bound: float
     measured_value: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.measured_value <= self.claimed_bound + self.tolerance)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "claimed_bound": self.claimed_bound,
-            "measured_value": self.measured_value,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass
@@ -282,22 +286,25 @@ class VerificationReport:
         }
 
 
+def norm_ratio(worst: float, a_norm: float):
+    """(measured value, tolerance) of a claim on the largest factor-norm term
+    ``worst`` relative to norm(a); for a = 0, 0 if ``worst`` <= 1e-9, else inf."""
+    if a_norm == 0.0:
+        return (0.0 if worst <= 1e-9 else math.inf), 0.0
+    return worst / a_norm, 1e-9 / a_norm
+
+
 def _measure_bound(name: str, a: np.ndarray, decomp: CommutatorDecomposition,
                    a_norm: float, recon: np.ndarray):
     """Return (measured value, comparison tolerance) for a named claim."""
     if name == "reconstruction_residual":
         return operator_norm(a - recon - decomp.residual), 0.0
     if name == "norm_sq_over_norm_a":
-        worst = max((operator_norm(x) ** 2 for x in decomp.factors), default=0.0)
-        if a_norm == 0.0:
-            return (0.0 if worst <= 1e-9 else np.inf), 0.0
-        return worst / a_norm, 1e-9 / a_norm
+        return norm_ratio(max((operator_norm(x) ** 2 for x in decomp.factors), default=0.0),
+                          a_norm)
     if name == "norm_product_over_norm_a":
-        worst = max((operator_norm(x) * operator_norm(y) for x, y in decomp.factors),
-                    default=0.0)
-        if a_norm == 0.0:
-            return (0.0 if worst <= 1e-9 else np.inf), 0.0
-        return worst / a_norm, 1e-9 / a_norm
+        return norm_ratio(max((operator_norm(x) * operator_norm(y) for x, y in decomp.factors),
+                              default=0.0), a_norm)
     if name == "residual_norm":
         return operator_norm(decomp.residual), 1e-12
     if name == "commutator_count":
@@ -324,13 +331,7 @@ def verify_decomposition(a, decomp: CommutatorDecomposition) -> VerificationRepo
     checks = []
     for name, claimed in decomp.claimed_bounds:
         measured, tol = _measure_bound(name, am, decomp, a_norm, recon)
-        checks.append(BoundCheck(
-            name=name,
-            claimed_bound=float(claimed),
-            measured_value=float(measured),
-            tolerance=tol,
-            passed=bool(measured <= claimed + tol),
-        ))
+        checks.append(BoundCheck(name, float(claimed), float(measured), tol))
     return VerificationReport(
         residual_norm=operator_norm(am - recon),
         commutator_count=decomp.factor_count(),

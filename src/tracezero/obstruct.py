@@ -145,12 +145,16 @@ class BundleExpr:
     def rank(self) -> int:
         return len(self.summands)
 
-    def repeated(self, n: int) -> "BundleExpr":
+    def require_copies(self, n: int) -> int:
+        """``n`` itself when the n-fold sum has at most a million summands."""
         if n < 1:
             raise InvalidInputError("need at least one copy")
-        if n * len(self.summands) > 1_000_000:
+        if n * self.rank > 1_000_000:
             raise InvalidInputError("repeated bundle would exceed a million summands")
-        return BundleExpr(self.variable_count, self.summands * n)
+        return n
+
+    def repeated(self, n: int) -> "BundleExpr":
+        return BundleExpr(self.variable_count, self.summands * self.require_copies(n))
 
     def trivialization_rank(self) -> int:
         """An n with [bundle] <= n [trivial line]: sum over summands of
@@ -230,8 +234,6 @@ def obstruction_certificate(q: BundleExpr, n: int) -> ObstructionCertificate:
     A unit below n[q] would embed a trivial line into the n-fold sum, giving
     a nowhere-vanishing section; e(q^(+n)) != 0 rules that out.
     """
-    if n < 1:
-        raise InvalidInputError("n must be positive")
     cls = euler_class(q.repeated(n))
     digits = sys.get_int_max_str_digits()  # 0: no limit
     limit = 10 ** digits
@@ -269,6 +271,21 @@ def bott_projection_field() -> ozfield.SimplicialField:
     return ozfield.make_field(ozfield.octahedron_complex(), values)
 
 
+def _capped(name: str, value: int, limit: int, why: str) -> int:
+    """``value`` itself when 1 <= value <= limit."""
+    if value < 1:
+        raise InvalidInputError(f"{name} must be at least 1")
+    if value > limit:
+        raise InvalidInputError(f"{name} is capped at {limit}: {why}")
+    return value
+
+
+def require_pp_example_m(m: int) -> int:
+    """``m`` itself when pp_example can certify it."""
+    return _capped("m", m, PP_EXAMPLE_M_LIMIT,
+                   "the certificate's coefficient m! must print as a JSON integer")
+
+
 @dataclass
 class PPExample:
     description: dict
@@ -281,12 +298,7 @@ def pp_example(m: int) -> PPExample:
     class m! * a_1...a_m != 0, so diag(unit, -p) stays at distance >= 1 from
     sums of m self-commutators.  For m = 1 a concrete field over the
     octahedral sphere is attached for inspection."""
-    if m < 1:
-        raise InvalidInputError("m must be at least 1")
-    if m > PP_EXAMPLE_M_LIMIT:
-        raise InvalidInputError(
-            f"m is capped at {PP_EXAMPLE_M_LIMIT}: the certificate's coefficient m! "
-            "must print as a JSON integer")
+    require_pp_example_m(m)
     p = BundleExpr.line((1,) * m)
     cert = obstruction_certificate(p, m)
     description = {
@@ -331,6 +343,12 @@ class TowerSpec:
         }
 
 
+def require_tower_m_max(m_max: int) -> int:
+    """``m_max`` itself when villadsen_tower can emit its tower."""
+    return _capped("m_max", m_max, VILLADSEN_MMAX_LIMIT,
+                   "stage-5 sizes have 2^(k_4) ~ 10^120000000 and cannot be emitted")
+
+
 def villadsen_tower(m_max: int) -> TowerSpec:
     """Audit the sphere-product tower: block sizes k_n, multiplicities l_n,
     trivialization ranks M_n, and nonvanishing certificates.
@@ -343,12 +361,7 @@ def villadsen_tower(m_max: int) -> TowerSpec:
     j = m+1..m+n, which is exactly when the block's linear form survives the
     required power.
     """
-    if m_max < 1:
-        raise InvalidInputError("m_max must be at least 1")
-    if m_max > VILLADSEN_MMAX_LIMIT:
-        raise InvalidInputError(
-            f"m_max is capped at {VILLADSEN_MMAX_LIMIT}: stage-5 sizes have "
-            "2^(k_4) ~ 10^120000000 and cannot be emitted")
+    require_tower_m_max(m_max)
     k = [1]
     l = [1]
     big_m = [2]  # l_1 * 2^(k_1)

@@ -114,12 +114,6 @@ class VertexColoring:
         return cls(colors=colors, color_count=(max(colors) + 1 if colors else 0))
 
 
-def is_proper(complex_: SimplicialComplex, coloring: VertexColoring) -> bool:
-    if len(coloring.colors) != complex_.vertex_count:
-        return False
-    return all(coloring.colors[u] != coloring.colors[v] for u, v in complex_.edges())
-
-
 def require_proper(complex_: SimplicialComplex, coloring: VertexColoring):
     if len(coloring.colors) != complex_.vertex_count:
         raise InvalidInputError("coloring length does not match vertex count")
@@ -249,14 +243,6 @@ def subdivide_field(fld: SimplicialField, sub: BarycentricSubdivision) -> Simpli
     for parent in sub.parent_faces:
         values.append(sum(fld.values[v] for v in parent) / len(parent))
     return make_field(sub.complex, values)
-
-
-def is_trace_zero_field(fld: SimplicialField) -> bool:
-    """Pointwise trace zero; checking vertices suffices since the trace is PL."""
-    n = fld.matrix_size
-    return all(
-        abs(np.trace(v)) <= TRACE_TOL * n * max(1e-300, operator_norm(v))
-        for v in fld.values)
 
 
 @functools.cache
@@ -455,14 +441,10 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
         for size in {len(simplex) for simplex in fld.complex.maximal_simplices})
 
     checks = [
-        BoundCheck("grid_residual", RECON_TOL * max(sup, 1e-30), residual, 0.0,
-                   residual <= RECON_TOL * max(sup, 1e-30)),
-        BoundCheck("max_factor_norm_sq", 2.0 * sup + 1e-8, norm_sq,
-                   0.0, norm_sq <= 2.0 * sup + 1e-8),
-        BoundCheck("factor_count", float(coloring.color_count), float(len(factors)),
-                   0.0, len(factors) == coloring.color_count),
-        BoundCheck("partition_of_unity_defect", 1e-12, partition_defect, 0.0,
-                   partition_defect <= 1e-12),
+        BoundCheck("grid_residual", RECON_TOL * max(sup, 1e-30), residual, 0.0),
+        BoundCheck("max_factor_norm_sq", 2.0 * sup + 1e-8, norm_sq, 0.0),
+        BoundCheck("factor_count", float(coloring.color_count), float(len(factors)), 0.0),
+        BoundCheck("partition_of_unity_defect", 1e-12, partition_defect, 0.0),
     ]
     report = VerificationReport(residual_norm=residual,
                                 commutator_count=len(factors),

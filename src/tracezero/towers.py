@@ -34,6 +34,7 @@ from .matcore import (
     hermitian_eig,
     norm_exceeds,
     operator_norm,
+    require_block_layout,
     require_hermitian,
 )
 from .selfcomm import collapse_orthogonal, tight_commutator_decompose
@@ -274,16 +275,11 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
     rem_defect = operator_norm(remainder - p_b @ remainder @ p_b)
     count = L * (L + K - 1)
     checks = [
-        BoundCheck("reconstruction_residual", 1e-8 * max(1.0, x_norm), recon_err,
-                   0.0, recon_err <= 1e-8 * max(1.0, x_norm)),
-        BoundCheck("remainder_norm", K * x_norm + 1e-8, rem_norm, 0.0,
-                   rem_norm <= K * x_norm + 1e-8),
-        BoundCheck("max_norm_product", x_norm + 1e-8, worst_product, 0.0,
-                   worst_product <= x_norm + 1e-8),
-        BoundCheck("remainder_in_hereditary", 1e-8 * max(1.0, rem_norm), rem_defect,
-                   0.0, rem_defect <= 1e-8 * max(1.0, rem_norm)),
-        BoundCheck("commutator_count", float(count), float(len(pairs)), 0.0,
-                   len(pairs) == count),
+        BoundCheck("reconstruction_residual", 1e-8 * max(1.0, x_norm), recon_err, 0.0),
+        BoundCheck("remainder_norm", K * x_norm + 1e-8, rem_norm, 0.0),
+        BoundCheck("max_norm_product", x_norm + 1e-8, worst_product, 0.0),
+        BoundCheck("remainder_in_hereditary", 1e-8 * max(1.0, rem_norm), rem_defect, 0.0),
+        BoundCheck("commutator_count", float(count), float(len(pairs)), 0.0),
     ]
     return PushStepResult(pairs=pairs, remainder=remainder, remainder_norm=rem_norm,
                           y=y, witness=wit, checks=checks)
@@ -544,19 +540,11 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
     [S, E] is exactly the block diagonal of the defects.
     """
     bm = as_matrix(b, square=True, name="b")
-    d = int(n_blocks)
-    if d < 1 or bm.shape[0] % d:
-        raise InvalidInputError(f"matrix size {bm.shape[0]} is not {d} equal blocks")
-    r = bm.shape[0] // d
-    if len(pairs) != d:
-        raise InvalidInputError("need one (x, y) pair per diagonal block")
     em = as_matrix(e, square=True, name="e")
-    if em.shape[0] != r:
-        raise InvalidInputError("e must have the block size")
     xy = [(as_matrix(x, square=True, name="x"), as_matrix(y, square=True, name="y"))
           for x, y in pairs]
-    if any(x.shape[0] != r or y.shape[0] != r for x, y in xy):
-        raise InvalidInputError("pair factors must have the block size")
+    d = int(n_blocks)
+    r = require_block_layout(bm.shape[0], d, xy, em)
 
     b_norm = operator_norm(bm)
     diag = [bm[i * r:(i + 1) * r, i * r:(i + 1) * r] for i in range(d)]
@@ -566,8 +554,7 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
         if norm_exceeds(defects[0], 1e-8 * max(1.0, b_norm)):
             raise InvalidInputError("with one block, b_11 must itself be [x_1, y_1]")
         zero = np.zeros_like(bm)
-        checks = [BoundCheck("shift_reconstruction", 1e-9 * max(1.0, b_norm), 0.0,
-                             0.0, True)]
+        checks = [BoundCheck("shift_reconstruction", 1e-9 * max(1.0, b_norm), 0.0, 0.0)]
         return BlockSplitResult(zero, zero.copy(), zero.copy(), bm.copy(), checks)
     total = sum(defects)
     if norm_exceeds(total, 1e-8 * max(1.0, b_norm)):
@@ -605,10 +592,9 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
         operator_norm(rest[i * r:(i + 1) * r, i * r:(i + 1) * r] - comms[i])
         for i in range(d))
     checks = [
-        BoundCheck("shift_reconstruction", 1e-9 * max(1.0, b_norm), recon_err, 0.0,
-                   recon_err <= 1e-9 * max(1.0, b_norm)),
-        BoundCheck("rest_diagonal_is_commutators", 1e-10 * max(1.0, b_norm),
-                   rest_diag_err, 0.0, rest_diag_err <= 1e-10 * max(1.0, b_norm)),
+        BoundCheck("shift_reconstruction", 1e-9 * max(1.0, b_norm), recon_err, 0.0),
+        BoundCheck("rest_diagonal_is_commutators", 1e-10 * max(1.0, b_norm), rest_diag_err,
+                   0.0),
     ]
     return BlockSplitResult(shift_upper=shift_upper, shift_lower=shift_lower,
                             diag_part=diag_part, rest=rest, checks=checks)

@@ -28,6 +28,7 @@ from tracezero.ozfield import (
 from tracezero.rand import SplitMix64, random_trace_zero_hermitian
 
 CERTCHECK = pathlib.Path(tracezero.__file__).parent / "certcheck.py"
+JSONIO = pathlib.Path(tracezero.__file__).parent / "jsonio.py"
 
 
 def outputs():
@@ -231,6 +232,7 @@ def _imported_names(tree):
 
 
 def test_checker_imports_no_constructor():
+    # jsonio too: its input decoders run inside verify
     forbidden_modules = {"selfcomm", "towers", "cli", "tracezero"}
     forbidden_names = {
         "ozfield": {"decompose_field", "barycentric_subdivide", "subdivide_field",
@@ -242,12 +244,59 @@ def test_checker_imports_no_constructor():
                     "frobenius_bounds", "frobenius_bound", "norm_exceeds"},
         "jsonio": {"matrix_to_json", "field_to_json"},
     }
-    imports = list(_imported_names(ast.parse(CERTCHECK.read_text())))
-    assert ("matcore", "operator_norm") in imports  # the guard reads real imports
-    for module, name in imports:
-        assert module not in forbidden_modules, f"certcheck imports {module}"
-        assert name not in forbidden_names.get(module, set()), f"certcheck imports {name}"
-        assert name != "*"
+    for path, known in ((CERTCHECK, ("matcore", "operator_norm")),
+                        (JSONIO, ("obstruct", "BundleExpr"))):
+        imports = list(_imported_names(ast.parse(path.read_text())))
+        assert known in imports  # the guard reads real imports
+        for module, name in imports:
+            assert module not in forbidden_modules, f"{path.name} imports {module}"
+            assert name not in forbidden_names.get(module, set()), f"{path.name} imports {name}"
+            assert name != "*"
+
+
+# --------------------------------------------------------------------------
+# An invalid input echoed in a valid output: verify decodes the echo with
+# the command's own decoder, so it exits as the command does on that input.
+
+_M1 = {"n": 1, "entries": [[[0.0, 0.0]]]}
+_TWO_BLOCK_SPLIT = {"blocks": 2, "b": matrix_to_json(np.diag([1.0, -1.0])),
+                    "pairs": [{"x": _M1, "y": _M1}] * 2, "e": {"n": 1, "entries": [[[1.0, 0.0]]]}}
+_MATRIX_TOWER = {"tower": {"blocks": [matrix_to_json(np.diag([1.0, 1.0, 0.0, 0.0])),
+                                      matrix_to_json(np.diag([0.0, 0.0, 1.0, 1.0]))]},
+                 "z0": matrix_to_json(np.diag([1.0, -1.0, 0.0, 0.0]))}
+_RANK_TOWER = {"tower": {"blocks": [{"rank": 2}, {"rank": 2}], "ambient": 4}}
+
+
+@pytest.mark.parametrize("command, valid, flags, edit", [
+    ("block-split", _TWO_BLOCK_SPLIT, (),
+     lambda d: d.update(e=matrix_to_json(np.eye(2)))),
+    ("fack-run", _MATRIX_TOWER, (),
+     lambda d: d["tower"]["blocks"].__setitem__(1, matrix_to_json(np.eye(2)))),
+    ("fack-run", _RANK_TOWER, ("--seed", "4"), lambda d: d["tower"].update(ambient=3)),
+    ("block-split", _TWO_BLOCK_SPLIT, (), lambda d: d["pairs"].pop()),
+    ("block-split", _TWO_BLOCK_SPLIT, (), lambda d: d.update(blocks=3)),
+    ("pp-example", {"m": 2}, (), lambda d: d.update(m=1559)),
+    ("tower", {"m_max": 2}, (), lambda d: d.update(m_max=4)),
+    ("block-split", _TWO_BLOCK_SPLIT, (),
+     lambda d: d["pairs"][0].update(x=matrix_to_json(np.eye(2)))),
+    ("fack-run", _RANK_TOWER, ("--seed", "4"), lambda d: d["tower"].update(deltas=[0.5, 0.25])),
+    ("fack-run", _RANK_TOWER, ("--seed", "4"), lambda d: d.update(depth=2)),
+    ("obstruct", {"q": {"variables": 2, "summands": [[1, 1]]}, "n": 1}, (),
+     lambda d: d["q"].update(summands=[[1]])),
+    ("obstruct", {"q": {"variables": 1, "summands": [[1]]}, "n": 1}, (),
+     lambda d: d.update(n=2_000_000)),
+], ids=["e-size", "tower-element-size", "ambient-too-small", "pair-count", "block-count",
+        "pp-example-cap", "tower-cap", "pair-size", "delta-count", "depth-range",
+        "degree-vector-length", "summand-cap"])
+def test_verify_decodes_the_echo_as_the_command_does(command, valid, flags, edit):
+    code, out, _ = run_cmd(command, valid, *flags)
+    assert code == 0
+    bad = copy.deepcopy(out["input"])
+    edit(bad)
+    expected = run_cmd(command, bad, *flags)[:2]
+    assert expected[0] == 2 and set(expected[1]) == {"error", "path"}
+    out["input"] = bad
+    assert run_cmd("verify", out)[:2] == expected
 
 
 # --------------------------------------------------------------------------

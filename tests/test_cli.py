@@ -423,6 +423,17 @@ class TestHostileInput:
         assert code == 0
         assert vdoc["result"]["verified"]
 
+    @pytest.mark.parametrize("depth", [2, 0])
+    def test_fack_run_reads_an_integral_float_depth_in_its_input(self, depth):
+        by_int = run_cmd("fack-run", {**sample_tower_doc(), "depth": depth})
+        code, out, text = run_cmd("fack-run", {**sample_tower_doc(), "depth": float(depth)})
+        assert code == by_int[0] == 0
+        assert out["result"] == by_int[1]["result"]
+        assert f'"depth": {depth},' in text  # the result's depth prints as an integer
+        code, vdoc, _ = run_cmd("verify", out)
+        assert code == 0
+        assert vdoc["result"]["verified"]
+
     def test_obstruct_coefficient_over_the_digit_limit_exits_2(self):
         doc = {"q": {"variables": 300, "summands": [[10 ** 18] * 300]}, "n": 300}
         code, out, _ = run_cmd("obstruct", doc)

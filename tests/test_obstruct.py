@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import monomial, reference_euler_class
 from tracezero.errors import InvalidInputError
+from tracezero.jsonio import decode_input
 from tracezero.obstruct import (
     BundleExpr,
     SquareFreeClass,
@@ -19,7 +20,7 @@ from tracezero.obstruct import (
     sqfree_mul,
     villadsen_tower,
 )
-from tracezero.ozfield import is_trace_zero_field
+from tracezero.ozfield import decompose_field, greedy_coloring
 
 
 def normal(m, coeffs) -> SquareFreeClass:
@@ -183,6 +184,19 @@ class TestObstructionCertificate:
             assert cert.euler_class == SquareFreeClass(
                 m, {monomial(*range(1, m + 1)): math.factorial(m)})
 
+    def test_summand_cap_is_one_rule_and_its_check_builds_no_sum(self, monkeypatch):
+        q = {"variables": 1, "summands": [[1], [2]]}
+        with pytest.raises(InvalidInputError, match="need at least one copy"):
+            obstruction_certificate(BundleExpr.from_json(q), 0)
+        with pytest.raises(InvalidInputError, match="exceed a million summands"):
+            obstruction_certificate(BundleExpr.from_json(q), 500_001)
+        monkeypatch.setattr(BundleExpr, "repeated",
+                            lambda self, n: pytest.fail("the decoder built the n-fold sum"))
+        bundle, n = decode_input("obstruct", {"q": q, "n": 500_000})
+        assert (bundle.rank, n) == (2, 500_000)
+        with pytest.raises(InvalidInputError, match="exceed a million summands"):
+            decode_input("obstruct", {"q": q, "n": 500_001})
+
 
 class TestPPExample:
     def test_m_one(self):
@@ -191,7 +205,7 @@ class TestPPExample:
         assert ex.certificate.euler_class == SquareFreeClass(1, {monomial(1): 1})
         assert ex.field is not None
         assert ex.field.complex.vertex_count == 6
-        assert is_trace_zero_field(ex.field)
+        assert decompose_field(ex.field, greedy_coloring(ex.field.complex)).report.all_passed
 
     def test_m_three(self):
         ex = pp_example(3)

@@ -16,12 +16,11 @@ from tracezero.ozfield import (
     decompose_field,
     field_residual_against,
     greedy_coloring,
-    is_proper,
-    is_trace_zero_field,
     make_field,
     octahedron_complex,
     phi_k,
     psi_k,
+    require_proper,
     sample_grid,
     solid_triangle_complex,
     subdivide_field,
@@ -71,7 +70,7 @@ class TestSubdivision:
         assert two_colorable(sub.complex)
         assert sub.complex.vertex_count == 6
         assert sub.coloring.color_count == 2
-        assert is_proper(sub.complex, sub.coloring)
+        require_proper(sub.complex, sub.coloring)
 
     def test_solid_triangle(self):
         # faces: 3 vertices + 3 edges + 1 triangle
@@ -79,7 +78,7 @@ class TestSubdivision:
         assert sub.complex.vertex_count == 7
         assert sub.coloring.color_count == 3
         assert len(sub.complex.maximal_simplices) == 6
-        assert is_proper(sub.complex, sub.coloring)
+        require_proper(sub.complex, sub.coloring)
 
     def test_octahedron_subdivision_counts(self):
         sub = barycentric_subdivide(octahedron_complex())
@@ -92,13 +91,13 @@ class TestColoring:
     def test_greedy_octahedron(self):
         col = greedy_coloring(octahedron_complex())
         assert col.color_count == 3
-        assert is_proper(octahedron_complex(), col)
+        require_proper(octahedron_complex(), col)
 
     def test_greedy_even_cycle(self):
         c = circle_complex(8)
         col = greedy_coloring(c)
         assert col.color_count == 2
-        assert is_proper(c, col)
+        require_proper(c, col)
 
 
 class TestGrid:
@@ -207,18 +206,22 @@ class TestSampling:
 
 
 class TestTraceZeroField:
+    """decompose_field's vertex trace rule: the trace is PL, so the vertices
+    decide whether a field is pointwise trace zero."""
+
     def test_constant_traceless(self):
         c = circle_complex(4)
-        assert is_trace_zero_field(make_field(c, [SZ] * 4))
+        assert decompose_field(make_field(c, [SZ] * 4), greedy_coloring(c)).report.all_passed
 
     def test_identity_field(self):
         c = circle_complex(4)
-        assert not is_trace_zero_field(make_field(c, [np.eye(2, dtype=complex)] * 4))
+        with pytest.raises(InvalidInputError, match="vertex 0 value has nonzero trace"):
+            decompose_field(make_field(c, [np.eye(2, dtype=complex)] * 4), greedy_coloring(c))
 
     def test_scalar_multiples_of_traceless(self):
         c = circle_complex(5)
         vals = [float(k) * (SX + SY) for k in range(5)]
-        assert is_trace_zero_field(make_field(c, vals))
+        assert decompose_field(make_field(c, vals), greedy_coloring(c)).report.all_passed
 
 
 class TestDecomposeField:

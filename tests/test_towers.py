@@ -3,6 +3,7 @@ import pytest
 
 from helpers import run_script
 from tracezero.errors import InvalidInputError, NumericsError, PreconditionError
+from tracezero.jsonio import decode_input, matrix_to_json
 from tracezero.matcore import commutator, operator_norm, verify_decomposition
 from tracezero.rand import SplitMix64, random_complex_matrix, random_hermitian
 from tracezero.towers import (
@@ -242,6 +243,39 @@ class TestTowerModel:
         tower = make_block_tower([2, 2, 2], L=1, K=1, ambient=8)
         assert tower.depth_limit == 2
         assert tower.elements[0].shape == (8, 8)
+
+
+# The fack-run decoder runs inside verify, which imports no constructor, so
+# the towers guards keep their own copy of the tower input rules for Python
+# callers. Each pair below breaks one rule in both; the messages must agree.
+_P = [np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])]
+
+
+def _tower_case(tower, build, depth=None):
+    return (lambda: decode_input("fack-run", {"tower": tower, "depth": depth}).run_depth(None),
+            build)
+
+
+@pytest.mark.parametrize("decode, build", [
+    _tower_case({"blocks": [{"rank": 2}, {"rank": 2}], "deltas": [0.5, 0.25]},
+                lambda: make_block_tower([2, 2], deltas=[0.5, 0.25])),
+    _tower_case({"blocks": [{"rank": 2}, {"rank": 2}], "ambient": 3},
+                lambda: make_block_tower([2, 2], ambient=3)),
+    _tower_case({"blocks": [matrix_to_json(_P[0]), matrix_to_json(_P[1] + 1e-3j * np.eye(4))]},
+                lambda: TowerModel(elements=[_P[0], _P[1] + 1e-3j * np.eye(4)],
+                                   epsilons=[0.5] * 2, L=1, K=1, M=1, deltas=[0.5])),
+    _tower_case({"blocks": [matrix_to_json(_P[0]), matrix_to_json(np.eye(2))]},
+                lambda: TowerModel(elements=[_P[0], np.eye(2)], epsilons=[0.5] * 2,
+                                   L=1, K=1, M=1, deltas=[0.5])),
+    _tower_case({"blocks": [{"rank": 1}, {"rank": 1}]},
+                lambda: tower_iterate(np.zeros((2, 2)), make_block_tower([1, 1]), 2), depth=2),
+], ids=["delta-count", "ambient", "element-hermitian", "element-size", "depth-range"])
+def test_tower_guards_word_each_rule_as_the_fack_run_decoder(decode, build):
+    with pytest.raises(InvalidInputError) as from_decoder:
+        decode()
+    with pytest.raises(InvalidInputError) as from_towers:
+        build()
+    assert str(from_towers.value) == str(from_decoder.value)
 
 
 class TestTowerIterate:
