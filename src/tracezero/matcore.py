@@ -13,7 +13,10 @@ dataclasses.  Conventions fixed here and relied on everywhere else:
 * a product that ``NonzeroPattern`` proves exactly zero need not be formed;
 * ``hermitian_eig`` returns eigenvalues ascending with a deterministic
   eigenvector phase (the first component of modulus > 1e-8 is made real
-  positive), so bit-identical inputs give bit-identical output;
+  positive, dividing by its modulus as scalar ``abs`` takes it), so
+  bit-identical inputs give bit-identical output; it takes a matrix or a
+  stack of them, and each matrix of a stack comes out bit for bit as it
+  would alone;
 * ``verify_decomposition`` re-measures every bound a decomposition claims
   and reports one pass/fail check per claim.
 
@@ -146,9 +149,13 @@ class NonzeroPattern:
 
 def is_hermitian(a) -> bool:
     """max |a - a*| <= HERMITIAN_TOL * (1 + max |a|) entrywise."""
-    m = as_matrix(a, square=True)
-    return not m.size or bool(
-        np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL * (1.0 + float(np.max(np.abs(m)))))
+    return bool(_hermitian_each(as_matrix(a, square=True)))
+
+
+def _hermitian_each(m) -> np.ndarray:
+    """``is_hermitian``'s rule on a matrix, or on each matrix of a stack."""
+    return (np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+            <= HERMITIAN_TOL * (1.0 + np.max(np.abs(m), axis=(-2, -1), initial=0.0)))
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -181,31 +188,77 @@ class EigenSystem:
     unitary: np.ndarray
 
 
+def raise_first_failure(checks):
+    """Raise what checking the matrices of a stack one at a time would
+    raise first.
+
+    ``checks`` lists, in the order one matrix is checked, pairs (suspect,
+    confirm): ``suspect`` marks the matrices that may fail the check (an
+    exact test, or a screen) and ``confirm(k)`` returns matrix k's error,
+    or None if it passes.  Suspects are confirmed in stack order; an error
+    that confirming raises is matrix k's error too.  The error raised
+    carries the failing matrix's position in the stack as ``index``.
+    """
+    suspect = np.array([flags for flags, _ in checks], dtype=bool)
+    for k in np.flatnonzero(suspect.any(axis=0)).tolist():
+        for flagged, (_, confirm) in zip(suspect[:, k], checks):
+            if not flagged:
+                continue
+            try:
+                err = confirm(k)
+            except (InvalidInputError, np.linalg.LinAlgError) as exc:
+                err = exc  # e.g. the SVD of an overflowed matrix
+            if err is not None:
+                err.index = k
+                raise err
+
+
 def _fix_phases(u: np.ndarray) -> np.ndarray:
-    """Make the first component of modulus > PHASE_CUTOFF real positive."""
-    u = u.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        big = np.flatnonzero(np.abs(col) > PHASE_CUTOFF)
-        if big.size:
-            pivot = col[big[0]]
-            u[:, j] = col * (np.conj(pivot) / abs(pivot))
-    return u
+    """Make the first component of modulus > PHASE_CUTOFF of every column
+    real positive, in a stack of unitaries.  The pivot p's modulus is
+    hypot(p.real, p.imag), as scalar ``abs`` takes it: ``np.abs`` of a
+    complex array can differ from it in the last bit."""
+    big = np.abs(u) > PHASE_CUTOFF
+    has = big.any(axis=-2, keepdims=True)
+    pivot = np.take_along_axis(u, np.argmax(big, axis=-2)[..., None, :], axis=-2)
+    pivot = np.where(has, pivot, 1.0)
+    return np.where(has, u * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag)), u)
 
 
-def hermitian_eig(a) -> EigenSystem:
-    """Diagonalize a Hermitian matrix with the deterministic phase convention."""
-    m = require_hermitian(a)
-    h = (m + m.conj().T) / 2.0
-    eigenvalues, u = np.linalg.eigh(h)
+def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
+    """Diagonalize a Hermitian matrix with the deterministic phase
+    convention, or each matrix of a stack (V, n, n) at once: one ``eigh``,
+    one phase fix and the two guards screened by ``frobenius_bounds``, an
+    SVD only where the screen cannot decide.  A matrix is the V = 1 stack.
+    A stack that fails raises as ``raise_first_failure`` says."""
+    m = np.asarray(a, dtype=complex)
+    stack = m[None] if m.ndim == 2 else m
+    if stack.ndim != 3:
+        raise InvalidInputError(f"{name} must be 2-dimensional, got shape {m.shape}")
+    if stack.shape[1] != stack.shape[2]:
+        raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        stack = np.where(finite[:, None, None], stack, 0.0)
+    hermitian = _hermitian_each(stack)
+    eigenvalues, u = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)
     u = _fix_phases(u)
-    n = m.shape[0]
-    if norm_exceeds(u @ u.conj().T - np.eye(n), EIG_TOL):
-        raise NumericsError("eigenvector matrix failed the unitarity check")
-    recon_err = m - (u * eigenvalues) @ u.conj().T
-    if (frobenius_bound(recon_err) > EIG_TOL
-            and operator_norm(recon_err) > EIG_TOL * max(1.0, operator_norm(m))):
-        raise NumericsError("eigendecomposition failed the reconstruction check")
+    u_star = u.conj().swapaxes(1, 2)
+    defect = u @ u_star - np.eye(stack.shape[1])
+    recon_err = stack - (u * eigenvalues[:, None, :]) @ u_star
+    raise_first_failure([
+        (~finite, lambda k: InvalidInputError(f"{name} has non-finite entries")),
+        (~hermitian, lambda k: InvalidInputError(
+            f"{name} is not Hermitian within tolerance {HERMITIAN_TOL}")),
+        (frobenius_bounds(defect) > EIG_TOL, lambda k: NumericsError(
+            "eigenvector matrix failed the unitarity check")
+         if operator_norm(defect[k]) > EIG_TOL else None),
+        (frobenius_bounds(recon_err) > EIG_TOL, lambda k: NumericsError(
+            "eigendecomposition failed the reconstruction check")
+         if operator_norm(recon_err[k]) > EIG_TOL * max(1.0, operator_norm(stack[k])) else None),
+    ])
+    if m.ndim == 2:
+        return EigenSystem(eigenvalues=eigenvalues[0], unitary=u[0])
     return EigenSystem(eigenvalues=eigenvalues, unitary=u)
 
 

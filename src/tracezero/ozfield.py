@@ -33,8 +33,9 @@ from .matcore import (
     as_matrix,
     max_operator_norm,
     operator_norm,
+    raise_first_failure,
 )
-from .selfcomm import self_commutator_decompose
+from .selfcomm import self_commutator_factors
 
 GRID_ORDER = 8
 # Lattice points of one maximal simplex with k vertices: C(k + 7, 8), so
@@ -393,12 +394,13 @@ def _max_norm(mats) -> float:
 def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDecomposition:
     """Decompose a pointwise trace-zero field into color_count self-commutators.
 
-    Each vertex value is written as [x_v*, x_v]; color k collects its
-    vertices into one sqrt(hat)-weighted factor y_k.  Disjoint same-color
-    stars make the cross terms vanish, so sum_k [y_k*, y_k] equals the PL
-    interpolation of the field; the residual is measured on the sample grid,
-    GRID_CHUNK_ENTRIES matrix entries at a time, each bracket formed once
-    per (vertex, level) a chunk uses.  The bound norm(y_k)^2 <= 2*sup_norm +
+    Each vertex value is written as [x_v*, x_v], all of them in one stacked
+    pass (``self_commutator_factors``) after one stacked trace check; color
+    k collects its vertices into one sqrt(hat)-weighted factor y_k.
+    Disjoint same-color stars make the cross terms vanish, so sum_k
+    [y_k*, y_k] equals the PL interpolation of the field; the residual is
+    measured on the sample grid, GRID_CHUNK_ENTRIES matrix entries at a
+    time, each bracket formed once per (vertex, level) a chunk uses.  The bound norm(y_k)^2 <= 2*sup_norm +
     1e-8 is checked at the vertices, where norm(sqrt(w) x_v) peaks (w = 1, a
     lattice point).  The residual, sup_norm and factor norm are the exact
     SVD maxima; the Frobenius screen only skips SVDs that cannot change them.
@@ -418,11 +420,13 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
             f"budget of {COMPLEX_GRID_BUDGET}")
     require_proper(fld.complex, coloring)
     n = fld.matrix_size
-    for v, value in enumerate(fld.values):
-        trace = abs(np.trace(value))
-        if trace > TRACE_TOL * n and trace > TRACE_TOL * n * operator_norm(value):
-            raise InvalidInputError(f"vertex {v} value has nonzero trace")
-    x_factors = [self_commutator_decompose(value).factors[0] for value in fld.values]
+    values = np.stack(fld.values)
+    traces = np.trace(values, axis1=1, axis2=2)
+    trace = np.hypot(traces.real, traces.imag)  # bit for bit abs() of each
+    raise_first_failure([(trace > TRACE_TOL * n, lambda v: InvalidInputError(
+        f"vertex {v} value has nonzero trace")
+        if trace[v] > TRACE_TOL * n * operator_norm(values[v]) else None)])
+    x_factors, _ = self_commutator_factors(values)
 
     factors = []
     for k in range(coloring.color_count):

@@ -64,9 +64,3 @@ def random_trace_zero_hermitian(rng: SplitMix64, n: int) -> np.ndarray:
     h -= (np.trace(h).real / n) * np.eye(n)
     return h
 
-
-def random_unitary(rng: SplitMix64, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(random_complex_matrix(rng, n))
-    d = np.diagonal(r)
-    phase = d / np.abs(d)
-    return q * phase

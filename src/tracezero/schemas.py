@@ -1,7 +1,7 @@
 """Input schemas for every CLI command (draft 2020-12), and their validation.
 
-The copies under docs/schemas/ are generated from these dicts; a test keeps
-them in sync.
+The copies under docs/schemas/ are written from these dicts by
+scripts/write_schemas.py; a test keeps them in sync.
 
 ``validate`` checks a document fast and words errors slowly: an envelope
 validator, derived from each schema, checks every matrix ``entries`` leaf
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
-import pathlib
 
 from jsonschema import Draft202012Validator, ValidationError, validators
 from jsonschema.exceptions import best_match
@@ -243,14 +241,3 @@ def validate(doc, command: str):
     if error is not None:
         raise error
 
-
-def write_schema_files(directory) -> list:
-    """Write one <name>.schema.json per schema; returns the paths."""
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, schema in sorted(NAMED_SCHEMAS.items()):
-        path = directory / f"{name}.schema.json"
-        path.write_text(json.dumps(schema, indent=2, sort_keys=True) + "\n")
-        paths.append(path)
-    return paths

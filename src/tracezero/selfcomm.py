@@ -16,7 +16,6 @@ decompositions keep their final count small.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .matcore import (
     frobenius_bound,
     hermitian_eig,
     operator_norm,
+    raise_first_failure,
     require_hermitian,
 )
 
@@ -41,61 +41,72 @@ PRODUCT_TOL = 1e-10  # largest cross product collapse_orthogonal accepts
 
 @dataclass(frozen=True)
 class PartialSumOrder:
-    """A visiting order of the eigenvalues and its running partial sums."""
+    """A visiting order of the eigenvalues and its running partial sums: a
+    tuple and a vector for one multiset, (V, n) arrays for V rows of them."""
 
     permutation: tuple
     partial_sums: np.ndarray
 
 
-def _check_near_zero_sum(lam: np.ndarray, trace_tol: float):
-    mx = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if abs(float(np.sum(lam))) > trace_tol * lam.size * mx:
-        raise InvalidInputError(
-            f"trace too far from zero: sum={float(np.sum(lam)):.3e}, "
-            f"allowed {trace_tol * lam.size * mx:.3e}")
-    return mx
+def _rows(eigenvalues) -> np.ndarray:
+    """A 2-d array of rows as given; anything else as one row."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    rows = lam if lam.ndim == 2 else lam.ravel()[None]
+    if rows.shape[1] == 0:
+        raise InvalidInputError("empty eigenvalue list")
+    return rows
 
 
-def _finish_order(lam: np.ndarray, perm: list, mx: float) -> PartialSumOrder:
-    sums = np.cumsum(lam[perm])
-    slack = 1e-10 * lam.size * mx + 1e-30
-    if abs(sums[-1]) > slack:
-        raise NumericsError("partial sums failed to return to zero")
-    return PartialSumOrder(permutation=tuple(perm), partial_sums=sums)
+def _check_order(rows: np.ndarray, sums: np.ndarray, mx: np.ndarray, trace_tol: float,
+                 window, message: str):
+    """Check the order of every row, as each row alone is checked: its sum
+    is near zero, its partial sums return to zero, and they stay inside the
+    window (``window(sums, slack)`` marks the rows that leave it)."""
+    total = rows.sum(axis=1)
+    allowed = trace_tol * rows.shape[1] * mx
+    slack = 1e-10 * rows.shape[1] * mx + 1e-30
+    raise_first_failure([
+        (np.abs(total) > allowed, lambda k: InvalidInputError(
+            f"trace too far from zero: sum={total[k]:.3e}, allowed {allowed[k]:.3e}")),
+        (np.abs(sums[:, -1]) > slack,
+         lambda k: NumericsError("partial sums failed to return to zero")),
+        (window(sums, slack), lambda k: NumericsError(message)),
+    ])
 
 
 def greedy_nonneg_order(eigenvalues, *, trace_tol: float = TRACE_TOL) -> PartialSumOrder:
-    """Order a zero-sum multiset so partial sums stay in [0, 2*max|value|].
+    """Order a zero-sum multiset so partial sums stay in [0, 2*max|value|];
+    each row of a 2-d array is one multiset, and all rows are ordered at once.
 
     Rule: while the running sum is below max|value| and a nonnegative value
     remains, take the largest remaining nonnegative value; otherwise take the
     largest (closest to zero) remaining negative value.  Ties break on the
-    original index.
+    original index: each step is one masked ``argmax`` per row, which takes
+    the first of equal values.
     """
-    lam = np.asarray(eigenvalues, dtype=float).ravel()
-    if lam.size == 0:
-        raise InvalidInputError("empty eigenvalue list")
-    mx = _check_near_zero_sum(lam, trace_tol)
-    remaining = list(range(lam.size))
-    perm = []
-    s = 0.0
-    while remaining:
-        nonneg = [i for i in remaining if lam[i] >= 0.0]
-        neg = [i for i in remaining if lam[i] < 0.0]
-        if s < mx and nonneg:
-            pick = max(nonneg, key=lambda i: (lam[i], -i))
-        elif neg:
-            pick = max(neg, key=lambda i: (lam[i], -i))
-        else:  # only float dust can land here
-            pick = max(nonneg, key=lambda i: (lam[i], -i))
-        remaining.remove(pick)
-        s += lam[pick]
-        perm.append(pick)
-    order = _finish_order(lam, perm, mx)
-    slack = 1e-10 * lam.size * mx + 1e-30
-    if np.min(order.partial_sums) < -slack or np.max(order.partial_sums) > 2.0 * mx + slack:
-        raise NumericsError("greedy partial sums left [0, 2*max] window")
-    return order
+    rows = _rows(eigenvalues)
+    count, n = rows.shape
+    mx = np.max(np.abs(rows), axis=1)
+    nonneg = rows >= 0.0
+    neg = rows < 0.0
+    at = np.arange(count)
+    perm = np.empty((count, n), dtype=np.intp)
+    s = np.zeros(count)
+    for step in range(n):
+        use_nonneg = (s < mx) & nonneg.any(axis=1) | ~neg.any(axis=1)
+        pool = np.where(use_nonneg[:, None], nonneg, neg)
+        pick = np.argmax(np.where(pool, rows, -np.inf), axis=1)
+        nonneg[at, pick] = neg[at, pick] = False
+        s = s + rows[at, pick]
+        perm[:, step] = pick
+    sums = np.cumsum(np.take_along_axis(rows, perm, axis=1), axis=1)
+    _check_order(rows, sums, mx, trace_tol,
+                 lambda sums, slack: (np.min(sums, axis=1) < -slack)
+                 | (np.max(sums, axis=1) > 2.0 * mx + slack),
+                 "greedy partial sums left [0, 2*max] window")
+    if np.ndim(eigenvalues) == 2:
+        return PartialSumOrder(permutation=perm, partial_sums=sums)
+    return PartialSumOrder(permutation=tuple(perm[0].tolist()), partial_sums=sums[0])
 
 
 def signed_order(eigenvalues, *, trace_tol: float = TRACE_TOL) -> PartialSumOrder:
@@ -104,10 +115,7 @@ def signed_order(eigenvalues, *, trace_tol: float = TRACE_TOL) -> PartialSumOrde
     Rule: take the largest remaining value while the running sum is <= 0,
     else the smallest.  Ties break on the original index.
     """
-    lam = np.asarray(eigenvalues, dtype=float).ravel()
-    if lam.size == 0:
-        raise InvalidInputError("empty eigenvalue list")
-    mx = _check_near_zero_sum(lam, trace_tol)
+    lam = _rows(eigenvalues)[0]
     remaining = list(range(lam.size))
     perm = []
     s = 0.0
@@ -119,34 +127,52 @@ def signed_order(eigenvalues, *, trace_tol: float = TRACE_TOL) -> PartialSumOrde
         remaining.remove(pick)
         s += lam[pick]
         perm.append(pick)
-    order = _finish_order(lam, perm, mx)
-    slack = 1e-10 * lam.size * mx + 1e-30
-    if np.max(np.abs(order.partial_sums)) > mx + slack:
-        raise NumericsError("signed partial sums left [-max, +max] window")
-    return order
+    sums = np.cumsum(lam[perm])
+    mx = np.max(np.abs(lam))
+    _check_order(lam[None], sums[None], np.array([mx]), trace_tol,
+                 lambda sums, slack: np.max(np.abs(sums), axis=1) > mx + slack,
+                 "signed partial sums left [-max, +max] window")
+    return PartialSumOrder(permutation=tuple(perm), partial_sums=sums)
+
+
+def self_commutator_factors(stack, *, trace_tol: float = TRACE_TOL):
+    """Write each trace-zero Hermitian a_v of a stack (V, n, n) as [x_v*, x_v].
+
+    Returns the factors x as a (V, n, n) stack and the norms max|eigenvalue
+    of a_v|.  One ``hermitian_eig`` of the stack, one ``greedy_nonneg_order``
+    of its eigenvalue rows and one batched product x = u shift u*, where u
+    holds the eigenvectors in visiting order and shift is the weighted lower
+    shift with weights sqrt(s_k); then [x*, x] reproduces a and norm(x)^2 =
+    max s_k <= 2*norm(a).  Each x_v is bit for bit what a_v gives alone, and
+    a stack that fails raises what decomposing its matrices in order would
+    raise first.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    try:
+        es = hermitian_eig(stack, name="a")
+    except (InvalidInputError, NumericsError) as err:
+        if getattr(err, "index", 0):  # an earlier matrix may fail its ordering first
+            self_commutator_factors(stack[:err.index], trace_tol=trace_tol)
+        raise
+    order = greedy_nonneg_order(es.eigenvalues, trace_tol=trace_tol)
+    count, n = order.partial_sums.shape
+    shift = np.zeros((count, n, n), dtype=complex)
+    k = np.arange(n - 1)
+    shift[:, k + 1, k] = np.sqrt(np.clip(order.partial_sums[:, :-1], 0.0, None))
+    u = np.take_along_axis(es.unitary, order.permutation[:, None, :], axis=2)
+    x = u @ shift @ u.conj().swapaxes(1, 2)
+    return x, np.max(np.abs(es.eigenvalues), axis=1)
 
 
 def self_commutator_decompose(a, *, trace_tol: float = TRACE_TOL) -> CommutatorDecomposition:
-    """Write a trace-zero Hermitian matrix as a single [x*, x].
-
-    Diagonalize, reorder by ``greedy_nonneg_order`` and take x to be the
-    weighted lower shift with weights sqrt(s_k) in the reordered eigenbasis;
-    then [x*, x] reproduces a and norm(x)^2 = max s_k <= 2*norm(a).
-    """
-    am = require_hermitian(a, name="a")
-    es = hermitian_eig(am)
-    order = greedy_nonneg_order(es.eigenvalues, trace_tol=trace_tol)
-    s = np.clip(order.partial_sums, 0.0, None)
-    n = am.shape[0]
-    shift = np.zeros((n, n), dtype=complex)
-    for k in range(n - 1):
-        shift[k + 1, k] = math.sqrt(s[k])
-    u = es.unitary[:, list(order.permutation)]
-    x = u @ shift @ u.conj().T
-    a_norm = float(np.max(np.abs(es.eigenvalues)))
+    """Write a trace-zero Hermitian matrix as a single [x*, x], the V = 1
+    case of ``self_commutator_factors``."""
+    am = as_matrix(a, square=True, name="a")
+    x, norms = self_commutator_factors(am[None], trace_tol=trace_tol)
+    a_norm = float(norms[0])
     return CommutatorDecomposition(
         kind=KIND_SELF,
-        factors=[x],
+        factors=[x[0]],
         residual=np.zeros_like(am),
         claimed_bounds=[
             ("reconstruction_residual", 1e-9 * max(1.0, a_norm)),

@@ -1,9 +1,11 @@
-"""Shared test helpers: running the scripts, the smooth-target mesh
-refinement checks, the bitmask keys and frozenset reference of the
-square-free ring, the unscreened reference of collapse_orthogonal, and the
-per-simplex reference of the field grid pass."""
+"""Shared test helpers: running the scripts, a seeded random unitary, the
+smooth-target mesh refinement checks, the bitmask keys and frozenset
+reference of the square-free ring, the unscreened reference of
+collapse_orthogonal, the per-matrix reference of the stacked self-commutator
+pass, and the per-simplex reference of the field grid pass."""
 
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -12,7 +14,7 @@ import sys
 import numpy as np
 
 from tracezero.errors import NumericsError, PreconditionError
-from tracezero.matcore import commutator, frobenius_bound, operator_norm
+from tracezero.matcore import PHASE_CUTOFF, commutator, frobenius_bound, operator_norm
 from tracezero.ozfield import (
     GRID_ORDER,
     barycentric_lattice,
@@ -22,6 +24,7 @@ from tracezero.ozfield import (
     greedy_coloring,
     make_field,
 )
+from tracezero.rand import SplitMix64, random_complex_matrix
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -37,6 +40,15 @@ def run_script(name: str, *args: str) -> str:
         [sys.executable, str(REPO / "scripts" / name), *args],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
     return proc.stdout
+
+
+def random_unitary(rng: SplitMix64, n: int) -> np.ndarray:
+    """The Q factor of a seeded complex Gaussian matrix, its columns'
+    phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(random_complex_matrix(rng, n))
+    d = np.diagonal(r)
+    phase = d / np.abs(d)
+    return q * phase
 
 
 def smooth_circle_target(theta: float) -> np.ndarray:
@@ -153,3 +165,51 @@ def reference_field_grid(fd, fld, target=None):
     covered = {v for simplex in fld.complex.maximal_simplices for v in simplex}
     return (residual, max(operator_norm(value) for value in fld.values),
             max(operator_norm(x_factors[v]) ** 2 for v in covered))
+
+
+def reference_greedy_order(lam) -> list:
+    """The greedy nonnegative visiting order of one zero-sum multiset, one
+    Python list scan per step: the reference of the stacked masked-argmax
+    order."""
+    remaining = list(range(len(lam)))
+    perm = []
+    s = 0.0
+    mx = float(np.max(np.abs(lam)))
+    while remaining:
+        nonneg = [i for i in remaining if lam[i] >= 0.0]
+        neg = [i for i in remaining if lam[i] < 0.0]
+        if s < mx and nonneg:
+            pick = max(nonneg, key=lambda i: (lam[i], -i))
+        elif neg:
+            pick = max(neg, key=lambda i: (lam[i], -i))
+        else:  # only float dust can land here
+            pick = max(nonneg, key=lambda i: (lam[i], -i))
+        remaining.remove(pick)
+        s += lam[pick]
+        perm.append(pick)
+    return perm
+
+
+def reference_self_commutator(a):
+    """(x, visiting order) of one trace-zero Hermitian matrix, taken one
+    matrix at a time: ``eigh``, the phase fix column by column with scalar
+    ``abs`` of the pivot, ``reference_greedy_order`` and the weighted lower
+    shift built entry by entry.  The reference the stacked pass must match
+    bit for bit."""
+    m = np.asarray(a, dtype=complex)
+    eigenvalues, u = np.linalg.eigh((m + m.conj().T) / 2.0)
+    u = u.copy()
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        big = np.flatnonzero(np.abs(col) > PHASE_CUTOFF)
+        if big.size:
+            pivot = col[big[0]]
+            u[:, j] = col * (np.conj(pivot) / abs(pivot))
+    perm = reference_greedy_order(eigenvalues)
+    s = np.clip(np.cumsum(eigenvalues[perm]), 0.0, None)
+    n = m.shape[0]
+    shift = np.zeros((n, n), dtype=complex)
+    for k in range(n - 1):
+        shift[k + 1, k] = math.sqrt(s[k])
+    u = u[:, perm]
+    return u @ shift @ u.conj().T, perm

@@ -190,7 +190,8 @@ def test_a_wrong_construction_with_a_passing_report_is_rejected(monkeypatch):
                for m in result["mismatches"])
 
 
-CONSTRUCTORS = ("self_commutator_decompose", "tight_commutator_decompose", "decompose_field",
+CONSTRUCTORS = ("self_commutator_decompose", "self_commutator_factors",
+                "tight_commutator_decompose", "decompose_field",
                 "barycentric_subdivide", "subdivide_field", "greedy_coloring", "TowerModel",
                 "make_block_tower", "tower_iterate", "push_step", "cuntz_witness",
                 "collapse_orthogonal", "block_two_commutator_split", "hermitian_eig",
@@ -236,7 +237,8 @@ def test_checker_imports_no_constructor():
     forbidden_modules = {"selfcomm", "towers", "cli", "tracezero"}
     forbidden_names = {
         "ozfield": {"decompose_field", "barycentric_subdivide", "subdivide_field",
-                    "greedy_coloring", "self_commutator_decompose", "field_residual_against"},
+                    "greedy_coloring", "self_commutator_decompose", "self_commutator_factors",
+                    "field_residual_against"},
         "obstruct": {"euler_class", "sqfree_mul", "linear_power", "obstruction_certificate",
                      "pp_example", "villadsen_tower", "distance_lower_bound_cert"},
         # the screened norms too: the checker measures with SVDs the screen never touched

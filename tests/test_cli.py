@@ -13,17 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracezero
+from helpers import random_unitary, run_script
 from tracezero.cli import RunConfig, encode, main, run_from_args
 from tracezero.errors import NumericsError
 from tracezero.jsonio import field_to_json, matrix_to_json
 from tracezero.matcore import commutator
 from tracezero.ozfield import SimplicialComplex, circle_complex, make_field
-from tracezero.rand import (
-    SplitMix64,
-    random_complex_matrix,
-    random_trace_zero_hermitian,
-    random_unitary,
-)
+from tracezero.rand import SplitMix64, random_complex_matrix, random_trace_zero_hermitian
 from tracezero.schemas import INPUT_SCHEMAS, NAMED_SCHEMAS, validate
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -364,12 +360,25 @@ class TestHostileInput:
             raise AssertionError("worked on an over-budget simplex")
 
         monkeypatch.setattr("tracezero.ozfield.barycentric_lattice", refuse)
-        monkeypatch.setattr("tracezero.ozfield.self_commutator_decompose", refuse)
+        monkeypatch.setattr("tracezero.ozfield.self_commutator_factors", refuse)
         simplex = SimplicialComplex.make(16, [range(16)])
         code, doc, _ = run_cmd("decompose-field", field_to_json(make_field(simplex, [SZ] * 16)))
         assert code == 2
         assert doc == {"error": f"simplex {tuple(range(16))} of dimension 15 needs 490314 grid "
                                 "points, over the budget of 16384", "path": "stdin"}
+
+    @pytest.mark.parametrize("values, error", [
+        (["z", "not hermitian", "z"], "a is not Hermitian within tolerance 1e-12"),
+        (["z", "traced", "z"], "vertex 1 value has nonzero trace"),
+        # every vertex trace is checked before any vertex is decomposed
+        (["z", "not hermitian", "traced"], "vertex 2 value has nonzero trace"),
+    ])
+    def test_field_reports_the_first_failing_vertex(self, values, error):
+        matrices = {"z": SZ, "traced": np.eye(2, dtype=complex),
+                    "not hermitian": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)}
+        path = SimplicialComplex.make(3, [(0, 1), (1, 2)])
+        doc = field_to_json(make_field(path, [matrices[v] for v in values]))
+        assert run_cmd("decompose-field", doc)[:2] == (2, {"error": error, "path": "stdin"})
 
     @pytest.mark.parametrize("refine", ["0", "1"])
     def test_empty_simplex_exits_2(self, refine):
@@ -537,7 +546,7 @@ class TestHostileInput:
         def refuse(*args):
             raise AssertionError("decomposed a vertex of an over-budget complex")
 
-        monkeypatch.setattr("tracezero.ozfield.self_commutator_decompose", refuse)
+        monkeypatch.setattr("tracezero.ozfield.self_commutator_factors", refuse)
         simplices = list(itertools.combinations(range(12), 9))
         doc = field_to_json(make_field(SimplicialComplex.make(12, simplices), [SZ] * 12))
         start = time.perf_counter()
@@ -753,3 +762,12 @@ def test_published_schemas_match_source():
         path = schema_dir / f"{name}.schema.json"
         assert path.exists(), f"missing published schema {path}"
         assert json.loads(path.read_text()) == schema
+
+
+def test_schema_script_writes_the_published_schemas(tmp_path):
+    schema_dir = REPO / "docs" / "schemas"
+    run_script("write_schemas.py", str(tmp_path))
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in schema_dir.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (schema_dir / name).read_bytes()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_unitary
 from tracezero.errors import InvalidInputError
 from tracezero.matcore import (
     KIND_SELF,
@@ -19,7 +20,7 @@ from tracezero.matcore import (
     operator_norm,
     verify_decomposition,
 )
-from tracezero.rand import SplitMix64, random_complex_matrix, random_unitary
+from tracezero.rand import SplitMix64, random_complex_matrix
 
 
 def unit(i, j, n):
@@ -277,6 +278,28 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidInputError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+    def test_stack_is_each_matrix_alone(self):
+        rng = SplitMix64(8)
+        stack = np.array([random_complex_matrix(rng, 5) for _ in range(6)])
+        stack = stack + stack.conj().transpose(0, 2, 1)
+        stack[2] = 0.0
+        es = hermitian_eig(stack)
+        for k, a in enumerate(stack):
+            alone = hermitian_eig(a)
+            assert es.eigenvalues[k].tobytes() == alone.eigenvalues.tobytes()
+            assert es.unitary[k].tobytes() == alone.unitary.tobytes()
+
+    @pytest.mark.parametrize("rows, error", [
+        (["good", "not hermitian", "good", "not finite"], "matrix is not Hermitian"),
+        (["good", "not finite", "not hermitian"], "matrix has non-finite entries"),
+    ])
+    def test_stack_raises_for_its_first_failing_matrix(self, rows, error):
+        matrices = {"good": np.diag([1.0, -1.0]), "not hermitian": [[0.0, 1.0], [0.0, 0.0]],
+                    "not finite": np.diag([np.inf, 0.0])}
+        with pytest.raises(InvalidInputError, match=error) as info:
+            hermitian_eig(np.array([matrices[r] for r in rows], dtype=complex))
+        assert info.value.index == 1
 
 
 class TestVerifyDecomposition:

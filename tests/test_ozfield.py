@@ -1,6 +1,5 @@
 import itertools
 import math
-import types
 
 import numpy as np
 import pytest
@@ -334,14 +333,13 @@ _CASE_IDS = ["refined-octahedron", "tetrahedron", "cycle-with-isolated-vertex"]
 def _scale_factors_by_vertex(monkeypatch):
     """Scale vertex v's factor by 1 + v/100: every simplex then has its own
     residual, far from rounding."""
-    exact = ozfield.self_commutator_decompose
-    calls = itertools.count()
+    exact = ozfield.self_commutator_factors
 
-    def scaled(value):
-        return types.SimpleNamespace(
-            factors=[(1.0 + 0.01 * next(calls)) * exact(value).factors[0]])
+    def scaled(stack):
+        x, norms = exact(stack)
+        return (1.0 + 0.01 * np.arange(len(x)))[:, None, None] * x, norms
 
-    monkeypatch.setattr(ozfield, "self_commutator_decompose", scaled)
+    monkeypatch.setattr(ozfield, "self_commutator_factors", scaled)
 
 
 @pytest.mark.parametrize("case", range(3), ids=_CASE_IDS)

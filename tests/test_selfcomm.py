@@ -6,14 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_collapse, run_script
+from helpers import random_unitary, reference_collapse, reference_self_commutator, run_script
 from tracezero.errors import InvalidInputError, NumericsError, PreconditionError
-from tracezero.matcore import commutator, operator_norm, verify_decomposition
-from tracezero.rand import SplitMix64, random_trace_zero_hermitian, random_unitary
+from tracezero.matcore import (
+    PHASE_CUTOFF,
+    commutator,
+    hermitian_eig,
+    operator_norm,
+    verify_decomposition,
+)
+from tracezero.rand import SplitMix64, random_trace_zero_hermitian
 from tracezero.selfcomm import (
     collapse_orthogonal,
     greedy_nonneg_order,
     self_commutator_decompose,
+    self_commutator_factors,
     signed_order,
     tight_commutator_decompose,
 )
@@ -157,6 +164,88 @@ class TestSelfCommutatorDecompose:
     def test_rejects_nonzero_trace(self):
         with pytest.raises(InvalidInputError):
             self_commutator_decompose(np.eye(2, dtype=complex))
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """1 to 6 trace-zero Hermitian n x n matrices, n from 1 to 6, each drawn
+    apart: random at a scale from 1e-12 to 1e12, so a stack mixes scales;
+    repeated integer eigenvalues, diagonal or rotated; zero; or a diagonal
+    of +-0.0 entries, with a +-1 pair when n > 1, whose eigenvalues tie at
+    +-0.0."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "repeated", "rotated", "zero", "signed zeros"]))
+        if kind == "random":
+            h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = (h + h.conj().T) / 2.0 - np.trace(h).real / n * np.eye(n)
+            mats.append(h * 10.0 ** draw(st.integers(-12, 12)))
+        elif kind in ("repeated", "rotated"):
+            spectrum = rng.integers(-2, 3, n).astype(float)
+            spectrum[-1] = -spectrum[:-1].sum()
+            q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            a = (q * spectrum) @ q.conj().T if kind == "rotated" else np.diag(spectrum)
+            mats.append((a + a.conj().T) / 2.0)
+        elif kind == "zero":
+            mats.append(np.zeros((n, n)))
+        else:
+            diagonal = [draw(st.sampled_from([0.0, -0.0])) for _ in range(n)]
+            if n > 1:
+                diagonal[0], diagonal[1] = 1.0, -1.0
+            a = np.diag(diagonal).astype(complex)
+            a.imag = draw(st.sampled_from([0.0, -0.0]))
+            mats.append(a)
+    return np.array(mats, dtype=complex)
+
+
+class TestStackedSelfCommutator:
+    @given(hermitian_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_stack_matches_the_per_matrix_reference(self, stack):
+        x, norms = self_commutator_factors(stack)
+        order = greedy_nonneg_order(hermitian_eig(stack).eigenvalues)
+        for v, a in enumerate(stack):
+            expected, perm = reference_self_commutator(a)
+            assert x[v].view(float).tobytes() == expected.view(float).tobytes()
+            assert order.permutation[v].tolist() == perm
+            assert norms[v] == np.max(np.abs(np.linalg.eigh((a + a.conj().T) / 2.0)[0]))
+
+    def test_phase_pivot_is_divided_by_its_hypot(self):
+        # np.abs of one of this matrix's pivots differs from hypot in the
+        # last bit, and the factor with it differs from the reference
+        a = np.array([[-6.0, 4j, -2.0], [-4j, 0.0, -4j], [-2.0, 4j, 6.0]])
+        u = np.linalg.eigh(a)[1]
+        pivots = u[np.argmax(np.abs(u) > PHASE_CUTOFF, axis=0), range(3)]
+        assert np.any(np.abs(pivots) != np.hypot(pivots.real, pivots.imag))
+        x, _ = self_commutator_factors(a[None])
+        assert x[0].view(float).tobytes() == reference_self_commutator(a)[0].view(float).tobytes()
+
+    @given(st.lists(st.sampled_from(["good", "not hermitian", "traced"]), min_size=1,
+                    max_size=5))
+    @settings(max_examples=50, deadline=None)
+    def test_stack_raises_what_the_first_failing_matrix_raises(self, kinds):
+        # each traced matrix has its own trace, so the message names the row
+        stack = []
+        for v, kind in enumerate(kinds):
+            a = np.diag([1.0, -1.0 + (0.01 * (v + 1) if kind == "traced" else 0.0)])
+            a = a.astype(complex)
+            a[0, 1] = 0.5 if kind == "not hermitian" else 0.0
+            stack.append(a)
+        expected = None
+        for a in stack:
+            try:
+                self_commutator_decompose(a)
+            except InvalidInputError as err:
+                expected = err
+                break
+        if expected is None:
+            self_commutator_factors(np.array(stack))
+            return
+        with pytest.raises(type(expected)) as info:
+            self_commutator_factors(np.array(stack))
+        assert str(info.value) == str(expected)
 
 
 class TestTightCommutatorDecompose:
