@@ -5,10 +5,11 @@ import json
 
 import numpy as np
 
+from tracezero.jsonio import decode_input, matrix_to_json
 from tracezero.matcore import operator_norm, verify_decomposition
 from tracezero.obstruct import villadsen_tower
 from tracezero.rand import SplitMix64, random_trace_zero_hermitian
-from tracezero.towers import make_block_tower, tower_iterate
+from tracezero.towers import TowerModel, tower_iterate
 
 
 def main():
@@ -21,13 +22,14 @@ def main():
     spec = villadsen_tower(args.m_max)
     print(json.dumps(spec.to_json(), indent=2, sort_keys=True))
 
-    ranks = [4] * (args.depth + 1)
-    tower = make_block_tower(ranks, L=1, K=1, M=1)
+    # depth + 1 rank-4 blocks, L = K = M = 1, and z0 in block 0: a fack-run input
     rng = SplitMix64(args.seed)
-    n = sum(ranks)
+    n = 4 * (args.depth + 1)
     z0 = np.zeros((n, n), dtype=complex)
     z0[:4, :4] = random_trace_zero_hermitian(rng, 4)
-    dec, report = tower_iterate(z0, tower, args.depth)
+    inp = decode_input("fack-run", {"tower": {"blocks": [{"rank": 4}] * (args.depth + 1)},
+                                    "z0": matrix_to_json(z0)})
+    dec, report = tower_iterate(inp.z0, TowerModel(inp), args.depth)
     print(f"demo tower: depth {args.depth}, {dec.factor_count()} commutators, "
           f"residual {operator_norm(dec.residual):.3e}, "
           f"collapse defect {report.collapse_defect:.3e}, "

@@ -27,8 +27,8 @@ import numpy as np
 from jsonschema import ValidationError
 
 from .errors import InvalidInputError
-from .jsonio import TowerInput, decode_input, field_from_json, float_from_json, matrix_from_json
-from .matcore import commutator, is_hermitian, norm_ratio, operator_norm
+from .jsonio import TowerInput, decode_input, field_from_json, matrix_from_json
+from .matcore import commutator, norm_ratio, operator_norm
 from .obstruct import MAX_PAIR_VISITS
 from .ozfield import GRID_ORDER, RECON_TOL, SimplicialField, require_refine_budget
 from .schemas import validate
@@ -308,13 +308,12 @@ def _check_single_commutator(f: Findings, doc: dict, a: np.ndarray, kind: str,
 # --------------------------------------------------------------------------
 # fack-run.
 
-def _block_zero_support(tower: TowerInput, n: int) -> np.ndarray:
+def _block_zero_support(tower: TowerInput) -> np.ndarray:
     """Orthonormal basis of the support of (e_0 - eps)_+, from a singular
     value decomposition where e_0 is a matrix: e_0 is PSD, so its singular
     values are its eigenvalues."""
-    if tower.ambient != n:
-        raise Malformed("$.input.z0.n", f"{n} differs from the tower's size {tower.ambient}")
     if tower.ranks is not None:  # 0/1 projections, block 0 first
+        n = tower.ambient
         return np.eye(n, dtype=complex)[:, :tower.ranks[0] if tower.epsilon < 1.0 else 0]
     u, s, _ = np.linalg.svd(tower.elements[0])
     lifted = np.maximum(s - tower.epsilon, 0.0)
@@ -323,17 +322,17 @@ def _block_zero_support(tower: TowerInput, n: int) -> np.ndarray:
 
 
 def _check_fack_run(f: Findings, doc: dict, tower: TowerInput, depth: int | None, **_):
-    """z0 Hermitian, trace zero, inside block 0; z0 = sum [x, y] + residual
-    with norm(residual) <= delta_depth and at most L(L+K-1) + max(M,
-    L(L+K-1)) factors."""
+    """z0 inside block 0 (the decoder has checked that it is Hermitian and
+    trace zero); z0 = sum [x, y] + residual with norm(residual) <= delta_depth
+    and at most L(L+K-1) + max(M, L(L+K-1)) factors."""
     depth = tower.run_depth(depth)
-    z0 = matrix_from_json(_get(doc["input"], "z0", "$.input"), name="z0")
+    z0 = tower.z0
+    if z0 is None:
+        raise Malformed("$.input.z0", "missing")
     n = z0.shape[0]
     z_norm = operator_norm(z0)
     scale = max(1.0, z_norm)
-    f.require(is_hermitian(z0), "$.input.z0", "is not Hermitian")
-    f.require(abs(np.trace(z0)) <= 1e-9 * n * scale, "$.input.z0", "is not trace zero")
-    q = _block_zero_support(tower, n)
+    q = _block_zero_support(tower)
     outside = operator_norm(z0 - q @ (q.conj().T @ z0 @ q) @ q.conj().T)
     f.require(outside <= 1e-8 * scale, "$.input.z0",
               f"leaves her((e_0 - eps)_+): norm {outside!r} outside it")
@@ -341,8 +340,6 @@ def _check_fack_run(f: Findings, doc: dict, tower: TowerInput, depth: int | None
     result = _object(_get(doc, "result", "$"), "$.result")
     report = _object(_get(doc, "report", "$"), "$.report")
     total, count, _ = _commutator_sum(f, result, "general_commutators", n, with_norms=False)
-    per_stage = tower.L * (tower.L + tower.K - 1)
-    count_bound = per_stage + max(tower.M, per_stage)
     found = _integer(_get(result, "depth", "$.result"), "$.result.depth")
     f.require(found == depth, "$.result.depth", f"{found} but the run's depth is {depth}")
     declared = _number(_get(result, "residual_norm", "$.result"), "$.result.residual_norm")
@@ -351,8 +348,7 @@ def _check_fack_run(f: Findings, doc: dict, tower: TowerInput, depth: int | None
         # norm(z0 - sum - R) >= |norm(z0 - sum) - norm(R)|, R the declared residual
         "reconstruction_residual": Statement(1e-8 * scale, abs(residual - declared), 0.0,
                                              exact=False, scale=z_norm),
-        "commutator_count": Statement(float_from_json(count_bound, "the commutator count bound"),
-                                      float(count), 0.0),
+        "commutator_count": Statement(float(tower.count_bound), float(count), 0.0),
     }
     if depth > 0:
         statements["residual_norm"] = Statement(tower.deltas[depth - 1], declared, 1e-12,
@@ -360,7 +356,7 @@ def _check_fack_run(f: Findings, doc: dict, tower: TowerInput, depth: int | None
     bounds = _object(_get(result, "bounds", "$.result"), "$.result.bounds")
     _check_bounds(f, report, statements, bounds, "$.result.bounds")
     _check_headline(f, report, residual, count, z_norm)
-    _check_tower_report(f, result, depth, per_stage, declared, count)
+    _check_tower_report(f, result, depth, tower.per_stage, declared, count)
 
 
 # The checks of one push step; only its commutator count can be rebuilt

@@ -40,7 +40,6 @@ from .jsonio import (
     encode,
     field_to_json,
     float_from_json,
-    matrix_from_json,
     matrix_to_json,
 )
 from .matcore import operator_norm, verify_decomposition
@@ -57,7 +56,7 @@ from .ozfield import (
 from .rand import SplitMix64, random_trace_zero_hermitian
 from .schemas import INPUT_SCHEMAS, validate
 from .selfcomm import self_commutator_decompose, tight_commutator_decompose
-from .towers import TowerModel, block_two_commutator_split, make_block_tower, tower_iterate
+from .towers import TowerModel, block_two_commutator_split, tower_iterate
 
 COMMANDS = tuple(INPUT_SCHEMAS)
 
@@ -145,17 +144,11 @@ def _handle_decompose_field(cfg: RunConfig, fld: SimplicialField):
 
 
 def _handle_fack_run(cfg: RunConfig, inp: TowerInput):
-    if inp.ranks is not None:
-        tower = make_block_tower(inp.ranks, inp.L, inp.K, inp.M, ambient=inp.ambient,
-                                 epsilon=inp.epsilon, deltas=inp.deltas)
-    else:
-        tower = TowerModel(elements=inp.elements, epsilons=[inp.epsilon] * len(inp.elements),
-                           L=inp.L, K=inp.K, M=inp.M, deltas=inp.deltas)
+    tower = TowerModel(inp)
     depth = inp.run_depth(cfg.depth)
     generated = {}
-    if inp.z0 is not None:
-        z0 = matrix_from_json(inp.z0, name="z0")
-    else:
+    z0 = inp.z0
+    if z0 is None:
         rng = SplitMix64(cfg.seed)
         q = tower.spectra[0].plus.basis
         h = random_trace_zero_hermitian(rng, q.shape[1])

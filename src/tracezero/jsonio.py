@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import math
+import dataclasses
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .matcore import as_matrix, require_block_layout, require_hermitian
+from .matcore import as_matrix, operator_norm, require_block_layout, require_hermitian
 from .obstruct import BundleExpr, require_pp_example_m, require_tower_m_max
 from .ozfield import SimplicialComplex, SimplicialField, make_field
 from .schemas import grid_numbers
@@ -107,11 +108,16 @@ def float_from_json(value, name: str) -> float:
 # --------------------------------------------------------------------------
 # Command inputs.
 
+TOWER_ENTRY_BUDGET = 2 ** 26  # complex entries: the elements and a witness's range check
+TOWER_PAIR_BUDGET = 2 ** 9  # commutator pairs over all stages, (blocks-1)*L*(L+K-1)
+
+
 @dataclass(frozen=True)
 class TowerInput:
     """A fack-run input: blocks as ``ranks`` of 0/1 projections or as
-    Hermitian ``elements`` (the other None), all of size ``ambient``;
-    defaults applied, but ``depth`` and ``z0`` (a matrix document) as given."""
+    Hermitian ``elements`` (the other None), all of size ``ambient``, within
+    the tower work budgets; defaults applied, ``depth`` as given, and ``z0`` a
+    trace-zero Hermitian matrix of size ``ambient``, or None."""
 
     ranks: list | None
     elements: list | None
@@ -122,7 +128,17 @@ class TowerInput:
     epsilon: float
     deltas: list
     depth: int | None
-    z0: dict | None
+    z0: np.ndarray | None
+
+    @property
+    def per_stage(self) -> int:
+        """The commutators of one push step, L(L+K-1)."""
+        return self.L * (self.L + self.K - 1)
+
+    @property
+    def count_bound(self) -> int:
+        """The commutators of a whole run, L(L+K-1) + max(M, L(L+K-1))."""
+        return self.per_stage + max(self.M, self.per_stage)
 
     def run_depth(self, flag: int | None) -> int:
         """The --depth ``flag``, else the input's depth, else the last stage."""
@@ -131,6 +147,20 @@ class TowerInput:
         if not 0 <= depth <= stages:
             raise InvalidInputError(f"depth must lie in [0, {stages}]")
         return depth
+
+
+def _tower_z0(doc: dict, n: int) -> np.ndarray | None:
+    """The given z0: Hermitian, of the tower's size n, and trace zero, which is
+    |tr z0| <= 1e-9 n max(1, norm(z0)); the norm is taken only above 1e-9 n."""
+    if doc.get("z0") is None:
+        return None
+    z0 = require_hermitian(matrix_from_json(doc["z0"], name="z0"), name="z0")
+    if z0.shape[0] != n:
+        raise InvalidInputError("z0 size does not match the tower")
+    trace = abs(np.trace(z0))
+    if trace > 1e-9 * n and trace > 1e-9 * n * operator_norm(z0):
+        raise InvalidInputError("z0 must be trace zero")
+    return z0
 
 
 def _tower_input(doc: dict) -> TowerInput:
@@ -156,7 +186,20 @@ def _tower_input(doc: dict) -> TowerInput:
         if any(e.shape[0] != ambient for e in elements):
             raise InvalidInputError("all tower elements must share one size")
     depth = None if doc.get("depth") is None else int(doc["depth"])
-    return TowerInput(ranks, elements, ambient, L, K, M, epsilon, deltas, depth, doc.get("z0"))
+    inp = TowerInput(ranks, elements, ambient, L, K, M, epsilon, deltas, depth, None)
+    count = len(blocks)
+    pairs = (count - 1) * inp.per_stage  # over all push steps
+    if pairs > TOWER_PAIR_BUDGET:
+        raise InvalidInputError(
+            f"tower forms {pairs} commutator pairs ({count} elements, L={L}, K={K}), "
+            f"over the budget of {TOWER_PAIR_BUDGET}")
+    entries = (count + (L + K - 1) ** 2) * ambient * ambient  # with a witness's range check
+    if entries > TOWER_ENTRY_BUDGET:
+        raise InvalidInputError(
+            f"tower needs {entries} complex entries ({count} elements of size {ambient}, "
+            f"L={L}, K={K}), over the budget of {TOWER_ENTRY_BUDGET}")
+    float_from_json(inp.count_bound, "the commutator count bound")
+    return dataclasses.replace(inp, z0=_tower_z0(doc, ambient))
 
 
 def _block_split_input(doc: dict) -> tuple:

@@ -182,22 +182,10 @@ def require_refine_budget(complex_: SimplicialComplex, refine: int):
                 f"{REFINE_SIMPLEX_BUDGET} simplices")
 
 
-def circle_complex(n_vertices: int) -> SimplicialComplex:
-    """The n-cycle as a 1-dimensional complex."""
-    if n_vertices < 3:
-        raise InvalidInputError("a cycle needs at least 3 vertices")
-    edges = [(i, (i + 1) % n_vertices) for i in range(n_vertices)]
-    return SimplicialComplex.make(n_vertices, edges)
-
-
 def octahedron_complex() -> SimplicialComplex:
     """Boundary of the octahedron: vertices 0..5 with (0,1), (2,3), (4,5) antipodal."""
     triangles = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
     return SimplicialComplex.make(6, triangles)
-
-
-def solid_triangle_complex() -> SimplicialComplex:
-    return SimplicialComplex.make(3, [(0, 1, 2)])
 
 
 # --------------------------------------------------------------------------
@@ -264,50 +252,6 @@ def barycentric_lattice(n_weights: int, order: int) -> np.ndarray:
     return lattice
 
 
-def sample_grid(complex_: SimplicialComplex, order: int = GRID_ORDER):
-    """Deterministic (simplex index, barycentric weights) evaluation points."""
-    out = []
-    for idx, simplex in enumerate(complex_.maximal_simplices):
-        for w in barycentric_lattice(len(simplex), order):
-            out.append((idx, w))
-    return out
-
-
-# --------------------------------------------------------------------------
-# Sampling and hat-function extension along one color class.
-
-def psi_k(fld: SimplicialField, coloring: VertexColoring, k: int) -> list:
-    """Evaluate the field at every color-k vertex."""
-    if not (0 <= k < coloring.color_count):
-        raise InvalidInputError(f"color {k} out of range")
-    return [(v, fld.values[v]) for v in range(fld.complex.vertex_count)
-            if coloring.colors[v] == k]
-
-
-def phi_k(complex_: SimplicialComplex, coloring: VertexColoring, k: int,
-          samples) -> SimplicialField:
-    """Extend color-k samples by hat functions: p -> sum_v h_v(p) b_v.
-
-    Order zero: same-color hats have disjoint stars, so orthogonal samples
-    extend to pointwise-orthogonal fields.  The output is again PL, hence an
-    exact SimplicialField.
-    """
-    if not (0 <= k < coloring.color_count):
-        raise InvalidInputError(f"color {k} out of range")
-    size = None
-    values = {}
-    for v, b in samples:
-        if coloring.colors[v] != k:
-            raise InvalidInputError(f"vertex {v} does not have color {k}")
-        m = as_matrix(b, square=True, name=f"sample at vertex {v}")
-        size = m.shape[0] if size is None else size
-        values[v] = m
-    if size is None:
-        raise InvalidInputError("no samples given")
-    zero = np.zeros((size, size), dtype=complex)
-    return make_field(complex_, [values.get(v, zero) for v in range(complex_.vertex_count)])
-
-
 @dataclass(frozen=True)
 class SqrtWeightedFactor:
     """One color class of sqrt(hat)-weighted matrices: y(p) = sum_v h_v(p)^(1/2) x_v."""
@@ -339,18 +283,18 @@ def _gather(terms, slot) -> np.ndarray:
     return total
 
 
-def _lattice_sums(fld: SimplicialField, x_of, interpolate: bool = False):
+def _lattice_sums(fld: SimplicialField, x_of):
     """Walk the order-GRID_ORDER lattice of every maximal simplex, simplices
     grouped by size, GRID_CHUNK_ENTRIES matrix entries (at least one point)
     at a time.  For each chunk yield the simplex index and the weights w of
     each point, the sum over the simplex's vertices v_i of [y*, y] with
-    y = sqrt(w_i) x_{v_i} (``x_of[v]``) and, if ``interpolate``, of
-    w_i value_{v_i}.  Vertex v_i is the only one of its color on a simplex,
-    so at w it alone carries that color's factor there, and the first sum
-    is sum_k [y_k*, y_k].  Each term depends only on the vertex and its
-    level w_i = j / GRID_ORDER, so it is formed once per (vertex, level)
-    pair the chunk uses.  Both sums start from zeros and add in vertex
-    order: bit for bit what forming every term at every point gives."""
+    y = sqrt(w_i) x_{v_i} (``x_of[v]``), and of w_i value_{v_i}.  Vertex
+    v_i is the only one of its color on a simplex, so at w it alone carries
+    that color's factor there, and the first sum is sum_k [y_k*, y_k].  Each
+    term depends only on the vertex and its level w_i = j / GRID_ORDER, so it
+    is formed once per (vertex, level) pair the chunk uses.  Both sums start
+    from zeros and add in vertex order: bit for bit what forming every term
+    at every point gives."""
     n = fld.matrix_size
     step = max(1, GRID_CHUNK_ENTRIES // (n * n))
     groups = {}
@@ -373,9 +317,6 @@ def _lattice_sums(fld: SimplicialField, x_of, interpolate: bool = False):
             pair_vertex, pair_level = np.divmod(np.flatnonzero(present), GRID_ORDER + 1)
             x = np.stack([x_of[v] for v in used.tolist()])
             recon = _gather(_brackets(x[pair_vertex], LEVELS[pair_level]), slot)
-            if not interpolate:
-                yield members[which], lattice[point], recon
-                continue
             values = np.stack([fld.values[v] for v in used.tolist()])
             weighted = LEVELS[pair_level][:, None, None] * values[pair_vertex]
             yield members[which], lattice[point], recon, _gather(weighted, slot)
@@ -438,7 +379,7 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
     covered = sorted({v for simplex in fld.complex.maximal_simplices for v in simplex})
     norm_sq = _max_norm([x_factors[v] for v in covered]) ** 2
     residual = 0.0
-    for _, _, recon, interpolated in _lattice_sums(fld, x_factors, interpolate=True):
+    for _, _, recon, interpolated in _lattice_sums(fld, x_factors):
         residual = max_operator_norm(recon - interpolated, floor=residual)
     partition_defect = max(
         float(np.max(np.abs(barycentric_lattice(size, GRID_ORDER).sum(axis=1) - 1.0)))
@@ -454,18 +395,3 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
                                 commutator_count=len(factors),
                                 bound_checks=checks)
     return FieldDecomposition(factors=factors, report=report, sup_norm=sup)
-
-
-def field_residual_against(fld_factors: FieldDecomposition, fld: SimplicialField,
-                           target) -> float:
-    """Max grid distance between the decomposition's sum and an arbitrary target.
-
-    ``target(simplex_index, weights) -> matrix`` lets callers measure against
-    a smooth (non-PL) field; used for mesh-refinement studies.
-    """
-    x_factors = dict(entry for factor in fld_factors.factors for entry in factor.entries)
-    worst = 0.0
-    for simplices, weights, recon in _lattice_sums(fld, x_factors):
-        expected = np.stack([target(idx, w) for idx, w in zip(simplices.tolist(), weights)])
-        worst = max_operator_norm(recon - expected, floor=worst)
-    return worst

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NumericsError, PreconditionError
+from .jsonio import TowerInput
 from .matcore import (
     KIND_GENERAL,
     BoundCheck,
@@ -35,7 +36,6 @@ from .matcore import (
     norm_exceeds,
     operator_norm,
     require_block_layout,
-    require_hermitian,
 )
 from .selfcomm import collapse_orthogonal, tight_commutator_decompose
 
@@ -43,8 +43,6 @@ RANK_TOL = 1e-8
 NEUMANN_TOL = 1e-10
 PSD_TOL = 1e-10  # most negative eigenvalue a PSD element may have
 NEUMANN_MAX_ITER = 10_000
-TOWER_ENTRY_BUDGET = 2 ** 26  # complex entries: the elements and a witness's range check
-TOWER_PAIR_BUDGET = 2 ** 9  # commutator pairs over all stages, (blocks-1)*L*(L+K-1)
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,6 @@ class ElementSpectrum:
 
     @classmethod
     def of(cls, e, epsilon: float) -> "ElementSpectrum":
-        if epsilon <= 0:
-            raise InvalidInputError("epsilon must be positive")
         es = _psd_eigensystem(e)
         lam = np.clip(es.eigenvalues, 0.0, None)
         u = es.unitary
@@ -153,8 +149,6 @@ def cuntz_witness(a_spec: ElementSpectrum, b_support: Support, L: int,
     (L-1)*rank((a-eps)_+) + K*rank(b); the partial isometry pairs ascending
     eigenbases, so the construction is deterministic.
     """
-    if L < 1 or K < 1:
-        raise InvalidInputError("L and K must be positive integers")
     g, a_plus = a_spec.g, a_spec.plus
     n = g.basis.shape[0]
     if b_support.basis.shape[0] != n:
@@ -290,39 +284,31 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
 
 @dataclass
 class TowerModel:
-    """Positive elements e_0..e_T with thresholds, parameters, and a
-    truncation schedule.
+    """The blocks e_0..e_T of a decoded fack-run input, each at the input's
+    one epsilon: 0/1 diagonal projections on consecutive index ranges for
+    ``ranks``, else the given ``elements``.
 
-    Blocks with index >= 1 must be mutually orthogonal; consecutive blocks
-    must satisfy the rank comparison that feeds ``push_step``.  ``spectra``
-    holds one ``ElementSpectrum`` per element at its threshold.
+    Each element must be PSD; blocks with index >= 1 must be mutually
+    orthogonal; consecutive blocks must satisfy the rank comparison that
+    feeds ``push_step``.  ``spectra`` holds one ``ElementSpectrum`` per
+    element.
     """
 
-    elements: list
-    epsilons: list
-    L: int
-    K: int
-    M: int
-    deltas: list
+    input: TowerInput
+    elements: list = field(init=False, repr=False)
     spectra: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.elements) < 1:
-            raise InvalidInputError("a tower needs at least e_0")
-        if len(self.epsilons) != len(self.elements):
-            raise InvalidInputError("need one epsilon per element")
-        if len(self.deltas) != len(self.elements) - 1:
-            raise InvalidInputError("need one delta per stage")
-        if self.L < 1 or self.K < 1 or self.M < 1:
-            raise InvalidInputError("L, K, M must be positive")
-        if any(d <= 0 for d in self.deltas):
-            raise InvalidInputError("deltas must be positive")
-        self.elements = [require_hermitian(e, name=f"e_{i}")
-                         for i, e in enumerate(self.elements)]
-        shape = self.elements[0].shape
-        if any(e.shape != shape for e in self.elements):
-            raise InvalidInputError("all tower elements must share one size")
-        _require_tower_budget(len(self.elements), shape[0], self.L, self.K)
+        inp = self.input
+        if inp.ranks is None:
+            self.elements = inp.elements
+        else:  # 0/1 diagonal projections on consecutive index ranges
+            self.elements, start = [], 0
+            for r in inp.ranks:
+                e = np.zeros((inp.ambient, inp.ambient), dtype=complex)
+                e[start:start + r, start:start + r] = np.eye(r)
+                self.elements.append(e)
+                start += r
         patterns = [NonzeroPattern.of(e) for e in self.elements]
         for i in range(1, len(self.elements)):
             for j in range(i + 1, len(self.elements)):
@@ -336,61 +322,16 @@ class TowerModel:
                 if defect > 1e-10 * max(1.0, operator_norm(ei) * operator_norm(ej)):
                     raise PreconditionError(
                         f"tower blocks {i} and {j} are not orthogonal: {defect:.3e}")
-        self.spectra = [ElementSpectrum.of(e, eps)
-                        for e, eps in zip(self.elements, self.epsilons)]
+        self.spectra = [ElementSpectrum.of(e, inp.epsilon) for e in self.elements]
+        L, K = inp.L, inp.K
         for i in range(len(self.elements) - 1):
             g_rank = self.spectra[i].g.rank
             ap_rank = self.spectra[i].plus.rank
             b_rank = self.spectra[i + 1].plus.rank
-            if self.L * g_rank > (self.L - 1) * ap_rank + self.K * b_rank:
+            if L * g_rank > (L - 1) * ap_rank + K * b_rank:
                 raise PreconditionError(
                     f"rank condition fails between blocks {i} and {i + 1}: "
-                    f"{self.L * g_rank} > {(self.L - 1) * ap_rank + self.K * b_rank}")
-
-    @property
-    def depth_limit(self) -> int:
-        return len(self.elements) - 1
-
-
-def _require_tower_budget(count: int, n: int, L: int, K: int):
-    """Reject towers whose push steps form more than TOWER_PAIR_BUDGET
-    commutator pairs in all, or whose elements plus the ((L+K-1)n)^2
-    matrices of a witness's range check exceed TOWER_ENTRY_BUDGET entries."""
-    pairs = (count - 1) * L * (L + K - 1)
-    if pairs > TOWER_PAIR_BUDGET:
-        raise InvalidInputError(
-            f"tower forms {pairs} commutator pairs ({count} elements, L={L}, K={K}), "
-            f"over the budget of {TOWER_PAIR_BUDGET}")
-    entries = (count + (L + K - 1) ** 2) * n * n
-    if entries > TOWER_ENTRY_BUDGET:
-        raise InvalidInputError(
-            f"tower needs {entries} complex entries ({count} elements of size {n}, "
-            f"L={L}, K={K}), over the budget of {TOWER_ENTRY_BUDGET}")
-
-
-def make_block_tower(block_ranks, L: int = 1, K: int = 1, M: int = 1, *,
-                     ambient: int | None = None, epsilon: float = 0.5,
-                     deltas=None) -> TowerModel:
-    """Tower of 0/1 diagonal projections on consecutive index ranges."""
-    ranks = [int(r) for r in block_ranks]
-    if any(r < 1 for r in ranks):
-        raise InvalidInputError("block ranks must be positive")
-    total = sum(ranks)
-    n = total if ambient is None else int(ambient)
-    if n < total:
-        raise InvalidInputError(f"ambient size {n} too small for ranks {ranks}")
-    _require_tower_budget(len(ranks), n, L, K)
-    elements = []
-    start = 0
-    for r in ranks:
-        e = np.zeros((n, n), dtype=complex)
-        e[start:start + r, start:start + r] = np.eye(r)
-        elements.append(e)
-        start += r
-    if deltas is None:
-        deltas = [2.0 ** -(i + 1) for i in range(len(ranks) - 1)]
-    return TowerModel(elements=elements, epsilons=[epsilon] * len(ranks),
-                      L=L, K=K, M=M, deltas=list(deltas))
+                    f"{L * g_rank} > {(L - 1) * ap_rank + K * b_rank}")
 
 
 @dataclass
@@ -424,37 +365,30 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     that block.  Odd stages, even stages, and the in-block pair are mutually
     orthogonal families, so collapsing slot-by-slot returns at most
     L(L+K-1) + max(M, L(L+K-1)) commutators; every merge re-checks
-    orthogonality.  Returns (decomposition, report).
+    orthogonality.  ``z0`` is a trace-zero Hermitian matrix of the tower's
+    size and ``depth`` lies in [0, T], as ``TowerInput`` admits them.
+    Returns (decomposition, report).
     """
-    zm = require_hermitian(z0, name="z0")
-    if not (0 <= depth <= tower.depth_limit):
-        raise InvalidInputError(f"depth must lie in [0, {tower.depth_limit}]")
-    n = zm.shape[0]
-    if zm.shape != tower.elements[0].shape:
-        raise InvalidInputError("z0 size does not match the tower")
-    z_norm = operator_norm(zm)
-    if abs(np.trace(zm)) > 1e-9 * n * max(1.0, z_norm):
-        raise InvalidInputError("z0 must be trace zero")
+    inp = tower.input
+    z_norm = operator_norm(z0)
     p0 = tower.spectra[0].plus.projection
-    if norm_exceeds(zm - p0 @ zm @ p0, 1e-8 * max(1.0, z_norm)):
+    if norm_exceeds(z0 - p0 @ z0 @ p0, 1e-8 * max(1.0, z_norm)):
         raise PreconditionError("z0 is not supported in her((e_0 - eps_0)_+)")
 
-    count_n = tower.L * (tower.L + tower.K - 1)
-    count_bound = count_n + max(tower.M, count_n)
     if depth == 0:
         decomp = CommutatorDecomposition(
-            kind=KIND_GENERAL, factors=[], residual=zm.copy(),
+            kind=KIND_GENERAL, factors=[], residual=z0.copy(),
             claimed_bounds=[("reconstruction_residual", 1e-8 * max(1.0, z_norm)),
-                            ("commutator_count", float(count_bound))])
+                            ("commutator_count", float(inp.count_bound))])
         report = TowerRunReport(stage_checks=[], inblock_residual=z_norm,
                                 collapse_defect=0.0, family_sizes=[0, 0])
         return decomp, report
 
     stage_pairs = []
     stage_checks = []
-    z, x_norm = zm, z_norm
+    z, x_norm = z0, z_norm
     for t in range(1, depth + 1):
-        step = push_step(z, tower.spectra[t - 1], tower.spectra[t].plus, tower.L, tower.K,
+        step = push_step(z, tower.spectra[t - 1], tower.spectra[t].plus, inp.L, inp.K,
                          x_norm=x_norm)
         stage_pairs.append(step.pairs)
         stage_checks.append(step.checks)
@@ -502,8 +436,8 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
         residual=residual,
         claimed_bounds=[
             ("reconstruction_residual", 1e-8 * max(1.0, z_norm)),
-            ("residual_norm", tower.deltas[depth - 1]),
-            ("commutator_count", float(count_bound)),
+            ("residual_norm", inp.deltas[depth - 1]),
+            ("commutator_count", float(inp.count_bound)),
         ],
     )
     report = TowerRunReport(

@@ -1,8 +1,10 @@
 """Shared test helpers: running the scripts, a seeded random unitary, the
-smooth-target mesh refinement checks, the bitmask keys and frozenset
-reference of the square-free ring, the unscreened reference of
-collapse_orthogonal, the per-matrix reference of the stacked self-commutator
-pass, and the per-simplex reference of the field grid pass."""
+decoded fack-run input of a tower, small complexes, lattice sampling and
+hat-function extension of fields, the residual of a field decomposition
+against any target, the smooth-target mesh refinement checks, the bitmask
+keys and frozenset reference of the square-free ring, the unscreened
+reference of collapse_orthogonal, the per-matrix reference of the stacked
+self-commutator pass, and the per-simplex reference of the field grid pass."""
 
 import itertools
 import math
@@ -13,18 +15,27 @@ import sys
 
 import numpy as np
 
-from tracezero.errors import NumericsError, PreconditionError
-from tracezero.matcore import PHASE_CUTOFF, commutator, frobenius_bound, operator_norm
+from tracezero.errors import InvalidInputError, NumericsError, PreconditionError
+from tracezero.jsonio import TowerInput, decode_input, matrix_to_json
+from tracezero.matcore import (
+    PHASE_CUTOFF,
+    as_matrix,
+    commutator,
+    frobenius_bound,
+    max_operator_norm,
+    operator_norm,
+)
 from tracezero.ozfield import (
     GRID_ORDER,
+    SimplicialComplex,
+    _lattice_sums,
     barycentric_lattice,
-    circle_complex,
     decompose_field,
-    field_residual_against,
     greedy_coloring,
     make_field,
 )
 from tracezero.rand import SplitMix64, random_complex_matrix
+from tracezero.schemas import validate
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -49,6 +60,84 @@ def random_unitary(rng: SplitMix64, n: int) -> np.ndarray:
     d = np.diagonal(r)
     phase = d / np.abs(d)
     return q * phase
+
+
+def fack_run_input(blocks, z0=None, **tower) -> TowerInput:
+    """The fack-run input of a tower of ``blocks`` (ranks, or matrices), with
+    ``tower``'s other fields (L, K, M, ambient, epsilon, deltas) and an
+    optional ``z0``, read as the command reads it: schema, then decoder."""
+    doc = {"tower": {"blocks": [{"rank": b} if isinstance(b, int) else matrix_to_json(b)
+                                for b in blocks], **tower}}
+    if z0 is not None:
+        doc["z0"] = matrix_to_json(z0)
+    validate(doc, "fack-run")
+    return decode_input("fack-run", doc)
+
+
+def circle_complex(n_vertices: int) -> SimplicialComplex:
+    """The n-cycle as a 1-dimensional complex."""
+    if n_vertices < 3:
+        raise InvalidInputError("a cycle needs at least 3 vertices")
+    edges = [(i, (i + 1) % n_vertices) for i in range(n_vertices)]
+    return SimplicialComplex.make(n_vertices, edges)
+
+
+def solid_triangle_complex() -> SimplicialComplex:
+    return SimplicialComplex.make(3, [(0, 1, 2)])
+
+
+def sample_grid(complex_: SimplicialComplex, order: int = GRID_ORDER):
+    """Deterministic (simplex index, barycentric weights) evaluation points."""
+    out = []
+    for idx, simplex in enumerate(complex_.maximal_simplices):
+        for w in barycentric_lattice(len(simplex), order):
+            out.append((idx, w))
+    return out
+
+
+def psi_k(fld, coloring, k: int) -> list:
+    """Evaluate the field at every color-k vertex."""
+    if not (0 <= k < coloring.color_count):
+        raise InvalidInputError(f"color {k} out of range")
+    return [(v, fld.values[v]) for v in range(fld.complex.vertex_count)
+            if coloring.colors[v] == k]
+
+
+def phi_k(complex_: SimplicialComplex, coloring, k: int, samples):
+    """Extend color-k samples by hat functions: p -> sum_v h_v(p) b_v.
+
+    Order zero: same-color hats have disjoint stars, so orthogonal samples
+    extend to pointwise-orthogonal fields.  The output is again PL, hence an
+    exact SimplicialField.
+    """
+    if not (0 <= k < coloring.color_count):
+        raise InvalidInputError(f"color {k} out of range")
+    size = None
+    values = {}
+    for v, b in samples:
+        if coloring.colors[v] != k:
+            raise InvalidInputError(f"vertex {v} does not have color {k}")
+        m = as_matrix(b, square=True, name=f"sample at vertex {v}")
+        size = m.shape[0] if size is None else size
+        values[v] = m
+    if size is None:
+        raise InvalidInputError("no samples given")
+    zero = np.zeros((size, size), dtype=complex)
+    return make_field(complex_, [values.get(v, zero) for v in range(complex_.vertex_count)])
+
+
+def field_residual_against(fld_factors, fld, target) -> float:
+    """Max grid distance between the decomposition's sum and an arbitrary target.
+
+    ``target(simplex_index, weights) -> matrix`` lets callers measure against
+    a smooth (non-PL) field; used for mesh-refinement studies.
+    """
+    x_factors = dict(entry for factor in fld_factors.factors for entry in factor.entries)
+    worst = 0.0
+    for simplices, weights, recon, _ in _lattice_sums(fld, x_factors):
+        expected = np.stack([target(idx, w) for idx, w in zip(simplices.tolist(), weights)])
+        worst = max_operator_norm(recon - expected, floor=worst)
+    return worst
 
 
 def smooth_circle_target(theta: float) -> np.ndarray:

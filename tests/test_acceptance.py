@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from helpers import circle_refinement_residual, monomial
+from helpers import circle_complex, circle_refinement_residual, fack_run_input, monomial
 from tracezero.cli import run_from_args
 from tracezero.jsonio import field_to_json, matrix_to_json
 from tracezero.matcore import commutator, operator_norm, verify_decomposition
@@ -22,7 +22,6 @@ from tracezero.obstruct import (
 )
 from tracezero.ozfield import (
     barycentric_subdivide,
-    circle_complex,
     decompose_field,
     greedy_coloring,
     make_field,
@@ -38,8 +37,8 @@ from tracezero.selfcomm import (
 from tracezero.towers import (
     ElementSpectrum,
     Support,
+    TowerModel,
     block_two_commutator_split,
-    make_block_tower,
     push_step,
     tower_iterate,
 )
@@ -189,12 +188,12 @@ def test_criterion_07_tower_truncation():
     ok = True
     details = []
     for (L, K, M), ranks, ambient in cases:
-        tower = make_block_tower(ranks, L=L, K=K, M=M, ambient=ambient, deltas=deltas)
         rng = SplitMix64(1007 + L + 10 * K)
         h = random_trace_zero_hermitian(rng, ranks[0])
         z0 = np.zeros((ambient, ambient), dtype=complex)
         z0[:ranks[0], :ranks[0]] = h
-        dec, report = tower_iterate(z0, tower, 4)
+        inp = fack_run_input(ranks, z0=z0, L=L, K=K, M=M, ambient=ambient, deltas=deltas)
+        dec, report = tower_iterate(inp.z0, TowerModel(inp), 4)
         count_n = L * (L + K - 1)
         bound = count_n + max(M, count_n)
         ok = ok and dec.factor_count() <= bound

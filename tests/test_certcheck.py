@@ -193,7 +193,7 @@ def test_a_wrong_construction_with_a_passing_report_is_rejected(monkeypatch):
 CONSTRUCTORS = ("self_commutator_decompose", "self_commutator_factors",
                 "tight_commutator_decompose", "decompose_field",
                 "barycentric_subdivide", "subdivide_field", "greedy_coloring", "TowerModel",
-                "make_block_tower", "tower_iterate", "push_step", "cuntz_witness",
+                "tower_iterate", "push_step", "cuntz_witness",
                 "collapse_orthogonal", "block_two_commutator_split", "hermitian_eig",
                 "verify_decomposition", "euler_class", "sqfree_mul", "linear_power",
                 "obstruction_certificate", "pp_example", "villadsen_tower", "matrix_to_json",
@@ -267,6 +267,8 @@ _MATRIX_TOWER = {"tower": {"blocks": [matrix_to_json(np.diag([1.0, 1.0, 0.0, 0.0
                                       matrix_to_json(np.diag([0.0, 0.0, 1.0, 1.0]))]},
                  "z0": matrix_to_json(np.diag([1.0, -1.0, 0.0, 0.0]))}
 _RANK_TOWER = {"tower": {"blocks": [{"rank": 2}, {"rank": 2}], "ambient": 4}}
+_ONE_BLOCK = {"tower": {"blocks": [{"rank": 2}]}}
+_NON_HERMITIAN = np.diag([1.0, -1.0, 0.0, 0.0]) + np.eye(4, k=1)
 
 
 @pytest.mark.parametrize("command, valid, flags, edit", [
@@ -287,9 +289,19 @@ _RANK_TOWER = {"tower": {"blocks": [{"rank": 2}, {"rank": 2}], "ambient": 4}}
      lambda d: d["q"].update(summands=[[1]])),
     ("obstruct", {"q": {"variables": 1, "summands": [[1]]}, "n": 1}, (),
      lambda d: d.update(n=2_000_000)),
+    ("fack-run", _MATRIX_TOWER, (), lambda d: d.update(z0=matrix_to_json(_NON_HERMITIAN))),
+    ("fack-run", _MATRIX_TOWER, (),
+     lambda d: d.update(z0=matrix_to_json(np.diag([1.0, -1.0, 0.0, 0.0, 0.0])))),
+    ("fack-run", _MATRIX_TOWER, (),
+     lambda d: d.update(z0=matrix_to_json(np.diag([1.0, 0.0, 0.0, 0.0])))),
+    ("fack-run", _RANK_TOWER, ("--seed", "4"), lambda d: d["tower"].update(L=40)),
+    ("fack-run", _RANK_TOWER, ("--seed", "4"), lambda d: d["tower"].update(L=10 ** 400)),
+    ("fack-run", _ONE_BLOCK, ("--seed", "4"), lambda d: d["tower"].update(M=10 ** 400)),
+    ("fack-run", _RANK_TOWER, ("--seed", "4"), lambda d: d["tower"].update(M=10 ** 400)),
 ], ids=["e-size", "tower-element-size", "ambient-too-small", "pair-count", "block-count",
         "pp-example-cap", "tower-cap", "pair-size", "delta-count", "depth-range",
-        "degree-vector-length", "summand-cap"])
+        "degree-vector-length", "summand-cap", "z0-not-hermitian", "z0-size", "z0-trace",
+        "pair-budget", "huge-L", "huge-M-one-block", "huge-M-two-blocks"])
 def test_verify_decodes_the_echo_as_the_command_does(command, valid, flags, edit):
     code, out, _ = run_cmd(command, valid, *flags)
     assert code == 0

@@ -13,12 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracezero
-from helpers import random_unitary, run_script
+from helpers import circle_complex, random_unitary, run_script
 from tracezero.cli import RunConfig, encode, main, run_from_args
 from tracezero.errors import NumericsError
 from tracezero.jsonio import field_to_json, matrix_to_json
 from tracezero.matcore import commutator
-from tracezero.ozfield import SimplicialComplex, circle_complex, make_field
+from tracezero.ozfield import SimplicialComplex, make_field
 from tracezero.rand import SplitMix64, random_complex_matrix, random_trace_zero_hermitian
 from tracezero.schemas import INPUT_SCHEMAS, NAMED_SCHEMAS, validate
 

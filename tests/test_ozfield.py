@@ -4,6 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from helpers import (
+    circle_complex,
+    field_residual_against,
+    phi_k,
+    psi_k,
+    sample_grid,
+    solid_triangle_complex,
+)
 from tracezero import ozfield
 from tracezero.errors import InvalidInputError
 from tracezero.matcore import operator_norm
@@ -11,17 +19,11 @@ from tracezero.ozfield import (
     SimplicialComplex,
     barycentric_lattice,
     barycentric_subdivide,
-    circle_complex,
     decompose_field,
-    field_residual_against,
     greedy_coloring,
     make_field,
     octahedron_complex,
-    phi_k,
-    psi_k,
     require_proper,
-    sample_grid,
-    solid_triangle_complex,
     subdivide_field,
 )
 from tracezero.rand import SplitMix64, random_trace_zero_hermitian
@@ -425,7 +427,7 @@ def test_lattice_sums_visit_every_point_once_and_match_the_pointwise_sums(monkey
         (entry for factor in decompose_field(fld, coloring).factors for entry in factor.entries),
         key=lambda entry: entry[0])]
     seen = {}
-    for simplices, weights, recon, value in ozfield._lattice_sums(fld, x_factors, True):
+    for simplices, weights, recon, value in ozfield._lattice_sums(fld, x_factors):
         assert len(simplices) * fld.matrix_size ** 2 <= ozfield.GRID_CHUNK_ENTRIES
         for idx, w, r, val in zip(simplices.tolist(), weights, recon, value):
             assert (idx, tuple(w)) not in seen
@@ -468,7 +470,7 @@ def test_grid_pass_memory_is_a_few_chunks():
     tracemalloc.start()
     try:
         worst = 0.0
-        for _, _, recon, interpolated in ozfield._lattice_sums(fld, fld.values, True):
+        for _, _, recon, interpolated in ozfield._lattice_sums(fld, fld.values):
             worst = max_operator_norm(recon - interpolated, floor=worst)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import run_script
+from helpers import fack_run_input, run_script
+from tracezero import jsonio
 from tracezero.errors import InvalidInputError, NumericsError, PreconditionError
-from tracezero.jsonio import decode_input, matrix_to_json
 from tracezero.matcore import commutator, operator_norm, verify_decomposition
 from tracezero.rand import SplitMix64, random_complex_matrix, random_hermitian
 from tracezero.towers import (
@@ -12,7 +12,6 @@ from tracezero.towers import (
     TowerModel,
     block_two_commutator_split,
     cuntz_witness,
-    make_block_tower,
     push_step,
     tower_iterate,
 )
@@ -219,121 +218,121 @@ class TestPushStep:
             assert operator_norm(phi_y) <= (L - 1) / L + 1e-6
 
 
+_P = [np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])]
+_Z = np.diag([1.0, -1.0, 0.0, 0.0])
+
+
+class TestTowerInput:
+    """The fack-run decoder, which the command and verify share, states every
+    tower rule that needs no construction."""
+
+    @pytest.mark.parametrize("read, message", [
+        (lambda: fack_run_input([2, 2], deltas=[0.5, 0.25]), "need one delta per stage"),
+        (lambda: fack_run_input([2, 2], ambient=3), "ambient size 3 too small for ranks [2, 2]"),
+        (lambda: fack_run_input([_P[0], _P[1] + 1e-3j * np.eye(4)]),
+         "e_1 is not Hermitian within tolerance 1e-12"),
+        (lambda: fack_run_input([_P[0], np.eye(2)]), "all tower elements must share one size"),
+        (lambda: fack_run_input([1, 1]).run_depth(2), "depth must lie in [0, 1]"),
+        (lambda: fack_run_input([2], M=10 ** 400),
+         "the commutator count bound is too large for a float"),
+        (lambda: fack_run_input(_P, z0=_Z + np.eye(4, k=1)),
+         "z0 is not Hermitian within tolerance 1e-12"),
+        (lambda: fack_run_input(_P, z0=np.diag([1.0, -1.0, 0.0, 0.0, 0.0])),
+         "z0 size does not match the tower"),
+    ], ids=["delta-count", "ambient", "element-hermitian", "element-size", "depth-range",
+            "count-bound", "z0-hermitian", "z0-size"])
+    def test_words_each_rule(self, read, message):
+        with pytest.raises(InvalidInputError) as error:
+            read()
+        assert str(error.value) == message
+
+    def test_z0_trace_rule_takes_a_norm_only_above_its_floor(self, monkeypatch):
+        norms = []
+        monkeypatch.setattr(jsonio, "operator_norm", lambda m: norms.append(m) or operator_norm(m))
+        fack_run_input(_P, z0=_Z)
+        assert norms == []
+        # |tr| = 1e-7 is over 1e-9 n, but under 1e-9 n norm(z0) = 4e-6
+        fack_run_input(_P, z0=1e3 * _Z + np.diag([1e-7, 0.0, 0.0, 0.0]))
+        assert len(norms) == 1
+
+    def test_pair_budget_bounds_the_whole_tower(self):
+        # (blocks - 1) * L * (L + K - 1) commutator pairs: 16 * 32 = 512 is admitted
+        assert fack_run_input([1, 1], L=16, K=17).L == 16
+        with pytest.raises(InvalidInputError, match="528 commutator pairs"):
+            fack_run_input([1, 1], L=16, K=18)
+        with pytest.raises(InvalidInputError, match="over the budget of 512"):
+            fack_run_input([1] * 18, L=2, K=15)
+
+    def test_rejects_nonzero_trace(self):
+        z0 = np.zeros((6, 6), dtype=complex)
+        z0[0, 0] = 1.0
+        with pytest.raises(InvalidInputError, match="trace"):
+            fack_run_input([3, 3], z0=z0)
+
+
 class TestTowerModel:
     def test_orthogonality_enforced(self):
         e = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(PreconditionError, match="orthogonal"):
-            TowerModel(elements=[e, e, e], epsilons=[0.5] * 3, L=1, K=1, M=1,
-                       deltas=[0.5, 0.25])
+            TowerModel(fack_run_input([e, e, e]))
 
     def test_rank_condition_enforced(self):
         # block 1 larger than K * block 2
         with pytest.raises(PreconditionError, match="rank condition"):
-            make_block_tower([2, 4, 1], L=1, K=1)
-
-    def test_pair_budget_bounds_the_whole_tower(self):
-        # (blocks - 1) * L * (L + K - 1) commutator pairs: 16 * 32 = 512 is admitted
-        assert make_block_tower([1, 1], L=16, K=17).L == 16
-        with pytest.raises(InvalidInputError, match="528 commutator pairs"):
-            make_block_tower([1, 1], L=16, K=18)
-        with pytest.raises(InvalidInputError, match="over the budget of 512"):
-            make_block_tower([1] * 18, L=2, K=15)
+            TowerModel(fack_run_input([2, 4, 1]))
 
     def test_make_block_tower(self):
-        tower = make_block_tower([2, 2, 2], L=1, K=1, ambient=8)
-        assert tower.depth_limit == 2
-        assert tower.elements[0].shape == (8, 8)
-
-
-# The fack-run decoder runs inside verify, which imports no constructor, so
-# the towers guards keep their own copy of the tower input rules for Python
-# callers. Each pair below breaks one rule in both; the messages must agree.
-_P = [np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])]
-
-
-def _tower_case(tower, build, depth=None):
-    return (lambda: decode_input("fack-run", {"tower": tower, "depth": depth}).run_depth(None),
-            build)
-
-
-@pytest.mark.parametrize("decode, build", [
-    _tower_case({"blocks": [{"rank": 2}, {"rank": 2}], "deltas": [0.5, 0.25]},
-                lambda: make_block_tower([2, 2], deltas=[0.5, 0.25])),
-    _tower_case({"blocks": [{"rank": 2}, {"rank": 2}], "ambient": 3},
-                lambda: make_block_tower([2, 2], ambient=3)),
-    _tower_case({"blocks": [matrix_to_json(_P[0]), matrix_to_json(_P[1] + 1e-3j * np.eye(4))]},
-                lambda: TowerModel(elements=[_P[0], _P[1] + 1e-3j * np.eye(4)],
-                                   epsilons=[0.5] * 2, L=1, K=1, M=1, deltas=[0.5])),
-    _tower_case({"blocks": [matrix_to_json(_P[0]), matrix_to_json(np.eye(2))]},
-                lambda: TowerModel(elements=[_P[0], np.eye(2)], epsilons=[0.5] * 2,
-                                   L=1, K=1, M=1, deltas=[0.5])),
-    _tower_case({"blocks": [{"rank": 1}, {"rank": 1}]},
-                lambda: tower_iterate(np.zeros((2, 2)), make_block_tower([1, 1]), 2), depth=2),
-], ids=["delta-count", "ambient", "element-hermitian", "element-size", "depth-range"])
-def test_tower_guards_word_each_rule_as_the_fack_run_decoder(decode, build):
-    with pytest.raises(InvalidInputError) as from_decoder:
-        decode()
-    with pytest.raises(InvalidInputError) as from_towers:
-        build()
-    assert str(from_towers.value) == str(from_decoder.value)
+        tower = TowerModel(fack_run_input([2, 2, 2], ambient=8))
+        assert len(tower.elements) == 3
+        np.testing.assert_array_equal(tower.elements[1],
+                                      np.diag([0.0, 0, 1, 1, 0, 0, 0, 0]).astype(complex))
 
 
 class TestTowerIterate:
     def test_depth_zero(self):
-        tower = make_block_tower([3, 3], L=1, K=1)
         rng = SplitMix64(50)
-        z0 = embedded_trace_zero(rng, 6, 0, 3)
-        dec, report = tower_iterate(z0, tower, 0)
+        inp = fack_run_input([3, 3], z0=embedded_trace_zero(rng, 6, 0, 3))
+        dec, report = tower_iterate(inp.z0, TowerModel(inp), 0)
         assert dec.factor_count() == 0
-        np.testing.assert_array_equal(dec.residual, z0)
+        np.testing.assert_array_equal(dec.residual, inp.z0)
 
     def test_depth_four_unit_parameters(self):
         # 5 equal-rank blocks inside a 32-dimensional ambient space
-        tower = make_block_tower([6, 6, 6, 6, 6], L=1, K=1, M=1, ambient=32)
         rng = SplitMix64(51)
-        z0 = embedded_trace_zero(rng, 32, 0, 6)
-        dec, report = tower_iterate(z0, tower, 4)
+        inp = fack_run_input([6, 6, 6, 6, 6], z0=embedded_trace_zero(rng, 32, 0, 6), ambient=32)
+        dec, report = tower_iterate(inp.z0, TowerModel(inp), 4)
         assert dec.factor_count() <= 1 + max(1, 1)
-        assert operator_norm(dec.residual) <= tower.deltas[3]  # 1/16
+        assert operator_norm(dec.residual) <= inp.deltas[3]  # 1/16
         assert report.collapse_defect <= 1e-10
-        vrep = verify_decomposition(z0, dec)
+        vrep = verify_decomposition(inp.z0, dec)
         assert vrep.all_passed
         assert report.all_passed
 
     def test_depth_three_K2(self):
-        tower = make_block_tower([2, 2, 2, 2], L=1, K=2, M=1)
         rng = SplitMix64(52)
-        z0 = embedded_trace_zero(rng, 8, 0, 2)
-        dec, report = tower_iterate(z0, tower, 3)
+        inp = fack_run_input([2, 2, 2, 2], z0=embedded_trace_zero(rng, 8, 0, 2), K=2)
+        dec, report = tower_iterate(inp.z0, TowerModel(inp), 3)
         n_count = 1 * (1 + 2 - 1)
         assert dec.factor_count() <= n_count + max(1, n_count)  # 4
-        assert operator_norm(dec.residual) <= tower.deltas[2]
-        assert verify_decomposition(z0, dec).all_passed
+        assert operator_norm(dec.residual) <= inp.deltas[2]
+        assert verify_decomposition(inp.z0, dec).all_passed
 
     def test_depth_four_L2_K2(self):
-        tower = make_block_tower([3, 3, 3, 3, 3], L=2, K=2, M=1)
         rng = SplitMix64(53)
-        z0 = embedded_trace_zero(rng, 15, 0, 3)
-        dec, report = tower_iterate(z0, tower, 4)
+        inp = fack_run_input([3, 3, 3, 3, 3], z0=embedded_trace_zero(rng, 15, 0, 3), L=2, K=2)
+        dec, report = tower_iterate(inp.z0, TowerModel(inp), 4)
         n_count = 2 * (2 + 2 - 1)
         assert dec.factor_count() <= n_count + max(1, n_count)  # 12
-        assert operator_norm(dec.residual) <= tower.deltas[3]
-        assert verify_decomposition(z0, dec).all_passed
-
-    def test_rejects_nonzero_trace(self):
-        tower = make_block_tower([3, 3], L=1, K=1)
-        z0 = np.zeros((6, 6), dtype=complex)
-        z0[0, 0] = 1.0
-        with pytest.raises(InvalidInputError, match="trace"):
-            tower_iterate(z0, tower, 1)
+        assert operator_norm(dec.residual) <= inp.deltas[3]
+        assert verify_decomposition(inp.z0, dec).all_passed
 
     def test_rejects_bad_support(self):
-        tower = make_block_tower([3, 3], L=1, K=1)
         z0 = np.zeros((6, 6), dtype=complex)
         z0[4, 4] = 1.0
         z0[5, 5] = -1.0
+        inp = fack_run_input([3, 3], z0=z0)
         with pytest.raises(PreconditionError, match="supported"):
-            tower_iterate(z0, tower, 1)
+            tower_iterate(inp.z0, TowerModel(inp), 1)
 
 
 class TestBlockSplit:
