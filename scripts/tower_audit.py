@@ -6,7 +6,6 @@ import json
 import numpy as np
 
 from tracezero.jsonio import decode_input, matrix_to_json
-from tracezero.matcore import operator_norm, verify_decomposition
 from tracezero.obstruct import villadsen_tower
 from tracezero.rand import SplitMix64, random_trace_zero_hermitian
 from tracezero.towers import TowerModel, tower_iterate
@@ -30,10 +29,10 @@ def main():
     inp = decode_input("fack-run", {"tower": {"blocks": [{"rank": 4}] * (args.depth + 1)},
                                     "z0": matrix_to_json(z0)})
     dec, report = tower_iterate(inp.z0, TowerModel(inp), args.depth)
-    print(f"demo tower: depth {args.depth}, {dec.factor_count()} commutators, "
-          f"residual {operator_norm(dec.residual):.3e}, "
+    print(f"demo tower: depth {args.depth}, {len(dec.factors)} commutators, "
+          f"residual {dec.residual_norm:.3e}, "
           f"collapse defect {report.collapse_defect:.3e}, "
-          f"verified {verify_decomposition(z0, dec).all_passed}")
+          f"verified {dec.report.all_passed and report.all_passed}")
 
 
 if __name__ == "__main__":

@@ -13,11 +13,11 @@ tower            m_max -> tower sequences and stage certificates
 verify           check the claims of a previous output document
 
 Every output embeds the command, the effective parameters, and the full
-input, so it is a certificate: ``verify`` checks its claims from the
+input, so it is a certificate.  Its report is the one the constructor
+measured where it made each claim; ``verify`` checks the claims from the
 document alone with the independent checkers of ``tracezero.certcheck``,
 which run no constructor.  Randomness (the fack-run demo element) comes
-only from --seed via the splitmix64 generator in ``tracezero.rand``, so
-repeated runs are byte-identical.
+only from --seed via ``tracezero.rand``, so repeated runs are byte-identical.
 
 Exit codes: 0 = all certified bounds pass, 1 = a certified bound or a
 verify check failed, or an internal numerical check failed (then a
@@ -42,7 +42,7 @@ from .jsonio import (
     float_from_json,
     matrix_to_json,
 )
-from .matcore import operator_norm, verify_decomposition
+from .matcore import operator_norm
 from .obstruct import obstruction_certificate, pp_example, villadsen_tower
 from .ozfield import (
     GRID_ORDER,
@@ -102,8 +102,8 @@ def _decomposition_result(dec) -> dict:
     return {
         "kind": dec.kind,
         "factors": factors,
-        "residual_norm": operator_norm(dec.residual),
-        "bounds": {name: value for name, value in dec.claimed_bounds},
+        "residual_norm": dec.residual_norm,
+        "bounds": {c.name: c.claimed_bound for c in dec.report.bound_checks},
     }
 
 
@@ -111,9 +111,8 @@ def _handle_decompose(cfg: RunConfig, a):
     construct = (tight_commutator_decompose if cfg.command == "decompose-tight"
                  else self_commutator_decompose)
     dec = construct(a, trace_tol=cfg.tol)
-    report = verify_decomposition(a, dec)
-    return {"result": _decomposition_result(dec), "report": report.to_json()}, \
-        (0 if report.all_passed else 1)
+    return {"result": _decomposition_result(dec), "report": dec.report.to_json()}, \
+        (0 if dec.report.all_passed else 1)
 
 
 def _handle_decompose_field(cfg: RunConfig, fld: SimplicialField):
@@ -156,12 +155,11 @@ def _handle_fack_run(cfg: RunConfig, inp: TowerInput):
         z0 = (z0 + z0.conj().T) / 2.0
         generated["z0"] = matrix_to_json(z0)
     dec, run_report = tower_iterate(z0, tower, depth)
-    report = verify_decomposition(z0, dec)
     result = _decomposition_result(dec)
     result["depth"] = depth
     result["tower_report"] = run_report.to_json()
-    ok = report.all_passed and run_report.all_passed
-    return {"generated": generated, "result": result, "report": report.to_json()}, \
+    ok = dec.report.all_passed and run_report.all_passed
+    return {"generated": generated, "result": result, "report": dec.report.to_json()}, \
         (0 if ok else 1)
 
 

@@ -17,8 +17,9 @@ dataclasses.  Conventions fixed here and relied on everywhere else:
   bit-identical inputs give bit-identical output; it takes a matrix or a
   stack of them, and each matrix of a stack comes out bit for bit as it
   would alone;
-* ``verify_decomposition`` re-measures every bound a decomposition claims
-  and reports one pass/fail check per claim.
+* a constructor measures each claim of its decomposition on the matrices
+  it holds, as a ``BoundCheck`` of its ``VerificationReport``; the
+  independent re-measuring is ``tracezero.certcheck``'s.
 
 All operations are pure and never mutate their inputs.
 """
@@ -63,9 +64,9 @@ def commutator(x, y) -> np.ndarray:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value."""
+    """Largest singular value; 0.0 for a zero (or empty) matrix, without an SVD."""
     m = as_matrix(a)
-    if m.size == 0:
+    if not m.any():
         return 0.0
     return float(np.linalg.norm(m, 2))
 
@@ -227,9 +228,10 @@ def _fix_phases(u: np.ndarray) -> np.ndarray:
 
 def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
     """Diagonalize a Hermitian matrix with the deterministic phase
-    convention, or each matrix of a stack (V, n, n) at once: one ``eigh``,
-    one phase fix and the two guards screened by ``frobenius_bounds``, an
-    SVD only where the screen cannot decide.  A matrix is the V = 1 stack.
+    convention, or each matrix of a stack (V, n, n) at once: one ``eigh`` of
+    (m + m*)/2, which must not overflow, one phase fix and the two guards
+    screened by ``frobenius_bounds``, an SVD only where the screen cannot
+    decide.  A matrix is the V = 1 stack.
     A stack that fails raises as ``raise_first_failure`` says."""
     m = np.asarray(a, dtype=complex)
     stack = m[None] if m.ndim == 2 else m
@@ -241,7 +243,12 @@ def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
     if not finite.all():
         stack = np.where(finite[:, None, None], stack, 0.0)
     hermitian = _hermitian_each(stack)
-    eigenvalues, u = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (stack + stack.conj().swapaxes(1, 2)) / 2.0
+    in_range = np.isfinite(sym).all(axis=(1, 2))
+    if not in_range.all():
+        sym = np.where(in_range[:, None, None], sym, 0.0)
+    eigenvalues, u = np.linalg.eigh(sym)
     u = _fix_phases(u)
     u_star = u.conj().swapaxes(1, 2)
     defect = u @ u_star - np.eye(stack.shape[1])
@@ -250,6 +257,9 @@ def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
         (~finite, lambda k: InvalidInputError(f"{name} has non-finite entries")),
         (~hermitian, lambda k: InvalidInputError(
             f"{name} is not Hermitian within tolerance {HERMITIAN_TOL}")),
+        (~in_range, lambda k: InvalidInputError(
+            f"{name} has entries beyond about {np.finfo(float).max / 2:.3e} in magnitude, "
+            "where m + m* overflows a float")),
         (frobenius_bounds(defect) > EIG_TOL, lambda k: NumericsError(
             "eigenvector matrix failed the unitarity check")
          if operator_norm(defect[k]) > EIG_TOL else None),
@@ -269,42 +279,6 @@ KIND_SELF = "self_commutators"
 KIND_GENERAL = "general_commutators"
 
 
-@dataclass
-class CommutatorDecomposition:
-    """A certified decomposition a = sum of commutators + residual.
-
-    ``kind`` selects the reconstruction rule: for ``self_commutators`` each
-    factor is a single matrix x contributing [x*, x]; for
-    ``general_commutators`` each factor is a pair (x, y) contributing [x, y].
-    ``claimed_bounds`` is an ordered list of (name, upper bound) claims that
-    ``verify_decomposition`` knows how to re-measure.
-    """
-
-    kind: str
-    factors: list
-    residual: np.ndarray
-    claimed_bounds: list
-
-    def __post_init__(self):
-        if self.kind not in (KIND_SELF, KIND_GENERAL):
-            raise InvalidInputError(f"unknown decomposition kind: {self.kind!r}")
-        self.residual = as_matrix(self.residual, square=True, name="residual")
-
-    def reconstruction(self) -> np.ndarray:
-        total = np.zeros_like(self.residual)
-        for factor in self.factors:
-            if self.kind == KIND_SELF:
-                x = as_matrix(factor, square=True, name="factor")
-                total += commutator(x.conj().T, x)
-            else:
-                x, y = factor
-                total += commutator(x, y)
-        return total
-
-    def factor_count(self) -> int:
-        return len(self.factors)
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     name: str
@@ -322,6 +296,9 @@ class BoundCheck:
 
 @dataclass
 class VerificationReport:
+    """A decomposition's claims, each measured where it was made;
+    ``residual_norm`` is norm(a - sum of commutators)."""
+
     residual_norm: float
     commutator_count: int
     bound_checks: list
@@ -347,46 +324,18 @@ def norm_ratio(worst: float, a_norm: float):
     return worst / a_norm, 1e-9 / a_norm
 
 
-def _measure_bound(name: str, a: np.ndarray, decomp: CommutatorDecomposition,
-                   a_norm: float, recon: np.ndarray):
-    """Return (measured value, comparison tolerance) for a named claim."""
-    if name == "reconstruction_residual":
-        return operator_norm(a - recon - decomp.residual), 0.0
-    if name == "norm_sq_over_norm_a":
-        return norm_ratio(max((operator_norm(x) ** 2 for x in decomp.factors), default=0.0),
-                          a_norm)
-    if name == "norm_product_over_norm_a":
-        return norm_ratio(max((operator_norm(x) * operator_norm(y) for x, y in decomp.factors),
-                              default=0.0), a_norm)
-    if name == "residual_norm":
-        return operator_norm(decomp.residual), 1e-12
-    if name == "commutator_count":
-        return float(decomp.factor_count()), 0.0
-    raise InvalidInputError(f"unknown bound name: {name!r}")
+@dataclass
+class CommutatorDecomposition:
+    """A certified decomposition a = sum of commutators + residual.
 
-
-def verify_decomposition(a, decomp: CommutatorDecomposition) -> VerificationReport:
-    """Re-measure every bound the decomposition claims.
-
-    The headline ``residual_norm`` is the distance from ``a`` to the bare sum
-    of commutators; the declared residual matrix is accounted for by the
-    ``reconstruction_residual`` check.
+    For ``self_commutators`` each factor is a single matrix x contributing
+    [x*, x]; for ``general_commutators`` each factor is a pair (x, y)
+    contributing [x, y].  ``residual_norm`` is the residual's norm, and
+    ``report`` holds the claims its constructor measured on these matrices.
     """
-    am = as_matrix(a, square=True, name="a")
-    for factor in decomp.factors:
-        x = factor if decomp.kind == KIND_SELF else factor[0]
-        if as_matrix(x).shape != am.shape:
-            raise InvalidInputError("factor dimensions do not match the element")
-    if decomp.residual.shape != am.shape:
-        raise InvalidInputError("residual dimensions do not match the element")
-    recon = decomp.reconstruction()
-    a_norm = operator_norm(am)
-    checks = []
-    for name, claimed in decomp.claimed_bounds:
-        measured, tol = _measure_bound(name, am, decomp, a_norm, recon)
-        checks.append(BoundCheck(name, float(claimed), float(measured), tol))
-    return VerificationReport(
-        residual_norm=operator_norm(am - recon),
-        commutator_count=decomp.factor_count(),
-        bound_checks=checks,
-    )
+
+    kind: str
+    factors: list
+    residual: np.ndarray
+    residual_norm: float
+    report: VerificationReport

@@ -24,12 +24,15 @@ from .errors import InvalidInputError, NumericsError, PreconditionError
 from .matcore import (
     KIND_GENERAL,
     KIND_SELF,
+    BoundCheck,
     CommutatorDecomposition,
     NonzeroPattern,
+    VerificationReport,
     as_matrix,
     commutator,
     frobenius_bound,
     hermitian_eig,
+    norm_ratio,
     operator_norm,
     raise_first_failure,
     require_hermitian,
@@ -74,6 +77,35 @@ def _check_order(rows: np.ndarray, sums: np.ndarray, mx: np.ndarray, trace_tol: 
     ])
 
 
+def _visit(rows: np.ndarray, choose) -> np.ndarray:
+    """The visiting order (count, n) of every row at once.  Each step asks
+    ``choose(s, remaining)``, given the running sums and the mask of values
+    not yet taken, for a pool of remaining values and a key per value, and
+    takes the pool's first value of largest key: one masked ``argmax`` per
+    row, which takes the first of equal keys."""
+    count, n = rows.shape
+    remaining = np.ones(rows.shape, dtype=bool)
+    at = np.arange(count)
+    perm = np.empty(rows.shape, dtype=np.intp)
+    s = np.zeros(count)
+    for step in range(n):
+        pool, key = choose(s, remaining)
+        pick = np.argmax(np.where(pool, key, -np.inf), axis=1)
+        remaining[at, pick] = False
+        s = s + rows[at, pick]
+        perm[:, step] = pick
+    return perm
+
+
+def _ordered(eigenvalues, rows, perm, mx, trace_tol, window, message) -> PartialSumOrder:
+    """The checked order: a tuple and a vector for one multiset, else arrays."""
+    sums = np.cumsum(np.take_along_axis(rows, perm, axis=1), axis=1)
+    _check_order(rows, sums, mx, trace_tol, window, message)
+    if np.ndim(eigenvalues) == 2:
+        return PartialSumOrder(permutation=perm, partial_sums=sums)
+    return PartialSumOrder(permutation=tuple(perm[0].tolist()), partial_sums=sums[0])
+
+
 def greedy_nonneg_order(eigenvalues, *, trace_tol: float = TRACE_TOL) -> PartialSumOrder:
     """Order a zero-sum multiset so partial sums stay in [0, 2*max|value|];
     each row of a 2-d array is one multiset, and all rows are ordered at once.
@@ -81,58 +113,37 @@ def greedy_nonneg_order(eigenvalues, *, trace_tol: float = TRACE_TOL) -> Partial
     Rule: while the running sum is below max|value| and a nonnegative value
     remains, take the largest remaining nonnegative value; otherwise take the
     largest (closest to zero) remaining negative value.  Ties break on the
-    original index: each step is one masked ``argmax`` per row, which takes
-    the first of equal values.
+    original index.
     """
     rows = _rows(eigenvalues)
-    count, n = rows.shape
     mx = np.max(np.abs(rows), axis=1)
-    nonneg = rows >= 0.0
-    neg = rows < 0.0
-    at = np.arange(count)
-    perm = np.empty((count, n), dtype=np.intp)
-    s = np.zeros(count)
-    for step in range(n):
-        use_nonneg = (s < mx) & nonneg.any(axis=1) | ~neg.any(axis=1)
-        pool = np.where(use_nonneg[:, None], nonneg, neg)
-        pick = np.argmax(np.where(pool, rows, -np.inf), axis=1)
-        nonneg[at, pick] = neg[at, pick] = False
-        s = s + rows[at, pick]
-        perm[:, step] = pick
-    sums = np.cumsum(np.take_along_axis(rows, perm, axis=1), axis=1)
-    _check_order(rows, sums, mx, trace_tol,
-                 lambda sums, slack: (np.min(sums, axis=1) < -slack)
-                 | (np.max(sums, axis=1) > 2.0 * mx + slack),
-                 "greedy partial sums left [0, 2*max] window")
-    if np.ndim(eigenvalues) == 2:
-        return PartialSumOrder(permutation=perm, partial_sums=sums)
-    return PartialSumOrder(permutation=tuple(perm[0].tolist()), partial_sums=sums[0])
+    nonneg, neg = rows >= 0.0, rows < 0.0
+
+    def choose(s, remaining):
+        up, down = remaining & nonneg, remaining & neg
+        use_up = (s < mx) & up.any(axis=1) | ~down.any(axis=1)
+        return np.where(use_up[:, None], up, down), rows
+
+    return _ordered(eigenvalues, rows, _visit(rows, choose), mx, trace_tol,
+                    lambda sums, slack: (np.min(sums, axis=1) < -slack)
+                    | (np.max(sums, axis=1) > 2.0 * mx + slack),
+                    "greedy partial sums left [0, 2*max] window")
 
 
 def signed_order(eigenvalues, *, trace_tol: float = TRACE_TOL) -> PartialSumOrder:
-    """Order a zero-sum multiset so partial sums stay in [-max, +max].
+    """Order a zero-sum multiset so partial sums stay in [-max, +max]; each
+    row of a 2-d array is one multiset.
 
     Rule: take the largest remaining value while the running sum is <= 0,
-    else the smallest.  Ties break on the original index.
+    else the smallest, the first maximum of the negated values.  Ties break
+    on the original index.
     """
-    lam = _rows(eigenvalues)[0]
-    remaining = list(range(lam.size))
-    perm = []
-    s = 0.0
-    while remaining:
-        if s <= 0.0:
-            pick = max(remaining, key=lambda i: (lam[i], -i))
-        else:
-            pick = min(remaining, key=lambda i: (lam[i], i))
-        remaining.remove(pick)
-        s += lam[pick]
-        perm.append(pick)
-    sums = np.cumsum(lam[perm])
-    mx = np.max(np.abs(lam))
-    _check_order(lam[None], sums[None], np.array([mx]), trace_tol,
-                 lambda sums, slack: np.max(np.abs(sums), axis=1) > mx + slack,
-                 "signed partial sums left [-max, +max] window")
-    return PartialSumOrder(permutation=tuple(perm), partial_sums=sums)
+    rows = _rows(eigenvalues)
+    mx = np.max(np.abs(rows), axis=1)
+    perm = _visit(rows, lambda s, left: (left, np.where((s <= 0.0)[:, None], rows, -rows)))
+    return _ordered(eigenvalues, rows, perm, mx, trace_tol,
+                    lambda sums, slack: np.max(np.abs(sums), axis=1) > mx + slack,
+                    "signed partial sums left [-max, +max] window")
 
 
 def self_commutator_factors(stack, *, trace_tol: float = TRACE_TOL):
@@ -164,56 +175,59 @@ def self_commutator_factors(stack, *, trace_tol: float = TRACE_TOL):
     return x, np.max(np.abs(es.eigenvalues), axis=1)
 
 
+def _single_commutator(am, kind: str, factor, comm, a_norm: float, name, bound, worst):
+    """The decomposition a = comm with no residual, and its report: the
+    reconstruction residual norm(a - comm) against 1e-9*max(1, a_norm), and
+    the claim ``name`` that ``worst``, a factor-norm term, over norm(a) is
+    at most ``bound``."""
+    err = operator_norm(am - comm)
+    ratio, tol = norm_ratio(worst, operator_norm(am))
+    checks = [BoundCheck("reconstruction_residual", 1e-9 * max(1.0, a_norm), err, 0.0),
+              BoundCheck(name, bound, ratio, tol)]
+    return CommutatorDecomposition(kind=kind, factors=[factor], residual=np.zeros_like(am),
+                                   residual_norm=0.0, report=VerificationReport(err, 1, checks))
+
+
 def self_commutator_decompose(a, *, trace_tol: float = TRACE_TOL) -> CommutatorDecomposition:
     """Write a trace-zero Hermitian matrix as a single [x*, x], the V = 1
-    case of ``self_commutator_factors``."""
+    case of ``self_commutator_factors``, claiming norm(x)^2 <= 2*norm(a)."""
     am = as_matrix(a, square=True, name="a")
     x, norms = self_commutator_factors(am[None], trace_tol=trace_tol)
-    a_norm = float(norms[0])
-    return CommutatorDecomposition(
-        kind=KIND_SELF,
-        factors=[x[0]],
-        residual=np.zeros_like(am),
-        claimed_bounds=[
-            ("reconstruction_residual", 1e-9 * max(1.0, a_norm)),
-            ("norm_sq_over_norm_a", 2.0),
-        ],
-    )
+    x = x[0]
+    return _single_commutator(am, KIND_SELF, x, commutator(x.conj().T, x), float(norms[0]),
+                              "norm_sq_over_norm_a", 2.0, operator_norm(x) ** 2)
 
 
-def tight_commutator_decompose(a, *, trace_tol: float = TRACE_TOL) -> CommutatorDecomposition:
+def tight_commutator_factors(a, *, trace_tol: float = TRACE_TOL):
     """Write a trace-zero Hermitian matrix as a single [x, y].
 
     Uses ``signed_order`` and the shift identity: with s_k on the
     superdiagonal of x and ones on the subdiagonal of y, [x, y] is the
     reordered diagonal, whence norm(x)*norm(y) = max|s_k| <= norm(a).
+    Returns x, y and max|eigenvalue of a|.
     """
     am = require_hermitian(a, name="a")
-    es = hermitian_eig(am)
+    es = hermitian_eig(am, name="a")
     order = signed_order(es.eigenvalues, trace_tol=trace_tol)
-    s = order.partial_sums
     n = am.shape[0]
-    sup = np.zeros((n, n), dtype=complex)
-    sub = np.zeros((n, n), dtype=complex)
-    for k in range(n - 1):
-        sup[k, k + 1] = s[k]
-        sub[k + 1, k] = 1.0
-    u = es.unitary[:, list(order.permutation)]
-    x = u @ sup @ u.conj().T
-    y = u @ sub @ u.conj().T
     a_norm = float(np.max(np.abs(es.eigenvalues)))
     if n == 1 or a_norm == 0.0:
-        x = np.zeros_like(x)
-        y = np.zeros_like(y)
-    return CommutatorDecomposition(
-        kind=KIND_GENERAL,
-        factors=[(x, y)],
-        residual=np.zeros_like(am),
-        claimed_bounds=[
-            ("reconstruction_residual", 1e-9 * max(1.0, a_norm)),
-            ("norm_product_over_norm_a", 1.0),
-        ],
-    )
+        return np.zeros_like(am), np.zeros_like(am), a_norm
+    k = np.arange(n - 1)
+    sup, sub = np.zeros((2, n, n), dtype=complex)
+    sup[k, k + 1] = order.partial_sums[:-1]
+    sub[k + 1, k] = 1.0
+    u = es.unitary[:, list(order.permutation)]
+    return u @ sup @ u.conj().T, u @ sub @ u.conj().T, a_norm
+
+
+def tight_commutator_decompose(a, *, trace_tol: float = TRACE_TOL) -> CommutatorDecomposition:
+    """``tight_commutator_factors`` with its measured claims, among them
+    norm(x)*norm(y) <= norm(a)."""
+    x, y, a_norm = tight_commutator_factors(a, trace_tol=trace_tol)
+    return _single_commutator(as_matrix(a, square=True, name="a"), KIND_GENERAL, (x, y),
+                              commutator(x, y), a_norm,
+                              "norm_product_over_norm_a", 1.0, operator_norm(x) * operator_norm(y))
 
 
 # Products that vanish when pairs (c_i, d_i), (c_j, d_j) have mutually

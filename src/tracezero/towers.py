@@ -29,6 +29,7 @@ from .matcore import (
     BoundCheck,
     CommutatorDecomposition,
     NonzeroPattern,
+    VerificationReport,
     as_matrix,
     commutator,
     frobenius_bound,
@@ -37,7 +38,7 @@ from .matcore import (
     operator_norm,
     require_block_layout,
 )
-from .selfcomm import collapse_orthogonal, tight_commutator_decompose
+from .selfcomm import collapse_orthogonal, tight_commutator_factors
 
 RANK_TOL = 1e-8
 NEUMANN_TOL = 1e-10
@@ -367,7 +368,8 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     L(L+K-1) + max(M, L(L+K-1)) commutators; every merge re-checks
     orthogonality.  ``z0`` is a trace-zero Hermitian matrix of the tower's
     size and ``depth`` lies in [0, T], as ``TowerInput`` admits them.
-    Returns (decomposition, report).
+    Returns (decomposition, run report); the decomposition's report measures
+    the reconstruction, the residual against delta_depth and the count.
     """
     inp = tower.input
     z_norm = operator_norm(z0)
@@ -376,16 +378,28 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
         raise PreconditionError("z0 is not supported in her((e_0 - eps_0)_+)")
 
     if depth == 0:
-        decomp = CommutatorDecomposition(
-            kind=KIND_GENERAL, factors=[], residual=z0.copy(),
-            claimed_bounds=[("reconstruction_residual", 1e-8 * max(1.0, z_norm)),
-                            ("commutator_count", float(inp.count_bound))])
-        report = TowerRunReport(stage_checks=[], inblock_residual=z_norm,
-                                collapse_defect=0.0, family_sizes=[0, 0])
-        return decomp, report
+        factors, residual = [], z0.copy()
+        run = TowerRunReport([], inblock_residual=z_norm, collapse_defect=0.0, family_sizes=[0, 0])
+    else:
+        factors, residual, run = _descend(z0, z_norm, tower, depth)
+    unexplained = z0 - sum((commutator(c, d) for c, d in factors), np.zeros_like(z0))
+    checks = [BoundCheck("reconstruction_residual", 1e-8 * max(1.0, z_norm),
+                         operator_norm(unexplained - residual), 0.0)]
+    if depth:
+        checks.append(BoundCheck("residual_norm", inp.deltas[depth - 1], run.inblock_residual,
+                                 1e-12))
+    checks.append(BoundCheck("commutator_count", float(inp.count_bound), float(len(factors)),
+                             0.0))
+    report = VerificationReport(operator_norm(unexplained), len(factors), checks)
+    return CommutatorDecomposition(kind=KIND_GENERAL, factors=factors, residual=residual,
+                                   residual_norm=run.inblock_residual, report=report), run
 
-    stage_pairs = []
-    stage_checks = []
+
+def _descend(z0, z_norm: float, tower: TowerModel, depth: int):
+    """``tower_iterate``'s push steps, in-block finish and collapse, for
+    depth >= 1: returns (factors, residual, run report)."""
+    inp = tower.input
+    stage_pairs, stage_checks = [], []
     z, x_norm = z0, z_norm
     for t in range(1, depth + 1):
         step = push_step(z, tower.spectra[t - 1], tower.spectra[t].plus, inp.L, inp.K,
@@ -403,26 +417,15 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     z_small = (z_small + z_small.conj().T) / 2.0
     r = z_small.shape[0]
     z_small -= (np.trace(z_small).real / r) * np.eye(r)  # remove float dust
-    tight = tight_commutator_decompose(z_small)
-    x_small, y_small = tight.factors[0]
+    x_small, y_small, _ = tight_commutator_factors(z_small)
     inblock_pair = (q @ x_small @ q.conj().T, q @ y_small @ q.conj().T)
     residual = z - commutator(*inblock_pair)
 
-    odd_items = [stage_pairs[t - 1] for t in range(1, depth + 1) if t % 2 == 1]
-    even_items = [stage_pairs[t - 1] for t in range(1, depth + 1) if t % 2 == 0]
-    if depth % 2 == 0:
-        odd_items.append([inblock_pair])
-    else:
-        even_items.append([inblock_pair])
-
-    factors = []
-    collapse_defect = 0.0
-    family_sizes = []
-    for items in (odd_items, even_items):
-        if not items:
-            family_sizes.append(0)
-            continue
-        slots = max(len(item) for item in items)
+    # stage t sits at index t - 1 and the in-block pair at index depth
+    stages = stage_pairs + [[inblock_pair]]
+    factors, family_sizes, collapse_defect = [], [], 0.0
+    for items in (stages[0::2], stages[1::2]):  # odd stages, even stages
+        slots = max((len(item) for item in items), default=0)
         family_sizes.append(slots)
         for k in range(slots):
             slot = [item[k] for item in items if k < len(item)]
@@ -430,23 +433,8 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
             collapse_defect = max(collapse_defect, defect)
             factors.append((c, d))
 
-    decomp = CommutatorDecomposition(
-        kind=KIND_GENERAL,
-        factors=factors,
-        residual=residual,
-        claimed_bounds=[
-            ("reconstruction_residual", 1e-8 * max(1.0, z_norm)),
-            ("residual_norm", inp.deltas[depth - 1]),
-            ("commutator_count", float(inp.count_bound)),
-        ],
-    )
-    report = TowerRunReport(
-        stage_checks=stage_checks,
-        inblock_residual=operator_norm(residual),
-        collapse_defect=collapse_defect,
-        family_sizes=family_sizes,
-    )
-    return decomp, report
+    return factors, residual, TowerRunReport(stage_checks, operator_norm(residual),
+                                             collapse_defect, family_sizes)
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,10 @@ decoded fack-run input of a tower, small complexes, lattice sampling and
 hat-function extension of fields, the residual of a field decomposition
 against any target, the smooth-target mesh refinement checks, the bitmask
 keys and frozenset reference of the square-free ring, the unscreened
-reference of collapse_orthogonal, the per-matrix reference of the stacked
-self-commutator pass, and the per-simplex reference of the field grid pass."""
+reference of collapse_orthogonal, the list-scan references of the two
+visiting orders, the per-matrix reference of the stacked self-commutator
+pass, the per-simplex reference of the field grid pass, and the
+reconstruction error of a decomposition measured apart from its report."""
 
 import itertools
 import math
@@ -277,6 +279,33 @@ def reference_greedy_order(lam) -> list:
         s += lam[pick]
         perm.append(pick)
     return perm
+
+
+def reference_signed_order(lam) -> list:
+    """The signed visiting order of one zero-sum multiset, one Python list
+    scan per step: the reference of the masked-argmax order."""
+    remaining = list(range(len(lam)))
+    perm = []
+    s = 0.0
+    while remaining:
+        if s <= 0.0:
+            pick = max(remaining, key=lambda i: (lam[i], -i))
+        else:
+            pick = min(remaining, key=lambda i: (lam[i], i))
+        remaining.remove(pick)
+        s += lam[pick]
+        perm.append(pick)
+    return perm
+
+
+def reconstruction_error(a, dec) -> float:
+    """norm(a - sum of commutators - residual) of a decomposition, measured
+    here from its matrices: [x*, x] for a single factor x, [x, y] for a pair."""
+    total = np.array(dec.residual, dtype=complex)
+    for f in dec.factors:
+        total = total + (commutator(f.conj().T, f) if dec.kind == "self_commutators"
+                         else commutator(*f))
+    return operator_norm(np.asarray(a) - total)
 
 
 def reference_self_commutator(a):

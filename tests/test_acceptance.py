@@ -9,10 +9,16 @@ import time
 
 import numpy as np
 
-from helpers import circle_complex, circle_refinement_residual, fack_run_input, monomial
+from helpers import (
+    circle_complex,
+    circle_refinement_residual,
+    fack_run_input,
+    monomial,
+    reconstruction_error,
+)
 from tracezero.cli import run_from_args
 from tracezero.jsonio import field_to_json, matrix_to_json
-from tracezero.matcore import commutator, operator_norm, verify_decomposition
+from tracezero.matcore import commutator, operator_norm
 from tracezero.obstruct import (
     BundleExpr,
     SquareFreeClass,
@@ -196,12 +202,13 @@ def test_criterion_07_tower_truncation():
         dec, report = tower_iterate(inp.z0, TowerModel(inp), 4)
         count_n = L * (L + K - 1)
         bound = count_n + max(M, count_n)
-        ok = ok and dec.factor_count() <= bound
+        ok = ok and len(dec.factors) <= bound
         ok = ok and operator_norm(dec.residual) <= deltas[3]
         ok = ok and report.collapse_defect <= 1e-10  # collapse preconditions
         ok = ok and report.all_passed
-        ok = ok and verify_decomposition(z0, dec).all_passed
-        details.append(f"L{L}K{K}: {dec.factor_count()}<={bound}")
+        ok = ok and reconstruction_error(z0, dec) <= 1e-8 * max(1.0, operator_norm(z0))
+        ok = ok and dec.report.all_passed
+        details.append(f"L{L}K{K}: {len(dec.factors)}<={bound}")
     conclude(7, "depth-4 tower iteration: count bound, residual <= delta_4",
              ok, f" ({'; '.join(details)})")
 

@@ -16,7 +16,14 @@ from test_cli import ALL_RUNS, _M3, _rotated_tower_doc, run_cmd, sample_tower_do
 from tracezero.certcheck import barycentric_refinement, euler_class_by_forms, implied_exit_code
 from tracezero.errors import InvalidInputError
 from tracezero.jsonio import field_to_json, matrix_to_json
-from tracezero.matcore import commutator
+from tracezero.matcore import (
+    BoundCheck,
+    CommutatorDecomposition,
+    VerificationReport,
+    commutator,
+    norm_ratio,
+    operator_norm,
+)
 from tracezero.obstruct import BundleExpr, euler_class
 from tracezero.ozfield import (
     SimplicialComplex,
@@ -172,11 +179,18 @@ def test_a_wrong_construction_with_a_passing_report_is_rejected(monkeypatch):
     original = tracezero.selfcomm.tight_commutator_decompose
 
     def halved(a, **kwargs):
-        dec = original(a, **kwargs)
-        [(x, y)] = dec.factors
-        dec.factors = [(x / 2, y)]
-        dec.residual = a - commutator(x / 2, y)
-        return dec
+        [(x, y)] = original(a, **kwargs).factors
+        x = x / 2
+        unexplained = a - commutator(x, y)
+        residual = unexplained.copy()
+        checks = [BoundCheck("reconstruction_residual", 1e-9 * max(1.0, operator_norm(a)),
+                             operator_norm(unexplained - residual), 0.0),
+                  BoundCheck("norm_product_over_norm_a", 1.0,
+                             *norm_ratio(operator_norm(x) * operator_norm(y), operator_norm(a)))]
+        return CommutatorDecomposition(
+            kind="general_commutators", factors=[(x, y)], residual=residual,
+            residual_norm=operator_norm(residual),
+            report=VerificationReport(operator_norm(unexplained), 1, checks))
 
     monkeypatch.setattr(tracezero.cli, "tight_commutator_decompose", halved)
     code, doc, _ = run_cmd("decompose-tight", matrix_to_json(_M3))
@@ -191,11 +205,11 @@ def test_a_wrong_construction_with_a_passing_report_is_rejected(monkeypatch):
 
 
 CONSTRUCTORS = ("self_commutator_decompose", "self_commutator_factors",
-                "tight_commutator_decompose", "decompose_field",
+                "tight_commutator_decompose", "tight_commutator_factors", "decompose_field",
                 "barycentric_subdivide", "subdivide_field", "greedy_coloring", "TowerModel",
                 "tower_iterate", "push_step", "cuntz_witness",
                 "collapse_orthogonal", "block_two_commutator_split", "hermitian_eig",
-                "verify_decomposition", "euler_class", "sqfree_mul", "linear_power",
+                "euler_class", "sqfree_mul", "linear_power",
                 "obstruction_certificate", "pp_example", "villadsen_tower", "matrix_to_json",
                 "field_to_json")
 
@@ -242,7 +256,7 @@ def test_checker_imports_no_constructor():
         "obstruct": {"euler_class", "sqfree_mul", "linear_power", "obstruction_certificate",
                      "pp_example", "villadsen_tower", "distance_lower_bound_cert"},
         # the screened norms too: the checker measures with SVDs the screen never touched
-        "matcore": {"hermitian_eig", "verify_decomposition", "max_operator_norm",
+        "matcore": {"hermitian_eig", "max_operator_norm",
                     "frobenius_bounds", "frobenius_bound", "norm_exceeds"},
         "jsonio": {"matrix_to_json", "field_to_json"},
     }

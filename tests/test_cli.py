@@ -163,6 +163,63 @@ class TestCommands:
         assert code == 0
         assert 0 < len(calls) <= 3 * blocks + 1
 
+    @pytest.mark.parametrize("command, make_doc, n, norms", [
+        # norm(a), norm(a - [x*, x]) and norm(x)
+        ("decompose", lambda: matrix_to_json(random_trace_zero_hermitian(SplitMix64(3), 6)),
+         6, 3),
+        # norm(a), norm(a - [x, y]), norm(x) and norm(y)
+        ("decompose-tight",
+         lambda: matrix_to_json(random_trace_zero_hermitian(SplitMix64(3), 6)), 6, 4),
+        # the benchmark's deep tower: nine rank-16 blocks, depth 8
+        ("fack-run", lambda: {"tower": {"blocks": [{"rank": 16}] * 9, "L": 1, "K": 1, "M": 1,
+                                        "epsilon": 0.5,
+                                        "deltas": [2.0 ** -(i + 1) for i in range(8)]},
+                              "depth": 8}, 144, 44),
+    ])
+    def test_norms_of_element_size_matrices(self, monkeypatch, command, make_doc, n, norms):
+        original = tracezero.matcore.operator_norm
+        shapes = []
+
+        def counting(a):
+            shapes.append(np.shape(a))
+            return original(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tracezero") and getattr(module, "operator_norm", None) is original:
+                monkeypatch.setattr(module, "operator_norm", counting)
+        code, _, _ = run_cmd(command, make_doc(), "--seed", "1")
+        assert code == 0
+        assert shapes.count((n, n)) == norms
+
+    def test_a_measured_value_over_its_claim_exits_1(self, monkeypatch):
+        factors = tracezero.selfcomm.self_commutator_factors
+
+        def doubled(stack, **kwargs):
+            x, norms = factors(stack, **kwargs)
+            return 2.0 * x, norms
+
+        monkeypatch.setattr(tracezero.selfcomm, "self_commutator_factors", doubled)
+        code, doc, _ = run_cmd("decompose", matrix_to_json(SZ))
+        assert code == 1
+        # norm(a - [x*, x]) = 3 over its claim 1e-9, norm(x)^2 / norm(a) = 4 over 2
+        assert [(c["measured_value"], c["passed"]) for c in doc["report"]["bound_checks"]] \
+            == [(3.0, False), (4.0, False)]
+        assert doc["report"]["all_passed"] is False
+        vcode, vdoc, _ = run_cmd("verify", doc)
+        assert vcode == 1
+        assert vdoc["result"]["mismatches"] == [
+            "$.report.bound_checks[0]: reconstruction_residual: re-measured 3.0 exceeds "
+            "claimed bound 1e-09",
+            "$.report.bound_checks[1]: norm_sq_over_norm_a: re-measured 4.0 exceeds "
+            "claimed bound 2.0"]
+
+    @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
+    def test_entries_near_the_float_maximum_exit_2_naming_the_range(self, command):
+        code, doc, _ = run_cmd(command, matrix_to_json(np.diag([1e308, -1e308])))
+        assert code == 2
+        assert doc == {"error": "a has entries beyond about 8.988e+307 in magnitude, "
+                                "where m + m* overflows a float", "path": "stdin"}
+
     def test_fack_run_collapse_takes_no_svd_on_orthogonal_blocks(self, monkeypatch):
         norms, slots = [], []
         norm, collapse = tracezero.selfcomm.operator_norm, tracezero.towers.collapse_orthogonal

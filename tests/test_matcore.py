@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from helpers import random_unitary
 from tracezero.errors import InvalidInputError
 from tracezero.matcore import (
-    KIND_SELF,
-    CommutatorDecomposition,
+    BoundCheck,
+    VerificationReport,
     commutator,
     frobenius_bound,
     frobenius_bounds,
@@ -18,7 +18,6 @@ from tracezero.matcore import (
     max_operator_norm,
     norm_exceeds,
     operator_norm,
-    verify_decomposition,
 )
 from tracezero.rand import SplitMix64, random_complex_matrix
 
@@ -70,6 +69,17 @@ class TestOperatorNorm:
 
     def test_zero(self):
         assert operator_norm(np.zeros((3, 3))) == 0.0
+
+    def test_zero_and_empty_take_no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD of a zero matrix")
+
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        assert operator_norm(np.zeros((3, 3))) == 0.0
+        assert operator_norm(np.full((2, 2), -0.0 - 0.0j)) == 0.0
+        assert operator_norm(np.zeros((0, 0))) == 0.0
+        with pytest.raises(AssertionError):
+            operator_norm(np.diag([0.0, 5e-324]))
 
     def test_symmetric_shift(self):
         # eigenvalues of [[0,1],[1,0]] are +-1 by direct solve
@@ -293,49 +303,36 @@ class TestHermitianEig:
     @pytest.mark.parametrize("rows, error", [
         (["good", "not hermitian", "good", "not finite"], "matrix is not Hermitian"),
         (["good", "not finite", "not hermitian"], "matrix has non-finite entries"),
+        (["good", "out of range", "not hermitian"], "matrix has entries beyond about 8.988e"),
+        (["good", "not hermitian", "out of range"], "matrix is not Hermitian"),
     ])
     def test_stack_raises_for_its_first_failing_matrix(self, rows, error):
         matrices = {"good": np.diag([1.0, -1.0]), "not hermitian": [[0.0, 1.0], [0.0, 0.0]],
-                    "not finite": np.diag([np.inf, 0.0])}
+                    "not finite": np.diag([np.inf, 0.0]),
+                    "out of range": [[0.0, 1e308], [1e308, 0.0]]}
         with pytest.raises(InvalidInputError, match=error) as info:
             hermitian_eig(np.array([matrices[r] for r in rows], dtype=complex))
         assert info.value.index == 1
 
 
-class TestVerifyDecomposition:
-    def test_exact_self_factor(self):
-        a = np.diag([1.0, -1.0]).astype(complex)
-        dec = CommutatorDecomposition(
-            kind=KIND_SELF, factors=[unit(1, 0, 2)], residual=np.zeros((2, 2)),
-            claimed_bounds=[("reconstruction_residual", 1e-9),
-                            ("norm_sq_over_norm_a", 2.0)])
-        report = verify_decomposition(a, dec)
-        assert report.residual_norm == 0.0
-        assert report.all_passed
-        assert report.commutator_count == 1
+    def test_entries_just_inside_the_range_decompose(self):
+        half_max = np.finfo(float).max / 2  # m + m* overflows above it
+        es = hermitian_eig(np.diag([half_max, -half_max]).astype(complex))
+        np.testing.assert_allclose(es.eigenvalues, [-half_max, half_max], rtol=1e-15)
+        with pytest.raises(InvalidInputError, match="where m \\+ m\\* overflows a float"):
+            hermitian_eig(np.diag([1.0, -1.0]) * np.nextafter(half_max, np.inf))
 
-    def test_empty_factors_residual_is_norm(self):
-        a = np.diag([2.0, -2.0]).astype(complex)
-        dec = CommutatorDecomposition(kind=KIND_SELF, factors=[], residual=a.copy(),
-                                      claimed_bounds=[("reconstruction_residual", 1e-9)])
-        report = verify_decomposition(a, dec)
-        assert report.residual_norm == pytest.approx(2.0)
-        assert report.all_passed
 
-    def test_dimension_mismatch(self):
-        a = np.diag([1.0, -1.0]).astype(complex)
-        dec = CommutatorDecomposition(kind=KIND_SELF, factors=[np.zeros((3, 3))],
-                                      residual=np.zeros((2, 2)), claimed_bounds=[])
-        with pytest.raises(InvalidInputError):
-            verify_decomposition(a, dec)
-
+class TestVerificationReport:
     def test_failed_bound_is_reported(self):
-        a = np.diag([1.0, -1.0]).astype(complex)
-        dec = CommutatorDecomposition(
-            kind=KIND_SELF, factors=[2.0 * unit(1, 0, 2)], residual=np.zeros((2, 2)),
-            claimed_bounds=[("reconstruction_residual", 1e-9)])
-        report = verify_decomposition(a, dec)
+        within = BoundCheck("reconstruction_residual", 1e-9, 1e-9 + 5e-13, 1e-12)
+        over = BoundCheck("norm_sq_over_norm_a", 2.0, 4.0, 0.0)
+        assert within.passed and not over.passed
+        assert VerificationReport(0.0, 1, [within]).all_passed
+        report = VerificationReport(0.0, 1, [within, over])
         assert not report.all_passed
+        assert report.to_json()["all_passed"] is False
+        assert [c["passed"] for c in report.to_json()["bound_checks"]] == [True, False]
 
 
 def test_is_hermitian_tolerance():

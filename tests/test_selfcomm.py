@@ -6,14 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unitary, reference_collapse, reference_self_commutator, run_script
+from helpers import (
+    random_unitary,
+    reconstruction_error,
+    reference_collapse,
+    reference_self_commutator,
+    reference_signed_order,
+    run_script,
+)
 from tracezero.errors import InvalidInputError, NumericsError, PreconditionError
 from tracezero.matcore import (
     PHASE_CUTOFF,
     commutator,
     hermitian_eig,
     operator_norm,
-    verify_decomposition,
 )
 from tracezero.rand import SplitMix64, random_trace_zero_hermitian
 from tracezero.selfcomm import (
@@ -116,6 +122,19 @@ class TestSignedOrder:
             s = signed_order(lam).partial_sums
             assert np.max(np.abs(s)) <= mx + 1e-12
 
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-300]),
+                    min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_masked_argmax_matches_the_list_scan(self, values):
+        # ties, signed zeros and repeated values: the first occurrence wins
+        lam = np.array(values + [-sum(values)])
+        order = signed_order(lam)
+        assert order.permutation == tuple(reference_signed_order(lam))
+        assert order.partial_sums.tobytes() == np.cumsum(lam[list(order.permutation)]).tobytes()
+        rows = signed_order(np.stack([lam, lam[::-1]]))
+        assert rows.permutation[0].tolist() == list(order.permutation)
+        assert rows.permutation[1].tolist() == reference_signed_order(lam[::-1])
+
 
 class TestSelfCommutatorDecompose:
     def test_two_by_two(self):
@@ -149,7 +168,20 @@ class TestSelfCommutatorDecompose:
             a_norm = operator_norm(a)
             assert operator_norm(a - commutator(x.conj().T, x)) <= 1e-9 * max(1.0, a_norm)
             assert operator_norm(x) ** 2 <= 2 * a_norm + 1e-9
-            assert verify_decomposition(a, dec).all_passed
+            err = reconstruction_error(a, dec)
+            assert err <= 1e-9 * max(1.0, a_norm)
+            assert dec.report.bound_checks[0].measured_value == pytest.approx(err, abs=1e-15)
+            assert dec.report.all_passed
+
+    def test_report_of_an_exact_factor(self):
+        a = np.diag([1.0, -1.0]).astype(complex)
+        dec = self_commutator_decompose(a)
+        assert reconstruction_error(a, dec) == 0.0
+        assert dec.report.residual_norm == 0.0
+        assert dec.report.commutator_count == 1
+        assert [(c.name, c.claimed_bound, c.measured_value) for c in dec.report.bound_checks] \
+            == [("reconstruction_residual", 1e-9, 0.0), ("norm_sq_over_norm_a", 2.0, 1.0)]
+        assert dec.report.all_passed
 
     def test_unitary_covariance(self):
         rng = SplitMix64(21)
@@ -278,6 +310,10 @@ class TestTightCommutatorDecompose:
             a_norm = operator_norm(a)
             assert operator_norm(a - commutator(x, y)) <= 1e-9 * max(1.0, a_norm)
             assert operator_norm(x) * operator_norm(y) <= a_norm + 1e-9
+            err = reconstruction_error(a, dec)
+            assert err <= 1e-9 * max(1.0, a_norm)
+            assert dec.report.bound_checks[0].measured_value == pytest.approx(err, abs=1e-15)
+            assert dec.report.all_passed
 
 
 _ENTRIES = st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 1e-11, 0.5, -1.0, 2.0])

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import fack_run_input, run_script
+from helpers import fack_run_input, reconstruction_error, run_script
 from tracezero import jsonio
 from tracezero.errors import InvalidInputError, NumericsError, PreconditionError
-from tracezero.matcore import commutator, operator_norm, verify_decomposition
+from tracezero.matcore import commutator, operator_norm
 from tracezero.rand import SplitMix64, random_complex_matrix, random_hermitian
 from tracezero.towers import (
     ElementSpectrum,
@@ -293,19 +293,30 @@ class TestTowerIterate:
         rng = SplitMix64(50)
         inp = fack_run_input([3, 3], z0=embedded_trace_zero(rng, 6, 0, 3))
         dec, report = tower_iterate(inp.z0, TowerModel(inp), 0)
-        assert dec.factor_count() == 0
+        assert dec.factors == []
         np.testing.assert_array_equal(dec.residual, inp.z0)
+
+    def test_depth_zero_report_residual_is_norm(self):
+        rng = SplitMix64(50)
+        inp = fack_run_input([3, 3], z0=embedded_trace_zero(rng, 6, 0, 3))
+        dec, report = tower_iterate(inp.z0, TowerModel(inp), 0)
+        assert reconstruction_error(inp.z0, dec) == 0.0
+        # with no factors, the distance to the bare sum is the norm of z0
+        assert dec.report.residual_norm == pytest.approx(operator_norm(inp.z0))
+        assert dec.residual_norm == report.inblock_residual == operator_norm(inp.z0)
+        assert dec.report.commutator_count == 0
+        assert dec.report.all_passed
 
     def test_depth_four_unit_parameters(self):
         # 5 equal-rank blocks inside a 32-dimensional ambient space
         rng = SplitMix64(51)
         inp = fack_run_input([6, 6, 6, 6, 6], z0=embedded_trace_zero(rng, 32, 0, 6), ambient=32)
         dec, report = tower_iterate(inp.z0, TowerModel(inp), 4)
-        assert dec.factor_count() <= 1 + max(1, 1)
+        assert len(dec.factors) <= 1 + max(1, 1)
         assert operator_norm(dec.residual) <= inp.deltas[3]  # 1/16
         assert report.collapse_defect <= 1e-10
-        vrep = verify_decomposition(inp.z0, dec)
-        assert vrep.all_passed
+        assert reconstruction_error(inp.z0, dec) <= 1e-8 * max(1.0, operator_norm(inp.z0))
+        assert dec.report.all_passed
         assert report.all_passed
 
     def test_depth_three_K2(self):
@@ -313,18 +324,20 @@ class TestTowerIterate:
         inp = fack_run_input([2, 2, 2, 2], z0=embedded_trace_zero(rng, 8, 0, 2), K=2)
         dec, report = tower_iterate(inp.z0, TowerModel(inp), 3)
         n_count = 1 * (1 + 2 - 1)
-        assert dec.factor_count() <= n_count + max(1, n_count)  # 4
+        assert len(dec.factors) <= n_count + max(1, n_count)  # 4
         assert operator_norm(dec.residual) <= inp.deltas[2]
-        assert verify_decomposition(inp.z0, dec).all_passed
+        assert reconstruction_error(inp.z0, dec) <= 1e-8 * max(1.0, operator_norm(inp.z0))
+        assert dec.report.all_passed
 
     def test_depth_four_L2_K2(self):
         rng = SplitMix64(53)
         inp = fack_run_input([3, 3, 3, 3, 3], z0=embedded_trace_zero(rng, 15, 0, 3), L=2, K=2)
         dec, report = tower_iterate(inp.z0, TowerModel(inp), 4)
         n_count = 2 * (2 + 2 - 1)
-        assert dec.factor_count() <= n_count + max(1, n_count)  # 12
+        assert len(dec.factors) <= n_count + max(1, n_count)  # 12
         assert operator_norm(dec.residual) <= inp.deltas[3]
-        assert verify_decomposition(inp.z0, dec).all_passed
+        assert reconstruction_error(inp.z0, dec) <= 1e-8 * max(1.0, operator_norm(inp.z0))
+        assert dec.report.all_passed
 
     def test_rejects_bad_support(self):
         z0 = np.zeros((6, 6), dtype=complex)
