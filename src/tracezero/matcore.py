@@ -154,9 +154,15 @@ def is_hermitian(a) -> bool:
 
 
 def _hermitian_each(m) -> np.ndarray:
-    """``is_hermitian``'s rule on a matrix, or on each matrix of a stack."""
-    return (np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
-            <= HERMITIAN_TOL * (1.0 + np.max(np.abs(m), axis=(-2, -1), initial=0.0)))
+    """``is_hermitian``'s rule on a matrix, or on each matrix of a stack.
+
+    Both sides are taken on m/4, where neither m - m* nor a modulus can
+    overflow.  Scaling by 4 is exact on normal floats, and subnormal
+    rounding is far below the tolerance, so the verdict is the unscaled
+    rule's on every input where that rule does not overflow."""
+    q = m / 4.0
+    return (np.max(np.abs(q - q.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+            <= HERMITIAN_TOL * (0.25 + np.max(np.abs(q), axis=(-2, -1), initial=0.0)))
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:

@@ -10,7 +10,11 @@ section, so a nonvanishing Euler class of the n-fold sum certifies that
 no such comparison exists.
 
 Everything here is exact integer arithmetic (m! coefficients overflow
-64 bits quickly); no floats.
+64 bits quickly); no floats.  sqfree_mul works on a class as two numpy
+arrays, sorted monomial bitmasks and their coefficients: keys are int64 up
+to 62 variables, and values are int64 only while the product of the two
+factors' l1 norms, which bounds every coefficient and partial sum, is below
+2^63.  Otherwise they are object arrays of Python ints.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import itertools
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +33,17 @@ from . import ozfield
 # uses the factored representation instead.
 MAX_EXPANSION_TERMS = 2_000_000
 # Refuse an Euler class whose products would visit more pairs of monomials
-# than this in total, each visit one pure-Python dict update; the bound is
-# taken from the factor sizes before any product (require_product_budget).
+# than this in total; sqfree_mul visits pairs as array elements, one masked
+# AND per pair and an OR and a product per disjoint pair.  The bound is taken
+# from the factor sizes before any product (require_product_budget).
 MAX_PAIR_VISITS = 2 ** 24
+# sqfree_mul merges its pairs into the sorted partial result once it holds
+# PASS_PAIRS of them, or as many as that result has keys if more: its memory
+# is a few arrays of that length besides the factors, and each merge's sort
+# costs at most about twice the pairs it takes in.
+PASS_PAIRS = 2 ** 12
+# Values stay int64 while every sum of them is provably below this.
+INT64_BOUND = 2 ** 63
 
 VILLADSEN_MMAX_LIMIT = 3
 # The largest m whose certificate coefficient m! has at most 4300 digits,
@@ -40,20 +52,59 @@ VILLADSEN_MMAX_LIMIT = 3
 PP_EXAMPLE_M_LIMIT = 1558
 
 
-@dataclass
 class SquareFreeClass:
     """Element of Z[a_1..a_m]/(a_i^2 = 0): maps a monomial's bitmask (bit
-    i-1 stands for a_i) to its nonzero integer coefficient."""
+    i-1 stands for a_i) to its nonzero integer coefficient.
 
-    variable_count: int
-    coefficients: dict = field(default_factory=dict)
+    ``coefficients`` is that map as a dict of Python ints; ``terms()`` is
+    the same class as sqfree_mul holds it, a key array sorted ascending and
+    a value array.  A class made from either form (``terms`` only by
+    sqfree_mul) builds the other once, on first use, so a chain of products
+    never passes through the dict.  Keys are int64 when variable_count <= 62
+    and Python ints (object arrays) otherwise; values are int64 only while
+    their l1 norm is below 2^63, Python ints otherwise."""
+
+    def __init__(self, variable_count: int, coefficients: dict | None = None,
+                 *, terms: tuple | None = None):
+        self.variable_count = variable_count
+        self._coefficients = {} if coefficients is None and terms is None else coefficients
+        self._terms = terms
 
     @classmethod
     def one(cls, m: int) -> "SquareFreeClass":
         return cls(m, {0: 1})
 
+    @property
+    def coefficients(self) -> dict:
+        if self._coefficients is None:
+            keys, values = self._terms
+            self._coefficients = dict(zip(keys.tolist(), values.tolist()))
+        return self._coefficients
+
+    def terms(self) -> tuple:
+        """(keys, values): the monomial bitmasks ascending and their coefficients."""
+        if self._terms is None:
+            items = [(k, v) for k, v in self.coefficients.items() if v]
+            key_dtype = np.int64 if self.variable_count <= 62 else object
+            value_dtype = np.int64 if sum(abs(v) for _, v in items) < INT64_BOUND else object
+            keys = np.array([k for k, _ in items], dtype=key_dtype)
+            order = np.argsort(keys, kind="stable")
+            self._terms = (keys[order], np.array([v for _, v in items], dtype=value_dtype)[order])
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.coefficients
+        if self._coefficients is None:
+            return not len(self._terms[0])
+        return not self._coefficients
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SquareFreeClass):
+            return NotImplemented
+        return (self.variable_count, self.coefficients) == (other.variable_count,
+                                                            other.coefficients)
+
+    def __repr__(self) -> str:
+        return f"SquareFreeClass({self.variable_count}, {self.coefficients!r})"
 
     def to_json(self) -> dict:
         """Keys are the monomial's indices, e.g. "1,3" for a_1 a_3 and "" for
@@ -67,19 +118,62 @@ def _indices(key: int) -> list:
 
 
 def sqfree_mul(a: SquareFreeClass, b: SquareFreeClass) -> SquareFreeClass:
-    """Bilinear product with a_i^2 = 0: overlapping monomials annihilate."""
+    """Bilinear product with a_i^2 = 0: overlapping monomials annihilate.
+
+    Loops over the smaller factor's terms (kb, vb) only: the larger factor's
+    keys disjoint from kb give keys | kb and values * vb as arrays, and
+    equal keys are summed by one stable argsort and np.add.reduceat.  The
+    pairs are merged into the sorted partial result in passes of at most
+    about max(PASS_PAIRS, its key count) pairs.
+
+    Exact: each pair product and each partial sum of a coefficient is at
+    most ||a||_1 * ||b||_1 (sums of |coefficients|) in modulus, so values
+    are int64 while that bound is below 2^63 and Python ints otherwise.
+    """
     if a.variable_count != b.variable_count:
         raise InvalidInputError("variable counts differ")
-    out = {}
-    b_terms = list(b.coefficients.items())
-    for ka, va in a.coefficients.items():
-        for kb, vb in b_terms:
-            if not ka & kb:
-                key = ka | kb
-                out[key] = out.get(key, 0) + va * vb
-    if len(out) > MAX_EXPANSION_TERMS:
+    (small_keys, small_values), (keys, values) = sorted(
+        (a.terms(), b.terms()), key=lambda t: len(t[0]))
+    if not len(small_keys):
+        return SquareFreeClass(a.variable_count, {})
+    dtype = np.int64 if _l1(small_values) * _l1(values) < INT64_BOUND else object
+    small_values, values = small_values.astype(dtype, copy=False), values.astype(dtype, copy=False)
+    out = (keys[:0], values[:0])
+    pending, held = [], 0
+    for kb, vb in zip(small_keys.tolist(), small_values.tolist()):
+        for start in range(0, len(keys), PASS_PAIRS):
+            block = slice(start, start + PASS_PAIRS)
+            free = (keys[block] & kb) == 0
+            pending.append((keys[block][free] | kb, values[block][free] * vb))
+            held += len(pending[-1][0])
+            if held >= max(PASS_PAIRS, len(out[0])):
+                out, held = _merge(out, pending), 0
+    out_keys, out_values = _merge(out, pending)
+    nonzero = out_values != 0
+    return SquareFreeClass(a.variable_count, terms=(out_keys[nonzero], out_values[nonzero]))
+
+
+def _l1(values) -> int:
+    """sum |v|, exactly: an int64 value array's l1 norm is below 2^63."""
+    return int(np.abs(values).sum())
+
+
+def _merge(out: tuple, pending: list) -> tuple:
+    """The sorted (keys, values) of ``out`` and the ``pending`` pairs, equal
+    keys summed; ``pending`` is emptied before the sort, so its arrays are
+    freed.  Cancelled keys are kept until the product ends, so the key count
+    never falls and is checked against MAX_EXPANSION_TERMS here."""
+    keys = np.concatenate([out[0]] + [k for k, _ in pending])
+    values = np.concatenate([out[1]] + [v for _, v in pending])
+    pending.clear()
+    if not len(keys):
+        return keys, values
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    if len(starts) > MAX_EXPANSION_TERMS:
         raise InvalidInputError("expansion too large for the explicit ring")
-    return SquareFreeClass(a.variable_count, {k: v for k, v in out.items() if v})
+    return keys[starts], np.add.reduceat(values, starts)
 
 
 def linear_power(coeffs, e: int, m: int | None = None) -> SquareFreeClass:
@@ -171,7 +265,10 @@ class BundleExpr:
 
 
 def euler_class(bundle: BundleExpr) -> SquareFreeClass:
-    """Product over summands of their degree linear forms, in the quotient ring."""
+    """Product over summands of their degree linear forms, in the quotient ring.
+
+    Equal summands form one linear_power; the running class stays in
+    sqfree_mul's arrays, and its dict is built once, when first read."""
     m = bundle.variable_count
     groups = sorted(Counter(bundle.summands).items())
     require_product_budget(groups)
@@ -185,12 +282,15 @@ def euler_class(bundle: BundleExpr) -> SquareFreeClass:
 
 def require_product_budget(groups):
     """Reject an Euler class whose products would visit more than
-    MAX_PAIR_VISITS pairs of monomials, before any product is formed.
+    MAX_PAIR_VISITS pairs of monomials, or whose running class could have
+    more than MAX_EXPANSION_TERMS monomials, before any product is formed.
 
     A product of a and b visits |a| * |b| pairs.  linear_power(vec, count)
     has C(support, count) terms; the running class has at most
     min(C(variables touched, degree), product of the factor sizes), since
-    each of its monomials is a degree-sized set of touched variables.
+    each of its monomials is a degree-sized set of touched variables.  That
+    is a bound: a class that cancellation would bring under the cap is
+    refused too.
     """
     visits = 0
     size = 1
@@ -208,6 +308,8 @@ def require_product_budget(groups):
         touched |= sum(1 << i for i, c in enumerate(vec) if c)
         degree += count
         size = min(math.comb(touched.bit_count(), degree), size * terms)
+        if size > MAX_EXPANSION_TERMS:
+            raise InvalidInputError("expansion too large for the explicit ring")
 
 
 @dataclass

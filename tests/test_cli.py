@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import warnings
 
 import jsonschema
 import numpy as np
@@ -219,6 +220,17 @@ class TestCommands:
         assert code == 2
         assert doc == {"error": "a has entries beyond about 8.988e+307 in magnitude, "
                                 "where m + m* overflows a float", "path": "stdin"}
+
+    @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
+    def test_huge_skew_entries_exit_2_with_nothing_on_stderr(self, command, capfd):
+        # m - m* is 2e308 here: the Hermitian rule must not overflow computing it
+        a = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc, _ = run_cmd(command, matrix_to_json(a))
+        assert code == 2
+        assert doc == {"error": "a is not Hermitian within tolerance 1e-12", "path": "stdin"}
+        assert capfd.readouterr().err == ""
 
     def test_fack_run_collapse_takes_no_svd_on_orthogonal_blocks(self, monkeypatch):
         norms, slots = [], []
@@ -522,6 +534,18 @@ class TestHostileInput:
         assert code == 2
         assert out == {"error": "the Euler class needs over 16777216 monomial pair products, "
                                 "too many for the explicit ring", "path": "stdin"}
+
+    def test_obstruct_over_the_expansion_cap_exits_2_before_any_product(self, monkeypatch):
+        # 1716^2 pair visits pass the pair budget, but the class after the
+        # second factor may have min(C(26, 12), 1716^2) > MAX_EXPANSION_TERMS terms
+        q = {"variables": 26, "summands": [[1] * 13 + [0] * 13] * 6 + [[0] * 13 + [1] * 13] * 6}
+        monkeypatch.setattr("tracezero.obstruct.sqfree_mul",
+                            lambda a, b: pytest.fail("a product was formed"))
+        monkeypatch.setattr("tracezero.obstruct.linear_power",
+                            lambda *args: pytest.fail("a factor was expanded"))
+        code, out, _ = run_cmd("obstruct", {"q": q, "n": 1})
+        assert code == 2
+        assert out == {"error": "expansion too large for the explicit ring", "path": "stdin"}
 
     def test_verify_without_a_result_exits_1(self):
         _, out, _ = run_cmd("decompose", matrix_to_json(SZ))

@@ -341,3 +341,36 @@ def test_is_hermitian_tolerance():
     assert is_hermitian(a)
     a[0, 1] = 1e-3
     assert not is_hermitian(a)
+
+
+def unscaled_hermitian_rule(m):
+    """max |m - m*| <= HERMITIAN_TOL * (1 + max |m|) as written, or None
+    where a side overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.max(np.abs(m - m.conj().T), initial=0.0)
+        rhs = 1e-12 * (1.0 + np.max(np.abs(m), initial=0.0))
+    return bool(lhs <= rhs) if np.isfinite(lhs) and np.isfinite(rhs) else None
+
+
+@given(st.integers(2, 4), st.integers(-320, 308), st.integers(-16, 0), st.integers(0, 2 ** 32))
+@settings(max_examples=300, deadline=None)
+@example(2, 307, -12, 0)   # near the boundary at the top of the range
+@example(2, -315, -3, 1)   # subnormal entries
+def test_is_hermitian_keeps_the_unscaled_verdict(n, exponent, defect_exponent, seed):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (h + h.conj().T) / 2 + 10.0 ** defect_exponent * rng.standard_normal((n, n))
+    with np.errstate(over="ignore"):
+        m = h * 10.0 ** exponent
+    expected = unscaled_hermitian_rule(m) if np.isfinite(m).all() else None
+    if expected is not None:
+        assert is_hermitian(m) == expected
+
+
+def test_is_hermitian_does_not_overflow():
+    skew = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    imaginary_diagonal = np.diag([1.7e308 + 1.7e308j, 0.0])
+    with np.errstate(all="raise"):
+        assert not is_hermitian(skew)
+        # unscaled, both sides overflow to inf and inf <= inf called it Hermitian
+        assert not is_hermitian(imaginary_diagonal)

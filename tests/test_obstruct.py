@@ -1,12 +1,16 @@
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import monomial, reference_euler_class
+import tracezero.obstruct
+from helpers import frozenset_mul, monomial, reference_euler_class
+from tracezero.certcheck import euler_class_by_forms
 from tracezero.errors import InvalidInputError
 from tracezero.jsonio import decode_input
 from tracezero.obstruct import (
@@ -165,6 +169,162 @@ class TestEulerClass:
                 cls = euler_class(BundleExpr.make(m, rows))
                 assert set(cls.coefficients) <= {top}
                 assert cls.coefficients.get(top, 0) == permanent
+
+
+def assert_python_ints(cls: SquareFreeClass):
+    """The dict holds Python ints, as encode and __eq__ saw before the arrays."""
+    assert all(type(k) is int and type(v) is int for k, v in cls.coefficients.items())
+
+
+def assert_matches_references(bundle: BundleExpr) -> SquareFreeClass:
+    cls = euler_class(bundle)
+    assert cls.coefficients == euler_class_by_forms(bundle.summands)
+    assert cls.to_json() == reference_euler_class(bundle.summands)
+    assert_python_ints(cls)
+    return cls
+
+
+def random_bundle(rng, m, entries, max_pool=4, max_summands=8):
+    """A bundle drawn with repetition from a small pool, so that equal
+    summands meet in one linear_power of count > 1."""
+    pool = [tuple(rng.randint(-entries, entries) for _ in range(m))
+            for _ in range(rng.randint(1, max_pool))]
+    return BundleExpr.make(m, [rng.choice(pool) for _ in range(rng.randint(1, max_summands))])
+
+
+@pytest.fixture(params=[1, 3, None], ids=["pass-1", "pass-3", "pass-default"])
+def pass_pairs(request, monkeypatch):
+    """PASS_PAIRS of 1 or 3 as well as the default, so that products take
+    many merge passes and slice the larger factor."""
+    if request.param is not None:
+        monkeypatch.setattr(tracezero.obstruct, "PASS_PAIRS", request.param)
+
+
+class TestArrayKernel:
+    def test_random_bundles_with_repeated_summands(self, pass_pairs):
+        rng = random.Random(23)
+        repeated = 0
+        for trial in range(120):
+            bundle = random_bundle(rng, 1 + trial % 9, (2, 9, 10 ** 12)[trial % 3])
+            repeated += len(set(bundle.summands)) < bundle.rank
+            assert_matches_references(bundle)
+        assert repeated > 60
+
+    def test_products_of_general_classes(self, pass_pairs):
+        rng = random.Random(29)
+        for trial in range(200):
+            m = 1 + trial % 10
+            a, b = (SquareFreeClass(m, {k: v for k, v in (
+                (rng.getrandbits(m), rng.randint(-10 ** 12, 10 ** 12))
+                for _ in range(rng.randint(0, 30))) if v}) for _ in range(2))
+            product = sqfree_mul(a, b)
+            assert product.coefficients == frozenset_mul(a.coefficients, b.coefficients)
+            assert_python_ints(product)
+
+    def test_products_of_euler_classes(self):
+        rng = random.Random(31)
+        for trial in range(40):
+            m = 2 + trial % 8
+            b1, b2 = random_bundle(rng, m, 3), random_bundle(rng, m, 3)
+            both = BundleExpr.make(m, b1.summands + b2.summands)
+            product = sqfree_mul(euler_class(b1), euler_class(b2))
+            assert product == assert_matches_references(both)
+            assert_python_ints(product)
+
+    def test_switch_to_python_ints_mid_product(self, monkeypatch, pass_pairs):
+        # 8 dense forms with entries near 10^3: the first products fit the
+        # int64 bound, the later ones' l1 bound passes 2^63
+        rng = random.Random(37)
+        bundle = BundleExpr.make(8, [[rng.choice((-1, 1)) * rng.randint(900, 1000)
+                                      for _ in range(8)] for _ in range(8)])
+        dtypes = []
+
+        def spy(a, b):
+            out = sqfree_mul(a, b)
+            dtypes.append(out.terms()[1].dtype)
+            return out
+
+        monkeypatch.setattr(tracezero.obstruct, "sqfree_mul", spy)
+        cls = assert_matches_references(bundle)
+        assert dtypes[0] == np.int64 and dtypes[-1] == object
+        assert max(abs(v) for v in cls.coefficients.values()) > 2 ** 63
+
+    def test_int64_bound_is_exact_at_the_edge(self):
+        # ||a||_1 * ||b||_1 = 2^63 - 1 stays int64; one more is Python ints
+        for value, dtype in ((2 ** 63 - 1, np.int64), (2 ** 63, object)):
+            a = SquareFreeClass(2, {monomial(1): value})
+            product = sqfree_mul(a, SquareFreeClass(2, {monomial(2): -1}))
+            assert product.terms()[1].dtype == dtype
+            assert product.coefficients == {monomial(1, 2): -value}
+            assert_python_ints(product)
+
+    def test_eighty_variables_use_python_int_keys(self):
+        rng = random.Random(41)
+        forms = []
+        for _ in range(7):
+            form = [0] * 80
+            for i in rng.sample(range(80), 4):
+                form[i] = rng.randint(-3, 3) or 1
+            forms.append(form)
+        forms.append(forms[0])  # a repeated summand
+        bundle = BundleExpr.make(80, forms)
+        cls = assert_matches_references(bundle)
+        assert cls.terms()[0].dtype == object
+        assert any(k >= 2 ** 62 for k in cls.coefficients)
+
+    def test_zero_factors_and_zero_products(self, pass_pairs):
+        for m in (3, 80):
+            zero = SquareFreeClass(m, {})
+            a1, a2 = SquareFreeClass(m, {monomial(1): 5}), SquareFreeClass(m, {monomial(2): 7})
+            plus, minus = add(a1, a2), add(a1, SquareFreeClass(m, {monomial(2): -5}))
+            assert sqfree_mul(zero, a1).is_zero() and sqfree_mul(a1, zero).is_zero()
+            huge = SquareFreeClass(m, {monomial(2): 2 ** 70})
+            assert sqfree_mul(zero, huge).is_zero() and sqfree_mul(huge, zero).is_zero()
+            # an explicit zero coefficient contributes nothing, as in the dict product
+            assert sqfree_mul(SquareFreeClass(m, {monomial(1): 0}), huge).is_zero()
+            assert sqfree_mul(a1, a1).is_zero()  # every pair overlaps
+            # (5a_1 + 7a_2)(5a_1 - 5a_2) = -25 a_1a_2 + 35 a_1a_2 = 10 a_1a_2
+            assert sqfree_mul(plus, minus) == SquareFreeClass(m, {monomial(1, 2): 10})
+            # (a_1 + a_2)(a_1 - a_2): the pair sums cancel to zero
+            cancel = sqfree_mul(SquareFreeClass(m, {monomial(1): 1, monomial(2): 1}),
+                                SquareFreeClass(m, {monomial(1): 1, monomial(2): -1}))
+            assert cancel.is_zero() and cancel.coefficients == {}
+            trivial = [0] * m
+            bundle = BundleExpr.make(m, [[1] + [0] * (m - 1), trivial])
+            assert assert_matches_references(bundle).is_zero()
+
+    def test_product_over_the_expansion_cap_raises(self, monkeypatch, pass_pairs):
+        monkeypatch.setattr(tracezero.obstruct, "MAX_EXPANSION_TERMS", 4)
+        a = SquareFreeClass(4, {monomial(1): 1, monomial(2): 1})
+        b = SquareFreeClass(4, {monomial(3): 1, monomial(4): 1})
+        assert len(sqfree_mul(a, b).coefficients) == 4
+        with pytest.raises(InvalidInputError, match="expansion too large"):
+            sqfree_mul(a, add(b, SquareFreeClass(4, {monomial(): 1})))
+
+    def test_memory_is_below_the_dict_products(self):
+        """A 20-variable bundle of 10 distinct dense forms: 184756 monomials
+        after about 8.6 M pair visits.  The dict product (frozenset_mul on
+        bitmask keys) holds, in the last product, the class before it and
+        the new class as dicts of Python ints.  Those two dicts are a lower
+        bound on its peak; the array kernel's peak, its final dict included,
+        stays under them.  euler_class multiplies the forms in sorted order."""
+        rng = random.Random(5)
+        forms = [tuple(rng.choice((-2, -1, 1, 2)) for _ in range(20)) for _ in range(10)]
+        tracemalloc.start()
+        try:
+            coefficients = euler_class(BundleExpr.make(20, forms)).coefficients
+            _, peak = tracemalloc.get_traced_memory()
+            del coefficients
+            before = euler_class(BundleExpr.make(20, sorted(forms)[:9]))
+            after = euler_class(BundleExpr.make(20, forms))
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            dicts = (before.coefficients, after.coefficients)
+            dict_floor = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert len(dicts[1]) == math.comb(20, 10)
+        assert peak <= dict_floor
 
 
 class TestObstructionCertificate:
