@@ -12,12 +12,16 @@ pp-example       m -> obstructed element description + certificate
 tower            m_max -> tower sequences and stage certificates
 verify           check the claims of a previous output document
 
-Every output embeds the command, the effective parameters, and the full
-input, so it is a certificate.  Its report is the one the constructor
-measured where it made each claim; ``verify`` checks the claims from the
-document alone with the independent checkers of ``tracezero.certcheck``,
-which run no constructor.  Randomness (the fack-run demo element) comes
-only from --seed via ``tracezero.rand``, so repeated runs are byte-identical.
+Every output embeds the command and the effective parameters.  The output
+of a construction command also embeds its full input, so it is a
+certificate.  Its report is the one the constructor measured where it made
+each claim; ``verify`` checks the claims from the document alone with the
+independent checkers of ``tracezero.certcheck``, which run no constructor.
+``verify`` does not echo the document it checked: its ``input`` is a
+digest, the verified document's command and the sha256 and length of the
+exact UTF-8 bytes that were read.  Randomness (the fack-run demo element)
+comes only from --seed via ``tracezero.rand``, so repeated runs are
+byte-identical.
 
 Exit codes: 0 = all certified bounds pass, 1 = a certified bound or a
 verify check failed, or an internal numerical check failed (then a
@@ -226,27 +230,43 @@ def _handle_verify(cfg: RunConfig, doc: dict):
     return {"result": result}, (0 if verified else 1)
 
 
-def _build_output(cfg: RunConfig, input_doc: dict):
+def _input_digest(input_doc: dict, text: str) -> dict:
+    """What ``verify`` reports of the document it checked: its command and
+    the sha256 and length of the UTF-8 bytes it was read from."""
+    import hashlib  # loads OpenSSL; only verify needs it, so other start-ups skip it
+
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a str with lone surrogates, from a Python caller
+        raise InvalidInputError(f"input is not valid UTF-8 text: {exc}") from None
+    return {"command": input_doc["command"], "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data)}
+
+
+def _build_output(cfg: RunConfig, input_doc: dict, text: str):
     """Validate, decode, dispatch, and wrap in the standard envelope."""
     validate(input_doc, cfg.command)
     if cfg.command == "verify":
         body, code = _handle_verify(cfg, input_doc)
+        input_part = _input_digest(input_doc, text)
     else:
         body, code = _HANDLERS[cfg.command](cfg, decode_input(cfg.command, input_doc))
+        input_part = {**input_doc, **body["generated"]} if body.get("generated") else input_doc
     doc = {
         "command": cfg.command,
         "parameters": cfg.parameters(),
-        "input": {**input_doc, **body["generated"]} if body.get("generated") else input_doc,
+        "input": input_part,
         "result": body["result"],
         "report": body.get("report", {"bound_checks": [], "all_passed": code == 0}),
     }
     return doc, code
 
 
-def run(cfg: RunConfig, input_doc: dict):
-    """Run one command; returns (output document, exit code)."""
+def run(cfg: RunConfig, input_doc: dict, text: str):
+    """Run one command on ``input_doc``, parsed from ``text``; returns
+    (output document, exit code)."""
     try:
-        return _build_output(cfg, input_doc)
+        return _build_output(cfg, input_doc, text)
     except jsonschema.ValidationError as exc:
         return {"error": exc.message, "path": exc.json_path}, 2
     except InvalidInputError as exc:
@@ -287,19 +307,23 @@ def _run_parsed(args, stdin_text: str | None = None):
     except InvalidInputError as exc:
         return 2, encode({"error": str(exc), "path": ""})
     try:
+        # Read as the bytes are, with no newline translation: verify hashes them.
         if args.in_path:
-            with open(args.in_path, "r", encoding="utf-8") as fh:
+            with open(args.in_path, "r", encoding="utf-8", newline="") as fh:
                 text = fh.read()
+        elif stdin_text is not None:
+            text = stdin_text
         else:
-            text = stdin_text if stdin_text is not None else sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
         input_doc = json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
-        # ValueError covers malformed JSON and integer literals longer than
-        # the interpreter will convert (4300 digits by default).
+        # ValueError covers malformed JSON, stdin bytes that are not UTF-8
+        # and integer literals longer than the interpreter will convert
+        # (4300 digits by default).
         return 2, encode({"error": f"cannot read input: {exc}", "path": args.in_path or "stdin"})
     if not isinstance(input_doc, dict):
         return 2, encode({"error": "input must be a JSON object", "path": args.in_path or "stdin"})
-    doc, code = run(cfg, input_doc)
+    doc, code = run(cfg, input_doc, text)
     text = encode(doc)
     if args.out_path:
         with open(args.out_path, "w", encoding="utf-8") as fh:

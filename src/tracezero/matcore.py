@@ -40,6 +40,7 @@ PHASE_CUTOFF = 1e-8
 # them; the margin covers SVD rounding where the two norms agree (rank 1).
 FROBENIUS_FLOOR = 1e-140
 FROBENIUS_MARGIN = 1e-6
+MAX_FLOAT = float(np.finfo(float).max)
 
 
 def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -235,9 +236,10 @@ def _fix_phases(u: np.ndarray) -> np.ndarray:
 def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
     """Diagonalize a Hermitian matrix with the deterministic phase
     convention, or each matrix of a stack (V, n, n) at once: one ``eigh`` of
-    (m + m*)/2, which must not overflow, one phase fix and the two guards
-    screened by ``frobenius_bounds``, an SVD only where the screen cannot
-    decide.  A matrix is the V = 1 stack.
+    (m + m*)/2, which must not overflow and must have norm at most
+    MAX_FLOAT / n, so that no sum of eigenvalues overflows, one phase
+    fix and the two guards screened by ``frobenius_bounds``, an SVD only
+    where the screen cannot decide.  A matrix is the V = 1 stack.
     A stack that fails raises as ``raise_first_failure`` says."""
     m = np.asarray(a, dtype=complex)
     stack = m[None] if m.ndim == 2 else m
@@ -254,6 +256,13 @@ def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
     in_range = np.isfinite(sym).all(axis=(1, 2))
     if not in_range.all():
         sym = np.where(in_range[:, None, None], sym, 0.0)
+    # A sum of eigenvalues is at most n * norm(a) in modulus.
+    norm_limit = MAX_FLOAT / max(stack.shape[1], 1)
+    in_norm = frobenius_bounds(sym) <= norm_limit
+    for k in np.flatnonzero(~in_norm).tolist():
+        in_norm[k] = operator_norm(sym[k]) <= norm_limit
+    if not in_norm.all():
+        sym = np.where(in_norm[:, None, None], sym, 0.0)
     eigenvalues, u = np.linalg.eigh(sym)
     u = _fix_phases(u)
     u_star = u.conj().swapaxes(1, 2)
@@ -264,8 +273,11 @@ def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
         (~hermitian, lambda k: InvalidInputError(
             f"{name} is not Hermitian within tolerance {HERMITIAN_TOL}")),
         (~in_range, lambda k: InvalidInputError(
-            f"{name} has entries beyond about {np.finfo(float).max / 2:.3e} in magnitude, "
+            f"{name} has entries beyond about {MAX_FLOAT / 2:.3e} in magnitude, "
             "where m + m* overflows a float")),
+        (~in_norm, lambda k: InvalidInputError(
+            f"{name} has norm beyond {norm_limit:.3e}, the float maximum over its size "
+            f"{stack.shape[1]}, where a sum of its eigenvalues can overflow")),
         (frobenius_bounds(defect) > EIG_TOL, lambda k: NumericsError(
             "eigenvector matrix failed the unitarity check")
          if operator_norm(defect[k]) > EIG_TOL else None),

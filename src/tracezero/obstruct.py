@@ -18,7 +18,6 @@ factors' l1 norms, which bounds every coefficient and partial sum, is below
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from collections import Counter
@@ -180,7 +179,14 @@ def linear_power(coeffs, e: int, m: int | None = None) -> SquareFreeClass:
     """(sum_i c_i a_i)^e in closed form: e! * sum over e-subsets of products.
 
     Vanishes exactly when e exceeds the support size (each variable squares
-    to zero), so high powers cost nothing.
+    to zero), so high powers cost nothing.  The terms are built as arrays,
+    from the one-variable subsets up: each step gives every subset, in
+    ascending order, each support variable below its lowest one that leaves
+    enough lower ones to reach e.  Children of a smaller key are smaller
+    keys, so the keys come out ascending, as ``terms()`` holds them.  Values
+    are int64 while C(support, e) * e! times the product of the e largest
+    |c_i|, a bound on every product and on their l1 norm, is below 2^63,
+    and Python ints otherwise.
     """
     coeffs = [int(c) for c in coeffs]
     m = len(coeffs) if m is None else m
@@ -189,18 +195,24 @@ def linear_power(coeffs, e: int, m: int | None = None) -> SquareFreeClass:
     support = [i for i, c in enumerate(coeffs) if c]
     if e > len(support):
         return SquareFreeClass(m, {})
-    if math.comb(len(support), e) > MAX_EXPANSION_TERMS:
+    if e == 0:
+        return SquareFreeClass.one(m)
+    count = math.comb(len(support), e)
+    if count > MAX_EXPANSION_TERMS:
         raise InvalidInputError("expansion too large for the explicit ring")
     fact = math.factorial(e)
-    out = {}
-    for subset in itertools.combinations(support, e):
-        prod = fact
-        key = 0
-        for i in subset:
-            prod *= coeffs[i]
-            key |= 1 << i
-        out[key] = prod
-    return SquareFreeClass(m, out)
+    largest = sorted((abs(coeffs[i]) for i in support), reverse=True)[:e]
+    value_dtype = np.int64 if count * fact * math.prod(largest) < INT64_BOUND else object
+    bits = np.array([1 << i for i in support], dtype=np.int64 if m <= 62 else object)
+    factors = np.array([coeffs[i] for i in support], dtype=value_dtype)
+    lowest = np.arange(e - 1, len(support))  # each subset's lowest variable, as a position
+    keys, values = bits[e - 1:], factors[e - 1:]
+    for later in range(e - 2, -1, -1):  # variables each subset takes after this step
+        counts = lowest - later
+        row = np.repeat(np.arange(len(lowest)), counts)
+        lowest = later + np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+        keys, values = keys[row] | bits[lowest], values[row] * factors[lowest]
+    return SquareFreeClass(m, terms=(keys, values * fact))
 
 
 # --------------------------------------------------------------------------

@@ -125,8 +125,9 @@ def greedy_nonneg_order(eigenvalues, *, trace_tol: float = TRACE_TOL) -> Partial
         return np.where(use_up[:, None], up, down), rows
 
     return _ordered(eigenvalues, rows, _visit(rows, choose), mx, trace_tol,
+                    # halved exactly on both sides, so that 2*max cannot overflow
                     lambda sums, slack: (np.min(sums, axis=1) < -slack)
-                    | (np.max(sums, axis=1) > 2.0 * mx + slack),
+                    | (np.max(sums, axis=1) / 2.0 > mx + slack / 2.0),
                     "greedy partial sums left [0, 2*max] window")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -230,6 +231,36 @@ class TestCommands:
             code, doc, _ = run_cmd(command, matrix_to_json(a))
         assert code == 2
         assert doc == {"error": "a is not Hermitian within tolerance 1e-12", "path": "stdin"}
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
+    @pytest.mark.parametrize("name", ["two blocks", "full"])
+    def test_norm_beyond_the_range_exits_2_with_nothing_on_stderr(self, command, name, capfd):
+        # Every entry is inside the entry range, but the norm is not: the
+        # eigenvalue sums of the first overflowed, the second's eigh did.
+        v = 8e307
+        if name == "two blocks":
+            a = np.kron(np.eye(2), [[v, v], [v, -v]])
+        else:
+            a = np.full((4, 4), v)
+            a[2:, 2:] *= -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc, _ = run_cmd(command, matrix_to_json(a))
+        assert code == 2
+        assert doc == {"error": "a has norm beyond 4.494e+307, the float maximum over its "
+                                "size 4, where a sum of its eigenvalues can overflow",
+                       "path": "stdin"}
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
+    def test_norm_at_the_range_decomposes_with_nothing_on_stderr(self, command, capfd):
+        half_max = np.finfo(float).max / 2  # the float maximum over the size 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc, _ = run_cmd(command, matrix_to_json(np.diag([half_max, -half_max])))
+        assert code == 0
+        assert doc["report"]["all_passed"] is True
         assert capfd.readouterr().err == ""
 
     def test_fack_run_collapse_takes_no_svd_on_orthogonal_blocks(self, monkeypatch):
@@ -795,6 +826,70 @@ class TestDeterminismAndVerify:
         assert vcode == 1
         assert vdoc["result"]["verified"] is False
         assert vdoc["result"]["mismatches"]
+
+
+def _digest(data: bytes) -> dict:
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+class TestVerifyDigest:
+    """verify reports the document it checked as a digest, not an echo."""
+
+    def test_stdin_text_digest(self):
+        _, _, text = run_cmd("decompose", matrix_to_json(SZ))
+        text = text.replace("\n", "\n ")  # any layout: the digest is of these bytes
+        code, out = run_from_args(["verify"], stdin_text=text)
+        assert code == 0
+        assert json.loads(out)["input"] == {"command": "decompose",
+                                            **_digest(text.encode("utf-8"))}
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_in_file_digest_is_of_the_file_bytes(self, tmp_path, newline):
+        _, _, text = run_cmd("decompose-tight", matrix_to_json(SZ))
+        data = text.replace("\n", newline).encode("utf-8")
+        path = tmp_path / "out.json"
+        path.write_bytes(data)
+        code, out = run_from_args(["verify", "--in", str(path)])
+        assert code == 0
+        assert json.loads(out)["input"] == {"command": "decompose-tight", **_digest(data)}
+
+    def test_stdin_bytes_digest_through_the_module(self):
+        _, _, text = run_cmd("decompose", matrix_to_json(SZ))
+        data = text.replace("\n", "\r\n").encode("utf-8")
+        proc = subprocess.run([sys.executable, "-m", "tracezero", "verify"], input=data,
+                              capture_output=True, cwd=REPO)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["input"] == {"command": "decompose", **_digest(data)}
+
+    def test_stdin_that_is_not_utf8_exits_2(self):
+        proc = subprocess.run([sys.executable, "-m", "tracezero", "verify"],
+                              input=b'{"command": "\xff"}', capture_output=True, cwd=REPO)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"].startswith("cannot read input: ")
+
+    def test_text_with_a_lone_surrogate_exits_2(self):
+        # only a Python caller can pass such text; it has no UTF-8 bytes to hash
+        _, _, text = run_cmd("decompose", matrix_to_json(SZ))
+        code, out = run_from_args(["verify"], stdin_text=text[:-2] + ', "note": "\ud800"}\n')
+        assert code == 2
+        assert json.loads(out)["error"].startswith("input is not valid UTF-8 text: ")
+
+    def test_verify_of_a_large_document_writes_under_1_kb(self):
+        a = random_trace_zero_hermitian(SplitMix64(5), 128)
+        code, text = run_from_args(["decompose-tight"], stdin_text=json.dumps(matrix_to_json(a)))
+        assert code == 0 and len(text) > 1_000_000
+        vcode, out = run_from_args(["verify"], stdin_text=text)
+        assert vcode == 0
+        assert len(out.encode("utf-8")) < 1024
+
+    @pytest.mark.parametrize("command,make_doc,flags", ALL_RUNS)
+    def test_result_of_each_command_is_the_verdict_alone(self, command, make_doc, flags):
+        _, _, text = run_cmd(command, make_doc(), *flags)
+        code, out = run_from_args(["verify"], stdin_text=text)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["result"] == {"verified": True, "mismatches": [], "inner_exit_code": 0}
+        assert doc["input"] == {"command": command, **_digest(text.encode("utf-8"))}
 
 
 class TestEntryPoints:

@@ -305,11 +305,14 @@ class TestHermitianEig:
         (["good", "not finite", "not hermitian"], "matrix has non-finite entries"),
         (["good", "out of range", "not hermitian"], "matrix has entries beyond about 8.988e"),
         (["good", "not hermitian", "out of range"], "matrix is not Hermitian"),
+        (["good", "norm out of range", "not hermitian"], "matrix has norm beyond 8.988e"),
+        (["good", "not hermitian", "norm out of range"], "matrix is not Hermitian"),
     ])
     def test_stack_raises_for_its_first_failing_matrix(self, rows, error):
         matrices = {"good": np.diag([1.0, -1.0]), "not hermitian": [[0.0, 1.0], [0.0, 0.0]],
                     "not finite": np.diag([np.inf, 0.0]),
-                    "out of range": [[0.0, 1e308], [1e308, 0.0]]}
+                    "out of range": [[0.0, 1e308], [1e308, 0.0]],
+                    "norm out of range": [[8e307, 8e307], [8e307, -8e307]]}
         with pytest.raises(InvalidInputError, match=error) as info:
             hermitian_eig(np.array([matrices[r] for r in rows], dtype=complex))
         assert info.value.index == 1

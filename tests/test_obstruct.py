@@ -102,6 +102,25 @@ class TestRing:
         # oracle: repeated multiplication
         assert linear_power([2, -1, 3, 1], 3) == power(linear([2, -1, 3, 1]), 3)
 
+    @given(st.sampled_from([1, 5, 9, 62, 63, 70]), st.integers(0, 3), st.integers(0, 2 ** 32))
+    @settings(max_examples=100, deadline=None)
+    def test_linear_power_matches_the_subset_sum(self, m, e, seed):
+        # e! * the product of each e-subset's coefficients, summed by subset;
+        # the coefficients reach past int64, and m past 62 makes the keys ints
+        rng = random.Random(seed)
+        coeffs = [rng.choice([0, 0, 1, -1, 3, -7, 2 ** 40, -(3 ** 50)]) for _ in range(m)]
+        support = [i for i, c in enumerate(coeffs) if c]
+        expected = {sum(1 << i for i in subset):
+                    math.factorial(e) * math.prod(coeffs[i] for i in subset)
+                    for subset in itertools.combinations(support, e)}
+        cls = linear_power(coeffs, e)
+        assert cls == SquareFreeClass(m, expected)
+        keys, values = cls.terms()
+        assert keys.tolist() == sorted(expected)
+        assert keys.dtype == (np.int64 if m <= 62 else object)
+        if values.dtype == np.int64:
+            assert sum(abs(v) for v in expected.values()) < 2 ** 63
+
     def test_top_power_factorial(self):
         for m in range(1, 9):
             cls = linear_power([1] * m, m)
