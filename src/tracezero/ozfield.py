@@ -200,15 +200,6 @@ class SimplicialField:
     def matrix_size(self) -> int:
         return self.values[0].shape[0]
 
-    def value_at(self, simplex_index: int, weights) -> np.ndarray:
-        """The field at barycentric weights on one maximal simplex: a matrix
-        for one row of weights, a stack of matrices for rows of them."""
-        verts = self.complex.maximal_simplices[simplex_index]
-        w = np.asarray(weights, dtype=float)
-        if w.shape[-1:] != (len(verts),):
-            raise InvalidInputError("barycentric weight count does not match simplex")
-        return np.einsum("...v,vij->...ij", w, np.stack([self.values[v] for v in verts]))
-
 
 def make_field(complex_: SimplicialComplex, values) -> SimplicialField:
     if len(values) != complex_.vertex_count:
@@ -362,11 +353,14 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
     require_proper(fld.complex, coloring)
     n = fld.matrix_size
     values = np.stack(fld.values)
-    traces = np.trace(values, axis1=1, axis2=2)
+    # On values / scale, a power of two above 2n, the trace test is exact on
+    # normal floats and neither the sum nor its modulus can overflow.
+    scale = 2.0 ** (2 * n).bit_length()
+    traces = np.trace(values / scale, axis1=1, axis2=2)
     trace = np.hypot(traces.real, traces.imag)  # bit for bit abs() of each
-    raise_first_failure([(trace > TRACE_TOL * n, lambda v: InvalidInputError(
+    raise_first_failure([(trace > TRACE_TOL * n / scale, lambda v: InvalidInputError(
         f"vertex {v} value has nonzero trace")
-        if trace[v] > TRACE_TOL * n * operator_norm(values[v]) else None)])
+        if trace[v] > TRACE_TOL * n * operator_norm(values[v]) / scale else None)])
     x_factors, _ = self_commutator_factors(values)
 
     factors = []

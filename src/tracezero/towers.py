@@ -13,8 +13,10 @@ mutually-orthogonal stages.
 
 ``g_{eps/2}`` is the piecewise-linear ramp that is 0 on [0, eps/2] and 1 on
 [eps, infinity); the only property used is g_{eps/2}(a) y = y for y
-supported in her((a-eps)_+).  Each tower element is eigendecomposed once,
-into an ``ElementSpectrum``; witnesses and push steps read its supports.
+supported in her((a-eps)_+).  Each tower block's spectral data is an
+``ElementSpectrum``, taken once: a ``ranks`` block's supports are its
+coordinate columns in index order, with no eigendecomposition, and a given
+element is eigendecomposed once.  Witnesses and push steps read the supports.
 """
 from __future__ import annotations
 
@@ -46,23 +48,13 @@ PSD_TOL = 1e-10  # most negative eigenvalue a PSD element may have
 NEUMANN_MAX_ITER = 10_000
 
 
-@dataclass(frozen=True)
-class SpectralRamp:
-    """PL ramp: 0 on [0, eps/2], then linear, then 1 on [eps, infinity)."""
-
-    epsilon: float
-
-    def profile(self, t):
-        half = self.epsilon / 2.0
-        return np.clip((np.asarray(t, dtype=float) - half) / half, 0.0, 1.0)
-
-
-def _psd_eigensystem(a):
-    es = hermitian_eig(a)
-    if es.eigenvalues.size and float(es.eigenvalues[0]) < -PSD_TOL:
-        raise InvalidInputError(
-            f"matrix has negative spectrum beyond tolerance: {float(es.eigenvalues[0]):.3e}")
-    return es
+def ramp(t, epsilon: float) -> np.ndarray:
+    """g_{eps/2} at t: 0 on [0, eps/2], then linear, then 1 on [eps, infinity);
+    the step at eps/2 where a subnormal eps overflows the quotient."""
+    t = np.asarray(t, dtype=float)
+    half = epsilon / 2.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.where(t > half, np.clip((t - half) / half, 0.0, 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -82,12 +74,6 @@ class Support:
         keep = values > RANK_TOL * top
         return cls(basis=unitary[:, keep], values=values[keep])
 
-    @classmethod
-    def of(cls, a) -> "Support":
-        """Support of a PSD matrix, from its own eigendecomposition."""
-        es = _psd_eigensystem(a)
-        return cls.from_eigen(es.unitary, np.clip(es.eigenvalues, 0.0, None))
-
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
@@ -103,20 +89,34 @@ class Support:
 
 @dataclass(frozen=True)
 class ElementSpectrum:
-    """Spectral data of a PSD element e at threshold eps, all from one
-    eigendecomposition: the supports of the ramp g = g_{eps/2}(e) and of
-    (e-eps)_+, and the square root of g."""
+    """Spectral data of a PSD element e = U diag(lam) U* at threshold eps:
+    the supports of the ramp g = g_{eps/2}(e) and of (e-eps)_+, and the
+    square root of g."""
 
     g: Support
     plus: Support
 
     @classmethod
+    def from_eigen(cls, unitary, lam, epsilon: float) -> "ElementSpectrum":
+        return cls(g=Support.from_eigen(unitary, ramp(lam, epsilon)),
+                   plus=Support.from_eigen(unitary, np.maximum(lam - epsilon, 0.0)))
+
+    @classmethod
     def of(cls, e, epsilon: float) -> "ElementSpectrum":
-        es = _psd_eigensystem(e)
-        lam = np.clip(es.eigenvalues, 0.0, None)
-        u = es.unitary
-        return cls(g=Support.from_eigen(u, SpectralRamp(epsilon).profile(lam)),
-                   plus=Support.from_eigen(u, np.maximum(lam - epsilon, 0.0)))
+        """The spectrum of a PSD matrix, from its one eigendecomposition."""
+        es = hermitian_eig(e)
+        if es.eigenvalues.size and float(es.eigenvalues[0]) < -PSD_TOL:
+            raise InvalidInputError(
+                f"matrix has negative spectrum beyond tolerance: {float(es.eigenvalues[0]):.3e}")
+        return cls.from_eigen(es.unitary, np.clip(es.eigenvalues, 0.0, None), epsilon)
+
+    @classmethod
+    def of_block(cls, ambient: int, start: int, rank: int, epsilon: float) -> "ElementSpectrum":
+        """The spectrum of the 0/1 diagonal projection on [start, start + rank):
+        its coordinate columns, in index order, each with eigenvalue 1."""
+        block = np.zeros((ambient, rank), dtype=complex)
+        block[start:start + rank] = np.eye(rank)
+        return cls.from_eigen(block, np.ones(rank), epsilon)
 
     @property
     def g_sqrt(self) -> np.ndarray:
@@ -289,43 +289,40 @@ class TowerModel:
     one epsilon: 0/1 diagonal projections on consecutive index ranges for
     ``ranks``, else the given ``elements``.
 
-    Each element must be PSD; blocks with index >= 1 must be mutually
-    orthogonal; consecutive blocks must satisfy the rank comparison that
-    feeds ``push_step``.  ``spectra`` holds one ``ElementSpectrum`` per
-    element.
+    ``spectra`` holds one ``ElementSpectrum`` per block, read off its index
+    range for ``ranks`` (disjoint ranges: orthogonal by construction).  Given
+    elements must be PSD, and mutually orthogonal from index 1 on.
+    Consecutive blocks must satisfy the rank comparison of ``push_step``.
     """
 
     input: TowerInput
-    elements: list = field(init=False, repr=False)
     spectra: list = field(init=False, repr=False)
 
     def __post_init__(self):
         inp = self.input
         if inp.ranks is None:
-            self.elements = inp.elements
-        else:  # 0/1 diagonal projections on consecutive index ranges
-            self.elements, start = [], 0
+            elements = inp.elements
+            patterns = [NonzeroPattern.of(e) for e in elements]
+            for i in range(1, len(elements)):
+                for j in range(i + 1, len(elements)):
+                    if patterns[i].product_vanishes(patterns[j]):
+                        continue
+                    ei, ej = elements[i], elements[j]
+                    product = ei @ ej
+                    if frobenius_bound(product) <= 1e-10:
+                        continue
+                    defect = operator_norm(product)
+                    if defect > 1e-10 * max(1.0, operator_norm(ei) * operator_norm(ej)):
+                        raise PreconditionError(
+                            f"tower blocks {i} and {j} are not orthogonal: {defect:.3e}")
+            self.spectra = [ElementSpectrum.of(e, inp.epsilon) for e in elements]
+        else:
+            self.spectra, start = [], 0
             for r in inp.ranks:
-                e = np.zeros((inp.ambient, inp.ambient), dtype=complex)
-                e[start:start + r, start:start + r] = np.eye(r)
-                self.elements.append(e)
+                self.spectra.append(ElementSpectrum.of_block(inp.ambient, start, r, inp.epsilon))
                 start += r
-        patterns = [NonzeroPattern.of(e) for e in self.elements]
-        for i in range(1, len(self.elements)):
-            for j in range(i + 1, len(self.elements)):
-                if patterns[i].product_vanishes(patterns[j]):
-                    continue
-                ei, ej = self.elements[i], self.elements[j]
-                product = ei @ ej
-                if frobenius_bound(product) <= 1e-10:
-                    continue
-                defect = operator_norm(product)
-                if defect > 1e-10 * max(1.0, operator_norm(ei) * operator_norm(ej)):
-                    raise PreconditionError(
-                        f"tower blocks {i} and {j} are not orthogonal: {defect:.3e}")
-        self.spectra = [ElementSpectrum.of(e, inp.epsilon) for e in self.elements]
         L, K = inp.L, inp.K
-        for i in range(len(self.elements) - 1):
+        for i in range(len(self.spectra) - 1):
             g_rank = self.spectra[i].g.rank
             ap_rank = self.spectra[i].plus.rank
             b_rank = self.spectra[i + 1].plus.rank

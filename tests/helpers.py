@@ -1,6 +1,7 @@
 """Shared test helpers: running the scripts, a seeded random unitary, the
-decoded fack-run input of a tower, small complexes, lattice sampling and
-hat-function extension of fields, the residual of a field decomposition
+decoded fack-run input of a tower, the support of a PSD matrix from its own
+eigendecomposition, small complexes, a field's value at barycentric
+weights, lattice sampling and hat-function extension of fields, the residual of a field decomposition
 against any target, the smooth-target mesh refinement checks, the bitmask
 keys and frozenset reference of the square-free ring, the unscreened
 reference of collapse_orthogonal, the list-scan references of the two
@@ -24,6 +25,7 @@ from tracezero.matcore import (
     as_matrix,
     commutator,
     frobenius_bound,
+    hermitian_eig,
     max_operator_norm,
     operator_norm,
 )
@@ -38,6 +40,7 @@ from tracezero.ozfield import (
 )
 from tracezero.rand import SplitMix64, random_complex_matrix
 from tracezero.schemas import validate
+from tracezero.towers import PSD_TOL, Support
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -76,6 +79,16 @@ def fack_run_input(blocks, z0=None, **tower) -> TowerInput:
     return decode_input("fack-run", doc)
 
 
+def support_of(a) -> Support:
+    """The Support of a PSD matrix, from its own eigendecomposition: the
+    eigenvectors whose eigenvalue exceeds RANK_TOL times the largest."""
+    es = hermitian_eig(a)
+    if es.eigenvalues.size and float(es.eigenvalues[0]) < -PSD_TOL:
+        raise InvalidInputError(
+            f"matrix has negative spectrum beyond tolerance: {float(es.eigenvalues[0]):.3e}")
+    return Support.from_eigen(es.unitary, np.clip(es.eigenvalues, 0.0, None))
+
+
 def circle_complex(n_vertices: int) -> SimplicialComplex:
     """The n-cycle as a 1-dimensional complex."""
     if n_vertices < 3:
@@ -86,6 +99,16 @@ def circle_complex(n_vertices: int) -> SimplicialComplex:
 
 def solid_triangle_complex() -> SimplicialComplex:
     return SimplicialComplex.make(3, [(0, 1, 2)])
+
+
+def value_at(fld, simplex_index: int, weights) -> np.ndarray:
+    """The field at barycentric weights on one maximal simplex: a matrix for
+    one row of weights, a stack of matrices for rows of them."""
+    verts = fld.complex.maximal_simplices[simplex_index]
+    w = np.asarray(weights, dtype=float)
+    if w.shape[-1:] != (len(verts),):
+        raise InvalidInputError("barycentric weight count does not match simplex")
+    return np.einsum("...v,vij->...ij", w, np.stack([fld.values[v] for v in verts]))
 
 
 def sample_grid(complex_: SimplicialComplex, order: int = GRID_ORDER):
@@ -249,7 +272,7 @@ def reference_field_grid(fd, fld, target=None):
     residual = 0.0
     for idx, simplex in enumerate(fld.complex.maximal_simplices):
         w = barycentric_lattice(len(simplex), GRID_ORDER)
-        expected = (fld.value_at(idx, w) if target is None
+        expected = (value_at(fld, idx, w) if target is None
                     else np.stack([target(idx, row) for row in w]))
         residual = max(residual, float(np.max(np.linalg.svd(
             reference_brackets(x_factors, simplex, w) - expected, compute_uv=False))))

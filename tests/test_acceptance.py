@@ -15,6 +15,7 @@ from helpers import (
     fack_run_input,
     monomial,
     reconstruction_error,
+    support_of,
 )
 from tracezero.cli import run_from_args
 from tracezero.jsonio import field_to_json, matrix_to_json
@@ -42,7 +43,6 @@ from tracezero.selfcomm import (
 )
 from tracezero.towers import (
     ElementSpectrum,
-    Support,
     TowerModel,
     block_two_commutator_split,
     push_step,
@@ -169,7 +169,7 @@ def test_criterion_06_push_step_certificates():
             h = random_trace_zero_hermitian(rng, r_a)
             x = np.zeros((n, n), dtype=complex)
             x[:r_a, :r_a] = h
-            res = push_step(x, ElementSpectrum.of(a, 0.5), Support.of(b), L, K)
+            res = push_step(x, ElementSpectrum.of(a, 0.5), support_of(b), L, K)
             x_norm = operator_norm(x)
             recon = sum(commutator(c, d) for c, d in res.pairs) + res.remainder
             ok = ok and len(res.pairs) == L * (L + K - 1)

@@ -253,6 +253,23 @@ class TestCommands:
                        "path": "stdin"}
         assert capfd.readouterr().err == ""
 
+    @pytest.mark.parametrize("diagonal,error", [
+        ([8e307] * 4, "vertex 0 value has nonzero trace"),
+        ([1.7e308] * 6, "vertex 0 value has nonzero trace"),
+        # trace zero, though summing it unscaled overflows: the range rule words it
+        ([1.7e308, 1.7e308, -1.7e308, -1.7e308],
+         "a has entries beyond about 8.988e+307 in magnitude, where m + m* overflows a float"),
+    ])
+    def test_field_vertex_trace_near_the_float_maximum_exits_2_with_nothing_on_stderr(
+            self, diagonal, error, capfd):
+        fld = make_field(SimplicialComplex.make(1, [(0,)]), [np.diag(diagonal)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc, _ = run_cmd("decompose-field", field_to_json(fld))
+        assert code == 2
+        assert doc == {"error": error, "path": "stdin"}
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
     def test_norm_at_the_range_decomposes_with_nothing_on_stderr(self, command, capfd):
         half_max = np.finfo(float).max / 2  # the float maximum over the size 2
@@ -817,6 +834,30 @@ class TestDeterminismAndVerify:
         assert vcode == 0
         assert vdoc["result"]["verified"] is True
         assert vdoc["result"]["mismatches"] == []
+
+    @pytest.mark.parametrize("tower", [
+        {"blocks": [{"rank": 4}, {"rank": 3}, {"rank": 5}], "K": 2},  # unequal ranks
+        {"blocks": [{"rank": 2}] * 3, "ambient": 9},  # padded ambient space
+    ])
+    def test_unequal_and_padded_rank_towers_verify(self, tower):
+        code, out_doc, _ = run_cmd("fack-run", {"tower": tower}, "--seed", "9")
+        assert code == 0
+        vcode, vdoc, _ = run_cmd("verify", out_doc)
+        assert vcode == 0
+        assert vdoc["result"] == {"verified": True, "mismatches": [], "inner_exit_code": 0}
+
+    def test_tower_with_empty_first_support_writes_nothing_on_stderr(self, capfd):
+        # epsilon >= 1: (e_0 - eps)_+ = 0, so the generated z0 is the empty matrix
+        tower = {"blocks": [{"rank": 2}, {"rank": 2}], "epsilon": 2.5}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out_doc, _ = run_cmd("fack-run", {"tower": tower, "depth": 0})
+            assert code == 0
+            assert run_cmd("verify", out_doc)[0] == 0
+            code, doc, _ = run_cmd("fack-run", {"tower": tower})
+        assert code == 2
+        assert doc["error"] == "tower block 1 has empty support above its threshold"
+        assert capfd.readouterr().err == ""
 
     def test_verify_rejects_tampered_output(self):
         code, out_doc, _ = run_cmd("decompose", matrix_to_json(SZ))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     psi_k,
     sample_grid,
     solid_triangle_complex,
+    value_at,
 )
 from tracezero import ozfield
 from tracezero.errors import InvalidInputError
@@ -122,14 +124,14 @@ class TestGrid:
         c = solid_triangle_complex()
         fld = make_field(c, [SZ, SX, SY])
         w = barycentric_lattice(3, 4)
-        stack = fld.value_at(0, w)
+        stack = value_at(fld, 0, w)
         assert stack.shape == (len(w), 2, 2)
         for row, value in zip(w, stack):
-            np.testing.assert_array_equal(value, fld.value_at(0, row))
-        np.testing.assert_allclose(fld.value_at(0, [0.5, 0.25, 0.25]),
+            np.testing.assert_array_equal(value, value_at(fld, 0, row))
+        np.testing.assert_allclose(value_at(fld, 0, [0.5, 0.25, 0.25]),
                                    0.5 * SZ + 0.25 * SX + 0.25 * SY, atol=1e-15)
         with pytest.raises(InvalidInputError):
-            fld.value_at(0, [0.5, 0.5])
+            value_at(fld, 0, [0.5, 0.5])
 
     def test_same_color_hats_disjoint(self):
         sub = barycentric_subdivide(octahedron_complex())
@@ -184,7 +186,7 @@ class TestSampling:
         f = phi_k(sub.complex, sub.coloring, 0, [(verts[0], e00)])
         g = phi_k(sub.complex, sub.coloring, 0, [(verts[1], e11)])
         for idx, w in sample_grid(sub.complex, order=6):
-            prod = f.value_at(idx, w) @ g.value_at(idx, w)
+            prod = value_at(f, idx, w) @ value_at(g, idx, w)
             assert operator_norm(prod) == 0.0
 
     def test_phi_psi_sums_to_identity_on_constant(self):
@@ -196,7 +198,7 @@ class TestSampling:
             total = piece if total is None else make_field(
                 sub.complex, [a + b for a, b in zip(total.values, piece.values)])
         for idx, w in sample_grid(sub.complex, order=8):
-            np.testing.assert_allclose(total.value_at(idx, w), SZ, atol=1e-14)
+            np.testing.assert_allclose(value_at(total, idx, w), SZ, atol=1e-14)
 
     def test_phi_color_mismatch(self):
         sub = barycentric_subdivide(circle_complex(3))
@@ -362,7 +364,7 @@ def test_decompose_field_matches_the_pointwise_reference(case):
 
     # against a non-PL target the residual is far from rounding
     def bent(idx, w):
-        return fld.value_at(idx, w) + float(np.prod(w)) * np.eye(fld.matrix_size)
+        return value_at(fld, idx, w) + float(np.prod(w)) * np.eye(fld.matrix_size)
 
     expected = _pointwise_reference(fd, fld, bent)[0]
     assert expected > 1e-3
@@ -412,7 +414,7 @@ def test_grid_pass_is_bit_identical_to_the_per_simplex_reference(scaled, monkeyp
     assert measured["max_factor_norm_sq"] == norm_sq
 
     def bent(idx, w):
-        return fld.value_at(idx, w) + float(np.prod(w)) * np.eye(fld.matrix_size)
+        return value_at(fld, idx, w) + float(np.prod(w)) * np.eye(fld.matrix_size)
 
     expected = reference_field_grid(fd, fld, bent)[0]
     assert expected > 1e-3
@@ -436,7 +438,7 @@ def test_lattice_sums_visit_every_point_once_and_match_the_pointwise_sums(monkey
     for idx, simplex in enumerate(fld.complex.maximal_simplices):
         w = barycentric_lattice(len(simplex), 8)
         points += len(w)
-        for row, r, val in zip(w, reference_brackets(x_factors, simplex, w), fld.value_at(idx, w)):
+        for row, r, val in zip(w, reference_brackets(x_factors, simplex, w), value_at(fld, idx, w)):
             assert np.array_equal(seen[idx, tuple(row)][0], r)
             assert np.array_equal(seen[idx, tuple(row)][1], val)
     assert len(seen) == points
@@ -450,8 +452,8 @@ def test_field_residual_against_needs_factors_only_on_covered_vertices():
     factors = [ozfield.SqrtWeightedFactor(color=f.color, entries=tuple(
         (v, x) for v, x in f.entries if v in covered)) for f in fd.factors]
     trimmed = ozfield.FieldDecomposition(factors=factors, report=fd.report, sup_norm=fd.sup_norm)
-    assert field_residual_against(trimmed, fld, fld.value_at) == \
-        field_residual_against(fd, fld, fld.value_at)
+    assert field_residual_against(trimmed, fld, partial(value_at, fld)) == \
+        field_residual_against(fd, fld, partial(value_at, fld))
 
 
 def test_grid_pass_memory_is_a_few_chunks():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import fack_run_input, reconstruction_error, run_script
-from tracezero import jsonio
+from helpers import fack_run_input, reconstruction_error, run_script, support_of
+from tracezero import jsonio, towers
 from tracezero.errors import InvalidInputError, NumericsError, PreconditionError
 from tracezero.matcore import commutator, operator_norm
 from tracezero.rand import SplitMix64, random_complex_matrix, random_hermitian
@@ -13,6 +15,7 @@ from tracezero.towers import (
     block_two_commutator_split,
     cuntz_witness,
     push_step,
+    ramp,
     tower_iterate,
 )
 
@@ -53,13 +56,17 @@ class TestRamp:
             ElementSpectrum.of(np.diag([1.0, -0.5]).astype(complex), 0.2)
 
     def test_ramp_profile_window(self):
-        from tracezero.towers import SpectralRamp
-        ramp = SpectralRamp(0.5)
-        assert ramp.profile(0.0) == 0.0
-        assert ramp.profile(0.25) == 0.0
-        assert ramp.profile(0.375) == pytest.approx(0.5)
-        assert ramp.profile(0.5) == 1.0
-        assert ramp.profile(2.0) == 1.0
+        assert ramp(0.0, 0.5) == 0.0
+        assert ramp(0.25, 0.5) == 0.0
+        assert ramp(0.375, 0.5) == pytest.approx(0.5)
+        assert ramp(0.5, 0.5) == 1.0
+        assert ramp(2.0, 0.5) == 1.0
+
+    def test_ramp_of_a_subnormal_epsilon_is_a_step(self):
+        # 1 / (eps / 2) overflows, and 5e-324 / 2 rounds to 0: the ramp is
+        # the step at eps / 2 in both, with no warning
+        np.testing.assert_array_equal(ramp([0.0, 1e-320, 1.0], 1e-320), [0.0, 1.0, 1.0])
+        np.testing.assert_array_equal(ramp([0.0, 5e-324, 1.0], 5e-324), [0.0, 1.0, 1.0])
 
 
 def witness_errors(v, g, p_ap, p_b, L, K):
@@ -75,7 +82,7 @@ def witness_errors(v, g, p_ap, p_b, L, K):
 class TestCuntzWitness:
     def test_a_equals_b(self):
         a = np.diag([1.0, 0.8, 0.0]).astype(complex)
-        wit = cuntz_witness(ElementSpectrum.of(a, 0.1), Support.of(a), 1, 1)
+        wit = cuntz_witness(ElementSpectrum.of(a, 0.1), support_of(a), 1, 1)
         # g = g_{0.05}(a) and the supports of (a - 0.1)_+ and a: all diag(1, 1, 0)
         p = np.diag([1.0, 1.0, 0.0])
         vstarv, range_error = witness_errors(wit.V, p, p, p, 1, 1)
@@ -85,14 +92,14 @@ class TestCuntzWitness:
     def test_two_by_two_swap(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
-        wit = cuntz_witness(ElementSpectrum.of(a, 0.1), Support.of(b), 1, 1)
+        wit = cuntz_witness(ElementSpectrum.of(a, 0.1), support_of(b), 1, 1)
         # V = e21 up to phase: single nonzero entry of modulus 1 at (1, 0)
         np.testing.assert_allclose(np.abs(wit.V), [[0.0, 0.0], [1.0, 0.0]], atol=1e-12)
 
     def test_rank_failure(self):
         with pytest.raises(PreconditionError, match="rank comparison"):
             cuntz_witness(ElementSpectrum.of(np.eye(2, dtype=complex), 0.1),
-                          Support.of(np.diag([1.0, 0.0]).astype(complex)), 1, 1)
+                          support_of(np.diag([1.0, 0.0]).astype(complex)), 1, 1)
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     @pytest.mark.parametrize("K", [1, 2, 3])
@@ -105,7 +112,7 @@ class TestCuntzWitness:
         a[:r_a, :r_a] = np.eye(r_a)
         b = np.zeros((n, n), dtype=complex)
         b[r_a:, r_a:] = np.eye(r_b)
-        wit = cuntz_witness(ElementSpectrum.of(a, 0.5), Support.of(b), L, K)
+        wit = cuntz_witness(ElementSpectrum.of(a, 0.5), support_of(b), L, K)
         # a and b are projections, so g = (a - 0.5)_+'s support projection = a
         vstarv, range_error = witness_errors(wit.V, a, a, b, L, K)
         assert vstarv <= 1e-8
@@ -129,7 +136,7 @@ class TestPushStep:
         b = np.diag([0.0, 1.0]).astype(complex)
         lam = 0.7
         res = push_step(lam * np.diag([1.0, 0.0]).astype(complex),
-                        ElementSpectrum.of(a, 0.1), Support.of(b), 1, 1)
+                        ElementSpectrum.of(a, 0.1), support_of(b), 1, 1)
         assert len(res.pairs) == 1
         c, d = res.pairs[0]
         np.testing.assert_allclose(commutator(c, d) + res.remainder,
@@ -140,7 +147,7 @@ class TestPushStep:
     def test_zero_input(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
-        res = push_step(np.zeros((2, 2)), ElementSpectrum.of(a, 0.1), Support.of(b), 1, 1)
+        res = push_step(np.zeros((2, 2)), ElementSpectrum.of(a, 0.1), support_of(b), 1, 1)
         assert operator_norm(res.remainder) == 0.0
         assert all(operator_norm(d) == 0.0 for _, d in res.pairs)
 
@@ -148,7 +155,7 @@ class TestPushStep:
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(PreconditionError, match="supported"):
-            push_step(np.eye(2, dtype=complex), ElementSpectrum.of(a, 0.1), Support.of(b), 1, 1)
+            push_step(np.eye(2, dtype=complex), ElementSpectrum.of(a, 0.1), support_of(b), 1, 1)
 
     def test_six_by_six_L2_K1(self):
         rng = SplitMix64(42)
@@ -158,7 +165,7 @@ class TestPushStep:
         b = np.zeros((n, n), dtype=complex)
         b[3:, 3:] = np.eye(3)
         x = embedded_trace_zero(rng, n, 0, 3)
-        res = push_step(x, ElementSpectrum.of(a, 0.5), Support.of(b), 2, 1)
+        res = push_step(x, ElementSpectrum.of(a, 0.5), support_of(b), 2, 1)
         assert len(res.pairs) == 2 * (2 + 1 - 1)  # L(L+K-1) = 4
         assert res.all_passed
 
@@ -174,7 +181,7 @@ class TestPushStep:
         b = np.zeros((n, n), dtype=complex)
         b[r_a:, r_a:] = np.eye(r_b)
         x = embedded_trace_zero(rng, n, 0, r_a)
-        res = push_step(x, ElementSpectrum.of(a, 0.5), Support.of(b), L, K)
+        res = push_step(x, ElementSpectrum.of(a, 0.5), support_of(b), L, K)
         x_norm = operator_norm(x)
         assert len(res.pairs) == L * (L + K - 1)
         recon = sum(commutator(c, d) for c, d in res.pairs) + res.remainder
@@ -189,7 +196,7 @@ class TestPushStep:
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
         x = np.diag([0.7, 0.0]).astype(complex)
-        spec, b_support = ElementSpectrum.of(a, 0.1), Support.of(b)
+        spec, b_support = ElementSpectrum.of(a, 0.1), support_of(b)
         measured = push_step(x, spec, b_support, 1, 1)
         given = push_step(x, spec, b_support, 1, 1, x_norm=operator_norm(x))
         assert [c.to_json() for c in given.checks] == [c.to_json() for c in measured.checks]
@@ -209,7 +216,7 @@ class TestPushStep:
         a[:r_a, :r_a] = np.eye(r_a)
         b = np.zeros((n, n), dtype=complex)
         b[r_a:, r_a:] = np.eye(r_b)
-        wit = cuntz_witness(ElementSpectrum.of(a, 0.5), Support.of(b), L, K)
+        wit = cuntz_witness(ElementSpectrum.of(a, 0.5), support_of(b), L, K)
         for _ in range(10):
             y = embedded_trace_zero(rng, n, 0, r_a)
             y /= operator_norm(y)
@@ -281,11 +288,31 @@ class TestTowerModel:
         with pytest.raises(PreconditionError, match="rank condition"):
             TowerModel(fack_run_input([2, 4, 1]))
 
-    def test_make_block_tower(self):
+    def test_make_block_tower(self, monkeypatch):
+        calls = []
+        eig = towers.hermitian_eig
+        monkeypatch.setattr(towers, "hermitian_eig", lambda *a, **k: calls.append(a) or eig(*a, **k))
         tower = TowerModel(fack_run_input([2, 2, 2], ambient=8))
-        assert len(tower.elements) == 3
-        np.testing.assert_array_equal(tower.elements[1],
-                                      np.diag([0.0, 0, 1, 1, 0, 0, 0, 0]).astype(complex))
+        assert len(tower.spectra) == 3
+        np.testing.assert_array_equal(tower.spectra[1].plus.basis, np.eye(8)[:, 2:4])
+        assert calls == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 20), min_size=2, max_size=7), st.integers(0, 4),
+           st.floats(0.0, 2.5, exclude_min=True))
+    def test_rank_spectra_match_the_eigendecomposed_projections(self, ranks, pad, eps):
+        ambient, start = sum(ranks) + pad, 0
+        for r in ranks:
+            dense = np.zeros((ambient, ambient), dtype=complex)
+            dense[start:start + r, start:start + r] = np.eye(r)
+            block = ElementSpectrum.of_block(ambient, start, r, eps)
+            reference = ElementSpectrum.of(dense, eps)
+            start += r
+            for got, want in ((block.g, reference.g), (block.plus, reference.plus)):
+                assert got.rank == want.rank
+                np.testing.assert_array_equal(got.values, want.values)
+                np.testing.assert_array_equal(got.projection, want.projection)
+            np.testing.assert_array_equal(block.g_sqrt, reference.g_sqrt)
 
 
 class TestTowerIterate:
@@ -441,9 +468,9 @@ class TestBlockSplit:
 
 
 def test_thresholded_rank():
-    assert Support.of(np.diag([1.0, 1e-12, 0.0])).rank == 1
-    assert Support.of(np.zeros((3, 3))).rank == 0
-    assert Support.of(np.eye(4)).rank == 4
+    assert support_of(np.diag([1.0, 1e-12, 0.0])).rank == 1
+    assert support_of(np.zeros((3, 3))).rank == 0
+    assert support_of(np.eye(4)).rank == 4
 
 
 def test_tower_audit_script_verifies_its_demo():
