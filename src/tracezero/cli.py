@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import jsonschema
@@ -78,8 +79,8 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise InvalidInputError(f"unknown command: {self.command!r}")
-        if self.tol <= 0:
-            raise InvalidInputError("tol must be positive")
+        if not 0 < self.tol < math.inf:  # a nan or inf tol would switch the trace test off
+            raise InvalidInputError(f"tol must be positive and finite, not {self.tol}")
         if self.refine < 0:
             raise InvalidInputError("refine must be nonnegative")
         if self.depth is not None and self.depth < 0:

@@ -98,17 +98,22 @@ def field_from_json(doc: dict) -> SimplicialField:
 
 
 def float_from_json(value, name: str) -> float:
-    """float(value), with an integer too large for a float as invalid input."""
+    """float(value), with an integer too large for a float and a non-finite
+    float (json reads 1e400 as inf, and NaN and Infinity tokens) as invalid
+    input."""
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         raise InvalidInputError(f"{name} is too large for a float") from None
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{name} must be a finite number, not {x}")
+    return x
 
 
 # --------------------------------------------------------------------------
 # Command inputs.
 
-TOWER_ENTRY_BUDGET = 2 ** 26  # complex entries: the elements and a witness's range check
+TOWER_ENTRY_BUDGET = 2 ** 26  # complex entries a run holds: elements, a witness, all pairs
 TOWER_PAIR_BUDGET = 2 ** 9  # commutator pairs over all stages, (blocks-1)*L*(L+K-1)
 
 
@@ -193,7 +198,7 @@ def _tower_input(doc: dict) -> TowerInput:
         raise InvalidInputError(
             f"tower forms {pairs} commutator pairs ({count} elements, L={L}, K={K}), "
             f"over the budget of {TOWER_PAIR_BUDGET}")
-    entries = (count + (L + K - 1) ** 2) * ambient * ambient  # with a witness's range check
+    entries = (count + (L + K - 1) * L + 2 * pairs) * ambient * ambient
     if entries > TOWER_ENTRY_BUDGET:
         raise InvalidInputError(
             f"tower needs {entries} complex entries ({count} elements of size {ambient}, "

@@ -242,11 +242,6 @@ class BundleExpr:
         coeffs = tuple(int(c) for c in coeffs)
         return cls(len(coeffs), (coeffs,))
 
-    @classmethod
-    def bott(cls) -> "BundleExpr":
-        """Degree-one line bundle over a single 2-sphere."""
-        return cls.line((1,))
-
     @property
     def rank(self) -> int:
         return len(self.summands)

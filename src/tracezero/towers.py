@@ -17,6 +17,9 @@ supported in her((a-eps)_+).  Each tower block's spectral data is an
 ``ElementSpectrum``, taken once: a ``ranks`` block's supports are its
 coordinate columns in index order, with no eigendecomposition, and a given
 element is eigendecomposed once.  Witnesses and push steps read the supports.
+A push step does not re-check that x lies in her((a-eps)_+): that is its
+caller's to check, and ``tower_iterate`` checks z0 while each stage's
+``remainder_in_hereditary`` claim covers the next stage's input.
 """
 from __future__ import annotations
 
@@ -124,31 +127,19 @@ class ElementSpectrum:
         return (b * np.sqrt(self.g.values)) @ b.conj().T
 
 
-@dataclass
-class CuntzWitness:
-    """Block partial isometry certifying a rank comparison.
-
-    ``blocks[i][j]`` (i in 0..L+K-2, j in 0..L-1) are the n x n blocks of V,
-    which is (L+K-1)n x Ln so that V*V = g (x) 1_L can hold.
-    """
-
-    L: int
-    K: int
-    n: int
-    V: np.ndarray
-    blocks: list
-    ranks: dict
-
-
-def cuntz_witness(a_spec: ElementSpectrum, b_support: Support, L: int,
-                  K: int) -> CuntzWitness:
-    """Build V with V*V = g_{eps/2}(a) (x) 1_L and range(VV*) inside range(c).
+def cuntz_witness(a_spec: ElementSpectrum, b_support: Support, L: int, K: int) -> list:
+    """The n x n blocks ``v[i][j]`` (i < L+K-1, j < L) of a block partial
+    isometry V with V*V = g_{eps/2}(a) (x) 1_L and range(V) inside range(c).
 
     c is (a-eps)_+ on the first L-1 diagonal blocks and b on the last K;
     ``a_spec`` carries g, its square root and both supports of a, and
     ``b_support`` the support of b.  Requires L*rank(g) <=
-    (L-1)*rank((a-eps)_+) + K*rank(b); the partial isometry pairs ascending
-    eigenbases, so the construction is deterministic.
+    (L-1)*rank((a-eps)_+) + K*rank(b).  W pairs the support bases of g with
+    those of c in index order, so the construction is deterministic, and V
+    is built one block column at a time as W_j g^{1/2}.  The range check is
+    norm((I - P_c)V) <= 4e-9, taken block row by block row: with norm(V)^2
+    <= 1 + 1e-8 from the V*V check it bounds norm(VV* - P_c VV* P_c) <=
+    2 norm(V) norm((I - P_c)V) by 1e-8.
     """
     g, a_plus = a_spec.g, a_spec.plus
     n = g.basis.shape[0]
@@ -163,35 +154,32 @@ def cuntz_witness(a_spec: ElementSpectrum, b_support: Support, L: int,
             f"(L-1)*rank((a-eps)_+) + K*rank(b) = {rhs}")
 
     sources = [(j, g.basis[:, s]) for j in range(L) for s in range(g.rank)]
-    targets = [(i, a_plus.basis[:, t]) for i in range(L - 1) for t in range(a_plus.rank)]
-    targets += [(i, b_support.basis[:, t])
-                for i in range(L - 1, L + K - 1) for t in range(b_support.rank)]
-
-    big_rows = (L + K - 1) * n
-    big_cols = L * n
-    w = np.zeros((big_rows, big_cols), dtype=complex)
+    row_bases = [a_plus.basis] * (L - 1) + [b_support.basis] * K
+    targets = [(i, q[:, t]) for i, q in enumerate(row_bases) for t in range(q.shape[1])]
+    v = np.zeros(((L + K - 1) * n, L * n), dtype=complex)
     for m, (j, svec) in enumerate(sources):
         i, tvec = targets[m]
-        w[i * n:(i + 1) * n, j * n:(j + 1) * n] += np.outer(tvec, svec.conj())
-    v_big = w @ np.kron(np.eye(L), a_spec.g_sqrt)
-    blocks = [[v_big[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(L)]
-              for i in range(L + K - 1)]
+        v[i * n:(i + 1) * n, j * n:(j + 1) * n] += np.outer(tvec, svec.conj())
+    g_sqrt = a_spec.g_sqrt
+    for j in range(L):
+        v[:, j * n:(j + 1) * n] = v[:, j * n:(j + 1) * n] @ g_sqrt
 
-    vstarv_defect = v_big.conj().T @ v_big - np.kron(np.eye(L), g.matrix)
+    vstarv_defect = v.conj().T @ v
+    g_matrix = g.matrix
+    for j in range(L):
+        vstarv_defect[j * n:(j + 1) * n, j * n:(j + 1) * n] -= g_matrix
     if norm_exceeds(vstarv_defect, 1e-8):
         raise NumericsError(
             f"witness V*V check failed: {operator_norm(vstarv_defect):.3e}")
-    p_ap, p_b = a_plus.projection, b_support.projection
-    p_c = np.zeros((big_rows, big_rows), dtype=complex)
-    for i in range(L + K - 1):
-        p_c[i * n:(i + 1) * n, i * n:(i + 1) * n] = p_ap if i < L - 1 else p_b
-    vvs = v_big @ v_big.conj().T
-    range_defect = vvs - p_c @ vvs @ p_c
-    if norm_exceeds(range_defect, 1e-8):
+    outside = v.copy()
+    for i, q in enumerate(row_bases):
+        rows = outside[i * n:(i + 1) * n]
+        rows -= q @ (q.conj().T @ rows)
+    if norm_exceeds(outside, 4e-9):
         raise NumericsError(
-            f"witness range check failed: {operator_norm(range_defect):.3e}")
-    return CuntzWitness(L=L, K=K, n=n, V=v_big, blocks=blocks,
-                        ranks={"g": g.rank, "a_plus": a_plus.rank, "b": b_support.rank})
+            f"witness range check failed: norm((I - P_c)V) = {operator_norm(outside):.3e}")
+    return [[v[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(L)]
+            for i in range(L + K - 1)]
 
 
 @dataclass
@@ -202,7 +190,6 @@ class PushStepResult:
     remainder: np.ndarray
     remainder_norm: float
     y: np.ndarray  # the fixed point y = x + Phi(y)
-    witness: CuntzWitness
     checks: list
 
     @property
@@ -220,17 +207,17 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
     (1/L)[v_ij*, v_ij y] over all blocks, and the remainder collects the
     last K block rows.  ``x_norm``, when the caller already holds
     ``operator_norm(x)``, saves taking it again.
+
+    That x lies in her((a-eps)_+) is the caller's to check, as
+    ``tower_iterate`` does: it checks z0, and each stage's
+    ``remainder_in_hereditary`` claim is the next stage's precondition.
+    For any x the commutators and remainder sum to g x, so the
+    reconstruction claim measures norm(x - g x).
     """
     xm = as_matrix(x, square=True, name="x")
     if x_norm is None:
         x_norm = operator_norm(xm)
-    p_ap = a_spec.plus.projection
-    compress_defect = xm - p_ap @ xm @ p_ap
-    if norm_exceeds(compress_defect, 1e-8 * max(1.0, x_norm)):
-        raise PreconditionError("x is not supported in her((a-eps)_+): "
-                                f"defect {operator_norm(compress_defect):.3e}")
-    wit = cuntz_witness(a_spec, b_support, L, K)
-    v = wit.blocks
+    v = cuntz_witness(a_spec, b_support, L, K)
 
     def phi(y):
         out = np.zeros_like(y)
@@ -277,7 +264,7 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
         BoundCheck("commutator_count", float(count), float(len(pairs)), 0.0),
     ]
     return PushStepResult(pairs=pairs, remainder=remainder, remainder_norm=rem_norm,
-                          y=y, witness=wit, checks=checks)
+                          y=y, checks=checks)
 
 
 # --------------------------------------------------------------------------

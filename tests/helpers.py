@@ -1,5 +1,6 @@
 """Shared test helpers: running the scripts, a seeded random unitary, the
-decoded fack-run input of a tower, the support of a PSD matrix from its own
+decoded fack-run input of a tower, the dense reference of the rank-comparison
+witness, the Bott bundle, the support of a PSD matrix from its own
 eigendecomposition, small complexes, a field's value at barycentric
 weights, lattice sampling and hat-function extension of fields, the residual of a field decomposition
 against any target, the smooth-target mesh refinement checks, the bitmask
@@ -29,6 +30,7 @@ from tracezero.matcore import (
     max_operator_norm,
     operator_norm,
 )
+from tracezero.obstruct import BundleExpr
 from tracezero.ozfield import (
     GRID_ORDER,
     SimplicialComplex,
@@ -40,7 +42,7 @@ from tracezero.ozfield import (
 )
 from tracezero.rand import SplitMix64, random_complex_matrix
 from tracezero.schemas import validate
-from tracezero.towers import PSD_TOL, Support
+from tracezero.towers import PSD_TOL, ElementSpectrum, Support
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -77,6 +79,37 @@ def fack_run_input(blocks, z0=None, **tower) -> TowerInput:
         doc["z0"] = matrix_to_json(z0)
     validate(doc, "fack-run")
     return decode_input("fack-run", doc)
+
+
+def reference_witness(a_spec: ElementSpectrum, b_support: Support, L: int, K: int):
+    """(V, range defect) of the rank-comparison witness built densely: W
+    pairs the support bases of g and of c in index order as one
+    (L+K-1)n x Ln matrix, V = W kron(I_L, g^{1/2}), and the range defect is
+    norm(VV* - P_c VV* P_c) with P_c the dense block-diagonal projection
+    onto (a-eps)_+ on L-1 blocks and b on K.  The reference the block
+    witness of ``cuntz_witness`` is compared against."""
+    g, a_plus = a_spec.g, a_spec.plus
+    n = g.basis.shape[0]
+    sources = [(j, g.basis[:, s]) for j in range(L) for s in range(g.rank)]
+    targets = [(i, a_plus.basis[:, t]) for i in range(L - 1) for t in range(a_plus.rank)]
+    targets += [(i, b_support.basis[:, t])
+                for i in range(L - 1, L + K - 1) for t in range(b_support.rank)]
+    w = np.zeros(((L + K - 1) * n, L * n), dtype=complex)
+    for m, (j, svec) in enumerate(sources):
+        i, tvec = targets[m]
+        w[i * n:(i + 1) * n, j * n:(j + 1) * n] += np.outer(tvec, svec.conj())
+    v = w @ np.kron(np.eye(L), a_spec.g_sqrt)
+    p_c = np.zeros(((L + K - 1) * n,) * 2, dtype=complex)
+    for i in range(L + K - 1):
+        p_c[i * n:(i + 1) * n, i * n:(i + 1) * n] = (
+            a_plus if i < L - 1 else b_support).projection
+    vvs = v @ v.conj().T
+    return v, operator_norm(vvs - p_c @ vvs @ p_c)
+
+
+def bott_bundle() -> BundleExpr:
+    """The degree-one line bundle over a single 2-sphere."""
+    return BundleExpr.line((1,))
 
 
 def support_of(a) -> Support:

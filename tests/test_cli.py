@@ -451,6 +451,48 @@ class TestHostileInput:
         assert code == 2
         assert json.loads(out) == {"error": message, "path": "stdin"}
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_2(self, tol):
+        # either one would switch off the trace test: the identity would
+        # exit 1 from the shift construction, not 2 for its trace
+        code, out = run_from_args(["decompose", "--tol", tol],
+                                  stdin_text=json.dumps(matrix_to_json(np.eye(2))))
+        assert code == 2
+        assert json.loads(out) == {"error": f"tol must be positive and finite, not {tol}",
+                                   "path": ""}
+
+    def test_verify_of_a_non_finite_tol_exits_2(self):
+        _, _, text = run_cmd("decompose", matrix_to_json(SZ))
+        assert '"tol": 1e-09' in text
+        code, out = run_from_args(["verify"], stdin_text=text.replace('"tol": 1e-09',
+                                                                      '"tol": 1e400'))
+        assert code == 2
+        assert json.loads(out) == {"error": "parameters.tol must be a finite number, not inf",
+                                   "path": "stdin"}
+
+    @pytest.mark.parametrize("tower, message", [
+        ('"deltas": [1e400]', "tower.deltas[0] must be a finite number, not inf"),
+        ('"deltas": [Infinity]', "tower.deltas[0] must be a finite number, not inf"),
+        ('"deltas": [NaN]', "tower.deltas[0] must be a finite number, not nan"),
+        ('"epsilon": NaN', "tower.epsilon must be a finite number, not nan"),
+    ], ids=["delta-1e400", "delta-Infinity", "delta-NaN", "epsilon-NaN"])
+    def test_non_finite_tower_float_exits_2(self, tower, message):
+        # json reads 1e400 as inf and takes NaN and Infinity tokens
+        text = '{"tower": {"blocks": [{"rank": 2}, {"rank": 2}], %s}}' % tower
+        code, out = run_from_args(["fack-run"], stdin_text=text)
+        assert code == 2
+        assert json.loads(out) == {"error": message, "path": "stdin"}
+        # verify reads the echoed input with the same decoder
+        _, _, valid = run_cmd("fack-run", {"tower": {"blocks": [{"rank": 2}, {"rank": 2}],
+                                                     "deltas": [0.5], "epsilon": 0.5}})
+        field = tower.split(":")[0]
+        value = {'"deltas"': "[\n        0.5\n      ]", '"epsilon"': "0.5"}[field]
+        assert f"{field}: {value}" in valid
+        tampered = valid.replace(f"{field}: {value}", tower)
+        code, out = run_from_args(["verify"], stdin_text=tampered)
+        assert code == 2
+        assert json.loads(out) == {"error": message, "path": "stdin"}
+
     def test_pp_example_cap_is_the_last_printable_coefficient(self):
         assert run_cmd("pp-example", {"m": 1558})[0] == 0
         assert run_cmd("pp-example", {"m": 1559})[0] == 2
@@ -818,6 +860,9 @@ class TestEncode:
             encode({(1, 2): 0})
 
 
+_WIDE_TOWER = {"tower": {"blocks": [{"rank": 16}, {"rank": 1}], "L": 1, "K": 511}}
+
+
 class TestDeterminismAndVerify:
     @pytest.mark.parametrize("command,make_doc,flags", ALL_RUNS)
     def test_byte_identical_reruns(self, command, make_doc, flags):
@@ -858,6 +903,23 @@ class TestDeterminismAndVerify:
         assert code == 2
         assert doc["error"] == "tower block 1 has empty support above its threshold"
         assert capfd.readouterr().err == ""
+
+    def test_outputs_are_strict_json_and_verify(self):
+        # no NaN or Infinity token reaches stdout; the K = 511 tower's witness
+        # is 511 blocks high, 2.4 MB, where a ((L+K-1) n)^2 range check would
+        # have been 1.2 GB
+        def refuse(token):
+            raise AssertionError(f"non-JSON token {token} in stdout")
+
+        runs = [(command, make_doc(), flags) for command, make_doc, flags in ALL_RUNS]
+        runs.append(("fack-run", _WIDE_TOWER, ()))
+        for command, doc, flags in runs:
+            code, text = run_from_args([command, *flags], stdin_text=json.dumps(doc))
+            assert code == 0
+            json.loads(text, parse_constant=refuse)
+            vcode, out = run_from_args(["verify"], stdin_text=text)
+            assert vcode == 0
+            assert json.loads(out, parse_constant=refuse)["result"]["verified"] is True
 
     def test_verify_rejects_tampered_output(self):
         code, out_doc, _ = run_cmd("decompose", matrix_to_json(SZ))

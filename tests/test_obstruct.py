@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tracezero.obstruct
-from helpers import frozenset_mul, monomial, reference_euler_class
+from helpers import bott_bundle, frozenset_mul, monomial, reference_euler_class
 from tracezero.certcheck import euler_class_by_forms
 from tracezero.errors import InvalidInputError
 from tracezero.jsonio import decode_input
@@ -147,7 +147,7 @@ class TestEulerClass:
         assert euler_class(BundleExpr.line((0,))).is_zero()
 
     def test_degree_one_line(self):
-        assert euler_class(BundleExpr.bott()) == SquareFreeClass(1, {monomial(1): 1})
+        assert euler_class(bott_bundle()) == SquareFreeClass(1, {monomial(1): 1})
 
     def test_two_sphere_product(self):
         b = BundleExpr.line((1, 1)).repeated(2)
@@ -348,7 +348,7 @@ class TestArrayKernel:
 
 class TestObstructionCertificate:
     def test_degree_one_over_sphere(self):
-        cert = obstruction_certificate(BundleExpr.bott(), 1)
+        cert = obstruction_certificate(bott_bundle(), 1)
         assert cert.verdict
         assert cert.euler_class == SquareFreeClass(1, {monomial(1): 1})
 
@@ -439,7 +439,7 @@ class TestVilladsenTower:
 class TestDistanceLowerBound:
     def test_trivial_p_degree_one_q(self):
         p = BundleExpr.line((0,))
-        q = BundleExpr.bott()
+        q = bott_bundle()
         cert = distance_lower_bound_cert(p, q, 1, 1)
         assert cert.verdict
 

@@ -1,9 +1,19 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fack_run_input, reconstruction_error, run_script, support_of
+from helpers import (
+    fack_run_input,
+    random_unitary,
+    reconstruction_error,
+    reference_witness,
+    run_script,
+    support_of,
+)
 from tracezero import jsonio, towers
 from tracezero.errors import InvalidInputError, NumericsError, PreconditionError
 from tracezero.matcore import commutator, operator_norm
@@ -69,9 +79,11 @@ class TestRamp:
         np.testing.assert_array_equal(ramp([0.0, 5e-324, 1.0], 5e-324), [0.0, 1.0, 1.0])
 
 
-def witness_errors(v, g, p_ap, p_b, L, K):
-    """||V*V - g (x) 1_L|| and ||VV* - P_c VV* P_c||, with P_c = p_ap on the
-    first L-1 diagonal blocks and p_b on the last K."""
+def witness_errors(blocks, g, p_ap, p_b, L, K):
+    """||V*V - g (x) 1_L|| and ||VV* - P_c VV* P_c|| of the witness with
+    ``blocks``, with P_c = p_ap on the first L-1 diagonal blocks and p_b on
+    the last K."""
+    v = np.block(blocks)
     vstarv = np.linalg.norm(v.conj().T @ v - np.kron(np.eye(L), g), 2)
     p_c = (np.kron(np.diag([1.0] * (L - 1) + [0.0] * K), p_ap)
            + np.kron(np.diag([0.0] * (L - 1) + [1.0] * K), p_b))
@@ -79,22 +91,99 @@ def witness_errors(v, g, p_ap, p_b, L, K):
     return vstarv, np.linalg.norm(vvs - p_c @ vvs @ p_c, 2)
 
 
+def _rank_spectra(ranks, ambient=None):
+    ambient = sum(ranks) if ambient is None else ambient
+    starts = np.cumsum([0] + ranks[:-1])
+    return [ElementSpectrum.of_block(ambient, int(s), r, 0.5) for s, r in zip(starts, ranks)]
+
+
+def _element_spectra(diagonals, seed=None):
+    """Spectra at epsilon 0.5 of diag(d) for each d, conjugated by a seeded
+    unitary when ``seed`` is given."""
+    u = np.eye(len(diagonals[0])) if seed is None else random_unitary(SplitMix64(seed),
+                                                                      len(diagonals[0]))
+    return [ElementSpectrum.of(u @ np.diag(d).astype(complex) @ u.conj().T, 0.5)
+            for d in diagonals]
+
+
+_PAIRS6 = [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]]
+# g_{0.25} of 0.3 is 0.2, so g and its square root are no projections
+_GRADED = [[1.0, 0.7, 0.3, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1, 1, 1]]
+_WITNESS_TOWERS = {
+    "equal": lambda: _rank_spectra([3] * 4),
+    "unequal": lambda: _rank_spectra([4, 3, 5]),
+    "padded": lambda: _rank_spectra([2, 2, 2], ambient=9),
+    "diagonal": lambda: _element_spectra(_PAIRS6),
+    "graded": lambda: _element_spectra(_GRADED),
+    "rotated": lambda: _element_spectra(_PAIRS6, seed=32),
+    "rotated-graded": lambda: _element_spectra(_GRADED, seed=33),
+}
+
+
 class TestCuntzWitness:
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("tower", sorted(_WITNESS_TOWERS))
+    def test_blocks_equal_the_dense_reference(self, L, K, tower):
+        spectra = _WITNESS_TOWERS[tower]()
+        stages = [t for t in range(len(spectra) - 1)
+                  if L * spectra[t].g.rank
+                  <= (L - 1) * spectra[t].plus.rank + K * spectra[t + 1].plus.rank]
+        assert stages
+        for t in stages:
+            blocks = cuntz_witness(spectra[t], spectra[t + 1].plus, L, K)
+            v, range_defect = reference_witness(spectra[t], spectra[t + 1].plus, L, K)
+            assert len(blocks) == L + K - 1 and all(len(row) == L for row in blocks)
+            if tower.startswith("rotated") and L > 1:
+                # dense g^{1/2}: one matmul over L n columns of which n are
+                # nonzero rounds apart from the matmul over those n alone
+                np.testing.assert_allclose(np.block(blocks), v, rtol=0.0, atol=1e-15)
+            else:
+                np.testing.assert_array_equal(np.block(blocks), v)
+            assert range_defect <= 1e-8
+
+    def test_holds_a_few_copies_of_v_and_no_range_projection(self):
+        # L = 1, K = 127, n = 17: V is 2159 x 17 (0.6 MB), where a dense
+        # ((L+K-1) n)^2 range projection would be 75 MB
+        spectra = _rank_spectra([16, 1])
+        tracemalloc.start()
+        try:
+            blocks = cuntz_witness(spectra[0], spectra[1].plus, 1, 127)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        v_bytes = np.block(blocks).nbytes
+        assert v_bytes == 127 * 17 * 17 * 16
+        assert peak < 5 * v_bytes
+
+    def test_range_check_reports_the_part_of_v_outside_c(self):
+        # b's basis e1, e2, (e1 + e2)/sqrt 2 has unit columns, but B B* is no
+        # projection: V = e1 e0* passes V*V = g, and (I - BB*)V = -(e1 + e2) e0*/2
+        e = np.eye(3, dtype=complex)
+        spec = ElementSpectrum(g=Support(basis=e[:, :1], values=np.array([1.0])),
+                               plus=Support(basis=e[:, :0], values=np.zeros(0)))
+        basis = np.column_stack([e[:, 1], e[:, 2], (e[:, 1] + e[:, 2]) / np.sqrt(2.0)])
+        with pytest.raises(NumericsError,
+                           match=r"^witness range check failed: norm\(\(I - P_c\)V\) = "
+                                 r"7\.071e-01$"):
+            cuntz_witness(spec, Support(basis=basis, values=np.ones(3)), 1, 1)
+
     def test_a_equals_b(self):
         a = np.diag([1.0, 0.8, 0.0]).astype(complex)
-        wit = cuntz_witness(ElementSpectrum.of(a, 0.1), support_of(a), 1, 1)
+        blocks = cuntz_witness(ElementSpectrum.of(a, 0.1), support_of(a), 1, 1)
         # g = g_{0.05}(a) and the supports of (a - 0.1)_+ and a: all diag(1, 1, 0)
         p = np.diag([1.0, 1.0, 0.0])
-        vstarv, range_error = witness_errors(wit.V, p, p, p, 1, 1)
+        vstarv, range_error = witness_errors(blocks, p, p, p, 1, 1)
         assert vstarv <= 1e-12
         assert range_error <= 1e-12
 
     def test_two_by_two_swap(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
-        wit = cuntz_witness(ElementSpectrum.of(a, 0.1), support_of(b), 1, 1)
+        blocks = cuntz_witness(ElementSpectrum.of(a, 0.1), support_of(b), 1, 1)
         # V = e21 up to phase: single nonzero entry of modulus 1 at (1, 0)
-        np.testing.assert_allclose(np.abs(wit.V), [[0.0, 0.0], [1.0, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(np.abs(np.block(blocks)), [[0.0, 0.0], [1.0, 0.0]],
+                                   atol=1e-12)
 
     def test_rank_failure(self):
         with pytest.raises(PreconditionError, match="rank comparison"):
@@ -112,12 +201,12 @@ class TestCuntzWitness:
         a[:r_a, :r_a] = np.eye(r_a)
         b = np.zeros((n, n), dtype=complex)
         b[r_a:, r_a:] = np.eye(r_b)
-        wit = cuntz_witness(ElementSpectrum.of(a, 0.5), support_of(b), L, K)
+        blocks = cuntz_witness(ElementSpectrum.of(a, 0.5), support_of(b), L, K)
         # a and b are projections, so g = (a - 0.5)_+'s support projection = a
-        vstarv, range_error = witness_errors(wit.V, a, a, b, L, K)
+        vstarv, range_error = witness_errors(blocks, a, a, b, L, K)
         assert vstarv <= 1e-8
         assert range_error <= 1e-8
-        assert np.kron(np.eye(L), np.eye(n)).shape[0] == wit.V.shape[1]
+        assert np.block(blocks).shape == ((L + K - 1) * n, L * n)
 
     def test_defective_witness_reports_its_error(self):
         # a support basis 2*e_0 is not orthonormal: V = 8 e_1 e_0*, so
@@ -151,11 +240,16 @@ class TestPushStep:
         assert operator_norm(res.remainder) == 0.0
         assert all(operator_norm(d) == 0.0 for _, d in res.pairs)
 
-    def test_rejects_unsupported_x(self):
+    def test_unsupported_x_fails_its_reconstruction_claim(self):
+        # the support precondition is the caller's: the split sums to g x,
+        # and the reconstruction claim measures norm(x - g x) = 1
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
-        with pytest.raises(PreconditionError, match="supported"):
-            push_step(np.eye(2, dtype=complex), ElementSpectrum.of(a, 0.1), support_of(b), 1, 1)
+        res = push_step(np.eye(2, dtype=complex), ElementSpectrum.of(a, 0.1), support_of(b), 1, 1)
+        assert res.checks[0].name == "reconstruction_residual"
+        assert res.checks[0].measured_value == pytest.approx(1.0)
+        assert not res.checks[0].passed
+        assert [c.passed for c in res.checks[1:]] == [True] * 4
 
     def test_six_by_six_L2_K1(self):
         rng = SplitMix64(42)
@@ -216,11 +310,11 @@ class TestPushStep:
         a[:r_a, :r_a] = np.eye(r_a)
         b = np.zeros((n, n), dtype=complex)
         b[r_a:, r_a:] = np.eye(r_b)
-        wit = cuntz_witness(ElementSpectrum.of(a, 0.5), support_of(b), L, K)
+        v = cuntz_witness(ElementSpectrum.of(a, 0.5), support_of(b), L, K)
         for _ in range(10):
             y = embedded_trace_zero(rng, n, 0, r_a)
             y /= operator_norm(y)
-            phi_y = sum(wit.blocks[i][j] @ y @ wit.blocks[i][j].conj().T
+            phi_y = sum(v[i][j] @ y @ v[i][j].conj().T
                         for i in range(L - 1) for j in range(L)) / L
             assert operator_norm(phi_y) <= (L - 1) / L + 1e-6
 
@@ -246,8 +340,14 @@ class TestTowerInput:
          "z0 is not Hermitian within tolerance 1e-12"),
         (lambda: fack_run_input(_P, z0=np.diag([1.0, -1.0, 0.0, 0.0, 0.0])),
          "z0 size does not match the tower"),
+        (lambda: fack_run_input([2, 2], deltas=[math.inf]),
+         "tower.deltas[0] must be a finite number, not inf"),
+        (lambda: fack_run_input([2, 2], deltas=[math.nan]),
+         "tower.deltas[0] must be a finite number, not nan"),
+        (lambda: fack_run_input([2, 2], epsilon=math.nan),
+         "tower.epsilon must be a finite number, not nan"),
     ], ids=["delta-count", "ambient", "element-hermitian", "element-size", "depth-range",
-            "count-bound", "z0-hermitian", "z0-size"])
+            "count-bound", "z0-hermitian", "z0-size", "inf-delta", "nan-delta", "nan-epsilon"])
     def test_words_each_rule(self, read, message):
         with pytest.raises(InvalidInputError) as error:
             read()
@@ -269,6 +369,15 @@ class TestTowerInput:
             fack_run_input([1, 1], L=16, K=18)
         with pytest.raises(InvalidInputError, match="over the budget of 512"):
             fack_run_input([1] * 18, L=2, K=15)
+
+    def test_entry_budget_counts_what_a_run_holds(self):
+        # (blocks + (L+K-1) L + 2 pairs) n^2: one witness and every stage's
+        # pairs, not a ((L+K-1) n)^2 range check
+        assert fack_run_input([16, 1], K=511).K == 511  # (2 + 511 + 1022) * 17^2
+        with pytest.raises(InvalidInputError) as error:
+            fack_run_input([16] * 60)
+        assert str(error.value) == ("tower needs 164966400 complex entries (60 elements of "
+                                    "size 960, L=1, K=1), over the budget of 67108864")
 
     def test_rejects_nonzero_trace(self):
         z0 = np.zeros((6, 6), dtype=complex)
@@ -365,6 +474,13 @@ class TestTowerIterate:
         assert operator_norm(dec.residual) <= inp.deltas[3]
         assert reconstruction_error(inp.z0, dec) <= 1e-8 * max(1.0, operator_norm(inp.z0))
         assert dec.report.all_passed
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_rejects_unsupported_x(self, depth):
+        # z0 = diag(1, -1) reaches into block 1: checked before any push step
+        inp = fack_run_input([1, 1], z0=np.diag([1.0, -1.0]).astype(complex))
+        with pytest.raises(PreconditionError, match="supported"):
+            tower_iterate(inp.z0, TowerModel(inp), depth)
 
     def test_rejects_bad_support(self):
         z0 = np.zeros((6, 6), dtype=complex)
