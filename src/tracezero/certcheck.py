@@ -12,10 +12,10 @@ own report repeats is still caught.
 
 A failed check is one line "<path>: <check> ...", <path> being a JSON path
 into the verify document.  What a document states but does not carry the
-data to rebuild (a tower's per-stage checks, the collapse defect, the
-lattice's partition-of-unity defect) is checked for internal consistency
-only: measured <= claimed + tolerance exactly when ``passed``, and
-``all_passed`` agrees.
+data to rebuild (a tower's per-stage checks and its collapse defect) is
+checked for internal consistency only: measured <= claimed + tolerance
+exactly when ``passed``, and ``all_passed`` agrees.  Every bound check of
+the other commands' reports is re-measured.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .errors import InvalidInputError
 from .jsonio import TowerInput, decode_input, field_from_json, matrix_from_json
 from .matcore import commutator, norm_ratio, operator_norm
 from .obstruct import MAX_PAIR_VISITS
-from .ozfield import GRID_ORDER, RECON_TOL, SimplicialField, require_refine_budget
+from .ozfield import RECON_TOL, SimplicialField, require_refine_budget
 from .schemas import validate
 
 # A value the document reports and the checker re-measures must agree to
@@ -151,13 +151,13 @@ def _rerooted(exc: ValidationError, key: str) -> ValidationError:
 @dataclass(frozen=True)
 class Statement:
     """What a named bound certifies: the bound the command's theorem gives,
-    the checker's own measurement of the quantity (None where the document
-    lacks the data for one), the tolerance of the comparison, whether the
-    measurement is the quantity itself or only a lower bound on it, and the
-    quantity's scale for agreement with the reported measurement."""
+    the checker's own measurement of the quantity, the tolerance of the
+    comparison, whether the measurement is the quantity itself or only a
+    lower bound on it, and the quantity's scale for agreement with the
+    reported measurement."""
 
     bound: float
-    measured: float | None
+    measured: float
     tolerance: float
     exact: bool = True
     scale: float = 1.0
@@ -211,8 +211,6 @@ def _check_bounds(f: Findings, report: dict, statements: dict,
         if claims is not None and name in claims:
             f.require(claims[name] == claimed, f"{claims_path}.{name}",
                       f"{claims[name]!r} differs from the report's claimed bound {claimed!r}")
-        if st.measured is None:
-            continue
         if st.exact:
             f.require(_agree(measured, st.measured, st.scale), f"{p}.measured_value",
                       f"{name}: reported {measured!r} but re-measured {st.measured!r}")
@@ -469,8 +467,6 @@ def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine:
     if colors is not None:
         f.require(color_count == max(colors) + 1, "$.result.color_count",
                   f"{color_count}, but a barycentric subdivision needs {max(colors) + 1}")
-    found = _get(result, "grid_order", "$.result")
-    f.require(found == GRID_ORDER, "$.result.grid_order", f"{found!r} is not {GRID_ORDER}")
 
     factors = _list(_get(result, "factors", "$.result"), "$.result.factors")
     x = {}
@@ -503,18 +499,17 @@ def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine:
                f"vertex {v}: norm([x*, x] - value) = {float(residuals[v])!r} exceeds "
                f"{recon_bound!r}")
     covered = sorted({v for s in simplices for v in s})
-    grid_residual = float(np.max(residuals[covered]))
+    field_residual = float(np.max(residuals[covered]))
     statements = {
         # sum_k [y_k*, y_k] - field = sum_i w_i ([x_i*, x_i] - value_i) on a
-        # simplex: largest at a vertex, and the lattice holds the vertices
-        "grid_residual": Statement(recon_bound, grid_residual, 0.0, scale=sup),
+        # simplex: a convex combination, so largest at a vertex
+        "field_residual": Statement(recon_bound, field_residual, 0.0, scale=sup),
         "max_factor_norm_sq": Statement(2.0 * sup + 1e-8, float(np.max(x_norms_sq[covered])),
                                         0.0, scale=sup),
         "factor_count": Statement(float(color_count), float(len(factors)), 0.0),
-        "partition_of_unity_defect": Statement(1e-12, None, 0.0),
     }
     _check_bounds(f, report, statements)
-    _check_headline(f, report, grid_residual, len(factors), sup)
+    _check_headline(f, report, field_residual, len(factors), sup)
     reported = _number(_get(result, "sup_norm", "$.result"), "$.result.sup_norm")
     f.require(_agree(reported, sup, sup), "$.result.sup_norm",
               f"reported {reported!r} but the largest vertex value norm is {sup!r}")

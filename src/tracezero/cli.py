@@ -4,7 +4,8 @@ Commands
 --------
 decompose        trace-zero Hermitian matrix -> single self-commutator factor
 decompose-tight  same element -> single (x, y) with norm(x)*norm(y) <= norm(a)
-decompose-field  PL matrix field -> one sqrt-hat factor per color
+decompose-field  PL matrix field -> one sqrt-hat factor per color, its
+                 residual measured at every vertex
 fack-run         tower model -> iterated decomposition with certificates
 block-split      block matrix with commutator diagonal sum -> [S, E] + rest
 obstruct         bundle + n -> Euler-class nonvanishing certificate
@@ -50,7 +51,6 @@ from .jsonio import (
 from .matcore import operator_norm
 from .obstruct import obstruction_certificate, pp_example, villadsen_tower
 from .ozfield import (
-    GRID_ORDER,
     SimplicialField,
     barycentric_subdivide,
     decompose_field,
@@ -121,6 +121,7 @@ def _handle_decompose(cfg: RunConfig, a):
 
 
 def _handle_decompose_field(cfg: RunConfig, fld: SimplicialField):
+    # The refinement and coloring budgets, before any subdivision or coloring.
     require_refine_budget(fld.complex, cfg.refine)
     if cfg.refine > 0:
         for _ in range(cfg.refine):
@@ -133,7 +134,6 @@ def _handle_decompose_field(cfg: RunConfig, fld: SimplicialField):
     result = {
         "coloring": list(coloring.colors),
         "color_count": coloring.color_count,
-        "grid_order": GRID_ORDER,
         "sup_norm": fd.sup_norm,
         "factors": [
             {"color": factor.color,

@@ -115,14 +115,17 @@ def float_from_json(value, name: str) -> float:
 
 TOWER_ENTRY_BUDGET = 2 ** 26  # complex entries a run holds: elements, a witness, all pairs
 TOWER_PAIR_BUDGET = 2 ** 9  # commutator pairs over all stages, (blocks-1)*L*(L+K-1)
+# Complex entries of the output matrices: z0 and both matrices of each of at
+# most 2*L*(L+K-1) commutators that the collapse leaves.
+TOWER_OUTPUT_BUDGET = 2 ** 20
 
 
 @dataclass(frozen=True)
 class TowerInput:
     """A fack-run input: blocks as ``ranks`` of 0/1 projections or as
     Hermitian ``elements`` (the other None), all of size ``ambient``, within
-    the tower work budgets; defaults applied, ``depth`` as given, and ``z0`` a
-    trace-zero Hermitian matrix of size ``ambient``, or None."""
+    the tower work and output budgets; defaults applied, ``depth`` as given,
+    and ``z0`` a trace-zero Hermitian matrix of size ``ambient``, or None."""
 
     ranks: list | None
     elements: list | None
@@ -203,6 +206,12 @@ def _tower_input(doc: dict) -> TowerInput:
         raise InvalidInputError(
             f"tower needs {entries} complex entries ({count} elements of size {ambient}, "
             f"L={L}, K={K}), over the budget of {TOWER_ENTRY_BUDGET}")
+    written = (1 + 4 * inp.per_stage) * ambient * ambient
+    if written > TOWER_OUTPUT_BUDGET:
+        raise InvalidInputError(
+            f"tower output holds {written} complex entries (z0 and up to "
+            f"{2 * inp.per_stage} commutator pairs of size {ambient}), over the budget of "
+            f"{TOWER_OUTPUT_BUDGET}")
     float_from_json(inp.count_bound, "the commutator count bound")
     return dataclasses.replace(inp, z0=_tower_z0(doc, ambient))
 

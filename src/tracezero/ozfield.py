@@ -8,18 +8,16 @@ weighting the factors by sqrt(hat) therefore yields one order-zero factor
 per color whose self-commutators sum back, exactly, to the interpolated
 field: color count = dimension + 1 factors for barycentric colorings.
 
-Verification is pointwise on a deterministic barycentric lattice of order
-GRID_ORDER per maximal simplex.  A lattice weight is always one of the
-GRID_ORDER + 1 levels j / GRID_ORDER, so the grid pass forms each bracket
-[y*, y] once per (vertex, level) pair a chunk of lattice points uses, and
-gathers the chunk's lattice sums from those.
-Every norm the grid reports is a maximum, taken by ``max_operator_norm``:
-it takes the SVD only of the matrices whose Frobenius bound can beat the
-largest norm found so far.
+Verification is at the vertices.  On a maximal simplex with weights w,
+sum_k [y_k*, y_k] - field = sum_i w_i ([x_i*, x_i] - value_i), a convex
+combination of vertex residuals, so its norm anywhere on the simplex is at
+most the largest vertex residual, which it attains at that vertex.  Every
+norm the decomposition reports is a maximum over vertices, taken by
+``max_operator_norm``: it takes the SVD only of the matrices whose
+Frobenius bound can beat the largest norm found so far.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,23 +35,13 @@ from .matcore import (
 )
 from .selfcomm import self_commutator_factors
 
-GRID_ORDER = 8
-# Lattice points of one maximal simplex with k vertices: C(k + 7, 8), so
-# dimension 8 (12870 points) fits and dimension 9 does not.
-GRID_POINT_BUDGET = 2 ** 14
-# Lattice work of the whole complex: lattice points * vertices, summed over
-# the maximal simplices. Admits 2^15 triangles (45 points * 3 vertices each,
-# about 4.4M), and as many tetrahedra as three refinements of one give.
-COMPLEX_GRID_BUDGET = 2 ** 24
-RECON_TOL = 1e-8  # grid residual, relative to the field's sup norm
+RECON_TOL = 1e-8  # largest vertex residual, relative to the field's sup norm
 TRACE_TOL = 1e-10  # vertex trace, relative to n times the vertex norm
-REFINE_SIMPLEX_BUDGET = 2 ** 15  # maximal simplices after barycentric refinement
-# Matrix entries per stack of the grid pass (256 KiB of complex), so its
-# memory stays flat in the matrix size and the number of vertices.
-GRID_CHUNK_ENTRIES = 2 ** 14
-# The weights an order-GRID_ORDER lattice point can give a vertex.
-LEVELS = np.arange(GRID_ORDER + 1) / GRID_ORDER
-LEVELS.setflags(write=False)
+# Maximal simplices made by barycentric refinement, summed over its levels.
+REFINE_SIMPLEX_BUDGET = 2 ** 15
+# Vertex pairs that the coloring and its check visit, C(k, 2) per k-vertex
+# maximal simplex after refinement: a 720-vertex simplex fits, 2000 do not.
+FIELD_PAIR_BUDGET = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -169,17 +157,30 @@ def barycentric_subdivide(complex_: SimplicialComplex) -> BarycentricSubdivision
 
 
 def require_refine_budget(complex_: SimplicialComplex, refine: int):
-    """Reject ``refine`` barycentric refinements when the projected count,
-    maximal simplices * ((d+1)!)^refine, exceeds REFINE_SIMPLEX_BUDGET."""
+    """Reject a ``decompose-field`` run of ``refine`` barycentric refinements
+    before any work: each level multiplies the maximal simplices by up to
+    (d+1)!, and their count summed over the levels may not exceed
+    REFINE_SIMPLEX_BUDGET, so levels that do not grow the complex count too;
+    and the vertex pairs that ``greedy_coloring`` and ``require_proper``
+    visit, C(k, 2) for each k-vertex maximal simplex times ((d+1)!)^refine,
+    may not exceed FIELD_PAIR_BUDGET."""
     count = len(complex_.maximal_simplices)
     factor = math.factorial(complex_.dimension + 1)
-    for _ in range(refine if factor > 1 else 0):
-        count *= factor
-        if count > REFINE_SIMPLEX_BUDGET:
+    growth, made = 1, 0
+    for _ in range(refine):
+        growth *= factor
+        made += count * growth
+        if made > REFINE_SIMPLEX_BUDGET:
             raise InvalidInputError(
-                f"refine {refine} of {len(complex_.maximal_simplices)} maximal simplices of "
-                f"dimension {complex_.dimension} projects over the budget of "
-                f"{REFINE_SIMPLEX_BUDGET} simplices")
+                f"refine {refine} of {count} maximal simplices of dimension "
+                f"{complex_.dimension} projects over the budget of {REFINE_SIMPLEX_BUDGET} "
+                f"simplices, summed over its levels")
+    pairs = growth * sum(math.comb(len(s), 2) for s in complex_.maximal_simplices)
+    if pairs > FIELD_PAIR_BUDGET:
+        raise InvalidInputError(
+            f"coloring the complex visits {pairs} vertex pairs, C(k, 2) for each maximal "
+            f"simplex of k vertices times ((d+1)!)^refine, over the budget of "
+            f"{FIELD_PAIR_BUDGET}")
 
 
 def octahedron_complex() -> SimplicialComplex:
@@ -225,24 +226,6 @@ def subdivide_field(fld: SimplicialField, sub: BarycentricSubdivision) -> Simpli
     return make_field(sub.complex, values)
 
 
-@functools.cache
-def barycentric_lattice(n_weights: int, order: int) -> np.ndarray:
-    """All lattice points (i_1/order, ..., i_k/order) with sum 1, as rows of
-    a read-only array built once per (n_weights, order)."""
-    rows = []
-    for cut in itertools.combinations(range(order + n_weights - 1), n_weights - 1):
-        prev = -1
-        comp = []
-        for c in cut:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(order + n_weights - 2 - prev)
-        rows.append(comp)
-    lattice = np.asarray(rows, dtype=float) / order
-    lattice.setflags(write=False)
-    return lattice
-
-
 @dataclass(frozen=True)
 class SqrtWeightedFactor:
     """One color class of sqrt(hat)-weighted matrices: y(p) = sum_v h_v(p)^(1/2) x_v."""
@@ -258,71 +241,6 @@ class FieldDecomposition:
     sup_norm: float
 
 
-def _brackets(x, levels) -> np.ndarray:
-    """[y*, y] with y = sqrt(level) x, for a stack of factors x and one level
-    each."""
-    y = np.sqrt(levels)[:, None, None] * x
-    y_star = y.conj().swapaxes(-1, -2)
-    return y_star @ y - y @ y_star
-
-
-def _gather(terms, slot) -> np.ndarray:
-    """Row r is sum_i terms[slot[r, i]], from zeros in the order of i."""
-    total = np.zeros((len(slot),) + terms.shape[1:], dtype=complex)
-    for i in range(slot.shape[1]):
-        total += terms[slot[:, i]]
-    return total
-
-
-def _lattice_sums(fld: SimplicialField, x_of):
-    """Walk the order-GRID_ORDER lattice of every maximal simplex, simplices
-    grouped by size, GRID_CHUNK_ENTRIES matrix entries (at least one point)
-    at a time.  For each chunk yield the simplex index and the weights w of
-    each point, the sum over the simplex's vertices v_i of [y*, y] with
-    y = sqrt(w_i) x_{v_i} (``x_of[v]``), and of w_i value_{v_i}.  Vertex
-    v_i is the only one of its color on a simplex, so at w it alone carries
-    that color's factor there, and the first sum is sum_k [y_k*, y_k].  Each
-    term depends only on the vertex and its level w_i = j / GRID_ORDER, so it
-    is formed once per (vertex, level) pair the chunk uses.  Both sums start
-    from zeros and add in vertex order: bit for bit what forming every term
-    at every point gives."""
-    n = fld.matrix_size
-    step = max(1, GRID_CHUNK_ENTRIES // (n * n))
-    groups = {}
-    for idx, simplex in enumerate(fld.complex.maximal_simplices):
-        groups.setdefault(len(simplex), []).append(idx)
-    for size, members in sorted(groups.items()):
-        lattice = barycentric_lattice(size, GRID_ORDER)
-        levels = np.rint(lattice * GRID_ORDER).astype(np.intp)
-        vertices = np.array([fld.complex.maximal_simplices[idx] for idx in members])
-        members = np.array(members)
-        points = len(lattice)
-        for start in range(0, len(members) * points, step):
-            which, point = np.divmod(np.arange(start, min(start + step, len(members) * points)),
-                                     points)
-            used, local = np.unique(vertices[which], return_inverse=True)
-            keys = local.reshape(len(which), size) * (GRID_ORDER + 1) + levels[point]
-            present = np.zeros(len(used) * (GRID_ORDER + 1), dtype=bool)
-            present[keys] = True
-            slot = (np.cumsum(present) - 1)[keys]
-            pair_vertex, pair_level = np.divmod(np.flatnonzero(present), GRID_ORDER + 1)
-            x = np.stack([x_of[v] for v in used.tolist()])
-            recon = _gather(_brackets(x[pair_vertex], LEVELS[pair_level]), slot)
-            values = np.stack([fld.values[v] for v in used.tolist()])
-            weighted = LEVELS[pair_level][:, None, None] * values[pair_vertex]
-            yield members[which], lattice[point], recon, _gather(weighted, slot)
-
-
-def _max_norm(mats) -> float:
-    """max_operator_norm of a list of n x n matrices, stacked
-    GRID_CHUNK_ENTRIES entries at a time."""
-    step = max(1, GRID_CHUNK_ENTRIES // mats[0].size) if mats else 1
-    best = 0.0
-    for start in range(0, len(mats), step):
-        best = max_operator_norm(np.stack(mats[start:start + step]), floor=best)
-    return best
-
-
 def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDecomposition:
     """Decompose a pointwise trace-zero field into color_count self-commutators.
 
@@ -330,26 +248,14 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
     pass (``self_commutator_factors``) after one stacked trace check; color
     k collects its vertices into one sqrt(hat)-weighted factor y_k.
     Disjoint same-color stars make the cross terms vanish, so sum_k
-    [y_k*, y_k] equals the PL interpolation of the field; the residual is
-    measured on the sample grid, GRID_CHUNK_ENTRIES matrix entries at a
-    time, each bracket formed once per (vertex, level) a chunk uses.  The bound norm(y_k)^2 <= 2*sup_norm +
-    1e-8 is checked at the vertices, where norm(sqrt(w) x_v) peaks (w = 1, a
-    lattice point).  The residual, sup_norm and factor norm are the exact
-    SVD maxima; the Frobenius screen only skips SVDs that cannot change them.
+    [y_k*, y_k] equals the PL interpolation of the field, up to a residual
+    that is at most its largest value at a vertex of a maximal simplex
+    (the module docstring says why): ``field_residual`` is that maximum of
+    norm([x_v*, x_v] - value_v).  The bound norm(y_k)^2 <= 2*sup_norm + 1e-8
+    is checked at the same vertices, where norm(sqrt(w) x_v) peaks (w = 1).
+    The residual, sup_norm and factor norm are the exact SVD maxima; the
+    Frobenius screen only skips SVDs that cannot change them.
     """
-    work = 0
-    for simplex in fld.complex.maximal_simplices:
-        points = math.comb(len(simplex) + GRID_ORDER - 1, GRID_ORDER)
-        if points > GRID_POINT_BUDGET:
-            raise InvalidInputError(
-                f"simplex {simplex} of dimension {len(simplex) - 1} needs {points} grid "
-                f"points, over the budget of {GRID_POINT_BUDGET}")
-        work += points * len(simplex)
-    if work > COMPLEX_GRID_BUDGET:
-        raise InvalidInputError(
-            f"the complex's grid work, lattice points times vertices over its "
-            f"{len(fld.complex.maximal_simplices)} maximal simplices, is {work}, over the "
-            f"budget of {COMPLEX_GRID_BUDGET}")
     require_proper(fld.complex, coloring)
     n = fld.matrix_size
     values = np.stack(fld.values)
@@ -369,21 +275,17 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
                         if coloring.colors[v] == k)
         factors.append(SqrtWeightedFactor(color=k, entries=entries))
 
-    sup = _max_norm(fld.values)
     covered = sorted({v for simplex in fld.complex.maximal_simplices for v in simplex})
-    norm_sq = _max_norm([x_factors[v] for v in covered]) ** 2
-    residual = 0.0
-    for _, _, recon, interpolated in _lattice_sums(fld, x_factors):
-        residual = max_operator_norm(recon - interpolated, floor=residual)
-    partition_defect = max(
-        float(np.max(np.abs(barycentric_lattice(size, GRID_ORDER).sum(axis=1) - 1.0)))
-        for size in {len(simplex) for simplex in fld.complex.maximal_simplices})
+    x = x_factors[covered]
+    x_star = x.conj().swapaxes(1, 2)
+    residual = max_operator_norm(x_star @ x - x @ x_star - values[covered])
+    sup = max_operator_norm(values)
+    norm_sq = max_operator_norm(x) ** 2
 
     checks = [
-        BoundCheck("grid_residual", RECON_TOL * max(sup, 1e-30), residual, 0.0),
+        BoundCheck("field_residual", RECON_TOL * max(sup, 1e-30), residual, 0.0),
         BoundCheck("max_factor_norm_sq", 2.0 * sup + 1e-8, norm_sq, 0.0),
         BoundCheck("factor_count", float(coloring.color_count), float(len(factors)), 0.0),
-        BoundCheck("partition_of_unity_defect", 1e-12, partition_defect, 0.0),
     ]
     report = VerificationReport(residual_norm=residual,
                                 commutator_count=len(factors),

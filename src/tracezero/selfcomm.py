@@ -35,7 +35,6 @@ from .matcore import (
     norm_ratio,
     operator_norm,
     raise_first_failure,
-    require_hermitian,
 )
 
 TRACE_TOL = 1e-9
@@ -207,13 +206,12 @@ def tight_commutator_factors(a, *, trace_tol: float = TRACE_TOL):
     reordered diagonal, whence norm(x)*norm(y) = max|s_k| <= norm(a).
     Returns x, y and max|eigenvalue of a|.
     """
-    am = require_hermitian(a, name="a")
-    es = hermitian_eig(am, name="a")
+    es = hermitian_eig(a, name="a")
     order = signed_order(es.eigenvalues, trace_tol=trace_tol)
-    n = am.shape[0]
+    n = es.eigenvalues.shape[0]
     a_norm = float(np.max(np.abs(es.eigenvalues)))
     if n == 1 or a_norm == 0.0:
-        return np.zeros_like(am), np.zeros_like(am), a_norm
+        return np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex), a_norm
     k = np.arange(n - 1)
     sup, sub = np.zeros((2, n, n), dtype=complex)
     sup[k, k + 1] = order.partial_sums[:-1]

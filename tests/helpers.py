@@ -2,12 +2,13 @@
 decoded fack-run input of a tower, the dense reference of the rank-comparison
 witness, the Bott bundle, the support of a PSD matrix from its own
 eigendecomposition, small complexes, a field's value at barycentric
-weights, lattice sampling and hat-function extension of fields, the residual of a field decomposition
-against any target, the smooth-target mesh refinement checks, the bitmask
+weights, the barycentric lattice, lattice sampling and hat-function
+extension of fields, the lattice residual of a field decomposition against
+any target, the smooth-target mesh refinement checks, the bitmask
 keys and frozenset reference of the square-free ring, the unscreened
 reference of collapse_orthogonal, the list-scan references of the two
 visiting orders, the per-matrix reference of the stacked self-commutator
-pass, the per-simplex reference of the field grid pass, and the
+pass, the per-simplex lattice reference of the field residual, and the
 reconstruction error of a decomposition measured apart from its report."""
 
 import itertools
@@ -27,19 +28,10 @@ from tracezero.matcore import (
     commutator,
     frobenius_bound,
     hermitian_eig,
-    max_operator_norm,
     operator_norm,
 )
 from tracezero.obstruct import BundleExpr
-from tracezero.ozfield import (
-    GRID_ORDER,
-    SimplicialComplex,
-    _lattice_sums,
-    barycentric_lattice,
-    decompose_field,
-    greedy_coloring,
-    make_field,
-)
+from tracezero.ozfield import SimplicialComplex, decompose_field, greedy_coloring, make_field
 from tracezero.rand import SplitMix64, random_complex_matrix
 from tracezero.schemas import validate
 from tracezero.towers import PSD_TOL, ElementSpectrum, Support
@@ -49,6 +41,7 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+LATTICE_ORDER = 8  # of the reference lattice on which field residuals are sampled
 
 
 def run_script(name: str, *args: str) -> str:
@@ -144,7 +137,21 @@ def value_at(fld, simplex_index: int, weights) -> np.ndarray:
     return np.einsum("...v,vij->...ij", w, np.stack([fld.values[v] for v in verts]))
 
 
-def sample_grid(complex_: SimplicialComplex, order: int = GRID_ORDER):
+def barycentric_lattice(n_weights: int, order: int = LATTICE_ORDER) -> np.ndarray:
+    """All lattice points (i_1/order, ..., i_k/order) with sum 1, as rows."""
+    rows = []
+    for cut in itertools.combinations(range(order + n_weights - 1), n_weights - 1):
+        prev = -1
+        comp = []
+        for c in cut:
+            comp.append(c - prev - 1)
+            prev = c
+        comp.append(order + n_weights - 2 - prev)
+        rows.append(comp)
+    return np.asarray(rows, dtype=float) / order
+
+
+def sample_grid(complex_: SimplicialComplex, order: int = LATTICE_ORDER):
     """Deterministic (simplex index, barycentric weights) evaluation points."""
     out = []
     for idx, simplex in enumerate(complex_.maximal_simplices):
@@ -185,17 +192,12 @@ def phi_k(complex_: SimplicialComplex, coloring, k: int, samples):
 
 
 def field_residual_against(fld_factors, fld, target) -> float:
-    """Max grid distance between the decomposition's sum and an arbitrary target.
+    """Max lattice distance between the decomposition's sum and an arbitrary target.
 
     ``target(simplex_index, weights) -> matrix`` lets callers measure against
     a smooth (non-PL) field; used for mesh-refinement studies.
     """
-    x_factors = dict(entry for factor in fld_factors.factors for entry in factor.entries)
-    worst = 0.0
-    for simplices, weights, recon, _ in _lattice_sums(fld, x_factors):
-        expected = np.stack([target(idx, w) for idx, w in zip(simplices.tolist(), weights)])
-        worst = max_operator_norm(recon - expected, floor=worst)
-    return worst
+    return reference_field_grid(fld_factors, fld, target)[0]
 
 
 def smooth_circle_target(theta: float) -> np.ndarray:
@@ -284,8 +286,7 @@ def reference_collapse(mats):
 
 def reference_brackets(x_factors, simplex, w) -> np.ndarray:
     """sum_k [y_k*, y_k] on one maximal simplex at every row of weights w,
-    y = sqrt(w_i) x_{v_i} formed point by point: the reference of the
-    (vertex, level) bracket table."""
+    y = sqrt(w_i) x_{v_i} formed point by point."""
     recon = np.zeros((len(w),) + x_factors[simplex[0]].shape, dtype=complex)
     for i, v in enumerate(simplex):
         y = np.sqrt(w[:, i])[:, None, None] * x_factors[v]
@@ -295,16 +296,17 @@ def reference_brackets(x_factors, simplex, w) -> np.ndarray:
 
 
 def reference_field_grid(fd, fld, target=None):
-    """(grid residual, sup_norm, max_factor_norm_sq) of a field decomposition
-    measured simplex by simplex: reference_brackets at every lattice point
-    of the simplex, one stacked SVD of its residuals, and an SVD of every
-    vertex value and covered vertex factor.  The reference the grid pass and
-    its Frobenius screen are compared against; ``target(idx, w)`` replaces
-    the field as in field_residual_against."""
+    """(lattice residual, sup_norm, max_factor_norm_sq) of a field
+    decomposition measured simplex by simplex: reference_brackets at every
+    point of the simplex's order-8 lattice, one stacked SVD of its
+    residuals, and an SVD of every vertex value and covered vertex factor.
+    The lattice holds the vertices, so its residual is never below the
+    vertex maximum that ``decompose_field`` reports; ``target(idx, w)``
+    replaces the field as in field_residual_against."""
     x_factors = {v: x for factor in fd.factors for v, x in factor.entries}
     residual = 0.0
     for idx, simplex in enumerate(fld.complex.maximal_simplices):
-        w = barycentric_lattice(len(simplex), GRID_ORDER)
+        w = barycentric_lattice(len(simplex))
         expected = (value_at(fld, idx, w) if target is None
                     else np.stack([target(idx, row) for row in w]))
         residual = max(residual, float(np.max(np.linalg.svd(

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 import tracezero
 from helpers import circle_complex, random_unitary, run_script
 from tracezero.cli import RunConfig, encode, main, run_from_args
-from tracezero.errors import NumericsError
+from tracezero.errors import InvalidInputError, NumericsError
 from tracezero.jsonio import field_to_json, matrix_to_json
 from tracezero.matcore import commutator
-from tracezero.ozfield import SimplicialComplex, make_field
+from tracezero.ozfield import SimplicialComplex, make_field, require_refine_budget
 from tracezero.rand import SplitMix64, random_complex_matrix, random_trace_zero_hermitian
 from tracezero.schemas import INPUT_SCHEMAS, NAMED_SCHEMAS, validate
 
@@ -349,6 +349,24 @@ class TestCommands:
         assert set(doc) == {"error", "path"}
         assert "commutator pairs" in doc["error"] and "over the budget of 512" in doc["error"]
 
+    def test_tower_over_the_output_budget_exits_2_at_once(self, monkeypatch):
+        # a 60-byte input whose output would be 7.2M complex entries (about
+        # 0.5 GB of JSON): refused by the decoder, for the command and verify
+        def refuse(*args):
+            raise AssertionError("built an over-budget tower")
+
+        tower = {"tower": {"blocks": [{"rank": 600}, {"rank": 600}]}}
+        _, out, _ = run_cmd("fack-run", sample_tower_doc())
+        out["input"] = tower
+        monkeypatch.setattr("tracezero.cli.TowerModel", refuse)
+        error = {"error": "tower output holds 7200000 complex entries (z0 and up to 2 "
+                          "commutator pairs of size 1200), over the budget of 1048576",
+                 "path": "stdin"}
+        start = time.perf_counter()
+        assert run_cmd("fack-run", tower)[:2] == (2, error)
+        assert run_cmd("verify", out)[:2] == (2, error)
+        assert time.perf_counter() - start < 1.0
+
 
 _OVERLAPPING_DIAGONALS = ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0], [0.0, 0.0, 1.0, 1.0])
 
@@ -514,17 +532,36 @@ class TestHostileInput:
         assert "budget" in doc["error"]
         assert doc["path"] == "stdin"
 
-    def test_simplex_over_the_grid_budget_exits_2_before_sampling(self, monkeypatch):
+    def test_simplex_over_the_pair_budget_exits_2_before_coloring(self, monkeypatch):
+        # coloring this 100 KB input would visit C(2000, 2) vertex pairs,
+        # seconds and hundreds of MB of work
         def refuse(*args):
-            raise AssertionError("worked on an over-budget simplex")
+            raise AssertionError("colored an over-budget complex")
 
-        monkeypatch.setattr("tracezero.ozfield.barycentric_lattice", refuse)
-        monkeypatch.setattr("tracezero.ozfield.self_commutator_factors", refuse)
-        simplex = SimplicialComplex.make(16, [range(16)])
-        code, doc, _ = run_cmd("decompose-field", field_to_json(make_field(simplex, [SZ] * 16)))
-        assert code == 2
-        assert doc == {"error": f"simplex {tuple(range(16))} of dimension 15 needs 490314 grid "
-                                "points, over the budget of 16384", "path": "stdin"}
+        simplex = SimplicialComplex.make(2000, [range(2000)])
+        doc = field_to_json(make_field(simplex, [np.zeros((1, 1))] * 2000))
+        _, out, _ = run_cmd("decompose-field", sample_field_doc())
+        out["input"] = doc
+        monkeypatch.setattr("tracezero.cli.greedy_coloring", refuse)
+        monkeypatch.setattr(SimplicialComplex, "edges", refuse)
+        error = {"error": "coloring the complex visits 1999000 vertex pairs, C(k, 2) for each "
+                          "maximal simplex of k vertices times ((d+1)!)^refine, over the "
+                          "budget of 262144", "path": "stdin"}
+        start = time.perf_counter()
+        assert run_cmd("decompose-field", doc)[:2] == (2, error)
+        assert run_cmd("verify", out)[:2] == (2, error)
+        assert time.perf_counter() - start < 2.0
+
+    def test_pair_budget_edge(self):
+        # C(724, 2) = 261726 pairs fit, C(725, 2) = 262450 do not.  Refined
+        # twice, a 4-simplex is 14400 simplices of 10 pairs each; two of them
+        # stay within the simplex budget (29040 over the levels), not this one
+        require_refine_budget(SimplicialComplex.make(724, [range(724)]), 0)
+        with pytest.raises(InvalidInputError, match="visits 262450 vertex pairs"):
+            require_refine_budget(SimplicialComplex.make(725, [range(725)]), 0)
+        require_refine_budget(SimplicialComplex.make(5, [range(5)]), 2)
+        with pytest.raises(InvalidInputError, match="visits 288000 vertex pairs"):
+            require_refine_budget(SimplicialComplex.make(6, [range(5), (0, 1, 2, 3, 5)]), 2)
 
     @pytest.mark.parametrize("values, error", [
         (["z", "not hermitian", "z"], "a is not Hermitian within tolerance 1e-12"),
@@ -713,20 +750,41 @@ class TestHostileInput:
         assert run_cmd("verify", doc)[:2] == (
             2, {"error": "'entries' is a required property", "path": "$.input"})
 
-    def test_complex_over_the_grid_work_budget_exits_2_before_decomposing(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("decomposed a vertex of an over-budget complex")
-
-        monkeypatch.setattr("tracezero.ozfield.self_commutator_factors", refuse)
-        simplices = list(itertools.combinations(range(12), 9))
-        doc = field_to_json(make_field(SimplicialComplex.make(12, simplices), [SZ] * 12))
-        start = time.perf_counter()
+    @pytest.mark.parametrize("simplices, vertices", [
+        ([range(16)], 16),  # a simplex of dimension 15
+        (list(itertools.combinations(range(12), 9)), 12),  # all 220 nine-vertex simplices
+    ], ids=["dimension-15", "220-nine-vertex-simplices"])
+    def test_large_simplices_decompose_and_verify(self, simplices, vertices):
+        doc = field_to_json(make_field(SimplicialComplex.make(vertices, simplices),
+                                       [SZ] * vertices))
         code, out, _ = run_cmd("decompose-field", doc)
-        assert time.perf_counter() - start < 1.0
-        assert code == 2
-        assert out == {"error": "the complex's grid work, lattice points times vertices over "
-                                "its 220 maximal simplices, is 25482600, over the budget of "
-                                "16777216", "path": "stdin"}
+        assert code == 0
+        assert out["result"]["color_count"] == vertices
+        assert run_cmd("verify", out)[1]["result"] == {
+            "verified": True, "mismatches": [], "inner_exit_code": 0}
+
+    def test_refinement_of_a_0_dimensional_complex_is_budgeted(self, monkeypatch):
+        # a level of a 0-dimensional complex makes no new simplex, yet costs a
+        # subdivision: the budget counts the simplices of every level
+        def refuse(*args):
+            raise AssertionError("subdivided an over-budget refinement")
+
+        monkeypatch.setattr("tracezero.cli.barycentric_subdivide", refuse)
+        monkeypatch.setattr("tracezero.certcheck.barycentric_refinement", refuse)
+        points = field_to_json(make_field(SimplicialComplex.make(2, [(0,), (1,)]), [SZ, -SZ]))
+        error = {"error": "refine 1000000000 of 2 maximal simplices of dimension 0 projects "
+                          "over the budget of 32768 simplices, summed over its levels",
+                 "path": "stdin"}
+        start = time.perf_counter()
+        assert run_cmd("decompose-field", points, "--refine", "1000000000")[:2] == (2, error)
+        _, out, _ = run_cmd("decompose-field", points)
+        out["parameters"]["refine"] = 1000000000
+        assert run_cmd("verify", out)[:2] == (2, error)
+        assert time.perf_counter() - start < 2.0
+        two_points = SimplicialComplex.make(2, [(0,), (1,)])
+        require_refine_budget(two_points, 16384)  # 2 * 16384 simplices over the levels
+        with pytest.raises(InvalidInputError, match="summed over its levels"):
+            require_refine_budget(two_points, 16385)
 
 
 def _tower_matrix_doc():

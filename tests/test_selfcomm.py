@@ -300,6 +300,24 @@ class TestTightCommutatorDecompose:
         np.testing.assert_allclose(commutator(x, y), a, atol=1e-12)
         assert operator_norm(x) * operator_norm(y) <= operator_norm(a) + 1e-9
 
+    @pytest.mark.parametrize("a, message", [
+        (np.diag([1.0, -1.0]), None),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), "a is not Hermitian within tolerance 1e-12"),
+        (np.diag([np.nan, 0.0]), "a has non-finite entries"),
+    ], ids=["hermitian", "not-hermitian", "non-finite"])
+    def test_takes_one_hermitian_check(self, monkeypatch, a, message):
+        from tracezero import matcore
+        calls = []
+        each = matcore._hermitian_each
+        monkeypatch.setattr(matcore, "_hermitian_each", lambda m: calls.append(m) or each(m))
+        if message is None:
+            tight_commutator_decompose(a)
+        else:
+            with pytest.raises(InvalidInputError) as error:
+                tight_commutator_decompose(a)
+            assert str(error.value) == message
+        assert len(calls) == 1
+
     def test_random_family_bounds(self):
         rng = SplitMix64(22)
         for trial in range(100):

@@ -379,6 +379,19 @@ class TestTowerInput:
         assert str(error.value) == ("tower needs 164966400 complex entries (60 elements of "
                                     "size 960, L=1, K=1), over the budget of 67108864")
 
+    def test_output_budget_counts_the_matrices_a_run_writes(self):
+        # (1 + 4 L(L+K-1)) n^2: z0 and both matrices of up to 2 L(L+K-1) pairs
+        assert fack_run_input([16] * 9).ambient == 144  # tower-deep, 103680 entries
+        assert fack_run_input([16, 1], K=511).K == 511  # 2045 * 17^2 = 591005
+        assert fack_run_input([228, 229]).ambient == 457  # 5 * 457^2 = 1044245
+        with pytest.raises(InvalidInputError) as error:
+            fack_run_input([229, 229])
+        assert str(error.value) == ("tower output holds 1048820 complex entries (z0 and up "
+                                    "to 2 commutator pairs of size 458), over the budget of "
+                                    "1048576")
+        with pytest.raises(InvalidInputError, match="holds 1081805 complex entries"):
+            fack_run_input([22, 1], K=511)  # 2045 * 23^2
+
     def test_rejects_nonzero_trace(self):
         z0 = np.zeros((6, 6), dtype=complex)
         z0[0, 0] = 1.0
