@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import InvalidInputError
-from .matcore import as_matrix, operator_norm, require_block_layout, require_hermitian
+from .matcore import MAX_FLOAT, as_matrix, operator_norm, require_block_layout, require_hermitian
 from .obstruct import BundleExpr, require_pp_example_m, require_tower_m_max
 from .ozfield import SimplicialComplex, SimplicialField, make_field
 from .schemas import grid_numbers
@@ -223,6 +223,17 @@ def _block_split_input(doc: dict) -> tuple:
     e = matrix_from_json(doc["e"], name="e")
     d = int(doc["blocks"])
     require_block_layout(b.shape[0], d, pairs, e)
+    # The command multiplies e into sums of b's blocks and commutators [x, y]
+    # and forms [S, E] of such sums: products of three inputs, at most 16 n^3
+    # times the cube of the largest entry modulus (or 1).
+    limit = (MAX_FLOAT / 64) ** (1 / 3) / b.shape[0]
+    named = [("b", b), *((f"pairs[{i}].{k}", m) for i, pair in enumerate(pairs)
+                         for k, m in zip("xy", pair)), ("e", e)]
+    for name, m in named:
+        if max(np.abs(m.real).max(), np.abs(m.imag).max()) > limit:
+            raise InvalidInputError(
+                f"{name} has entries beyond about {limit:.4g} in magnitude, where the "
+                f"products of three inputs that block-split forms can overflow a float")
     return b, d, pairs, e
 
 

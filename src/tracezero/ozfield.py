@@ -18,6 +18,7 @@ Frobenius bound can beat the largest norm found so far.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -158,29 +159,28 @@ def barycentric_subdivide(complex_: SimplicialComplex) -> BarycentricSubdivision
 
 def require_refine_budget(complex_: SimplicialComplex, refine: int):
     """Reject a ``decompose-field`` run of ``refine`` barycentric refinements
-    before any work: each level multiplies the maximal simplices by up to
-    (d+1)!, and their count summed over the levels may not exceed
-    REFINE_SIMPLEX_BUDGET, so levels that do not grow the complex count too;
-    and the vertex pairs that ``greedy_coloring`` and ``require_proper``
-    visit, C(k, 2) for each k-vertex maximal simplex times ((d+1)!)^refine,
-    may not exceed FIELD_PAIR_BUDGET."""
-    count = len(complex_.maximal_simplices)
-    factor = math.factorial(complex_.dimension + 1)
-    growth, made = 1, 0
+    before any work: each level turns a maximal simplex of k vertices into
+    k! maximal simplices of k vertices, and their count summed over the
+    levels may not exceed REFINE_SIMPLEX_BUDGET, so levels that do not grow
+    the complex count too; and the vertex pairs that ``greedy_coloring`` and
+    ``require_proper`` visit, C(k, 2) (k!)^refine for each k-vertex maximal
+    simplex, may not exceed FIELD_PAIR_BUDGET.  Both counts are exact."""
+    sizes = collections.Counter(len(s) for s in complex_.maximal_simplices)
+    growth, made = dict.fromkeys(sizes, 1), 0  # growth[k]: simplices per k-vertex one
     for _ in range(refine):
-        growth *= factor
-        made += count * growth
+        growth = {k: g * math.factorial(k) for k, g in growth.items()}
+        made += sum(sizes[k] * g for k, g in growth.items())
         if made > REFINE_SIMPLEX_BUDGET:
+            low = "" if len(sizes) == 1 else f"{min(sizes) - 1} to "
             raise InvalidInputError(
-                f"refine {refine} of {count} maximal simplices of dimension "
-                f"{complex_.dimension} projects over the budget of {REFINE_SIMPLEX_BUDGET} "
-                f"simplices, summed over its levels")
-    pairs = growth * sum(math.comb(len(s), 2) for s in complex_.maximal_simplices)
+                f"refine {refine} of {sum(sizes.values())} maximal simplices of dimension "
+                f"{low}{complex_.dimension} projects over the budget of "
+                f"{REFINE_SIMPLEX_BUDGET} simplices, summed over its levels")
+    pairs = sum(sizes[k] * math.comb(k, 2) * growth[k] for k in sizes)
     if pairs > FIELD_PAIR_BUDGET:
         raise InvalidInputError(
-            f"coloring the complex visits {pairs} vertex pairs, C(k, 2) for each maximal "
-            f"simplex of k vertices times ((d+1)!)^refine, over the budget of "
-            f"{FIELD_PAIR_BUDGET}")
+            f"coloring the complex visits {pairs} vertex pairs, C(k, 2) (k!)^refine for each "
+            f"maximal simplex of k vertices, over the budget of {FIELD_PAIR_BUDGET}")
 
 
 def octahedron_complex() -> SimplicialComplex:
@@ -218,12 +218,25 @@ def make_field(complex_: SimplicialComplex, values) -> SimplicialField:
     return SimplicialField(complex=complex_, values=tuple(mats))
 
 
+def face_means(values, faces) -> np.ndarray:
+    """The stacked mean of ``values`` over each face: bit for bit
+    sum(values[v] for v in face) / len(face) where that sum is finite, else
+    the sum of values[v] / len(face), which cannot overflow (but by rounding
+    within a few ulps of the float maximum)."""
+    stack, means = np.stack(values), []
+    for k, group in itertools.groupby(faces, len):
+        terms = stack[np.array(list(group))].swapaxes(0, 1)  # (k, faces, n, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = sum(terms) / k
+            overflowed = ~np.isfinite(mean)
+            mean[overflowed] = sum(terms / k)[overflowed]
+        means.append(mean)
+    return np.concatenate(means)
+
+
 def subdivide_field(fld: SimplicialField, sub: BarycentricSubdivision) -> SimplicialField:
     """Resample onto a barycentric subdivision (exact for PL fields)."""
-    values = []
-    for parent in sub.parent_faces:
-        values.append(sum(fld.values[v] for v in parent) / len(parent))
-    return make_field(sub.complex, values)
+    return make_field(sub.complex, face_means(fld.values, sub.parent_faces))
 
 
 @dataclass(frozen=True)

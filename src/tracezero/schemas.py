@@ -3,18 +3,18 @@
 The copies under docs/schemas/ are written from these dicts by
 scripts/write_schemas.py; a test keeps them in sync.
 
-``validate`` checks a document fast and words errors slowly: an envelope
-validator, derived from each schema, checks every matrix ``entries`` leaf
-with one exact pass over Python types instead of a jsonschema walk of every
-number.  Only when that check fails does the full validator run, so error
-messages and paths are exactly those of ``jsonschema.validate``.
+``validate`` runs one validator per command, derived from its schema: every
+matrix ``entries`` leaf is checked with one exact pass over Python types
+instead of a jsonschema walk of every number.  A grid that fails that pass
+is worded from its failing rows only, each walked by the real row schema,
+so error messages and paths are exactly those of ``jsonschema.validate``.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 
-from jsonschema import Draft202012Validator, ValidationError, validators
+from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match
 
 MATRIX = {
@@ -202,9 +202,14 @@ def grid_numbers(rows):
 
 
 def _check_grid(validator, value, instance, schema):
-    # Only pass or fail matters: a failure is worded by the full validator.
-    if grid_numbers(instance) is None:
-        yield ValidationError("entries are not an exact grid of [re, im] number pairs")
+    # A grid's errors come only from its rows that fail ``grid_numbers``: a
+    # passing row has none under the row schema, so only failing rows are
+    # walked, in order, as the full schema's ``items`` would walk them.
+    if not validator.is_type(instance, "array") or grid_numbers(instance) is not None:
+        return
+    for i, row in enumerate(instance):
+        if grid_numbers([row]) is None:
+            yield from validator.descend(row, MATRIX["properties"]["entries"]["items"], path=i)
 
 
 _EnvelopeValidator = validators.extend(Draft202012Validator, {"pairGrid": _check_grid})
@@ -225,19 +230,14 @@ def _envelope(schema):
 
 
 @functools.cache
-def _validators(command: str):
-    """The envelope and the full validator of one command, built on first use."""
-    schema = INPUT_SCHEMAS[command]
-    return _EnvelopeValidator(_envelope(schema)), Draft202012Validator(schema)
+def _validator(command: str):
+    """The validator of one command, built on first use."""
+    return _EnvelopeValidator(_envelope(INPUT_SCHEMAS[command]))
 
 
 def validate(doc, command: str):
     """Raise exactly the ValidationError that jsonschema.validate(doc,
     INPUT_SCHEMAS[command]) raises, or nothing if ``doc`` is valid."""
-    envelope, full = _validators(command)
-    if envelope.is_valid(doc):
-        return
-    error = best_match(full.iter_errors(doc))
+    error = best_match(_validator(command).iter_errors(doc))
     if error is not None:
         raise error
-

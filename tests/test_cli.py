@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import tracezero
 from helpers import circle_complex, random_unitary, run_script
+from tracezero import schemas
 from tracezero.cli import RunConfig, encode, main, run_from_args
 from tracezero.errors import InvalidInputError, NumericsError
 from tracezero.jsonio import field_to_json, matrix_to_json
@@ -268,6 +269,67 @@ class TestCommands:
             code, doc, _ = run_cmd("decompose-field", field_to_json(fld))
         assert code == 2
         assert doc == {"error": error, "path": "stdin"}
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("refine", ["0", "1", "2"])
+    def test_refining_values_near_the_float_maximum_writes_nothing_on_stderr(
+            self, refine, capfd):
+        # the sum over a face of 3 * 6e307 overflows, so those means are
+        # taken scaled; 1.7e308 is refused by the input's entry range, as
+        # unrefined
+        triangle = SimplicialComplex.make(3, [(0, 1, 2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = field_to_json(make_field(triangle, [np.diag([1.7e308, -1.7e308])] * 3))
+            assert run_cmd("decompose-field", big, "--refine", refine)[:2] == (2, {
+                "error": "a has entries beyond about 8.988e+307 in magnitude, where m + m* "
+                         "overflows a float", "path": "stdin"})
+            doc = field_to_json(make_field(triangle, [np.diag([6e307, -6e307])] * 3))
+            code, out, _ = run_cmd("decompose-field", doc, "--refine", refine)
+            assert code == 0
+            assert {entries[0][0][0] for entries in (
+                value["entries"] for value in out["result"]["field"]["values"].values())} \
+                == {6e307}
+            assert run_cmd("verify", out)[1]["result"] == {
+                "verified": True, "mismatches": [], "inner_exit_code": 0}
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("where, name", [
+        (("pairs", 0, "x"), "pairs[0].x"), (("pairs", 2, "y"), "pairs[2].y"),
+        (("b",), "b"), (("e",), "e")])
+    def test_block_split_entry_beyond_its_range_exits_2_naming_the_input(
+            self, where, name, capfd):
+        # at the parent these products overflowed in matmul, warned on
+        # stderr and blamed "matrix has non-finite entries"
+        doc = sample_block_split_doc()
+        _, out, _ = run_cmd("block-split", doc)
+        _violating(doc, [(where + ("entries", 0, 0, 0), 1e308)])
+        out["input"] = doc
+        error = {"error": f"{name} has entries beyond about 2.352e+101 in magnitude, where "
+                          "the products of three inputs that block-split forms can overflow "
+                          "a float", "path": "stdin"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cmd("block-split", doc)[:2] == (2, error)
+            assert run_cmd("verify", out)[:2] == (2, error)
+        assert capfd.readouterr().err == ""
+
+    def test_block_split_at_its_range_computes_and_verifies(self, capfd):
+        # b scaled by t^2 and the pairs by t keep the input's balance; t is
+        # the power of two that puts b's largest entry within 4x of the range
+        doc = sample_block_split_doc()
+        b = np.array(doc["b"]["entries"])
+        t = 2.0 ** math.floor(math.log2(2.352e101 / np.abs(b).max()) / 2)
+        doc["b"]["entries"] = (b * t * t).tolist()
+        for pair in doc["pairs"]:
+            for key in "xy":
+                pair[key]["entries"] = (np.array(pair[key]["entries"]) * t).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cmd("block-split", doc)
+            assert code == 0
+            assert run_cmd("verify", out)[1]["result"] == {
+                "verified": True, "mismatches": [], "inner_exit_code": 0}
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
@@ -544,9 +606,9 @@ class TestHostileInput:
         out["input"] = doc
         monkeypatch.setattr("tracezero.cli.greedy_coloring", refuse)
         monkeypatch.setattr(SimplicialComplex, "edges", refuse)
-        error = {"error": "coloring the complex visits 1999000 vertex pairs, C(k, 2) for each "
-                          "maximal simplex of k vertices times ((d+1)!)^refine, over the "
-                          "budget of 262144", "path": "stdin"}
+        error = {"error": "coloring the complex visits 1999000 vertex pairs, C(k, 2) (k!)^refine "
+                          "for each maximal simplex of k vertices, over the budget of 262144",
+                 "path": "stdin"}
         start = time.perf_counter()
         assert run_cmd("decompose-field", doc)[:2] == (2, error)
         assert run_cmd("verify", out)[:2] == (2, error)
@@ -562,6 +624,20 @@ class TestHostileInput:
         require_refine_budget(SimplicialComplex.make(5, [range(5)]), 2)
         with pytest.raises(InvalidInputError, match="visits 288000 vertex pairs"):
             require_refine_budget(SimplicialComplex.make(6, [range(5), (0, 1, 2, 3, 5)]), 2)
+
+    def test_budget_counts_each_simplex_by_its_own_dimension(self):
+        # 7! + 7 * 2! = 5054 simplices after one level; counted at 7! each,
+        # the 8 maximal simplices would project 40320, over the budget
+        simplices = [range(7)] + [(7 + 2 * i, 8 + 2 * i) for i in range(7)]
+        doc = field_to_json(make_field(SimplicialComplex.make(21, simplices), [SZ] * 21))
+        code, out, _ = run_cmd("decompose-field", doc, "--refine", "1")
+        assert code == 0
+        assert len(out["result"]["field"]["complex"]["simplices"]) == 5054
+        vcode, vdoc, _ = run_cmd("verify", out)
+        assert (vcode, vdoc["result"]) == (0, {
+            "verified": True, "mismatches": [], "inner_exit_code": 0})
+        with pytest.raises(InvalidInputError, match="of dimension 1 to 6 projects over"):
+            require_refine_budget(SimplicialComplex.make(21, simplices), 2)
 
     @pytest.mark.parametrize("values, error", [
         (["z", "not hermitian", "z"], "a is not Hermitian within tolerance 1e-12"),
@@ -838,6 +914,38 @@ def _violating(doc, edits):
     return doc
 
 
+def _mixed_tower_doc():
+    m3 = matrix_to_json(_M3)
+    return {"tower": {"blocks": [{"rank": 1}, m3, {"rank": 2}, m3]}, "z0": m3}
+
+
+# (command, input, paths to every matrix ``entries`` grid in it)
+_GRID_LOCATIONS = [
+    ("decompose", lambda: matrix_to_json(_M3), [("entries",)]),
+    ("decompose-field", sample_field_doc, [("values", str(v), "entries") for v in range(6)]),
+    ("fack-run", _mixed_tower_doc,
+     [("tower", "blocks", 1, "entries"), ("tower", "blocks", 3, "entries"), ("z0", "entries")]),
+    ("block-split", sample_block_split_doc,
+     [("b", "entries"), ("e", "entries")]
+     + [("pairs", i, key, "entries") for i in range(3) for key in ("x", "y")]),
+]
+_LOCATION_INPUTS = {command: make_doc() for command, make_doc, _ in _GRID_LOCATIONS}
+
+# (what a bad item replaces, its value): a number, a pair or a whole row
+_BAD_ITEMS = [("number", "x"), ("number", True), ("number", None),
+              ("pair", [0.5]), ("pair", [0.5, 1, 2]), ("pair", "p"), ("pair", 3),
+              ("row", 7), ("row", "row"), ("row", None), ("row", {"0": []})]
+
+
+def _schema_error(call):
+    """(message, json_path) of the ValidationError that ``call`` raises, or None."""
+    try:
+        call()
+    except jsonschema.ValidationError as exc:
+        return exc.message, exc.json_path
+    return None
+
+
 class TestSchemaErrorParity:
     """Exit-2 documents are those of jsonschema.validate on the whole schema."""
 
@@ -867,6 +975,51 @@ class TestSchemaErrorParity:
         jsonschema.validate(doc, INPUT_SCHEMAS["fack-run"])
         code, _, _ = run_cmd("fack-run", doc, "--seed", "9")
         assert code == 0
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bad_items_in_random_rows_match_jsonschema(self, data):
+        command, _, grids = data.draw(st.sampled_from(_GRID_LOCATIONS))
+        doc = json.loads(json.dumps(_LOCATION_INPUTS[command]))
+        for _ in range(data.draw(st.integers(1, 3))):
+            grid = doc
+            for key in data.draw(st.sampled_from(grids)):
+                grid = grid[key]
+            kind, bad = data.draw(st.sampled_from(_BAD_ITEMS))
+            path, item = [], grid
+            for _ in range({"row": 1, "pair": 2, "number": 3}[kind]):
+                if not isinstance(item, list) or not item:
+                    break
+                path.append(data.draw(st.integers(0, len(item) - 1)))
+                item = item[path[-1]]
+            _violating(grid, [(tuple(path), bad)])
+        expected = _schema_error(lambda: jsonschema.validate(doc, INPUT_SCHEMAS[command]))
+        if data.draw(st.booleans(), label="through verify"):
+            code, out, _ = run_cmd("verify", {"command": command, "parameters": {}, "input": doc})
+            assert expected is not None and code == 2
+            assert out == {"error": expected[0], "path": "$.input" + expected[1][1:]}
+        else:
+            assert _schema_error(lambda: validate(doc, command)) == expected
+
+    def test_an_invalid_grid_is_worded_from_its_failing_row_alone(self, monkeypatch):
+        doc = matrix_to_json(np.zeros((128, 128)))
+        doc["entries"][77][5][1] = "x"
+        row_schema = INPUT_SCHEMAS["decompose"]["properties"]["entries"]["items"]
+        validator_class = type(schemas._validator("decompose"))
+        descend = validator_class.descend
+        walked = []
+
+        def recording_descend(self, instance, schema, *args, **kwargs):
+            if schema is row_schema:
+                walked.append(kwargs.get("path"))
+            return descend(self, instance, schema, *args, **kwargs)
+
+        monkeypatch.setattr(validator_class, "descend", recording_descend)
+        with pytest.raises(jsonschema.ValidationError) as info:
+            validate(doc, "decompose")
+        assert (info.value.message, info.value.json_path) == (
+            "'x' is not of type 'number'", "$.entries[77][5][1]")
+        assert walked == [77]
 
     def test_numbers_of_other_types_go_to_the_full_validator(self):
         # np.float64 fails the exact type check, but jsonschema accepts it

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -24,6 +25,7 @@ from tracezero.ozfield import (
     SimplicialComplex,
     barycentric_subdivide,
     decompose_field,
+    face_means,
     greedy_coloring,
     make_field,
     octahedron_complex,
@@ -286,6 +288,30 @@ def test_subdivide_field_is_exact_on_pl():
     for new_v, face in enumerate(sub.parent_faces):
         expected = sum(parent.values[v] for v in face) / len(face)
         np.testing.assert_allclose(child.values[new_v], expected, atol=1e-14)
+
+
+_FACES = sorted((face for r in range(1, 5) for face in itertools.combinations(range(4), r)),
+                key=lambda face: (len(face), face))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1.79e308, 1.79e308) | st.sampled_from([-0.0, 5e-324, 1.79e308]),
+                min_size=32, max_size=32))
+def test_face_means_are_the_plain_sums_bit_for_bit_where_those_are_finite(parts):
+    values = list(np.array(parts).view(complex).reshape(4, 2, 2))
+    means = face_means(values, _FACES)
+    for face, mean in zip(_FACES, means):
+        with np.errstate(all="ignore"):
+            plain = sum(values[v] for v in face) / len(face)
+        finite = np.isfinite(plain)
+        assert mean[finite].tobytes() == plain[finite].tobytes()
+        for got, *terms in zip(mean[~finite], *(values[v][~finite] for v in face)):
+            for part in ("real", "imag"):
+                exact = sum(Fraction(getattr(z, part)) for z in terms) / len(face)
+                scale = max(abs(getattr(z, part)) for z in terms)
+                # a few ulps of the largest term, or of the least subnormal
+                error = Fraction(scale) * 2 ** -50 + Fraction(2) ** -1072
+                assert abs(Fraction(getattr(got, part)) - exact) <= error
 
 
 def _pointwise_reference(fd, fld, target=None):
