@@ -46,9 +46,8 @@ from .jsonio import (
     encode,
     field_to_json,
     float_from_json,
-    matrix_to_json,
 )
-from .matcore import operator_norm
+from .matcore import as_matrix, operator_norm
 from .obstruct import obstruction_certificate, pp_example, villadsen_tower
 from .ozfield import (
     SimplicialField,
@@ -97,12 +96,15 @@ class RunConfig:
 # Handlers.  Each takes the decoded input and returns (output body, exit code);
 # "generated" input parts (a fack-run's random z0) join the echoed input, and a
 # body without "report" has no bound checks and passes exactly when it exits 0.
+# A computed matrix goes into the body as the array ``as_matrix`` checked (a
+# non-finite one exits 2 here, inside ``run``); ``encode`` writes it as its
+# ``matrix_to_json`` document.
 
 def _decomposition_result(dec) -> dict:
     if dec.kind == "self_commutators":
-        factors = [{"x": matrix_to_json(x)} for x in dec.factors]
+        factors = [{"x": as_matrix(x, square=True)} for x in dec.factors]
     else:
-        factors = [{"x": matrix_to_json(x), "y": matrix_to_json(y)}
+        factors = [{"x": as_matrix(x, square=True), "y": as_matrix(y, square=True)}
                    for x, y in dec.factors]
     return {
         "kind": dec.kind,
@@ -137,7 +139,7 @@ def _handle_decompose_field(cfg: RunConfig, fld: SimplicialField):
         "sup_norm": fd.sup_norm,
         "factors": [
             {"color": factor.color,
-             "entries": [{"vertex": v, "x": matrix_to_json(x)}
+             "entries": [{"vertex": v, "x": as_matrix(x, square=True)}
                          for v, x in factor.entries]}
             for factor in fd.factors
         ],
@@ -158,7 +160,7 @@ def _handle_fack_run(cfg: RunConfig, inp: TowerInput):
         h = random_trace_zero_hermitian(rng, q.shape[1])
         z0 = q @ h @ q.conj().T
         z0 = (z0 + z0.conj().T) / 2.0
-        generated["z0"] = matrix_to_json(z0)
+        generated["z0"] = as_matrix(z0, square=True)
     dec, run_report = tower_iterate(z0, tower, depth)
     result = _decomposition_result(dec)
     result["depth"] = depth
@@ -171,10 +173,10 @@ def _handle_fack_run(cfg: RunConfig, inp: TowerInput):
 def _handle_block_split(cfg: RunConfig, inp: tuple):
     res = block_two_commutator_split(*inp)
     result = {
-        "shift_upper": matrix_to_json(res.shift_upper),
-        "shift_lower": matrix_to_json(res.shift_lower),
+        "shift_upper": as_matrix(res.shift_upper, square=True),
+        "shift_lower": as_matrix(res.shift_lower, square=True),
         "diag_part_norm": operator_norm(res.diag_part),
-        "rest": matrix_to_json(res.rest),
+        "rest": as_matrix(res.rest, square=True),
     }
     report = {"bound_checks": [c.to_json() for c in res.checks],
               "all_passed": res.all_passed}

@@ -9,14 +9,21 @@ Field schema: {"complex": {"vertices": int, "simplices": [[ids]]},
 alike, by every rule that needs no construction.
 
 ``encode`` writes a document byte for byte as json.dumps(doc, indent=2,
-sort_keys=True) + newline would, but renders each grid of [re, im] pairs from
-one call of the C encoder instead of json's pure-Python indenting walk.
+sort_keys=True) + newline would, with one type rule more: a square 2-d
+complex ndarray is written as its ``matrix_to_json`` document would be.  The
+commands put the matrices they compute into their output as such arrays,
+each checked by ``as_matrix`` first.  Every grid of [re, im] pairs, from a
+list or from an array, is laid out by the one function ``_grid_layout``
+instead of json's pure-Python indenting walk.  A list grid's numbers are
+rendered by one call of the C encoder; an array's distinct numbers by one
+call for them all, so each distinct number is rendered once.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
-import dataclasses
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -262,8 +269,9 @@ def decode_input(command: str, doc: dict):
 
 
 def encode(doc) -> str:
-    """Exactly json.dumps(doc, indent=2, sort_keys=True) + "\n", with each
-    grid of [re, im] number pairs written from one C-encoder call."""
+    """Exactly json.dumps(doc, indent=2, sort_keys=True) + "\n", where a
+    square 2-d complex ndarray stands for its ``matrix_to_json`` document.
+    Each grid of [re, im] number pairs is written from one C-encoder call."""
     out = []
     _encode_into(out, doc, 0)
     out.append("\n")
@@ -300,7 +308,8 @@ def _encode_into(out: list, o, level: int):
             return
         numbers = grid_numbers(o)
         if numbers and all(o):
-            out.append(_grid_text(o, numbers, level))
+            texts = json.dumps(numbers)[1:-1].split(", ")
+            _grid_into(out, texts, tuple(map(len, o)), level)
             return
         indent = "\n" + "  " * (level + 1)
         separator = indent
@@ -318,6 +327,14 @@ def _encode_into(out: list, o, level: int):
                 _encode_into(out, value, level + 1)
                 separator = "," + indent
             out.append("\n" + "  " * level + "]")
+    elif (isinstance(o, np.ndarray) and o.dtype == np.complex128 and o.ndim == 2
+          and o.shape[0] == o.shape[1] > 0):
+        # The text of {"entries": grid, "n": n}, keys in sorted order.
+        n = o.shape[0]
+        indent = "\n" + "  " * (level + 1)
+        out.append("{" + indent + '"entries": ')
+        _grid_into(out, _array_texts(o), (n,) * n, level + 1)
+        out.append("," + indent + f'"n": {n}' + "\n" + "  " * level + "}")
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
@@ -334,17 +351,45 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _grid_text(rows: list, numbers: list, level: int) -> str:
-    """Indented text of nonempty rows of [re, im] pairs, whose row-major
-    numbers are ``numbers``."""
+def _array_texts(m: np.ndarray) -> np.ndarray:
+    """The texts of a complex matrix's numbers, re and im of each entry in
+    row-major order, as an object array.  Each distinct number is rendered
+    once; numbers are told apart by their bits, so -0.0 keeps its sign, and
+    0.0, the one float whose bits are all zero, is set apart before the sort."""
+    bits = np.ascontiguousarray(m).view(np.int64).ravel()
+    nonzero = bits != 0
+    distinct, inverse = np.unique(bits[nonzero], return_inverse=True)
+    index = np.zeros(bits.size, dtype=np.intp)
+    index[nonzero] = inverse + 1
+    texts = json.dumps([0.0, *distinct.view(np.float64).tolist()])[1:-1].split(", ")
+    return np.array(texts, dtype=object)[index]
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_layout(row_lengths: tuple, level: int) -> np.ndarray:
+    """The texts around the numbers of an indented grid of [re, im] pairs
+    whose nonempty rows hold ``row_lengths`` pairs: the grid's opening, the
+    text after each number but the last, and its closing, as an object array."""
     nl = ["\n" + "  " * (level + depth) for depth in range(4)]
-    texts = json.dumps(numbers)[1:-1].split(", ")
-    pairs = list(map(("," + nl[3]).join, zip(texts[0::2], texts[1::2])))
+    within_pair = "," + nl[3]
     pair_separator = nl[2] + "]," + nl[2] + "[" + nl[3]
-    row_texts, start = [], 0
-    for row in rows:
-        row_texts.append(pair_separator.join(pairs[start:start + len(row)]))
-        start += len(row)
     row_separator = nl[2] + "]" + nl[1] + "]," + nl[1] + "[" + nl[2] + "[" + nl[3]
-    return ("[" + nl[1] + "[" + nl[2] + "[" + nl[3] + row_separator.join(row_texts)
-            + nl[2] + "]" + nl[1] + "]" + nl[0] + "]")
+    layout = ["[" + nl[1] + "[" + nl[2] + "[" + nl[3]]
+    for length in row_lengths:
+        layout += [within_pair, pair_separator] * length
+        layout[-1] = row_separator
+    layout[-1] = nl[2] + "]" + nl[1] + "]" + nl[0] + "]"
+    layout = np.array(layout, dtype=object)
+    layout.flags.writeable = False  # shared by every grid of this shape
+    return layout
+
+
+def _grid_into(out: list, texts, row_lengths: tuple, level: int):
+    """Append the indented text of a grid of [re, im] pairs in rows of
+    ``row_lengths`` (each nonzero), whose numbers in row-major order read
+    ``texts``."""
+    layout = _grid_layout(row_lengths, level)
+    parts = np.empty(2 * len(layout) - 1, dtype=object)
+    parts[0::2] = layout
+    parts[1::2] = texts
+    out += parts.tolist()

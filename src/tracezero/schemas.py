@@ -4,10 +4,11 @@ The copies under docs/schemas/ are written from these dicts by
 scripts/write_schemas.py; a test keeps them in sync.
 
 ``validate`` runs one validator per command, derived from its schema: every
-matrix ``entries`` leaf is checked with one exact pass over Python types
-instead of a jsonschema walk of every number.  A grid that fails that pass
-is worded from its failing rows only, each walked by the real row schema,
-so error messages and paths are exactly those of ``jsonschema.validate``.
+matrix ``entries`` leaf and every bundle ``summands`` leaf is checked with
+one exact pass over Python types instead of a jsonschema walk of every
+number.  A grid that fails that pass is worded from its failing rows only,
+each walked by the real row schema, so error messages and paths are exactly
+those of ``jsonschema.validate``.
 """
 from __future__ import annotations
 
@@ -201,31 +202,49 @@ def grid_numbers(rows):
     return numbers
 
 
-def _check_grid(validator, value, instance, schema):
-    # A grid's errors come only from its rows that fail ``grid_numbers``: a
-    # passing row has none under the row schema, so only failing rows are
-    # walked, in order, as the full schema's ``items`` would walk them.
-    if not validator.is_type(instance, "array") or grid_numbers(instance) is not None:
-        return
-    for i, row in enumerate(instance):
-        if grid_numbers([row]) is None:
-            yield from validator.descend(row, MATRIX["properties"]["entries"]["items"], path=i)
+def _is_int_grid(rows) -> bool:
+    """Whether rows is a list of lists of items of type int (so bool fails)."""
+    return (type(rows) is list and set(map(type, rows)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int})
 
 
-_EnvelopeValidator = validators.extend(Draft202012Validator, {"pairGrid": _check_grid})
+def _row_keyword(passes, row_schema):
+    """A keyword that checks a grid with ``passes`` in one exact pass.  A
+    grid's errors come only from its rows that fail ``passes``: a passing
+    row has none under ``row_schema``, so only failing rows are walked, in
+    order, as the full schema's ``items`` would walk them."""
+    def check(validator, value, instance, schema):
+        if not validator.is_type(instance, "array") or passes(instance):
+            return
+        for i, row in enumerate(instance):
+            if not passes([row]):
+                yield from validator.descend(row, row_schema, path=i)
+    return check
+
+
+# (schema, its grid property, the envelope keyword, the grid's exact check)
+_GRIDS = ((MATRIX, "entries", "pairGrid", lambda rows: grid_numbers(rows) is not None),
+          (BUNDLE, "summands", "intGrid", _is_int_grid))
+
+_EnvelopeValidator = validators.extend(Draft202012Validator, {
+    keyword: _row_keyword(passes, owner["properties"][name]["items"])
+    for owner, name, keyword, passes in _GRIDS})
 
 
 def _envelope(schema):
-    """A copy of ``schema`` whose MATRIX ``entries`` leaves are checked by
-    ``grid_numbers`` in one pass.  Nested ``$schema`` keys are dropped, as
-    jsonschema would otherwise switch back to the plain draft validator."""
+    """A copy of ``schema`` whose ``_GRIDS`` leaves, MATRIX ``entries`` and
+    BUNDLE ``summands``, are checked in one exact pass.  Nested ``$schema``
+    keys are dropped, as jsonschema would otherwise switch back to the plain
+    draft validator."""
     if isinstance(schema, list):
         return [_envelope(value) for value in schema]
     if not isinstance(schema, dict):
         return schema
     envelope = {key: _envelope(value) for key, value in schema.items() if key != "$schema"}
-    if schema is MATRIX:
-        envelope["properties"]["entries"] = {"type": "array", "pairGrid": True}
+    for owner, name, keyword, _ in _GRIDS:
+        if schema is owner:  # the grid's own keywords, with its ``items`` checked by ``keyword``
+            leaf = {key: value for key, value in schema["properties"][name].items() if key != "items"}
+            envelope["properties"][name] = {**leaf, keyword: True}
     return envelope
 
 

@@ -149,6 +149,28 @@ class TestCommands:
         assert doc == {"error": "eigendecomposition failed the reconstruction check",
                        "path": "stdin"}
 
+    @pytest.mark.parametrize("command,constructor", [
+        ("decompose", "self_commutator_decompose"),
+        ("decompose-tight", "tight_commutator_decompose")])
+    def test_a_non_finite_factor_exits_2_inside_run(self, monkeypatch, capfd, command,
+                                                     constructor):
+        # The handler's as_matrix check runs inside run's error handling, not
+        # in encode, so a non-finite computed matrix is an exit-2 document.
+        construct = getattr(tracezero.cli, constructor)
+
+        def with_nan(a, **kwargs):
+            dec = construct(a, **kwargs)
+            x = np.array(dec.factors[0] if dec.kind == "self_commutators" else dec.factors[0][0])
+            x[0, 0] = math.nan
+            dec.factors[0] = x if dec.kind == "self_commutators" else (x, dec.factors[0][1])
+            return dec
+
+        monkeypatch.setattr(tracezero.cli, constructor, with_nan)
+        code, doc, _ = run_cmd(command, matrix_to_json(SZ))
+        assert code == 2
+        assert doc == {"error": "matrix has non-finite entries", "path": "stdin"}
+        assert capfd.readouterr().err == ""
+
     def test_fack_run_eigendecomposes_each_element_once(self, monkeypatch):
         original = tracezero.matcore.hermitian_eig
         calls = []
@@ -869,6 +891,10 @@ def _tower_matrix_doc():
     return {"tower": {"blocks": blocks}, "z0": matrix_to_json(np.zeros((3, 3), dtype=complex))}
 
 
+def _bundle_doc():
+    return {"q": {"variables": 3, "summands": [[1, 0, 2], [0, 1, 1], [2, 2, 0]]}, "n": 2}
+
+
 _M3 = np.diag([1.0, 2.0, -3.0]).astype(complex)
 _DELETE = object()
 
@@ -899,6 +925,11 @@ _SCHEMA_VIOLATIONS = {
                              [(("pairs", 2, "x", "entries", 1), "row")]),
     "block-split b and e": ("block-split", sample_block_split_doc,
                             [(("b", "entries", 5, 5), []), (("e", "entries", 0, 1, 1), "y")]),
+    "obstruct summand item": ("obstruct", _bundle_doc, [(("q", "summands", 1, 2), True)]),
+    "obstruct summand float": ("obstruct", _bundle_doc, [(("q", "summands", 0, 0), 1.5)]),
+    "obstruct summand row": ("obstruct", _bundle_doc, [(("q", "summands", 2), "row")]),
+    "obstruct summands and n": ("obstruct", _bundle_doc,
+                                [(("q", "summands", 2, 1), "x"), (("n",), 0)]),
 }
 
 
@@ -919,22 +950,30 @@ def _mixed_tower_doc():
     return {"tower": {"blocks": [{"rank": 1}, m3, {"rank": 2}, m3]}, "z0": m3}
 
 
-# (command, input, paths to every matrix ``entries`` grid in it)
+# (depth of the node a bad item replaces, its value): in a matrix grid a
+# number (3), a pair (2) or a whole row (1)
+_BAD_ITEMS = [(3, "x"), (3, True), (3, None),
+              (2, [0.5]), (2, [0.5, 1, 2]), (2, "p"), (2, 3),
+              (1, 7), (1, "row"), (1, None), (1, {"0": []})]
+# in a bundle's summands, an integer (2) or a whole summand (1)
+_BAD_SUMMAND_ITEMS = [(2, "x"), (2, True), (2, False), (2, None), (2, 1.5), (2, [0.5]),
+                      (1, 7), (1, "row"), (1, None), (1, {"0": []}), (1, [0, True])]
+
+# (command, input, paths to every matrix ``entries`` or bundle ``summands``
+# grid in it, the bad items that fit its grids)
 _GRID_LOCATIONS = [
-    ("decompose", lambda: matrix_to_json(_M3), [("entries",)]),
-    ("decompose-field", sample_field_doc, [("values", str(v), "entries") for v in range(6)]),
+    ("decompose", lambda: matrix_to_json(_M3), [("entries",)], _BAD_ITEMS),
+    ("decompose-field", sample_field_doc, [("values", str(v), "entries") for v in range(6)],
+     _BAD_ITEMS),
     ("fack-run", _mixed_tower_doc,
-     [("tower", "blocks", 1, "entries"), ("tower", "blocks", 3, "entries"), ("z0", "entries")]),
+     [("tower", "blocks", 1, "entries"), ("tower", "blocks", 3, "entries"), ("z0", "entries")],
+     _BAD_ITEMS),
     ("block-split", sample_block_split_doc,
      [("b", "entries"), ("e", "entries")]
-     + [("pairs", i, key, "entries") for i in range(3) for key in ("x", "y")]),
+     + [("pairs", i, key, "entries") for i in range(3) for key in ("x", "y")], _BAD_ITEMS),
+    ("obstruct", _bundle_doc, [("q", "summands")], _BAD_SUMMAND_ITEMS),
 ]
-_LOCATION_INPUTS = {command: make_doc() for command, make_doc, _ in _GRID_LOCATIONS}
-
-# (what a bad item replaces, its value): a number, a pair or a whole row
-_BAD_ITEMS = [("number", "x"), ("number", True), ("number", None),
-              ("pair", [0.5]), ("pair", [0.5, 1, 2]), ("pair", "p"), ("pair", 3),
-              ("row", 7), ("row", "row"), ("row", None), ("row", {"0": []})]
+_LOCATION_INPUTS = {command: make_doc() for command, make_doc, _, _ in _GRID_LOCATIONS}
 
 
 def _schema_error(call):
@@ -979,20 +1018,21 @@ class TestSchemaErrorParity:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_bad_items_in_random_rows_match_jsonschema(self, data):
-        command, _, grids = data.draw(st.sampled_from(_GRID_LOCATIONS))
+        command, _, grids, bad_items = data.draw(st.sampled_from(_GRID_LOCATIONS))
         doc = json.loads(json.dumps(_LOCATION_INPUTS[command]))
         for _ in range(data.draw(st.integers(1, 3))):
             grid = doc
             for key in data.draw(st.sampled_from(grids)):
                 grid = grid[key]
-            kind, bad = data.draw(st.sampled_from(_BAD_ITEMS))
+            depth, bad = data.draw(st.sampled_from(bad_items))
             path, item = [], grid
-            for _ in range({"row": 1, "pair": 2, "number": 3}[kind]):
+            for _ in range(depth):
                 if not isinstance(item, list) or not item:
                     break
                 path.append(data.draw(st.integers(0, len(item) - 1)))
                 item = item[path[-1]]
-            _violating(grid, [(tuple(path), bad)])
+            # a copy of the bad item, as a later plant may walk into it
+            _violating(grid, [(tuple(path), json.loads(json.dumps(bad)))])
         expected = _schema_error(lambda: jsonschema.validate(doc, INPUT_SCHEMAS[command]))
         if data.draw(st.booleans(), label="through verify"):
             code, out, _ = run_cmd("verify", {"command": command, "parameters": {}, "input": doc})
@@ -1001,11 +1041,11 @@ class TestSchemaErrorParity:
         else:
             assert _schema_error(lambda: validate(doc, command)) == expected
 
-    def test_an_invalid_grid_is_worded_from_its_failing_row_alone(self, monkeypatch):
-        doc = matrix_to_json(np.zeros((128, 128)))
-        doc["entries"][77][5][1] = "x"
-        row_schema = INPUT_SCHEMAS["decompose"]["properties"]["entries"]["items"]
-        validator_class = type(schemas._validator("decompose"))
+    @staticmethod
+    def _walked_rows(monkeypatch, doc, command, row_schema):
+        """(message, json_path) of validate's error on ``doc``, and the
+        indices of the rows walked by ``row_schema`` on the way."""
+        validator_class = type(schemas._validator(command))
         descend = validator_class.descend
         walked = []
 
@@ -1016,10 +1056,28 @@ class TestSchemaErrorParity:
 
         monkeypatch.setattr(validator_class, "descend", recording_descend)
         with pytest.raises(jsonschema.ValidationError) as info:
-            validate(doc, "decompose")
-        assert (info.value.message, info.value.json_path) == (
-            "'x' is not of type 'number'", "$.entries[77][5][1]")
-        assert walked == [77]
+            validate(doc, command)
+        return (info.value.message, info.value.json_path), walked
+
+    def test_an_invalid_grid_is_worded_from_its_failing_row_alone(self, monkeypatch):
+        doc = matrix_to_json(np.zeros((128, 128)))
+        doc["entries"][77][5][1] = "x"
+        row_schema = INPUT_SCHEMAS["decompose"]["properties"]["entries"]["items"]
+        assert self._walked_rows(monkeypatch, doc, "decompose", row_schema) == (
+            ("'x' is not of type 'number'", "$.entries[77][5][1]"), [77])
+
+    def test_an_invalid_bundle_is_worded_from_its_failing_summand_alone(self, monkeypatch):
+        doc = {"q": {"variables": 15, "summands": [[1] * 15 for _ in range(15)]}, "n": 1}
+        doc["q"]["summands"][9][4] = True
+        row_schema = INPUT_SCHEMAS["obstruct"]["properties"]["q"]["properties"]["summands"]["items"]
+        assert self._walked_rows(monkeypatch, doc, "obstruct", row_schema) == (
+            ("True is not of type 'integer'", "$.q.summands[9][4]"), [9])
+
+    def test_integral_float_summands_go_to_the_full_validator(self):
+        # 2.0 fails the exact type check, but jsonschema reads it as an integer
+        doc = {"q": {"variables": 2, "summands": [[2.0, 0], [1, 1]]}, "n": 1}
+        jsonschema.validate(doc, INPUT_SCHEMAS["obstruct"])
+        validate(doc, "obstruct")
 
     def test_numbers_of_other_types_go_to_the_full_validator(self):
         # np.float64 fails the exact type check, but jsonschema accepts it
@@ -1051,6 +1109,56 @@ _json_trees = st.recursive(
     max_leaves=25)
 
 
+# Finite floats a matrix may hold, with the edge cases of float text: both
+# zeros, the least subnormal, the largest finite and integer-valued floats.
+_matrix_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16]),
+    st.integers(-(10 ** 6), 10 ** 6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _complex_matrices(draw):
+    """A square complex array: all zeros or a few values repeated over the
+    entries, 1 x 1 to 20 x 20, or entries drawn one by one, up to 8 x 8."""
+    n = draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(["zeros", "repeated", "distinct"]))
+    if kind == "zeros":
+        return np.zeros((n, n), dtype=complex)
+    values = st.builds(complex, _matrix_floats, _matrix_floats)
+    if kind == "repeated":
+        pool = np.array(draw(st.lists(values, min_size=1, max_size=4)))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * n, max_size=n * n))
+        return pool[np.array(picks)].reshape(n, n)
+    n = min(n, 8)
+    entries = draw(st.lists(values, min_size=n * n, max_size=n * n))
+    return np.array(entries, dtype=complex).reshape(n, n)
+
+
+@st.composite
+def _array_documents(draw):
+    """A square complex array nested 0 to 4 levels deep in lists, tuples and
+    dicts, beside JSON leaves and other arrays."""
+    doc = draw(_complex_matrices())
+    for _ in range(draw(st.integers(0, 4))):
+        other = draw(st.one_of(_leaves, _complex_matrices()))
+        doc = draw(st.sampled_from([[doc], [other, doc], (doc, other),
+                                    {"entries": doc, "x": other}, {"m": doc}]))
+    return doc
+
+
+def _listed(doc):
+    """``doc`` with each array replaced by its matrix_to_json document."""
+    if isinstance(doc, np.ndarray):
+        return matrix_to_json(doc)
+    if isinstance(doc, dict):
+        return {key: _listed(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(_listed, doc))
+    return doc
+
+
 class TestEncode:
     @given(_json_trees)
     @settings(max_examples=300, deadline=None)
@@ -1065,6 +1173,21 @@ class TestEncode:
             json.dumps({"x": [value]}, indent=2)
         with pytest.raises(TypeError):
             encode({"x": [value]})
+
+    @given(_array_documents())
+    @settings(max_examples=200, deadline=None)
+    @example(np.array([[-0.0 + 0j, 5e-324 - 0j], [1.0 + 1.7976931348623157e308j, 0j]]))
+    @example([{"x": np.zeros((1, 1), dtype=complex)}])
+    def test_arrays_encode_as_their_matrix_documents(self, doc):
+        assert encode(doc) == json.dumps(_listed(doc), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        np.zeros((2, 2)), np.zeros((2, 3), dtype=complex), np.zeros(2, dtype=complex),
+        np.zeros((2, 2, 2), dtype=complex), np.zeros((0, 0), dtype=complex),
+        np.zeros((2, 2), dtype=np.complex64)])
+    def test_arrays_other_than_square_complex_matrices_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            encode({"x": value})
 
     def test_unsupported_keys_raise_type_error(self):
         with pytest.raises(TypeError):
