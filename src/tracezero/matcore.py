@@ -18,8 +18,9 @@ dataclasses.  Conventions fixed here and relied on everywhere else:
   stack of them, and each matrix of a stack comes out bit for bit as it
   would alone;
 * a constructor measures each claim of its decomposition on the matrices
-  it holds, as a ``BoundCheck`` of its ``VerificationReport``; the
-  independent re-measuring is ``tracezero.certcheck``'s.
+  it holds, as a ``BoundCheck`` of its ``VerificationReport``, and does
+  not also raise on it; the independent re-measuring is
+  ``tracezero.certcheck``'s.
 
 All operations are pure and never mutate their inputs.
 """

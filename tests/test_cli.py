@@ -239,6 +239,37 @@ class TestCommands:
             "claimed bound 2.0"]
 
     @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
+    def test_a_trace_within_tol_decomposes_and_verifies(self, command):
+        # the last partial sum is the trace 5e-10, inside the trace check's
+        # 2e-9; the reconstruction claim measures what it leaves over
+        code, doc, _ = run_cmd(command, matrix_to_json(np.diag([1.0, -0.9999999995])))
+        assert code == 0
+        residual = doc["report"]["bound_checks"][0]
+        assert residual["name"] == "reconstruction_residual"
+        assert residual["measured_value"] == pytest.approx(5e-10, rel=1e-6)
+        assert residual["passed"] is True
+        vcode, vdoc, _ = run_cmd("verify", doc)
+        assert vcode == 0
+        assert vdoc["result"]["verified"] is True
+
+    def test_a_trace_within_a_loose_tol_fails_its_reconstruction_claim(self):
+        # --tol 1e-6 admits the trace 1e-7, which the reconstruction claim,
+        # at 1e-9, measures and fails: a report, not an error document
+        code, doc, _ = run_cmd("decompose", matrix_to_json(np.diag([1.0, -0.9999999])),
+                               "--tol", "1e-6")
+        assert code == 1
+        assert "error" not in doc
+        residual = doc["report"]["bound_checks"][0]
+        assert residual["name"] == "reconstruction_residual"
+        assert residual["measured_value"] == pytest.approx(1e-7, rel=1e-6)
+        assert residual["passed"] is False
+        assert doc["report"]["all_passed"] is False
+        vcode, vdoc, _ = run_cmd("verify", doc)
+        assert vcode == 1
+        assert [m.split(":")[0] for m in vdoc["result"]["mismatches"]] \
+            == ["$.report.bound_checks[0]"]
+
+    @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
     def test_entries_near_the_float_maximum_exit_2_naming_the_range(self, command):
         code, doc, _ = run_cmd(command, matrix_to_json(np.diag([1e308, -1e308])))
         assert code == 2
@@ -386,7 +417,7 @@ class TestCommands:
 
     def test_fack_run_collapse_forms_no_cross_product_on_block_towers(self, monkeypatch):
         # every cross product is proved zero by its operands' nonzero patterns,
-        # so the Frobenius bound is taken only by each slot's reproduce check
+        # so no Frobenius bound is taken at all
         bounds, slots = [], []
         bound, collapse = tracezero.selfcomm.frobenius_bound, tracezero.towers.collapse_orthogonal
 
@@ -404,7 +435,30 @@ class TestCommands:
         code, _, _ = run_cmd("fack-run", doc, "--seed", "4")
         assert code == 0
         assert max(slots) > 1
-        assert len(bounds) == len(slots)
+        assert bounds == []
+
+    def test_fack_run_measures_a_wrong_collapse_by_its_reconstruction_claim(self, monkeypatch):
+        # the collapse does not check that the merged pair reproduces the sum:
+        # tower_iterate's reconstruction claim measures it, and verify again
+        collapse = tracezero.towers.collapse_orthogonal
+
+        def perturbed(pairs):
+            c, d, defect = collapse(pairs)
+            return c, 1.5 * d, defect
+
+        monkeypatch.setattr(tracezero.towers, "collapse_orthogonal", perturbed)
+        doc = {"tower": {"blocks": [{"rank": 3}] * 5}, "depth": 4}
+        code, out_doc, _ = run_cmd("fack-run", doc, "--seed", "4")
+        assert code == 1
+        residual = out_doc["report"]["bound_checks"][0]
+        assert residual["name"] == "reconstruction_residual"
+        assert residual["passed"] is False
+        assert residual["measured_value"] > 1e-3
+        monkeypatch.undo()
+        vcode, vdoc, _ = run_cmd("verify", out_doc)
+        assert vcode == 1
+        assert vdoc["result"]["verified"] is False
+        assert vdoc["result"]["mismatches"][0].startswith("$.report.bound_checks[0]")
 
     def test_fack_run_on_a_rotated_tower_takes_the_dense_path(self):
         diagonals = np.repeat(np.eye(4), 2, axis=1)  # four rank-2 blocks in size 8

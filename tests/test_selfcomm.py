@@ -384,14 +384,6 @@ class TestCollapseOrthogonal:
         np.testing.assert_array_equal(c2, c)
         np.testing.assert_array_equal(d2, d)
 
-    def test_empty_list(self):
-        c, d, _ = collapse_orthogonal([], dim=3)
-        assert operator_norm(c) == 0.0 and operator_norm(d) == 0.0
-
-    def test_empty_list_needs_dim(self):
-        with pytest.raises(InvalidInputError):
-            collapse_orthogonal([])
-
     def test_two_disjoint_blocks(self):
         # oracle: block direct sum, checked by multiplication
         rng = SplitMix64(23)

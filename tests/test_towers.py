@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     fack_run_input,
+    psd_matrix,
     random_unitary,
     reconstruction_error,
     reference_witness,
@@ -15,7 +16,7 @@ from helpers import (
     support_of,
 )
 from tracezero import jsonio, towers
-from tracezero.errors import InvalidInputError, NumericsError, PreconditionError
+from tracezero.errors import InvalidInputError, PreconditionError
 from tracezero.matcore import commutator, operator_norm
 from tracezero.rand import SplitMix64, random_complex_matrix, random_hermitian
 from tracezero.towers import (
@@ -42,12 +43,12 @@ def embedded_trace_zero(rng, n, lo, hi):
 class TestRamp:
     def test_plus_mode(self):
         a = np.diag([1.0, 0.1]).astype(complex)
-        np.testing.assert_allclose(ElementSpectrum.of(a, 0.5).plus.matrix,
+        np.testing.assert_allclose(psd_matrix(ElementSpectrum.of(a, 0.5).plus),
                                    np.diag([0.5, 0.0]), atol=1e-14)
 
     def test_ramp_mode(self):
         a = np.diag([1.0, 0.1]).astype(complex)
-        np.testing.assert_allclose(ElementSpectrum.of(a, 0.5).g.matrix,
+        np.testing.assert_allclose(psd_matrix(ElementSpectrum.of(a, 0.5).g),
                                    np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_ramp_acts_as_unit_on_high_spectrum(self):
@@ -57,7 +58,7 @@ class TestRamp:
         a = m @ m.conj().T  # PSD
         eps = 0.5 * operator_norm(a)
         spec = ElementSpectrum.of(a, eps)
-        g = spec.g.matrix
+        g = psd_matrix(spec.g)
         p = spec.plus.projection
         assert operator_norm(g @ p - p) <= 1e-10
 
@@ -156,17 +157,20 @@ class TestCuntzWitness:
         assert v_bytes == 127 * 17 * 17 * 16
         assert peak < 5 * v_bytes
 
-    def test_range_check_reports_the_part_of_v_outside_c(self):
-        # b's basis e1, e2, (e1 + e2)/sqrt 2 has unit columns, but B B* is no
-        # projection: V = e1 e0* passes V*V = g, and (I - BB*)V = -(e1 + e2) e0*/2
+    def test_a_remainder_outside_b_fails_its_hereditary_claim(self):
+        # b's basis e1, e2, (e1 + e2)/sqrt 2 has unit columns, but P_b = BB* is
+        # no projection: V = e1 e0* leaves the remainder e1 e1*, and
+        # P_b e1 = (3 e1 + e2)/2, so norm(rem - P_b rem P_b) is 0.75 + sqrt(13)/4
         e = np.eye(3, dtype=complex)
         spec = ElementSpectrum(g=Support(basis=e[:, :1], values=np.array([1.0])),
                                plus=Support(basis=e[:, :0], values=np.zeros(0)))
         basis = np.column_stack([e[:, 1], e[:, 2], (e[:, 1] + e[:, 2]) / np.sqrt(2.0)])
-        with pytest.raises(NumericsError,
-                           match=r"^witness range check failed: norm\(\(I - P_c\)V\) = "
-                                 r"7\.071e-01$"):
-            cuntz_witness(spec, Support(basis=basis, values=np.ones(3)), 1, 1)
+        res = push_step(np.outer(e[:, 0], e[:, 0]), spec,
+                        Support(basis=basis, values=np.ones(3)), 1, 1)
+        checks = {c.name: c for c in res.checks}
+        assert checks["remainder_in_hereditary"].measured_value \
+            == pytest.approx(0.75 + math.sqrt(13.0) / 4.0)
+        assert [c.name for c in res.checks if not c.passed] == ["remainder_in_hereditary"]
 
     def test_a_equals_b(self):
         a = np.diag([1.0, 0.8, 0.0]).astype(complex)
@@ -208,15 +212,21 @@ class TestCuntzWitness:
         assert range_error <= 1e-8
         assert np.block(blocks).shape == ((L + K - 1) * n, L * n)
 
-    def test_defective_witness_reports_its_error(self):
-        # a support basis 2*e_0 is not orthonormal: V = 8 e_1 e_0*, so
-        # V*V - g = 64 e_0 e_0* - 4 e_0 e_0* has norm 60
+    def test_a_defective_witness_fails_its_push_step_claims(self):
+        # a support basis 2*e_0 is not orthonormal: V = 8 e_1 e_0*, so on
+        # x = e_0 e_0* the one pair is (8 e_0 e_1*, 8 e_1 e_0*), with norm
+        # product 64, and the split sums to 64 x, 63 away from x
         e0 = np.array([[2.0], [0.0]], dtype=complex)
         e1 = np.array([[0.0], [1.0]], dtype=complex)
         spec = ElementSpectrum(g=Support(basis=e0, values=np.array([1.0])),
                                plus=Support(basis=e0[:, :0], values=np.zeros(0)))
-        with pytest.raises(NumericsError, match=r"^witness V\*V check failed: 6\.000e\+01$"):
-            cuntz_witness(spec, Support(basis=e1, values=np.array([1.0])), 1, 1)
+        res = push_step(np.diag([1.0, 0.0]), spec, Support(basis=e1, values=np.array([1.0])),
+                        1, 1)
+        checks = {c.name: c for c in res.checks}
+        assert checks["reconstruction_residual"].measured_value == pytest.approx(63.0)
+        assert checks["max_norm_product"].measured_value == pytest.approx(64.0)
+        assert [c.name for c in res.checks if not c.passed] \
+            == ["reconstruction_residual", "remainder_norm", "max_norm_product"]
 
 
 class TestPushStep:
@@ -582,7 +592,7 @@ class TestBlockSplit:
         c = np.diag([1.0, 0.9, 0.1]).astype(complex)
         eps = 0.5
         spec = ElementSpectrum.of(c, eps)
-        e = spec.g.matrix
+        e = psd_matrix(spec.g)
         q = spec.plus.basis
         rng = SplitMix64(63)
         d = 2
