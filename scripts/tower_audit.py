@@ -31,7 +31,6 @@ def main():
     dec, report = tower_iterate(inp.z0, TowerModel(inp), args.depth)
     print(f"demo tower: depth {args.depth}, {len(dec.factors)} commutators, "
           f"residual {dec.residual_norm:.3e}, "
-          f"collapse defect {report.collapse_defect:.3e}, "
           f"verified {dec.report.all_passed and report.all_passed}")
 
 

@@ -12,10 +12,10 @@ own report repeats is still caught.
 
 A failed check is one line "<path>: <check> ...", <path> being a JSON path
 into the verify document.  What a document states but does not carry the
-data to rebuild (a tower's per-stage checks and its collapse defect) is
-checked for internal consistency only: measured <= claimed + tolerance
-exactly when ``passed``, and ``all_passed`` agrees.  Every bound check of
-the other commands' reports is re-measured.
+data to rebuild (a tower's per-stage checks) is checked for internal
+consistency only: measured <= claimed + tolerance exactly when ``passed``,
+and ``all_passed`` agrees.  Every bound check of the other commands'
+reports is re-measured.
 """
 from __future__ import annotations
 
@@ -386,9 +386,6 @@ def _check_tower_report(f: Findings, result: dict, depth: int, per_stage: int,
     inblock = _number(_get(tower_report, "inblock_residual", path), f"{path}.inblock_residual")
     f.require(inblock == declared, f"{path}.inblock_residual",
               f"{inblock!r} differs from the result's residual_norm {declared!r}")
-    defect = _number(_get(tower_report, "collapse_defect", path), f"{path}.collapse_defect")
-    f.require(0.0 <= defect < math.inf, f"{path}.collapse_defect",
-              f"{defect!r} is not a norm")
     sizes = _list(_get(tower_report, "family_sizes", path), f"{path}.family_sizes")
     sizes = [_integer(s, f"{path}.family_sizes[{i}]") for i, s in enumerate(sizes)]
     f.require(len(sizes) == 2 and min(sizes) >= 0 and sum(sizes) == count,

@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="barycentric refinements for decompose-field")
     parser.add_argument("--depth", type=int, default=None,
                         help="iteration depth for fack-run")
-    parser.add_argument("--format", dest="fmt", default="json", choices=["json"])
     return parser
 
 

@@ -10,7 +10,6 @@ dataclasses.  Conventions fixed here and relied on everywhere else:
   and takes the SVD only when that bound cannot; the largest norm of a
   stack goes through ``max_operator_norm``, which takes the SVD only of
   matrices whose Frobenius bound can beat the running max;
-* a product that ``NonzeroPattern`` proves exactly zero need not be formed;
 * ``hermitian_eig`` returns eigenvalues ascending with a deterministic
   eigenvector phase (the first component of modulus > 1e-8 is made real
   positive, dividing by its modulus as scalar ``abs`` takes it), so
@@ -108,46 +107,20 @@ def norm_exceeds(m, bound: float) -> bool:
     return frobenius_bound(m) > bound and operator_norm(m) > bound
 
 
-def max_operator_norm(stack, floor: float = 0.0) -> float:
-    """Exactly ``max(floor, max(operator_norm(m) for m in stack))``.
+def max_operator_norm(stack) -> float:
+    """Exactly ``max(operator_norm(m) for m in stack)``, 0.0 for an empty stack.
 
     Matrices are taken in descending order of their Frobenius bound, and
     the SVDs stop at the first bound that cannot beat the running max.
     """
     stack = np.asarray(stack)
-    best = float(floor)
+    best = 0.0
     bounds = frobenius_bounds(stack)
     for k in np.argsort(-bounds, kind="stable"):
         if bounds[k] <= best:
             break
         best = max(best, operator_norm(stack[k]))
     return best
-
-
-@dataclass(frozen=True)
-class NonzeroPattern:
-    """Which rows and which columns of a matrix hold a nonzero entry.
-
-    The structural-zero screen: for finite matrices, ``a @ b`` is exactly
-    the zero matrix when no index k has column k of a and row k of b both
-    nonzero, since every term of every entry then has a factor +-0.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-
-    @classmethod
-    def of(cls, m) -> "NonzeroPattern":
-        nonzero = np.asarray(m) != 0
-        return cls(rows=nonzero.any(axis=1), cols=nonzero.any(axis=0))
-
-    @property
-    def adjoint(self) -> "NonzeroPattern":
-        return NonzeroPattern(rows=self.cols, cols=self.rows)
-
-    def product_vanishes(self, right: "NonzeroPattern") -> bool:
-        """True when (this matrix) @ (right's matrix) is exactly zero."""
-        return not np.any(self.cols & right.rows)
 
 
 def is_hermitian(a) -> bool:

@@ -8,29 +8,22 @@ diagonal as a commutator of (weighted) shift matrices:
   a = [x*, x] with a single factor satisfying norm(x)^2 <= 2*norm(a);
 * ``signed_order`` keeps them in [-max, +max], so a = [x, y] with
   norm(x)*norm(y) <= norm(a).
-
-``collapse_orthogonal`` merges commutator pairs whose factors have mutually
-orthogonal supports into one pair, which is how iterated block
-decompositions keep their final count small.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericsError, PreconditionError
+from .errors import InvalidInputError, NumericsError
 from .matcore import (
     KIND_GENERAL,
     KIND_SELF,
     BoundCheck,
     CommutatorDecomposition,
-    NonzeroPattern,
     VerificationReport,
     as_matrix,
     commutator,
-    frobenius_bound,
     hermitian_eig,
     norm_ratio,
     operator_norm,
@@ -38,7 +31,6 @@ from .matcore import (
 )
 
 TRACE_TOL = 1e-9
-PRODUCT_TOL = 1e-10  # largest cross product collapse_orthogonal accepts
 
 
 @dataclass(frozen=True)
@@ -218,64 +210,3 @@ def tight_commutator_decompose(a, *, trace_tol: float = TRACE_TOL) -> Commutator
                               commutator(x, y), a_norm,
                               "norm_product_over_norm_a", 1.0, operator_norm(x) * operator_norm(y))
 
-
-# Products that vanish when pairs (c_i, d_i), (c_j, d_j) have mutually
-# orthogonal supports, in checking order: the end of the message that names
-# the violation, then the operand taken from pair i and the one from pair j.
-_CROSS_PRODUCTS = (
-    (" are not orthogonal: c*.d != 0", "c*", "d"),
-    (" are not orthogonal: c.d != 0", "c", "d"),
-    (" are not orthogonal: c*.d* != 0", "c*", "d*"),
-    (": c factors overlap", "c*", "c"),
-    (": c factors overlap", "c", "c*"),
-    (": d factors overlap", "d*", "d"),
-    (": d factors overlap", "d", "d*"),
-)
-
-
-def _operands(c: np.ndarray, d: np.ndarray) -> dict:
-    """c, d and their adjoints, each with its nonzero pattern."""
-    out = {}
-    for name, m in (("c", c), ("d", d)):
-        pattern = NonzeroPattern.of(m)
-        out[name] = (m, pattern)
-        out[name + "*"] = (m.conj().T, pattern.adjoint)
-    return out
-
-
-def collapse_orthogonal(pairs):
-    """Merge a non-empty list of commutator pairs with mutually orthogonal
-    supports into one.
-
-    Requires, for every i != j, that c_i* d_j, c_i d_j, c_i* d_j* vanish and
-    that the c's (resp. d's) are orthogonal among themselves; then
-    [sum c_i, sum d_i] = sum [c_i, d_i].  Returns (c, d, defect) with defect
-    the largest of those cross-product norms.  Violations raise with the
-    first offending pair named.  A product whose Frobenius bound is at most
-    the defect so far can neither raise nor change it, so only the others
-    (none, when the supports are exactly orthogonal) take an SVD; one that
-    the operands' nonzero patterns prove exactly zero is not even formed.
-    That the merged pair reproduces the sum is measured by its caller's
-    reconstruction claim.
-    """
-    mats = [(as_matrix(c, square=True, name="c"), as_matrix(d, square=True, name="d"))
-            for c, d in pairs]
-    shape = mats[0][0].shape
-    for c, d in mats:
-        if c.shape != shape or d.shape != shape:
-            raise InvalidInputError("collapse pairs must share one square shape")
-    operands = [_operands(c, d) for c, d in mats]
-    defect = 0.0
-    for i, j in itertools.permutations(range(len(mats)), 2):
-        for violation, left, right in _CROSS_PRODUCTS:
-            (a, a_pattern), (b, b_pattern) = operands[i][left], operands[j][right]
-            if a_pattern.product_vanishes(b_pattern):
-                continue
-            p = a @ b
-            if frobenius_bound(p) <= defect:
-                continue
-            norm = operator_norm(p)
-            if norm > PRODUCT_TOL:
-                raise PreconditionError(f"pairs {i} and {j}{violation}")
-            defect = max(defect, norm)
-    return sum(c for c, _ in mats), sum(d for _, d in mats), defect

@@ -9,7 +9,8 @@ norm(x_k)*norm(y_k) <= norm(x) and norm(remainder) <= K*norm(x).  Chaining
 the step down a tower of orthogonal blocks and finishing with one exact
 in-block decomposition gives a certified decomposition with at most
 L(L+K-1) + max(M, L(L+K-1)) commutators after collapsing the
-mutually-orthogonal stages.
+mutually-orthogonal stages: commutators of pairs with mutually orthogonal
+supports add up to one, [sum c_i, sum d_i] = sum [c_i, d_i].
 
 ``g_{eps/2}`` is the piecewise-linear ramp that is 0 on [0, eps/2] and 1 on
 [eps, infinity); the only property used is g_{eps/2}(a) y = y for y
@@ -23,9 +24,11 @@ caller's to check, and ``tower_iterate`` checks z0 while each stage's
 
 Each property is checked once, by the claim that measures it.  The witness
 raises on nothing it builds: a push step's reconstruction, norm-product and
-hereditary-remainder claims are taken on the pairs and remainder V yields,
-and the collapse of the stages is measured by ``tower_iterate``'s
-reconstruction claim, which ``verify`` measures again.
+hereditary-remainder claims are taken on the pairs and remainder V yields.
+The collapse is a plain sum.  Its precondition, orthogonal blocks, is
+checked once, by ``TowerModel`` on the input, and the merged factors are
+measured by ``tower_iterate``'s reconstruction claim, which ``verify``
+measures again.
 """
 from __future__ import annotations
 
@@ -39,7 +42,6 @@ from .matcore import (
     KIND_GENERAL,
     BoundCheck,
     CommutatorDecomposition,
-    NonzeroPattern,
     VerificationReport,
     as_matrix,
     commutator,
@@ -49,7 +51,7 @@ from .matcore import (
     operator_norm,
     require_block_layout,
 )
-from .selfcomm import collapse_orthogonal, tight_commutator_factors
+from .selfcomm import tight_commutator_factors
 
 RANK_TOL = 1e-8
 NEUMANN_TOL = 1e-10
@@ -265,8 +267,12 @@ class TowerModel:
 
     ``spectra`` holds one ``ElementSpectrum`` per block, read off its index
     range for ``ranks`` (disjoint ranges: orthogonal by construction).  Given
-    elements must be PSD, and mutually orthogonal from index 1 on.
-    Consecutive blocks must satisfy the rank comparison of ``push_step``.
+    elements must be PSD, and mutually orthogonal except blocks 0 and 1:
+    stage t's factors lie on the supports of blocks t-1 and t, a collapsed
+    family merges stages two apart and may take the in-block pair on block
+    ``depth``, so every pair of blocks but 0 and 1 can meet in one family.
+    This is the collapse's one check.  Consecutive blocks must satisfy the
+    rank comparison of ``push_step``.
     """
 
     input: TowerInput
@@ -276,11 +282,8 @@ class TowerModel:
         inp = self.input
         if inp.ranks is None:
             elements = inp.elements
-            patterns = [NonzeroPattern.of(e) for e in elements]
-            for i in range(1, len(elements)):
-                for j in range(i + 1, len(elements)):
-                    if patterns[i].product_vanishes(patterns[j]):
-                        continue
+            for i in range(len(elements)):
+                for j in range(max(i + 1, 2), len(elements)):
                     ei, ej = elements[i], elements[j]
                     product = ei @ ej
                     if frobenius_bound(product) <= 1e-10:
@@ -310,7 +313,6 @@ class TowerModel:
 class TowerRunReport:
     stage_checks: list  # one list of BoundCheck per push step
     inblock_residual: float
-    collapse_defect: float
     family_sizes: list
 
     @property
@@ -321,7 +323,6 @@ class TowerRunReport:
         return {
             "stage_checks": [[c.to_json() for c in checks] for checks in self.stage_checks],
             "inblock_residual": self.inblock_residual,
-            "collapse_defect": self.collapse_defect,
             "family_sizes": self.family_sizes,
             "all_passed": self.all_passed,
         }
@@ -334,11 +335,12 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     Stage t pushes the running remainder from block t-1 into block t
     (L(L+K-1) commutators each); the final remainder, a trace-zero Hermitian
     element of her((e_depth - eps)_+), is written as a single commutator in
-    that block.  Odd stages, even stages, and the in-block pair are mutually
-    orthogonal families, so collapsing slot-by-slot returns at most
-    L(L+K-1) + max(M, L(L+K-1)) commutators; every merge re-checks
-    orthogonality.  ``z0`` is a trace-zero Hermitian matrix of the tower's
-    size and ``depth`` lies in [0, T], as ``TowerInput`` admits them.
+    that block.  Odd stages and even stages, with the in-block pair in the
+    place of stage depth + 1, form two families of mutually orthogonal
+    stages, so ``collapse`` sums each slot to one pair and at most
+    L(L+K-1) + max(M, L(L+K-1)) commutators remain.  ``z0`` is a
+    trace-zero Hermitian matrix of the tower's size and ``depth`` lies in
+    [0, T], as ``TowerInput`` admits them.
     Returns (decomposition, run report); the decomposition's report measures
     the reconstruction, the residual against delta_depth and the count.
     """
@@ -350,7 +352,7 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
 
     if depth == 0:
         factors, residual = [], z0.copy()
-        run = TowerRunReport([], inblock_residual=z_norm, collapse_defect=0.0, family_sizes=[0, 0])
+        run = TowerRunReport([], inblock_residual=z_norm, family_sizes=[0, 0])
     else:
         factors, residual, run = _descend(z0, z_norm, tower, depth)
     unexplained = z0 - sum((commutator(c, d) for c, d in factors), np.zeros_like(z0))
@@ -394,18 +396,22 @@ def _descend(z0, z_norm: float, tower: TowerModel, depth: int):
 
     # stage t sits at index t - 1 and the in-block pair at index depth
     stages = stage_pairs + [[inblock_pair]]
-    factors, family_sizes, collapse_defect = [], [], 0.0
+    factors, family_sizes = [], []
     for items in (stages[0::2], stages[1::2]):  # odd stages, even stages
         slots = max((len(item) for item in items), default=0)
         family_sizes.append(slots)
         for k in range(slots):
-            slot = [item[k] for item in items if k < len(item)]
-            c, d, defect = collapse_orthogonal(slot)
-            collapse_defect = max(collapse_defect, defect)
-            factors.append((c, d))
+            factors.append(collapse([item[k] for item in items if k < len(item)]))
 
     return factors, residual, TowerRunReport(stage_checks, operator_norm(residual),
-                                             collapse_defect, family_sizes)
+                                             family_sizes)
+
+
+def collapse(pairs):
+    """(sum c_i, sum d_i) of a non-empty list of pairs with mutually
+    orthogonal supports, whose one commutator is sum [c_i, d_i].  The
+    orthogonality is ``TowerModel``'s check of the blocks."""
+    return sum(c for c, _ in pairs), sum(d for _, d in pairs)
 
 
 # --------------------------------------------------------------------------

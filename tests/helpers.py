@@ -5,11 +5,12 @@ eigendecomposition and the matrix of a support, small complexes, a field's
 value at barycentric weights, the barycentric lattice, lattice sampling and
 hat-function extension of fields, the lattice residual of a field
 decomposition against any target, the smooth-target mesh refinement checks,
-the bitmask keys and frozenset reference of the square-free ring, the unscreened
-reference of collapse_orthogonal, the list-scan references of the two
-visiting orders, the per-matrix reference of the stacked self-commutator
-pass, the per-simplex lattice reference of the field residual, and the
-reconstruction error of a decomposition measured apart from its report."""
+the bitmask keys and frozenset reference of the square-free ring, the
+orthogonality oracle of the tower collapse and a recorder of the slots it
+sums, the list-scan references of the two visiting orders, the per-matrix
+reference of the stacked self-commutator pass, the per-simplex lattice
+reference of the field residual, and the reconstruction error of a
+decomposition measured apart from its report."""
 
 import itertools
 import math
@@ -20,6 +21,7 @@ import sys
 
 import numpy as np
 
+from tracezero import towers
 from tracezero.errors import InvalidInputError, PreconditionError
 from tracezero.jsonio import TowerInput, decode_input, matrix_to_json
 from tracezero.matcore import (
@@ -259,10 +261,11 @@ def reference_euler_class(summands) -> dict:
 
 
 def reference_collapse(mats):
-    """collapse_orthogonal on a non-empty list of same-shape (c, d) arrays,
-    forming every cross product: the reference the structural-zero screen
-    is compared against.  Like the collapse, it leaves the merged pair's
-    reconstruction to its caller's claim."""
+    """The oracle of one collapse slot, a non-empty list of same-shape
+    (c, d) arrays: every cross product that [sum c, sum d] = sum [c, d]
+    needs to vanish, formed and measured.  Raises PreconditionError naming
+    the first pair with one above 1e-10, else returns (sum c, sum d,
+    defect), the defect being the largest cross product."""
     products = (
         (" are not orthogonal: c*.d != 0", lambda ci, di, cj, dj: ci.conj().T @ dj),
         (" are not orthogonal: c.d != 0", lambda ci, di, cj, dj: ci @ dj),
@@ -283,6 +286,25 @@ def reference_collapse(mats):
                 raise PreconditionError(f"pairs {i} and {j}{violation}")
             defect = max(defect, norm)
     return sum(c for c, _ in mats), sum(d for _, d in mats), defect
+
+
+def record_collapse(monkeypatch) -> list:
+    """Wrap ``towers.collapse`` so that every slot it sums is appended, as a
+    list of pairs, to the list returned."""
+    slots, collapse = [], towers.collapse
+
+    def recording(pairs):
+        slots.append(list(pairs))
+        return collapse(pairs)
+
+    monkeypatch.setattr(towers, "collapse", recording)
+    return slots
+
+
+def collapse_defect(slots) -> float:
+    """The largest cross product ``reference_collapse`` measures over the
+    recorded slots; raises as it does on a slot that is not orthogonal."""
+    return max((reference_collapse(slot)[2] for slot in slots), default=0.0)
 
 
 def reference_brackets(x_factors, simplex, w) -> np.ndarray:

@@ -12,9 +12,11 @@ import numpy as np
 from helpers import (
     circle_complex,
     circle_refinement_residual,
+    collapse_defect,
     fack_run_input,
     monomial,
     reconstruction_error,
+    record_collapse,
     support_of,
 )
 from tracezero.cli import run_from_args
@@ -184,7 +186,8 @@ def test_criterion_06_push_step_certificates():
              ok, f" ({elapsed:.1f}s)")
 
 
-def test_criterion_07_tower_truncation():
+def test_criterion_07_tower_truncation(monkeypatch):
+    slots = record_collapse(monkeypatch)
     deltas = [2.0 ** -i for i in range(1, 5)]
     cases = [
         ((1, 1, 1), [6, 6, 6, 6, 6], 32),
@@ -199,12 +202,13 @@ def test_criterion_07_tower_truncation():
         z0 = np.zeros((ambient, ambient), dtype=complex)
         z0[:ranks[0], :ranks[0]] = h
         inp = fack_run_input(ranks, z0=z0, L=L, K=K, M=M, ambient=ambient, deltas=deltas)
+        slots.clear()
         dec, report = tower_iterate(inp.z0, TowerModel(inp), 4)
         count_n = L * (L + K - 1)
         bound = count_n + max(M, count_n)
         ok = ok and len(dec.factors) <= bound
         ok = ok and operator_norm(dec.residual) <= deltas[3]
-        ok = ok and report.collapse_defect <= 1e-10  # collapse preconditions
+        ok = ok and collapse_defect(slots) <= 1e-10  # collapse preconditions
         ok = ok and report.all_passed
         ok = ok and reconstruction_error(z0, dec) <= 1e-8 * max(1.0, operator_norm(z0))
         ok = ok and dec.report.all_passed

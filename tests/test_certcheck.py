@@ -208,10 +208,20 @@ CONSTRUCTORS = ("self_commutator_decompose", "self_commutator_factors",
                 "tight_commutator_decompose", "tight_commutator_factors", "decompose_field",
                 "barycentric_subdivide", "subdivide_field", "greedy_coloring", "TowerModel",
                 "tower_iterate", "push_step", "cuntz_witness",
-                "collapse_orthogonal", "block_two_commutator_split", "hermitian_eig",
+                "collapse", "block_two_commutator_split", "hermitian_eig",
                 "euler_class", "sqfree_mul", "linear_power",
                 "obstruction_certificate", "pp_example", "villadsen_tower", "matrix_to_json",
                 "field_to_json")
+
+
+def test_verify_accepts_a_tower_report_with_a_collapse_defect():
+    # fack-run documents made while the collapse measured its cross products
+    # carry this key; verify does not read it
+    code, doc, _ = run_cmd("fack-run", sample_tower_doc(), "--seed", "9")
+    assert code == 0
+    assert "collapse_defect" not in doc["result"]["tower_report"]
+    doc["result"]["tower_report"]["collapse_defect"] = 0.0
+    assert verify(doc) == (0, {"verified": True, "mismatches": [], "inner_exit_code": 0})
 
 
 def test_verify_calls_no_constructor(monkeypatch):

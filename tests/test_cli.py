@@ -15,7 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracezero
-from helpers import circle_complex, random_unitary, run_script
+from helpers import (
+    circle_complex,
+    collapse_defect,
+    random_unitary,
+    record_collapse,
+    run_script,
+)
 from tracezero import schemas
 from tracezero.cli import RunConfig, encode, main, run_from_args
 from tracezero.errors import InvalidInputError, NumericsError
@@ -395,58 +401,16 @@ class TestCommands:
         assert doc["report"]["all_passed"] is True
         assert capfd.readouterr().err == ""
 
-    def test_fack_run_collapse_takes_no_svd_on_orthogonal_blocks(self, monkeypatch):
-        norms, slots = [], []
-        norm, collapse = tracezero.selfcomm.operator_norm, tracezero.towers.collapse_orthogonal
-
-        def counting_norm(a):
-            norms.append(1)
-            return norm(a)
-
-        def counting_collapse(pairs):
-            slots.append(len(pairs))
-            return collapse(pairs)
-
-        monkeypatch.setattr(tracezero.selfcomm, "operator_norm", counting_norm)
-        monkeypatch.setattr(tracezero.towers, "collapse_orthogonal", counting_collapse)
-        doc = {"tower": {"blocks": [{"rank": 3}] * 5}, "depth": 4}
-        code, _, _ = run_cmd("fack-run", doc, "--seed", "4")
-        assert code == 0
-        assert max(slots) > 1
-        assert norms == []
-
-    def test_fack_run_collapse_forms_no_cross_product_on_block_towers(self, monkeypatch):
-        # every cross product is proved zero by its operands' nonzero patterns,
-        # so no Frobenius bound is taken at all
-        bounds, slots = [], []
-        bound, collapse = tracezero.selfcomm.frobenius_bound, tracezero.towers.collapse_orthogonal
-
-        def counting_bound(m):
-            bounds.append(1)
-            return bound(m)
-
-        def counting_collapse(pairs):
-            slots.append(len(pairs))
-            return collapse(pairs)
-
-        monkeypatch.setattr(tracezero.selfcomm, "frobenius_bound", counting_bound)
-        monkeypatch.setattr(tracezero.towers, "collapse_orthogonal", counting_collapse)
-        doc = {"tower": {"blocks": [{"rank": 3}] * 5}, "depth": 4}
-        code, _, _ = run_cmd("fack-run", doc, "--seed", "4")
-        assert code == 0
-        assert max(slots) > 1
-        assert bounds == []
-
     def test_fack_run_measures_a_wrong_collapse_by_its_reconstruction_claim(self, monkeypatch):
         # the collapse does not check that the merged pair reproduces the sum:
         # tower_iterate's reconstruction claim measures it, and verify again
-        collapse = tracezero.towers.collapse_orthogonal
+        collapse = tracezero.towers.collapse
 
         def perturbed(pairs):
-            c, d, defect = collapse(pairs)
-            return c, 1.5 * d, defect
+            c, d = collapse(pairs)
+            return c, 1.5 * d
 
-        monkeypatch.setattr(tracezero.towers, "collapse_orthogonal", perturbed)
+        monkeypatch.setattr(tracezero.towers, "collapse", perturbed)
         doc = {"tower": {"blocks": [{"rank": 3}] * 5}, "depth": 4}
         code, out_doc, _ = run_cmd("fack-run", doc, "--seed", "4")
         assert code == 1
@@ -460,19 +424,32 @@ class TestCommands:
         assert vdoc["result"]["verified"] is False
         assert vdoc["result"]["mismatches"][0].startswith("$.report.bound_checks[0]")
 
-    def test_fack_run_on_a_rotated_tower_takes_the_dense_path(self):
+    def test_fack_run_on_a_rotated_tower_takes_the_dense_path(self, monkeypatch):
+        slots = record_collapse(monkeypatch)
         diagonals = np.repeat(np.eye(4), 2, axis=1)  # four rank-2 blocks in size 8
         code, doc, _ = run_cmd("fack-run", _rotated_tower_doc(diagonals), "--seed", "6")
         assert code == 0
         assert doc["report"]["all_passed"]
         assert doc["result"]["tower_report"]["all_passed"]
-        # dense cross products are formed and measured: zero only up to rounding
-        assert 0.0 < doc["result"]["tower_report"]["collapse_defect"] <= 1e-10
+        # the summed pairs are dense: their cross products vanish up to rounding
+        assert max(len(slot) for slot in slots) > 1
+        assert 0.0 < collapse_defect(slots) <= 1e-10
 
     def test_fack_run_rejects_a_rotated_overlapping_tower(self):
         code, doc, _ = run_cmd("fack-run", _rotated_tower_doc(_OVERLAPPING_DIAGONALS))
         assert code == 2
         assert doc["error"].startswith("tower blocks 1 and 2 are not orthogonal: ")
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_fack_run_rejects_block_0_meeting_block_2_at_every_depth(self, depth):
+        # stages 1 and 3 share a family, so blocks 0 and 2 must be orthogonal
+        # even where the run stops before stage 3
+        blocks = [np.diag(d).astype(complex) for d in
+                  ([1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 1, 0])]
+        doc = {"tower": {"blocks": [matrix_to_json(b) for b in blocks]}, "depth": depth}
+        code, out, _ = run_cmd("fack-run", doc)
+        assert code == 2
+        assert out["error"] == "tower blocks 0 and 2 are not orthogonal: 1.000e+00"
 
     @pytest.mark.parametrize("tower, depth", [
         ({"blocks": [{"rank": 1}, {"rank": 1}], "L": 160}, 1),

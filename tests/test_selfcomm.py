@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from helpers import (
     random_unitary,
     reconstruction_error,
-    reference_collapse,
     reference_self_commutator,
     reference_signed_order,
     run_script,
 )
-from tracezero.errors import InvalidInputError, NumericsError, PreconditionError
+from tracezero.errors import InvalidInputError
 from tracezero.matcore import (
     PHASE_CUTOFF,
     commutator,
@@ -23,7 +22,6 @@ from tracezero.matcore import (
 )
 from tracezero.rand import SplitMix64, random_trace_zero_hermitian
 from tracezero.selfcomm import (
-    collapse_orthogonal,
     greedy_nonneg_order,
     self_commutator_decompose,
     self_commutator_factors,
@@ -332,126 +330,6 @@ class TestTightCommutatorDecompose:
             assert err <= 1e-9 * max(1.0, a_norm)
             assert dec.report.bound_checks[0].measured_value == pytest.approx(err, abs=1e-15)
             assert dec.report.all_passed
-
-
-_ENTRIES = st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 1e-11, 0.5, -1.0, 2.0])
-
-
-@st.composite
-def block_sparse_pairs(draw):
-    """1 to 4 pairs (c, d) of n x n matrices.  The rows and the columns of
-    each matrix of pair i are the indices pair i owns plus, sometimes, one
-    more index, drawn apart for rows and columns, which another pair may own."""
-    n = draw(st.integers(2, 6))
-    count = draw(st.integers(1, 4))
-    owner = draw(st.lists(st.integers(-1, count - 1), min_size=n, max_size=n))
-    extra = st.lists(st.integers(0, n - 1), max_size=1)
-    pairs = []
-    for i in range(count):
-        owned = [k for k in range(n) if owner[k] == i]
-        pair = []
-        for _ in range(2):
-            m = np.zeros((n, n), dtype=complex)
-            rows, cols = owned + draw(extra), owned + draw(extra)
-            for row in rows:
-                for col in cols:
-                    m[row, col] = complex(draw(_ENTRIES), draw(_ENTRIES))
-            pair.append(m)
-        pairs.append(tuple(pair))
-    return pairs
-
-
-class TestCollapseOrthogonal:
-    @given(block_sparse_pairs())
-    @settings(max_examples=200, deadline=None)
-    def test_screen_matches_unscreened_reference(self, pairs):
-        try:
-            expected = reference_collapse(pairs)
-        except (PreconditionError, NumericsError) as err:
-            with pytest.raises(type(err)) as info:
-                collapse_orthogonal(pairs)
-            assert str(info.value) == str(err)
-            return
-        c, d, defect = collapse_orthogonal(pairs)
-        assert c.tobytes() == expected[0].tobytes()
-        assert d.tobytes() == expected[1].tobytes()
-        assert defect == expected[2]
-
-    def test_single_pair(self):
-        c = np.diag([1.0, 0.0]).astype(complex)
-        d = np.diag([0.0, 0.0]).astype(complex)
-        c2, d2, _ = collapse_orthogonal([(c, d)])
-        np.testing.assert_array_equal(c2, c)
-        np.testing.assert_array_equal(d2, d)
-
-    def test_two_disjoint_blocks(self):
-        # oracle: block direct sum, checked by multiplication
-        rng = SplitMix64(23)
-        pairs = []
-        full = np.zeros((4, 4), dtype=complex)
-        for block in range(2):
-            sl = slice(2 * block, 2 * block + 2)
-            c = np.zeros((4, 4), dtype=complex)
-            d = np.zeros((4, 4), dtype=complex)
-            sub = random_trace_zero_hermitian(rng, 2)
-            c[sl, sl] = sub
-            d[sl, sl] = random_trace_zero_hermitian(rng, 2)
-            pairs.append((c, d))
-            full += commutator(c, d)
-        c, d, _ = collapse_orthogonal(pairs)
-        np.testing.assert_allclose(commutator(c, d), full, atol=1e-12)
-
-    def test_defect_is_largest_cross_product(self):
-        # reference: every cross product collapse needs to vanish, measured directly
-        eta = 1e-12
-        c0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        d0 = np.diag([0.5, 0.0, 0.0]).astype(complex)
-        c1 = np.diag([eta, 1.0, 0.0]).astype(complex)
-        d1 = np.diag([0.0, 0.0, 2.0]).astype(complex)
-        d1[0, 1] = eta
-        pairs = [(c0, d0), (c1, d1)]
-        expected = 0.0
-        for i in range(2):
-            for j in range(2):
-                if i == j:
-                    continue
-                ci, di = pairs[i]
-                cj, dj = pairs[j]
-                for prod in (ci.conj().T @ dj, ci @ dj, ci.conj().T @ dj.conj().T,
-                             ci.conj().T @ cj, ci @ cj.conj().T,
-                             di.conj().T @ dj, di @ dj.conj().T):
-                    expected = max(expected, operator_norm(prod))
-        assert expected > 0.0
-        _, _, defect = collapse_orthogonal(pairs)
-        assert defect == expected
-
-    def test_violation_names_pair(self):
-        c = np.diag([1.0, 0.0]).astype(complex)
-        d = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(PreconditionError, match="0 and 1"):
-            collapse_orthogonal([(c, d), (c, d)])
-
-    def test_tiny_overlap_is_measured_exactly(self):
-        # 1e-170 squares to 0 in a Frobenius sum; the defect must still see it
-        c0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        c1 = np.diag([1e-170, 1.0, 0.0]).astype(complex)
-        d1 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-        _, _, defect = collapse_orthogonal([(c0, np.zeros_like(c0)), (c1, d1)])
-        assert defect == 1e-170
-
-    def test_first_violation_in_loop_order_is_named(self):
-        # pairs 0, 1: c0* d1 has Frobenius norm 1.13e-10 but operator norm
-        # 0.8e-10, so it passes; pairs 0, 2 (c*.d, 2e-10) fail before the
-        # larger c overlap of pairs 1 and 2 (5.0)
-        c0 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-        d1 = np.diag([0.8e-10, 0.8e-10, 0.0]).astype(complex)
-        c1 = np.diag([0.0, 0.0, 5.0]).astype(complex)
-        c2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-        d2 = np.diag([0.0, 2e-10, 0.0]).astype(complex)
-        pairs = [(c0, np.zeros_like(c0)), (c1, d1), (c2, d2)]
-        with pytest.raises(PreconditionError) as info:
-            collapse_orthogonal(pairs)
-        assert str(info.value) == "pairs 0 and 2 are not orthogonal: c*.d != 0"
 
 
 def test_decompose_random_script_prints_json():

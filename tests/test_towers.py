@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    collapse_defect,
     fack_run_input,
     psd_matrix,
     random_unitary,
     reconstruction_error,
+    record_collapse,
     reference_witness,
     run_script,
     support_of,
@@ -466,14 +468,15 @@ class TestTowerIterate:
         assert dec.report.commutator_count == 0
         assert dec.report.all_passed
 
-    def test_depth_four_unit_parameters(self):
+    def test_depth_four_unit_parameters(self, monkeypatch):
         # 5 equal-rank blocks inside a 32-dimensional ambient space
+        slots = record_collapse(monkeypatch)
         rng = SplitMix64(51)
         inp = fack_run_input([6, 6, 6, 6, 6], z0=embedded_trace_zero(rng, 32, 0, 6), ambient=32)
         dec, report = tower_iterate(inp.z0, TowerModel(inp), 4)
         assert len(dec.factors) <= 1 + max(1, 1)
         assert operator_norm(dec.residual) <= inp.deltas[3]  # 1/16
-        assert report.collapse_defect <= 1e-10
+        assert collapse_defect(slots) <= 1e-10
         assert reconstruction_error(inp.z0, dec) <= 1e-8 * max(1.0, operator_norm(inp.z0))
         assert dec.report.all_passed
         assert report.all_passed
@@ -512,6 +515,30 @@ class TestTowerIterate:
         inp = fack_run_input([3, 3], z0=z0)
         with pytest.raises(PreconditionError, match="supported"):
             tower_iterate(inp.z0, TowerModel(inp), 1)
+
+
+class TestCollapse:
+    """``collapse`` sums each slot unchecked; the oracle forms every cross
+    product the sum needs to vanish, on the slots of real runs."""
+
+    @pytest.mark.parametrize("L, K", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("tower", ["rank", "rotated"])
+    def test_summed_slots_are_orthogonal(self, monkeypatch, tower, L, K):
+        slots = record_collapse(monkeypatch)
+        rng = SplitMix64(60 + 10 * L + K)
+        if tower == "rank":
+            blocks, z0 = [3] * 5, embedded_trace_zero(rng, 15, 0, 3)
+        else:  # five rank-2 blocks in size 10, conjugated by a seeded unitary
+            u = random_unitary(SplitMix64(61), 10)
+            blocks = [u @ np.diag(d).astype(complex) @ u.conj().T
+                      for d in np.repeat(np.eye(5), 2, axis=1)]
+            z0 = u @ embedded_trace_zero(rng, 10, 0, 2) @ u.conj().T
+            z0 = (z0 + z0.conj().T) / 2
+        inp = fack_run_input(blocks, z0=z0, L=L, K=K)
+        dec, report = tower_iterate(inp.z0, TowerModel(inp), 4)
+        assert max(len(slot) for slot in slots) > 1
+        assert collapse_defect(slots) <= 1e-10
+        assert dec.report.all_passed and report.all_passed
 
 
 class TestBlockSplit:
@@ -615,4 +642,3 @@ def test_thresholded_rank():
 def test_tower_audit_script_verifies_its_demo():
     stdout = run_script("tower_audit.py", "--m-max", "2", "--depth", "3")
     assert "verified True" in stdout
-    assert "collapse defect 0.000e+00" in stdout
