@@ -25,9 +25,9 @@ comes only from --seed via ``tracezero.rand``, so repeated runs are
 byte-identical.
 
 Exit codes: 0 = all certified bounds pass, 1 = a certified bound or a
-verify check failed, or an internal numerical check failed (then a
-JSON error object {"error", "path"} is emitted), 2 = invalid input (a JSON
-error object {"error", "path"} is emitted).
+verify check failed (the full document is emitted, its report naming the
+failing claim), 2 = invalid input (a JSON error object {"error", "path"}
+is emitted).
 """
 from __future__ import annotations
 
@@ -39,12 +39,12 @@ import sys
 
 import jsonschema
 
-from .errors import InvalidInputError, NumericsError
+from .errors import InvalidInputError
 from .jsonio import (
     TowerInput,
+    complex_to_json,
     decode_input,
     encode,
-    field_to_json,
     float_from_json,
 )
 from .matcore import as_matrix, operator_norm
@@ -114,6 +114,12 @@ def _decomposition_result(dec) -> dict:
     }
 
 
+def _field_result(fld: SimplicialField) -> dict:
+    """``field_to_json(fld)``, with each vertex value as its array."""
+    return {"complex": complex_to_json(fld.complex), "n": fld.matrix_size,
+            "values": {str(v): m for v, m in enumerate(fld.values)}}
+
+
 def _handle_decompose(cfg: RunConfig, a):
     construct = (tight_commutator_decompose if cfg.command == "decompose-tight"
                  else self_commutator_decompose)
@@ -143,7 +149,7 @@ def _handle_decompose_field(cfg: RunConfig, fld: SimplicialField):
                          for v, x in factor.entries]}
             for factor in fd.factors
         ],
-        "field": field_to_json(fld),
+        "field": _field_result(fld),
     }
     return {"result": result, "report": fd.report.to_json()}, \
         (0 if fd.report.all_passed else 1)
@@ -192,7 +198,7 @@ def _handle_pp_example(cfg: RunConfig, m: int):
     result = {
         "description": ex.description,
         "certificate": ex.certificate.to_json(),
-        "field": None if ex.field is None else field_to_json(ex.field),
+        "field": None if ex.field is None else _field_result(ex.field),
     }
     return {"result": result}, 0
 
@@ -274,8 +280,6 @@ def run(cfg: RunConfig, input_doc: dict, text: str):
         return {"error": exc.message, "path": exc.json_path}, 2
     except InvalidInputError as exc:
         return {"error": str(exc), "path": cfg.in_path or "stdin"}, 2
-    except NumericsError as exc:
-        return {"error": str(exc), "path": cfg.in_path or "stdin"}, 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,13 +1,5 @@
-"""Exception types shared across the package."""
+"""The package's one exception type: a command that raises it exits 2."""
 
 
 class InvalidInputError(ValueError):
     """Input violates a documented precondition (bad shape, wrong trace, ...)."""
-
-
-class PreconditionError(InvalidInputError):
-    """A structural precondition failed: rank comparison, orthogonality, ..."""
-
-
-class NumericsError(RuntimeError):
-    """An internal numerical guarantee was violated (should not happen)."""

@@ -30,10 +30,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericsError
+from .errors import InvalidInputError
 
 HERMITIAN_TOL = 1e-12
-EIG_TOL = 1e-10  # unitarity and reconstruction checks of hermitian_eig
 PHASE_CUTOFF = 1e-8
 # The Frobenius screen.  np.linalg.norm sums unscaled squares: below the
 # floor, squares of small entries may have underflowed, so the sum can miss
@@ -211,10 +210,10 @@ def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
     """Diagonalize a Hermitian matrix with the deterministic phase
     convention, or each matrix of a stack (V, n, n) at once: one ``eigh`` of
     (m + m*)/2, which must not overflow and must have norm at most
-    MAX_FLOAT / n, so that no sum of eigenvalues overflows, one phase
-    fix and the two guards screened by ``frobenius_bounds``, an SVD only
-    where the screen cannot decide.  A matrix is the V = 1 stack.
-    A stack that fails raises as ``raise_first_failure`` says."""
+    MAX_FLOAT / n, so that no sum of eigenvalues overflows, and one phase
+    fix.  A matrix is the V = 1 stack.  A stack that fails its input
+    checks raises as ``raise_first_failure`` says; the output is unchecked
+    (``eigh`` is backward stable), and its callers' claims measure it."""
     m = np.asarray(a, dtype=complex)
     stack = m[None] if m.ndim == 2 else m
     if stack.ndim != 3:
@@ -239,9 +238,6 @@ def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
         sym = np.where(in_norm[:, None, None], sym, 0.0)
     eigenvalues, u = np.linalg.eigh(sym)
     u = _fix_phases(u)
-    u_star = u.conj().swapaxes(1, 2)
-    defect = u @ u_star - np.eye(stack.shape[1])
-    recon_err = stack - (u * eigenvalues[:, None, :]) @ u_star
     raise_first_failure([
         (~finite, lambda k: InvalidInputError(f"{name} has non-finite entries")),
         (~hermitian, lambda k: InvalidInputError(
@@ -252,12 +248,6 @@ def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
         (~in_norm, lambda k: InvalidInputError(
             f"{name} has norm beyond {norm_limit:.3e}, the float maximum over its size "
             f"{stack.shape[1]}, where a sum of its eigenvalues can overflow")),
-        (frobenius_bounds(defect) > EIG_TOL, lambda k: NumericsError(
-            "eigenvector matrix failed the unitarity check")
-         if operator_norm(defect[k]) > EIG_TOL else None),
-        (frobenius_bounds(recon_err) > EIG_TOL, lambda k: NumericsError(
-            "eigendecomposition failed the reconstruction check")
-         if operator_norm(recon_err[k]) > EIG_TOL * max(1.0, operator_norm(stack[k])) else None),
     ])
     if m.ndim == 2:
         return EigenSystem(eigenvalues=eigenvalues[0], unitary=u[0])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericsError
+from .errors import InvalidInputError
 from .matcore import (
     KIND_GENERAL,
     KIND_SELF,
@@ -143,7 +143,7 @@ def self_commutator_factors(stack, *, trace_tol: float = TRACE_TOL):
     stack = np.asarray(stack, dtype=complex)
     try:
         es = hermitian_eig(stack, name="a")
-    except (InvalidInputError, NumericsError) as err:
+    except InvalidInputError as err:
         if getattr(err, "index", 0):  # an earlier matrix may fail its ordering first
             self_commutator_factors(stack[:err.index], trace_tol=trace_tol)
         raise

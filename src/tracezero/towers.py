@@ -22,9 +22,9 @@ A push step does not re-check that x lies in her((a-eps)_+): that is its
 caller's to check, and ``tower_iterate`` checks z0 while each stage's
 ``remainder_in_hereditary`` claim covers the next stage's input.
 
-Each property is checked once, by the claim that measures it.  The witness
-raises on nothing it builds: a push step's reconstruction, norm-product and
-hereditary-remainder claims are taken on the pairs and remainder V yields.
+Each property is checked once, by the claim that measures it.  A push step
+raises on nothing it builds: its reconstruction, norm-product and remainder
+claims are taken on the pairs and remainder that V and the iterate yield.
 The collapse is a plain sum.  Its precondition, orthogonal blocks, is
 checked once, by ``TowerModel`` on the input, and the merged factors are
 measured by ``tower_iterate``'s reconstruction claim, which ``verify``
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericsError, PreconditionError
+from .errors import InvalidInputError
 from .jsonio import TowerInput
 from .matcore import (
     KIND_GENERAL,
@@ -152,7 +152,7 @@ def cuntz_witness(a_spec: ElementSpectrum, b_support: Support, L: int, K: int) -
     lhs = L * g.rank
     rhs = (L - 1) * a_plus.rank + K * b_support.rank
     if lhs > rhs:
-        raise PreconditionError(
+        raise InvalidInputError(
             f"rank comparison fails: L*rank(g) = {lhs} > "
             f"(L-1)*rank((a-eps)_+) + K*rank(b) = {rhs}")
 
@@ -192,7 +192,8 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
 
     Solves y = x + Phi(y) by iteration, where Phi averages conjugation by
     the first L-1 block rows of the witness; norm(Phi) <= (L-1)/L makes the
-    iteration contract with norm(y) <= L*norm(x).  The commutators are
+    iteration contract with norm(y) <= L*norm(x); it stops at
+    NEUMANN_MAX_ITER steps if not before.  The commutators are
     (1/L)[v_ij*, v_ij y] over all blocks, and the remainder collects the
     last K block rows.  ``x_norm``, when the caller already holds
     ``operator_norm(x)``, saves taking it again.
@@ -200,8 +201,8 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
     That x lies in her((a-eps)_+) is the caller's to check, as
     ``tower_iterate`` does: it checks z0, and each stage's
     ``remainder_in_hereditary`` claim is the next stage's precondition.
-    For any x the commutators and remainder sum to g x, so the
-    reconstruction claim measures norm(x - g x).
+    The commutators and remainder sum to g(y - Phi(y)), so the
+    reconstruction claim measures norm(x - g x) and the Neumann residual.
     """
     xm = as_matrix(x, square=True, name="x")
     if x_norm is None:
@@ -224,9 +225,6 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
             if not norm_exceeds(y - fy - xm, NEUMANN_TOL * x_norm):
                 break
             y = xm + fy
-        else:
-            raise NumericsError(
-                "fixed-point iteration did not converge; the witness is defective")
 
     pairs = []
     for i in range(L + K - 1):
@@ -290,7 +288,7 @@ class TowerModel:
                         continue
                     defect = operator_norm(product)
                     if defect > 1e-10 * max(1.0, operator_norm(ei) * operator_norm(ej)):
-                        raise PreconditionError(
+                        raise InvalidInputError(
                             f"tower blocks {i} and {j} are not orthogonal: {defect:.3e}")
             self.spectra = [ElementSpectrum.of(e, inp.epsilon) for e in elements]
         else:
@@ -304,7 +302,7 @@ class TowerModel:
             ap_rank = self.spectra[i].plus.rank
             b_rank = self.spectra[i + 1].plus.rank
             if L * g_rank > (L - 1) * ap_rank + K * b_rank:
-                raise PreconditionError(
+                raise InvalidInputError(
                     f"rank condition fails between blocks {i} and {i + 1}: "
                     f"{L * g_rank} > {(L - 1) * ap_rank + K * b_rank}")
 
@@ -348,7 +346,7 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     z_norm = operator_norm(z0)
     p0 = tower.spectra[0].plus.projection
     if norm_exceeds(z0 - p0 @ z0 @ p0, 1e-8 * max(1.0, z_norm)):
-        raise PreconditionError("z0 is not supported in her((e_0 - eps_0)_+)")
+        raise InvalidInputError("z0 is not supported in her((e_0 - eps_0)_+)")
 
     if depth == 0:
         factors, residual = [], z0.copy()
@@ -385,7 +383,7 @@ def _descend(z0, z_norm: float, tower: TowerModel, depth: int):
     # two-factor shift decomposition there.
     q = tower.spectra[depth].plus.basis
     if q.shape[1] == 0:
-        raise PreconditionError(f"tower block {depth} has empty support above its threshold")
+        raise InvalidInputError(f"tower block {depth} has empty support above its threshold")
     z_small = q.conj().T @ z @ q
     z_small = (z_small + z_small.conj().T) / 2.0
     r = z_small.shape[0]
@@ -472,7 +470,7 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
             continue
         tol = 1e-9 * max(1.0, operator_norm(s))
         if any(operator_norm(u) > tol for u in unit_defects):
-            raise PreconditionError(
+            raise InvalidInputError(
                 f"e does not act as a unit on partial sum {i + 1}")
 
     big = np.zeros_like(bm)

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from tracezero import towers
-from tracezero.errors import InvalidInputError, PreconditionError
+from tracezero.errors import InvalidInputError
 from tracezero.jsonio import TowerInput, decode_input, matrix_to_json
 from tracezero.matcore import (
     PHASE_CUTOFF,
@@ -263,7 +263,7 @@ def reference_euler_class(summands) -> dict:
 def reference_collapse(mats):
     """The oracle of one collapse slot, a non-empty list of same-shape
     (c, d) arrays: every cross product that [sum c, sum d] = sum [c, d]
-    needs to vanish, formed and measured.  Raises PreconditionError naming
+    needs to vanish, formed and measured.  Raises InvalidInputError naming
     the first pair with one above 1e-10, else returns (sum c, sum d,
     defect), the defect being the largest cross product."""
     products = (
@@ -283,7 +283,7 @@ def reference_collapse(mats):
                 continue
             norm = operator_norm(p)
             if norm > 1e-10:
-                raise PreconditionError(f"pairs {i} and {j}{violation}")
+                raise InvalidInputError(f"pairs {i} and {j}{violation}")
             defect = max(defect, norm)
     return sum(c for c, _ in mats), sum(d for _, d in mats), defect
 

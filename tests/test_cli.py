@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import json
@@ -24,7 +25,7 @@ from helpers import (
 )
 from tracezero import schemas
 from tracezero.cli import RunConfig, encode, main, run_from_args
-from tracezero.errors import InvalidInputError, NumericsError
+from tracezero.errors import InvalidInputError
 from tracezero.jsonio import field_to_json, matrix_to_json
 from tracezero.matcore import commutator
 from tracezero.ozfield import SimplicialComplex, make_field, require_refine_budget
@@ -144,16 +145,6 @@ class TestCommands:
         assert code == 2
         assert "budget" in doc["error"]
         assert doc["path"] == "stdin"
-
-    def test_numerics_error_exits_1_with_json(self, monkeypatch):
-        def broken(a, **kwargs):
-            raise NumericsError("eigendecomposition failed the reconstruction check")
-
-        monkeypatch.setattr("tracezero.selfcomm.hermitian_eig", broken)
-        code, doc, _ = run_cmd("decompose", matrix_to_json(SZ))
-        assert code == 1
-        assert doc == {"error": "eigendecomposition failed the reconstruction check",
-                       "path": "stdin"}
 
     @pytest.mark.parametrize("command,constructor", [
         ("decompose", "self_commutator_decompose"),
@@ -507,6 +498,152 @@ def _unbalanced_block_split_doc():
     doc = sample_block_split_doc()
     doc["b"]["entries"][0][0][0] += 1e-3
     return doc
+
+
+def _reversed_eigh(only=None):
+    """np.linalg.eigh with the eigenvector columns reversed against their
+    eigenvalues: of every matrix, or of matrix ``only`` of a stack."""
+    eigh = np.linalg.eigh
+
+    def broken(a):
+        w, v = eigh(a)
+        if only is None:
+            return w, v[..., ::-1]
+        v = v.copy()
+        v[only] = v[only][:, ::-1]
+        return w, v
+
+    return broken
+
+
+def _failing_claims(doc):
+    """The names of the failing claims of an output document's report and
+    of a fack-run's stage reports."""
+    checks = list(doc["report"]["bound_checks"])
+    for stage in doc["result"].get("tower_report", {}).get("stage_checks", []):
+        checks += stage
+    return {c["name"] for c in checks if not c["passed"]}
+
+
+def _assert_exit_contract(code, doc):
+    """Exit 2 is an {"error", "path"} document; any other exit code comes
+    with a full document, its report naming every failing claim."""
+    if code == 2:
+        assert set(doc) == {"error", "path"}
+    else:
+        assert "error" not in doc
+        assert {"result", "report"} <= set(doc)
+        assert (code == 1) == (not doc["report"]["all_passed"]
+                               or not doc["result"].get("tower_report", {}).get("all_passed", True))
+
+
+# (command, document, flags, a claim a corrupted eigendecomposition fails)
+_CORRUPTED_EIG_RUNS = [
+    ("decompose", lambda: matrix_to_json(SZ), (), "reconstruction_residual"),
+    ("decompose-tight", lambda: matrix_to_json(SZ), (), "reconstruction_residual"),
+    ("decompose-field", sample_field_doc, ("--refine", "1"), "field_residual"),
+    ("fack-run", sample_tower_doc, ("--seed", "9"), "residual_norm"),
+    ("fack-run", lambda: _rotated_tower_doc(np.repeat(np.eye(4), 2, axis=1)), ("--seed", "6"),
+     "reconstruction_residual"),
+]
+
+_CAPPED_TOWER = {"tower": {"blocks": [{"rank": 2}] * 3, "L": 2, "K": 1, "M": 1}, "depth": 2}
+
+
+def _raised_types(tree):
+    """(line, what is raised) of every raise statement in a module: the
+    called name of a constructed exception, else the raised expression."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc
+            if exc is None:
+                yield node.lineno, None
+            elif isinstance(exc, ast.Call):
+                yield node.lineno, ast.unparse(exc.func)
+            else:
+                yield node.lineno, ast.unparse(exc)
+
+
+class TestExitOneCarriesACertificate:
+    """Exit 2 means invalid input; exit 1 means a full document whose
+    report names the failing claim.  No construction raises on what it
+    built: a wrong eigendecomposition or a Neumann iteration stopped at its
+    cap is measured by the claims, and ``verify`` rejects the document."""
+
+    @pytest.mark.parametrize("command, make_doc, flags, claim", _CORRUPTED_EIG_RUNS,
+                             ids=["decompose", "decompose-tight", "decompose-field",
+                                  "rank-tower", "rotated-tower"])
+    def test_a_wrong_eigendecomposition_fails_a_claim(self, monkeypatch, command, make_doc,
+                                                       flags, claim):
+        doc = make_doc()
+        monkeypatch.setattr(np.linalg, "eigh", _reversed_eigh())
+        code, out, _ = run_cmd(command, doc, *flags)
+        monkeypatch.undo()
+        assert code == 1
+        _assert_exit_contract(code, out)
+        assert claim in _failing_claims(out)
+        vcode, vdoc, _ = run_cmd("verify", out)
+        assert vcode == 1
+        assert vdoc["result"]["verified"] is False
+
+    def test_a_wrong_factor_at_a_vertex_outside_every_simplex_is_caught_by_verify(
+            self, monkeypatch):
+        # field_residual covers the vertices of maximal simplices only, so
+        # the constructor passes; verify checks every vertex
+        rng = SplitMix64(12)
+        fld = make_field(SimplicialComplex.make(3, [[0, 1]]),
+                         [random_trace_zero_hermitian(rng, 3) for _ in range(3)])
+        monkeypatch.setattr(np.linalg, "eigh", _reversed_eigh(only=2))
+        code, out, _ = run_cmd("decompose-field", field_to_json(fld))
+        monkeypatch.undo()
+        assert code == 0
+        assert out["report"]["all_passed"]
+        vcode, vdoc, _ = run_cmd("verify", out)
+        assert vcode == 1
+        mismatches = vdoc["result"]["mismatches"]
+        assert mismatches and all("vertex 2" in m for m in mismatches)
+
+    def test_a_neumann_iteration_stopped_at_its_cap_fails_its_claims(self, monkeypatch):
+        assert run_cmd("fack-run", _CAPPED_TOWER)[0] == 0
+        monkeypatch.setattr(tracezero.towers, "NEUMANN_MAX_ITER", 3)
+        code, out, _ = run_cmd("fack-run", _CAPPED_TOWER)
+        monkeypatch.undo()
+        assert code == 1
+        _assert_exit_contract(code, out)
+        stages = out["result"]["tower_report"]["stage_checks"]
+        assert len(stages) == 2
+        for checks in stages:
+            recon = next(c for c in checks if c["name"] == "reconstruction_residual")
+            assert not recon["passed"]
+        vcode, vdoc, _ = run_cmd("verify", out)
+        assert vcode == 1
+        assert vdoc["result"]["verified"] is False
+
+    @pytest.mark.parametrize("command, make_doc, flags", [
+        *ALL_RUNS,
+        ("decompose", lambda: matrix_to_json(np.eye(2, dtype=complex)), ()),
+        ("decompose", lambda: {"n": 2}, ()),
+        ("fack-run", _unsupported_z0_doc, ()),
+    ])
+    def test_exit_codes_keep_the_contract(self, command, make_doc, flags):
+        code, out, _ = run_cmd(command, make_doc(), *flags)
+        _assert_exit_contract(code, out)
+
+    def test_only_invalid_input_is_raised(self):
+        # A constructed exception is invalid input (InvalidInputError), a
+        # malformed certificate (certcheck's Malformed, caught by verify) or
+        # the encoder's TypeError for an object that is no JSON.  Any other
+        # raise passes on an error caught or handed over: a confirm's error
+        # in raise_first_failure, jsonschema's ValidationError, and the
+        # caught ValidationError rerooted under the verified document.
+        constructed = {"InvalidInputError", "Malformed"}
+        passed_on = {("matcore", "err"), ("schemas", "error"),
+                     ("certcheck", "_rerooted"), ("jsonio", "TypeError")}
+        package = pathlib.Path(tracezero.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for line, raised in _raised_types(ast.parse(path.read_text())):
+                assert (raised is None or raised in constructed
+                        or (path.stem, raised) in passed_on), f"{path.name}:{line} raises {raised}"
 
 
 class TestFrobeniusScreen:

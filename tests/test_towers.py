@@ -18,7 +18,7 @@ from helpers import (
     support_of,
 )
 from tracezero import jsonio, towers
-from tracezero.errors import InvalidInputError, PreconditionError
+from tracezero.errors import InvalidInputError
 from tracezero.matcore import commutator, operator_norm
 from tracezero.rand import SplitMix64, random_complex_matrix, random_hermitian
 from tracezero.towers import (
@@ -192,7 +192,7 @@ class TestCuntzWitness:
                                    atol=1e-12)
 
     def test_rank_failure(self):
-        with pytest.raises(PreconditionError, match="rank comparison"):
+        with pytest.raises(InvalidInputError, match="rank comparison"):
             cuntz_witness(ElementSpectrum.of(np.eye(2, dtype=complex), 0.1),
                           support_of(np.diag([1.0, 0.0]).astype(complex)), 1, 1)
 
@@ -414,12 +414,12 @@ class TestTowerInput:
 class TestTowerModel:
     def test_orthogonality_enforced(self):
         e = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(PreconditionError, match="orthogonal"):
+        with pytest.raises(InvalidInputError, match="orthogonal"):
             TowerModel(fack_run_input([e, e, e]))
 
     def test_rank_condition_enforced(self):
         # block 1 larger than K * block 2
-        with pytest.raises(PreconditionError, match="rank condition"):
+        with pytest.raises(InvalidInputError, match="rank condition"):
             TowerModel(fack_run_input([2, 4, 1]))
 
     def test_make_block_tower(self, monkeypatch):
@@ -505,7 +505,7 @@ class TestTowerIterate:
     def test_rejects_unsupported_x(self, depth):
         # z0 = diag(1, -1) reaches into block 1: checked before any push step
         inp = fack_run_input([1, 1], z0=np.diag([1.0, -1.0]).astype(complex))
-        with pytest.raises(PreconditionError, match="supported"):
+        with pytest.raises(InvalidInputError, match="supported"):
             tower_iterate(inp.z0, TowerModel(inp), depth)
 
     def test_rejects_bad_support(self):
@@ -513,7 +513,7 @@ class TestTowerIterate:
         z0[4, 4] = 1.0
         z0[5, 5] = -1.0
         inp = fack_run_input([3, 3], z0=z0)
-        with pytest.raises(PreconditionError, match="supported"):
+        with pytest.raises(InvalidInputError, match="supported"):
             tower_iterate(inp.z0, TowerModel(inp), 1)
 
 
@@ -610,7 +610,7 @@ class TestBlockSplit:
         beta = 1.0
         b = np.diag([beta, -beta]).astype(complex)
         zero = np.zeros((1, 1), dtype=complex)
-        with pytest.raises(PreconditionError, match="unit"):
+        with pytest.raises(InvalidInputError, match="unit"):
             block_two_commutator_split(b, 2, [(zero, zero)] * 2,
                                        np.zeros((1, 1), dtype=complex))
 
