@@ -495,13 +495,12 @@ def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine:
         f.fail(f"$.result.factors[{coloring[v]}]",
                f"vertex {v}: norm([x*, x] - value) = {float(residuals[v])!r} exceeds "
                f"{recon_bound!r}")
-    covered = sorted({v for s in simplices for v in s})
-    field_residual = float(np.max(residuals[covered]))
+    field_residual = float(np.max(residuals))
     statements = {
         # sum_k [y_k*, y_k] - field = sum_i w_i ([x_i*, x_i] - value_i) on a
         # simplex: a convex combination, so largest at a vertex
         "field_residual": Statement(recon_bound, field_residual, 0.0, scale=sup),
-        "max_factor_norm_sq": Statement(2.0 * sup + 1e-8, float(np.max(x_norms_sq[covered])),
+        "max_factor_norm_sq": Statement(2.0 * sup + 1e-8, float(np.max(x_norms_sq)),
                                         0.0, scale=sup),
         "factor_count": Statement(float(color_count), float(len(factors)), 0.0),
     }

@@ -8,8 +8,7 @@ dataclasses.  Conventions fixed here and relied on everywhere else:
   reports is one.  A norm that only decides pass or fail goes through
   ``norm_exceeds``, which settles the comparison by the Frobenius bound
   and takes the SVD only when that bound cannot; the largest norm of a
-  stack goes through ``max_operator_norm``, which takes the SVD only of
-  matrices whose Frobenius bound can beat the running max;
+  stack is ``max_operator_norm``, one batched SVD of the stack;
 * ``hermitian_eig`` returns eigenvalues ascending with a deterministic
   eigenvector phase (the first component of modulus > 1e-8 is made real
   positive, dividing by its modulus as scalar ``abs`` takes it), so
@@ -71,33 +70,18 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _frobenius_screen(f, zero):
-    """The screen's rule, elementwise on Frobenius norms f: f in
-    [FROBENIUS_FLOOR, inf) bounds the operator norm as f * (1 +
-    FROBENIUS_MARGIN); elsewhere the unscaled sum of squares may have
-    underflowed or overflowed, so the bound is inf, meaning "take the SVD",
-    except where ``zero`` marks the zero matrix, whose f = 0 bounds it
-    exactly.  Callers hold np.errstate(over="ignore")."""
-    return np.where(zero | ((FROBENIUS_FLOOR <= f) & (f < math.inf)),
-                    f * (1.0 + FROBENIUS_MARGIN), math.inf)
-
-
 def frobenius_bound(m) -> float:
-    """A sound upper bound on ``operator_norm(m)`` from ||m||_2 <= ||m||_F."""
+    """A sound upper bound on ``operator_norm(m)`` from ||m||_2 <= ||m||_F:
+    the Frobenius norm f times 1 + FROBENIUS_MARGIN where f is in
+    [FROBENIUS_FLOOR, inf); elsewhere the unscaled sum of squares may have
+    underflowed or overflowed, so the bound is inf, meaning "take the SVD",
+    except for the zero matrix, whose f = 0 bounds it exactly."""
     m = np.asarray(m)
     with np.errstate(over="ignore"):
         f = float(np.linalg.norm(m))
-        return float(_frobenius_screen(f, f == 0.0 and not m.any()))
-
-
-def frobenius_bounds(stack) -> np.ndarray:
-    """``frobenius_bound`` of every matrix of a stack (k, rows, cols) at
-    once, from one sum of squares per matrix."""
-    m = np.ascontiguousarray(stack, dtype=complex)
-    parts = m.view(float).reshape(len(m), 2 * m.shape[1] * m.shape[2])
-    with np.errstate(over="ignore"):
-        f = np.sqrt(np.einsum("ki,ki->k", parts, parts))
-        return _frobenius_screen(f, (f == 0.0) & ~parts.any(axis=1))
+    if FROBENIUS_FLOOR <= f < math.inf or (f == 0.0 and not m.any()):
+        return f * (1.0 + FROBENIUS_MARGIN)
+    return math.inf
 
 
 def norm_exceeds(m, bound: float) -> bool:
@@ -106,20 +90,18 @@ def norm_exceeds(m, bound: float) -> bool:
     return frobenius_bound(m) > bound and operator_norm(m) > bound
 
 
-def max_operator_norm(stack) -> float:
-    """Exactly ``max(operator_norm(m) for m in stack)``, 0.0 for an empty stack.
+def operator_norms(stack) -> np.ndarray:
+    """``operator_norm`` of every matrix of a stack (k, rows, cols), bit for
+    bit, from one batched SVD."""
+    m = np.asarray(stack, dtype=complex)
+    if not np.isfinite(m).all():
+        raise InvalidInputError("matrix has non-finite entries")
+    return np.linalg.norm(m, 2, axis=(1, 2))
 
-    Matrices are taken in descending order of their Frobenius bound, and
-    the SVDs stop at the first bound that cannot beat the running max.
-    """
-    stack = np.asarray(stack)
-    best = 0.0
-    bounds = frobenius_bounds(stack)
-    for k in np.argsort(-bounds, kind="stable"):
-        if bounds[k] <= best:
-            break
-        best = max(best, operator_norm(stack[k]))
-    return best
+
+def max_operator_norm(stack) -> float:
+    """Exactly ``max(operator_norm(m) for m in stack)``, 0.0 for an empty stack."""
+    return float(operator_norms(stack).max(initial=0.0))
 
 
 def is_hermitian(a) -> bool:
@@ -173,25 +155,18 @@ def raise_first_failure(checks):
     """Raise what checking the matrices of a stack one at a time would
     raise first.
 
-    ``checks`` lists, in the order one matrix is checked, pairs (suspect,
-    confirm): ``suspect`` marks the matrices that may fail the check (an
-    exact test, or a screen) and ``confirm(k)`` returns matrix k's error,
-    or None if it passes.  Suspects are confirmed in stack order; an error
-    that confirming raises is matrix k's error too.  The error raised
-    carries the failing matrix's position in the stack as ``index``.
+    ``checks`` lists, in the order one matrix is checked, pairs (fails,
+    message): ``fails`` marks the matrices that fail the check and
+    ``message(k)`` words matrix k's failure.  The ``InvalidInputError``
+    raised is the first failing matrix's first failing check, with that
+    matrix's position in the stack as ``index``.
     """
-    suspect = np.array([flags for flags, _ in checks], dtype=bool)
-    for k in np.flatnonzero(suspect.any(axis=0)).tolist():
-        for flagged, (_, confirm) in zip(suspect[:, k], checks):
-            if not flagged:
-                continue
-            try:
-                err = confirm(k)
-            except (InvalidInputError, np.linalg.LinAlgError) as exc:
-                err = exc  # e.g. the SVD of an overflowed matrix
-            if err is not None:
-                err.index = k
-                raise err
+    fails = np.array([flags for flags, _ in checks], dtype=bool)
+    if fails.any():
+        k = int(np.argmax(fails.any(axis=0)))
+        err = InvalidInputError(checks[int(np.argmax(fails[:, k]))][1](k))
+        err.index = k
+        raise err
 
 
 def _fix_phases(u: np.ndarray) -> np.ndarray:
@@ -209,9 +184,9 @@ def _fix_phases(u: np.ndarray) -> np.ndarray:
 def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
     """Diagonalize a Hermitian matrix with the deterministic phase
     convention, or each matrix of a stack (V, n, n) at once: one ``eigh`` of
-    (m + m*)/2, which must not overflow and must have norm at most
-    MAX_FLOAT / n, so that no sum of eigenvalues overflows, and one phase
-    fix.  A matrix is the V = 1 stack.  A stack that fails its input
+    (m + m*)/2, which must not overflow and whose eigenvalues must have
+    modulus at most MAX_FLOAT / n, so that no sum of them overflows, and one
+    phase fix.  A matrix is the V = 1 stack.  A stack that fails its input
     checks raises as ``raise_first_failure`` says; the output is unchecked
     (``eigh`` is backward stable), and its callers' claims measure it."""
     m = np.asarray(a, dtype=complex)
@@ -229,26 +204,21 @@ def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
     in_range = np.isfinite(sym).all(axis=(1, 2))
     if not in_range.all():
         sym = np.where(in_range[:, None, None], sym, 0.0)
-    # A sum of eigenvalues is at most n * norm(a) in modulus.
-    norm_limit = MAX_FLOAT / max(stack.shape[1], 1)
-    in_norm = frobenius_bounds(sym) <= norm_limit
-    for k in np.flatnonzero(~in_norm).tolist():
-        in_norm[k] = operator_norm(sym[k]) <= norm_limit
-    if not in_norm.all():
-        sym = np.where(in_norm[:, None, None], sym, 0.0)
     eigenvalues, u = np.linalg.eigh(sym)
-    u = _fix_phases(u)
+    # A sum of eigenvalues is at most n * norm(a) in modulus; an eigenvalue
+    # beyond the float maximum comes back as inf and fails the rule too.
+    norm_limit = MAX_FLOAT / max(stack.shape[1], 1)
+    in_norm = np.max(np.abs(eigenvalues), axis=1, initial=0.0) <= norm_limit
     raise_first_failure([
-        (~finite, lambda k: InvalidInputError(f"{name} has non-finite entries")),
-        (~hermitian, lambda k: InvalidInputError(
-            f"{name} is not Hermitian within tolerance {HERMITIAN_TOL}")),
-        (~in_range, lambda k: InvalidInputError(
-            f"{name} has entries beyond about {MAX_FLOAT / 2:.3e} in magnitude, "
-            "where m + m* overflows a float")),
-        (~in_norm, lambda k: InvalidInputError(
-            f"{name} has norm beyond {norm_limit:.3e}, the float maximum over its size "
-            f"{stack.shape[1]}, where a sum of its eigenvalues can overflow")),
+        (~finite, lambda k: f"{name} has non-finite entries"),
+        (~hermitian, lambda k: f"{name} is not Hermitian within tolerance {HERMITIAN_TOL}"),
+        (~in_range, lambda k: f"{name} has entries beyond about {MAX_FLOAT / 2:.3e} in "
+                              "magnitude, where m + m* overflows a float"),
+        (~in_norm, lambda k: f"{name} has norm beyond {norm_limit:.3e}, the float maximum "
+                             f"over its size {stack.shape[1]}, where a sum of its "
+                             "eigenvalues can overflow"),
     ])
+    u = _fix_phases(u)
     if m.ndim == 2:
         return EigenSystem(eigenvalues=eigenvalues[0], unitary=u[0])
     return EigenSystem(eigenvalues=eigenvalues, unitary=u)

@@ -12,9 +12,8 @@ Verification is at the vertices.  On a maximal simplex with weights w,
 sum_k [y_k*, y_k] - field = sum_i w_i ([x_i*, x_i] - value_i), a convex
 combination of vertex residuals, so its norm anywhere on the simplex is at
 most the largest vertex residual, which it attains at that vertex.  Every
-norm the decomposition reports is a maximum over vertices, taken by
-``max_operator_norm``: it takes the SVD only of the matrices whose
-Frobenius bound can beat the largest norm found so far.
+norm the decomposition reports is a maximum over all vertices, from one
+batched SVD of their stack.
 """
 from __future__ import annotations
 
@@ -31,13 +30,13 @@ from .matcore import (
     VerificationReport,
     as_matrix,
     max_operator_norm,
-    operator_norm,
+    operator_norms,
     raise_first_failure,
 )
 from .selfcomm import self_commutator_factors
 
 RECON_TOL = 1e-8  # largest vertex residual, relative to the field's sup norm
-TRACE_TOL = 1e-10  # vertex trace, relative to n times the vertex norm
+TRACE_TOL = 1e-10  # vertex trace, relative to n * max(1, vertex norm)
 # Maximal simplices made by barycentric refinement, summed over its levels.
 REFINE_SIMPLEX_BUDGET = 2 ** 15
 # Vertex pairs that the coloring and its check visit, C(k, 2) per k-vertex
@@ -258,29 +257,33 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
     """Decompose a pointwise trace-zero field into color_count self-commutators.
 
     Each vertex value is written as [x_v*, x_v], all of them in one stacked
-    pass (``self_commutator_factors``) after one stacked trace check; color
-    k collects its vertices into one sqrt(hat)-weighted factor y_k.
-    Disjoint same-color stars make the cross terms vanish, so sum_k
-    [y_k*, y_k] equals the PL interpolation of the field, up to a residual
-    that is at most its largest value at a vertex of a maximal simplex
-    (the module docstring says why): ``field_residual`` is that maximum of
-    norm([x_v*, x_v] - value_v).  The bound norm(y_k)^2 <= 2*sup_norm + 1e-8
-    is checked at the same vertices, where norm(sqrt(w) x_v) peaks (w = 1).
-    The residual, sup_norm and factor norm are the exact SVD maxima; the
-    Frobenius screen only skips SVDs that cannot change them.
+    pass (``self_commutator_factors``, whose errors name the vertex) after
+    one stacked trace check; color k collects its vertices into one
+    sqrt(hat)-weighted factor y_k.  Disjoint same-color stars make the
+    cross terms vanish, so sum_k [y_k*, y_k] equals the PL interpolation of
+    the field, up to a residual that is at most its largest value at a
+    vertex (the module docstring says why): ``field_residual`` is the
+    maximum of norm([x_v*, x_v] - value_v) over every vertex, in a maximal
+    simplex or not.  The bound norm(y_k)^2 <= 2*sup_norm + 1e-8 is checked
+    at the same vertices, where norm(sqrt(w) x_v) peaks (w = 1).  The
+    residual, sup_norm and factor norm are exact SVD maxima; the vertex
+    norms, one batched SVD, serve both sup_norm and the trace rule.
     """
     require_proper(fld.complex, coloring)
     n = fld.matrix_size
     values = np.stack(fld.values)
+    norms = operator_norms(values)
     # On values / scale, a power of two above 2n, the trace test is exact on
     # normal floats and neither the sum nor its modulus can overflow.
     scale = 2.0 ** (2 * n).bit_length()
     traces = np.trace(values / scale, axis1=1, axis2=2)
     trace = np.hypot(traces.real, traces.imag)  # bit for bit abs() of each
-    raise_first_failure([(trace > TRACE_TOL * n / scale, lambda v: InvalidInputError(
-        f"vertex {v} value has nonzero trace")
-        if trace[v] > TRACE_TOL * n * operator_norm(values[v]) / scale else None)])
-    x_factors, _ = self_commutator_factors(values)
+    raise_first_failure([(trace > TRACE_TOL * n * np.maximum(1.0, norms) / scale,
+                          lambda v: f"vertex {v} value has nonzero trace")])
+    try:
+        x_factors, _ = self_commutator_factors(values)
+    except InvalidInputError as err:
+        raise InvalidInputError(f"vertex {err.index}: {err}") from err
 
     factors = []
     for k in range(coloring.color_count):
@@ -288,12 +291,10 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
                         if coloring.colors[v] == k)
         factors.append(SqrtWeightedFactor(color=k, entries=entries))
 
-    covered = sorted({v for simplex in fld.complex.maximal_simplices for v in simplex})
-    x = x_factors[covered]
-    x_star = x.conj().swapaxes(1, 2)
-    residual = max_operator_norm(x_star @ x - x @ x_star - values[covered])
-    sup = max_operator_norm(values)
-    norm_sq = max_operator_norm(x) ** 2
+    x_star = x_factors.conj().swapaxes(1, 2)
+    residual = max_operator_norm(x_star @ x_factors - x_factors @ x_star - values)
+    sup = float(norms.max(initial=0.0))
+    norm_sq = max_operator_norm(x_factors) ** 2
 
     checks = [
         BoundCheck("field_residual", RECON_TOL * max(sup, 1e-30), residual, 0.0),

@@ -60,8 +60,8 @@ def _check_order(rows: np.ndarray, trace_tol: float):
     total = rows.sum(axis=1)
     allowed = trace_tol * rows.shape[1] * np.max(np.abs(rows), axis=1)
     raise_first_failure([
-        (np.abs(total) > allowed, lambda k: InvalidInputError(
-            f"trace too far from zero: sum={total[k]:.3e}, allowed {allowed[k]:.3e}")),
+        (np.abs(total) > allowed,
+         lambda k: f"trace too far from zero: sum={total[k]:.3e}, allowed {allowed[k]:.3e}"),
     ])
 
 

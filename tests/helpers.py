@@ -322,10 +322,12 @@ def reference_field_grid(fd, fld, target=None):
     """(lattice residual, sup_norm, max_factor_norm_sq) of a field
     decomposition measured simplex by simplex: reference_brackets at every
     point of the simplex's order-8 lattice, one stacked SVD of its
-    residuals, and an SVD of every vertex value and covered vertex factor.
-    The lattice holds the vertices, so its residual is never below the
-    vertex maximum that ``decompose_field`` reports; ``target(idx, w)``
-    replaces the field as in field_residual_against."""
+    residuals, and an SVD of every vertex value and vertex factor.  With
+    no ``target``, a vertex in no maximal simplex is a point of its own,
+    where the field is its value.  The lattice holds the vertices, so its
+    residual is never below the vertex maximum that ``decompose_field``
+    reports; ``target(idx, w)`` replaces the field on the maximal simplices
+    as in field_residual_against."""
     x_factors = {v: x for factor in fd.factors for v, x in factor.entries}
     residual = 0.0
     for idx, simplex in enumerate(fld.complex.maximal_simplices):
@@ -335,8 +337,12 @@ def reference_field_grid(fd, fld, target=None):
         residual = max(residual, float(np.max(np.linalg.svd(
             reference_brackets(x_factors, simplex, w) - expected, compute_uv=False))))
     covered = {v for simplex in fld.complex.maximal_simplices for v in simplex}
+    if target is None:
+        for v in sorted(set(x_factors) - covered):
+            residual = max(residual, operator_norm(
+                reference_brackets(x_factors, (v,), np.ones((1, 1)))[0] - fld.values[v]))
     return (residual, max(operator_norm(value) for value in fld.values),
-            max(operator_norm(x_factors[v]) ** 2 for v in covered))
+            max(operator_norm(x) ** 2 for x in x_factors.values()))
 
 
 def reference_greedy_order(lam) -> list:

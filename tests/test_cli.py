@@ -27,7 +27,7 @@ from tracezero import schemas
 from tracezero.cli import RunConfig, encode, main, run_from_args
 from tracezero.errors import InvalidInputError
 from tracezero.jsonio import field_to_json, matrix_to_json
-from tracezero.matcore import commutator
+from tracezero.matcore import MAX_FLOAT, commutator, hermitian_eig
 from tracezero.ozfield import SimplicialComplex, make_field, require_refine_budget
 from tracezero.rand import SplitMix64, random_complex_matrix, random_trace_zero_hermitian
 from tracezero.schemas import INPUT_SCHEMAS, NAMED_SCHEMAS, validate
@@ -71,6 +71,30 @@ def sample_block_split_doc():
 def sample_tower_doc(L=1, K=1):
     return {"tower": {"blocks": [{"rank": 3}] * 4, "L": L, "K": K, "M": 1},
             "depth": 3}
+
+
+@st.composite
+def _huge_hermitian_stacks(draw):
+    """Stacks of 1 to 4 Hermitian n x n matrices, n from 1 to 8: full
+    blocks of +-8e307, and random ones whose real and imaginary parts reach
+    MAX_FLOAT / 2 over a drawn power of two, or pass it by one ulp."""
+    n = draw(st.integers(1, 8))
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        kind = draw(st.sampled_from(["full", "random", "beyond"]))
+        if kind == "full":
+            upper = np.triu(rng.choice([-8e307, 8e307], (n, n)))
+            mats.append(upper + np.triu(upper, 1).T)
+            continue
+        top = MAX_FLOAT / 2 * 2.0 ** -draw(st.integers(0, 12))
+        if kind == "beyond":
+            top = float(np.nextafter(MAX_FLOAT / 2, np.inf))
+        z = np.triu(rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)), 1) * top
+        diagonal = rng.uniform(-1, 1, n) * top
+        diagonal[rng.integers(n)] = top * draw(st.sampled_from([-1.0, 1.0]))
+        mats.append(z + z.conj().T + np.diag(diagonal))
+    return np.array(mats, dtype=complex)
 
 
 ALL_RUNS = [
@@ -309,7 +333,8 @@ class TestCommands:
         ([1.7e308] * 6, "vertex 0 value has nonzero trace"),
         # trace zero, though summing it unscaled overflows: the range rule words it
         ([1.7e308, 1.7e308, -1.7e308, -1.7e308],
-         "a has entries beyond about 8.988e+307 in magnitude, where m + m* overflows a float"),
+         "vertex 0: a has entries beyond about 8.988e+307 in magnitude, where m + m* "
+         "overflows a float"),
     ])
     def test_field_vertex_trace_near_the_float_maximum_exits_2_with_nothing_on_stderr(
             self, diagonal, error, capfd):
@@ -332,8 +357,8 @@ class TestCommands:
             warnings.simplefilter("error")
             big = field_to_json(make_field(triangle, [np.diag([1.7e308, -1.7e308])] * 3))
             assert run_cmd("decompose-field", big, "--refine", refine)[:2] == (2, {
-                "error": "a has entries beyond about 8.988e+307 in magnitude, where m + m* "
-                         "overflows a float", "path": "stdin"})
+                "error": "vertex 0: a has entries beyond about 8.988e+307 in magnitude, "
+                         "where m + m* overflows a float", "path": "stdin"})
             doc = field_to_json(make_field(triangle, [np.diag([6e307, -6e307])] * 3))
             code, out, _ = run_cmd("decompose-field", doc, "--refine", refine)
             assert code == 0
@@ -391,6 +416,37 @@ class TestCommands:
         assert code == 0
         assert doc["report"]["all_passed"] is True
         assert capfd.readouterr().err == ""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=_huge_hermitian_stacks())
+    def test_stack_norm_rule_is_each_matrix_alone_with_no_warning(self, stack):
+        # eigh sees every in-range matrix; an eigenvalue beyond the float
+        # maximum over n comes back large or inf and fails the norm rule
+        n = stack.shape[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                es = hermitian_eig(stack)
+            except InvalidInputError as err:
+                first = err
+            else:
+                first = None
+                for k, a in enumerate(stack):
+                    alone = hermitian_eig(a)
+                    assert es.eigenvalues[k].tobytes() == alone.eigenvalues.tobytes()
+                    assert es.unitary[k].tobytes() == alone.unitary.tobytes()
+                    assert np.max(np.abs(alone.eigenvalues)) <= MAX_FLOAT / n
+            if first is not None:
+                assert str(first) in (
+                    "matrix has entries beyond about 8.988e+307 in magnitude, "
+                    "where m + m* overflows a float",
+                    f"matrix has norm beyond {MAX_FLOAT / n:.3e}, the float maximum over "
+                    f"its size {n}, where a sum of its eigenvalues can overflow")
+                for a in stack[:first.index]:
+                    hermitian_eig(a)
+                with pytest.raises(InvalidInputError) as alone:
+                    hermitian_eig(stack[first.index])
+                assert str(alone.value) == str(first)
 
     def test_fack_run_measures_a_wrong_collapse_by_its_reconstruction_claim(self, monkeypatch):
         # the collapse does not check that the merged pair reproduces the sum:
@@ -586,22 +642,26 @@ class TestExitOneCarriesACertificate:
         assert vcode == 1
         assert vdoc["result"]["verified"] is False
 
-    def test_a_wrong_factor_at_a_vertex_outside_every_simplex_is_caught_by_verify(
+    def test_a_wrong_factor_at_a_vertex_outside_every_simplex_fails_field_residual(
             self, monkeypatch):
-        # field_residual covers the vertices of maximal simplices only, so
-        # the constructor passes; verify checks every vertex
+        # field_residual measures every vertex, in a maximal simplex or not,
+        # and verify checks every vertex too
         rng = SplitMix64(12)
         fld = make_field(SimplicialComplex.make(3, [[0, 1]]),
                          [random_trace_zero_hermitian(rng, 3) for _ in range(3)])
         monkeypatch.setattr(np.linalg, "eigh", _reversed_eigh(only=2))
         code, out, _ = run_cmd("decompose-field", field_to_json(fld))
         monkeypatch.undo()
-        assert code == 0
-        assert out["report"]["all_passed"]
+        assert code == 1
+        _assert_exit_contract(code, out)
+        assert _failing_claims(out) == {"field_residual"}
         vcode, vdoc, _ = run_cmd("verify", out)
         assert vcode == 1
         mismatches = vdoc["result"]["mismatches"]
-        assert mismatches and all("vertex 2" in m for m in mismatches)
+        assert [m.split(": ")[0] for m in mismatches] == [
+            "$.result.factors[0]", "$.report.bound_checks[0]"]
+        assert mismatches[0].startswith("$.result.factors[0]: vertex 2: ")
+        assert mismatches[1].startswith("$.report.bound_checks[0]: field_residual: ")
 
     def test_a_neumann_iteration_stopped_at_its_cap_fails_its_claims(self, monkeypatch):
         assert run_cmd("fack-run", _CAPPED_TOWER)[0] == 0
@@ -671,9 +731,6 @@ class TestFrobeniusScreen:
             if name.startswith("tracezero") and getattr(module, "frobenius_bound",
                                                         None) is original:
                 monkeypatch.setattr(module, "frobenius_bound", lambda m: math.inf)
-        # and max_operator_norm's screen, which bounds whole stacks at once
-        monkeypatch.setattr(tracezero.matcore, "frobenius_bounds",
-                            lambda stack: np.full(np.shape(stack)[:-2], math.inf))
         assert run_from_args([command, *flags], stdin_text=text) == screened
 
 
@@ -830,13 +887,18 @@ class TestHostileInput:
             require_refine_budget(SimplicialComplex.make(21, simplices), 2)
 
     @pytest.mark.parametrize("values, error", [
-        (["z", "not hermitian", "z"], "a is not Hermitian within tolerance 1e-12"),
+        (["z", "not hermitian", "z"], "vertex 1: a is not Hermitian within tolerance 1e-12"),
         (["z", "traced", "z"], "vertex 1 value has nonzero trace"),
         # every vertex trace is checked before any vertex is decomposed
         (["z", "not hermitian", "traced"], "vertex 2 value has nonzero trace"),
+        # the field's trace rule, relative to n * max(1, norm), passes this
+        # value; the ordering's own rule, relative to n * norm, does not
+        (["z", "small trace", "z"],
+         "vertex 1: trace too far from zero: sum=1.000e-11, allowed 2.000e-12"),
     ])
     def test_field_reports_the_first_failing_vertex(self, values, error):
         matrices = {"z": SZ, "traced": np.eye(2, dtype=complex),
+                    "small trace": np.diag([1e-3, -1e-3 + 1e-11]).astype(complex),
                     "not hermitian": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)}
         path = SimplicialComplex.make(3, [(0, 1), (1, 2)])
         doc = field_to_json(make_field(path, [matrices[v] for v in values]))

@@ -12,7 +12,6 @@ from tracezero.matcore import (
     VerificationReport,
     commutator,
     frobenius_bound,
-    frobenius_bounds,
     hermitian_eig,
     is_hermitian,
     max_operator_norm,
@@ -209,34 +208,6 @@ class TestMaxOperatorNorm:
     ], ids=["zero", "subnormal", "overflowing", "rank-1", "ties", "empty"])
     def test_edge_stacks(self, stack, floor_name):
         self._check(stack, floor_name)
-
-    def test_stops_once_no_bound_can_beat_the_running_max(self, monkeypatch):
-        import tracezero.matcore as matcore
-        calls = []
-        monkeypatch.setattr(matcore, "operator_norm",
-                            lambda m: calls.append(m) or operator_norm(m))
-        small = np.random.default_rng(3).standard_normal((50, 4, 4)) * 1e-3
-        stack = np.concatenate([small, [np.diag([5.0, -5.0, 0.0, 0.0])]])
-        assert max_operator_norm(stack) == 5.0
-        assert len(calls) == 1
-
-    @settings(max_examples=200, deadline=None)
-    @given(scaled_stacks())
-    def test_stack_bounds_are_sound_and_screen_as_the_scalar_bound(self, stack):
-        bounds = frobenius_bounds(stack)
-        assert bounds.shape == (len(stack),)
-        for m, b in zip(stack, bounds):
-            assert b >= operator_norm(m)
-            assert (b == 0.0) == (frobenius_bound(m) == 0.0)
-            assert (b == np.inf) == (frobenius_bound(m) == np.inf)
-
-    def test_stack_bounds_of_edge_matrices(self):
-        stack = np.array([np.eye(2), np.zeros((2, 2)), np.full((2, 2), 5e-324),
-                          1e200 * np.eye(2)], dtype=complex)
-        assert frobenius_bounds(stack).tolist() == [math.sqrt(2) * (1 + 1e-6), 0.0, np.inf,
-                                                    np.inf]
-        assert frobenius_bounds(np.zeros((0, 3, 3))).shape == (0,)
-        assert frobenius_bounds(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
 
 
 class TestHermitianEig:
