@@ -30,7 +30,7 @@ from .errors import InvalidInputError
 from .jsonio import TowerInput, decode_input, field_from_json, matrix_from_json
 from .matcore import commutator, norm_ratio, operator_norm
 from .obstruct import MAX_PAIR_VISITS
-from .ozfield import RECON_TOL, SimplicialField, face_means, require_refine_budget
+from .ozfield import RECON_TOL, SimplicialField, require_refine_budget
 from .schemas import validate
 
 # A value the document reports and the checker re-measures must agree to
@@ -422,9 +422,17 @@ def barycentric_refinement(simplices, values, levels: int):
                     for chain in flags(face[:i] + face[i + 1:])]
 
         simplices = sorted({chain for s in simplices for chain in flags(s)})
-        values = face_means(values, faces)
+        values = _face_means(values, faces)
         colors = [len(face) - 1 for face in faces]
     return simplices, values, colors
+
+
+def _face_means(values, faces):
+    """Each face's mean, the sum of values[v] / len(face), for ``faces`` sorted
+    by size: divided first, it overflows only by rounding at the float maximum."""
+    stack = np.stack(values)
+    return np.concatenate([(stack[np.array(list(group))] / k).sum(axis=1)
+                           for k, group in itertools.groupby(faces, len)])
 
 
 def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine: int, **_):

@@ -4,11 +4,9 @@ Matrices are plain complex128 numpy arrays; the structured results
 (eigensystems, commutator decompositions, verification reports) are small
 dataclasses.  Conventions fixed here and relied on everywhere else:
 
-* ``operator_norm`` is the largest singular value; every norm a result
-  reports is one.  A norm that only decides pass or fail goes through
-  ``norm_exceeds``, which settles the comparison by the Frobenius bound
-  and takes the SVD only when that bound cannot; the largest norm of a
-  stack is ``max_operator_norm``, one batched SVD of the stack;
+* ``operator_norm`` is the largest singular value; every norm that is
+  reported or compared is one, and the largest norm of a stack is
+  ``max_operator_norm``, one batched SVD of the stack;
 * ``hermitian_eig`` returns eigenvalues ascending with a deterministic
   eigenvector phase (the first component of modulus > 1e-8 is made real
   positive, dividing by its modulus as scalar ``abs`` takes it), so
@@ -33,11 +31,6 @@ from .errors import InvalidInputError
 
 HERMITIAN_TOL = 1e-12
 PHASE_CUTOFF = 1e-8
-# The Frobenius screen.  np.linalg.norm sums unscaled squares: below the
-# floor, squares of small entries may have underflowed, so the sum can miss
-# them; the margin covers SVD rounding where the two norms agree (rank 1).
-FROBENIUS_FLOOR = 1e-140
-FROBENIUS_MARGIN = 1e-6
 MAX_FLOAT = float(np.finfo(float).max)
 
 
@@ -68,26 +61,6 @@ def operator_norm(a) -> float:
     if not m.any():
         return 0.0
     return float(np.linalg.norm(m, 2))
-
-
-def frobenius_bound(m) -> float:
-    """A sound upper bound on ``operator_norm(m)`` from ||m||_2 <= ||m||_F:
-    the Frobenius norm f times 1 + FROBENIUS_MARGIN where f is in
-    [FROBENIUS_FLOOR, inf); elsewhere the unscaled sum of squares may have
-    underflowed or overflowed, so the bound is inf, meaning "take the SVD",
-    except for the zero matrix, whose f = 0 bounds it exactly."""
-    m = np.asarray(m)
-    with np.errstate(over="ignore"):
-        f = float(np.linalg.norm(m))
-    if FROBENIUS_FLOOR <= f < math.inf or (f == 0.0 and not m.any()):
-        return f * (1.0 + FROBENIUS_MARGIN)
-    return math.inf
-
-
-def norm_exceeds(m, bound: float) -> bool:
-    """Exactly ``operator_norm(m) > bound``; the SVD runs only when the
-    Frobenius bound cannot settle the comparison."""
-    return frobenius_bound(m) > bound and operator_norm(m) > bound
 
 
 def operator_norms(stack) -> np.ndarray:

@@ -45,9 +45,7 @@ from .matcore import (
     VerificationReport,
     as_matrix,
     commutator,
-    frobenius_bound,
     hermitian_eig,
-    norm_exceeds,
     operator_norm,
     require_block_layout,
 )
@@ -222,7 +220,7 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
         y = xm.copy()
         for _ in range(NEUMANN_MAX_ITER):
             fy = phi(y)
-            if not norm_exceeds(y - fy - xm, NEUMANN_TOL * x_norm):
+            if operator_norm(y - fy - xm) <= NEUMANN_TOL * x_norm:
                 break
             y = xm + fy
 
@@ -282,12 +280,9 @@ class TowerModel:
             elements = inp.elements
             for i in range(len(elements)):
                 for j in range(max(i + 1, 2), len(elements)):
-                    ei, ej = elements[i], elements[j]
-                    product = ei @ ej
-                    if frobenius_bound(product) <= 1e-10:
-                        continue
-                    defect = operator_norm(product)
-                    if defect > 1e-10 * max(1.0, operator_norm(ei) * operator_norm(ej)):
+                    defect = operator_norm(elements[i] @ elements[j])
+                    if defect > 1e-10 and defect > 1e-10 * max(
+                            1.0, operator_norm(elements[i]) * operator_norm(elements[j])):
                         raise InvalidInputError(
                             f"tower blocks {i} and {j} are not orthogonal: {defect:.3e}")
             self.spectra = [ElementSpectrum.of(e, inp.epsilon) for e in elements]
@@ -345,7 +340,7 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     inp = tower.input
     z_norm = operator_norm(z0)
     p0 = tower.spectra[0].plus.projection
-    if norm_exceeds(z0 - p0 @ z0 @ p0, 1e-8 * max(1.0, z_norm)):
+    if operator_norm(z0 - p0 @ z0 @ p0) > 1e-8 * max(1.0, z_norm):
         raise InvalidInputError("z0 is not supported in her((e_0 - eps_0)_+)")
 
     if depth == 0:
@@ -448,16 +443,15 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
     comms = [commutator(x, y) for x, y in xy]
     defects = [diag[i] - comms[i] for i in range(d)]
     if d == 1:
-        if norm_exceeds(defects[0], 1e-8 * max(1.0, b_norm)):
+        if operator_norm(defects[0]) > 1e-8 * max(1.0, b_norm):
             raise InvalidInputError("with one block, b_11 must itself be [x_1, y_1]")
         zero = np.zeros_like(bm)
         checks = [BoundCheck("shift_reconstruction", 1e-9 * max(1.0, b_norm), 0.0, 0.0)]
         return BlockSplitResult(zero, zero.copy(), zero.copy(), bm.copy(), checks)
-    total = sum(defects)
-    if norm_exceeds(total, 1e-8 * max(1.0, b_norm)):
+    total = operator_norm(sum(defects))
+    if total > 1e-8 * max(1.0, b_norm):
         raise InvalidInputError(
-            "diagonal blocks minus commutators must sum to zero "
-            f"(defect {operator_norm(total):.3e})")
+            f"diagonal blocks minus commutators must sum to zero (defect {total:.3e})")
 
     partial = []
     acc = np.zeros((r, r), dtype=complex)
@@ -465,13 +459,9 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
         acc = acc + defects[i]
         partial.append(acc.copy())
     for i, s in enumerate(partial):
-        unit_defects = (em @ s - s, s @ em - s)
-        if not any(frobenius_bound(u) > 1e-9 for u in unit_defects):
-            continue
-        tol = 1e-9 * max(1.0, operator_norm(s))
-        if any(operator_norm(u) > tol for u in unit_defects):
-            raise InvalidInputError(
-                f"e does not act as a unit on partial sum {i + 1}")
+        defect = max(operator_norm(em @ s - s), operator_norm(s @ em - s))
+        if defect > 1e-9 and defect > 1e-9 * max(1.0, operator_norm(s)):
+            raise InvalidInputError(f"e does not act as a unit on partial sum {i + 1}")
 
     big = np.zeros_like(bm)
     shift_upper = big.copy()

@@ -28,7 +28,6 @@ from tracezero.matcore import (
     PHASE_CUTOFF,
     as_matrix,
     commutator,
-    frobenius_bound,
     hermitian_eig,
     operator_norm,
 )
@@ -278,10 +277,7 @@ def reference_collapse(mats):
     defect = 0.0
     for i, j in itertools.permutations(range(len(mats)), 2):
         for violation, prod in products:
-            p = prod(*mats[i], *mats[j])
-            if frobenius_bound(p) <= defect:
-                continue
-            norm = operator_norm(p)
+            norm = operator_norm(prod(*mats[i], *mats[j]))
             if norm > 1e-10:
                 raise InvalidInputError(f"pairs {i} and {j}{violation}")
             defect = max(defect, norm)

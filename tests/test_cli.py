@@ -220,14 +220,16 @@ class TestCommands:
         ("fack-run", lambda: {"tower": {"blocks": [{"rank": 16}] * 9, "L": 1, "K": 1, "M": 1,
                                         "epsilon": 0.5,
                                         "deltas": [2.0 ** -(i + 1) for i in range(8)]},
-                              "depth": 8}, 144, 44),
+                              "depth": 8}, 144, 27),
     ])
     def test_norms_of_element_size_matrices(self, monkeypatch, command, make_doc, n, norms):
+        # SVDs, not calls: operator_norm takes none on a zero matrix
         original = tracezero.matcore.operator_norm
         shapes = []
 
         def counting(a):
-            shapes.append(np.shape(a))
+            if np.any(a):
+                shapes.append(np.shape(a))
             return original(a)
 
         for name, module in list(sys.modules.items()):
@@ -498,6 +500,42 @@ class TestCommands:
         assert code == 2
         assert out["error"] == "tower blocks 0 and 2 are not orthogonal: 1.000e+00"
 
+    @pytest.mark.parametrize("delta, error", [
+        (1e-12, None),
+        (1e-8, "tower blocks 0 and 2 are not orthogonal: 1.000e-02"),
+    ])
+    def test_block_orthogonality_tolerance_scales_with_the_block_norms(self, delta, error):
+        # norm(e_0 e_2) is 1e6 delta against 1e-10 max(1, norm(e_0) norm(e_2)) = 1e-4:
+        # 1e-6 is over the unscaled 1e-10 but passes, 1e-2 exits 2
+        v = np.zeros(6)
+        v[0], v[4] = delta, 1.0
+        blocks = [1e3 * np.diag([1.0, 1, 0, 0, 0, 0]), 1e3 * np.diag([0, 0, 1.0, 1, 0, 0]),
+                  1e3 * (np.outer(v, v) + np.diag([0, 0, 0, 0, 0, 1.0]))]
+        doc = {"tower": {"blocks": [matrix_to_json(b) for b in blocks]}, "depth": 1}
+        code, out, _ = run_cmd("fack-run", doc)
+        if error is None:
+            assert code == 0 and out["report"]["all_passed"]
+        else:
+            assert (code, out["error"]) == (2, error)
+
+    @pytest.mark.parametrize("slack, error", [
+        (1e-10, None),
+        (1e-8, "e does not act as a unit on partial sum 1"),
+    ])
+    def test_block_split_unit_tolerance_scales_with_the_partial_sum(self, slack, error):
+        # s_1 = diag(1e3, 0) and e = diag(1 + slack, 0): the unit defect 1e3 slack
+        # against 1e-9 max(1, norm(s_1)) = 1e-6: 1e-7 is over the unscaled 1e-9
+        # but passes, 1e-5 exits 2
+        zero = matrix_to_json(np.zeros((2, 2)))
+        doc = {"blocks": 2, "b": matrix_to_json(np.diag([1e3, 0.0, -1e3, 0.0])),
+               "pairs": [{"x": zero, "y": zero}] * 2,
+               "e": matrix_to_json(np.diag([1.0 + slack, 0.0]))}
+        code, out, _ = run_cmd("block-split", doc)
+        if error is None:
+            assert code == 0 and out["report"]["all_passed"]
+        else:
+            assert (code, out["error"]) == (2, error)
+
     @pytest.mark.parametrize("tower, depth", [
         ({"blocks": [{"rank": 1}, {"rank": 1}], "L": 160}, 1),
         ({"blocks": [{"rank": 2}] * 3, "L": 32}, 2),
@@ -706,10 +744,10 @@ class TestExitOneCarriesACertificate:
                         or (path.stem, raised) in passed_on), f"{path.name}:{line} raises {raised}"
 
 
-class TestFrobeniusScreen:
-    """The screen decides pass/fail norms and skips SVDs that cannot change
-    a reported maximum: with it forced to defer to the SVD everywhere, every
-    document, error documents included, is the same byte for byte."""
+class TestNormShortcuts:
+    """operator_norm answers 0.0 for a zero matrix without an SVD: with that
+    shortcut taken out, so that every norm is the SVD's, every document,
+    error documents included, is the same byte for byte."""
 
     @pytest.mark.parametrize("command, make_doc, flags, exit_code", [
         ("fack-run", sample_tower_doc, ("--seed", "3"), 0),
@@ -721,17 +759,21 @@ class TestFrobeniusScreen:
         ("fack-run", _unsupported_z0_doc, (), 2),
         ("block-split", _unbalanced_block_split_doc, (), 2),
     ])
-    def test_screen_never_changes_output(self, monkeypatch, command, make_doc, flags,
-                                         exit_code):
+    def test_shortcuts_never_change_output(self, monkeypatch, command, make_doc, flags,
+                                           exit_code):
         text = json.dumps(make_doc())
-        screened = run_from_args([command, *flags], stdin_text=text)
-        assert screened[0] == exit_code
-        original = tracezero.matcore.frobenius_bound
+        shortcut = run_from_args([command, *flags], stdin_text=text)
+        assert shortcut[0] == exit_code
+        original = tracezero.matcore.operator_norm
+
+        def svd_only(a):
+            return float(np.linalg.norm(tracezero.matcore.as_matrix(a), 2))
+
         for name, module in list(sys.modules.items()):
-            if name.startswith("tracezero") and getattr(module, "frobenius_bound",
+            if name.startswith("tracezero") and getattr(module, "operator_norm",
                                                         None) is original:
-                monkeypatch.setattr(module, "frobenius_bound", lambda m: math.inf)
-        assert run_from_args([command, *flags], stdin_text=text) == screened
+                monkeypatch.setattr(module, "operator_norm", svd_only)
+        assert run_from_args([command, *flags], stdin_text=text) == shortcut
 
 
 _HUGE = 10 ** 400  # a JSON integer, but too large for a float

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,11 +9,9 @@ from tracezero.matcore import (
     BoundCheck,
     VerificationReport,
     commutator,
-    frobenius_bound,
     hermitian_eig,
     is_hermitian,
     max_operator_norm,
-    norm_exceeds,
     operator_norm,
 )
 from tracezero.rand import SplitMix64, random_complex_matrix
@@ -110,47 +106,6 @@ def scaled_matrices(draw, n=None):
     base = (np.outer(u, v.conj()) if kind == "rank1"
             else rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return base * 10.0 ** draw(st.integers(-300, 300))
-
-
-def exact_frobenius(m):
-    return math.hypot(*np.abs(m).ravel())  # scaled: no squares underflow or overflow
-
-
-class TestFrobeniusScreen:
-    BOUNDS = {
-        "norm": operator_norm,
-        "ulp above": lambda m: float(np.nextafter(operator_norm(m), np.inf)),
-        "ulp below": lambda m: float(np.nextafter(operator_norm(m), 0.0)),
-        "frobenius": exact_frobenius,
-        "zero": lambda m: 0.0,
-    }
-
-    @settings(max_examples=400, deadline=None)
-    @given(scaled_matrices(), st.sampled_from(sorted(BOUNDS)))
-    @example(1e-170 * np.eye(3, dtype=complex), "ulp below")
-    @example(1e200 * np.eye(3, dtype=complex), "ulp below")
-    @example(np.full((2, 2), 5e-324, dtype=complex), "zero")
-    def test_decides_exactly_as_the_svd(self, m, bound_name):
-        b = self.BOUNDS[bound_name](m)
-        assert norm_exceeds(m, b) == (operator_norm(m) > b)
-
-    @settings(max_examples=200, deadline=None)
-    @given(scaled_matrices())
-    def test_bound_is_sound(self, m):
-        assert frobenius_bound(m) >= operator_norm(m)
-
-    def test_underflowed_squares_go_to_the_svd(self):
-        assert norm_exceeds(1e-170 * np.eye(3), 1e-171)
-        assert frobenius_bound(np.full((2, 2), 5e-324)) == np.inf
-
-    def test_overflowed_squares_go_to_the_svd(self):
-        assert norm_exceeds(1e200 * np.eye(3), 1e199)
-        assert frobenius_bound(1e200 * np.eye(3)) == np.inf
-
-    def test_zero_only_for_the_zero_matrix(self):
-        assert frobenius_bound(np.zeros((3, 3), dtype=complex)) == 0.0
-        assert frobenius_bound(np.zeros((0, 0))) == 0.0
-        assert not norm_exceeds(np.zeros((3, 3)), 0.0)
 
 
 @st.composite
