@@ -6,9 +6,9 @@ from the document alone, in the sense of McConnell, Mehlhorn, Naeher &
 Schweitzer, "Certifying algorithms", Computer Science Review 5 (2011): it
 decodes the echoed input and the emitted factors, recomputes the sums of
 commutators and the residual, and re-measures every bound against the
-statement the command certifies.  No constructor and no
-eigendecomposition is called, so a construction bug that the producer's
-own report repeats is still caught.
+command's claims in ``tracezero.claims``, stated from its own
+measurements.  No constructor and no eigendecomposition is called, so a
+construction bug that the producer's own report repeats is still caught.
 
 A failed check is one line "<path>: <check> ...", <path> being a JSON path
 into the verify document.  What a document states but does not carry the
@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from jsonschema import ValidationError
 
+from . import claims
 from .errors import InvalidInputError
 from .jsonio import TowerInput, decode_input, field_from_json, matrix_from_json
-from .matcore import commutator, norm_ratio, operator_norm
+from .matcore import commutator, operator_norm
 from .obstruct import MAX_PAIR_VISITS
-from .ozfield import RECON_TOL, SimplicialField, require_refine_budget
+from .ozfield import SimplicialField, require_refine_budget
 from .schemas import validate
 
 # A value the document reports and the checker re-measures must agree to
@@ -148,21 +148,6 @@ def _rerooted(exc: ValidationError, key: str) -> ValidationError:
 # --------------------------------------------------------------------------
 # Claimed bounds.
 
-@dataclass(frozen=True)
-class Statement:
-    """What a named bound certifies: the bound the command's theorem gives,
-    the checker's own measurement of the quantity, the tolerance of the
-    comparison, whether the measurement is the quantity itself or only a
-    lower bound on it, and the quantity's scale for agreement with the
-    reported measurement."""
-
-    bound: float
-    measured: float
-    tolerance: float
-    exact: bool = True
-    scale: float = 1.0
-
-
 def _consistent(f: Findings, path: str, entry: dict) -> tuple:
     """Read one reported bound check and require passed <=> measured <=
     claimed + tolerance; returns (name, claimed, measured, tolerance, passed)."""
@@ -186,49 +171,52 @@ def _check_all_passed(f: Findings, node: dict, path: str, passes: list):
               f"{str(all(passes)).lower()}")
 
 
-def _check_bounds(f: Findings, report: dict, statements: dict,
-                  claims: dict | None = None, claims_path: str = ""):
-    """Every reported bound check against the command's ``statements``;
-    ``claims``, when the result repeats the claimed bounds, must agree."""
+def _check_bounds(f: Findings, report: dict, spec: dict, measured: dict,
+                  result: dict | None = None, lower: tuple = ()):
+    """Every reported bound check against the command's claims ``spec`` and
+    the checker's own ``measured`` values, lower bounds only for the names in
+    ``lower``; the bounds a ``result`` repeats must agree."""
+    bounds_path = "$.result.bounds"
+    bounds = None if result is None else _object(_get(result, "bounds", "$.result"), bounds_path)
     path = "$.report.bound_checks"
     entries = _list(_get(report, "bound_checks", "$.report"), path)
     passes, seen = [], set()
     for i, entry in enumerate(entries):
         p = f"{path}[{i}]"
-        name, claimed, measured, tolerance, passed = _consistent(f, p, entry)
+        name, claimed, reported, tolerance, passed = _consistent(f, p, entry)
         passes.append(passed)
-        if name not in statements:
+        if name not in spec:
             f.fail(f"{p}.name", f"unknown bound name {name!r}")
             continue
         if name in seen:
             f.fail(f"{p}.name", f"{name} is checked twice")
         seen.add(name)
-        st = statements[name]
-        f.require(claimed <= st.bound + AGREE * max(1.0, abs(st.bound)), f"{p}.claimed_bound",
-                  f"{name}: claimed bound {claimed!r} is weaker than the certified {st.bound!r}")
-        f.require(_agree(tolerance, st.tolerance), f"{p}.tolerance",
-                  f"{name}: tolerance {tolerance!r} differs from {st.tolerance!r}")
-        if claims is not None and name in claims:
-            f.require(claims[name] == claimed, f"{claims_path}.{name}",
-                      f"{claims[name]!r} differs from the report's claimed bound {claimed!r}")
-        if st.exact:
-            f.require(_agree(measured, st.measured, st.scale), f"{p}.measured_value",
-                      f"{name}: reported {measured!r} but re-measured {st.measured!r}")
+        bound, tol, scale = spec[name]
+        value = measured[name]
+        f.require(claimed <= bound + AGREE * max(1.0, abs(bound)), f"{p}.claimed_bound",
+                  f"{name}: claimed bound {claimed!r} is weaker than the certified {bound!r}")
+        f.require(_agree(tolerance, tol), f"{p}.tolerance",
+                  f"{name}: tolerance {tolerance!r} differs from {tol!r}")
+        if bounds is not None and name in bounds:
+            f.require(bounds[name] == claimed, f"{bounds_path}.{name}",
+                      f"{bounds[name]!r} differs from the report's claimed bound {claimed!r}")
+        if name not in lower:
+            f.require(_agree(reported, value, scale), f"{p}.measured_value",
+                      f"{name}: reported {reported!r} but re-measured {value!r}")
         else:
-            f.require(st.measured <= measured + AGREE * max(1.0, st.scale),
-                      f"{p}.measured_value",
-                      f"{name}: reported {measured!r} is below its re-measured lower bound "
-                      f"{st.measured!r}")
-        f.require(st.measured <= claimed + st.tolerance, p,
-                  f"{name}: re-measured {st.measured!r} exceeds claimed bound {claimed!r}")
-    for name in statements:
+            f.require(value <= reported + AGREE * max(1.0, scale), f"{p}.measured_value",
+                      f"{name}: reported {reported!r} is below its re-measured lower bound "
+                      f"{value!r}")
+        f.require(value <= claimed + tol, p,
+                  f"{name}: re-measured {value!r} exceeds claimed bound {claimed!r}")
+    for name in spec:
         f.require(name in seen, path, f"no check of {name}")
-    if claims is not None:
-        for name in claims:
-            f.require(name in statements, f"{claims_path}.{name}", f"unknown bound name {name!r}")
-            _number(claims[name], f"{claims_path}.{name}")
-        for name in statements:
-            f.require(name in claims, claims_path, f"no claim of {name}")
+    if bounds is not None:
+        for name in bounds:
+            f.require(name in spec, f"{bounds_path}.{name}", f"unknown bound name {name!r}")
+            _number(bounds[name], f"{bounds_path}.{name}")
+        for name in spec:
+            f.require(name in bounds, bounds_path, f"no claim of {name}")
     _check_all_passed(f, report, "$.report", passes)
 
 
@@ -278,10 +266,9 @@ def _check_headline(f: Findings, report: dict, residual: float, count: int, scal
               f"{reported} but the result has {count} factors")
 
 
-def _check_single_commutator(f: Findings, doc: dict, a: np.ndarray, kind: str,
-                             norm_claim: str, norm_bound: float):
-    """decompose (a = [x*, x], norm(x)^2 <= 2 norm(a)) and decompose-tight
-    (a = [x, y], norm(x) norm(y) <= norm(a)): one factor, no residual term."""
+def _check_single_commutator(f: Findings, doc: dict, a: np.ndarray, command: str, kind: str):
+    """decompose (a = [x*, x]) and decompose-tight (a = [x, y]): one factor,
+    no residual term."""
     n = a.shape[0]
     result = _object(_get(doc, "result", "$"), "$.result")
     report = _object(_get(doc, "report", "$"), "$.report")
@@ -292,14 +279,9 @@ def _check_single_commutator(f: Findings, doc: dict, a: np.ndarray, kind: str,
               f"{declared!r}, but a single commutator leaves no residual term")
     a_norm = operator_norm(a)
     residual = _norm(a - total, "$.result.factors")
-    measured, tolerance = norm_ratio(worst, a_norm)
-    statements = {
-        "reconstruction_residual": Statement(1e-9 * max(1.0, a_norm), residual, 0.0,
-                                             scale=a_norm),
-        norm_claim: Statement(norm_bound, measured, tolerance),
-    }
-    bounds = _object(_get(result, "bounds", "$.result"), "$.result.bounds")
-    _check_bounds(f, report, statements, bounds, "$.result.bounds")
+    measured = {"reconstruction_residual": residual,
+                claims.NORM_CLAIMS[command][0]: claims.norm_ratio(worst, a_norm)[0]}
+    _check_bounds(f, report, claims.single(command, a_norm, a_norm), measured, result)
     _check_headline(f, report, residual, count, a_norm)
 
 
@@ -316,7 +298,7 @@ def _block_zero_support(tower: TowerInput) -> np.ndarray:
     u, s, _ = np.linalg.svd(tower.elements[0])
     lifted = np.maximum(s - tower.epsilon, 0.0)
     top = float(np.max(lifted)) if lifted.size else 0.0
-    return u[:, lifted > 1e-8 * top] if top > 0.0 else u[:, :0]
+    return u[:, lifted > claims.RANK_TOL * top] if top > 0.0 else u[:, :0]
 
 
 def _check_fack_run(f: Findings, doc: dict, tower: TowerInput, depth: int | None, **_):
@@ -329,10 +311,9 @@ def _check_fack_run(f: Findings, doc: dict, tower: TowerInput, depth: int | None
         raise Malformed("$.input.z0", "missing")
     n = z0.shape[0]
     z_norm = operator_norm(z0)
-    scale = max(1.0, z_norm)
     q = _block_zero_support(tower)
     outside = operator_norm(z0 - q @ (q.conj().T @ z0 @ q) @ q.conj().T)
-    f.require(outside <= 1e-8 * scale, "$.input.z0",
+    f.require(outside <= claims.z0_outside_limit(z_norm), "$.input.z0",
               f"leaves her((e_0 - eps)_+): norm {outside!r} outside it")
 
     result = _object(_get(doc, "result", "$"), "$.result")
@@ -342,25 +323,13 @@ def _check_fack_run(f: Findings, doc: dict, tower: TowerInput, depth: int | None
     f.require(found == depth, "$.result.depth", f"{found} but the run's depth is {depth}")
     declared = _number(_get(result, "residual_norm", "$.result"), "$.result.residual_norm")
     residual = _norm(z0 - total, "$.result.factors")
-    statements = {
-        # norm(z0 - sum - R) >= |norm(z0 - sum) - norm(R)|, R the declared residual
-        "reconstruction_residual": Statement(1e-8 * scale, abs(residual - declared), 0.0,
-                                             exact=False, scale=z_norm),
-        "commutator_count": Statement(float(tower.count_bound), float(count), 0.0),
-    }
-    if depth > 0:
-        statements["residual_norm"] = Statement(tower.deltas[depth - 1], declared, 1e-12,
-                                                scale=z_norm)
-    bounds = _object(_get(result, "bounds", "$.result"), "$.result.bounds")
-    _check_bounds(f, report, statements, bounds, "$.result.bounds")
+    spec = claims.tower(z_norm, tower.deltas[depth - 1] if depth else None, tower.count_bound)
+    # norm(z0 - sum - R) >= |norm(z0 - sum) - norm(R)|, R the declared residual
+    measured = {"reconstruction_residual": abs(residual - declared), "residual_norm": declared,
+                "commutator_count": float(count)}
+    _check_bounds(f, report, spec, measured, result, lower=("reconstruction_residual",))
     _check_headline(f, report, residual, count, z_norm)
     _check_tower_report(f, result, depth, tower.per_stage, declared, count)
-
-
-# The checks of one push step; only its commutator count can be rebuilt
-# from the document.
-_STAGE_CHECKS = ("commutator_count", "max_norm_product", "reconstruction_residual",
-                 "remainder_in_hereditary", "remainder_norm")
 
 
 def _check_tower_report(f: Findings, result: dict, depth: int, per_stage: int,
@@ -370,14 +339,14 @@ def _check_tower_report(f: Findings, result: dict, depth: int, per_stage: int,
     stages = _list(_get(tower_report, "stage_checks", path), f"{path}.stage_checks")
     f.require(len(stages) == depth, f"{path}.stage_checks",
               f"{len(stages)} stages but depth {depth}")
+    expected = sorted(claims.stage(0.0, 0.0, 1, per_stage))  # a push step's claims
     passes = []
     for t, stage in enumerate(stages):
         p = f"{path}.stage_checks[{t}]"
         read = [_consistent(f, f"{p}[{i}]", entry) for i, entry in enumerate(_list(stage, p))]
         passes += [passed for *_, passed in read]
         names = sorted(name for name, *_ in read)
-        f.require(names == list(_STAGE_CHECKS), p,
-                  f"checks {names}, not one each of {list(_STAGE_CHECKS)}")
+        f.require(names == expected, p, f"checks {names}, not one each of {expected}")
         for name, claimed, measured, _, _ in read:
             f.require(name != "commutator_count" or claimed == measured == per_stage, p,
                       f"a push step forms {per_stage} commutators, not {measured!r} "
@@ -498,21 +467,18 @@ def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine:
     residuals = np.linalg.norm(brackets - value_stack, 2, axis=(1, 2))
     x_norms_sq = np.linalg.norm(xs, 2, axis=(1, 2)) ** 2
     sup = float(np.max(np.linalg.norm(value_stack, 2, axis=(1, 2))))
-    recon_bound = RECON_TOL * max(sup, 1e-30)
+    spec = claims.field(sup, color_count)
+    recon_bound = spec["field_residual"][0]
     for v in np.flatnonzero(residuals > recon_bound):
         f.fail(f"$.result.factors[{coloring[v]}]",
                f"vertex {v}: norm([x*, x] - value) = {float(residuals[v])!r} exceeds "
                f"{recon_bound!r}")
+    # sum_k [y_k*, y_k] - field = sum_i w_i ([x_i*, x_i] - value_i) on a
+    # simplex: a convex combination, so largest at a vertex
     field_residual = float(np.max(residuals))
-    statements = {
-        # sum_k [y_k*, y_k] - field = sum_i w_i ([x_i*, x_i] - value_i) on a
-        # simplex: a convex combination, so largest at a vertex
-        "field_residual": Statement(recon_bound, field_residual, 0.0, scale=sup),
-        "max_factor_norm_sq": Statement(2.0 * sup + 1e-8, float(np.max(x_norms_sq)),
-                                        0.0, scale=sup),
-        "factor_count": Statement(float(color_count), float(len(factors)), 0.0),
-    }
-    _check_bounds(f, report, statements)
+    _check_bounds(f, report, spec, {"field_residual": field_residual,
+                                    "max_factor_norm_sq": float(np.max(x_norms_sq)),
+                                    "factor_count": float(len(factors))})
     _check_headline(f, report, field_residual, len(factors), sup)
     reported = _number(_get(result, "sup_norm", "$.result"), "$.result.sup_norm")
     f.require(_agree(reported, sup, sup), "$.result.sup_norm",
@@ -545,19 +511,17 @@ def _check_block_split(f: Findings, doc: dict, inp: tuple, **_):
     rest_diagonal = max(_norm(rest[k, k] - brackets[i], "$.result.rest")
                         for i, k in enumerate(blocks))
     split = _norm(b - shift - rest, "$.result")
-    f.require(split <= 1e-9 * max(1.0, b_norm), "$.result.rest",
-              f"norm(b - [S, E] - rest) = {split!r} exceeds {1e-9 * max(1.0, b_norm)!r}")
-    statements = {"shift_reconstruction": Statement(
-        1e-9 * max(1.0, b_norm), _norm(shift - diag_part, "$.result.shift_upper"), 0.0,
-        scale=b_norm)}
-    if d > 1:
-        statements["rest_diagonal_is_commutators"] = Statement(
-            1e-10 * max(1.0, b_norm), rest_diagonal, 0.0, scale=b_norm)
-    else:  # the input's own precondition: b is [x_1, y_1]
-        f.require(rest_diagonal <= 1e-8 * max(1.0, b_norm), "$.result.rest",
-                  f"norm(rest - [x_1, y_1]) = {rest_diagonal!r} exceeds "
-                  f"{1e-8 * max(1.0, b_norm)!r}")
-    _check_bounds(f, report, statements)
+    spec = claims.split(b_norm, d)
+    limit = spec["shift_reconstruction"][0]  # b - [S, E] - rest is the defect [S, E] leaves
+    f.require(split <= limit, "$.result.rest",
+              f"norm(b - [S, E] - rest) = {split!r} exceeds {limit!r}")
+    measured = {"shift_reconstruction": _norm(shift - diag_part, "$.result.shift_upper"),
+                "rest_diagonal_is_commutators": rest_diagonal}
+    if d == 1:  # the input's own precondition: b is [x_1, y_1]
+        limit = claims.one_block_limit(b_norm)
+        f.require(rest_diagonal <= limit, "$.result.rest",
+                  f"norm(rest - [x_1, y_1]) = {rest_diagonal!r} exceeds {limit!r}")
+    _check_bounds(f, report, spec, measured)
     reported = _number(_get(result, "diag_part_norm", "$.result"), "$.result.diag_part_norm")
     diag_norm = _norm(diag_part, "$.input")
     f.require(_agree(reported, diag_norm, b_norm), "$.result.diag_part_norm",
@@ -773,9 +737,9 @@ def _check_tower(f: Findings, doc: dict, m_max: int, **_):
 
 CHECKERS = {
     "decompose": lambda f, doc, a, **_: _check_single_commutator(
-        f, doc, a, "self_commutators", "norm_sq_over_norm_a", 2.0),
+        f, doc, a, "decompose", "self_commutators"),
     "decompose-tight": lambda f, doc, a, **_: _check_single_commutator(
-        f, doc, a, "general_commutators", "norm_product_over_norm_a", 1.0),
+        f, doc, a, "decompose-tight", "general_commutators"),
     "decompose-field": _check_decompose_field,
     "fack-run": _check_fack_run,
     "block-split": _check_block_split,

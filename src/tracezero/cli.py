@@ -39,6 +39,7 @@ import sys
 
 import jsonschema
 
+from .claims import TRACE_TOL
 from .errors import InvalidInputError
 from .jsonio import (
     TowerInput,
@@ -68,7 +69,7 @@ COMMANDS = tuple(INPUT_SCHEMAS)
 @dataclasses.dataclass
 class RunConfig:
     command: str
-    tol: float = 1e-9
+    tol: float = TRACE_TOL
     seed: int = 0
     refine: int = 0
     depth: int | None = None
@@ -228,9 +229,9 @@ def _handle_verify(cfg: RunConfig, doc: dict):
     params = doc["parameters"]  # typed by the verify schema; ranges are RunConfig's
     depth = params.get("depth")
     inner_cfg = RunConfig(command=cfg.command,  # range checks of the inner run's flags
-                          tol=float_from_json(params.get("tol", 1e-9), "parameters.tol"),
-                          seed=int(params.get("seed", 0)),
-                          refine=int(params.get("refine", 0)),
+                          tol=float_from_json(params.get("tol", RunConfig.tol), "parameters.tol"),
+                          seed=int(params.get("seed", RunConfig.seed)),
+                          refine=int(params.get("refine", RunConfig.refine)),
                           depth=None if depth is None else int(depth))
     mismatches = check_certificate(doc, refine=inner_cfg.refine, depth=inner_cfg.depth)
     inner_code = implied_exit_code(doc)
@@ -291,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="input JSON path (default: stdin)")
     parser.add_argument("--out", dest="out_path", default=None,
                         help="output JSON path (default: stdout)")
-    parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--refine", type=int, default=0,
+    parser.add_argument("--tol", type=float, default=RunConfig.tol)
+    parser.add_argument("--seed", type=int, default=RunConfig.seed)
+    parser.add_argument("--refine", type=int, default=RunConfig.refine,
                         help="barycentric refinements for decompose-field")
     parser.add_argument("--depth", type=int, default=None,
                         help="iteration depth for fack-run")

@@ -13,16 +13,14 @@ dataclasses.  Conventions fixed here and relied on everywhere else:
   bit-identical inputs give bit-identical output; it takes a matrix or a
   stack of them, and each matrix of a stack comes out bit for bit as it
   would alone;
-* a constructor measures each claim of its decomposition on the matrices
-  it holds, as a ``BoundCheck`` of its ``VerificationReport``, and does
-  not also raise on it; the independent re-measuring is
-  ``tracezero.certcheck``'s.
+* a constructor measures each claim of ``tracezero.claims`` on the
+  matrices it holds (``bound_checks``), and does not also raise on it;
+  the independent re-measuring is ``tracezero.certcheck``'s.
 
 All operations are pure and never mutate their inputs.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -219,6 +217,13 @@ class BoundCheck:
         return {**asdict(self), "passed": self.passed}
 
 
+def bound_checks(spec: dict, **measured) -> list:
+    """A ``BoundCheck`` per claim of ``spec`` ({name: (bound, tolerance, scale)},
+    from ``tracezero.claims``), in its order, measured as ``measured`` says."""
+    return [BoundCheck(name, bound, measured[name], tolerance)
+            for name, (bound, tolerance, _) in spec.items()]
+
+
 @dataclass
 class VerificationReport:
     """A decomposition's claims, each measured where it was made;
@@ -239,14 +244,6 @@ class VerificationReport:
             "bound_checks": [c.to_json() for c in self.bound_checks],
             "all_passed": self.all_passed,
         }
-
-
-def norm_ratio(worst: float, a_norm: float):
-    """(measured value, tolerance) of a claim on the largest factor-norm term
-    ``worst`` relative to norm(a); for a = 0, 0 if ``worst`` <= 1e-9, else inf."""
-    if a_norm == 0.0:
-        return (0.0 if worst <= 1e-9 else math.inf), 0.0
-    return worst / a_norm, 1e-9 / a_norm
 
 
 @dataclass

@@ -24,19 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import claims
 from .errors import InvalidInputError
 from .matcore import (
-    BoundCheck,
     VerificationReport,
     as_matrix,
+    bound_checks,
     max_operator_norm,
     operator_norms,
     raise_first_failure,
 )
 from .selfcomm import self_commutator_factors
 
-RECON_TOL = 1e-8  # largest vertex residual, relative to the field's sup norm
-TRACE_TOL = 1e-10  # vertex trace, relative to n * max(1, vertex norm)
 # Maximal simplices made by barycentric refinement, summed over its levels.
 REFINE_SIMPLEX_BUDGET = 2 ** 15
 # Vertex pairs that the coloring and its check visit, C(k, 2) per k-vertex
@@ -278,7 +277,7 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
     scale = 2.0 ** (2 * n).bit_length()
     traces = np.trace(values / scale, axis1=1, axis2=2)
     trace = np.hypot(traces.real, traces.imag)  # bit for bit abs() of each
-    raise_first_failure([(trace > TRACE_TOL * n * np.maximum(1.0, norms) / scale,
+    raise_first_failure([(trace > claims.FIELD_TRACE_TOL * n * np.maximum(1.0, norms) / scale,
                           lambda v: f"vertex {v} value has nonzero trace")])
     try:
         x_factors, _ = self_commutator_factors(values)
@@ -296,12 +295,7 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
     sup = float(norms.max(initial=0.0))
     norm_sq = max_operator_norm(x_factors) ** 2
 
-    checks = [
-        BoundCheck("field_residual", RECON_TOL * max(sup, 1e-30), residual, 0.0),
-        BoundCheck("max_factor_norm_sq", 2.0 * sup + 1e-8, norm_sq, 0.0),
-        BoundCheck("factor_count", float(coloring.color_count), float(len(factors)), 0.0),
-    ]
-    report = VerificationReport(residual_norm=residual,
-                                commutator_count=len(factors),
-                                bound_checks=checks)
-    return FieldDecomposition(factors=factors, report=report, sup_norm=sup)
+    checks = bound_checks(claims.field(sup, coloring.color_count), field_residual=residual,
+                          max_factor_norm_sq=norm_sq, factor_count=float(len(factors)))
+    return FieldDecomposition(factors=factors, sup_norm=sup,
+                              report=VerificationReport(residual, len(factors), checks))

@@ -15,22 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .claims import NORM_CLAIMS, TRACE_TOL, norm_ratio, single
 from .errors import InvalidInputError
 from .matcore import (
     KIND_GENERAL,
     KIND_SELF,
-    BoundCheck,
     CommutatorDecomposition,
     VerificationReport,
     as_matrix,
+    bound_checks,
     commutator,
     hermitian_eig,
-    norm_ratio,
     operator_norm,
     raise_first_failure,
 )
-
-TRACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -157,15 +155,13 @@ def self_commutator_factors(stack, *, trace_tol: float = TRACE_TOL):
     return x, np.max(np.abs(es.eigenvalues), axis=1)
 
 
-def _single_commutator(am, kind: str, factor, comm, a_norm: float, name, bound, worst):
-    """The decomposition a = comm with no residual, and its report: the
-    reconstruction residual norm(a - comm) against 1e-9*max(1, a_norm), and
-    the claim ``name`` that ``worst``, a factor-norm term, over norm(a) is
-    at most ``bound``."""
-    err = operator_norm(am - comm)
-    ratio, tol = norm_ratio(worst, operator_norm(am))
-    checks = [BoundCheck("reconstruction_residual", 1e-9 * max(1.0, a_norm), err, 0.0),
-              BoundCheck(name, bound, ratio, tol)]
+def _single_commutator(am, command: str, kind: str, factor, comm, a_norm: float, worst):
+    """The decomposition a = comm with no residual, and its report: the claims
+    of ``command``, bounded at ``a_norm``, the norm claim on ``worst``."""
+    err, a_svd_norm = operator_norm(am - comm), operator_norm(am)
+    name, _ = NORM_CLAIMS[command]
+    checks = bound_checks(single(command, a_norm, a_svd_norm), reconstruction_residual=err,
+                          **{name: norm_ratio(worst, a_svd_norm)[0]})
     return CommutatorDecomposition(kind=kind, factors=[factor], residual=np.zeros_like(am),
                                    residual_norm=0.0, report=VerificationReport(err, 1, checks))
 
@@ -176,8 +172,8 @@ def self_commutator_decompose(a, *, trace_tol: float = TRACE_TOL) -> CommutatorD
     am = as_matrix(a, square=True, name="a")
     x, norms = self_commutator_factors(am[None], trace_tol=trace_tol)
     x = x[0]
-    return _single_commutator(am, KIND_SELF, x, commutator(x.conj().T, x), float(norms[0]),
-                              "norm_sq_over_norm_a", 2.0, operator_norm(x) ** 2)
+    return _single_commutator(am, "decompose", KIND_SELF, x, commutator(x.conj().T, x),
+                              float(norms[0]), operator_norm(x) ** 2)
 
 
 def tight_commutator_factors(a, *, trace_tol: float = TRACE_TOL):
@@ -206,7 +202,7 @@ def tight_commutator_decompose(a, *, trace_tol: float = TRACE_TOL) -> Commutator
     """``tight_commutator_factors`` with its measured claims, among them
     norm(x)*norm(y) <= norm(a)."""
     x, y, a_norm = tight_commutator_factors(a, trace_tol=trace_tol)
-    return _single_commutator(as_matrix(a, square=True, name="a"), KIND_GENERAL, (x, y),
-                              commutator(x, y), a_norm,
-                              "norm_product_over_norm_a", 1.0, operator_norm(x) * operator_norm(y))
+    return _single_commutator(as_matrix(a, square=True, name="a"), "decompose-tight",
+                              KIND_GENERAL, (x, y), commutator(x, y), a_norm,
+                              operator_norm(x) * operator_norm(y))
 

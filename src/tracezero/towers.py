@@ -36,14 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import claims
 from .errors import InvalidInputError
 from .jsonio import TowerInput
 from .matcore import (
     KIND_GENERAL,
-    BoundCheck,
     CommutatorDecomposition,
     VerificationReport,
     as_matrix,
+    bound_checks,
     commutator,
     hermitian_eig,
     operator_norm,
@@ -51,7 +52,6 @@ from .matcore import (
 )
 from .selfcomm import tight_commutator_factors
 
-RANK_TOL = 1e-8
 NEUMANN_TOL = 1e-10
 PSD_TOL = 1e-10  # most negative eigenvalue a PSD element may have
 NEUMANN_MAX_ITER = 10_000
@@ -78,9 +78,9 @@ class Support:
     @classmethod
     def from_eigen(cls, unitary, values) -> "Support":
         """Support of U diag(values) U* for nonnegative values: the columns of
-        U whose value exceeds RANK_TOL times the largest, in U's order."""
+        U whose value exceeds ``claims.RANK_TOL`` times the largest, in U's order."""
         top = float(np.max(values)) if values.size else 0.0
-        keep = values > RANK_TOL * top
+        keep = values > claims.RANK_TOL * top
         return cls(basis=unitary[:, keep], values=values[keep])
 
     @property
@@ -240,14 +240,10 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
     worst_product = max(operator_norm(c) * operator_norm(d) for c, d in pairs)
     p_b = b_support.projection
     rem_defect = operator_norm(remainder - p_b @ remainder @ p_b)
-    count = L * (L + K - 1)
-    checks = [
-        BoundCheck("reconstruction_residual", 1e-8 * max(1.0, x_norm), recon_err, 0.0),
-        BoundCheck("remainder_norm", K * x_norm + 1e-8, rem_norm, 0.0),
-        BoundCheck("max_norm_product", x_norm + 1e-8, worst_product, 0.0),
-        BoundCheck("remainder_in_hereditary", 1e-8 * max(1.0, rem_norm), rem_defect, 0.0),
-        BoundCheck("commutator_count", float(count), float(len(pairs)), 0.0),
-    ]
+    checks = bound_checks(claims.stage(x_norm, rem_norm, K, L * (L + K - 1)),
+                          reconstruction_residual=recon_err, remainder_norm=rem_norm,
+                          max_norm_product=worst_product, remainder_in_hereditary=rem_defect,
+                          commutator_count=float(len(pairs)))
     return PushStepResult(pairs=pairs, remainder=remainder, remainder_norm=rem_norm,
                           y=y, checks=checks)
 
@@ -340,7 +336,7 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     inp = tower.input
     z_norm = operator_norm(z0)
     p0 = tower.spectra[0].plus.projection
-    if operator_norm(z0 - p0 @ z0 @ p0) > 1e-8 * max(1.0, z_norm):
+    if operator_norm(z0 - p0 @ z0 @ p0) > claims.z0_outside_limit(z_norm):
         raise InvalidInputError("z0 is not supported in her((e_0 - eps_0)_+)")
 
     if depth == 0:
@@ -349,13 +345,9 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     else:
         factors, residual, run = _descend(z0, z_norm, tower, depth)
     unexplained = z0 - sum((commutator(c, d) for c, d in factors), np.zeros_like(z0))
-    checks = [BoundCheck("reconstruction_residual", 1e-8 * max(1.0, z_norm),
-                         operator_norm(unexplained - residual), 0.0)]
-    if depth:
-        checks.append(BoundCheck("residual_norm", inp.deltas[depth - 1], run.inblock_residual,
-                                 1e-12))
-    checks.append(BoundCheck("commutator_count", float(inp.count_bound), float(len(factors)),
-                             0.0))
+    spec = claims.tower(z_norm, inp.deltas[depth - 1] if depth else None, inp.count_bound)
+    checks = bound_checks(spec, reconstruction_residual=operator_norm(unexplained - residual),
+                          residual_norm=run.inblock_residual, commutator_count=float(len(factors)))
     report = VerificationReport(operator_norm(unexplained), len(factors), checks)
     return CommutatorDecomposition(kind=KIND_GENERAL, factors=factors, residual=residual,
                                    residual_norm=run.inblock_residual, report=report), run
@@ -443,10 +435,10 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
     comms = [commutator(x, y) for x, y in xy]
     defects = [diag[i] - comms[i] for i in range(d)]
     if d == 1:
-        if operator_norm(defects[0]) > 1e-8 * max(1.0, b_norm):
+        if operator_norm(defects[0]) > claims.one_block_limit(b_norm):
             raise InvalidInputError("with one block, b_11 must itself be [x_1, y_1]")
         zero = np.zeros_like(bm)
-        checks = [BoundCheck("shift_reconstruction", 1e-9 * max(1.0, b_norm), 0.0, 0.0)]
+        checks = bound_checks(claims.split(b_norm, d), shift_reconstruction=0.0)
         return BlockSplitResult(zero, zero.copy(), zero.copy(), bm.copy(), checks)
     total = operator_norm(sum(defects))
     if total > 1e-8 * max(1.0, b_norm):
@@ -478,10 +470,7 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
     rest_diag_err = max(
         operator_norm(rest[i * r:(i + 1) * r, i * r:(i + 1) * r] - comms[i])
         for i in range(d))
-    checks = [
-        BoundCheck("shift_reconstruction", 1e-9 * max(1.0, b_norm), recon_err, 0.0),
-        BoundCheck("rest_diagonal_is_commutators", 1e-10 * max(1.0, b_norm), rest_diag_err,
-                   0.0),
-    ]
+    checks = bound_checks(claims.split(b_norm, d), shift_reconstruction=recon_err,
+                          rest_diagonal_is_commutators=rest_diag_err)
     return BlockSplitResult(shift_upper=shift_upper, shift_lower=shift_lower,
                             diag_part=diag_part, rest=rest, checks=checks)

@@ -20,7 +20,9 @@ from test_cli import (
     sample_field_doc,
     sample_tower_doc,
 )
+from tracezero import claims
 from tracezero.certcheck import barycentric_refinement, euler_class_by_forms, implied_exit_code
+from tracezero.claims import norm_ratio
 from tracezero.errors import InvalidInputError
 from tracezero.jsonio import field_to_json, matrix_to_json
 from tracezero.matcore import (
@@ -28,7 +30,6 @@ from tracezero.matcore import (
     CommutatorDecomposition,
     VerificationReport,
     commutator,
-    norm_ratio,
     operator_norm,
 )
 from tracezero.obstruct import BundleExpr, euler_class
@@ -43,6 +44,7 @@ from tracezero.rand import SplitMix64, random_trace_zero_hermitian
 
 CERTCHECK = pathlib.Path(tracezero.__file__).parent / "certcheck.py"
 JSONIO = pathlib.Path(tracezero.__file__).parent / "jsonio.py"
+CLAIMS_MODULE = pathlib.Path(tracezero.__file__).parent / "claims.py"
 
 
 def outputs():
@@ -176,6 +178,40 @@ def test_a_document_whose_report_fails_has_inner_exit_code_1():
         "$.report.all_passed: is false but the checks it covers say true"]
 
 
+# Every claim the ALL_RUNS outputs carry, made weaker in one way at a time.
+# The checker states each bound and tolerance from its own measurements, so
+# the one mismatch it reports pins its side of ``tracezero.claims``.
+CLAIMS = [(command, doc, i, check["name"]) for command, doc in outputs()
+          for i, check in enumerate(doc["report"]["bound_checks"])]
+
+
+def test_the_weakened_claims_are_all_the_table_states():
+    # each command's claims in report order; fack-run past depth 0, block-split
+    # with more than one block
+    assert [name for *_, name in CLAIMS] == [
+        *claims.single("decompose", 1.0, 1.0), *claims.single("decompose-tight", 1.0, 1.0),
+        *claims.field(1.0, 1), *claims.tower(1.0, 1.0, 1), *claims.split(1.0, 2)]
+
+
+@pytest.mark.parametrize("command, doc, i, name", CLAIMS,
+                         ids=[f"{command}-{name}" for command, _, _, name in CLAIMS])
+@pytest.mark.parametrize("tamper", ["claimed_bound", "tolerance"])
+def test_a_weakened_claim_gives_one_mismatch(command, doc, i, name, tamper):
+    doc = copy.deepcopy(doc)
+    check = doc["report"]["bound_checks"][i]
+    was = check[tamper]
+    if tamper == "claimed_bound":
+        check[tamper] = 2 * was + 1
+        if name in doc["result"].get("bounds", {}):
+            doc["result"]["bounds"][name] = check[tamper]
+        expected = f"{name}: claimed bound {check[tamper]!r} is weaker than the certified {was!r}"
+    else:
+        check[tamper] = was + 1.0
+        expected = f"{name}: tolerance {check[tamper]!r} differs from {was!r}"
+    assert verify(doc) == (1, {"verified": False, "inner_exit_code": 0, "mismatches": [
+        f"$.report.bound_checks[{i}].{tamper}: {expected}"]})
+
+
 # --------------------------------------------------------------------------
 # Independence from the constructors.
 
@@ -306,6 +342,26 @@ def test_checker_imports_no_constructor():
             assert module not in forbidden_modules, f"{path.name} imports {module}"
             assert name not in forbidden_names.get(module, set()), f"{path.name} imports {name}"
             assert name != "*"
+
+
+def test_the_claims_table_is_pure():
+    # the table that constructors and the checker share imports only the
+    # standard library and names no constructor, so reading it keeps the
+    # checker independent
+    tree = ast.parse(CLAIMS_MODULE.read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert "math" in modules  # the guard reads real imports
+    for module in modules:
+        assert module.split(".")[0] in sys.stdlib_module_names, f"claims.py imports {module}"
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets}
+    assert {"single", "field", "stage", "tower", "split"} <= defined
+    assert not defined & set(CONSTRUCTORS)
 
 
 # --------------------------------------------------------------------------
