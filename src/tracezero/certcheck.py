@@ -11,11 +11,12 @@ measurements.  No constructor and no eigendecomposition is called, so a
 construction bug that the producer's own report repeats is still caught.
 
 A failed check is one line "<path>: <check> ...", <path> being a JSON path
-into the verify document.  What a document states but does not carry the
-data to rebuild (a tower's per-stage checks) is checked for internal
+into the verify document.  What a document measures but does not carry the
+data to rebuild (a tower's per-stage measurements) is checked for internal
 consistency only: measured <= claimed + tolerance exactly when ``passed``,
-and ``all_passed`` agrees.  Every bound check of the other commands'
-reports is re-measured.
+and ``all_passed`` agrees; each push step's bounds and tolerances are still
+stated by the checker, from norm(z0) and the remainder norms the stages
+report.  Every bound check of the other commands' reports is re-measured.
 """
 from __future__ import annotations
 
@@ -60,7 +61,8 @@ class Findings:
 
 
 def _agree(reported: float, measured: float, scale: float = 1.0) -> bool:
-    return abs(reported - measured) <= AGREE * max(1.0, scale, abs(measured))
+    return reported == measured or abs(reported - measured) <= AGREE * max(1.0, scale,
+                                                                          abs(measured))
 
 
 # --------------------------------------------------------------------------
@@ -171,6 +173,16 @@ def _check_all_passed(f: Findings, node: dict, path: str, passes: list):
               f"{str(all(passes)).lower()}")
 
 
+def _check_claim(f: Findings, p: str, name: str, claimed: float, tolerance: float,
+                 bound: float, tol: float):
+    """A reported claim states no weaker bound and the same tolerance as the
+    certified (bound, tol)."""
+    f.require(claimed <= bound + AGREE * max(1.0, abs(bound)), f"{p}.claimed_bound",
+              f"{name}: claimed bound {claimed!r} is weaker than the certified {bound!r}")
+    f.require(_agree(tolerance, tol), f"{p}.tolerance",
+              f"{name}: tolerance {tolerance!r} differs from {tol!r}")
+
+
 def _check_bounds(f: Findings, report: dict, spec: dict, measured: dict,
                   result: dict | None = None, lower: tuple = ()):
     """Every reported bound check against the command's claims ``spec`` and
@@ -193,10 +205,7 @@ def _check_bounds(f: Findings, report: dict, spec: dict, measured: dict,
         seen.add(name)
         bound, tol, scale = spec[name]
         value = measured[name]
-        f.require(claimed <= bound + AGREE * max(1.0, abs(bound)), f"{p}.claimed_bound",
-                  f"{name}: claimed bound {claimed!r} is weaker than the certified {bound!r}")
-        f.require(_agree(tolerance, tol), f"{p}.tolerance",
-                  f"{name}: tolerance {tolerance!r} differs from {tol!r}")
+        _check_claim(f, p, name, claimed, tolerance, bound, tol)
         if bounds is not None and name in bounds:
             f.require(bounds[name] == claimed, f"{bounds_path}.{name}",
                       f"{bounds[name]!r} differs from the report's claimed bound {claimed!r}")
@@ -329,28 +338,37 @@ def _check_fack_run(f: Findings, doc: dict, tower: TowerInput, depth: int | None
                 "commutator_count": float(count)}
     _check_bounds(f, report, spec, measured, result, lower=("reconstruction_residual",))
     _check_headline(f, report, residual, count, z_norm)
-    _check_tower_report(f, result, depth, tower.per_stage, declared, count)
+    _check_tower_report(f, result, depth, tower, z_norm, declared, count)
 
 
-def _check_tower_report(f: Findings, result: dict, depth: int, per_stage: int,
-                        declared: float, count: int):
+def _check_tower_report(f: Findings, result: dict, depth: int, tower: TowerInput,
+                        z_norm: float, declared: float, count: int):
+    """Each push step's claims as ``claims.stage`` states them at the norm x_t
+    it pushes (x_1 = norm(z0), x_{t+1} stage t's remainder_norm) and its own
+    remainder_norm; its measurements, which lack the data to rebuild, only
+    for consistency."""
     path = "$.result.tower_report"
     tower_report = _object(_get(result, "tower_report", "$.result"), path)
     stages = _list(_get(tower_report, "stage_checks", path), f"{path}.stage_checks")
     f.require(len(stages) == depth, f"{path}.stage_checks",
               f"{len(stages)} stages but depth {depth}")
+    per_stage = tower.per_stage
     expected = sorted(claims.stage(0.0, 0.0, 1, per_stage))  # a push step's claims
-    passes = []
+    passes, x_norm = [], z_norm
     for t, stage in enumerate(stages):
         p = f"{path}.stage_checks[{t}]"
         read = [_consistent(f, f"{p}[{i}]", entry) for i, entry in enumerate(_list(stage, p))]
         passes += [passed for *_, passed in read]
         names = sorted(name for name, *_ in read)
         f.require(names == expected, p, f"checks {names}, not one each of {expected}")
-        for name, claimed, measured, _, _ in read:
-            f.require(name != "commutator_count" or claimed == measured == per_stage, p,
-                      f"a push step forms {per_stage} commutators, not {measured!r} "
-                      f"against a claimed {claimed!r}")
+        remainder_norm = next((m for name, _, m, _, _ in read if name == "remainder_norm"), 0.0)
+        spec = claims.stage(x_norm, remainder_norm, tower.K, per_stage)
+        for i, (name, claimed, measured, tolerance, _) in enumerate(read):
+            if name in spec:
+                _check_claim(f, f"{p}[{i}]", name, claimed, tolerance, *spec[name][:2])
+            f.require(name != "commutator_count" or measured == per_stage, f"{p}[{i}]",
+                      f"a push step forms {per_stage} commutators, not {measured!r}")
+        x_norm = remainder_norm
     _check_all_passed(f, tower_report, path, passes)
     inblock = _number(_get(tower_report, "inblock_residual", path), f"{path}.inblock_residual")
     f.require(inblock == declared, f"{path}.inblock_residual",

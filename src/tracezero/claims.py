@@ -3,17 +3,13 @@ scale)}: a claim holds when its measured value is at most bound +
 tolerance, and a reported value must agree with a re-measured one relative
 to ``scale``.  A bound is arithmetic on scalars the checker can derive from
 the document: constructors pass those they hold (``matcore.bound_checks``),
-``certcheck`` those it measures itself.  Imports only the standard library.
+``certcheck`` those it measures itself.  A trace has no rule of its own: the
+reconstruction claims of ``single`` and ``field`` judge it.  Standard library only.
 """
 from __future__ import annotations
 
 import math
 
-# The trace admission rules differ: below norm 0.1 the ordering's is the
-# tighter, so a field vertex that passes the field's rule can fail the
-# ordering's (the FOUND line on vertex traces in CHANGES.md).
-TRACE_TOL = 1e-9  # ordering: |sum of eigenvalues| <= TRACE_TOL * n * max|eigenvalue|
-FIELD_TRACE_TOL = 1e-10  # field vertex: |tr v| <= FIELD_TRACE_TOL * n * max(1, norm(v))
 RANK_TOL = 1e-8  # a PSD matrix's support: eigenvalues above RANK_TOL * the largest
 NORM_CLAIMS = {"decompose": ("norm_sq_over_norm_a", 2.0),
                "decompose-tight": ("norm_product_over_norm_a", 1.0)}
@@ -31,10 +27,12 @@ def one_block_limit(b_norm: float) -> float:
 
 def norm_ratio(worst: float, a_norm: float):
     """(measured value, tolerance) of a claim on the largest factor-norm term
-    ``worst`` relative to norm(a); for a = 0, 0 if ``worst`` <= 1e-9, else inf."""
+    ``worst`` relative to norm(a); for a = 0, 0 if ``worst`` <= 1e-9, else inf.
+    The tolerance is 1e-9, or 1e-9/norm(a) below norm 1 as the reconstruction
+    bound is floored, for the trace-free part's norm exceeds norm(a) by |tr a|/n."""
     if a_norm == 0.0:
         return (0.0 if worst <= 1e-9 else math.inf), 0.0
-    return worst / a_norm, 1e-9 / a_norm
+    return worst / a_norm, 1e-9 / min(1.0, a_norm)
 
 
 def single(command: str, a_norm: float, ratio_norm: float) -> dict:

@@ -27,26 +27,24 @@ byte-identical.
 Exit codes: 0 = all certified bounds pass, 1 = a certified bound or a
 verify check failed (the full document is emitted, its report naming the
 failing claim), 2 = invalid input (a JSON error object {"error", "path"}
-is emitted).
+is emitted).  A trace is no invalid input: the decompositions leave (tr a/n)*1,
+which their reconstruction claim judges.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import jsonschema
 
-from .claims import TRACE_TOL
 from .errors import InvalidInputError
 from .jsonio import (
     TowerInput,
     complex_to_json,
     decode_input,
     encode,
-    float_from_json,
 )
 from .matcore import as_matrix, operator_norm
 from .obstruct import obstruction_certificate, pp_example, villadsen_tower
@@ -69,7 +67,6 @@ COMMANDS = tuple(INPUT_SCHEMAS)
 @dataclasses.dataclass
 class RunConfig:
     command: str
-    tol: float = TRACE_TOL
     seed: int = 0
     refine: int = 0
     depth: int | None = None
@@ -79,8 +76,6 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise InvalidInputError(f"unknown command: {self.command!r}")
-        if not 0 < self.tol < math.inf:  # a nan or inf tol would switch the trace test off
-            raise InvalidInputError(f"tol must be positive and finite, not {self.tol}")
         if self.refine < 0:
             raise InvalidInputError("refine must be nonnegative")
         if self.depth is not None and self.depth < 0:
@@ -89,8 +84,7 @@ class RunConfig:
             raise InvalidInputError("seed must fit in 64 bits")
 
     def parameters(self) -> dict:
-        return {"tol": self.tol, "seed": self.seed, "refine": self.refine,
-                "depth": self.depth}
+        return {"seed": self.seed, "refine": self.refine, "depth": self.depth}
 
 
 # --------------------------------------------------------------------------
@@ -124,7 +118,7 @@ def _field_result(fld: SimplicialField) -> dict:
 def _handle_decompose(cfg: RunConfig, a):
     construct = (tight_commutator_decompose if cfg.command == "decompose-tight"
                  else self_commutator_decompose)
-    dec = construct(a, trace_tol=cfg.tol)
+    dec = construct(a)
     return {"result": _decomposition_result(dec), "report": dec.report.to_json()}, \
         (0 if dec.report.all_passed else 1)
 
@@ -229,7 +223,6 @@ def _handle_verify(cfg: RunConfig, doc: dict):
     params = doc["parameters"]  # typed by the verify schema; ranges are RunConfig's
     depth = params.get("depth")
     inner_cfg = RunConfig(command=cfg.command,  # range checks of the inner run's flags
-                          tol=float_from_json(params.get("tol", RunConfig.tol), "parameters.tol"),
                           seed=int(params.get("seed", RunConfig.seed)),
                           refine=int(params.get("refine", RunConfig.refine)),
                           depth=None if depth is None else int(depth))
@@ -292,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="input JSON path (default: stdin)")
     parser.add_argument("--out", dest="out_path", default=None,
                         help="output JSON path (default: stdout)")
-    parser.add_argument("--tol", type=float, default=RunConfig.tol)
     parser.add_argument("--seed", type=int, default=RunConfig.seed)
     parser.add_argument("--refine", type=int, default=RunConfig.refine,
                         help="barycentric refinements for decompose-field")
@@ -308,7 +300,7 @@ def run_from_args(argv, stdin_text: str | None = None):
 
 def _run_parsed(args, stdin_text: str | None = None):
     try:
-        cfg = RunConfig(command=args.command, tol=args.tol, seed=args.seed,
+        cfg = RunConfig(command=args.command, seed=args.seed,
                         refine=args.refine, depth=args.depth,
                         in_path=args.in_path, out_path=args.out_path)
     except InvalidInputError as exc:

@@ -31,8 +31,6 @@ from .matcore import (
     as_matrix,
     bound_checks,
     max_operator_norm,
-    operator_norms,
-    raise_first_failure,
 )
 from .selfcomm import self_commutator_factors
 
@@ -255,30 +253,21 @@ class FieldDecomposition:
 def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDecomposition:
     """Decompose a pointwise trace-zero field into color_count self-commutators.
 
-    Each vertex value is written as [x_v*, x_v], all of them in one stacked
-    pass (``self_commutator_factors``, whose errors name the vertex) after
-    one stacked trace check; color k collects its vertices into one
+    The trace-free part of each vertex value is written as [x_v*, x_v], all
+    of them in one stacked pass (``self_commutator_factors``, whose errors
+    name the vertex); color k collects its vertices into one
     sqrt(hat)-weighted factor y_k.  Disjoint same-color stars make the
     cross terms vanish, so sum_k [y_k*, y_k] equals the PL interpolation of
     the field, up to a residual that is at most its largest value at a
     vertex (the module docstring says why): ``field_residual`` is the
     maximum of norm([x_v*, x_v] - value_v) over every vertex, in a maximal
-    simplex or not.  The bound norm(y_k)^2 <= 2*sup_norm + 1e-8 is checked
-    at the same vertices, where norm(sqrt(w) x_v) peaks (w = 1).  The
-    residual, sup_norm and factor norm are exact SVD maxima; the vertex
-    norms, one batched SVD, serve both sup_norm and the trace rule.
+    simplex or not, and so judges each vertex trace, which it leaves as
+    |tr v|/n.  The bound norm(y_k)^2 <= 2*sup_norm + 1e-8 is checked at the
+    same vertices, where norm(sqrt(w) x_v) peaks (w = 1).  The residual,
+    sup_norm and factor norm are exact SVD maxima.
     """
     require_proper(fld.complex, coloring)
-    n = fld.matrix_size
     values = np.stack(fld.values)
-    norms = operator_norms(values)
-    # On values / scale, a power of two above 2n, the trace test is exact on
-    # normal floats and neither the sum nor its modulus can overflow.
-    scale = 2.0 ** (2 * n).bit_length()
-    traces = np.trace(values / scale, axis1=1, axis2=2)
-    trace = np.hypot(traces.real, traces.imag)  # bit for bit abs() of each
-    raise_first_failure([(trace > claims.FIELD_TRACE_TOL * n * np.maximum(1.0, norms) / scale,
-                          lambda v: f"vertex {v} value has nonzero trace")])
     try:
         x_factors, _ = self_commutator_factors(values)
     except InvalidInputError as err:
@@ -292,7 +281,7 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
 
     x_star = x_factors.conj().swapaxes(1, 2)
     residual = max_operator_norm(x_star @ x_factors - x_factors @ x_star - values)
-    sup = float(norms.max(initial=0.0))
+    sup = max_operator_norm(values)
     norm_sq = max_operator_norm(x_factors) ** 2
 
     checks = bound_checks(claims.field(sup, coloring.color_count), field_residual=residual,

@@ -166,7 +166,6 @@ INPUT_SCHEMAS = {
             "parameters": {
                 "type": "object",
                 "properties": {
-                    "tol": {"type": "number"},
                     "seed": {"type": "integer"},
                     "refine": {"type": "integer"},
                     "depth": {"type": ["integer", "null"]},

@@ -1,8 +1,10 @@
-"""Single-commutator decompositions of trace-zero Hermitian matrices.
+"""Single-commutator decompositions of Hermitian matrices.
 
-Both constructions diagonalize, reorder the eigenvalues so the running
-partial sums stay inside a controlled window, and realize the reordered
-diagonal as a commutator of (weighted) shift matrices:
+Both constructions diagonalize, take the eigenvalues less their mean (the
+spectrum of a - (tr a/n)*1), reorder them so the running partial sums stay
+inside a controlled window, and realize the reordered diagonal as a
+commutator of (weighted) shift matrices.  They leave (tr a/n)*1, closer to
+a than any sum of commutators comes, which the reconstruction claim judges:
 
 * ``greedy_nonneg_order`` keeps partial sums in [0, 2*max|eigenvalue|], so
   a = [x*, x] with a single factor satisfying norm(x)^2 <= 2*norm(a);
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import NORM_CLAIMS, TRACE_TOL, norm_ratio, single
+from .claims import NORM_CLAIMS, norm_ratio, single
 from .errors import InvalidInputError
 from .matcore import (
     KIND_GENERAL,
@@ -27,7 +29,6 @@ from .matcore import (
     commutator,
     hermitian_eig,
     operator_norm,
-    raise_first_failure,
 )
 
 
@@ -47,20 +48,6 @@ def _rows(eigenvalues) -> np.ndarray:
     if rows.shape[1] == 0:
         raise InvalidInputError("empty eigenvalue list")
     return rows
-
-
-def _check_order(rows: np.ndarray, trace_tol: float):
-    """Check every row as each row alone is checked: its sum is near zero.
-
-    The last partial sum is that sum, so it is not checked again.  The
-    window the partial sums stay in is a theorem of the visiting rule, and
-    the decompositions measure its consequences as their claims."""
-    total = rows.sum(axis=1)
-    allowed = trace_tol * rows.shape[1] * np.max(np.abs(rows), axis=1)
-    raise_first_failure([
-        (np.abs(total) > allowed,
-         lambda k: f"trace too far from zero: sum={total[k]:.3e}, allowed {allowed[k]:.3e}"),
-    ])
 
 
 def _visit(rows: np.ndarray, choose) -> np.ndarray:
@@ -83,18 +70,18 @@ def _visit(rows: np.ndarray, choose) -> np.ndarray:
     return perm
 
 
-def _ordered(eigenvalues, rows, perm, trace_tol) -> PartialSumOrder:
-    """The checked order: a tuple and a vector for one multiset, else arrays."""
-    _check_order(rows, trace_tol)
+def _ordered(eigenvalues, rows, perm) -> PartialSumOrder:
+    """The order: a tuple and a vector for one multiset, else arrays."""
     sums = np.cumsum(np.take_along_axis(rows, perm, axis=1), axis=1)
     if np.ndim(eigenvalues) == 2:
         return PartialSumOrder(permutation=perm, partial_sums=sums)
     return PartialSumOrder(permutation=tuple(perm[0].tolist()), partial_sums=sums[0])
 
 
-def greedy_nonneg_order(eigenvalues, *, trace_tol: float = TRACE_TOL) -> PartialSumOrder:
-    """Order a zero-sum multiset so partial sums stay in [0, 2*max|value|];
-    each row of a 2-d array is one multiset, and all rows are ordered at once.
+def greedy_nonneg_order(eigenvalues) -> PartialSumOrder:
+    """Order a multiset so that, if its sum is zero, partial sums stay in
+    [0, 2*max|value|]; each row of a 2-d array is one multiset, and all rows
+    are ordered at once.
 
     Rule: while the running sum is below max|value| and a nonnegative value
     remains, take the largest remaining nonnegative value; otherwise take the
@@ -110,12 +97,12 @@ def greedy_nonneg_order(eigenvalues, *, trace_tol: float = TRACE_TOL) -> Partial
         use_up = (s < mx) & up.any(axis=1) | ~down.any(axis=1)
         return np.where(use_up[:, None], up, down), rows
 
-    return _ordered(eigenvalues, rows, _visit(rows, choose), trace_tol)
+    return _ordered(eigenvalues, rows, _visit(rows, choose))
 
 
-def signed_order(eigenvalues, *, trace_tol: float = TRACE_TOL) -> PartialSumOrder:
-    """Order a zero-sum multiset so partial sums stay in [-max, +max]; each
-    row of a 2-d array is one multiset.
+def signed_order(eigenvalues) -> PartialSumOrder:
+    """Order a multiset so that, if its sum is zero, partial sums stay in
+    [-max, +max]; each row of a 2-d array is one multiset.
 
     Rule: take the largest remaining value while the running sum is <= 0,
     else the smallest, the first maximum of the negated values.  Ties break
@@ -123,29 +110,30 @@ def signed_order(eigenvalues, *, trace_tol: float = TRACE_TOL) -> PartialSumOrde
     """
     rows = _rows(eigenvalues)
     perm = _visit(rows, lambda s, left: (left, np.where((s <= 0.0)[:, None], rows, -rows)))
-    return _ordered(eigenvalues, rows, perm, trace_tol)
+    return _ordered(eigenvalues, rows, perm)
 
 
-def self_commutator_factors(stack, *, trace_tol: float = TRACE_TOL):
-    """Write each trace-zero Hermitian a_v of a stack (V, n, n) as [x_v*, x_v].
+def _trace_free(eigenvalues: np.ndarray) -> np.ndarray:
+    """Each row of eigenvalues less its mean: the spectrum of a - (tr a/n)*1,
+    which no sum of commutators can leave closer to a than |tr a|/n."""
+    return eigenvalues - eigenvalues.mean(axis=-1, keepdims=True)
+
+
+def self_commutator_factors(stack):
+    """Write the trace-free part a_v - (tr a_v/n)*1 of each Hermitian a_v of
+    a stack (V, n, n) as [x_v*, x_v].
 
     Returns the factors x as a (V, n, n) stack and the norms max|eigenvalue
     of a_v|.  One ``hermitian_eig`` of the stack, one ``greedy_nonneg_order``
-    of its eigenvalue rows and one batched product x = u shift u*, where u
-    holds the eigenvectors in visiting order and shift is the weighted lower
-    shift with weights sqrt(s_k); then [x*, x] reproduces a and norm(x)^2 =
-    max s_k <= 2*norm(a).  Each x_v is bit for bit what a_v gives alone, and
-    a stack that fails raises what decomposing its matrices in order would
-    raise first.
+    of its trace-free eigenvalue rows and one batched product x = u shift u*,
+    where u holds the eigenvectors in visiting order and shift is the
+    weighted lower shift with weights sqrt(s_k); then a_v - [x*, x] is
+    (tr a_v/n)*1 and norm(x)^2 = max s_k <= 2*max|trace-free eigenvalue|.
+    Each x_v is bit for bit what a_v gives alone, and a stack that fails
+    raises what decomposing its matrices in order would raise first.
     """
-    stack = np.asarray(stack, dtype=complex)
-    try:
-        es = hermitian_eig(stack, name="a")
-    except InvalidInputError as err:
-        if getattr(err, "index", 0):  # an earlier matrix may fail its ordering first
-            self_commutator_factors(stack[:err.index], trace_tol=trace_tol)
-        raise
-    order = greedy_nonneg_order(es.eigenvalues, trace_tol=trace_tol)
+    es = hermitian_eig(np.asarray(stack, dtype=complex), name="a")
+    order = greedy_nonneg_order(_trace_free(es.eigenvalues))
     count, n = order.partial_sums.shape
     shift = np.zeros((count, n, n), dtype=complex)
     k = np.arange(n - 1)
@@ -166,26 +154,29 @@ def _single_commutator(am, command: str, kind: str, factor, comm, a_norm: float,
                                    residual_norm=0.0, report=VerificationReport(err, 1, checks))
 
 
-def self_commutator_decompose(a, *, trace_tol: float = TRACE_TOL) -> CommutatorDecomposition:
-    """Write a trace-zero Hermitian matrix as a single [x*, x], the V = 1
-    case of ``self_commutator_factors``, claiming norm(x)^2 <= 2*norm(a)."""
+def self_commutator_decompose(a) -> CommutatorDecomposition:
+    """Write a Hermitian matrix as a single [x*, x], the V = 1 case of
+    ``self_commutator_factors``, claiming norm(x)^2 <= 2*norm(a) and a
+    reconstruction residual, |tr a|/n up to rounding, within its bound."""
     am = as_matrix(a, square=True, name="a")
-    x, norms = self_commutator_factors(am[None], trace_tol=trace_tol)
+    x, norms = self_commutator_factors(am[None])
     x = x[0]
     return _single_commutator(am, "decompose", KIND_SELF, x, commutator(x.conj().T, x),
                               float(norms[0]), operator_norm(x) ** 2)
 
 
-def tight_commutator_factors(a, *, trace_tol: float = TRACE_TOL):
-    """Write a trace-zero Hermitian matrix as a single [x, y].
+def tight_commutator_factors(a):
+    """Write the trace-free part a - (tr a/n)*1 of a Hermitian matrix as a
+    single [x, y].
 
-    Uses ``signed_order`` and the shift identity: with s_k on the
-    superdiagonal of x and ones on the subdiagonal of y, [x, y] is the
-    reordered diagonal, whence norm(x)*norm(y) = max|s_k| <= norm(a).
-    Returns x, y and max|eigenvalue of a|.
+    Uses ``signed_order`` of the trace-free eigenvalues and the shift
+    identity: with s_k on the superdiagonal of x and ones on the subdiagonal
+    of y, [x, y] is the reordered diagonal, whence norm(x)*norm(y) =
+    max|s_k| <= max|eigenvalue less the mean|.  Returns x, y and
+    max|eigenvalue of a|.
     """
     es = hermitian_eig(a, name="a")
-    order = signed_order(es.eigenvalues, trace_tol=trace_tol)
+    order = signed_order(_trace_free(es.eigenvalues))
     n = es.eigenvalues.shape[0]
     a_norm = float(np.max(np.abs(es.eigenvalues)))
     if n == 1 or a_norm == 0.0:
@@ -198,11 +189,10 @@ def tight_commutator_factors(a, *, trace_tol: float = TRACE_TOL):
     return u @ sup @ u.conj().T, u @ sub @ u.conj().T, a_norm
 
 
-def tight_commutator_decompose(a, *, trace_tol: float = TRACE_TOL) -> CommutatorDecomposition:
+def tight_commutator_decompose(a) -> CommutatorDecomposition:
     """``tight_commutator_factors`` with its measured claims, among them
-    norm(x)*norm(y) <= norm(a)."""
-    x, y, a_norm = tight_commutator_factors(a, trace_tol=trace_tol)
+    norm(x)*norm(y) <= norm(a) and the reconstruction residual."""
+    x, y, a_norm = tight_commutator_factors(a)
     return _single_commutator(as_matrix(a, square=True, name="a"), "decompose-tight",
                               KIND_GENERAL, (x, y), commutator(x, y), a_norm,
                               operator_norm(x) * operator_norm(y))
-

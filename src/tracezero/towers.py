@@ -373,8 +373,6 @@ def _descend(z0, z_norm: float, tower: TowerModel, depth: int):
         raise InvalidInputError(f"tower block {depth} has empty support above its threshold")
     z_small = q.conj().T @ z @ q
     z_small = (z_small + z_small.conj().T) / 2.0
-    r = z_small.shape[0]
-    z_small -= (np.trace(z_small).real / r) * np.eye(r)  # remove float dust
     x_small, y_small, _ = tight_commutator_factors(z_small)
     inblock_pair = (q @ x_small @ q.conj().T, q @ y_small @ q.conj().T)
     residual = z - commutator(*inblock_pair)

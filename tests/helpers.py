@@ -392,13 +392,14 @@ def reconstruction_error(a, dec) -> float:
 
 
 def reference_self_commutator(a):
-    """(x, visiting order) of one trace-zero Hermitian matrix, taken one
-    matrix at a time: ``eigh``, the phase fix column by column with scalar
-    ``abs`` of the pivot, ``reference_greedy_order`` and the weighted lower
-    shift built entry by entry.  The reference the stacked pass must match
-    bit for bit."""
+    """(x, visiting order) of one Hermitian matrix, taken one matrix at a
+    time: ``eigh``, the eigenvalues less their mean, the phase fix column by
+    column with scalar ``abs`` of the pivot, ``reference_greedy_order`` and
+    the weighted lower shift built entry by entry.  The reference the
+    stacked pass must match bit for bit."""
     m = np.asarray(a, dtype=complex)
     eigenvalues, u = np.linalg.eigh((m + m.conj().T) / 2.0)
+    eigenvalues = eigenvalues - eigenvalues.mean()
     u = u.copy()
     for j in range(u.shape[1]):
         col = u[:, j]

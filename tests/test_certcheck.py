@@ -180,36 +180,52 @@ def test_a_document_whose_report_fails_has_inner_exit_code_1():
 
 # Every claim the ALL_RUNS outputs carry, made weaker in one way at a time.
 # The checker states each bound and tolerance from its own measurements, so
-# the one mismatch it reports pins its side of ``tracezero.claims``.
-CLAIMS = [(command, doc, i, check["name"]) for command, doc in outputs()
+# the one mismatch it reports pins its side of ``tracezero.claims``.  A
+# claim sits at a path of keys: a report's bound check, or a check of a
+# push step in a fack-run's tower report.
+CLAIMS = [(command, doc, ("report", "bound_checks", i), check["name"])
+          for command, doc in outputs()
           for i, check in enumerate(doc["report"]["bound_checks"])]
+STAGE_CLAIMS = [(command, doc, ("result", "tower_report", "stage_checks", t, i), check["name"])
+                for command, doc in outputs() if command == "fack-run"
+                for t, stage in enumerate(doc["result"]["tower_report"]["stage_checks"])
+                for i, check in enumerate(stage)]
 
 
 def test_the_weakened_claims_are_all_the_table_states():
     # each command's claims in report order; fack-run past depth 0, block-split
-    # with more than one block
+    # with more than one block; each push step's claims, of every stage
     assert [name for *_, name in CLAIMS] == [
         *claims.single("decompose", 1.0, 1.0), *claims.single("decompose-tight", 1.0, 1.0),
         *claims.field(1.0, 1), *claims.tower(1.0, 1.0, 1), *claims.split(1.0, 2)]
+    assert [name for *_, name in STAGE_CLAIMS] == [*claims.stage(1.0, 1.0, 1, 1)] * 3
 
 
-@pytest.mark.parametrize("command, doc, i, name", CLAIMS,
-                         ids=[f"{command}-{name}" for command, _, _, name in CLAIMS])
+def _json_path(where) -> str:
+    return "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in where)
+
+
+@pytest.mark.parametrize("command, doc, where, name", CLAIMS + STAGE_CLAIMS,
+                         ids=[f"{command}-{name}" for command, _, _, name in CLAIMS]
+                         + [f"{command}-stage{where[3]}-{name}"
+                            for command, _, where, name in STAGE_CLAIMS])
 @pytest.mark.parametrize("tamper", ["claimed_bound", "tolerance"])
-def test_a_weakened_claim_gives_one_mismatch(command, doc, i, name, tamper):
+def test_a_weakened_claim_gives_one_mismatch(command, doc, where, name, tamper):
     doc = copy.deepcopy(doc)
-    check = doc["report"]["bound_checks"][i]
+    check = doc
+    for key in where:
+        check = check[key]
     was = check[tamper]
     if tamper == "claimed_bound":
         check[tamper] = 2 * was + 1
-        if name in doc["result"].get("bounds", {}):
+        if name in doc["result"].get("bounds", {}) and where[0] == "report":
             doc["result"]["bounds"][name] = check[tamper]
         expected = f"{name}: claimed bound {check[tamper]!r} is weaker than the certified {was!r}"
     else:
         check[tamper] = was + 1.0
         expected = f"{name}: tolerance {check[tamper]!r} differs from {was!r}"
     assert verify(doc) == (1, {"verified": False, "inner_exit_code": 0, "mismatches": [
-        f"$.report.bound_checks[{i}].{tamper}: {expected}"]})
+        f"{_json_path(where)}.{tamper}: {expected}"]})
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -24,7 +26,7 @@ from helpers import (
     run_script,
 )
 from tracezero import schemas
-from tracezero.cli import RunConfig, encode, main, run_from_args
+from tracezero.cli import RunConfig, build_parser, encode, main, run_from_args
 from tracezero.errors import InvalidInputError
 from tracezero.jsonio import field_to_json, matrix_to_json
 from tracezero.matcore import MAX_FLOAT, commutator, hermitian_eig
@@ -40,6 +42,12 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 def run_cmd(command, doc, *flags):
     code, text = run_from_args([command, *flags], stdin_text=json.dumps(doc))
     return code, json.loads(text), text
+
+
+_PATH = SimplicialComplex.make(3, [(0, 1), (1, 2)])
+_VERTEX_VALUES = {"z": SZ, "traced": np.eye(2, dtype=complex),
+                  "small trace": np.diag([1e-3, -1e-3 + 1e-11]).astype(complex),
+                  "not hermitian": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)}
 
 
 def sample_field_doc():
@@ -117,11 +125,21 @@ class TestCommands:
         assert entries[1][0] == [1.0, 0.0]
         assert doc["report"]["all_passed"]
 
-    def test_decompose_identity_exits_2(self):
-        code, doc, _ = run_cmd("decompose", matrix_to_json(np.eye(2, dtype=complex)))
-        assert code == 2
-        assert "trace" in doc["error"]
-        assert "path" in doc
+    @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
+    def test_decompose_identity_exits_1(self, command):
+        # no sum of commutators comes closer to the identity than tr/n = 1:
+        # a full certificate whose reconstruction claim fails
+        code, doc, _ = run_cmd(command, matrix_to_json(np.eye(2, dtype=complex)))
+        assert code == 1
+        residual = doc["report"]["bound_checks"][0]
+        assert (residual["name"], residual["measured_value"], residual["passed"]) \
+            == ("reconstruction_residual", 1.0, False)
+        assert [c["passed"] for c in doc["report"]["bound_checks"]] == [False, True]
+        vcode, vdoc, _ = run_cmd("verify", doc)
+        assert vcode == 1
+        assert vdoc["result"]["mismatches"] == [
+            "$.report.bound_checks[0]: reconstruction_residual: re-measured 1.0 exceeds "
+            "claimed bound 1e-09"]
 
     def test_schema_violation_exits_2(self):
         code, doc, _ = run_cmd("decompose", {"n": 2})
@@ -263,28 +281,27 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
     def test_a_trace_within_tol_decomposes_and_verifies(self, command):
-        # the last partial sum is the trace 5e-10, inside the trace check's
-        # 2e-9; the reconstruction claim measures what it leaves over
+        # the trace 5e-10 leaves tr/n = 2.5e-10 on the identity, inside the
+        # reconstruction claim's 1e-9
         code, doc, _ = run_cmd(command, matrix_to_json(np.diag([1.0, -0.9999999995])))
         assert code == 0
         residual = doc["report"]["bound_checks"][0]
         assert residual["name"] == "reconstruction_residual"
-        assert residual["measured_value"] == pytest.approx(5e-10, rel=1e-6)
+        assert residual["measured_value"] == pytest.approx(2.5e-10, rel=1e-6)
         assert residual["passed"] is True
         vcode, vdoc, _ = run_cmd("verify", doc)
         assert vcode == 0
         assert vdoc["result"]["verified"] is True
 
     def test_a_trace_within_a_loose_tol_fails_its_reconstruction_claim(self):
-        # --tol 1e-6 admits the trace 1e-7, which the reconstruction claim,
+        # the trace 1e-7 leaves tr/n = 5e-8, which the reconstruction claim,
         # at 1e-9, measures and fails: a report, not an error document
-        code, doc, _ = run_cmd("decompose", matrix_to_json(np.diag([1.0, -0.9999999])),
-                               "--tol", "1e-6")
+        code, doc, _ = run_cmd("decompose", matrix_to_json(np.diag([1.0, -0.9999999])))
         assert code == 1
         assert "error" not in doc
         residual = doc["report"]["bound_checks"][0]
         assert residual["name"] == "reconstruction_residual"
-        assert residual["measured_value"] == pytest.approx(1e-7, rel=1e-6)
+        assert residual["measured_value"] == pytest.approx(5e-8, rel=1e-6)
         assert residual["passed"] is False
         assert doc["report"]["all_passed"] is False
         vcode, vdoc, _ = run_cmd("verify", doc)
@@ -331,8 +348,11 @@ class TestCommands:
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("diagonal,error", [
-        ([8e307] * 4, "vertex 0 value has nonzero trace"),
-        ([1.7e308] * 6, "vertex 0 value has nonzero trace"),
+        # a trace is no invalid input, but these norms are out of range
+        ([8e307] * 4, "vertex 0: a has norm beyond 4.494e+307, the float maximum over its "
+                      "size 4, where a sum of its eigenvalues can overflow"),
+        ([1.7e308] * 6, "vertex 0: a has entries beyond about 8.988e+307 in magnitude, where "
+                        "m + m* overflows a float"),
         # trace zero, though summing it unscaled overflows: the range rule words it
         ([1.7e308, 1.7e308, -1.7e308, -1.7e308],
          "vertex 0: a has entries beyond about 8.988e+307 in magnitude, where m + m* "
@@ -744,6 +764,94 @@ class TestExitOneCarriesACertificate:
                         or (path.stem, raised) in passed_on), f"{path.name}:{line} raises {raised}"
 
 
+@st.composite
+def _traced_hermitians(draw):
+    """Hermitian n x n matrices, n from 1 to 16, over the float range: a
+    trace-free part, random or of repeated integer eigenvalues rotated, at a
+    scale from 1e-310 to 1e300 and maybe off Hermitian by a relative 1e-15,
+    plus t*1, t being 0 or a multiple from [-4, 4] of the reconstruction
+    bound 1e-9 * max(1, norm), so maybe subnormal."""
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (h + h.conj().T) / 2.0
+    else:
+        u = random_unitary(SplitMix64(draw(st.integers(0, 2 ** 32 - 1))), n)
+        h = u @ np.diag(rng.integers(-2, 3, n).astype(float)) @ u.conj().T
+        h = (h + h.conj().T) / 2.0
+    h = (h - np.trace(h).real / n * np.eye(n)) * 10.0 ** draw(st.integers(-310, 300))
+    if draw(st.booleans()):
+        skew = rng.standard_normal((n, n))
+        h = h + 1e-15 * np.max(np.abs(h)) * (skew - skew.T)
+    c = draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)))
+    return h + c * 1e-9 * max(1.0, float(np.linalg.norm(h, 2))) * np.eye(n)
+
+
+class TestOneTraceRule:
+    """Every commutator has trace zero, so no sum of them comes closer to a
+    than |tr a|/n.  The factors decompose a - (tr a/n)*1 and leave exactly
+    that, and the reconstruction claim is the only rule that judges it: a
+    trace is never invalid input."""
+
+    @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
+    @given(_traced_hermitians())
+    @settings(max_examples=60, deadline=None)
+    def test_the_residual_is_the_trace_over_n(self, command, a):
+        n = a.shape[0]
+        code, doc, _ = run_cmd(command, matrix_to_json(a))
+        assert code in (0, 1)
+        checks = doc["report"]["bound_checks"]
+        a_norm = float(np.linalg.norm(a, 2))
+        trace = abs(np.trace(a)) / n
+        rounding = 64 * n * (np.finfo(float).eps * a_norm + 5e-324)
+        assert abs(checks[0]["measured_value"] - trace) <= 1e-6 * trace + rounding
+        multiple = trace / (1e-9 * max(1.0, a_norm))  # of the reconstruction bound
+        if multiple < 0.5:
+            assert code == 0
+        elif multiple > 2.0:
+            assert code == 1 and not checks[0]["passed"]
+        vcode, vdoc, _ = run_cmd("verify", doc)
+        assert vcode == code
+        assert [m.split(":")[0] for m in vdoc["result"]["mismatches"]] \
+            == [f"$.report.bound_checks[{i}]" for i, check in enumerate(checks)
+                if not check["passed"]]
+
+    @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
+    @pytest.mark.parametrize("diagonal", [[1.0, -0.9999999985],
+                                          [1.0] * 4 + [-1.0] * 3 + [-1.0 + 6e-9]])
+    def test_a_trace_its_decomposition_can_meet_is_admitted_and_verified(self, command,
+                                                                          diagonal):
+        # the trace 1.5e-9 or 6e-9 over n is 7.5e-10, inside the claim's 1e-9
+        code, doc, _ = run_cmd(command, matrix_to_json(np.diag(diagonal)))
+        assert code == 0
+        residual = doc["report"]["bound_checks"][0]
+        assert residual["name"] == "reconstruction_residual"
+        assert residual["measured_value"] == pytest.approx(7.5e-10, rel=1e-6)
+        assert run_cmd("verify", doc)[0] == 0
+
+    @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
+    @pytest.mark.parametrize("scale", [1e10, 1e150, 1e300])
+    def test_the_norm_claim_tolerance_is_relative_at_large_norms(self, command, scale):
+        # 1e-9 in ratio units: 1e-9/norm(a) would be below the ratio's rounding
+        rng = SplitMix64(5)
+        for n in (2, 7, 16, 64):
+            code, doc, _ = run_cmd(command, matrix_to_json(
+                random_trace_zero_hermitian(rng, n) * scale))
+            assert code == 0
+            assert doc["report"]["bound_checks"][1]["tolerance"] == 1e-9
+            assert run_cmd("verify", doc)[0] == 0
+
+    @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
+    def test_a_subnormal_matrix_verifies(self, command):
+        # the norm claim's tolerance 1e-9/norm(a) overflows to inf here, and
+        # verify takes the reported inf as agreeing with its own
+        code, doc, _ = run_cmd(command, matrix_to_json(np.diag([5e-324, -5e-324])))
+        assert code == 0
+        assert doc["report"]["bound_checks"][1]["tolerance"] == math.inf
+        assert run_cmd("verify", doc)[1]["result"]["mismatches"] == []
+
+
 class TestNormShortcuts:
     """operator_norm answers 0.0 for a zero matrix without an SVD: with that
     shortcut taken out, so that every norm is the SVD's, every document,
@@ -812,32 +920,11 @@ class TestHostileInput:
          "tower.deltas[1] is too large for a float"),
         ("pp-example", {"m": _HUGE},
          "m is capped at 1558: the certificate's coefficient m! must print as a JSON integer"),
-        ("verify", {"command": "decompose", "parameters": {"tol": _HUGE}, "input": {}},
-         "parameters.tol is too large for a float"),
     ])
     def test_huge_integer_field_exits_2(self, command, doc, message):
         code, out = run_from_args([command], stdin_text=json.dumps(doc))
         assert code == 2
         assert json.loads(out) == {"error": message, "path": "stdin"}
-
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_tol_exits_2(self, tol):
-        # either one would switch off the trace test: the identity would
-        # exit 1 from the shift construction, not 2 for its trace
-        code, out = run_from_args(["decompose", "--tol", tol],
-                                  stdin_text=json.dumps(matrix_to_json(np.eye(2))))
-        assert code == 2
-        assert json.loads(out) == {"error": f"tol must be positive and finite, not {tol}",
-                                   "path": ""}
-
-    def test_verify_of_a_non_finite_tol_exits_2(self):
-        _, _, text = run_cmd("decompose", matrix_to_json(SZ))
-        assert '"tol": 1e-09' in text
-        code, out = run_from_args(["verify"], stdin_text=text.replace('"tol": 1e-09',
-                                                                      '"tol": 1e400'))
-        assert code == 2
-        assert json.loads(out) == {"error": "parameters.tol must be a finite number, not inf",
-                                   "path": "stdin"}
 
     @pytest.mark.parametrize("tower, message", [
         ('"deltas": [1e400]', "tower.deltas[0] must be a finite number, not inf"),
@@ -930,21 +1017,33 @@ class TestHostileInput:
 
     @pytest.mark.parametrize("values, error", [
         (["z", "not hermitian", "z"], "vertex 1: a is not Hermitian within tolerance 1e-12"),
-        (["z", "traced", "z"], "vertex 1 value has nonzero trace"),
-        # every vertex trace is checked before any vertex is decomposed
-        (["z", "not hermitian", "traced"], "vertex 2 value has nonzero trace"),
-        # the field's trace rule, relative to n * max(1, norm), passes this
-        # value; the ordering's own rule, relative to n * norm, does not
-        (["z", "small trace", "z"],
-         "vertex 1: trace too far from zero: sum=1.000e-11, allowed 2.000e-12"),
+        # a trace is no invalid input: the vertex after it is the first to fail
+        (["z", "traced", "not hermitian"], "vertex 2: a is not Hermitian within tolerance 1e-12"),
     ])
     def test_field_reports_the_first_failing_vertex(self, values, error):
-        matrices = {"z": SZ, "traced": np.eye(2, dtype=complex),
-                    "small trace": np.diag([1e-3, -1e-3 + 1e-11]).astype(complex),
-                    "not hermitian": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)}
-        path = SimplicialComplex.make(3, [(0, 1), (1, 2)])
-        doc = field_to_json(make_field(path, [matrices[v] for v in values]))
+        doc = field_to_json(make_field(_PATH, [_VERTEX_VALUES[v] for v in values]))
         assert run_cmd("decompose-field", doc)[:2] == (2, {"error": error, "path": "stdin"})
+
+    @pytest.mark.parametrize("value, code, residual, mismatches", [
+        # tr/n = 1 at vertex 1, over the claim 1e-8 * sup = 1e-8; verify names the vertex
+        ("traced", 1, 1.0, [
+            "$.result.factors[1]: vertex 1: norm([x*, x] - value) = 1.0 exceeds 1e-08",
+            "$.report.bound_checks[0]: field_residual: re-measured 1.0 exceeds claimed "
+            "bound 1e-08"]),
+        # tr/n = 5e-12, under 1e-8 * sup = 1e-11: one rule for every vertex
+        ("small trace", 0, 5e-12, []),
+    ])
+    def test_a_field_vertex_trace_is_judged_by_the_residual_claim(self, value, code, residual,
+                                                                  mismatches):
+        doc = field_to_json(make_field(_PATH, [SZ, _VERTEX_VALUES[value], SZ]))
+        found, out, _ = run_cmd("decompose-field", doc)
+        assert found == code
+        check = out["report"]["bound_checks"][0]
+        assert check["name"] == "field_residual"
+        assert check["measured_value"] == pytest.approx(residual, rel=1e-6)
+        assert check["passed"] is (code == 0)
+        vcode, vdoc, _ = run_cmd("verify", out)
+        assert (vcode, vdoc["result"]["mismatches"]) == (code, mismatches)
 
     @pytest.mark.parametrize("refine", ["0", "1"])
     def test_empty_simplex_exits_2(self, refine):
@@ -975,7 +1074,6 @@ class TestHostileInput:
         assert doc["result"]["color_count"] == 9
 
     @pytest.mark.parametrize("name, message", [
-        ("tol", "'x' is not of type 'number'"),
         ("seed", "'x' is not of type 'integer'"),
         ("refine", "'x' is not of type 'integer'"),
         ("depth", "'x' is not of type 'integer', 'null'"),
@@ -1633,12 +1731,25 @@ class TestEntryPoints:
 
 class TestConfig:
     def test_bad_tol(self):
-        with pytest.raises(Exception):
+        # there is no trace tolerance to set: the reconstruction claim judges the trace
+        with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
             RunConfig(command="decompose", tol=-1.0)
 
     def test_unknown_command(self):
         with pytest.raises(Exception):
             RunConfig(command="nope")
+
+    def test_the_readme_lists_exactly_the_parser_flags(self):
+        # and each flag but --in and --out sets a RunConfig field, which
+        # parameters() and verify read
+        line = next(text for text in (REPO / "README.md").read_text().splitlines()
+                    if text.startswith("Flags:"))
+        actions = [a for a in build_parser()._actions if a.option_strings and a.dest != "help"]
+        assert sorted(re.findall(r"`(--[a-z-]+)`", line)) \
+            == sorted(option for a in actions for option in a.option_strings)
+        fields = {field.name for field in dataclasses.fields(RunConfig)}
+        assert {a.dest for a in actions} - {"in_path", "out_path"} <= fields
+        assert set(RunConfig(command="tower").parameters()) == {"depth", "refine", "seed"}
 
 
 def test_published_schemas_match_source():

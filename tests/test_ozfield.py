@@ -217,9 +217,14 @@ class TestTraceZeroField:
         assert decompose_field(make_field(c, [SZ] * 4), greedy_coloring(c)).report.all_passed
 
     def test_identity_field(self):
+        # no sum of commutators is closer to the identity than tr/n = 1 at a
+        # vertex: the factors are zero and the residual claim fails there
         c = circle_complex(4)
-        with pytest.raises(InvalidInputError, match="vertex 0 value has nonzero trace"):
-            decompose_field(make_field(c, [np.eye(2, dtype=complex)] * 4), greedy_coloring(c))
+        fd = decompose_field(make_field(c, [np.eye(2, dtype=complex)] * 4), greedy_coloring(c))
+        assert all(not x.any() for factor in fd.factors for _, x in factor.entries)
+        assert [(b.name, b.measured_value, b.passed) for b in fd.report.bound_checks] == [
+            ("field_residual", 1.0, False), ("max_factor_norm_sq", 0.0, True),
+            ("factor_count", 2.0, True)]
 
     def test_scalar_multiples_of_traceless(self):
         c = circle_complex(5)
@@ -267,8 +272,8 @@ class TestDecomposeField:
 
     def test_error_names_vertex(self):
         c = circle_complex(4)
-        vals = [SZ, SZ, np.eye(2, dtype=complex), SZ]
-        with pytest.raises(InvalidInputError, match="vertex 2"):
+        vals = [SZ, SZ, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), SZ]
+        with pytest.raises(InvalidInputError, match="^vertex 2: a is not Hermitian"):
             decompose_field(make_field(c, vals), greedy_coloring(c))
 
     def test_refinement_halves_smooth_error(self):

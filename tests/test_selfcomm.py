@@ -55,9 +55,11 @@ class TestGreedyOrder:
         np.testing.assert_allclose(order.partial_sums, [3.0, 2.0, 1.0, 0.0])
         assert np.max(order.partial_sums) <= 2 * 3.0
 
-    def test_rejects_nonzero_sum(self):
-        with pytest.raises(InvalidInputError):
-            greedy_nonneg_order([1.0, 1.0])
+    def test_orders_a_nonzero_sum(self):
+        # the rule orders any multiset; the window is a theorem of zero sums
+        order = greedy_nonneg_order([1.0, 2.0, 1.0])
+        assert order.permutation == (1, 0, 2)
+        np.testing.assert_array_equal(order.partial_sums, [2.0, 3.0, 4.0])
 
     def test_exhaustive_small_scale(self):
         for combo in zero_sum_multisets(6):
@@ -192,8 +194,20 @@ class TestSelfCommutatorDecompose:
         assert abs(n1 - n2) <= 1e-8
 
     def test_rejects_nonzero_trace(self):
-        with pytest.raises(InvalidInputError):
-            self_commutator_decompose(np.eye(2, dtype=complex))
+        # by its report: the factors decompose a - (tr a/n)*1, so they leave
+        # (tr a/n)*1, the least any sum of commutators can leave, and the
+        # reconstruction claim fails on it; the tight form leaves the same
+        a = np.diag([3.0, -1.0, 0.5]).astype(complex)
+        self_dec, tight_dec = self_commutator_decompose(a), tight_commutator_decompose(a)
+        x = self_dec.factors[0]
+        for dec, comm in [(self_dec, commutator(x.conj().T, x)),
+                          (tight_dec, commutator(*tight_dec.factors[0]))]:
+            np.testing.assert_allclose(a - comm, (2.5 / 3) * np.eye(3), atol=1e-15)
+            residual = dec.report.bound_checks[0]
+            assert residual.name == "reconstruction_residual"
+            assert residual.measured_value == pytest.approx(2.5 / 3, rel=1e-15)
+            assert not residual.passed and dec.report.bound_checks[1].passed
+            assert not dec.report.all_passed
 
 
 @st.composite
@@ -235,7 +249,8 @@ class TestStackedSelfCommutator:
     @settings(max_examples=200, deadline=None)
     def test_stack_matches_the_per_matrix_reference(self, stack):
         x, norms = self_commutator_factors(stack)
-        order = greedy_nonneg_order(hermitian_eig(stack).eigenvalues)
+        lam = hermitian_eig(stack).eigenvalues
+        order = greedy_nonneg_order(lam - lam.mean(axis=1, keepdims=True))
         for v, a in enumerate(stack):
             expected, perm = reference_self_commutator(a)
             assert x[v].view(float).tobytes() == expected.view(float).tobytes()
@@ -256,7 +271,7 @@ class TestStackedSelfCommutator:
                     max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_stack_raises_what_the_first_failing_matrix_raises(self, kinds):
-        # each traced matrix has its own trace, so the message names the row
+        # a traced matrix raises nothing: its reconstruction claim judges it
         stack = []
         for v, kind in enumerate(kinds):
             a = np.diag([1.0, -1.0 + (0.01 * (v + 1) if kind == "traced" else 0.0)])
