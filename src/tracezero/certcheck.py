@@ -35,7 +35,7 @@ from .ozfield import SimplicialField, require_refine_budget
 from .schemas import validate
 
 # A value the document reports and the checker re-measures must agree to
-# this, relative to max(1, the scale of the quantity).
+# claims.slack(AGREE, the scale of the quantity).
 AGREE = 1e-9
 
 
@@ -60,9 +60,9 @@ class Findings:
             self.fail(path, text)
 
 
-def _agree(reported: float, measured: float, scale: float = 1.0) -> bool:
-    return reported == measured or abs(reported - measured) <= AGREE * max(1.0, scale,
-                                                                          abs(measured))
+def _agree(reported: float, measured: float, scale: float = 0.0) -> bool:
+    return reported == measured or abs(reported - measured) <= claims.slack(
+        AGREE, max(scale, abs(measured)))
 
 
 # --------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def _check_claim(f: Findings, p: str, name: str, claimed: float, tolerance: floa
                  bound: float, tol: float):
     """A reported claim states no weaker bound and the same tolerance as the
     certified (bound, tol)."""
-    f.require(claimed <= bound + AGREE * max(1.0, abs(bound)), f"{p}.claimed_bound",
+    f.require(claimed <= bound + claims.slack(AGREE, abs(bound)), f"{p}.claimed_bound",
               f"{name}: claimed bound {claimed!r} is weaker than the certified {bound!r}")
     f.require(_agree(tolerance, tol), f"{p}.tolerance",
               f"{name}: tolerance {tolerance!r} differs from {tol!r}")
@@ -213,7 +213,7 @@ def _check_bounds(f: Findings, report: dict, spec: dict, measured: dict,
             f.require(_agree(reported, value, scale), f"{p}.measured_value",
                       f"{name}: reported {reported!r} but re-measured {value!r}")
         else:
-            f.require(value <= reported + AGREE * max(1.0, scale), f"{p}.measured_value",
+            f.require(value <= reported + claims.slack(AGREE, scale), f"{p}.measured_value",
                       f"{name}: reported {reported!r} is below its re-measured lower bound "
                       f"{value!r}")
         f.require(value <= claimed + tol, p,
@@ -441,7 +441,7 @@ def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine:
               "$.result.field.complex.simplices", "differ from the refined input's")
     if out.complex.vertex_count == vertex_count and out.matrix_size == n:
         gap = np.max(np.abs(np.stack(out.values) - value_stack), axis=(1, 2))
-        for v in np.flatnonzero(gap > AGREE * max(1.0, float(np.max(np.abs(value_stack))))):
+        for v in np.flatnonzero(gap > claims.slack(AGREE, float(np.max(np.abs(value_stack))))):
             f.fail(f'$.result.field.values["{v}"]', "differs from the refined input's value")
 
     coloring = [_integer(c, f"$.result.coloring[{v}]") for v, c in

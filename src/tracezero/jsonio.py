@@ -29,6 +29,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .claims import TINY, slack
 from .errors import InvalidInputError
 from .matcore import MAX_FLOAT, as_matrix, operator_norm, require_block_layout, require_hermitian
 from .obstruct import BundleExpr, require_pp_example_m, require_tower_m_max
@@ -166,14 +167,14 @@ class TowerInput:
 
 def _tower_z0(doc: dict, n: int) -> np.ndarray | None:
     """The given z0: Hermitian, of the tower's size n, and trace zero, which is
-    |tr z0| <= 1e-9 n max(1, norm(z0)); the norm is taken only above 1e-9 n."""
+    |tr z0| <= slack(1e-9 n, norm(z0)); the norm is taken only above TINY."""
     if doc.get("z0") is None:
         return None
     z0 = require_hermitian(matrix_from_json(doc["z0"], name="z0"), name="z0")
     if z0.shape[0] != n:
         raise InvalidInputError("z0 size does not match the tower")
     trace = abs(np.trace(z0))
-    if trace > 1e-9 * n and trace > 1e-9 * n * operator_norm(z0):
+    if trace > TINY and trace > slack(1e-9 * n, operator_norm(z0)):
         raise InvalidInputError("z0 must be trace zero")
     return z0
 

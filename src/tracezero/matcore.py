@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .claims import TINY
 from .errors import InvalidInputError
 
 HERMITIAN_TOL = 1e-12
@@ -76,7 +77,7 @@ def max_operator_norm(stack) -> float:
 
 
 def is_hermitian(a) -> bool:
-    """max |a - a*| <= HERMITIAN_TOL * (1 + max |a|) entrywise."""
+    """max |a - a*| <= HERMITIAN_TOL * max |a| + TINY entrywise, as claims.slack."""
     return bool(_hermitian_each(as_matrix(a, square=True)))
 
 
@@ -84,12 +85,12 @@ def _hermitian_each(m) -> np.ndarray:
     """``is_hermitian``'s rule on a matrix, or on each matrix of a stack.
 
     Both sides are taken on m/4, where neither m - m* nor a modulus can
-    overflow.  Scaling by 4 is exact on normal floats, and subnormal
-    rounding is far below the tolerance, so the verdict is the unscaled
-    rule's on every input where that rule does not overflow."""
+    overflow, with the absolute term TINY/4.  Scaling by 4 is exact on normal
+    floats, and subnormal rounding (at most 2^-1075) is far below TINY/4, so
+    the verdict is the unscaled rule's wherever that rule does not overflow."""
     q = m / 4.0
     return (np.max(np.abs(q - q.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
-            <= HERMITIAN_TOL * (0.25 + np.max(np.abs(q), axis=(-2, -1), initial=0.0)))
+            <= HERMITIAN_TOL * np.max(np.abs(q), axis=(-2, -1), initial=0.0) + TINY / 4.0)
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -178,7 +179,7 @@ def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
     eigenvalues, u = np.linalg.eigh(sym)
     # A sum of eigenvalues is at most n * norm(a) in modulus; an eigenvalue
     # beyond the float maximum comes back as inf and fails the rule too.
-    norm_limit = MAX_FLOAT / max(stack.shape[1], 1)
+    norm_limit = MAX_FLOAT / stack.shape[1] if stack.shape[1] else MAX_FLOAT
     in_norm = np.max(np.abs(eigenvalues), axis=1, initial=0.0) <= norm_limit
     raise_first_failure([
         (~finite, lambda k: f"{name} has non-finite entries"),

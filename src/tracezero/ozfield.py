@@ -215,19 +215,11 @@ def make_field(complex_: SimplicialComplex, values) -> SimplicialField:
 
 
 def face_means(values, faces) -> np.ndarray:
-    """The stacked mean of ``values`` over each face: bit for bit
-    sum(values[v] for v in face) / len(face) where that sum is finite, else
-    the sum of values[v] / len(face), which cannot overflow (but by rounding
-    within a few ulps of the float maximum)."""
-    stack, means = np.stack(values), []
-    for k, group in itertools.groupby(faces, len):
-        terms = stack[np.array(list(group))].swapaxes(0, 1)  # (k, faces, n, n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = sum(terms) / k
-            overflowed = ~np.isfinite(mean)
-            mean[overflowed] = sum(terms / k)[overflowed]
-        means.append(mean)
-    return np.concatenate(means)
+    """The stacked mean of ``values`` over each face (``faces`` sorted by size):
+    the sum of values[v] / len(face), which overflows only by rounding."""
+    stack = np.stack(values)
+    return np.concatenate([(stack[np.array(list(group))] / k).sum(axis=1)
+                           for k, group in itertools.groupby(faces, len)])
 
 
 def subdivide_field(fld: SimplicialField, sub: BarycentricSubdivision) -> SimplicialField:
@@ -262,9 +254,9 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
     vertex (the module docstring says why): ``field_residual`` is the
     maximum of norm([x_v*, x_v] - value_v) over every vertex, in a maximal
     simplex or not, and so judges each vertex trace, which it leaves as
-    |tr v|/n.  The bound norm(y_k)^2 <= 2*sup_norm + 1e-8 is checked at the
-    same vertices, where norm(sqrt(w) x_v) peaks (w = 1).  The residual,
-    sup_norm and factor norm are exact SVD maxima.
+    |tr v|/n.  The bound norm(y_k)^2 <= 2*sup_norm + slack(1e-8, sup_norm) is
+    checked at the same vertices, where norm(sqrt(w) x_v) peaks (w = 1).  The
+    residual, sup_norm and factor norm are exact SVD maxima.
     """
     require_proper(fld.complex, coloring)
     values = np.stack(fld.values)

@@ -61,6 +61,6 @@ def random_hermitian(rng: SplitMix64, n: int) -> np.ndarray:
 
 def random_trace_zero_hermitian(rng: SplitMix64, n: int) -> np.ndarray:
     h = random_hermitian(rng, n)
-    h -= (np.trace(h).real / max(n, 1)) * np.eye(n)  # n = 0: the empty matrix
+    h -= (np.trace(h).real / n if n else 0.0) * np.eye(n)  # n = 0: the empty matrix
     return h
 

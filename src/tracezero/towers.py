@@ -53,7 +53,7 @@ from .matcore import (
 from .selfcomm import tight_commutator_factors
 
 NEUMANN_TOL = 1e-10
-PSD_TOL = 1e-10  # most negative eigenvalue a PSD element may have
+PSD_TOL = 1e-10  # most negative eigenvalue a PSD element may have, relative to its largest
 NEUMANN_MAX_ITER = 10_000
 
 
@@ -110,7 +110,7 @@ class ElementSpectrum:
     def of(cls, e, epsilon: float) -> "ElementSpectrum":
         """The spectrum of a PSD matrix, from its one eigendecomposition."""
         es = hermitian_eig(e)
-        if es.eigenvalues.size and float(es.eigenvalues[0]) < -PSD_TOL:
+        if es.eigenvalues.size and es.eigenvalues[0] < -claims.slack(PSD_TOL, es.eigenvalues[-1]):
             raise InvalidInputError(
                 f"matrix has negative spectrum beyond tolerance: {float(es.eigenvalues[0]):.3e}")
         return cls.from_eigen(es.unitary, np.clip(es.eigenvalues, 0.0, None), epsilon)
@@ -274,11 +274,11 @@ class TowerModel:
         inp = self.input
         if inp.ranks is None:
             elements = inp.elements
+            norms = [operator_norm(e) for e in elements]
             for i in range(len(elements)):
                 for j in range(max(i + 1, 2), len(elements)):
                     defect = operator_norm(elements[i] @ elements[j])
-                    if defect > 1e-10 and defect > 1e-10 * max(
-                            1.0, operator_norm(elements[i]) * operator_norm(elements[j])):
+                    if defect > claims.slack(1e-10, norms[i] * norms[j]):
                         raise InvalidInputError(
                             f"tower blocks {i} and {j} are not orthogonal: {defect:.3e}")
             self.spectra = [ElementSpectrum.of(e, inp.epsilon) for e in elements]
@@ -439,7 +439,7 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
         checks = bound_checks(claims.split(b_norm, d), shift_reconstruction=0.0)
         return BlockSplitResult(zero, zero.copy(), zero.copy(), bm.copy(), checks)
     total = operator_norm(sum(defects))
-    if total > 1e-8 * max(1.0, b_norm):
+    if total > claims.slack(1e-8, b_norm):
         raise InvalidInputError(
             f"diagonal blocks minus commutators must sum to zero (defect {total:.3e})")
 
@@ -450,7 +450,7 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
         partial.append(acc.copy())
     for i, s in enumerate(partial):
         defect = max(operator_norm(em @ s - s), operator_norm(s @ em - s))
-        if defect > 1e-9 and defect > 1e-9 * max(1.0, operator_norm(s)):
+        if defect > claims.slack(1e-9, operator_norm(s)):
             raise InvalidInputError(f"e does not act as a unit on partial sum {i + 1}")
 
     big = np.zeros_like(bm)

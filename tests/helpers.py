@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from tracezero import towers
+from tracezero.claims import slack
 from tracezero.errors import InvalidInputError
 from tracezero.jsonio import TowerInput, decode_input, matrix_to_json
 from tracezero.matcore import (
@@ -110,7 +111,7 @@ def support_of(a) -> Support:
     """The Support of a PSD matrix, from its own eigendecomposition: the
     eigenvectors whose eigenvalue exceeds RANK_TOL times the largest."""
     es = hermitian_eig(a)
-    if es.eigenvalues.size and float(es.eigenvalues[0]) < -PSD_TOL:
+    if es.eigenvalues.size and es.eigenvalues[0] < -slack(PSD_TOL, es.eigenvalues[-1]):
         raise InvalidInputError(
             f"matrix has negative spectrum beyond tolerance: {float(es.eigenvalues[0]):.3e}")
     return Support.from_eigen(es.unitary, np.clip(es.eigenvalues, 0.0, None))

@@ -264,9 +264,9 @@ def test_a_wrong_construction_with_a_passing_report_is_rejected(monkeypatch):
 
 
 
-def test_verify_means_the_refined_field_by_itself(monkeypatch):
-    # a wrong refinement that the command's report cannot see: the factors
-    # decompose the values it emits, so only a mean of verify's own finds it
+def _skewed_refinement_mismatches(monkeypatch, field):
+    """verify's mismatches on a decompose-field --refine 1 document of
+    ``field`` whose constructor means one face wrong."""
     original = tracezero.ozfield.face_means
 
     def skewed(values, faces):
@@ -277,11 +277,28 @@ def test_verify_means_the_refined_field_by_itself(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("tracezero") and getattr(module, "face_means", None) is original:
             monkeypatch.setattr(module, "face_means", skewed)
-    code, doc, _ = run_cmd("decompose-field", sample_field_doc(), "--refine", "1")
+    code, doc, _ = run_cmd("decompose-field", field, "--refine", "1")
     assert code == 0 and doc["report"]["all_passed"]
     code, result = verify(doc)
     assert code == 1
-    assert result["mismatches"][0] == \
+    return result["mismatches"]
+
+
+def test_verify_means_the_refined_field_by_itself(monkeypatch):
+    # a wrong refinement that the command's report cannot see: the factors
+    # decompose the values it emits, so only a mean of verify's own finds it
+    assert _skewed_refinement_mismatches(monkeypatch, sample_field_doc())[0] == \
+        "$.result.field.values[\"11\"]: differs from the refined input's value"
+
+
+def test_verify_means_a_tiny_refined_field_by_itself(monkeypatch):
+    # values agree to claims.slack(AGREE, the largest entry), with no floor
+    # at 1 under which a wrong mean of a field scaled by 1e-20 would pass
+    field = sample_field_doc()
+    for value in field["values"].values():
+        value["entries"] = [[[1e-20 * part for part in z] for z in row]
+                            for row in value["entries"]]
+    assert _skewed_refinement_mismatches(monkeypatch, field)[0] == \
         "$.result.field.values[\"11\"]: differs from the refined input's value"
 
 

@@ -44,10 +44,13 @@ def run_cmd(command, doc, *flags):
     return code, json.loads(text), text
 
 
+TINY = float(np.finfo(float).tiny)  # the smallest normal float, 2^-1022
+
 _PATH = SimplicialComplex.make(3, [(0, 1), (1, 2)])
 _VERTEX_VALUES = {"z": SZ, "traced": np.eye(2, dtype=complex),
                   "small trace": np.diag([1e-3, -1e-3 + 1e-11]).astype(complex),
-                  "not hermitian": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)}
+                  "not hermitian": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+                  "tiny skew": np.array([[0.0, 1e-13], [0.0, 0.0]], dtype=complex)}
 
 
 def sample_field_doc():
@@ -315,6 +318,14 @@ class TestCommands:
         assert code == 2
         assert doc == {"error": "a has entries beyond about 8.988e+307 in magnitude, "
                                 "where m + m* overflows a float", "path": "stdin"}
+
+    @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
+    def test_a_tiny_skew_matrix_is_not_hermitian(self, command):
+        # max|a - a*| = 1e-13 against 1e-12 * 1e-13 + TINY: its skew part is
+        # not certified away
+        code, doc, _ = run_cmd(command, matrix_to_json(np.array([[0.0, 1e-13], [0.0, 0.0]])))
+        assert (code, doc) == (2, {"error": "a is not Hermitian within tolerance 1e-12",
+                                   "path": "stdin"})
 
     @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
     def test_huge_skew_entries_exit_2_with_nothing_on_stderr(self, command, capfd):
@@ -770,7 +781,7 @@ def _traced_hermitians(draw):
     trace-free part, random or of repeated integer eigenvalues rotated, at a
     scale from 1e-310 to 1e300 and maybe off Hermitian by a relative 1e-15,
     plus t*1, t being 0 or a multiple from [-4, 4] of the reconstruction
-    bound 1e-9 * max(1, norm), so maybe subnormal."""
+    bound 1e-9 * norm + TINY, so maybe subnormal."""
     n = draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
@@ -785,7 +796,14 @@ def _traced_hermitians(draw):
         skew = rng.standard_normal((n, n))
         h = h + 1e-15 * np.max(np.abs(h)) * (skew - skew.T)
     c = draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)))
-    return h + c * 1e-9 * max(1.0, float(np.linalg.norm(h, 2))) * np.eye(n)
+    return h + c * (1e-9 * float(np.linalg.norm(h, 2)) + TINY) * np.eye(n)
+
+
+def _strict_json(text: str):
+    """``text`` parsed as standard JSON, which has no Infinity or NaN."""
+    def refuse(constant):
+        raise AssertionError(f"stdout holds the non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestOneTraceRule:
@@ -797,21 +815,27 @@ class TestOneTraceRule:
     @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
     @given(_traced_hermitians())
     @settings(max_examples=60, deadline=None)
+    @example(np.array([[2.5e-10 + 0j]]))  # a nonzero 1 x 1 matrix is no commutator
+    # the trace-free part's norm exceeds norm(a) by |tr a|/n = 0.4 TINY, 4e-4
+    # of norm(a), a trace the reconstruction bound admits: the norm claim allows it
+    @example(np.diag([2e-305, -1e-305, -1e-305]) - 0.4 * TINY * np.eye(3))
     def test_the_residual_is_the_trace_over_n(self, command, a):
         n = a.shape[0]
-        code, doc, _ = run_cmd(command, matrix_to_json(a))
+        code, _, text = run_cmd(command, matrix_to_json(a))
+        doc = _strict_json(text)
         assert code in (0, 1)
         checks = doc["report"]["bound_checks"]
         a_norm = float(np.linalg.norm(a, 2))
         trace = abs(np.trace(a)) / n
         rounding = 64 * n * (np.finfo(float).eps * a_norm + 5e-324)
         assert abs(checks[0]["measured_value"] - trace) <= 1e-6 * trace + rounding
-        multiple = trace / (1e-9 * max(1.0, a_norm))  # of the reconstruction bound
+        multiple = trace / (1e-9 * a_norm + TINY)  # of the reconstruction bound
         if multiple < 0.5:
             assert code == 0
         elif multiple > 2.0:
             assert code == 1 and not checks[0]["passed"]
-        vcode, vdoc, _ = run_cmd("verify", doc)
+        vcode, _, vtext = run_cmd("verify", doc)
+        vdoc = _strict_json(vtext)
         assert vcode == code
         assert [m.split(":")[0] for m in vdoc["result"]["mismatches"]] \
             == [f"$.report.bound_checks[{i}]" for i, check in enumerate(checks)
@@ -844,12 +868,42 @@ class TestOneTraceRule:
 
     @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
     def test_a_subnormal_matrix_verifies(self, command):
-        # the norm claim's tolerance 1e-9/norm(a) overflows to inf here, and
-        # verify takes the reported inf as agreeing with its own
-        code, doc, _ = run_cmd(command, matrix_to_json(np.diag([5e-324, -5e-324])))
+        # the norm claim's tolerance is the reconstruction slack over norm(a),
+        # 1e-9 + TINY/norm(a): at most 2^52 + 1e-9 here, where 1e-9/norm(a)
+        # overflowed, so the document is standard JSON
+        code, _, text = run_cmd(command, matrix_to_json(np.diag([5e-324, -5e-324])))
+        doc = _strict_json(text)
         assert code == 0
-        assert doc["report"]["bound_checks"][1]["tolerance"] == math.inf
+        assert doc["report"]["bound_checks"][1]["tolerance"] == 1e-9 + TINY / 5e-324 == 2.0 ** 52
         assert run_cmd("verify", doc)[1]["result"]["mismatches"] == []
+
+    @pytest.mark.parametrize("command, factors", [
+        ("decompose", "self_commutator_factors"), ("decompose-tight", "tight_commutator_factors")])
+    @pytest.mark.parametrize("s", [1e-300, 1e-10, 1.0])
+    def test_a_zero_decomposition_fails_at_every_scale(self, monkeypatch, command, factors, s):
+        # ||a - 0|| = s against the bound 1e-9 s + TINY: no floor admits it
+        a = np.diag([s, -s]).astype(complex)
+        code, doc, _ = run_cmd(command, matrix_to_json(a))
+        assert code == 0
+        assert run_cmd("verify", doc)[0] == 0
+        original = getattr(tracezero.selfcomm, factors)
+
+        def zero(m):
+            out = original(m)
+            return (*(np.zeros_like(x) for x in out[:-1]), out[-1])
+
+        monkeypatch.setattr(tracezero.selfcomm, factors, zero)
+        code, doc, _ = run_cmd(command, matrix_to_json(a))
+        check = doc["report"]["bound_checks"][0]
+        assert code == 1
+        assert (check["name"], check["passed"]) == ("reconstruction_residual", False)
+        assert check["measured_value"] == pytest.approx(s, rel=1e-12)
+        assert check["claimed_bound"] == 1e-9 * s + TINY
+        vcode, vdoc, _ = run_cmd("verify", doc)
+        assert vcode == 1
+        assert vdoc["result"]["mismatches"] == [
+            f"$.report.bound_checks[0]: reconstruction_residual: re-measured "
+            f"{check['measured_value']!r} exceeds claimed bound {1e-9 * s + TINY!r}"]
 
 
 class TestNormShortcuts:
@@ -1017,6 +1071,8 @@ class TestHostileInput:
 
     @pytest.mark.parametrize("values, error", [
         (["z", "not hermitian", "z"], "vertex 1: a is not Hermitian within tolerance 1e-12"),
+        # the rule is relative to the largest entry, with no floor below 1
+        (["z", "tiny skew", "z"], "vertex 1: a is not Hermitian within tolerance 1e-12"),
         # a trace is no invalid input: the vertex after it is the first to fail
         (["z", "traced", "not hermitian"], "vertex 2: a is not Hermitian within tolerance 1e-12"),
     ])

@@ -271,11 +271,11 @@ def test_is_hermitian_tolerance():
 
 
 def unscaled_hermitian_rule(m):
-    """max |m - m*| <= HERMITIAN_TOL * (1 + max |m|) as written, or None
-    where a side overflows."""
+    """max |m - m*| <= HERMITIAN_TOL * max |m| + TINY as written, TINY the
+    smallest normal float, or None where a side overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = np.max(np.abs(m - m.conj().T), initial=0.0)
-        rhs = 1e-12 * (1.0 + np.max(np.abs(m), initial=0.0))
+        rhs = 1e-12 * np.max(np.abs(m), initial=0.0) + np.finfo(float).tiny
     return bool(lhs <= rhs) if np.isfinite(lhs) and np.isfinite(rhs) else None
 
 

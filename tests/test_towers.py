@@ -308,7 +308,7 @@ class TestPushStep:
         assert [c.to_json() for c in given.checks] == [c.to_json() for c in measured.checks]
         # the claimed bounds are read from x_norm, not re-measured
         halved = push_step(x, spec, b_support, 1, 1, x_norm=0.35)
-        assert halved.checks[1].claimed_bound == 1 * 0.35 + 1e-8
+        assert halved.checks[1].claimed_bound == 1 * 0.35 + (1e-8 * 0.35 + 2.0 ** -1022)
         assert not halved.all_passed
 
     def test_averaging_map_contraction(self):
@@ -370,9 +370,15 @@ class TestTowerInput:
         monkeypatch.setattr(jsonio, "operator_norm", lambda m: norms.append(m) or operator_norm(m))
         fack_run_input(_P, z0=_Z)
         assert norms == []
-        # |tr| = 1e-7 is over 1e-9 n, but under 1e-9 n norm(z0) = 4e-6
+        # |tr| = 1e-7 is over TINY, but under 1e-9 n norm(z0) = 4e-6
         fack_run_input(_P, z0=1e3 * _Z + np.diag([1e-7, 0.0, 0.0, 0.0]))
         assert len(norms) == 1
+        # the floor is TINY, 2^-1022: a trace of 2^-1021 takes a norm
+        fack_run_input(_P, z0=_Z + np.diag([0.0, 0.0, 2.0 ** -1021, 0.0]))
+        assert len(norms) == 2
+        # and below norm 1 the rule is relative: 1e-305 is over 4e-309 + TINY
+        with pytest.raises(InvalidInputError, match="z0 must be trace zero"):
+            fack_run_input(_P, z0=1e-300 * _Z + np.diag([1e-305, 0.0, 0.0, 0.0]))
 
     def test_pair_budget_bounds_the_whole_tower(self):
         # (blocks - 1) * L * (L + K - 1) commutator pairs: 16 * 32 = 512 is admitted
@@ -642,3 +648,31 @@ def test_thresholded_rank():
 def test_tower_audit_script_verifies_its_demo():
     stdout = run_script("tower_audit.py", "--m-max", "2", "--depth", "3")
     assert "verified True" in stdout
+
+
+class TestScaleRelativeRules:
+    """The input rules of ``towers`` are ``claims.slack(c, scale)``, relative
+    down to the underflow range: scaled by 1e-20, an input that breaks one
+    still breaks it."""
+
+    def test_a_psd_element_is_negative_only_relative_to_its_largest_eigenvalue(self):
+        ElementSpectrum.of(np.diag([1e-6, -1e-17]).astype(complex), 0.5)
+        with pytest.raises(InvalidInputError, match="negative spectrum"):
+            ElementSpectrum.of(np.diag([1e-6, -1e-15]).astype(complex), 0.5)
+
+    def test_tiny_blocks_must_be_orthogonal(self):
+        e = 1e-20 * np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(InvalidInputError, match="blocks 0 and 2 are not orthogonal"):
+            TowerModel(fack_run_input([e, e, e]))
+
+    def test_tiny_defects_must_sum_to_zero(self):
+        zero = np.zeros((2, 2), dtype=complex)
+        with pytest.raises(InvalidInputError, match="sum to zero"):
+            block_two_commutator_split(1e-20 * np.eye(4, dtype=complex), 2, [(zero, zero)] * 2,
+                                       np.eye(2, dtype=complex))
+
+    def test_e_must_act_as_a_unit_on_a_tiny_partial_sum(self):
+        zero = np.zeros((1, 1), dtype=complex)
+        with pytest.raises(InvalidInputError, match="unit"):
+            block_two_commutator_split(np.diag([1e-20, -1e-20]).astype(complex), 2,
+                                       [(zero, zero)] * 2, zero)
