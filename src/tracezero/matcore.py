@@ -29,6 +29,7 @@ from .claims import TINY
 from .errors import InvalidInputError
 
 HERMITIAN_TOL = 1e-12
+NOT_HERMITIAN = f"is not Hermitian within {HERMITIAN_TOL} of its largest entry"
 PHASE_CUTOFF = 1e-8
 MAX_FLOAT = float(np.finfo(float).max)
 
@@ -96,7 +97,7 @@ def _hermitian_each(m) -> np.ndarray:
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     m = as_matrix(a, square=True, name=name)
     if not is_hermitian(m):
-        raise InvalidInputError(f"{name} is not Hermitian within tolerance {HERMITIAN_TOL}")
+        raise InvalidInputError(f"{name} {NOT_HERMITIAN}")
     return m
 
 
@@ -183,7 +184,7 @@ def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
     in_norm = np.max(np.abs(eigenvalues), axis=1, initial=0.0) <= norm_limit
     raise_first_failure([
         (~finite, lambda k: f"{name} has non-finite entries"),
-        (~hermitian, lambda k: f"{name} is not Hermitian within tolerance {HERMITIAN_TOL}"),
+        (~hermitian, lambda k: f"{name} {NOT_HERMITIAN}"),
         (~in_range, lambda k: f"{name} has entries beyond about {MAX_FLOAT / 2:.3e} in "
                               "magnitude, where m + m* overflows a float"),
         (~in_norm, lambda k: f"{name} has norm beyond {norm_limit:.3e}, the float maximum "

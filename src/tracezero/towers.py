@@ -17,18 +17,19 @@ supports add up to one, [sum c_i, sum d_i] = sum [c_i, d_i].
 supported in her((a-eps)_+).  Each tower block's spectral data is an
 ``ElementSpectrum``, taken once: a ``ranks`` block's supports are its
 coordinate columns in index order, with no eigendecomposition, and a given
-element is eigendecomposed once.  Witnesses and push steps read the supports.
-A push step does not re-check that x lies in her((a-eps)_+): that is its
-caller's to check, and ``tower_iterate`` checks z0 while each stage's
-``remainder_in_hereditary`` claim covers the next stage's input.
+element is eigendecomposed once.  A push step works in support
+coordinates: its witness, Neumann loop and claims are r x r, on Q*xQ for
+Q an orthonormal basis of its two blocks' supports (r = 32 of n = 144 on
+nine rank-16 blocks).  Its pairs and remainder are embedded into M_n for
+the collapse and the output, where ``tower_iterate``'s claims are measured.
 
 Each property is checked once, by the claim that measures it.  A push step
-raises on nothing it builds: its reconstruction, norm-product and remainder
-claims are taken on the pairs and remainder that V and the iterate yield.
-The collapse is a plain sum.  Its precondition, orthogonal blocks, is
-checked once, by ``TowerModel`` on the input, and the merged factors are
-measured by ``tower_iterate``'s reconstruction claim, which ``verify``
-measures again.
+raises on nothing it builds, nor re-checks that x lies in her((a-eps)_+):
+``tower_iterate`` checks z0, and each stage's ``remainder_in_hereditary``
+claim covers the next stage's input.  The collapse is a plain sum.  Its
+precondition, orthogonal blocks, is checked once, by ``TowerModel`` on the
+input, and the merged factors are measured by ``tower_iterate``'s
+reconstruction claim, which ``verify`` measures again.
 """
 from __future__ import annotations
 
@@ -130,8 +131,9 @@ class ElementSpectrum:
 
 
 def cuntz_witness(a_spec: ElementSpectrum, b_support: Support, L: int, K: int) -> list:
-    """The n x n blocks ``v[i][j]`` (i < L+K-1, j < L) of a block partial
-    isometry V with V*V = g_{eps/2}(a) (x) 1_L and range(V) inside range(c).
+    """The blocks ``v[i][j]`` (i < L+K-1, j < L), square of the bases' row
+    count, of a block partial isometry V with V*V = g_{eps/2}(a) (x) 1_L
+    and range(V) inside range(c).
 
     c is (a-eps)_+ on the first L-1 diagonal blocks and b on the last K;
     ``a_spec`` carries g, its square root and both supports of a, and
@@ -176,7 +178,7 @@ class PushStepResult:
     pairs: list  # (c, d) with sum [c, d] + remainder = x
     remainder: np.ndarray
     remainder_norm: float
-    y: np.ndarray  # the fixed point y = x + Phi(y)
+    y: np.ndarray  # the fixed point y = x + Phi(y), in the step's support basis
     checks: list
 
     @property
@@ -188,63 +190,63 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
               K: int, *, x_norm: float | None = None) -> PushStepResult:
     """Split x in her((a-eps)_+) into L(L+K-1) commutators + her(b) remainder.
 
+    The step works on the r x r matrices of Q*xQ, Q an orthonormal basis (a
+    QR factor) of the span of g's and b's support bases; the support of
+    (a-eps)_+ lies in g's.  The witness is built on the bases written in Q.
     Solves y = x + Phi(y) by iteration, where Phi averages conjugation by
     the first L-1 block rows of the witness; norm(Phi) <= (L-1)/L makes the
     iteration contract with norm(y) <= L*norm(x); it stops at
     NEUMANN_MAX_ITER steps if not before.  The commutators are
     (1/L)[v_ij*, v_ij y] over all blocks, and the remainder collects the
-    last K block rows.  ``x_norm``, when the caller already holds
-    ``operator_norm(x)``, saves taking it again.
+    last K block rows.  Every claim is measured in Q; the pairs and the
+    remainder are returned embedded in M_n, y is not.  ``x_norm``, when the
+    caller already holds ``operator_norm(x)``, saves taking it again.
 
     That x lies in her((a-eps)_+) is the caller's to check, as
     ``tower_iterate`` does: it checks z0, and each stage's
     ``remainder_in_hereditary`` claim is the next stage's precondition.
     The commutators and remainder sum to g(y - Phi(y)), so the
-    reconstruction claim measures norm(x - g x) and the Neumann residual.
+    reconstruction claim measures norm(x - g x), the Neumann residual and
+    norm(x - QQ*xQQ*), the part of x outside Q (exactly 0 on rank towers).
     """
     xm = as_matrix(x, square=True, name="x")
     if x_norm is None:
         x_norm = operator_norm(xm)
-    v = cuntz_witness(a_spec, b_support, L, K)
+    q = np.linalg.qr(np.hstack([a_spec.g.basis, b_support.basis]))[0]
+    qh = q.conj().T
+    g, plus, b_local = (Support(basis=qh @ s.basis, values=s.values)
+                        for s in (a_spec.g, a_spec.plus, b_support))
+    v = cuntz_witness(ElementSpectrum(g=g, plus=plus), b_local, L, K)
+    xc = qh @ xm @ q
 
-    def phi(y):
-        out = np.zeros_like(y)
-        for i in range(L - 1):
-            for j in range(L):
-                out += v[i][j] @ y @ v[i][j].conj().T
-        return out / L
+    def conjugated(y, rows):  # (1/L) sum of v_ij y v_ij* over the block rows i
+        return sum((v[i][j] @ y @ v[i][j].conj().T for i in rows for j in range(L)),
+                   np.zeros_like(y)) / L
 
     if x_norm == 0.0:
-        y = np.zeros_like(xm)
+        y = np.zeros_like(xc)
     else:
-        y = xm.copy()
+        y = xc.copy()
         for _ in range(NEUMANN_MAX_ITER):
-            fy = phi(y)
-            if operator_norm(y - fy - xm) <= NEUMANN_TOL * x_norm:
+            fy = conjugated(y, range(L - 1))  # Phi(y)
+            if operator_norm(y - fy - xc) <= NEUMANN_TOL * x_norm:
                 break
-            y = xm + fy
+            y = xc + fy
 
-    pairs = []
-    for i in range(L + K - 1):
-        for j in range(L):
-            pairs.append((v[i][j].conj().T / L, v[i][j] @ y))
-    remainder = np.zeros_like(xm)
-    for i in range(L - 1, L + K - 1):
-        for j in range(L):
-            remainder += v[i][j] @ y @ v[i][j].conj().T
-    remainder /= L
-
+    pairs = [(v[i][j].conj().T / L, v[i][j] @ y) for i in range(L + K - 1) for j in range(L)]
+    remainder = conjugated(y, range(L - 1, L + K - 1))
     recon = sum(commutator(c, d) for c, d in pairs) + remainder
-    recon_err = operator_norm(xm - recon)
+    recon_err = operator_norm(xc - recon) + operator_norm(xm - q @ xc @ qh)
     rem_norm = operator_norm(remainder)
     worst_product = max(operator_norm(c) * operator_norm(d) for c, d in pairs)
-    p_b = b_support.projection
+    p_b = b_local.projection
     rem_defect = operator_norm(remainder - p_b @ remainder @ p_b)
     checks = bound_checks(claims.stage(x_norm, rem_norm, K, L * (L + K - 1)),
                           reconstruction_residual=recon_err, remainder_norm=rem_norm,
                           max_norm_product=worst_product, remainder_in_hereditary=rem_defect,
                           commutator_count=float(len(pairs)))
-    return PushStepResult(pairs=pairs, remainder=remainder, remainder_norm=rem_norm,
+    return PushStepResult(pairs=[(q @ c @ qh, q @ d @ qh) for c, d in pairs],
+                          remainder=q @ remainder @ qh, remainder_norm=rem_norm,
                           y=y, checks=checks)
 
 
@@ -287,15 +289,11 @@ class TowerModel:
             for r in inp.ranks:
                 self.spectra.append(ElementSpectrum.of_block(inp.ambient, start, r, inp.epsilon))
                 start += r
-        L, K = inp.L, inp.K
-        for i in range(len(self.spectra) - 1):
-            g_rank = self.spectra[i].g.rank
-            ap_rank = self.spectra[i].plus.rank
-            b_rank = self.spectra[i + 1].plus.rank
-            if L * g_rank > (L - 1) * ap_rank + K * b_rank:
+        for i, (a, b) in enumerate(zip(self.spectra, self.spectra[1:])):
+            lhs, rhs = inp.L * a.g.rank, (inp.L - 1) * a.plus.rank + inp.K * b.plus.rank
+            if lhs > rhs:
                 raise InvalidInputError(
-                    f"rank condition fails between blocks {i} and {i + 1}: "
-                    f"{L * g_rank} > {(L - 1) * ap_rank + K * b_rank}")
+                    f"rank condition fails between blocks {i} and {i + 1}: {lhs} > {rhs}")
 
 
 @dataclass
@@ -335,8 +333,9 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     """
     inp = tower.input
     z_norm = operator_norm(z0)
-    p0 = tower.spectra[0].plus.projection
-    if operator_norm(z0 - p0 @ z0 @ p0) > claims.z0_outside_limit(z_norm):
+    q0 = tower.spectra[0].plus.basis
+    outside = operator_norm(z0 - q0 @ (q0.conj().T @ z0 @ q0) @ q0.conj().T)
+    if outside > claims.z0_outside_limit(z_norm):
         raise InvalidInputError("z0 is not supported in her((e_0 - eps_0)_+)")
 
     if depth == 0:
@@ -356,12 +355,11 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
 def _descend(z0, z_norm: float, tower: TowerModel, depth: int):
     """``tower_iterate``'s push steps, in-block finish and collapse, for
     depth >= 1: returns (factors, residual, run report)."""
-    inp = tower.input
     stage_pairs, stage_checks = [], []
     z, x_norm = z0, z_norm
     for t in range(1, depth + 1):
-        step = push_step(z, tower.spectra[t - 1], tower.spectra[t].plus, inp.L, inp.K,
-                         x_norm=x_norm)
+        step = push_step(z, tower.spectra[t - 1], tower.spectra[t].plus, tower.input.L,
+                         tower.input.K, x_norm=x_norm)
         stage_pairs.append(step.pairs)
         stage_checks.append(step.checks)
         z, x_norm = step.remainder, step.remainder_norm

@@ -25,14 +25,15 @@ from helpers import (
     record_collapse,
     run_script,
 )
-from tracezero import schemas
+from tracezero import claims, schemas
 from tracezero.cli import RunConfig, build_parser, encode, main, run_from_args
 from tracezero.errors import InvalidInputError
-from tracezero.jsonio import field_to_json, matrix_to_json
-from tracezero.matcore import MAX_FLOAT, commutator, hermitian_eig
+from tracezero.jsonio import decode_input, field_to_json, matrix_to_json
+from tracezero.matcore import MAX_FLOAT, commutator, hermitian_eig, operator_norm
 from tracezero.ozfield import SimplicialComplex, make_field, require_refine_budget
 from tracezero.rand import SplitMix64, random_complex_matrix, random_trace_zero_hermitian
 from tracezero.schemas import INPUT_SCHEMAS, NAMED_SCHEMAS, validate
+from tracezero.towers import TowerModel, push_step
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -230,21 +231,25 @@ class TestCommands:
         assert code == 0
         assert 0 < len(calls) <= 3 * blocks + 1
 
-    @pytest.mark.parametrize("command, make_doc, n, norms", [
+    @pytest.mark.parametrize("command, make_doc, norms", [
         # norm(a), norm(a - [x*, x]) and norm(x)
         ("decompose", lambda: matrix_to_json(random_trace_zero_hermitian(SplitMix64(3), 6)),
-         6, 3),
+         {(6, 6): 3}),
         # norm(a), norm(a - [x, y]), norm(x) and norm(y)
         ("decompose-tight",
-         lambda: matrix_to_json(random_trace_zero_hermitian(SplitMix64(3), 6)), 6, 4),
-        # the benchmark's deep tower: nine rank-16 blocks, depth 8
+         lambda: matrix_to_json(random_trace_zero_hermitian(SplitMix64(3), 6)), {(6, 6): 4}),
+        # the benchmark's deep tower: nine rank-16 blocks, depth 8.  In M_144
+        # norm(z0), norm(z0 - sum [x, y]) and the in-block residual; each
+        # stage works on the 32 support coordinates of its two blocks and
+        # takes norm(remainder), norm(c) and norm(d) there
         ("fack-run", lambda: {"tower": {"blocks": [{"rank": 16}] * 9, "L": 1, "K": 1, "M": 1,
                                         "epsilon": 0.5,
                                         "deltas": [2.0 ** -(i + 1) for i in range(8)]},
-                              "depth": 8}, 144, 27),
-    ])
-    def test_norms_of_element_size_matrices(self, monkeypatch, command, make_doc, n, norms):
-        # SVDs, not calls: operator_norm takes none on a zero matrix
+                              "depth": 8}, {(144, 144): 3, (32, 32): 3 * 8}),
+    ], ids=["decompose", "decompose-tight", "fack-run"])
+    def test_norms_of_element_size_matrices(self, monkeypatch, command, make_doc, norms):
+        # SVDs, not calls: operator_norm takes none on a zero matrix, and
+        # every SVD taken is counted at its shape
         original = tracezero.matcore.operator_norm
         shapes = []
 
@@ -258,7 +263,7 @@ class TestCommands:
                 monkeypatch.setattr(module, "operator_norm", counting)
         code, _, _ = run_cmd(command, make_doc(), "--seed", "1")
         assert code == 0
-        assert shapes.count((n, n)) == norms
+        assert {shape: shapes.count(shape) for shape in shapes} == norms
 
     def test_a_measured_value_over_its_claim_exits_1(self, monkeypatch):
         factors = tracezero.selfcomm.self_commutator_factors
@@ -324,7 +329,7 @@ class TestCommands:
         # max|a - a*| = 1e-13 against 1e-12 * 1e-13 + TINY: its skew part is
         # not certified away
         code, doc, _ = run_cmd(command, matrix_to_json(np.array([[0.0, 1e-13], [0.0, 0.0]])))
-        assert (code, doc) == (2, {"error": "a is not Hermitian within tolerance 1e-12",
+        assert (code, doc) == (2, {"error": "a is not Hermitian within 1e-12 of its largest entry",
                                    "path": "stdin"})
 
     @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
@@ -335,7 +340,8 @@ class TestCommands:
             warnings.simplefilter("error")
             code, doc, _ = run_cmd(command, matrix_to_json(a))
         assert code == 2
-        assert doc == {"error": "a is not Hermitian within tolerance 1e-12", "path": "stdin"}
+        assert doc == {"error": "a is not Hermitian within 1e-12 of its largest entry",
+                       "path": "stdin"}
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
@@ -597,6 +603,46 @@ class TestCommands:
         assert run_cmd("fack-run", tower)[:2] == (2, error)
         assert run_cmd("verify", out)[:2] == (2, error)
         assert time.perf_counter() - start < 1.0
+
+
+class TestSupportCoordinates:
+    """Each push step works on an orthonormal basis of its two blocks'
+    supports; the tower paths no benchmark workload runs still decompose
+    and verify."""
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_a_deep_rank_tower_with_L_above_1_verifies(self, L):
+        # nine rank-16 blocks at depth 8: each stage's Neumann loop runs on
+        # 32 x 32 matrices, not 144 x 144.  Exit 0: every claim passed
+        doc = {"tower": {"blocks": [{"rank": 16}] * 9, "L": L, "K": 1}, "depth": 8}
+        code, text = run_from_args(["fack-run", "--seed", "1"], stdin_text=json.dumps(doc))
+        assert code == 0
+        vcode, vtext = run_from_args(["verify"], stdin_text=text)
+        assert (vcode, json.loads(vtext)["result"]["verified"]) == (0, True)
+
+    def test_an_overlapping_rotated_tower_measures_its_stages_in_m_n(self):
+        # blocks 0 and 1 share a direction, and a seeded unitary makes no
+        # support a set of coordinate columns: stage 1's four basis columns
+        # span three dimensions
+        doc = _rotated_tower_doc(([1, 1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0, 0],
+                                  [0, 0, 0, 1, 1, 0, 0]), seed=35)
+        code, out, _ = run_cmd("fack-run", {**doc, "depth": 2}, "--seed", "3")
+        assert code == 0
+        assert out["report"]["all_passed"]
+        vcode, vdoc, _ = run_cmd("verify", out)
+        assert (vcode, vdoc["result"]["verified"]) == (0, True)
+        # each stage's remainder_norm, taken in its coordinates, is the norm
+        # of the remainder embedded in M_n
+        tower_input = decode_input("fack-run", out["input"])
+        tower = TowerModel(tower_input)
+        z = tower_input.z0
+        reported = [next(c["measured_value"] for c in checks if c["name"] == "remainder_norm")
+                    for checks in out["result"]["tower_report"]["stage_checks"]]
+        for t, expected in enumerate(reported, start=1):
+            step = push_step(z, tower.spectra[t - 1], tower.spectra[t].plus, 1, 1)
+            assert step.remainder_norm == expected
+            assert abs(operator_norm(step.remainder) - expected) <= claims.slack(1e-12, expected)
+            z = step.remainder
 
 
 _OVERLAPPING_DIAGONALS = ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0], [0.0, 0.0, 1.0, 1.0])
@@ -1070,11 +1116,13 @@ class TestHostileInput:
             require_refine_budget(SimplicialComplex.make(21, simplices), 2)
 
     @pytest.mark.parametrize("values, error", [
-        (["z", "not hermitian", "z"], "vertex 1: a is not Hermitian within tolerance 1e-12"),
+        (["z", "not hermitian", "z"],
+         "vertex 1: a is not Hermitian within 1e-12 of its largest entry"),
         # the rule is relative to the largest entry, with no floor below 1
-        (["z", "tiny skew", "z"], "vertex 1: a is not Hermitian within tolerance 1e-12"),
+        (["z", "tiny skew", "z"], "vertex 1: a is not Hermitian within 1e-12 of its largest entry"),
         # a trace is no invalid input: the vertex after it is the first to fail
-        (["z", "traced", "not hermitian"], "vertex 2: a is not Hermitian within tolerance 1e-12"),
+        (["z", "traced", "not hermitian"],
+         "vertex 2: a is not Hermitian within 1e-12 of its largest entry"),
     ])
     def test_field_reports_the_first_failing_vertex(self, values, error):
         doc = field_to_json(make_field(_PATH, [_VERTEX_VALUES[v] for v in values]))

@@ -315,7 +315,8 @@ class TestTightCommutatorDecompose:
 
     @pytest.mark.parametrize("a, message", [
         (np.diag([1.0, -1.0]), None),
-        (np.array([[0.0, 1.0], [0.0, 0.0]]), "a is not Hermitian within tolerance 1e-12"),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]),
+         "a is not Hermitian within 1e-12 of its largest entry"),
         (np.diag([np.nan, 0.0]), "a has non-finite entries"),
     ], ids=["hermitian", "not-hermitian", "non-finite"])
     def test_takes_one_hermitian_check(self, monkeypatch, a, message):

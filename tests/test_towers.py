@@ -343,13 +343,13 @@ class TestTowerInput:
         (lambda: fack_run_input([2, 2], deltas=[0.5, 0.25]), "need one delta per stage"),
         (lambda: fack_run_input([2, 2], ambient=3), "ambient size 3 too small for ranks [2, 2]"),
         (lambda: fack_run_input([_P[0], _P[1] + 1e-3j * np.eye(4)]),
-         "e_1 is not Hermitian within tolerance 1e-12"),
+         "e_1 is not Hermitian within 1e-12 of its largest entry"),
         (lambda: fack_run_input([_P[0], np.eye(2)]), "all tower elements must share one size"),
         (lambda: fack_run_input([1, 1]).run_depth(2), "depth must lie in [0, 1]"),
         (lambda: fack_run_input([2], M=10 ** 400),
          "the commutator count bound is too large for a float"),
         (lambda: fack_run_input(_P, z0=_Z + np.eye(4, k=1)),
-         "z0 is not Hermitian within tolerance 1e-12"),
+         "z0 is not Hermitian within 1e-12 of its largest entry"),
         (lambda: fack_run_input(_P, z0=np.diag([1.0, -1.0, 0.0, 0.0, 0.0])),
          "z0 size does not match the tower"),
         (lambda: fack_run_input([2, 2], deltas=[math.inf]),
