@@ -183,13 +183,10 @@ def _check_claim(f: Findings, p: str, name: str, claimed: float, tolerance: floa
               f"{name}: tolerance {tolerance!r} differs from {tol!r}")
 
 
-def _check_bounds(f: Findings, report: dict, spec: dict, measured: dict,
-                  result: dict | None = None, lower: tuple = ()):
+def _check_bounds(f: Findings, report: dict, spec: dict, measured: dict, lower: tuple = ()):
     """Every reported bound check against the command's claims ``spec`` and
     the checker's own ``measured`` values, lower bounds only for the names in
-    ``lower``; the bounds a ``result`` repeats must agree."""
-    bounds_path = "$.result.bounds"
-    bounds = None if result is None else _object(_get(result, "bounds", "$.result"), bounds_path)
+    ``lower``."""
     path = "$.report.bound_checks"
     entries = _list(_get(report, "bound_checks", "$.report"), path)
     passes, seen = [], set()
@@ -206,9 +203,6 @@ def _check_bounds(f: Findings, report: dict, spec: dict, measured: dict,
         bound, tol, scale = spec[name]
         value = measured[name]
         _check_claim(f, p, name, claimed, tolerance, bound, tol)
-        if bounds is not None and name in bounds:
-            f.require(bounds[name] == claimed, f"{bounds_path}.{name}",
-                      f"{bounds[name]!r} differs from the report's claimed bound {claimed!r}")
         if name not in lower:
             f.require(_agree(reported, value, scale), f"{p}.measured_value",
                       f"{name}: reported {reported!r} but re-measured {value!r}")
@@ -220,12 +214,6 @@ def _check_bounds(f: Findings, report: dict, spec: dict, measured: dict,
                   f"{name}: re-measured {value!r} exceeds claimed bound {claimed!r}")
     for name in spec:
         f.require(name in seen, path, f"no check of {name}")
-    if bounds is not None:
-        for name in bounds:
-            f.require(name in spec, f"{bounds_path}.{name}", f"unknown bound name {name!r}")
-            _number(bounds[name], f"{bounds_path}.{name}")
-        for name in spec:
-            f.require(name in bounds, bounds_path, f"no claim of {name}")
     _check_all_passed(f, report, "$.report", passes)
 
 
@@ -277,20 +265,17 @@ def _check_headline(f: Findings, report: dict, residual: float, count: int, scal
 
 def _check_single_commutator(f: Findings, doc: dict, a: np.ndarray, command: str, kind: str):
     """decompose (a = [x*, x]) and decompose-tight (a = [x, y]): one factor,
-    no residual term."""
+    whose commutator is all the reconstruction holds."""
     n = a.shape[0]
     result = _object(_get(doc, "result", "$"), "$.result")
     report = _object(_get(doc, "report", "$"), "$.report")
     total, count, worst = _commutator_sum(f, result, kind, n, with_norms=True)
     f.require(count == 1, "$.result.factors", f"{count} factors, but the statement is one")
-    declared = _number(_get(result, "residual_norm", "$.result"), "$.result.residual_norm")
-    f.require(declared == 0.0, "$.result.residual_norm",
-              f"{declared!r}, but a single commutator leaves no residual term")
     a_norm = operator_norm(a)
     residual = _norm(a - total, "$.result.factors")
     measured = {"reconstruction_residual": residual,
                 claims.NORM_CLAIMS[command][0]: claims.norm_ratio(worst, a_norm)[0]}
-    _check_bounds(f, report, claims.single(command, a_norm, a_norm), measured, result)
+    _check_bounds(f, report, claims.single(command, a_norm, a_norm), measured)
     _check_headline(f, report, residual, count, a_norm)
 
 
@@ -336,13 +321,13 @@ def _check_fack_run(f: Findings, doc: dict, tower: TowerInput, depth: int | None
     # norm(z0 - sum - R) >= |norm(z0 - sum) - norm(R)|, R the declared residual
     measured = {"reconstruction_residual": abs(residual - declared), "residual_norm": declared,
                 "commutator_count": float(count)}
-    _check_bounds(f, report, spec, measured, result, lower=("reconstruction_residual",))
+    _check_bounds(f, report, spec, measured, lower=("reconstruction_residual",))
     _check_headline(f, report, residual, count, z_norm)
-    _check_tower_report(f, result, depth, tower, z_norm, declared, count)
+    _check_tower_report(f, result, depth, tower, z_norm, count)
 
 
 def _check_tower_report(f: Findings, result: dict, depth: int, tower: TowerInput,
-                        z_norm: float, declared: float, count: int):
+                        z_norm: float, count: int):
     """Each push step's claims as ``claims.stage`` states them at the norm x_t
     it pushes (x_1 = norm(z0), x_{t+1} stage t's remainder_norm) and its own
     remainder_norm; its measurements, which lack the data to rebuild, only
@@ -370,9 +355,6 @@ def _check_tower_report(f: Findings, result: dict, depth: int, tower: TowerInput
                       f"a push step forms {per_stage} commutators, not {measured!r}")
         x_norm = remainder_norm
     _check_all_passed(f, tower_report, path, passes)
-    inblock = _number(_get(tower_report, "inblock_residual", path), f"{path}.inblock_residual")
-    f.require(inblock == declared, f"{path}.inblock_residual",
-              f"{inblock!r} differs from the result's residual_norm {declared!r}")
     sizes = _list(_get(tower_report, "family_sizes", path), f"{path}.family_sizes")
     sizes = [_integer(s, f"{path}.family_sizes[{i}]") for i, s in enumerate(sizes)]
     f.require(len(sizes) == 2 and min(sizes) >= 0 and sum(sizes) == count,
@@ -453,12 +435,9 @@ def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine:
         f.require(len({coloring[v] for v in s}) == len(s), "$.result.coloring",
                   f"simplex {list(s)} repeats a color")
     color_count = max(coloring) + 1
-    found = _integer(_get(result, "color_count", "$.result"), "$.result.color_count")
-    f.require(found == color_count, "$.result.color_count",
-              f"{found}, but the coloring uses {color_count}")
     if colors is not None:
-        f.require(color_count == max(colors) + 1, "$.result.color_count",
-                  f"{color_count}, but a barycentric subdivision needs {max(colors) + 1}")
+        f.require(color_count == max(colors) + 1, "$.result.coloring",
+                  f"{color_count} colors, but a barycentric subdivision needs {max(colors) + 1}")
 
     factors = _list(_get(result, "factors", "$.result"), "$.result.factors")
     x = {}
@@ -765,16 +744,6 @@ CHECKERS = {
     "pp-example": _check_pp_example,
     "tower": _check_tower,
 }
-
-
-def implied_exit_code(doc: dict) -> int:
-    """The exit code the document's own report implies: 0 when its report
-    (and a fack-run's tower report) says all checks passed, else 1."""
-    reports = [doc.get("report")]
-    if doc.get("command") == "fack-run":
-        result = doc.get("result")
-        reports.append(result.get("tower_report") if isinstance(result, dict) else None)
-    return 0 if all(isinstance(r, dict) and r.get("all_passed") is True for r in reports) else 1
 
 
 def check_certificate(doc: dict, *, refine: int, depth: int | None) -> list:

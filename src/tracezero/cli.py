@@ -27,8 +27,11 @@ byte-identical.
 Exit codes: 0 = all certified bounds pass, 1 = a certified bound or a
 verify check failed (the full document is emitted, its report naming the
 failing claim), 2 = invalid input (a JSON error object {"error", "path"}
-is emitted).  A trace is no invalid input: the decompositions leave (tr a/n)*1,
-which their reconstruction claim judges.
+is emitted).  The exit code of a full document is read off it by
+``jsonio.implied_exit_code``, the rule ``verify`` reports as its
+``inner_exit_code``.  Each fact of a document is stated once, in its
+report or in its result.  A trace is no invalid input: the decompositions
+leave (tr a/n)*1, which their reconstruction claim judges.
 """
 from __future__ import annotations
 
@@ -45,6 +48,7 @@ from .jsonio import (
     complex_to_json,
     decode_input,
     encode,
+    implied_exit_code,
 )
 from .matcore import as_matrix, operator_norm
 from .obstruct import obstruction_certificate, pp_example, villadsen_tower
@@ -71,7 +75,6 @@ class RunConfig:
     refine: int = 0
     depth: int | None = None
     in_path: str | None = None
-    out_path: str | None = None
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -88,9 +91,9 @@ class RunConfig:
 
 
 # --------------------------------------------------------------------------
-# Handlers.  Each takes the decoded input and returns (output body, exit code);
+# Handlers.  Each takes the decoded input and returns the output body; its
 # "generated" input parts (a fack-run's random z0) join the echoed input, and a
-# body without "report" has no bound checks and passes exactly when it exits 0.
+# body without "report" has no bound checks and passes.
 # A computed matrix goes into the body as the array ``as_matrix`` checked (a
 # non-finite one exits 2 here, inside ``run``); ``encode`` writes it as its
 # ``matrix_to_json`` document.
@@ -101,12 +104,7 @@ def _decomposition_result(dec) -> dict:
     else:
         factors = [{"x": as_matrix(x, square=True), "y": as_matrix(y, square=True)}
                    for x, y in dec.factors]
-    return {
-        "kind": dec.kind,
-        "factors": factors,
-        "residual_norm": dec.residual_norm,
-        "bounds": {c.name: c.claimed_bound for c in dec.report.bound_checks},
-    }
+    return {"kind": dec.kind, "factors": factors}
 
 
 def _field_result(fld: SimplicialField) -> dict:
@@ -119,8 +117,7 @@ def _handle_decompose(cfg: RunConfig, a):
     construct = (tight_commutator_decompose if cfg.command == "decompose-tight"
                  else self_commutator_decompose)
     dec = construct(a)
-    return {"result": _decomposition_result(dec), "report": dec.report.to_json()}, \
-        (0 if dec.report.all_passed else 1)
+    return {"result": _decomposition_result(dec), "report": dec.report.to_json()}
 
 
 def _handle_decompose_field(cfg: RunConfig, fld: SimplicialField):
@@ -136,7 +133,6 @@ def _handle_decompose_field(cfg: RunConfig, fld: SimplicialField):
     fd = decompose_field(fld, coloring)
     result = {
         "coloring": list(coloring.colors),
-        "color_count": coloring.color_count,
         "sup_norm": fd.sup_norm,
         "factors": [
             {"color": factor.color,
@@ -146,8 +142,7 @@ def _handle_decompose_field(cfg: RunConfig, fld: SimplicialField):
         ],
         "field": _field_result(fld),
     }
-    return {"result": result, "report": fd.report.to_json()}, \
-        (0 if fd.report.all_passed else 1)
+    return {"result": result, "report": fd.report.to_json()}
 
 
 def _handle_fack_run(cfg: RunConfig, inp: TowerInput):
@@ -164,11 +159,10 @@ def _handle_fack_run(cfg: RunConfig, inp: TowerInput):
         generated["z0"] = as_matrix(z0, square=True)
     dec, run_report = tower_iterate(z0, tower, depth)
     result = _decomposition_result(dec)
+    result["residual_norm"] = dec.residual_norm
     result["depth"] = depth
     result["tower_report"] = run_report.to_json()
-    ok = dec.report.all_passed and run_report.all_passed
-    return {"generated": generated, "result": result, "report": dec.report.to_json()}, \
-        (0 if ok else 1)
+    return {"generated": generated, "result": result, "report": dec.report.to_json()}
 
 
 def _handle_block_split(cfg: RunConfig, inp: tuple):
@@ -181,11 +175,11 @@ def _handle_block_split(cfg: RunConfig, inp: tuple):
     }
     report = {"bound_checks": [c.to_json() for c in res.checks],
               "all_passed": res.all_passed}
-    return {"result": result, "report": report}, (0 if res.all_passed else 1)
+    return {"result": result, "report": report}
 
 
 def _handle_obstruct(cfg: RunConfig, inp: tuple):
-    return {"result": obstruction_certificate(*inp).to_json()}, 0
+    return {"result": obstruction_certificate(*inp).to_json()}
 
 
 def _handle_pp_example(cfg: RunConfig, m: int):
@@ -195,12 +189,13 @@ def _handle_pp_example(cfg: RunConfig, m: int):
         "certificate": ex.certificate.to_json(),
         "field": None if ex.field is None else _field_result(ex.field),
     }
-    return {"result": result}, 0
+    return {"result": result}
 
 
 def _handle_tower(cfg: RunConfig, m_max: int):
     spec = villadsen_tower(m_max)
-    return {"result": spec.to_json()}, (0 if spec.all_verdicts_true else 1)
+    return {"result": spec.to_json(),
+            "report": {"bound_checks": [], "all_passed": spec.all_verdicts_true}}
 
 
 _HANDLERS = {
@@ -218,7 +213,7 @@ _HANDLERS = {
 def _handle_verify(cfg: RunConfig, doc: dict):
     # Imported on first use: no other command needs the checker, so their
     # start-up does not pay for loading it.
-    from .certcheck import check_certificate, implied_exit_code
+    from .certcheck import check_certificate
 
     params = doc["parameters"]  # typed by the verify schema; ranges are RunConfig's
     depth = params.get("depth")
@@ -230,7 +225,7 @@ def _handle_verify(cfg: RunConfig, doc: dict):
     inner_code = implied_exit_code(doc)
     verified = not mismatches and inner_code == 0
     result = {"verified": verified, "mismatches": mismatches, "inner_exit_code": inner_code}
-    return {"result": result}, (0 if verified else 1)
+    return {"result": result, "report": {"bound_checks": [], "all_passed": verified}}
 
 
 def _input_digest(input_doc: dict, text: str) -> dict:
@@ -247,22 +242,23 @@ def _input_digest(input_doc: dict, text: str) -> dict:
 
 
 def _build_output(cfg: RunConfig, input_doc: dict, text: str):
-    """Validate, decode, dispatch, and wrap in the standard envelope."""
+    """Validate, decode, dispatch, and wrap in the standard envelope; returns
+    (document, the exit code it implies)."""
     validate(input_doc, cfg.command)
     if cfg.command == "verify":
-        body, code = _handle_verify(cfg, input_doc)
+        body = _handle_verify(cfg, input_doc)
         input_part = _input_digest(input_doc, text)
     else:
-        body, code = _HANDLERS[cfg.command](cfg, decode_input(cfg.command, input_doc))
+        body = _HANDLERS[cfg.command](cfg, decode_input(cfg.command, input_doc))
         input_part = {**input_doc, **body["generated"]} if body.get("generated") else input_doc
     doc = {
         "command": cfg.command,
         "parameters": cfg.parameters(),
         "input": input_part,
         "result": body["result"],
-        "report": body.get("report", {"bound_checks": [], "all_passed": code == 0}),
+        "report": body.get("report", {"bound_checks": [], "all_passed": True}),
     }
-    return doc, code
+    return doc, implied_exit_code(doc)
 
 
 def run(cfg: RunConfig, input_doc: dict, text: str):
@@ -301,8 +297,7 @@ def run_from_args(argv, stdin_text: str | None = None):
 def _run_parsed(args, stdin_text: str | None = None):
     try:
         cfg = RunConfig(command=args.command, seed=args.seed,
-                        refine=args.refine, depth=args.depth,
-                        in_path=args.in_path, out_path=args.out_path)
+                        refine=args.refine, depth=args.depth, in_path=args.in_path)
     except InvalidInputError as exc:
         return 2, encode({"error": str(exc), "path": ""})
     try:

@@ -6,7 +6,9 @@ Field schema: {"complex": {"vertices": int, "simplices": [[ids]]},
                "n": int, "values": {"<vertex>": matrix}}.
 
 ``decode_input`` reads a command's input, for the command and for ``verify``
-alike, by every rule that needs no construction.
+alike, by every rule that needs no construction.  ``implied_exit_code`` reads
+the exit code off a finished document, for the command and for ``verify``
+alike.
 
 ``encode`` writes a document byte for byte as json.dumps(doc, indent=2,
 sort_keys=True) + newline would, with one type rule more: a square 2-d
@@ -267,6 +269,16 @@ def decode_input(command: str, doc: dict):
     with its messages: a matrix, SimplicialField, TowerInput, (b, blocks, pairs, e),
     (q, n), m or m_max."""
     return _DECODERS[command](doc)
+
+
+def implied_exit_code(doc: dict) -> int:
+    """The exit code a document's own report implies: 0 when its report
+    (and a fack-run's tower report) says all checks passed, else 1."""
+    reports = [doc.get("report")]
+    if doc.get("command") == "fack-run":
+        result = doc.get("result")
+        reports.append(result.get("tower_report") if isinstance(result, dict) else None)
+    return 0 if all(isinstance(r, dict) and r.get("all_passed") is True for r in reports) else 1
 
 
 def encode(doc) -> str:

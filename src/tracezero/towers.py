@@ -299,7 +299,6 @@ class TowerModel:
 @dataclass
 class TowerRunReport:
     stage_checks: list  # one list of BoundCheck per push step
-    inblock_residual: float
     family_sizes: list
 
     @property
@@ -309,7 +308,6 @@ class TowerRunReport:
     def to_json(self) -> dict:
         return {
             "stage_checks": [[c.to_json() for c in checks] for checks in self.stage_checks],
-            "inblock_residual": self.inblock_residual,
             "family_sizes": self.family_sizes,
             "all_passed": self.all_passed,
         }
@@ -339,17 +337,17 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
         raise InvalidInputError("z0 is not supported in her((e_0 - eps_0)_+)")
 
     if depth == 0:
-        factors, residual = [], z0.copy()
-        run = TowerRunReport([], inblock_residual=z_norm, family_sizes=[0, 0])
+        factors, residual, run = [], z0.copy(), TowerRunReport([], family_sizes=[0, 0])
     else:
         factors, residual, run = _descend(z0, z_norm, tower, depth)
+    residual_norm = operator_norm(residual) if depth else z_norm
     unexplained = z0 - sum((commutator(c, d) for c, d in factors), np.zeros_like(z0))
     spec = claims.tower(z_norm, inp.deltas[depth - 1] if depth else None, inp.count_bound)
     checks = bound_checks(spec, reconstruction_residual=operator_norm(unexplained - residual),
-                          residual_norm=run.inblock_residual, commutator_count=float(len(factors)))
+                          residual_norm=residual_norm, commutator_count=float(len(factors)))
     report = VerificationReport(operator_norm(unexplained), len(factors), checks)
     return CommutatorDecomposition(kind=KIND_GENERAL, factors=factors, residual=residual,
-                                   residual_norm=run.inblock_residual, report=report), run
+                                   residual_norm=residual_norm, report=report), run
 
 
 def _descend(z0, z_norm: float, tower: TowerModel, depth: int):
@@ -384,8 +382,7 @@ def _descend(z0, z_norm: float, tower: TowerModel, depth: int):
         for k in range(slots):
             factors.append(collapse([item[k] for item in items if k < len(item)]))
 
-    return factors, residual, TowerRunReport(stage_checks, operator_norm(residual),
-                                             family_sizes)
+    return factors, residual, TowerRunReport(stage_checks, family_sizes)
 
 
 def collapse(pairs):

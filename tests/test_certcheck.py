@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import tracezero
 from helpers import monomial
 from test_cli import (
+    _PATH,
     ALL_RUNS,
+    SZ,
     _M3,
     _rotated_tower_doc,
     run_cmd,
@@ -21,10 +23,10 @@ from test_cli import (
     sample_tower_doc,
 )
 from tracezero import claims
-from tracezero.certcheck import barycentric_refinement, euler_class_by_forms, implied_exit_code
+from tracezero.certcheck import barycentric_refinement, euler_class_by_forms
 from tracezero.claims import norm_ratio
 from tracezero.errors import InvalidInputError
-from tracezero.jsonio import field_to_json, matrix_to_json
+from tracezero.jsonio import field_to_json, implied_exit_code, matrix_to_json
 from tracezero.matcore import (
     BoundCheck,
     CommutatorDecomposition,
@@ -77,13 +79,11 @@ def _bump_largest(matrix_doc):
 
 
 def _lower_bound(doc, name):
-    """Claim the bound ``name`` below its measured value, everywhere it is
-    stated, leaving ``passed`` as it was."""
+    """Claim the bound ``name`` below its measured value, leaving ``passed``
+    as it was."""
     for check in doc["report"]["bound_checks"]:
         if check["name"] == name:
             check["claimed_bound"] = check["measured_value"] - 1.0
-            if name in doc["result"].get("bounds", {}):
-                doc["result"]["bounds"][name] = check["claimed_bound"]
             return
     raise AssertionError(f"no bound {name}")
 
@@ -218,8 +218,6 @@ def test_a_weakened_claim_gives_one_mismatch(command, doc, where, name, tamper):
     was = check[tamper]
     if tamper == "claimed_bound":
         check[tamper] = 2 * was + 1
-        if name in doc["result"].get("bounds", {}) and where[0] == "report":
-            doc["result"]["bounds"][name] = check[tamper]
         expected = f"{name}: claimed bound {check[tamper]!r} is weaker than the certified {was!r}"
     else:
         check[tamper] = was + 1.0
@@ -232,9 +230,11 @@ def test_a_weakened_claim_gives_one_mismatch(command, doc, where, name, tamper):
 # Independence from the constructors.
 
 def test_a_wrong_construction_with_a_passing_report_is_rejected(monkeypatch):
-    # the bug halves x and books the difference as a declared residual, so the
+    # the bug halves x and keeps the difference as its residual, so the
     # producer's own report, which measures a - [x, y] - residual, passes;
-    # re-running the constructor would reproduce the document exactly
+    # re-running the constructor would reproduce the document exactly.  The
+    # document states one factor and no residual, so the reconstruction claim
+    # is re-measured as norm(a - [x, y]) = norm(a / 2) = 1.5
     original = tracezero.selfcomm.tight_commutator_decompose
 
     def halved(a, **kwargs):
@@ -257,10 +257,12 @@ def test_a_wrong_construction_with_a_passing_report_is_rejected(monkeypatch):
     code, result = verify(doc)
     assert code == 1
     assert result["inner_exit_code"] == 0
-    assert result["mismatches"][0].startswith(
-        "$.result.residual_norm: ") and "leaves no residual term" in result["mismatches"][0]
-    assert any(m.startswith("$.report.bound_checks[0]: reconstruction_residual: re-measured ")
-               for m in result["mismatches"])
+    claimed = doc["report"]["bound_checks"][0]["claimed_bound"]
+    assert result["mismatches"] == [
+        "$.report.bound_checks[0].measured_value: reconstruction_residual: reported 0.0 but "
+        "re-measured 1.5",
+        f"$.report.bound_checks[0]: reconstruction_residual: re-measured 1.5 exceeds claimed "
+        f"bound {claimed!r}"]
 
 
 
@@ -525,6 +527,103 @@ def test_implied_exit_code():
     assert implied_exit_code({**passing, "result": {"tower_report": {"all_passed": True}}}) == 0
     assert implied_exit_code({**passing, "result": {"tower_report": {"all_passed": False}}}) == 1
     assert implied_exit_code({**passing, "result": []}) == 1
+
+
+# Every ALL_RUNS case passes; the 2x2 identity leaves tr/n = 1 against the
+# reconstruction claim, and so does the identity at a field vertex.
+EXIT_RUNS = [(command, make_doc, flags, 0) for command, make_doc, flags in ALL_RUNS] + [
+    ("decompose", lambda: matrix_to_json(np.eye(2)), (), 1),
+    ("decompose-field", lambda: field_to_json(make_field(_PATH, [SZ, np.eye(2), SZ])), (), 1),
+]
+
+
+@pytest.mark.parametrize("command, make_doc, flags, expected", EXIT_RUNS,
+                         ids=[f"{c}-{e}" for c, _, _, e in EXIT_RUNS])
+def test_the_exit_code_is_the_one_verify_reads_off_the_output(command, make_doc, flags,
+                                                              expected):
+    code, doc, _ = run_cmd(command, make_doc(), *flags)
+    assert code == expected
+    vcode, vdoc, _ = run_cmd("verify", doc)
+    assert vdoc["result"]["inner_exit_code"] == code
+    assert vcode == implied_exit_code(vdoc) == (0 if vdoc["result"]["verified"] else 1)
+
+
+def _as_written_before(doc):
+    """A copy of ``doc`` with the four fields that outputs once carried and
+    ``verify`` never needed, each a restatement of another fact: the claimed
+    bounds as ``result.bounds``, a single commutator's ``result.residual_norm``
+    of 0.0, a fack-run's ``tower_report.inblock_residual`` (its result's
+    ``residual_norm``) and a field's ``color_count``."""
+    doc = copy.deepcopy(doc)
+    result = doc["result"]
+    if doc["command"] in ("decompose", "decompose-tight", "fack-run"):
+        result["bounds"] = {c["name"]: c["claimed_bound"] for c in doc["report"]["bound_checks"]}
+    if doc["command"] in ("decompose", "decompose-tight"):
+        result["residual_norm"] = 0.0
+    if doc["command"] == "fack-run":
+        result["tower_report"]["inblock_residual"] = result["residual_norm"]
+    if doc["command"] == "decompose-field":
+        result["color_count"] = max(result["coloring"]) + 1
+    return doc
+
+
+RESTATING = [(command, doc) for command, doc in outputs()
+             if command in ("decompose", "decompose-tight", "fack-run", "decompose-field")]
+
+
+@pytest.mark.parametrize("command, doc", RESTATING, ids=[c for c, _ in RESTATING])
+def test_an_older_document_with_the_restated_fields_still_verifies(command, doc):
+    older = _as_written_before(doc)
+    assert older != doc
+    assert verify(older) == (0, {"verified": True, "mismatches": [], "inner_exit_code": 0})
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+# (command, tamper of its ALL_RUNS output, the mismatches verify reports)
+MALFORMED = [
+    ("decompose", lambda d: _set(d, ("result", "factors", 0), 5),
+     ["$.result.factors[0]: is not an object"]),
+    ("decompose", lambda d: _set(d, ("result", "factors"), 5),
+     ["$.result.factors: 5 is not a list"]),
+    ("decompose", lambda d: _set(d, ("report", "bound_checks", 0, "name"), 7),
+     ["$.report.bound_checks[0].name: 7 is not a string"]),
+    ("decompose", lambda d: d["report"]["bound_checks"].append(
+        copy.deepcopy(d["report"]["bound_checks"][0])),
+     ["$.report.bound_checks[2].name: reconstruction_residual is checked twice"]),
+    ("fack-run", lambda d: d["input"].pop("z0"), ["$.input.z0: missing"]),
+    ("decompose-field", lambda d: _set(d, ("result", "factors", 0, "entries", 1, "vertex"), 0),
+     ["$.result.factors[0].entries[1].vertex: 0 is no vertex, or a vertex seen before"]),
+    # a proper coloring, but with a color more than the face dimensions give
+    ("decompose-field", lambda d: _set(d, ("result", "coloring", 11), 2),
+     ["$.result.coloring: 3 colors, but a barycentric subdivision needs 2",
+      "$.result.factors[1].entries[5].vertex: vertex 11 has color 2, not 1"]),
+    ("tower", lambda d: _set(d, ("result", "notes"), 3), ["$.result.notes: 3 is not an object"]),
+    ("tower", lambda d: d["result"].pop("k"), ["$.result.k: missing"]),
+    ("tower", lambda d: _set(d, ("result", "extra"), 1),
+     ["$.result.extra: is not part of this result"]),
+]
+_DOCS = {command: (make_doc, flags) for command, make_doc, flags in ALL_RUNS}
+
+
+@pytest.mark.parametrize("command, tamper, mismatches", MALFORMED,
+                         ids=[m[-1][0].split(":")[0] for m in MALFORMED])
+def test_verify_names_the_malformed_part(command, tamper, mismatches):
+    make_doc, flags = _DOCS[command]
+    _, doc, _ = run_cmd(command, make_doc(), *flags)
+    tamper(doc)
+    assert verify(doc) == (1, {"verified": False, "mismatches": mismatches,
+                               "inner_exit_code": 0})
+
+
+def test_verify_of_a_verify_output_exits_2():
+    _, out, _ = run_cmd("verify", run_cmd("decompose", matrix_to_json(SZ))[1])
+    assert run_cmd("verify", out)[:2] == (
+        2, {"error": "cannot verify output of command 'verify'", "path": "stdin"})
 
 
 # --------------------------------------------------------------------------

@@ -177,7 +177,7 @@ class TestCommands:
     def test_decompose_field_refine(self):
         code, doc, _ = run_cmd("decompose-field", sample_field_doc(), "--refine", "1")
         assert code == 0
-        assert doc["result"]["color_count"] == 2
+        assert max(doc["result"]["coloring"]) + 1 == 2
         assert doc["report"]["all_passed"]
 
     def test_block_split(self):
@@ -1175,7 +1175,7 @@ class TestHostileInput:
         simplex = SimplicialComplex.make(9, [range(9)])
         code, doc, _ = run_cmd("decompose-field", field_to_json(make_field(simplex, [SZ] * 9)))
         assert code == 0
-        assert doc["result"]["color_count"] == 9
+        assert max(doc["result"]["coloring"]) + 1 == 9
 
     @pytest.mark.parametrize("name, message", [
         ("seed", "'x' is not of type 'integer'"),
@@ -1263,8 +1263,9 @@ class TestHostileInput:
             "$.result.factors[0].x.n: 3 differs from the input's 2"]
 
     @pytest.mark.parametrize("path, value, mismatch", [
-        (("result", "residual_norm"), "0.0", "$.result.residual_norm: '0.0' is not a number"),
-        (("result", "bounds"), [1], "$.result.bounds: [1] is not an object"),
+        (("report", "residual_norm"), "0.0", "$.report.residual_norm: '0.0' is not a number"),
+        (("report", "commutator_count"), 1.0,
+         "$.report.commutator_count: 1.0 is not an integer"),
         (("result", "factors", 0, "y"), {"n": 2, "entries": [[[0, 0], [0, "1"]]]},
          "$.result.factors[0].y.entries[0][1][1]: '1' is not of type 'number'"),
         (("report", "bound_checks", 0, "passed"), "yes",
@@ -1287,13 +1288,11 @@ class TestHostileInput:
     def test_verify_of_an_unknown_bound_name_exits_1(self):
         _, out, _ = run_cmd("decompose", matrix_to_json(SZ))
         out["report"]["bound_checks"][1]["name"] = "norm_of_nothing"
-        out["result"]["bounds"]["norm_of_nothing"] = 0.5
         code, vdoc, _ = run_cmd("verify", out)
         assert code == 1
         assert vdoc["result"]["mismatches"] == [
             "$.report.bound_checks[1].name: unknown bound name 'norm_of_nothing'",
-            "$.report.bound_checks: no check of norm_sq_over_norm_a",
-            "$.result.bounds.norm_of_nothing: unknown bound name 'norm_of_nothing'"]
+            "$.report.bound_checks: no check of norm_sq_over_norm_a"]
 
     @pytest.mark.parametrize("key", ["0", "1,1", "99", "2,1", "", "x", "1,"])
     def test_verify_of_an_euler_class_key_outside_the_ring_exits_1(self, key):
@@ -1331,7 +1330,7 @@ class TestHostileInput:
                                        [SZ] * vertices))
         code, out, _ = run_cmd("decompose-field", doc)
         assert code == 0
-        assert out["result"]["color_count"] == vertices
+        assert max(out["result"]["coloring"]) + 1 == vertices
         assert run_cmd("verify", out)[1]["result"] == {
             "verified": True, "mismatches": [], "inner_exit_code": 0}
 
@@ -1732,7 +1731,7 @@ class TestDeterminismAndVerify:
     def test_verify_rejects_tampered_output(self):
         code, out_doc, _ = run_cmd("decompose", matrix_to_json(SZ))
         assert code == 0
-        out_doc["result"]["residual_norm"] = 0.5
+        out_doc["result"]["factors"][0]["x"]["entries"][0][0][0] += 0.5
         vcode, vdoc, _ = run_cmd("verify", out_doc)
         assert vcode == 1
         assert vdoc["result"]["verified"] is False
@@ -1842,6 +1841,19 @@ class TestConfig:
     def test_unknown_command(self):
         with pytest.raises(Exception):
             RunConfig(command="nope")
+
+    @pytest.mark.parametrize("flag, error", [
+        ("--seed", "seed must fit in 64 bits"),
+        ("--refine", "refine must be nonnegative"),
+        ("--depth", "depth must be nonnegative"),
+    ])
+    def test_a_negative_flag_exits_2_before_reading_input(self, flag, error):
+        assert run_cmd("decompose", matrix_to_json(SZ), flag, "-1")[:2] == (
+            2, {"error": error, "path": ""})
+
+    def test_input_that_is_no_object_exits_2(self):
+        assert run_cmd("decompose", [1, 2])[:2] == (
+            2, {"error": "input must be a JSON object", "path": "stdin"})
 
     def test_the_readme_lists_exactly_the_parser_flags(self):
         # and each flag but --in and --out sets a RunConfig field, which

@@ -56,3 +56,33 @@ def test_no_tolerance_has_a_floor_at_1():
     modules = sorted(SRC.glob("*.py"))
     floored = {path.name: floored_calls(path.read_text()) for path in modules}
     assert {name: calls for name, calls in floored.items() if calls} == {}
+
+
+def handler_tuple_returns(source: str) -> list:
+    """The return statements of ``_handle_*`` functions that return a tuple,
+    such as a body and an exit code, as "name: source text"."""
+    return [f"{fn.name}: {ast.unparse(node)}" for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_handle_")
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)]
+
+
+def test_the_guard_finds_a_handler_returning_a_code():
+    source = ("def _handle_a(cfg, x):\n    return ({'result': x}, 0)\n"
+              "def _handle_b(cfg, x):\n    return {'result': x}\n"
+              "def _other(x):\n    return x, 0\n")
+    assert handler_tuple_returns(source) == ["_handle_a: return ({'result': x}, 0)"]
+
+
+def test_the_exit_code_is_derived_in_one_place():
+    # each command handler returns its body alone; the exit code of a finished
+    # document is jsonio.implied_exit_code, the rule verify reports
+    cli = (SRC / "cli.py").read_text()
+    handlers = [node.name for node in ast.walk(ast.parse(cli))
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_handle_")]
+    assert len(handlers) == 8
+    assert handler_tuple_returns(cli) == []
+    defined = [path.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "implied_exit_code"]
+    assert defined == ["jsonio.py"]
