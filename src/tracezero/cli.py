@@ -108,7 +108,7 @@ def _decomposition_result(dec) -> dict:
 
 
 def _field_result(fld: SimplicialField) -> dict:
-    """``field_to_json(fld)``, with each vertex value as its array."""
+    """The field document of ``fld``, each vertex value as its array."""
     return {"complex": complex_to_json(fld.complex), "n": fld.matrix_size,
             "values": {str(v): m for v, m in enumerate(fld.values)}}
 

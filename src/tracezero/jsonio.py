@@ -17,8 +17,11 @@ commands put the matrices they compute into their output as such arrays,
 each checked by ``as_matrix`` first.  Every grid of [re, im] pairs, from a
 list or from an array, is laid out by the one function ``_grid_layout``
 instead of json's pure-Python indenting walk.  A list grid's numbers are
-rendered by one call of the C encoder; an array's distinct numbers by one
-call for them all, so each distinct number is rendered once.
+rendered by one call of the C encoder.  The arrays' numbers are rendered in
+one batch per document: the walk records where each array's grid goes, one
+call of the C encoder renders the distinct numbers of all the arrays, so each
+distinct number is rendered once per document, and each grid is then laid
+out from its slice of the batch.
 """
 from __future__ import annotations
 
@@ -77,15 +80,6 @@ def complex_from_json(doc: dict) -> SimplicialComplex:
         return SimplicialComplex.make(doc["vertices"], doc["simplices"])
     except (KeyError, TypeError) as exc:
         raise InvalidInputError("malformed complex document") from exc
-
-
-def field_to_json(fld: SimplicialField) -> dict:
-    return {
-        "complex": complex_to_json(fld.complex),
-        "n": fld.matrix_size,
-        "values": {str(v): matrix_to_json(fld.values[v])
-                   for v in range(fld.complex.vertex_count)},
-    }
 
 
 def field_from_json(doc: dict) -> SimplicialField:
@@ -284,11 +278,35 @@ def implied_exit_code(doc: dict) -> int:
 def encode(doc) -> str:
     """Exactly json.dumps(doc, indent=2, sort_keys=True) + "\n", where a
     square 2-d complex ndarray stands for its ``matrix_to_json`` document.
-    Each grid of [re, im] number pairs is written from one C-encoder call."""
-    out = []
-    _encode_into(out, doc, 0)
-    out.append("\n")
-    return "".join(out)
+    Each list grid of [re, im] number pairs is written from one C-encoder
+    call, and the numbers of all the document's arrays from one more."""
+    pieces, arrays = [], []
+    _encode_into(pieces, arrays, doc, 0)
+    pieces.append("\n")
+    if arrays:
+        pieces = _with_grids(pieces, arrays)
+    return "".join(pieces)
+
+
+def _with_grids(pieces: list, arrays: list) -> list:
+    """``pieces`` with the grid of each of ``arrays`` (position, array, level)
+    laid in at its position, all the arrays' numbers rendered in one batch.
+    The list is made at its full length before the batch: grown by appends
+    beside the batch's arrays, its reallocations fragmented the heap, and
+    each large output then took fresh pages."""
+    sizes = [2 * m.shape[0] ** 2 for _, m, _ in arrays]
+    out = [None] * (len(pieces) + sum(2 * size + 1 for size in sizes))
+    texts = _number_texts([m for _, m, _ in arrays])
+    start = offset = at = 0
+    for (position, m, level), size in zip(arrays, sizes):
+        out[at:at + position - start] = pieces[start:position]
+        at += position - start
+        grid = _grid_parts(texts[offset:offset + size], (m.shape[0],) * m.shape[0], level)
+        out[at:at + len(grid)] = grid
+        at += len(grid)
+        start, offset = position, offset + size
+    out[at:] = pieces[start:]
+    return out
 
 
 def _float_text(x: float) -> str:
@@ -301,8 +319,10 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _encode_into(out: list, o, level: int):
-    """Append the indented JSON text of ``o``, following json's type rules."""
+def _encode_into(out: list, arrays: list, o, level: int):
+    """Append the indented JSON text of ``o``, following json's type rules,
+    but for the grid of each array, whose place in ``out`` is recorded in
+    ``arrays`` as (position, array, level of the grid)."""
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif o is None:
@@ -322,7 +342,7 @@ def _encode_into(out: list, o, level: int):
         numbers = grid_numbers(o)
         if numbers and all(o):
             texts = json.dumps(numbers)[1:-1].split(", ")
-            _grid_into(out, texts, tuple(map(len, o)), level)
+            out += _grid_parts(texts, tuple(map(len, o)), level)
             return
         indent = "\n" + "  " * (level + 1)
         separator = indent
@@ -330,14 +350,14 @@ def _encode_into(out: list, o, level: int):
             out.append("{")
             for key, value in sorted(o.items()):
                 out.append(separator + encode_basestring_ascii(_key_text(key)) + ": ")
-                _encode_into(out, value, level + 1)
+                _encode_into(out, arrays, value, level + 1)
                 separator = "," + indent
             out.append("\n" + "  " * level + "}")
         else:
             out.append("[")
             for value in o:
                 out.append(separator)
-                _encode_into(out, value, level + 1)
+                _encode_into(out, arrays, value, level + 1)
                 separator = "," + indent
             out.append("\n" + "  " * level + "]")
     elif (isinstance(o, np.ndarray) and o.dtype == np.complex128 and o.ndim == 2
@@ -346,7 +366,7 @@ def _encode_into(out: list, o, level: int):
         n = o.shape[0]
         indent = "\n" + "  " * (level + 1)
         out.append("{" + indent + '"entries": ')
-        _grid_into(out, _array_texts(o), (n,) * n, level + 1)
+        arrays.append((len(out), o, level + 1))
         out.append("," + indent + f'"n": {n}' + "\n" + "  " * level + "}")
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
@@ -364,12 +384,13 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _array_texts(m: np.ndarray) -> np.ndarray:
-    """The texts of a complex matrix's numbers, re and im of each entry in
-    row-major order, as an object array.  Each distinct number is rendered
-    once; numbers are told apart by their bits, so -0.0 keeps its sign, and
-    0.0, the one float whose bits are all zero, is set apart before the sort."""
-    bits = np.ascontiguousarray(m).view(np.int64).ravel()
+def _number_texts(matrices: list) -> np.ndarray:
+    """The texts of complex matrices' numbers, re and im of each entry in
+    row-major order, matrix after matrix, as one object array.  Each distinct
+    number is rendered once, by one C-encoder call; numbers are told apart by
+    their bits, so -0.0 keeps its sign, and 0.0, the one float whose bits are
+    all zero, is set apart before the sort."""
+    bits = np.concatenate([m.ravel() for m in matrices]).view(np.int64)
     nonzero = bits != 0
     distinct, inverse = np.unique(bits[nonzero], return_inverse=True)
     index = np.zeros(bits.size, dtype=np.intp)
@@ -397,12 +418,12 @@ def _grid_layout(row_lengths: tuple, level: int) -> np.ndarray:
     return layout
 
 
-def _grid_into(out: list, texts, row_lengths: tuple, level: int):
-    """Append the indented text of a grid of [re, im] pairs in rows of
+def _grid_parts(texts, row_lengths: tuple, level: int) -> list:
+    """The pieces of the indented text of a grid of [re, im] pairs in rows of
     ``row_lengths`` (each nonzero), whose numbers in row-major order read
     ``texts``."""
     layout = _grid_layout(row_lengths, level)
     parts = np.empty(2 * len(layout) - 1, dtype=object)
     parts[0::2] = layout
     parts[1::2] = texts
-    out += parts.tolist()
+    return parts.tolist()

@@ -250,16 +250,14 @@ class VerificationReport:
 
 @dataclass
 class CommutatorDecomposition:
-    """A certified decomposition a = sum of commutators + residual.
+    """A certified decomposition of a into a sum of commutators.
 
     For ``self_commutators`` each factor is a single matrix x contributing
     [x*, x]; for ``general_commutators`` each factor is a pair (x, y)
-    contributing [x, y].  ``residual_norm`` is the residual's norm, and
-    ``report`` holds the claims its constructor measured on these matrices.
+    contributing [x, y].  ``report`` holds the claims its constructor
+    measured on these matrices.
     """
 
     kind: str
     factors: list
-    residual: np.ndarray
-    residual_norm: float
     report: VerificationReport

@@ -313,6 +313,14 @@ class TowerRunReport:
         }
 
 
+@dataclass
+class TowerDecomposition(CommutatorDecomposition):
+    """z0 = sum of commutators + ``residual``, of norm ``residual_norm``."""
+
+    residual: np.ndarray
+    residual_norm: float
+
+
 def tower_iterate(z0, tower: TowerModel, depth: int):
     """Iterate push steps down the tower, then decompose the last remainder
     exactly inside its block.
@@ -326,8 +334,9 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     L(L+K-1) + max(M, L(L+K-1)) commutators remain.  ``z0`` is a
     trace-zero Hermitian matrix of the tower's size and ``depth`` lies in
     [0, T], as ``TowerInput`` admits them.
-    Returns (decomposition, run report); the decomposition's report measures
-    the reconstruction, the residual against delta_depth and the count.
+    Returns (``TowerDecomposition``, run report); the decomposition's
+    report measures the reconstruction, the residual against delta_depth
+    and the count.
     """
     inp = tower.input
     z_norm = operator_norm(z0)
@@ -346,8 +355,8 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     checks = bound_checks(spec, reconstruction_residual=operator_norm(unexplained - residual),
                           residual_norm=residual_norm, commutator_count=float(len(factors)))
     report = VerificationReport(operator_norm(unexplained), len(factors), checks)
-    return CommutatorDecomposition(kind=KIND_GENERAL, factors=factors, residual=residual,
-                                   residual_norm=residual_norm, report=report), run
+    return TowerDecomposition(kind=KIND_GENERAL, factors=factors, report=report,
+                              residual=residual, residual_norm=residual_norm), run
 
 
 def _descend(z0, z_norm: float, tower: TowerModel, depth: int):

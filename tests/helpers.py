@@ -1,11 +1,11 @@
-"""Shared test helpers: running the scripts, a seeded random unitary, the
-decoded fack-run input of a tower, the dense reference of the rank-comparison
-witness, the Bott bundle, the support of a PSD matrix from its own
-eigendecomposition and the matrix of a support, small complexes, a field's
-value at barycentric weights, the barycentric lattice, lattice sampling and
-hat-function extension of fields, the lattice residual of a field
-decomposition against any target, the smooth-target mesh refinement checks,
-the bitmask keys and frozenset reference of the square-free ring, the
+"""Shared test helpers: running the scripts, the input document of a field, a
+seeded random unitary, the decoded fack-run input of a tower, the dense
+reference of the rank-comparison witness, the Bott bundle, the support of a
+PSD matrix from its own eigendecomposition and the matrix of a support, small
+complexes, a field's value at barycentric weights, the barycentric lattice,
+lattice sampling and hat-function extension of fields, the lattice residual of
+a field decomposition against any target, the smooth-target mesh refinement
+checks, the bitmask keys and frozenset reference of the square-free ring, the
 orthogonality oracle of the tower collapse and a recorder of the slots it
 sums, the list-scan references of the two visiting orders, the per-matrix
 reference of the stacked self-commutator pass, the per-simplex lattice
@@ -24,7 +24,7 @@ import numpy as np
 from tracezero import towers
 from tracezero.claims import slack
 from tracezero.errors import InvalidInputError
-from tracezero.jsonio import TowerInput, decode_input, matrix_to_json
+from tracezero.jsonio import TowerInput, complex_to_json, decode_input, matrix_to_json
 from tracezero.matcore import (
     PHASE_CUTOFF,
     as_matrix,
@@ -53,6 +53,16 @@ def run_script(name: str, *args: str) -> str:
         [sys.executable, str(REPO / "scripts" / name), *args],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
     return proc.stdout
+
+
+def field_to_json(fld) -> dict:
+    """The field document of ``fld``, the input of ``decompose-field``."""
+    return {
+        "complex": complex_to_json(fld.complex),
+        "n": fld.matrix_size,
+        "values": {str(v): matrix_to_json(fld.values[v])
+                   for v in range(fld.complex.vertex_count)},
+    }
 
 
 def random_unitary(rng: SplitMix64, n: int) -> np.ndarray:
@@ -384,8 +394,9 @@ def reference_signed_order(lam) -> list:
 
 def reconstruction_error(a, dec) -> float:
     """norm(a - sum of commutators - residual) of a decomposition, measured
-    here from its matrices: [x*, x] for a single factor x, [x, y] for a pair."""
-    total = np.array(dec.residual, dtype=complex)
+    here from its matrices: [x*, x] for a single factor x, [x, y] for a pair;
+    only a tower's decomposition has a residual."""
+    total = np.array(getattr(dec, "residual", np.zeros_like(a)), dtype=complex)
     for f in dec.factors:
         total = total + (commutator(f.conj().T, f) if dec.kind == "self_commutators"
                          else commutator(*f))

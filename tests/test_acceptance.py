@@ -14,13 +14,14 @@ from helpers import (
     circle_refinement_residual,
     collapse_defect,
     fack_run_input,
+    field_to_json,
     monomial,
     reconstruction_error,
     record_collapse,
     support_of,
 )
 from tracezero.cli import run_from_args
-from tracezero.jsonio import field_to_json, matrix_to_json
+from tracezero.jsonio import matrix_to_json
 from tracezero.matcore import commutator, operator_norm
 from tracezero.obstruct import (
     BundleExpr,

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tracezero
-from helpers import monomial
+from helpers import field_to_json, monomial
 from test_cli import (
     _PATH,
     ALL_RUNS,
@@ -26,7 +26,7 @@ from tracezero import claims
 from tracezero.certcheck import barycentric_refinement, euler_class_by_forms
 from tracezero.claims import norm_ratio
 from tracezero.errors import InvalidInputError
-from tracezero.jsonio import field_to_json, implied_exit_code, matrix_to_json
+from tracezero.jsonio import implied_exit_code, matrix_to_json
 from tracezero.matcore import (
     BoundCheck,
     CommutatorDecomposition,
@@ -247,8 +247,7 @@ def test_a_wrong_construction_with_a_passing_report_is_rejected(monkeypatch):
                   BoundCheck("norm_product_over_norm_a", 1.0,
                              *norm_ratio(operator_norm(x) * operator_norm(y), operator_norm(a)))]
         return CommutatorDecomposition(
-            kind="general_commutators", factors=[(x, y)], residual=residual,
-            residual_norm=operator_norm(residual),
+            kind="general_commutators", factors=[(x, y)],
             report=VerificationReport(operator_norm(unexplained), 1, checks))
 
     monkeypatch.setattr(tracezero.cli, "tight_commutator_decompose", halved)
@@ -310,8 +309,7 @@ CONSTRUCTORS = ("self_commutator_decompose", "self_commutator_factors",
                 "tower_iterate", "push_step", "cuntz_witness",
                 "collapse", "block_two_commutator_split", "hermitian_eig",
                 "euler_class", "sqfree_mul", "linear_power",
-                "obstruction_certificate", "pp_example", "villadsen_tower", "matrix_to_json",
-                "field_to_json")
+                "obstruction_certificate", "pp_example", "villadsen_tower", "matrix_to_json")
 
 
 def test_verify_accepts_a_tower_report_with_a_collapse_defect():
@@ -367,7 +365,7 @@ def test_checker_imports_no_constructor():
                      "pp_example", "villadsen_tower", "distance_lower_bound_cert"},
         # the constructor's norm helpers too: the checker measures with its own SVDs
         "matcore": {"hermitian_eig", "max_operator_norm", "operator_norms"},
-        "jsonio": {"matrix_to_json", "field_to_json"},
+        "jsonio": {"matrix_to_json"},
     }
     for path, known in ((CERTCHECK, ("matcore", "operator_norm")),
                         (JSONIO, ("obstruct", "BundleExpr"))):

@@ -21,6 +21,7 @@ import tracezero
 from helpers import (
     circle_complex,
     collapse_defect,
+    field_to_json,
     random_unitary,
     record_collapse,
     run_script,
@@ -28,7 +29,7 @@ from helpers import (
 from tracezero import claims, schemas
 from tracezero.cli import RunConfig, build_parser, encode, main, run_from_args
 from tracezero.errors import InvalidInputError
-from tracezero.jsonio import decode_input, field_to_json, matrix_to_json
+from tracezero.jsonio import decode_input, matrix_to_json
 from tracezero.matcore import MAX_FLOAT, commutator, hermitian_eig, operator_norm
 from tracezero.ozfield import SimplicialComplex, make_field, require_refine_budget
 from tracezero.rand import SplitMix64, random_complex_matrix, random_trace_zero_hermitian
@@ -1617,8 +1618,26 @@ def _array_documents(draw):
     for _ in range(draw(st.integers(0, 4))):
         other = draw(st.one_of(_leaves, _complex_matrices()))
         doc = draw(st.sampled_from([[doc], [other, doc], (doc, other),
-                                    {"entries": doc, "x": other}, {"m": doc}]))
+                                    {"entries": doc, "x": other}, {"x": doc, "entries": other},
+                                    {"m": doc}]))
     return doc
+
+
+def _many_arrays():
+    """About 300 small arrays at three indent levels, under keys whose
+    insertion order is not their sorted order, as a field's vertex values
+    are: many numbers recur across arrays, and 0.0 and -0.0 both occur."""
+    rng = np.random.default_rng(31)
+
+    def small():
+        parts = rng.integers(-2, 3, (2, 4, 4)) / 4
+        parts[parts == 0] = rng.choice([0.0, -0.0], np.count_nonzero(parts == 0))
+        return parts[0] + 1j * parts[1]
+
+    return {"values": {str(v): small() for v in range(12, -1, -1)},
+            "factors": [{"entries": [{"vertex": v, "x": small()} for v in range(30)]}
+                        for _ in range(9)],
+            "n": 4, "z": small()}
 
 
 def _listed(doc):
@@ -1646,11 +1665,19 @@ class TestEncode:
             json.dumps({"x": [value]}, indent=2)
         with pytest.raises(TypeError):
             encode({"x": [value]})
+        # also after arrays, whose numbers are rendered once the walk is done
+        with pytest.raises(TypeError):
+            encode({"a": SZ, "b": [np.eye(2, dtype=complex), value]})
 
     @given(_array_documents())
     @settings(max_examples=200, deadline=None)
     @example(np.array([[-0.0 + 0j, 5e-324 - 0j], [1.0 + 1.7976931348623157e308j, 0j]]))
     @example([{"x": np.zeros((1, 1), dtype=complex)}])
+    # the arrays of a document go into one batch in the order they are written
+    @example({"b": SZ, "a": -SZ, "10": np.eye(2, dtype=complex), "9": 2 * SZ})
+    # one number in several arrays, and 0.0 in one where -0.0 is in another
+    @example([np.array([[0.0 + 1.5j]]), {"y": np.array([[-0.0 + 1.5j]]), "x": np.eye(1) * 1.5j}])
+    @example(_many_arrays())
     def test_arrays_encode_as_their_matrix_documents(self, doc):
         assert encode(doc) == json.dumps(_listed(doc), indent=2, sort_keys=True) + "\n"
 

@@ -1,8 +1,13 @@
-"""Checks on the package source itself, made with the standard library's ast."""
+"""Checks on the package source itself, made with the standard library's
+ast, and on how often the encoder calls the C encoder."""
 import ast
+import json
 import pathlib
 
+import numpy as np
+
 import tracezero
+from tracezero import jsonio
 
 SRC = pathlib.Path(tracezero.__file__).parent
 
@@ -86,3 +91,21 @@ def test_the_exit_code_is_derived_in_one_place():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name == "implied_exit_code"]
     assert defined == ["jsonio.py"]
+
+
+def test_one_c_encoder_call_renders_every_array_of_a_document(monkeypatch):
+    # a document's arrays are rendered in one batch, not one call per matrix;
+    # a list grid, an echoed input, would take a call of its own
+    calls, dumps = [], json.dumps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    doc = {"values": {str(v): np.diag([v, -v]).astype(complex) for v in range(12)},
+           "factors": [{"x": np.eye(3, dtype=complex)}, {"x": np.zeros((3, 3), dtype=complex)}],
+           "n": 2}
+    expected = jsonio.encode(doc)
+    monkeypatch.setattr(jsonio.json, "dumps", counting)
+    assert jsonio.encode(doc) == expected
+    assert len(calls) == 1
