@@ -11,12 +11,14 @@ measurements.  No constructor and no eigendecomposition is called, so a
 construction bug that the producer's own report repeats is still caught.
 
 A failed check is one line "<path>: <check> ...", <path> being a JSON path
-into the verify document.  What a document measures but does not carry the
-data to rebuild (a tower's per-stage measurements) is checked for internal
-consistency only: measured <= claimed + tolerance exactly when ``passed``,
-and ``all_passed`` agrees; each push step's bounds and tolerances are still
-stated by the checker, from norm(z0) and the remainder norms the stages
-report.  Every bound check of the other commands' reports is re-measured.
+into the verify document.  Its shape is checked first, in one pass, by its
+command's output schema, so the checks here state only what no schema can.
+What a document measures but does not carry the data to rebuild (a tower's
+per-stage measurements) is checked for internal consistency only: measured
+<= claimed + tolerance exactly when ``passed``, and ``all_passed`` agrees;
+each push step's bounds and tolerances are still stated by the checker,
+from norm(z0) and the remainder norms the stages report.  Every bound check
+of the other commands' reports is re-measured.
 """
 from __future__ import annotations
 
@@ -40,17 +42,24 @@ AGREE = 1e-9
 
 
 class Malformed(Exception):
-    """A part of the document that a check needs is missing or ill-typed."""
+    """A part of the document that a check needs is ill-formed."""
 
     def __init__(self, path: str, text: str):
         super().__init__(f"{path}: {text}")
 
 
 class Findings:
-    """The failed checks of one document, in the order they were made."""
+    """The failed checks of one document, in order, and its body's schema error."""
 
     def __init__(self):
         self.failures = []
+        self.malformed = None
+
+    def body(self, doc: dict) -> tuple:
+        """Result and report, read after the input's checks: a malformed body ends them."""
+        if self.malformed:
+            raise Malformed(*self.malformed)
+        return doc["result"], doc["report"]
 
     def fail(self, path: str, text: str):
         self.failures.append(f"{path}: {text}")
@@ -65,66 +74,18 @@ def _agree(reported: float, measured: float, scale: float = 0.0) -> bool:
         AGREE, max(scale, abs(measured)))
 
 
-# --------------------------------------------------------------------------
-# Typed access to the document.  Each raises Malformed naming the path.
-
-def _get(node, key: str, path: str):
-    if not isinstance(node, dict):
-        raise Malformed(path, "is not an object")
-    if key not in node:
-        raise Malformed(f"{path}.{key}", "missing")
-    return node[key]
-
-
-def _object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise Malformed(path, f"{value!r} is not an object")
-    return value
-
-
-def _list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise Malformed(path, f"{value!r} is not a list")
-    return value
-
-
-def _number(value, path: str) -> float:
-    if type(value) not in (int, float):
-        raise Malformed(path, f"{value!r} is not a number")
+def _decoded(value, path: str, decode):
+    """A part of the result decoded by ``decode``, which may reject it."""
     try:
-        return float(value)
-    except OverflowError:
-        raise Malformed(path, "is too large for a float") from None
-
-
-def _integer(value, path: str) -> int:
-    if type(value) is not int:
-        raise Malformed(path, f"{value!r} is not an integer")
-    return value
-
-
-def _boolean(value, path: str) -> bool:
-    if type(value) is not bool:
-        raise Malformed(path, f"{value!r} is not true or false")
-    return value
-
-
-def _decoded(value, command: str, path: str, decode):
-    """A part of the result, decoded by ``decode`` after the input schema of
-    ``command``; what either rejects is Malformed, at its first bad place."""
-    try:
-        validate(value, command)
         return decode(value)
-    except ValidationError as exc:
-        raise Malformed(path + exc.json_path[1:], exc.message) from None
     except InvalidInputError as exc:
         raise Malformed(path, str(exc)) from None
 
 
-def _matrix(value, path: str, n: int | None = None) -> np.ndarray:
+def _matrix(value, path: str, n: int) -> np.ndarray:
     """A matrix document of the result, decoded; ``n`` is the size it must have."""
-    m = _decoded(value, "decompose", path, matrix_from_json)  # decompose's input is a matrix
-    if n is not None and m.shape[0] != n:
+    m = _decoded(value, path, matrix_from_json)
+    if m.shape[0] != n:
         raise Malformed(f"{path}.n", f"{m.shape[0]} differs from the input's {n}")
     return m
 
@@ -137,29 +98,17 @@ def _norm(m: np.ndarray, path: str) -> float:
     return operator_norm(m)
 
 
-def _rerooted(exc: ValidationError, key: str) -> ValidationError:
-    """``exc`` with its path moved under ``key``, for a document checked
-    as a part of a larger one."""
-    root = exc
-    while root.parent is not None:
-        root = root.parent
-    root.relative_path.appendleft(key)
-    return exc
-
-
 # --------------------------------------------------------------------------
 # Claimed bounds.
 
 def _consistent(f: Findings, path: str, entry: dict) -> tuple:
     """Read one reported bound check and require passed <=> measured <=
     claimed + tolerance; returns (name, claimed, measured, tolerance, passed)."""
-    name = _get(entry, "name", path)
-    if not isinstance(name, str):
-        raise Malformed(f"{path}.name", f"{name!r} is not a string")
-    claimed = _number(_get(entry, "claimed_bound", path), f"{path}.claimed_bound")
-    measured = _number(_get(entry, "measured_value", path), f"{path}.measured_value")
-    tolerance = _number(_get(entry, "tolerance", path), f"{path}.tolerance")
-    passed = _boolean(_get(entry, "passed", path), f"{path}.passed")
+    name, passed = entry["name"], entry["passed"]
+    # read as floats, as every check computes: the double format admits the
+    # int 2**1023, and in int arithmetic 2 * 2**1023 + 0.5 overflows
+    claimed, measured, tolerance = (
+        float(entry[key]) for key in ("claimed_bound", "measured_value", "tolerance"))
     f.require(passed == (measured <= claimed + tolerance), f"{path}.passed",
               f"{name}: passed is {str(passed).lower()} but measured {measured!r} against "
               f"claimed bound {claimed!r} + tolerance {tolerance!r}")
@@ -167,7 +116,7 @@ def _consistent(f: Findings, path: str, entry: dict) -> tuple:
 
 
 def _check_all_passed(f: Findings, node: dict, path: str, passes: list):
-    all_passed = _boolean(_get(node, "all_passed", path), f"{path}.all_passed")
+    all_passed = node["all_passed"]
     f.require(all_passed == all(passes), f"{path}.all_passed",
               f"is {str(all_passed).lower()} but the checks it covers say "
               f"{str(all(passes)).lower()}")
@@ -188,9 +137,8 @@ def _check_bounds(f: Findings, report: dict, spec: dict, measured: dict, lower: 
     the checker's own ``measured`` values, lower bounds only for the names in
     ``lower``."""
     path = "$.report.bound_checks"
-    entries = _list(_get(report, "bound_checks", "$.report"), path)
     passes, seen = [], set()
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(report["bound_checks"]):
         p = f"{path}[{i}]"
         name, claimed, reported, tolerance, passed = _consistent(f, p, entry)
         passes.append(passed)
@@ -217,35 +165,25 @@ def _check_bounds(f: Findings, report: dict, spec: dict, measured: dict, lower: 
     _check_all_passed(f, report, "$.report", passes)
 
 
-def _no_bounds(f: Findings, report: dict, all_passed: bool):
-    """The report of an exact command: no bound checks, and all_passed as
-    the result implies."""
-    entries = _list(_get(report, "bound_checks", "$.report"), "$.report.bound_checks")
-    f.require(entries == [], "$.report.bound_checks", "an exact result claims no bounds")
-    _check_all_passed(f, report, "$.report", [all_passed])
-
-
 # --------------------------------------------------------------------------
 # Sums of commutators.
 
-def _commutator_sum(f: Findings, result: dict, kind: str, n: int, with_norms: bool):
+def _commutator_sum(result: dict, n: int, with_norms: bool):
     """Decode the factors and return (sum of their commutators, factor count,
     largest norm claim term): norm(x)^2 for [x*, x], norm(x)*norm(y) for
     [x, y], when ``with_norms``."""
-    found = _get(result, "kind", "$.result")
-    f.require(found == kind, "$.result.kind", f"{found!r} is not {kind!r}")
-    factors = _list(_get(result, "factors", "$.result"), "$.result.factors")
+    kind, factors = result["kind"], result["factors"]
     total = np.zeros((n, n), dtype=complex)
     worst = 0.0
     for i, factor in enumerate(factors):
         p = f"$.result.factors[{i}]"
-        x = _matrix(_get(factor, "x", p), f"{p}.x", n)
+        x = _matrix(factor["x"], f"{p}.x", n)
         if kind == "self_commutators":
             total += commutator(x.conj().T, x)
             x_norm = operator_norm(x) if with_norms else 0.0
             term = x_norm * x_norm
         else:
-            y = _matrix(_get(factor, "y", p), f"{p}.y", n)
+            y = _matrix(factor["y"], f"{p}.y", n)
             total += commutator(x, y)
             term = operator_norm(x) * operator_norm(y) if with_norms else 0.0
         worst = max(worst, term)
@@ -254,22 +192,20 @@ def _commutator_sum(f: Findings, result: dict, kind: str, n: int, with_norms: bo
 
 def _check_headline(f: Findings, report: dict, residual: float, count: int, scale: float):
     """The report's residual_norm, norm(a - sum of commutators), and its count."""
-    reported = _number(_get(report, "residual_norm", "$.report"), "$.report.residual_norm")
+    reported = float(report["residual_norm"])
     f.require(_agree(reported, residual, scale), "$.report.residual_norm",
               f"reported {reported!r} but the input minus the factors' commutators has "
               f"norm {residual!r}")
-    reported = _integer(_get(report, "commutator_count", "$.report"), "$.report.commutator_count")
+    reported = report["commutator_count"]
     f.require(reported == count, "$.report.commutator_count",
               f"{reported} but the result has {count} factors")
 
 
-def _check_single_commutator(f: Findings, doc: dict, a: np.ndarray, command: str, kind: str):
+def _check_single_commutator(f: Findings, doc: dict, a: np.ndarray, command: str, **_):
     """decompose (a = [x*, x]) and decompose-tight (a = [x, y]): one factor,
     whose commutator is all the reconstruction holds."""
-    n = a.shape[0]
-    result = _object(_get(doc, "result", "$"), "$.result")
-    report = _object(_get(doc, "report", "$"), "$.report")
-    total, count, worst = _commutator_sum(f, result, kind, n, with_norms=True)
+    result, report = f.body(doc)
+    total, count, worst = _commutator_sum(result, a.shape[0], with_norms=True)
     f.require(count == 1, "$.result.factors", f"{count} factors, but the statement is one")
     a_norm = operator_norm(a)
     residual = _norm(a - total, "$.result.factors")
@@ -310,12 +246,11 @@ def _check_fack_run(f: Findings, doc: dict, tower: TowerInput, depth: int | None
     f.require(outside <= claims.z0_outside_limit(z_norm), "$.input.z0",
               f"leaves her((e_0 - eps)_+): norm {outside!r} outside it")
 
-    result = _object(_get(doc, "result", "$"), "$.result")
-    report = _object(_get(doc, "report", "$"), "$.report")
-    total, count, _ = _commutator_sum(f, result, "general_commutators", n, with_norms=False)
-    found = _integer(_get(result, "depth", "$.result"), "$.result.depth")
+    result, report = f.body(doc)
+    total, count, _ = _commutator_sum(result, n, with_norms=False)
+    found = result["depth"]
     f.require(found == depth, "$.result.depth", f"{found} but the run's depth is {depth}")
-    declared = _number(_get(result, "residual_norm", "$.result"), "$.result.residual_norm")
+    declared = float(result["residual_norm"])
     residual = _norm(z0 - total, "$.result.factors")
     spec = claims.tower(z_norm, tower.deltas[depth - 1] if depth else None, tower.count_bound)
     # norm(z0 - sum - R) >= |norm(z0 - sum) - norm(R)|, R the declared residual
@@ -333,8 +268,8 @@ def _check_tower_report(f: Findings, result: dict, depth: int, tower: TowerInput
     remainder_norm; its measurements, which lack the data to rebuild, only
     for consistency."""
     path = "$.result.tower_report"
-    tower_report = _object(_get(result, "tower_report", "$.result"), path)
-    stages = _list(_get(tower_report, "stage_checks", path), f"{path}.stage_checks")
+    tower_report = result["tower_report"]
+    stages = tower_report["stage_checks"]
     f.require(len(stages) == depth, f"{path}.stage_checks",
               f"{len(stages)} stages but depth {depth}")
     per_stage = tower.per_stage
@@ -342,7 +277,7 @@ def _check_tower_report(f: Findings, result: dict, depth: int, tower: TowerInput
     passes, x_norm = [], z_norm
     for t, stage in enumerate(stages):
         p = f"{path}.stage_checks[{t}]"
-        read = [_consistent(f, f"{p}[{i}]", entry) for i, entry in enumerate(_list(stage, p))]
+        read = [_consistent(f, f"{p}[{i}]", entry) for i, entry in enumerate(stage)]
         passes += [passed for *_, passed in read]
         names = sorted(name for name, *_ in read)
         f.require(names == expected, p, f"checks {names}, not one each of {expected}")
@@ -355,8 +290,7 @@ def _check_tower_report(f: Findings, result: dict, depth: int, tower: TowerInput
                       f"a push step forms {per_stage} commutators, not {measured!r}")
         x_norm = remainder_norm
     _check_all_passed(f, tower_report, path, passes)
-    sizes = _list(_get(tower_report, "family_sizes", path), f"{path}.family_sizes")
-    sizes = [_integer(s, f"{path}.family_sizes[{i}]") for i, s in enumerate(sizes)]
+    sizes = tower_report["family_sizes"]
     f.require(len(sizes) == 2 and min(sizes) >= 0 and sum(sizes) == count,
               f"{path}.family_sizes", f"{sizes} does not split the {count} factors in two")
 
@@ -412,22 +346,21 @@ def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine:
         fld.complex.maximal_simplices, fld.values, refine)
     vertex_count, n = len(values), fld.matrix_size
     value_stack = np.stack(values)
-    result = _object(_get(doc, "result", "$"), "$.result")
-    report = _object(_get(doc, "report", "$"), "$.report")
+    result, report = f.body(doc)
 
-    out = _decoded(_get(result, "field", "$.result"), "decompose-field", "$.result.field",
-                   field_from_json)
+    out = _decoded(result["field"], "$.result.field", field_from_json)
     f.require(out.complex.vertex_count == vertex_count, "$.result.field.complex.vertices",
               f"{out.complex.vertex_count}, but the refined input has {vertex_count}")
     f.require(list(out.complex.maximal_simplices) == simplices,
               "$.result.field.complex.simplices", "differ from the refined input's")
+    f.require(out.matrix_size == n, "$.result.field.n",
+              f"{out.matrix_size} differs from the input's {n}")
     if out.complex.vertex_count == vertex_count and out.matrix_size == n:
         gap = np.max(np.abs(np.stack(out.values) - value_stack), axis=(1, 2))
         for v in np.flatnonzero(gap > claims.slack(AGREE, float(np.max(np.abs(value_stack))))):
             f.fail(f'$.result.field.values["{v}"]', "differs from the refined input's value")
 
-    coloring = [_integer(c, f"$.result.coloring[{v}]") for v, c in
-                enumerate(_list(_get(result, "coloring", "$.result"), "$.result.coloring"))]
+    coloring = result["coloring"]
     if len(coloring) != vertex_count or not 0 <= min(coloring) <= max(coloring) < vertex_count:
         raise Malformed("$.result.coloring",
                         f"is not one color in 0..{vertex_count - 1} per vertex")
@@ -439,20 +372,20 @@ def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine:
         f.require(color_count == max(colors) + 1, "$.result.coloring",
                   f"{color_count} colors, but a barycentric subdivision needs {max(colors) + 1}")
 
-    factors = _list(_get(result, "factors", "$.result"), "$.result.factors")
+    factors = result["factors"]
     x = {}
     for k, factor in enumerate(factors):
         p = f"$.result.factors[{k}]"
-        color = _integer(_get(factor, "color", p), f"{p}.color")
+        color = factor["color"]
         f.require(color == k, f"{p}.color", f"{color}, but factor {k} carries color {k}")
-        for j, entry in enumerate(_list(_get(factor, "entries", p), f"{p}.entries")):
+        for j, entry in enumerate(factor["entries"]):
             q = f"{p}.entries[{j}]"
-            v = _integer(_get(entry, "vertex", q), f"{q}.vertex")
+            v = entry["vertex"]
             if not 0 <= v < vertex_count or v in x:
                 raise Malformed(f"{q}.vertex", f"{v} is no vertex, or a vertex seen before")
             f.require(coloring[v] == color, f"{q}.vertex",
                       f"vertex {v} has color {coloring[v]}, not {color}")
-            x[v] = _matrix(_get(entry, "x", q), f"{q}.x", n)
+            x[v] = _matrix(entry["x"], f"{q}.x", n)
     missing = sorted(set(range(vertex_count)) - set(x))
     if missing:
         raise Malformed("$.result.factors", f"vertices {missing} have no factor")
@@ -477,7 +410,7 @@ def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine:
                                     "max_factor_norm_sq": float(np.max(x_norms_sq)),
                                     "factor_count": float(len(factors))})
     _check_headline(f, report, field_residual, len(factors), sup)
-    reported = _number(_get(result, "sup_norm", "$.result"), "$.result.sup_norm")
+    reported = float(result["sup_norm"])
     f.require(_agree(reported, sup, sup), "$.result.sup_norm",
               f"reported {reported!r} but the largest vertex value norm is {sup!r}")
 
@@ -491,11 +424,10 @@ def _check_block_split(f: Findings, doc: dict, inp: tuple, **_):
     b, d, pairs, _ = inp
     n = b.shape[0]
     r = n // d
-    result = _object(_get(doc, "result", "$"), "$.result")
-    report = _object(_get(doc, "report", "$"), "$.report")
-    s = _matrix(_get(result, "shift_upper", "$.result"), "$.result.shift_upper", n)
-    t = _matrix(_get(result, "shift_lower", "$.result"), "$.result.shift_lower", n)
-    rest = _matrix(_get(result, "rest", "$.result"), "$.result.rest", n)
+    result, report = f.body(doc)
+    s = _matrix(result["shift_upper"], "$.result.shift_upper", n)
+    t = _matrix(result["shift_lower"], "$.result.shift_lower", n)
+    rest = _matrix(result["rest"], "$.result.rest", n)
 
     b_norm = operator_norm(b)
     blocks = [slice(i * r, (i + 1) * r) for i in range(d)]
@@ -519,7 +451,7 @@ def _check_block_split(f: Findings, doc: dict, inp: tuple, **_):
         f.require(rest_diagonal <= limit, "$.result.rest",
                   f"norm(rest - [x_1, y_1]) = {rest_diagonal!r} exceeds {limit!r}")
     _check_bounds(f, report, spec, measured)
-    reported = _number(_get(result, "diag_part_norm", "$.result"), "$.result.diag_part_norm")
+    reported = float(result["diag_part_norm"])
     diag_norm = _norm(diag_part, "$.input")
     f.require(_agree(reported, diag_norm, b_norm), "$.result.diag_part_norm",
               f"reported {reported!r} but the block-diagonal defect has norm {diag_norm!r}")
@@ -607,7 +539,6 @@ def _monomial(key: str, variables: int):
 
 def _check_euler_class(f: Findings, path: str, found, expected: dict, variables: int):
     """An emitted euler_class against the class ``expected`` (bitmask keys)."""
-    found = _object(found, path)
     seen = set()
     for key, value in found.items():
         mask = _monomial(key, variables)
@@ -631,9 +562,8 @@ def _check_obstruct(f: Findings, doc: dict, inp: tuple, **_):
         expected = {}
     else:
         expected = euler_class_by_forms(summands * copies)
-    result = _object(_get(doc, "result", "$"), "$.result")
-    _check_euler_class(f, "$.result.euler_class", _get(result, "euler_class", "$.result"),
-                       expected, variables)
+    result, report = f.body(doc)
+    _check_euler_class(f, "$.result.euler_class", result["euler_class"], expected, variables)
     rest = {key: value for key, value in result.items() if key != "euler_class"}
     _match(f, "$.result", rest, {
         "kind": "one_not_below_nq",
@@ -641,7 +571,7 @@ def _check_obstruct(f: Findings, doc: dict, inp: tuple, **_):
         "verdict": bool(expected),
         "failed_hypothesis": None,
     })
-    _no_bounds(f, _object(_get(doc, "report", "$"), "$.report"), True)
+    _check_all_passed(f, report, "$.report", [True])
 
 
 # The Bloch vectors of the octahedron's vertices in pp-example's m = 1 field.
@@ -652,7 +582,7 @@ def _check_bott_field(f: Findings, found):
     """diag(1, -P(v)) over the octahedral sphere, P(v) the projection onto
     the spin state of Bloch vector v."""
     path = "$.result.field"
-    fld = _decoded(found, "decompose-field", path, field_from_json)
+    fld = _decoded(found, path, field_from_json)
     triangles = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
     f.require(fld.complex.vertex_count == 6 and list(fld.complex.maximal_simplices) == triangles,
               f"{path}.complex", "is not the octahedral sphere")
@@ -668,29 +598,28 @@ def _check_bott_field(f: Findings, found):
 def _check_pp_example(f: Findings, doc: dict, m: int, **_):
     """(S^2)^m, the line bundle of degree (1, ..., 1) and its m-fold sum,
     whose Euler class is m! a_1...a_m."""
-    result = _object(_get(doc, "result", "$"), "$.result")
-    certificate = _object(_get(result, "certificate", "$.result"), "$.result.certificate")
-    _check_euler_class(f, "$.result.certificate.euler_class",
-                       _get(certificate, "euler_class", "$.result.certificate"),
+    result, report = f.body(doc)
+    certificate = result["certificate"]
+    _check_euler_class(f, "$.result.certificate.euler_class", certificate["euler_class"],
                        {(1 << m) - 1: math.factorial(m)}, m)
     _match(f, "$.result.certificate",
            {key: value for key, value in certificate.items() if key != "euler_class"},
            {"kind": "one_not_below_nq", "params": {"n": m, "rank": 1, "variables": m},
             "verdict": True, "failed_hypothesis": None})
-    _match(f, "$.result.description", _get(result, "description", "$.result"), {
+    _match(f, "$.result.description", result["description"], {
         "space": f"(S^2)^{m}",
         "bundle": {"variables": m, "summands": [[1] * m]},
         "element": "diag(unit_line, -p) in the hereditary of unit_line + p",
         "self_commutator_count_obstructed": m,
     })
-    found = _get(result, "field", "$.result")
+    found = result["field"]
     if m == 1:
         _check_bott_field(f, found)
     else:
         f.require(found is None, "$.result.field", "is attached only for m = 1")
     f.require(set(result) == {"certificate", "description", "field"}, "$.result",
               f"keys {sorted(result)} are not certificate, description and field")
-    _no_bounds(f, _object(_get(doc, "report", "$"), "$.report"), True)
+    _check_all_passed(f, report, "$.report", [True])
 
 
 def _check_tower(f: Findings, doc: dict, m_max: int, **_):
@@ -713,7 +642,7 @@ def _check_tower(f: Findings, doc: dict, m_max: int, **_):
             certificates.append({"m": m, "n": n, "blocks": blocks,
                                  "verdict": all(b["nonvanishing"] for b in blocks)})
     all_true = all(c["verdict"] for c in certificates)
-    result = _get(doc, "result", "$")
+    result, report = f.body(doc)
     _match(f, "$.result", result, {
         "m_max": m_max,
         "k": [str(v) for v in k], "l": [str(v) for v in l], "M": [str(v) for v in big_m],
@@ -727,16 +656,14 @@ def _check_tower(f: Findings, doc: dict, m_max: int, **_):
         },
         "all_verdicts_true": all_true,
     })
-    _no_bounds(f, _object(_get(doc, "report", "$"), "$.report"), all_true)
+    _check_all_passed(f, report, "$.report", [all_true])
 
 
 # --------------------------------------------------------------------------
 
 CHECKERS = {
-    "decompose": lambda f, doc, a, **_: _check_single_commutator(
-        f, doc, a, "decompose", "self_commutators"),
-    "decompose-tight": lambda f, doc, a, **_: _check_single_commutator(
-        f, doc, a, "decompose-tight", "general_commutators"),
+    "decompose": _check_single_commutator,
+    "decompose-tight": _check_single_commutator,
     "decompose-field": _check_decompose_field,
     "fack-run": _check_fack_run,
     "block-split": _check_block_split,
@@ -751,19 +678,25 @@ def check_certificate(doc: dict, *, refine: int, depth: int | None) -> list:
     claims.  ``refine`` and ``depth`` are its run's parameters.  The echoed
     input is read by the command's own schema and decoder, so an invalid one
     raises what the command raises on it (a ValidationError with its path
-    inside ``doc``, or InvalidInputError)."""
+    inside ``doc``, or InvalidInputError).  Any other schema error is the one
+    failure, a missing member named by its own path."""
     command = doc["command"]
     if command not in CHECKERS:
         raise InvalidInputError(f"cannot verify output of command {command!r}")
-    try:
-        validate(doc["input"], command)
-    except ValidationError as exc:
-        raise _rerooted(exc, "input") from None
     f = Findings()
     try:
+        validate(doc, command, output=True)
+    except ValidationError as exc:
+        if list(exc.absolute_path)[:1] == ["input"]:
+            raise
+        path = exc.json_path
+        if exc.validator == "required":
+            path += "." + next(key for key in exc.validator_value if key not in exc.instance)
+        f.malformed = path, exc.message
+    try:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is a finding
-            CHECKERS[command](f, doc, decode_input(command, doc["input"]), refine=refine,
-                              depth=depth)
+            CHECKERS[command](f, doc, decode_input(command, doc["input"]), command=command,
+                              refine=refine, depth=depth)
     except Malformed as exc:
         f.failures.append(str(exc))
     return f.failures

@@ -1,9 +1,6 @@
 """JSON codecs for matrices, complexes, and fields, the decoders of every
-command's input, and the output encoder.
-
-Matrix schema: {"n": int, "entries": [[[re, im], ...], ...]} row-major.
-Field schema: {"complex": {"vertices": int, "simplices": [[ids]]},
-               "n": int, "values": {"<vertex>": matrix}}.
+command's input, and the output encoder.  The formats they read and write
+are stated once, by the schemas of ``tracezero.schemas``.
 
 ``decode_input`` reads a command's input, for the command and for ``verify``
 alike, by every rule that needs no construction.  ``implied_exit_code`` reads

@@ -1,4 +1,4 @@
-"""Input schemas for every CLI command (draft 2020-12), and their validation.
+"""Input and output schemas of every CLI command (draft 2020-12) and their validation.
 
 The copies under docs/schemas/ are written from these dicts by
 scripts/write_schemas.py; a test keeps them in sync.
@@ -9,14 +9,17 @@ one exact pass over Python types instead of a jsonschema walk of every
 number.  A grid that fails that pass is worded from its failing rows only,
 each walked by the real row schema, so error messages and paths are exactly
 those of ``jsonschema.validate``.
+
+The output schemas' own integers and numbers have the formats ``int64`` and
+``double``, which ``validate`` asserts: 1.0 is no int64, 10**400 no double.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 
-from jsonschema import Draft202012Validator, validators
-from jsonschema.exceptions import best_match
+from jsonschema import Draft202012Validator, FormatChecker, validators
+from jsonschema.exceptions import best_match, relevance
 
 MATRIX = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -106,6 +109,15 @@ TOWER_MODEL = {
     },
 }
 
+PARAMETERS = {  # a run's flags, as verify reads them
+    "type": "object",
+    "properties": {
+        "seed": {"type": "integer"},
+        "refine": {"type": "integer"},
+        "depth": {"type": ["integer", "null"]},
+    },
+}
+
 INPUT_SCHEMAS = {
     "decompose": MATRIX,
     "decompose-tight": MATRIX,
@@ -163,18 +175,66 @@ INPUT_SCHEMAS = {
         "required": ["command", "parameters", "input"],
         "properties": {
             "command": {"type": "string"},
-            "parameters": {
-                "type": "object",
-                "properties": {
-                    "seed": {"type": "integer"},
-                    "refine": {"type": "integer"},
-                    "depth": {"type": ["integer", "null"]},
-                },
-            },
+            "parameters": PARAMETERS,
             "input": {"type": "object"},
         },
     },
 }
+
+
+
+def _obj(**properties) -> dict:
+    """An object schema that requires each of ``properties``."""
+    return {"type": "object", "required": list(properties), "properties": properties}
+
+
+def _list(items) -> dict:
+    return {"type": "array", "items": items}
+
+
+INTEGER, NUMBER = {"type": "integer", "format": "int64"}, {"type": "number", "format": "double"}
+BOOLEAN, STRING, OBJECT = ({"type": name} for name in ("boolean", "string", "object"))
+BOUND_CHECK = _obj(name=STRING, claimed_bound=NUMBER, measured_value=NUMBER, tolerance=NUMBER,
+                   passed=BOOLEAN)
+
+
+def _report(checks=_list(BOUND_CHECK), **headline) -> dict:
+    return _obj(bound_checks=checks, all_passed=BOOLEAN, **headline)
+
+
+def _factors(kind: str, *names) -> dict:  # each factor has one MATRIX per name
+    return {"kind": {"const": kind}, "factors": _list(_obj(**dict.fromkeys(names, MATRIX)))}
+
+
+_HEADLINE = _report(residual_norm=NUMBER, commutator_count=INTEGER)
+_EXACT = _report({"type": "array", "maxItems": 0})  # an exact result claims no bounds
+# Each command's (result, report); an exact result is stated only as far as
+# verify reads it before comparing it whole.
+_BODIES = {
+    "decompose": (_obj(**_factors("self_commutators", "x")), _HEADLINE),
+    "decompose-tight": (_obj(**_factors("general_commutators", "x", "y")), _HEADLINE),
+    "decompose-field": (_obj(coloring=_list(INTEGER), sup_norm=NUMBER, field=FIELD, factors=_list(
+        _obj(color=INTEGER, entries=_list(_obj(vertex=INTEGER, x=MATRIX))))), _HEADLINE),
+    "fack-run": (_obj(**_factors("general_commutators", "x", "y"), depth=INTEGER,
+                      residual_norm=NUMBER, tower_report=_obj(
+                          stage_checks=_list(_list(BOUND_CHECK)), family_sizes=_list(INTEGER),
+                          all_passed=BOOLEAN)), _HEADLINE),
+    "block-split": (_obj(shift_upper=MATRIX, shift_lower=MATRIX, rest=MATRIX,
+                         diag_part_norm=NUMBER), _report()),
+    "obstruct": (_obj(euler_class=OBJECT), _EXACT),
+    "pp-example": (_obj(certificate=_obj(euler_class=OBJECT), description={},
+                        field={"anyOf": [{"type": "null"}, FIELD]}), _EXACT),
+    "tower": (OBJECT, _EXACT),
+    "verify": (_obj(verified=BOOLEAN, mismatches=_list(STRING), inner_exit_code={"enum": [0, 1]}),
+               _EXACT),
+}
+# verify's input part is the checked document's command and digest
+_DIGEST = _obj(command=STRING, sha256={"type": "string", "pattern": "^[0-9a-f]{64}$"},
+               bytes={**INTEGER, "minimum": 0})
+OUTPUT_SCHEMAS = {command: {"$schema": MATRIX["$schema"], **_obj(
+    command={"const": command}, parameters=PARAMETERS,
+    input=_DIGEST if command == "verify" else INPUT_SCHEMAS[command], result=result,
+    report=report)} for command, (result, report) in _BODIES.items()}
 
 NAMED_SCHEMAS = {
     "matrix": MATRIX,
@@ -183,6 +243,7 @@ NAMED_SCHEMAS = {
     "bundle": BUNDLE,
     "tower-model": TOWER_MODEL,
     **{f"{cmd}.input": schema for cmd, schema in INPUT_SCHEMAS.items()},
+    **{f"{cmd}.output": schema for cmd, schema in OUTPUT_SCHEMAS.items()},
 }
 
 
@@ -229,6 +290,14 @@ _EnvelopeValidator = validators.extend(Draft202012Validator, {
     keyword: _row_keyword(passes, owner["properties"][name]["items"])
     for owner, name, keyword, passes in _GRIDS})
 
+# The formats of the output schemas' numbers.  Each passes a value not of its
+# number type, which the type check words; float() of an int is infinite from
+# 2**1024 - 2**970 on.
+_FORMATS = FormatChecker(())
+_FORMATS.checks("int64")(lambda x: type(x) is not float and (
+    type(x) is not int or -2 ** 63 <= x < 2 ** 63))
+_FORMATS.checks("double")(lambda x: type(x) is not int or abs(x) < 2 ** 1024 - 2 ** 970)
+
 
 def _envelope(schema):
     """A copy of ``schema`` whose ``_GRIDS`` leaves, MATRIX ``entries`` and
@@ -248,14 +317,17 @@ def _envelope(schema):
 
 
 @functools.cache
-def _validator(command: str):
-    """The validator of one command, built on first use."""
-    return _EnvelopeValidator(_envelope(INPUT_SCHEMAS[command]))
+def _validator(command: str, output: bool = False):
+    """The validator of one command's input or output, built on first use."""
+    schema = _envelope((OUTPUT_SCHEMAS if output else INPUT_SCHEMAS)[command])
+    return _EnvelopeValidator(schema, format_checker=_FORMATS)
 
 
-def validate(doc, command: str):
-    """Raise exactly the ValidationError that jsonschema.validate(doc,
-    INPUT_SCHEMAS[command]) raises, or nothing if ``doc`` is valid."""
-    error = best_match(_validator(command).iter_errors(doc))
+def validate(doc, command: str, output: bool = False):
+    """Raise exactly the ValidationError that jsonschema.validate(doc, INPUT_SCHEMAS[command])
+    raises, or nothing if ``doc`` is valid.  With ``output``, check ``doc`` by
+    OUTPUT_SCHEMAS[command] and its formats, an error in the echoed input ranking first."""
+    error = best_match(_validator(command, output).iter_errors(doc), key=lambda e: (
+        output and list(e.absolute_path)[:1] == ["input"], *relevance(e)))
     if error is not None:
         raise error

@@ -5,6 +5,7 @@ import copy
 import pathlib
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,7 @@ from tracezero.ozfield import (
     subdivide_field,
 )
 from tracezero.rand import SplitMix64, random_trace_zero_hermitian
+from tracezero.schemas import OUTPUT_SCHEMAS, validate
 
 CERTCHECK = pathlib.Path(tracezero.__file__).parent / "certcheck.py"
 JSONIO = pathlib.Path(tracezero.__file__).parent / "jsonio.py"
@@ -62,6 +64,15 @@ def outputs():
 def verify(doc):
     code, out, _ = run_cmd("verify", doc)
     return code, out["result"]
+
+
+@pytest.mark.parametrize("command, doc", outputs(), ids=[c for c, _, _ in ALL_RUNS])
+def test_every_output_and_its_verify_output_meet_their_output_schemas(command, doc):
+    code, out, _ = run_cmd("verify", doc)
+    assert code == 0
+    for document in (doc, out):
+        jsonschema.validate(document, OUTPUT_SCHEMAS[document["command"]])
+        validate(document, document["command"], output=True)  # exact integers and numbers
 
 
 # --------------------------------------------------------------------------
@@ -472,6 +483,8 @@ _X = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     ("decompose", matrix_to_json(np.zeros((3, 3))), ()),
     ("decompose-tight", matrix_to_json(np.zeros((3, 3))), ()),
     ("decompose-tight", matrix_to_json(np.array([[0.0]])), ()),
+    # an integral float size, which the input schema admits, echoed as it is
+    ("decompose", {**matrix_to_json(np.diag([1.0, -1.0])), "n": 2.0}, ()),
     ("fack-run", sample_tower_doc(2, 2), ("--seed", "3")),
     ("fack-run", sample_tower_doc(), ("--depth", "0")),
     ("fack-run", {"tower": {"blocks": [{"rank": 3}] * 4, "ambient": 14, "epsilon": 0.7},
@@ -585,11 +598,11 @@ def _set(doc, path, value):
 # (command, tamper of its ALL_RUNS output, the mismatches verify reports)
 MALFORMED = [
     ("decompose", lambda d: _set(d, ("result", "factors", 0), 5),
-     ["$.result.factors[0]: is not an object"]),
+     ["$.result.factors[0]: 5 is not of type 'object'"]),
     ("decompose", lambda d: _set(d, ("result", "factors"), 5),
-     ["$.result.factors: 5 is not a list"]),
+     ["$.result.factors: 5 is not of type 'array'"]),
     ("decompose", lambda d: _set(d, ("report", "bound_checks", 0, "name"), 7),
-     ["$.report.bound_checks[0].name: 7 is not a string"]),
+     ["$.report.bound_checks[0].name: 7 is not of type 'string'"]),
     ("decompose", lambda d: d["report"]["bound_checks"].append(
         copy.deepcopy(d["report"]["bound_checks"][0])),
      ["$.report.bound_checks[2].name: reconstruction_residual is checked twice"]),
@@ -600,6 +613,20 @@ MALFORMED = [
     ("decompose-field", lambda d: _set(d, ("result", "coloring", 11), 2),
      ["$.result.coloring: 3 colors, but a barycentric subdivision needs 2",
       "$.result.factors[1].entries[5].vertex: vertex 11 has color 2, not 1"]),
+    # an integral float where an index or a count is read: the output
+    # schema's integers have the format int64, which an integral float breaks
+    ("decompose-field", lambda d: _set(d, ("result", "factors", 0, "entries", 0, "vertex"), 0.0),
+     ["$.result.factors[0].entries[0].vertex: 0.0 is not a 'int64'"]),
+    ("decompose-field", lambda d: _set(d, ("result", "coloring", 0), 0.0),
+     ["$.result.coloring[0]: 0.0 is not a 'int64'"]),
+    ("fack-run", lambda d: _set(d, ("result", "depth"), 3.0),
+     ["$.result.depth: 3.0 is not a 'int64'"]),
+    ("fack-run", lambda d: _set(d, ("result", "tower_report", "family_sizes", 0), 1.0),
+     ["$.result.tower_report.family_sizes[0]: 1.0 is not a 'int64'"]),
+    # an emitted field of another matrix size than the input's
+    ("decompose-field", lambda d: d["result"]["field"].update(
+        n=3, values=dict.fromkeys(d["result"]["field"]["values"], matrix_to_json(np.eye(3)))),
+     ["$.result.field.n: 3 differs from the input's 2"]),
     ("tower", lambda d: _set(d, ("result", "notes"), 3), ["$.result.notes: 3 is not an object"]),
     ("tower", lambda d: d["result"].pop("k"), ["$.result.k: missing"]),
     ("tower", lambda d: _set(d, ("result", "extra"), 1),
@@ -616,6 +643,21 @@ def test_verify_names_the_malformed_part(command, tamper, mismatches):
     tamper(doc)
     assert verify(doc) == (1, {"verified": False, "mismatches": mismatches,
                                "inner_exit_code": 0})
+
+
+def test_verify_reads_a_reported_int_as_a_float():
+    # an int is a double up to 2**1024; with K = 2, stage 1's claims double
+    # stage 0's remainder_norm, and 2 * 2**1023 as an int overflows when a
+    # float is added to it
+    _, doc, _ = run_cmd("fack-run", sample_tower_doc(K=2), "--seed", "9")
+    stage = doc["result"]["tower_report"]["stage_checks"][0]
+    i = next(i for i, check in enumerate(stage) if check["name"] == "remainder_norm")
+    stage[i]["measured_value"] = 2 ** 1023
+    code, result = verify(doc)
+    assert (code, result["verified"]) == (1, False)
+    assert [m.split(":")[0] for m in result["mismatches"]] == [
+        f"$.result.tower_report.stage_checks[0][{i}].passed"]
+    assert "measured 8.98846567431158e+307" in result["mismatches"][0]
 
 
 def test_verify_of_a_verify_output_exits_2():

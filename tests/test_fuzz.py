@@ -1,6 +1,7 @@
 """Hostile numbers in every command's input and in every output before
 ``verify``: each run exits 0, 1 or 2 with one JSON document on stdout and
-nothing on stderr (a warning is an error here)."""
+nothing on stderr (a warning is an error here), and a document of exit 0
+or 1 meets its command's output schema."""
 import contextlib
 import copy
 import functools
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 
 from test_cli import ALL_RUNS
 from tracezero.cli import run_from_args
+from tracezero.schemas import validate
 
-EXTREMES = [1.797e308, -1.797e308, 8e307, 1e308, 1e154, 5e-324, 10 ** 400, 2 ** 63, -0.0,
-            math.inf, math.nan]
+EXTREMES = [1.797e308, -1.797e308, 8e307, 1e308, 1e154, 5e-324, 10 ** 400, 2 ** 1023, 2 ** 63,
+            -0.0, math.inf, math.nan]
 
 
 def _numeric_paths(node, path=()):
@@ -59,7 +61,10 @@ def _run(command, flags, doc):
         code, text = run_from_args([command, *flags], stdin_text=json.dumps(doc))
     assert stderr.getvalue() == ""
     assert code in (0, 1, 2)
-    return code, json.loads(text, parse_constant=_refuse)
+    out = json.loads(text, parse_constant=_refuse)
+    if code != 2:
+        validate(out, command, output=True)
+    return code, out
 
 
 @functools.cache

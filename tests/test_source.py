@@ -1,13 +1,15 @@
 """Checks on the package source itself, made with the standard library's
-ast, and on how often the encoder calls the C encoder."""
+ast, on how often the encoder calls the C encoder, and on how often
+``verify`` validates a document."""
 import ast
 import json
 import pathlib
+import sys
 
 import numpy as np
 
 import tracezero
-from tracezero import jsonio
+from tracezero import certcheck, cli, jsonio, schemas
 
 SRC = pathlib.Path(tracezero.__file__).parent
 
@@ -109,3 +111,24 @@ def test_one_c_encoder_call_renders_every_array_of_a_document(monkeypatch):
     monkeypatch.setattr(jsonio.json, "dumps", counting)
     assert jsonio.encode(doc) == expected
     assert len(calls) == 1
+
+
+def test_verify_validates_a_document_once(monkeypatch):
+    # verify's own input schema, then the whole document by its command's
+    # output schema in one pass: no matrix of it is validated alone
+    doc = jsonio.matrix_to_json(np.diag([1.0, 2.0, -3.0]))
+    _, text = cli.run_from_args(["decompose-tight"], stdin_text=json.dumps(doc))
+    calls, validate = [], schemas.validate
+
+    def counting(doc, command, **options):
+        calls.append((command, options))
+        return validate(doc, command, **options)
+
+    bound = [module for name, module in sys.modules.items()
+             if name.startswith("tracezero") and getattr(module, "validate", None) is validate]
+    assert cli in bound and certcheck in bound
+    for module in bound:
+        monkeypatch.setattr(module, "validate", counting)
+    code, out = cli.run_from_args(["verify"], stdin_text=text)
+    assert code == 0 and json.loads(out)["result"]["verified"]
+    assert calls == [("verify", {}), ("decompose-tight", {"output": True})]
