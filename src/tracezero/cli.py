@@ -30,8 +30,12 @@ failing claim), 2 = invalid input (a JSON error object {"error", "path"}
 is emitted).  The exit code of a full document is read off it by
 ``jsonio.implied_exit_code``, the rule ``verify`` reports as its
 ``inner_exit_code``.  Each fact of a document is stated once, in its
-report or in its result.  A trace is no invalid input: the decompositions
-leave (tr a/n)*1, which their reconstruction claim judges.
+report or in its result, but for a fack-run's ``result.residual_norm``,
+which its ``residual_norm`` claim measures.  A report is its bound checks
+and ``all_passed``: a residual norm or a factor count is the measured
+value of a claim, and a fack-run's depth is its number of stages.  A
+trace is no invalid input: the decompositions leave (tr a/n)*1, which
+their reconstruction claim judges.
 """
 from __future__ import annotations
 
@@ -160,7 +164,6 @@ def _handle_fack_run(cfg: RunConfig, inp: TowerInput):
     dec, run_report = tower_iterate(z0, tower, depth)
     result = _decomposition_result(dec)
     result["residual_norm"] = dec.residual_norm
-    result["depth"] = depth
     result["tower_report"] = run_report.to_json()
     return {"generated": generated, "result": result, "report": dec.report.to_json()}
 
@@ -173,9 +176,7 @@ def _handle_block_split(cfg: RunConfig, inp: tuple):
         "diag_part_norm": operator_norm(res.diag_part),
         "rest": as_matrix(res.rest, square=True),
     }
-    report = {"bound_checks": [c.to_json() for c in res.checks],
-              "all_passed": res.all_passed}
-    return {"result": result, "report": report}
+    return {"result": result, "report": res.report.to_json()}
 
 
 def _handle_obstruct(cfg: RunConfig, inp: tuple):

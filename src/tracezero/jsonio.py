@@ -158,14 +158,31 @@ class TowerInput:
         return depth
 
 
-def _tower_z0(doc: dict, n: int) -> np.ndarray | None:
-    """The given z0: Hermitian, of the tower's size n, and trace zero, which is
-    |tr z0| <= slack(1e-9 n, norm(z0)); the norm is taken only above TINY."""
+def _tower_z0(doc: dict, inp: TowerInput) -> np.ndarray | None:
+    """The given z0: Hermitian, of the tower's size n, within its entry range,
+    and trace zero, which is |tr z0| <= slack(1e-9 n, norm(z0)); the norm is
+    taken only above TINY.
+
+    The range keeps every matrix a run forms finite.  Its claims bound each
+    stage's remainder by K times the norm it pushes, so no stage pushes more
+    than X = K^T norm(z0) over T stages.  A push step's sums of conjugates
+    stay within L*L(L+K-1)*X, the in-block finish needs 2X and n*X within
+    the float maximum (``hermitian_eig``'s rules), and z0 less its at most
+    L(L+K-1) + max(M, L(L+K-1)) commutators, each of norm at most 2X, stays
+    within (1 + 2*count)*X.  All of these hold for norm(z0) <= MAX_FLOAT /
+    (4 n L count K^T), and norm(z0) <= 2n times its largest real or
+    imaginary part."""
     if doc.get("z0") is None:
         return None
+    n = inp.ambient
     z0 = require_hermitian(matrix_from_json(doc["z0"], name="z0"), name="z0")
     if z0.shape[0] != n:
         raise InvalidInputError("z0 size does not match the tower")
+    limit = MAX_FLOAT / (8.0 * n * n * inp.L * inp.count_bound * float(inp.K) ** len(inp.deltas))
+    if max(np.abs(z0.real).max(), np.abs(z0.imag).max()) > limit:
+        raise InvalidInputError(
+            f"z0 has entries beyond about {limit:.4g} in magnitude, where the matrices "
+            "a fack-run forms from it can overflow a float")
     trace = abs(np.trace(z0))
     if trace > TINY and trace > slack(1e-9 * n, operator_norm(z0)):
         raise InvalidInputError("z0 must be trace zero")
@@ -214,7 +231,7 @@ def _tower_input(doc: dict) -> TowerInput:
             f"{2 * inp.per_stage} commutator pairs of size {ambient}), over the budget of "
             f"{TOWER_OUTPUT_BUDGET}")
     float_from_json(inp.count_bound, "the commutator count bound")
-    return dataclasses.replace(inp, z0=_tower_z0(doc, ambient))
+    return dataclasses.replace(inp, z0=_tower_z0(doc, inp))
 
 
 def _block_split_input(doc: dict) -> tuple:

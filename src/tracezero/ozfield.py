@@ -279,4 +279,4 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
     checks = bound_checks(claims.field(sup, coloring.color_count), field_residual=residual,
                           max_factor_norm_sq=norm_sq, factor_count=float(len(factors)))
     return FieldDecomposition(factors=factors, sup_norm=sup,
-                              report=VerificationReport(residual, len(factors), checks))
+                              report=VerificationReport(checks))

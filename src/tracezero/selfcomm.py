@@ -150,8 +150,7 @@ def _single_commutator(am, command: str, kind: str, factor, comm, a_norm: float,
     name, _ = NORM_CLAIMS[command]
     checks = bound_checks(single(command, a_norm, a_svd_norm), reconstruction_residual=err,
                           **{name: norm_ratio(worst, a_svd_norm)[0]})
-    return CommutatorDecomposition(kind=kind, factors=[factor],
-                                   report=VerificationReport(err, 1, checks))
+    return CommutatorDecomposition(kind=kind, factors=[factor], report=VerificationReport(checks))
 
 
 def self_commutator_decompose(a) -> CommutatorDecomposition:

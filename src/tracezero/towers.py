@@ -108,12 +108,13 @@ class ElementSpectrum:
                    plus=Support.from_eigen(unitary, np.maximum(lam - epsilon, 0.0)))
 
     @classmethod
-    def of(cls, e, epsilon: float) -> "ElementSpectrum":
-        """The spectrum of a PSD matrix, from its one eigendecomposition."""
-        es = hermitian_eig(e)
+    def of(cls, e, epsilon: float, name: str = "matrix") -> "ElementSpectrum":
+        """The spectrum of a PSD matrix, from its one eigendecomposition;
+        ``name`` is the matrix's name in an error."""
+        es = hermitian_eig(e, name=name)
         if es.eigenvalues.size and es.eigenvalues[0] < -claims.slack(PSD_TOL, es.eigenvalues[-1]):
             raise InvalidInputError(
-                f"matrix has negative spectrum beyond tolerance: {float(es.eigenvalues[0]):.3e}")
+                f"{name} has negative spectrum beyond tolerance: {float(es.eigenvalues[0]):.3e}")
         return cls.from_eigen(es.unitary, np.clip(es.eigenvalues, 0.0, None), epsilon)
 
     @classmethod
@@ -137,25 +138,17 @@ def cuntz_witness(a_spec: ElementSpectrum, b_support: Support, L: int, K: int) -
 
     c is (a-eps)_+ on the first L-1 diagonal blocks and b on the last K;
     ``a_spec`` carries g, its square root and both supports of a, and
-    ``b_support`` the support of b.  Requires L*rank(g) <=
-    (L-1)*rank((a-eps)_+) + K*rank(b).  W pairs the support bases of g with
-    those of c in index order, so the construction is deterministic, and V
-    is built one block column at a time as W_j g^{1/2}.  V itself is not
-    checked: ``push_step`` measures its reconstruction, norm-product and
-    hereditary-remainder claims on the pairs and remainder that V produces.
+    ``b_support`` the support of b, on the same rows.  Requires L*rank(g)
+    <= (L-1)*rank((a-eps)_+) + K*rank(b), which ``TowerModel`` checks of
+    every pair of consecutive blocks before any push step.  W pairs the
+    support bases of g with those of c in index order, so the construction
+    is deterministic, and V is built one block column at a time as
+    W_j g^{1/2}.  V itself is not checked: ``push_step`` measures its
+    reconstruction, norm-product and hereditary-remainder claims on the
+    pairs and remainder that V produces.
     """
     g, a_plus = a_spec.g, a_spec.plus
     n = g.basis.shape[0]
-    if b_support.basis.shape[0] != n:
-        raise InvalidInputError("a and b must act on the same space")
-
-    lhs = L * g.rank
-    rhs = (L - 1) * a_plus.rank + K * b_support.rank
-    if lhs > rhs:
-        raise InvalidInputError(
-            f"rank comparison fails: L*rank(g) = {lhs} > "
-            f"(L-1)*rank((a-eps)_+) + K*rank(b) = {rhs}")
-
     sources = [(j, g.basis[:, s]) for j in range(L) for s in range(g.rank)]
     row_bases = [a_plus.basis] * (L - 1) + [b_support.basis] * K
     targets = [(i, q[:, t]) for i, q in enumerate(row_bases) for t in range(q.shape[1])]
@@ -179,11 +172,7 @@ class PushStepResult:
     remainder: np.ndarray
     remainder_norm: float
     y: np.ndarray  # the fixed point y = x + Phi(y), in the step's support basis
-    checks: list
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    report: VerificationReport
 
 
 def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
@@ -247,7 +236,7 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
                           commutator_count=float(len(pairs)))
     return PushStepResult(pairs=[(q @ c @ qh, q @ d @ qh) for c, d in pairs],
                           remainder=q @ remainder @ qh, remainder_norm=rem_norm,
-                          y=y, checks=checks)
+                          y=y, report=VerificationReport(checks))
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +272,8 @@ class TowerModel:
                     if defect > claims.slack(1e-10, norms[i] * norms[j]):
                         raise InvalidInputError(
                             f"tower blocks {i} and {j} are not orthogonal: {defect:.3e}")
-            self.spectra = [ElementSpectrum.of(e, inp.epsilon) for e in elements]
+            self.spectra = [ElementSpectrum.of(e, inp.epsilon, f"e_{i}")
+                            for i, e in enumerate(elements)]
         else:
             self.spectra, start = [], 0
             for r in inp.ranks:
@@ -352,9 +342,9 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     residual_norm = operator_norm(residual) if depth else z_norm
     unexplained = z0 - sum((commutator(c, d) for c, d in factors), np.zeros_like(z0))
     spec = claims.tower(z_norm, inp.deltas[depth - 1] if depth else None, inp.count_bound)
-    checks = bound_checks(spec, reconstruction_residual=operator_norm(unexplained - residual),
-                          residual_norm=residual_norm, commutator_count=float(len(factors)))
-    report = VerificationReport(operator_norm(unexplained), len(factors), checks)
+    report = VerificationReport(bound_checks(
+        spec, reconstruction_residual=operator_norm(unexplained - residual),
+        residual_norm=residual_norm, commutator_count=float(len(factors))))
     return TowerDecomposition(kind=KIND_GENERAL, factors=factors, report=report,
                               residual=residual, residual_norm=residual_norm), run
 
@@ -368,7 +358,7 @@ def _descend(z0, z_norm: float, tower: TowerModel, depth: int):
         step = push_step(z, tower.spectra[t - 1], tower.spectra[t].plus, tower.input.L,
                          tower.input.K, x_norm=x_norm)
         stage_pairs.append(step.pairs)
-        stage_checks.append(step.checks)
+        stage_checks.append(step.report.bound_checks)
         z, x_norm = step.remainder, step.remainder_norm
 
     # Exact in-block finish: compress to the final block and use the
@@ -410,11 +400,7 @@ class BlockSplitResult:
     shift_lower: np.ndarray  # E, subdiagonal unit element
     diag_part: np.ndarray    # b' = [S, E]
     rest: np.ndarray         # b'' = b - b', diagonal blocks are commutators
-    checks: list
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    report: VerificationReport
 
 
 def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
@@ -440,8 +426,9 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
         if operator_norm(defects[0]) > claims.one_block_limit(b_norm):
             raise InvalidInputError("with one block, b_11 must itself be [x_1, y_1]")
         zero = np.zeros_like(bm)
-        checks = bound_checks(claims.split(b_norm, d), shift_reconstruction=0.0)
-        return BlockSplitResult(zero, zero.copy(), zero.copy(), bm.copy(), checks)
+        report = VerificationReport(bound_checks(claims.split(b_norm, d),
+                                                 shift_reconstruction=0.0))
+        return BlockSplitResult(zero, zero.copy(), zero.copy(), bm.copy(), report)
     total = operator_norm(sum(defects))
     if total > claims.slack(1e-8, b_norm):
         raise InvalidInputError(
@@ -475,4 +462,4 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
     checks = bound_checks(claims.split(b_norm, d), shift_reconstruction=recon_err,
                           rest_diagonal_is_commutators=rest_diag_err)
     return BlockSplitResult(shift_upper=shift_upper, shift_lower=shift_lower,
-                            diag_part=diag_part, rest=rest, checks=checks)
+                            diag_part=diag_part, rest=rest, report=VerificationReport(checks))

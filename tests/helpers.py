@@ -392,6 +392,11 @@ def reference_signed_order(lam) -> list:
     return perm
 
 
+def measured(report, name: str) -> float:
+    """The measured value of a report's bound check ``name``."""
+    return next(c.measured_value for c in report.bound_checks if c.name == name)
+
+
 def reconstruction_error(a, dec) -> float:
     """norm(a - sum of commutators - residual) of a decomposition, measured
     here from its matrices: [x*, x] for a single factor x, [x, y] for a pair;

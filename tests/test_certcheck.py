@@ -75,6 +75,12 @@ def test_every_output_and_its_verify_output_meet_their_output_schemas(command, d
         validate(document, document["command"], output=True)  # exact integers and numbers
 
 
+@pytest.mark.parametrize("command, doc", outputs(), ids=[c for c, _, _ in ALL_RUNS])
+def test_every_report_is_its_bound_checks(command, doc):
+    # each claim is stated once, as a bound check: a report restates none
+    assert set(doc["report"]) == {"bound_checks", "all_passed"}
+
+
 # --------------------------------------------------------------------------
 # Tampered copies.  Each command has a factor entry changed, a factor
 # dropped, and a claimed bound lowered below its measured value; for the
@@ -259,7 +265,7 @@ def test_a_wrong_construction_with_a_passing_report_is_rejected(monkeypatch):
                              *norm_ratio(operator_norm(x) * operator_norm(y), operator_norm(a)))]
         return CommutatorDecomposition(
             kind="general_commutators", factors=[(x, y)],
-            report=VerificationReport(operator_norm(unexplained), 1, checks))
+            report=VerificationReport(checks))
 
     monkeypatch.setattr(tracezero.cli, "tight_commutator_decompose", halved)
     code, doc, _ = run_cmd("decompose-tight", matrix_to_json(_M3))
@@ -506,7 +512,10 @@ _X = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 def test_more_documents_verify(command, doc, flags):
     code, out, _ = run_cmd(command, doc, *flags)
     assert code == 0
-    assert verify(out) == (0, {"verified": True, "mismatches": [], "inner_exit_code": 0})
+    verified = (0, {"verified": True, "mismatches": [], "inner_exit_code": 0})
+    assert verify(out) == verified
+    if "factors" in out["result"]:  # and as written before, with its restated fields
+        assert verify(_as_written_before(out)) == verified
 
 
 def test_verify_uses_the_run_parameters():
@@ -560,19 +569,29 @@ def test_the_exit_code_is_the_one_verify_reads_off_the_output(command, make_doc,
 
 
 def _as_written_before(doc):
-    """A copy of ``doc`` with the four fields that outputs once carried and
-    ``verify`` never needed, each a restatement of another fact: the claimed
-    bounds as ``result.bounds``, a single commutator's ``result.residual_norm``
-    of 0.0, a fack-run's ``tower_report.inblock_residual`` (its result's
-    ``residual_norm``) and a field's ``color_count``."""
+    """A copy of ``doc`` with the fields that outputs once carried and
+    ``verify`` does not read, each a restatement of another fact or a norm
+    the document gives: the claimed bounds as ``result.bounds``, a single
+    commutator's ``result.residual_norm`` of 0.0, a fack-run's
+    ``tower_report.inblock_residual`` (its result's ``residual_norm``) and
+    ``result.depth`` (its count of stages), a field's ``color_count``, and a
+    report's ``commutator_count`` (its count of factors) and
+    ``residual_norm``, norm(input - sum of commutators).  That norm is the
+    first claim's measured value, except in a fack-run, where it differs
+    from the result's ``residual_norm`` within the reconstruction claim and
+    is set here to that."""
     doc = copy.deepcopy(doc)
-    result = doc["result"]
+    result, report = doc["result"], doc["report"]
+    report["residual_norm"] = report["bound_checks"][0]["measured_value"]
+    report["commutator_count"] = len(result["factors"])
     if doc["command"] in ("decompose", "decompose-tight", "fack-run"):
-        result["bounds"] = {c["name"]: c["claimed_bound"] for c in doc["report"]["bound_checks"]}
+        result["bounds"] = {c["name"]: c["claimed_bound"] for c in report["bound_checks"]}
     if doc["command"] in ("decompose", "decompose-tight"):
         result["residual_norm"] = 0.0
     if doc["command"] == "fack-run":
         result["tower_report"]["inblock_residual"] = result["residual_norm"]
+        report["residual_norm"] = result["residual_norm"]
+        result["depth"] = len(result["tower_report"]["stage_checks"])
     if doc["command"] == "decompose-field":
         result["color_count"] = max(result["coloring"]) + 1
     return doc
@@ -619,8 +638,6 @@ MALFORMED = [
      ["$.result.factors[0].entries[0].vertex: 0.0 is not a 'int64'"]),
     ("decompose-field", lambda d: _set(d, ("result", "coloring", 0), 0.0),
      ["$.result.coloring[0]: 0.0 is not a 'int64'"]),
-    ("fack-run", lambda d: _set(d, ("result", "depth"), 3.0),
-     ["$.result.depth: 3.0 is not a 'int64'"]),
     ("fack-run", lambda d: _set(d, ("result", "tower_report", "family_sizes", 0), 1.0),
      ["$.result.tower_report.family_sizes[0]: 1.0 is not a 'int64'"]),
     # an emitted field of another matrix size than the input's

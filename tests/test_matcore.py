@@ -255,8 +255,8 @@ class TestVerificationReport:
         within = BoundCheck("reconstruction_residual", 1e-9, 1e-9 + 5e-13, 1e-12)
         over = BoundCheck("norm_sq_over_norm_a", 2.0, 4.0, 0.0)
         assert within.passed and not over.passed
-        assert VerificationReport(0.0, 1, [within]).all_passed
-        report = VerificationReport(0.0, 1, [within, over])
+        assert VerificationReport([within]).all_passed
+        report = VerificationReport([within, over])
         assert not report.all_passed
         assert report.to_json()["all_passed"] is False
         assert [c["passed"] for c in report.to_json()["bound_checks"]] == [True, False]

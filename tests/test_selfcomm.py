@@ -177,8 +177,7 @@ class TestSelfCommutatorDecompose:
         a = np.diag([1.0, -1.0]).astype(complex)
         dec = self_commutator_decompose(a)
         assert reconstruction_error(a, dec) == 0.0
-        assert dec.report.residual_norm == 0.0
-        assert dec.report.commutator_count == 1
+        assert len(dec.factors) == 1
         assert [(c.name, c.claimed_bound, c.measured_value) for c in dec.report.bound_checks] \
             == [("reconstruction_residual", 1e-9, 0.0), ("norm_sq_over_norm_a", 2.0, 1.0)]
         assert dec.report.all_passed

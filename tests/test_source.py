@@ -95,6 +95,30 @@ def test_the_exit_code_is_derived_in_one_place():
     assert defined == ["jsonio.py"]
 
 
+def all_passed_owners(source: str) -> list:
+    """The classes that define ``all_passed``, as a method, a property or an
+    annotated field."""
+    return [cls.name for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+            if any(getattr(node, "name", None) == "all_passed"
+                   or getattr(getattr(node, "target", None), "id", None) == "all_passed"
+                   for node in cls.body)]
+
+
+def test_the_guard_finds_a_class_with_its_own_all_passed():
+    source = ("class A:\n    @property\n    def all_passed(self):\n        return True\n"
+              "class B:\n    all_passed: bool\n"
+              "class C:\n    report: object\n")
+    assert all_passed_owners(source) == ["A", "B"]
+
+
+def test_only_the_report_types_define_all_passed():
+    # a result holds a matcore.VerificationReport, and a fack-run's stages a
+    # TowerRunReport; no result type grows a report of its own
+    owners = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+              for name in all_passed_owners(path.read_text())]
+    assert owners == ["matcore.VerificationReport", "towers.TowerRunReport"]
+
+
 def test_one_c_encoder_call_renders_every_array_of_a_document(monkeypatch):
     # a document's arrays are rendered in one batch, not one call per matrix;
     # a list grid, an echoed input, would take a call of its own

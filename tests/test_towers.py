@@ -169,10 +169,11 @@ class TestCuntzWitness:
         basis = np.column_stack([e[:, 1], e[:, 2], (e[:, 1] + e[:, 2]) / np.sqrt(2.0)])
         res = push_step(np.outer(e[:, 0], e[:, 0]), spec,
                         Support(basis=basis, values=np.ones(3)), 1, 1)
-        checks = {c.name: c for c in res.checks}
+        checks = {c.name: c for c in res.report.bound_checks}
         assert checks["remainder_in_hereditary"].measured_value \
             == pytest.approx(0.75 + math.sqrt(13.0) / 4.0)
-        assert [c.name for c in res.checks if not c.passed] == ["remainder_in_hereditary"]
+        assert [c.name for c in res.report.bound_checks if not c.passed] \
+            == ["remainder_in_hereditary"]
 
     def test_a_equals_b(self):
         a = np.diag([1.0, 0.8, 0.0]).astype(complex)
@@ -190,11 +191,6 @@ class TestCuntzWitness:
         # V = e21 up to phase: single nonzero entry of modulus 1 at (1, 0)
         np.testing.assert_allclose(np.abs(np.block(blocks)), [[0.0, 0.0], [1.0, 0.0]],
                                    atol=1e-12)
-
-    def test_rank_failure(self):
-        with pytest.raises(InvalidInputError, match="rank comparison"):
-            cuntz_witness(ElementSpectrum.of(np.eye(2, dtype=complex), 0.1),
-                          support_of(np.diag([1.0, 0.0]).astype(complex)), 1, 1)
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     @pytest.mark.parametrize("K", [1, 2, 3])
@@ -224,10 +220,10 @@ class TestCuntzWitness:
                                plus=Support(basis=e0[:, :0], values=np.zeros(0)))
         res = push_step(np.diag([1.0, 0.0]), spec, Support(basis=e1, values=np.array([1.0])),
                         1, 1)
-        checks = {c.name: c for c in res.checks}
+        checks = {c.name: c for c in res.report.bound_checks}
         assert checks["reconstruction_residual"].measured_value == pytest.approx(63.0)
         assert checks["max_norm_product"].measured_value == pytest.approx(64.0)
-        assert [c.name for c in res.checks if not c.passed] \
+        assert [c.name for c in res.report.bound_checks if not c.passed] \
             == ["reconstruction_residual", "remainder_norm", "max_norm_product"]
 
 
@@ -243,7 +239,7 @@ class TestPushStep:
         np.testing.assert_allclose(commutator(c, d) + res.remainder,
                                    lam * np.diag([1.0, 0.0]), atol=1e-12)
         np.testing.assert_allclose(res.remainder, lam * np.diag([0.0, 1.0]), atol=1e-12)
-        assert res.all_passed
+        assert res.report.all_passed
 
     def test_zero_input(self):
         a = np.diag([1.0, 0.0]).astype(complex)
@@ -258,10 +254,10 @@ class TestPushStep:
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
         res = push_step(np.eye(2, dtype=complex), ElementSpectrum.of(a, 0.1), support_of(b), 1, 1)
-        assert res.checks[0].name == "reconstruction_residual"
-        assert res.checks[0].measured_value == pytest.approx(1.0)
-        assert not res.checks[0].passed
-        assert [c.passed for c in res.checks[1:]] == [True] * 4
+        assert res.report.bound_checks[0].name == "reconstruction_residual"
+        assert res.report.bound_checks[0].measured_value == pytest.approx(1.0)
+        assert not res.report.bound_checks[0].passed
+        assert [c.passed for c in res.report.bound_checks[1:]] == [True] * 4
 
     def test_six_by_six_L2_K1(self):
         rng = SplitMix64(42)
@@ -273,7 +269,7 @@ class TestPushStep:
         x = embedded_trace_zero(rng, n, 0, 3)
         res = push_step(x, ElementSpectrum.of(a, 0.5), support_of(b), 2, 1)
         assert len(res.pairs) == 2 * (2 + 1 - 1)  # L(L+K-1) = 4
-        assert res.all_passed
+        assert res.report.all_passed
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     @pytest.mark.parametrize("K", [1, 2, 3])
@@ -305,11 +301,12 @@ class TestPushStep:
         spec, b_support = ElementSpectrum.of(a, 0.1), support_of(b)
         measured = push_step(x, spec, b_support, 1, 1)
         given = push_step(x, spec, b_support, 1, 1, x_norm=operator_norm(x))
-        assert [c.to_json() for c in given.checks] == [c.to_json() for c in measured.checks]
+        assert given.report.to_json() == measured.report.to_json()
         # the claimed bounds are read from x_norm, not re-measured
         halved = push_step(x, spec, b_support, 1, 1, x_norm=0.35)
-        assert halved.checks[1].claimed_bound == 1 * 0.35 + (1e-8 * 0.35 + 2.0 ** -1022)
-        assert not halved.all_passed
+        assert halved.report.bound_checks[1].claimed_bound \
+            == 1 * 0.35 + (1e-8 * 0.35 + 2.0 ** -1022)
+        assert not halved.report.all_passed
 
     def test_averaging_map_contraction(self):
         # norm(Phi) <= (L-1)/L, sampled on unit-norm test elements
@@ -468,11 +465,11 @@ class TestTowerIterate:
         inp = fack_run_input([3, 3], z0=embedded_trace_zero(rng, 6, 0, 3))
         dec, report = tower_iterate(inp.z0, TowerModel(inp), 0)
         assert reconstruction_error(inp.z0, dec) == 0.0
-        # with no factors, the distance to the bare sum is the norm of z0
-        assert dec.report.residual_norm == pytest.approx(operator_norm(inp.z0))
+        # with no factors, the residual is z0 itself
         assert dec.residual_norm == operator_norm(inp.z0)
         assert report.to_json() == {"stage_checks": [], "family_sizes": [0, 0], "all_passed": True}
-        assert dec.report.commutator_count == 0
+        assert [(c.name, c.measured_value) for c in dec.report.bound_checks] \
+            == [("reconstruction_residual", 0.0), ("commutator_count", 0.0)]
         assert dec.report.all_passed
 
     def test_depth_four_unit_parameters(self, monkeypatch):
@@ -562,7 +559,7 @@ class TestBlockSplit:
         np.testing.assert_allclose(res.shift_upper[:r, r:], blk, atol=1e-12)
         np.testing.assert_allclose(
             commutator(res.shift_upper, res.shift_lower), res.diag_part, atol=1e-12)
-        assert res.all_passed
+        assert res.report.all_passed
 
     def test_diagonal_already_commutators(self):
         rng = SplitMix64(60)
@@ -637,7 +634,7 @@ class TestBlockSplit:
         b[:3, :3] = total / 2 + (her() - her()) * 0
         b[3:, 3:] = total - b[:3, :3]
         res = block_two_commutator_split(b, d, pairs, e)
-        assert res.all_passed
+        assert res.report.all_passed
 
 
 def test_thresholded_rank():
