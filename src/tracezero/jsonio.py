@@ -13,12 +13,16 @@ complex ndarray is written as its ``matrix_to_json`` document would be.  The
 commands put the matrices they compute into their output as such arrays,
 each checked by ``as_matrix`` first.  Every grid of [re, im] pairs, from a
 list or from an array, is laid out by the one function ``_grid_layout``
-instead of json's pure-Python indenting walk.  A list grid's numbers are
-rendered by one call of the C encoder.  The arrays' numbers are rendered in
-one batch per document: the walk records where each array's grid goes, one
-call of the C encoder renders the distinct numbers of all the arrays, so each
-distinct number is rendered once per document, and each grid is then laid
-out from its slice of the batch.
+instead of json's pure-Python indenting walk, and its numbers are written
+by the one renderer ``_number_texts``: orjson's shortest round-trip digits,
+which are json's digits, with json.dumps re-rendering only the numbers
+whose text differs (non-finite floats, and the exponent form that
+``float.__repr__`` takes below 1e-4 and from 1e16).  A list grid's numbers
+are rendered in one call.  The arrays' numbers are rendered in one batch
+per document: the walk records where each array's grid goes, one call
+renders the distinct numbers of all the arrays, so each distinct number is
+rendered once per document, and each grid is then laid out from its slice
+of the batch.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from .claims import TINY, slack
 from .errors import InvalidInputError
@@ -124,9 +129,10 @@ TOWER_OUTPUT_BUDGET = 2 ** 20
 @dataclass(frozen=True)
 class TowerInput:
     """A fack-run input: blocks as ``ranks`` of 0/1 projections or as
-    Hermitian ``elements`` (the other None), all of size ``ambient``, within
-    the tower work and output budgets; defaults applied, ``depth`` as given,
-    and ``z0`` a trace-zero Hermitian matrix of size ``ambient``, or None."""
+    Hermitian ``elements`` within their entry range (the other None), all of
+    size ``ambient``, within the tower work and output budgets; defaults
+    applied, ``depth`` as given, and ``z0`` a trace-zero Hermitian matrix of
+    size ``ambient``, or None."""
 
     ranks: list | None
     elements: list | None
@@ -158,6 +164,16 @@ class TowerInput:
         return depth
 
 
+def _require_entry_range(named: list, limit: float, products: str):
+    """Each matrix of ``named`` (name, matrix) with no real or imaginary part
+    beyond ``limit``, within which ``products`` stay finite."""
+    for name, m in named:
+        if max(np.abs(m.real).max(), np.abs(m.imag).max()) > limit:
+            raise InvalidInputError(
+                f"{name} has entries beyond about {limit:.4g} in magnitude, where "
+                f"{products} can overflow a float")
+
+
 def _tower_z0(doc: dict, inp: TowerInput) -> np.ndarray | None:
     """The given z0: Hermitian, of the tower's size n, within its entry range,
     and trace zero, which is |tr z0| <= slack(1e-9 n, norm(z0)); the norm is
@@ -179,10 +195,7 @@ def _tower_z0(doc: dict, inp: TowerInput) -> np.ndarray | None:
     if z0.shape[0] != n:
         raise InvalidInputError("z0 size does not match the tower")
     limit = MAX_FLOAT / (8.0 * n * n * inp.L * inp.count_bound * float(inp.K) ** len(inp.deltas))
-    if max(np.abs(z0.real).max(), np.abs(z0.imag).max()) > limit:
-        raise InvalidInputError(
-            f"z0 has entries beyond about {limit:.4g} in magnitude, where the matrices "
-            "a fack-run forms from it can overflow a float")
+    _require_entry_range([("z0", z0)], limit, "the matrices a fack-run forms from it")
     trace = abs(np.trace(z0))
     if trace > TINY and trace > slack(1e-9 * n, operator_norm(z0)):
         raise InvalidInputError("z0 must be trace zero")
@@ -211,6 +224,12 @@ def _tower_input(doc: dict) -> TowerInput:
         elements = [require_hermitian(e, name=f"e_{i}") for i, e in enumerate(elements)]
         if any(e.shape[0] != ambient for e in elements):
             raise InvalidInputError("all tower elements must share one size")
+        # TowerModel's orthogonality check forms each product e_i e_j, whose
+        # entries are at most 2n m^2 and whose norm is at most 2n^2 m^2 when
+        # no real or imaginary part exceeds m.
+        _require_entry_range([(f"e_{i}", e) for i, e in enumerate(elements)],
+                             math.sqrt(MAX_FLOAT) / (2 * ambient),
+                             "the products of two blocks that fack-run forms")
     depth = None if doc.get("depth") is None else int(doc["depth"])
     inp = TowerInput(ranks, elements, ambient, L, K, M, epsilon, deltas, depth, None)
     count = len(blocks)
@@ -247,11 +266,7 @@ def _block_split_input(doc: dict) -> tuple:
     limit = (MAX_FLOAT / 64) ** (1 / 3) / b.shape[0]
     named = [("b", b), *((f"pairs[{i}].{k}", m) for i, pair in enumerate(pairs)
                          for k, m in zip("xy", pair)), ("e", e)]
-    for name, m in named:
-        if max(np.abs(m.real).max(), np.abs(m.imag).max()) > limit:
-            raise InvalidInputError(
-                f"{name} has entries beyond about {limit:.4g} in magnitude, where the "
-                f"products of three inputs that block-split forms can overflow a float")
+    _require_entry_range(named, limit, "the products of three inputs that block-split forms")
     return b, d, pairs, e
 
 
@@ -292,8 +307,9 @@ def implied_exit_code(doc: dict) -> int:
 def encode(doc) -> str:
     """Exactly json.dumps(doc, indent=2, sort_keys=True) + "\n", where a
     square 2-d complex ndarray stands for its ``matrix_to_json`` document.
-    Each list grid of [re, im] number pairs is written from one C-encoder
-    call, and the numbers of all the document's arrays from one more."""
+    Each list grid of [re, im] number pairs is written from one
+    ``_number_texts`` call, and the numbers of all the document's arrays
+    from one more."""
     pieces, arrays = [], []
     _encode_into(pieces, arrays, doc, 0)
     pieces.append("\n")
@@ -310,7 +326,7 @@ def _with_grids(pieces: list, arrays: list) -> list:
     each large output then took fresh pages."""
     sizes = [2 * m.shape[0] ** 2 for _, m, _ in arrays]
     out = [None] * (len(pieces) + sum(2 * size + 1 for size in sizes))
-    texts = _number_texts([m for _, m, _ in arrays])
+    texts = _array_texts([m for _, m, _ in arrays])
     start = offset = at = 0
     for (position, m, level), size in zip(arrays, sizes):
         out[at:at + position - start] = pieces[start:position]
@@ -355,8 +371,7 @@ def _encode_into(out: list, arrays: list, o, level: int):
             return
         numbers = grid_numbers(o)
         if numbers and all(o):
-            texts = json.dumps(numbers)[1:-1].split(", ")
-            out += _grid_parts(texts, tuple(map(len, o)), level)
+            out += _grid_parts(_number_texts(numbers), tuple(map(len, o)), level)
             return
         indent = "\n" + "  " * (level + 1)
         separator = indent
@@ -398,18 +413,39 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _number_texts(matrices: list) -> np.ndarray:
+def _number_texts(numbers) -> list:
+    """json.dumps's text of each of ``numbers``, a list of ints and floats
+    or a float64 array.  One orjson call writes them all: its digits are the
+    shortest that round-trip, as ``float.__repr__``'s are, but it writes
+    null for a non-finite float and its own layout where ``repr`` takes
+    exponent form, so those numbers alone are re-rendered by one json.dumps
+    call.  orjson refuses an int outside 64 bits; such a list goes whole to
+    json.dumps."""
+    try:
+        texts = orjson.dumps(numbers, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    except TypeError:
+        return json.dumps(numbers)[1:-1].split(", ")
+    magnitude = np.abs(np.asarray(numbers, dtype=np.float64))
+    redo = np.flatnonzero((magnitude != 0) & ~((magnitude >= 1e-4) & (magnitude < 1e16))).tolist()
+    if redo:
+        redone = json.dumps([numbers[i] for i in redo])[1:-1].split(", ")
+        for i, text in zip(redo, redone):
+            texts[i] = text
+    return texts
+
+
+def _array_texts(matrices: list) -> np.ndarray:
     """The texts of complex matrices' numbers, re and im of each entry in
     row-major order, matrix after matrix, as one object array.  Each distinct
-    number is rendered once, by one C-encoder call; numbers are told apart by
-    their bits, so -0.0 keeps its sign, and 0.0, the one float whose bits are
-    all zero, is set apart before the sort."""
+    number is rendered once, by one ``_number_texts`` call; numbers are told
+    apart by their bits, so -0.0 keeps its sign, and 0.0, the one float whose
+    bits are all zero, is set apart before the sort."""
     bits = np.concatenate([m.ravel() for m in matrices]).view(np.int64)
     nonzero = bits != 0
     distinct, inverse = np.unique(bits[nonzero], return_inverse=True)
     index = np.zeros(bits.size, dtype=np.intp)
     index[nonzero] = inverse + 1
-    texts = json.dumps([0.0, *distinct.view(np.float64).tolist()])[1:-1].split(", ")
+    texts = _number_texts(np.concatenate(([0.0], distinct.view(np.float64))))
     return np.array(texts, dtype=object)[index]
 
 

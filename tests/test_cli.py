@@ -488,8 +488,48 @@ class TestCommands:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cmd("fack-run", doc)[:2] == (2, {
-                "error": "e_0 has entries beyond about 8.988e+307 in magnitude, where m + m* "
-                         "overflows a float", "path": "stdin"})
+                "error": "e_0 has entries beyond about 1.676e+153 in magnitude, where the "
+                         "products of two blocks that fack-run forms can overflow a float",
+                 "path": "stdin"})
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("scale, index", [(1e200, 0), (1.2e153, 2)])
+    def test_fack_run_elements_whose_products_overflow_exit_2_naming_the_element(
+            self, scale, index, capfd):
+        # finite and far inside m + m*'s range, but e_0 e_2 overflowed in the
+        # orthogonality check's matmul, warned on stderr and blamed "matrix
+        # has non-finite entries".  The range is sqrt(float max) / 2n
+        _, out, _ = run_cmd("fack-run", {"tower": {"blocks": [
+            matrix_to_json(np.diag(np.roll([1.0, 1.0, 0, 0, 0, 0], 2 * i))) for i in range(3)]}})
+        diagonals = [[1.0, 1.0, 0, 0, 0, 0], [0, 0, 1.0, 1.0, 0, 0], [1.0, 1.0, 0, 0, 0, 0]]
+        diagonals[index] = [scale * x for x in diagonals[index]]
+        doc = {"tower": {"blocks": [matrix_to_json(np.diag(d)) for d in diagonals]}}
+        out["input"] = doc
+        error = {"error": f"e_{index} has entries beyond about 1.117e+153 in magnitude, where "
+                          "the products of two blocks that fack-run forms can overflow a float",
+                 "path": "stdin"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cmd("fack-run", doc)[:2] == (2, error)
+            assert run_cmd("verify", out)[:2] == (2, error)
+        assert capfd.readouterr().err == ""
+
+    def test_fack_run_elements_at_their_range_compute_and_verify(self, capfd):
+        t = math.sqrt(np.finfo(float).max) / 12  # n = 6
+        blocks = [np.diag(np.roll([t, t, 0, 0, 0, 0], 2 * i)) for i in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cmd("fack-run", {"tower": {"blocks": [
+                matrix_to_json(b) for b in blocks]}})
+            assert code == 0
+            assert run_cmd("verify", out)[1]["result"] == {
+                "verified": True, "mismatches": [], "inner_exit_code": 0}
+            # the same blocks with e_2 on e_0's support: the check measures
+            # the overlap, a finite number, instead of overflowing
+            blocks[2] = blocks[0]
+            assert run_cmd("fack-run", {"tower": {"blocks": [
+                matrix_to_json(b) for b in blocks]}})[1]["error"].startswith(
+                "tower blocks 0 and 2 are not orthogonal: 1.248e+306")
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["decompose", "decompose-tight"])
@@ -1697,11 +1737,51 @@ def _listed(doc):
     return doc
 
 
+def _float_edges() -> list:
+    """The five floats on each side of the points where float text changes
+    form or precision (repr's exponent thresholds 1e-4 and 1e16, 2^53, the
+    least subnormal and normal, the largest float) and the points
+    themselves, finite and positive."""
+    edges = []
+    for x in (1e-4, 1e16, 2.0 ** 53, 5e-324, 2.2250738585072014e-308, MAX_FLOAT):
+        for toward in (0.0, math.inf):
+            y = x
+            for _ in range(5):
+                y = math.nextafter(y, toward)
+                edges.append(y)
+        edges.append(x)
+    return sorted(x for x in set(edges) if 0.0 < x < math.inf)
+
+
+def _bit_pattern_arrays() -> list:
+    """2^16 seeded random float64 bit patterns as two 128 x 128 complex
+    arrays, each non-finite pattern made finite by clearing its top
+    exponent bit."""
+    bits = np.random.default_rng(34).integers(0, 2 ** 64, 2 ** 16, dtype=np.uint64)
+    bits[~np.isfinite(bits.view(np.float64))] ^= np.uint64(1 << 62)
+    return list(bits.view(np.complex128).reshape(2, 128, 128))
+
+
+def _edge_array() -> np.ndarray:
+    """The float edges in both signs, and -0.0, in one square array."""
+    edges = np.resize([-0.0, *_float_edges()], (8, 8))
+    array = np.empty((8, 8), dtype=complex)
+    array.real, array.imag = edges, -edges
+    return array
+
+
 class TestEncode:
     @given(_json_trees)
     @settings(max_examples=300, deadline=None)
     @example({"b": [[[1, 2.5], [-0.0, math.nan]], [[math.inf, -math.inf], [2 ** 70, True]]],
               "a\u00e9\x00\u2028": (), "": {}, "t": ("\ud800", [[[]]])})
+    # list grids: the float edges in both signs; ints at the ends of 64 bits
+    # beside non-finite floats, and past them, which the whole grid must take
+    @example({"edges": [[[x, -x] for x in _float_edges()], [[-0.0, 0.0]]],
+              "ints": [[[2 ** 63 - 1, 2 ** 63], [2 ** 64 - 1, -(2 ** 63)]],
+                       [[math.nan, math.inf], [-math.inf, 1e-5]]],
+              "wide": [[[2 ** 63 - 1, 2 ** 63], [2 ** 64, 10 ** 30]],
+                       [[math.nan, math.inf], [-math.inf, 1e-5]]]})
     def test_encode_is_json_dumps(self, doc):
         assert encode(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -1724,6 +1804,8 @@ class TestEncode:
     # one number in several arrays, and 0.0 in one where -0.0 is in another
     @example([np.array([[0.0 + 1.5j]]), {"y": np.array([[-0.0 + 1.5j]]), "x": np.eye(1) * 1.5j}])
     @example(_many_arrays())
+    @example(_bit_pattern_arrays())
+    @example({"edges": _edge_array()})
     def test_arrays_encode_as_their_matrix_documents(self, doc):
         assert encode(doc) == json.dumps(_listed(doc), indent=2, sort_keys=True) + "\n"
 

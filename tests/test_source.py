@@ -1,9 +1,11 @@
 """Checks on the package source itself, made with the standard library's
-ast, on how often the encoder calls the C encoder, and on how often
-``verify`` validates a document."""
+ast, on the third-party imports pyproject.toml must declare, on how often
+the encoder calls its compiled encoders, and on how often ``verify``
+validates a document."""
 import ast
 import json
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -37,6 +39,41 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(modules) > 10
     unused = {path.name: unused_imports(path.read_text()) for path in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def third_party_imports(source: str) -> list:
+    """The top-level names of the absolute imports of a module that are
+    neither the standard library's nor this package's."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - set(sys.stdlib_module_names) - {"tracezero"})
+
+
+def declared_dependencies(pyproject: str) -> set:
+    """The distribution names of the ``dependencies`` list of a pyproject.toml."""
+    listed = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.MULTILINE | re.DOTALL)
+    return set(re.findall(r'"([A-Za-z0-9_.-]+)', listed.group(1)))
+
+
+def test_the_guard_finds_an_undeclared_import():
+    source = ("import json\nimport numpy as np\nimport scipy.linalg\nfrom orjson import dumps\n"
+              "from . import claims\nfrom tracezero.errors import InvalidInputError\n")
+    assert third_party_imports(source) == ["numpy", "orjson", "scipy"]
+    pyproject = 'name = "x"\ndependencies = [\n    "numpy>=1.24",\n    "orjson>=3.8",\n]\n'
+    assert declared_dependencies(pyproject) == {"numpy", "orjson"}
+    assert set(third_party_imports(source)) - declared_dependencies(pyproject) == {"scipy"}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    pyproject = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    imported = {name for path in sorted(SRC.glob("*.py"))
+                for name in third_party_imports(path.read_text())}
+    assert imported == {"numpy", "jsonschema", "orjson"}
+    assert imported - declared_dependencies(pyproject) == set()
 
 
 def floored_calls(source: str) -> list:
@@ -120,21 +157,30 @@ def test_only_the_report_types_define_all_passed():
 
 
 def test_one_c_encoder_call_renders_every_array_of_a_document(monkeypatch):
-    # a document's arrays are rendered in one batch, not one call per matrix;
-    # a list grid, an echoed input, would take a call of its own
-    calls, dumps = [], json.dumps
+    # a document's arrays are rendered in one batch by one compiled-encoder
+    # call, orjson.dumps, not one call per matrix; json.dumps re-renders only
+    # the numbers that float.__repr__ writes in exponent form, so it is not
+    # called at all when there are none
+    calls = {"orjson": [], "json": []}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return dumps(*args, **kwargs)
+    def counting(name, dumps):
+        def call(*args, **kwargs):
+            calls[name].append(args)
+            return dumps(*args, **kwargs)
+        return call
 
-    doc = {"values": {str(v): np.diag([v, -v]).astype(complex) for v in range(12)},
-           "factors": [{"x": np.eye(3, dtype=complex)}, {"x": np.zeros((3, 3), dtype=complex)}],
-           "n": 2}
-    expected = jsonio.encode(doc)
-    monkeypatch.setattr(jsonio.json, "dumps", counting)
-    assert jsonio.encode(doc) == expected
-    assert len(calls) == 1
+    plain = {"values": {str(v): np.diag([v, -v]).astype(complex) for v in range(12)},
+             "factors": [{"x": np.eye(3, dtype=complex)}, {"x": np.zeros((3, 3), dtype=complex)}],
+             "n": 2}
+    exponent = {"a": np.diag([2.5e-5, 1.0]).astype(complex), "b": np.diag([1e20, -2.5e-5j])}
+    expected = [jsonio.encode(doc) for doc in (plain, exponent)]
+    monkeypatch.setattr(jsonio.orjson, "dumps", counting("orjson", jsonio.orjson.dumps))
+    monkeypatch.setattr(jsonio.json, "dumps", counting("json", json.dumps))
+    assert jsonio.encode(plain) == expected[0]
+    assert (len(calls["orjson"]), calls["json"]) == (1, [])
+    assert jsonio.encode(exponent) == expected[1]
+    assert len(calls["orjson"]) == 2
+    assert calls["json"] == [([-2.5e-5, 2.5e-5, 1e20],)]  # distinct, in order of their bits
 
 
 def test_verify_validates_a_document_once(monkeypatch):
