@@ -27,9 +27,10 @@ byte-identical.
 Exit codes: 0 = all certified bounds pass, 1 = a certified bound or a
 verify check failed (the full document is emitted, its report naming the
 failing claim), 2 = invalid input (a JSON error object {"error", "path"}
-is emitted).  The exit code of a full document is read off it by
-``jsonio.implied_exit_code``, the rule ``verify`` reports as its
-``inner_exit_code``.  Each fact of a document is stated once, in its
+is emitted) or an --out that cannot be written (the error object goes to
+stdout, its path the --out path).  The exit code of a full document is
+read off it by ``jsonio.implied_exit_code``, the rule ``verify`` reports
+as its ``inner_exit_code``.  Each fact of a document is stated once, in its
 report or in its result, but for a fack-run's ``result.residual_norm``,
 which its ``residual_norm`` claim measures.  A report is its bound checks
 and ``all_passed``: a residual norm or a factor count is the measured
@@ -292,15 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_from_args(argv, stdin_text: str | None = None):
     """Parse argv, run, write --out if given; returns (exit code, output text)."""
-    return _run_parsed(build_parser().parse_args(argv), stdin_text)
+    code, text, _ = _run_parsed(build_parser().parse_args(argv), stdin_text)
+    return code, text
 
 
 def _run_parsed(args, stdin_text: str | None = None):
+    """(exit code, output text, whether it was written to --out)."""
     try:
         cfg = RunConfig(command=args.command, seed=args.seed,
                         refine=args.refine, depth=args.depth, in_path=args.in_path)
     except InvalidInputError as exc:
-        return 2, encode({"error": str(exc), "path": ""})
+        return 2, encode({"error": str(exc), "path": ""}), False
     try:
         # Read as the bytes are, with no newline translation: verify hashes them.
         if args.in_path:
@@ -315,21 +318,27 @@ def _run_parsed(args, stdin_text: str | None = None):
         # ValueError covers malformed JSON, stdin bytes that are not UTF-8
         # and integer literals longer than the interpreter will convert
         # (4300 digits by default).
-        return 2, encode({"error": f"cannot read input: {exc}", "path": args.in_path or "stdin"})
+        return 2, encode({"error": f"cannot read input: {exc}",
+                          "path": args.in_path or "stdin"}), False
     if not isinstance(input_doc, dict):
-        return 2, encode({"error": "input must be a JSON object", "path": args.in_path or "stdin"})
+        return 2, encode({"error": "input must be a JSON object",
+                          "path": args.in_path or "stdin"}), False
     doc, code = run(cfg, input_doc, text)
     text = encode(doc)
-    if args.out_path:
+    if not args.out_path:
+        return code, text, False
+    try:
         with open(args.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return code, text
+    except OSError as exc:  # an --out that cannot be written is invalid input
+        return 2, encode({"error": f"cannot write output: {exc}", "path": args.out_path}), False
+    return code, text, True
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    code, text = _run_parsed(args)
-    if not args.out_path:
+    """Run the command line; what was not written to --out goes to stdout."""
+    code, text, written = _run_parsed(build_parser().parse_args(argv))
+    if not written:
         sys.stdout.write(text)
     return code
 

@@ -216,7 +216,11 @@ def _tower_input(doc: dict) -> TowerInput:
         if ambient < sum(ranks):
             raise InvalidInputError(f"ambient size {ambient} too small for ranks {ranks}")
     else:
-        elements = [matrix_from_json(b, name="tower block") for b in blocks]
+        bare = next((i for i, b in enumerate(blocks) if "entries" not in b), None)
+        if bare is not None:
+            raise InvalidInputError(f"tower mixes rank and matrix blocks: tower.blocks[{bare}] "
+                                    "has no entries")
+        elements = [matrix_from_json(b, name=f"tower.blocks[{i}]") for i, b in enumerate(blocks)]
         ambient = elements[0].shape[0]
     if len(deltas) != len(blocks) - 1:
         raise InvalidInputError("need one delta per stage")

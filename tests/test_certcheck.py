@@ -169,6 +169,74 @@ def test_tampered_copy_is_rejected(command, doc, tamper):
     assert all(m.startswith("$.") for m in result["mismatches"])
 
 
+def _json_nodes(node, path=()):
+    """(path, value) for a JSON value and each value inside it, a path a
+    tuple of keys and list indices."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _json_nodes(value, path + (key,))
+
+
+def _changed_leaf(value):
+    if type(value) is bool:
+        return not value
+    if type(value) is int:
+        return value + 1
+    if type(value) is float:  # + 1.0, not a scaling, which leaves 0.0 as it is
+        return value + 1.0
+    if type(value) is str:
+        return value + "x"
+    assert value is None
+    return 0
+
+
+def _result_path(path):
+    return "$.result" + "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path)
+
+
+def _exact_outputs():
+    """The output documents of obstruct and tower as ALL_RUNS runs them, and
+    of pp-example at m = 1 and m = 2."""
+    runs = {command: (make_doc(), flags) for command, make_doc, flags in ALL_RUNS}
+    runs = [runs["obstruct"], ({"m": 1}, ()), ({"m": 2}, ()), runs["tower"]]
+    commands = ["obstruct", "pp-example", "pp-example", "tower"]
+    return [run_cmd(command, doc, *flags)[1] for command, (doc, flags) in zip(commands, runs)]
+
+
+@pytest.mark.parametrize("doc", _exact_outputs(),
+                         ids=["obstruct", "pp-example-1", "pp-example-2", "tower"])
+def test_each_changed_leaf_of_an_exact_result_is_one_mismatch_at_its_path(doc):
+    # an exact result is compared whole: every changed leaf, added key or
+    # dropped key is one mismatch at its own path, and nothing else fails
+    assert verify(doc) == (0, {"verified": True, "mismatches": [], "inner_exit_code": 0})
+    tampers = []  # (path, the mismatch's text or None for any, tamper of the parent node)
+    for path, value in _json_nodes(doc["result"]):
+        if isinstance(value, dict):
+            tampers.append((path + ("added",), "is not part of this result",
+                            lambda node: node.update(added=0)))
+            if value:
+                key = sorted(value)[0]
+                tampers.append((path + (key,), "missing", lambda node, key=key: node.pop(key)))
+        elif not isinstance(value, list):
+            tampers.append((path, None, lambda node, key=path[-1]: node.__setitem__(
+                key, _changed_leaf(node[key]))))
+    assert len(tampers) > 10
+    for path, message, tamper in tampers:
+        tampered = copy.deepcopy(doc)
+        node = tampered["result"]
+        for key in path[:-1]:
+            node = node[key]
+        tamper(node)
+        code, result = verify(tampered)
+        where = _result_path(path)
+        assert code == 1, where
+        assert len(result["mismatches"]) == 1, result["mismatches"]
+        mismatch = result["mismatches"][0]
+        assert mismatch == f"{where}: {message}" if message else mismatch.startswith(f"{where}: ")
+
+
 def test_mismatches_name_the_failed_check():
     _, doc, _ = run_cmd("decompose-tight", matrix_to_json(_M3))
     _lower_bound(doc, "norm_product_over_norm_a")

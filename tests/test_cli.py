@@ -1073,6 +1073,21 @@ _HUGE = 10 ** 400  # a JSON integer, but too large for a float
 
 
 class TestHostileInput:
+    @pytest.mark.parametrize("blocks, error", [
+        ([{"rank": 2}, matrix_to_json(np.eye(2))],
+         "tower mixes rank and matrix blocks: tower.blocks[0] has no entries"),
+        ([matrix_to_json(np.eye(2)), {"rank": 2}, matrix_to_json(np.eye(2))],
+         "tower mixes rank and matrix blocks: tower.blocks[1] has no entries"),
+        ([{"rank": 2, "n": 2, "entries": [[[0, 0], [1]], [[0, 0], [0, 0]]]},
+          matrix_to_json(np.eye(2))],
+         "tower.blocks[0]: entry (0,1) is not an [re, im] pair"),
+        ([matrix_to_json(np.eye(2)), {"rank": 1, "entries": []}],
+         "tower.blocks[1]: malformed matrix document"),
+    ], ids=["rank-first", "rank-between", "junk-entries", "no-n"])
+    def test_a_tower_block_that_decodes_to_no_matrix_is_named(self, blocks, error):
+        assert run_cmd("fack-run", {"tower": {"blocks": blocks}})[:2] == (
+            2, {"error": error, "path": "stdin"})
+
     def test_huge_integer_entry_exits_2(self):
         huge = "1" + "0" * 400  # a JSON number, but too large for a float
         text = f'{{"n": 2, "entries": [[[{huge}, 0], [0, 0]], [[0, 0], [0, 0]]]}}'
@@ -1383,13 +1398,31 @@ class TestHostileInput:
 
     @pytest.mark.parametrize("key", ["0", "1,1", "99", "2,1", "", "x", "1,"])
     def test_verify_of_an_euler_class_key_outside_the_ring_exits_1(self, key):
+        # the class is 2 a_1 a_2: any other key, the unit "" too, is extra
         _, out, _ = run_cmd("obstruct", {"q": {"variables": 2, "summands": [[1, 1]]}, "n": 2})
         out["result"]["euler_class"][key] = 1
         code, vdoc, _ = run_cmd("verify", out)
         assert code == 1
-        message = ("coefficient 1, but the product of the forms gives 0" if key == ""
-                   else "is not a monomial of Z[a_1..a_2]/(a_i^2)")
-        assert vdoc["result"]["mismatches"] == [f'$.result.euler_class["{key}"]: {message}']
+        assert vdoc["result"]["mismatches"] == [
+            f"$.result.euler_class.{key}: is not part of this result"]
+
+    def test_verify_of_an_euler_class_term_with_coefficient_0_exits_1(self):
+        # an exact result is compared whole: a zero term is still an extra key
+        _, out, _ = run_cmd("obstruct", {"q": {"variables": 2, "summands": [[1, 1]]}, "n": 2})
+        out["result"]["euler_class"]["1"] = 0
+        code, vdoc, _ = run_cmd("verify", out)
+        assert code == 1
+        assert vdoc["result"]["mismatches"] == ["$.result.euler_class.1: is not part of this result"]
+
+    def test_verify_of_an_int_in_the_bott_field_exits_1(self):
+        _, out, _ = run_cmd("pp-example", {"m": 1})
+        entries = out["result"]["field"]["values"]["0"]["entries"]
+        assert entries[0][0] == [1.0, 0.0]
+        entries[0][0][0] = 1
+        code, vdoc, _ = run_cmd("verify", out)
+        assert code == 1
+        assert vdoc["result"]["mismatches"] == [
+            "$.result.field.values.0.entries[0][0][0]: 1, expected 1.0"]
 
     def test_verify_of_a_bundle_over_the_product_budget_exits_2_at_once(self):
         q = {"variables": 24, "summands": [[2 if i == j else 1 for i in range(24)]
@@ -1976,6 +2009,28 @@ class TestEntryPoints:
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert doc["command"] == "decompose"
+
+    def test_an_out_path_that_cannot_be_written_exits_2(self, tmp_path, capsys):
+        out_path = str(tmp_path / "missing" / "x.json")
+        code, text = run_from_args(["pp-example", "--out", out_path], stdin_text='{"m": 1}')
+        assert code == 2
+        doc = json.loads(text)
+        assert doc["error"].startswith("cannot write output: ")
+        assert doc["path"] == out_path
+        in_path = tmp_path / "in.json"
+        in_path.write_text('{"m": 1}')
+        assert main(["pp-example", f"--in={in_path}", f"--out={out_path}"]) == 2
+        assert capsys.readouterr().out == text
+        assert not (tmp_path / "missing").exists()
+
+    def test_main_prints_an_error_that_was_not_written_to_out(self, tmp_path, capsys):
+        # an --in that cannot be read ends the run before --out is opened
+        in_path, out_path = tmp_path / "missing.json", tmp_path / "out.json"
+        assert main(["decompose", f"--in={in_path}", f"--out={out_path}"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"].startswith("cannot read input: ")
+        assert doc["path"] == str(in_path)
+        assert not out_path.exists()
 
     def test_main_prints_only_without_out(self, tmp_path, capsys):
         in_path = tmp_path / "in.json"

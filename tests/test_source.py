@@ -132,6 +132,45 @@ def test_the_exit_code_is_derived_in_one_place():
     assert defined == ["jsonio.py"]
 
 
+def result_uses(source: str, names) -> dict:
+    """Each read of ``result`` in the functions ``names``, sorted: "_match"
+    where it is a whole argument of a ``_match`` call, else the first line of
+    the expression or statement that reads it."""
+    uses = {}
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and fn.name in names:
+            uses[fn.name] = sorted(
+                "_match" if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_match"
+                and child in node.args else ast.unparse(node).splitlines()[0]
+                for node in ast.walk(fn) for child in ast.iter_child_nodes(node)
+                if isinstance(child, ast.Name) and child.id == "result"
+                and isinstance(child.ctx, ast.Load))
+    return uses
+
+
+def test_the_guard_finds_a_read_of_an_exact_result():
+    source = ("def _check_a(f, doc):\n    result, report = f.body(doc)\n"
+              "    _match(f, '$.result', result, {})\n    kind = result['kind']\n"
+              "    for key in result:\n        pass\n"
+              "    _match(f, '$.result', {**result}, {})\n"
+              "def _check_b(f, doc):\n    result, report = f.body(doc)\n    len(result)\n")
+    assert result_uses(source, ("_check_a", "_check_b")) == {
+        "_check_a": ["_match", "for key in result:", "result['kind']", "{**result}"],
+        "_check_b": ["len(result)"]}
+
+
+EXACT_CHECKERS = ("_check_obstruct", "_check_pp_example", "_check_tower")
+
+
+def test_an_exact_checker_hands_its_result_whole_to_match():
+    # it reads no part of the result before the match, so the result's
+    # output schema is a bare object
+    assert result_uses((SRC / "certcheck.py").read_text(), EXACT_CHECKERS) == {
+        name: ["_match"] for name in EXACT_CHECKERS}
+    for command in ("obstruct", "pp-example", "tower"):
+        assert schemas.OUTPUT_SCHEMAS[command]["properties"]["result"] == {"type": "object"}
+
+
 def all_passed_owners(source: str) -> list:
     """The classes that define ``all_passed``, as a method, a property or an
     annotated field."""
