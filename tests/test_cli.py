@@ -1072,6 +1072,18 @@ class TestNormShortcuts:
 _HUGE = 10 ** 400  # a JSON integer, but too large for a float
 
 
+def _ragged_tower_doc():
+    ragged = matrix_to_json(np.eye(2))
+    ragged["entries"][0][1] = [0]
+    return {"tower": {"blocks": [matrix_to_json(np.eye(2)), ragged]}}
+
+
+def _short_block_split_doc():
+    doc = sample_block_split_doc()
+    doc["pairs"] = doc["pairs"][:2]  # three blocks
+    return doc
+
+
 class TestHostileInput:
     @pytest.mark.parametrize("blocks, error", [
         ([{"rank": 2}, matrix_to_json(np.eye(2))],
@@ -1087,6 +1099,38 @@ class TestHostileInput:
     def test_a_tower_block_that_decodes_to_no_matrix_is_named(self, blocks, error):
         assert run_cmd("fack-run", {"tower": {"blocks": blocks}})[:2] == (
             2, {"error": error, "path": "stdin"})
+
+    # Each input is refused once, by the schema or by decode_input; its path
+    # is a JSON path inside the input, or None for a decoder's error.
+    @pytest.mark.parametrize("command, make, error, path", [
+        ("decompose-field", lambda: {"complex": {"vertices": 0, "simplices": [[0]]}, "n": 2,
+                                     "values": {"0": matrix_to_json(SZ)}},
+         "0 is less than the minimum of 1", ".complex.vertices"),
+        ("decompose-field", lambda: {"complex": {"vertices": 1, "simplices": []}, "n": 2,
+                                     "values": {"0": matrix_to_json(SZ)}},
+         "[] should be non-empty", ".complex.simplices"),
+        ("obstruct", lambda: {"q": {"variables": 1, "summands": []}, "n": 1},
+         "[] should be non-empty", ".q.summands"),
+        ("obstruct", lambda: {"q": {"variables": 1, "summands": [[1]]}, "n": 0},
+         "0 is less than the minimum of 1", ".n"),
+        ("pp-example", lambda: {"m": 0}, "0 is less than the minimum of 1", ".m"),
+        ("tower", lambda: {"m_max": 0}, "0 is less than the minimum of 1", ".m_max"),
+        ("decompose-field", lambda: {"complex": {"vertices": 3, "simplices": [[0, 1], [1, 2]]},
+                                     "n": 2, "values": {"0": matrix_to_json(SZ),
+                                                        "2": matrix_to_json(SZ)}},
+         "field is missing a value for vertex 1", None),
+        ("block-split", _short_block_split_doc, "need one (x, y) pair per diagonal block", None),
+        ("fack-run", _ragged_tower_doc, "[0] is too short", ".tower.blocks[1].entries[0][1]"),
+    ], ids=["no-vertices", "no-simplices", "no-summands", "no-copies", "pp-m-0",
+            "tower-m-max-0", "missing-value", "too-few-pairs", "ragged-pair"])
+    def test_an_input_rule_is_checked_once_for_the_command_and_verify(
+            self, command, make, error, path):
+        doc = make()
+        assert run_cmd(command, doc)[:2] == (
+            2, {"error": error, "path": "stdin" if path is None else "$" + path})
+        echo = {"command": command, "parameters": {}, "input": doc, "result": {}, "report": {}}
+        assert run_cmd("verify", echo)[:2] == (
+            2, {"error": error, "path": "stdin" if path is None else "$.input" + path})
 
     def test_huge_integer_entry_exits_2(self):
         huge = "1" + "0" * 400  # a JSON number, but too large for a float
