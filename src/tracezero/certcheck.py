@@ -11,7 +11,8 @@ measurements.  No constructor and no eigendecomposition is called, so a
 construction bug that the producer's own report repeats is still caught.
 
 A failed check is one line "<path>: <check> ...", <path> being a JSON path
-into the verify document.  Its shape is checked first, in one pass, by its
+into the verify document, its keys written as jsonschema's ``json_path``
+writes them (``_member``).  Its shape is checked first, in one pass, by its
 command's output schema, so the checks here state only what no schema can.
 An exact result (obstruct, pp-example, tower) is rebuilt whole from the
 echoed input and compared once by ``_match``, one failure per differing
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 from jsonschema import ValidationError
@@ -74,6 +76,17 @@ class Findings:
     def require(self, ok: bool, path: str, text: str):
         if not ok:
             self.fail(path, text)
+
+
+_NAME = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")  # a key jsonschema's json_path writes bare
+
+
+def _member(path: str, key: str) -> str:
+    """The JSON path of member ``key`` of ``path``, as jsonschema's ``json_path``
+    writes it: ``.key`` for a name, else ``['key']`` with \\ and ' escaped."""
+    if _NAME.match(key):
+        return f"{path}.{key}"
+    return path + "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']"
 
 
 def _agree(reported: float, measured: float, scale: float = 0.0) -> bool:
@@ -290,7 +303,8 @@ def _check_tower_report(f: Findings, result: dict, depth: int, tower: TowerInput
 # decompose-field.
 
 def barycentric_refinement(simplices, values, levels: int):
-    """``levels`` barycentric subdivisions of a complex, with its PL field.
+    """``levels`` barycentric subdivisions of a complex, with its PL field,
+    a (V, n, n) stack of vertex values.
 
     The new vertices are the nonempty faces of the old complex, numbered in
     (size, vertex tuple) order as output documents number them; each carries
@@ -323,9 +337,9 @@ def barycentric_refinement(simplices, values, levels: int):
 
 def _face_means(values, faces):
     """Each face's mean, the sum of values[v] / len(face), for ``faces`` sorted
-    by size: divided first, it overflows only by rounding at the float maximum."""
-    stack = np.stack(values)
-    return np.concatenate([(stack[np.array(list(group))] / k).sum(axis=1)
+    by size and ``values`` a (V, n, n) stack: divided first, it overflows only
+    by rounding at the float maximum."""
+    return np.concatenate([(values[np.array(list(group))] / k).sum(axis=1)
                            for k, group in itertools.groupby(faces, len)])
 
 
@@ -336,7 +350,6 @@ def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine:
     simplices, values, colors = barycentric_refinement(
         fld.complex.maximal_simplices, fld.values, refine)
     vertex_count, n = len(values), fld.matrix_size
-    value_stack = np.stack(values)
     result, report = f.body(doc)
 
     out = _decoded(result["field"], "$.result.field", field_from_json)
@@ -347,9 +360,10 @@ def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine:
     f.require(out.matrix_size == n, "$.result.field.n",
               f"{out.matrix_size} differs from the input's {n}")
     if out.complex.vertex_count == vertex_count and out.matrix_size == n:
-        gap = np.max(np.abs(np.stack(out.values) - value_stack), axis=(1, 2))
-        for v in np.flatnonzero(gap > claims.slack(AGREE, float(np.max(np.abs(value_stack))))):
-            f.fail(f'$.result.field.values["{v}"]', "differs from the refined input's value")
+        gap = np.max(np.abs(out.values - values), axis=(1, 2))
+        for v in np.flatnonzero(gap > claims.slack(AGREE, float(np.max(np.abs(values))))):
+            f.fail(_member("$.result.field.values", str(v)),
+                   "differs from the refined input's value")
 
     coloring = result["coloring"]
     if len(coloring) != vertex_count or not 0 <= min(coloring) <= max(coloring) < vertex_count:
@@ -385,9 +399,9 @@ def _check_decompose_field(f: Findings, doc: dict, fld: SimplicialField, refine:
     brackets = xs.conj().transpose(0, 2, 1) @ xs - xs @ xs.conj().transpose(0, 2, 1)
     if not np.all(np.isfinite(brackets)):
         raise Malformed("$.result.factors", "overflows a float")
-    residuals = np.linalg.norm(brackets - value_stack, 2, axis=(1, 2))
+    residuals = np.linalg.norm(brackets - values, 2, axis=(1, 2))
     x_norms_sq = np.linalg.norm(xs, 2, axis=(1, 2)) ** 2
-    sup = float(np.max(np.linalg.norm(value_stack, 2, axis=(1, 2))))
+    sup = float(np.max(np.linalg.norm(values, 2, axis=(1, 2))))
     spec = claims.field(sup, color_count)
     recon_bound = spec["field_residual"][0]
     for v in np.flatnonzero(residuals > recon_bound):
@@ -458,11 +472,11 @@ def _match(f: Findings, path: str, found, expected):
             return
         for key in sorted(set(expected) | set(found)):
             if key not in found:
-                f.fail(f"{path}.{key}", "missing")
+                f.fail(_member(path, key), "missing")
             elif key not in expected:
-                f.fail(f"{path}.{key}", "is not part of this result")
+                f.fail(_member(path, key), "is not part of this result")
             else:
-                _match(f, f"{path}.{key}", found[key], expected[key])
+                _match(f, _member(path, key), found[key], expected[key])
     elif isinstance(expected, list):
         if not isinstance(found, list) or len(found) != len(expected):
             f.fail(path, f"is not a list of {len(expected)} items")
@@ -639,7 +653,8 @@ def check_certificate(doc: dict, *, refine: int, depth: int | None) -> list:
             raise
         path = exc.json_path
         if exc.validator == "required":
-            path += "." + next(key for key in exc.validator_value if key not in exc.instance)
+            path = _member(path, next(key for key in exc.validator_value
+                                      if key not in exc.instance))
         f.malformed = path, exc.message
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is a finding

@@ -75,6 +75,8 @@ COMMANDS = tuple(INPUT_SCHEMAS)
 
 @dataclasses.dataclass
 class RunConfig:
+    """One run's flags; ``command`` is one of COMMANDS, as argparse admits it."""
+
     command: str
     seed: int = 0
     refine: int = 0
@@ -82,8 +84,6 @@ class RunConfig:
     in_path: str | None = None
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise InvalidInputError(f"unknown command: {self.command!r}")
         if self.refine < 0:
             raise InvalidInputError("refine must be nonnegative")
         if self.depth is not None and self.depth < 0:

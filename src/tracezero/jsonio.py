@@ -50,25 +50,14 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(doc: dict, name: str = "matrix") -> np.ndarray:
-    try:
-        n = int(doc["n"])
-        rows = doc["entries"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"{name}: malformed matrix document") from exc
-    if n < 1 or len(rows) != n or any(len(r) != n for r in rows):
+    """The matrix of a schema-valid MATRIX document."""
+    n, rows = int(doc["n"]), doc["entries"]
+    if len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidInputError(f"{name}: entries must be {n} x {n}")
     try:
         parts = np.asarray(rows, dtype=float)
     except OverflowError:
         raise InvalidInputError(f"{name}: an entry is too large for a float") from None
-    except ValueError:
-        parts = None  # ragged pairs, or an item that is no number
-    if parts is None or parts.shape != (n, n, 2):
-        for i, row in enumerate(rows):
-            for j, pair in enumerate(row):
-                if len(pair) != 2:
-                    raise InvalidInputError(f"{name}: entry ({i},{j}) is not an [re, im] pair")
-        raise InvalidInputError(f"{name}: entries must be [re, im] pairs of numbers")
     return as_matrix(parts.view(complex)[..., 0], square=True, name=name)
 
 
@@ -77,26 +66,16 @@ def complex_to_json(c: SimplicialComplex) -> dict:
             "simplices": [list(s) for s in c.maximal_simplices]}
 
 
-def complex_from_json(doc: dict) -> SimplicialComplex:
-    try:
-        return SimplicialComplex.make(doc["vertices"], doc["simplices"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError("malformed complex document") from exc
-
-
 def field_from_json(doc: dict) -> SimplicialField:
-    try:
-        complex_ = complex_from_json(doc["complex"])
-        n = int(doc["n"])
-        values_doc = doc["values"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError("malformed field document") from exc
+    """The field of a schema-valid FIELD document, which needs a value of
+    size n for each vertex."""
+    complex_ = SimplicialComplex.make(doc["complex"]["vertices"], doc["complex"]["simplices"])
+    n, values_doc = int(doc["n"]), doc["values"]
     values = []
     for v in range(complex_.vertex_count):
-        key = str(v)
-        if key not in values_doc:
+        if str(v) not in values_doc:
             raise InvalidInputError(f"field is missing a value for vertex {v}")
-        m = matrix_from_json(values_doc[key], name=f"value at vertex {v}")
+        m = matrix_from_json(values_doc[str(v)], name=f"value at vertex {v}")
         if m.shape[0] != n:
             raise InvalidInputError(f"value at vertex {v} is not {n} x {n}")
         values.append(m)
@@ -203,14 +182,19 @@ def _tower_z0(doc: dict, inp: TowerInput) -> np.ndarray | None:
 
 
 def _tower_input(doc: dict) -> TowerInput:
+    """The TowerInput of a schema-valid fack-run document."""
     tower = doc["tower"]
     blocks = tower["blocks"]
     epsilon = float_from_json(tower.get("epsilon", 0.5), "tower.epsilon")
     deltas = [float_from_json(d, f"tower.deltas[{i}]") for i, d in
               enumerate(tower.get("deltas", [2.0 ** -(i + 1) for i in range(len(blocks) - 1)]))]
     L, K, M = (int(tower.get(key, 1)) for key in ("L", "K", "M"))
+    both = next((i for i, b in enumerate(blocks) if "rank" in b and "entries" in b), None)
+    if both is not None:
+        raise InvalidInputError(f"tower.blocks[{both}] has both a rank and entries: a block "
+                                "is a rank or a matrix")
     ranks = elements = None
-    if all(isinstance(b, dict) and "rank" in b for b in blocks):
+    if all("rank" in b for b in blocks):
         ranks = [int(b["rank"]) for b in blocks]
         ambient = int(tower.get("ambient", sum(ranks)))
         if ambient < sum(ranks):

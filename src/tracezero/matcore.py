@@ -47,12 +47,8 @@ def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
 
 
 def commutator(x, y) -> np.ndarray:
-    """xy - yx for square matrices of equal size."""
-    xm = as_matrix(x, square=True, name="x")
-    ym = as_matrix(y, square=True, name="y")
-    if xm.shape != ym.shape:
-        raise InvalidInputError(f"commutator size mismatch: {xm.shape} vs {ym.shape}")
-    return xm @ ym - ym @ xm
+    """xy - yx for square arrays of equal shape."""
+    return x @ y - y @ x
 
 
 def operator_norm(a) -> float:
@@ -94,17 +90,17 @@ def _hermitian_each(m) -> np.ndarray:
             <= HERMITIAN_TOL * np.max(np.abs(q), axis=(-2, -1), initial=0.0) + TINY / 4.0)
 
 
-def require_hermitian(a, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(a, square=True, name=name)
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
+    """``m``, a decoded matrix, when it is Hermitian."""
     if not is_hermitian(m):
         raise InvalidInputError(f"{name} {NOT_HERMITIAN}")
     return m
 
 
 def require_block_layout(n: int, d: int, pairs, e) -> int:
-    """The block size r of an n x n matrix cut into d equal blocks, with one
-    (x, y) pair of r x r factors per block and e of size r."""
-    if d < 1 or n % d:
+    """The block size r of an n x n matrix cut into d >= 1 equal blocks, with
+    one (x, y) pair of r x r factors per block and e of size r."""
+    if n % d:
         raise InvalidInputError(f"matrix size {n} is not {d} equal blocks")
     r = n // d
     if len(pairs) != d:
@@ -155,8 +151,8 @@ def _fix_phases(u: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
-    """Diagonalize a Hermitian matrix with the deterministic phase
-    convention, or each matrix of a stack (V, n, n) at once: one ``eigh`` of
+    """Diagonalize a Hermitian n x n array, n >= 1, with the deterministic
+    phase convention, or each matrix of a stack (V, n, n) at once: one ``eigh`` of
     (m + m*)/2, which must not overflow and whose eigenvalues must have
     modulus at most MAX_FLOAT / n, so that no sum of them overflows, and one
     phase fix.  A matrix is the V = 1 stack.  A stack that fails its input
@@ -164,10 +160,6 @@ def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
     (``eigh`` is backward stable), and its callers' claims measure it."""
     m = np.asarray(a, dtype=complex)
     stack = m[None] if m.ndim == 2 else m
-    if stack.ndim != 3:
-        raise InvalidInputError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if stack.shape[1] != stack.shape[2]:
-        raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         stack = np.where(finite[:, None, None], stack, 0.0)
@@ -180,7 +172,7 @@ def hermitian_eig(a, name: str = "matrix") -> EigenSystem:
     eigenvalues, u = np.linalg.eigh(sym)
     # A sum of eigenvalues is at most n * norm(a) in modulus; an eigenvalue
     # beyond the float maximum comes back as inf and fails the rule too.
-    norm_limit = MAX_FLOAT / stack.shape[1] if stack.shape[1] else MAX_FLOAT
+    norm_limit = MAX_FLOAT / stack.shape[1]
     in_norm = np.max(np.abs(eigenvalues), axis=1, initial=0.0) <= norm_limit
     raise_first_failure([
         (~finite, lambda k: f"{name} has non-finite entries"),

@@ -128,9 +128,8 @@ def sqfree_mul(a: SquareFreeClass, b: SquareFreeClass) -> SquareFreeClass:
     Exact: each pair product and each partial sum of a coefficient is at
     most ||a||_1 * ||b||_1 (sums of |coefficients|) in modulus, so values
     are int64 while that bound is below 2^63 and Python ints otherwise.
+    ``a`` and ``b`` share one variable count.
     """
-    if a.variable_count != b.variable_count:
-        raise InvalidInputError("variable counts differ")
     (small_keys, small_values), (keys, values) = sorted(
         (a.terms(), b.terms()), key=lambda t: len(t[0]))
     if not len(small_keys):
@@ -186,12 +185,10 @@ def linear_power(coeffs, e: int, m: int | None = None) -> SquareFreeClass:
     keys, so the keys come out ascending, as ``terms()`` holds them.  Values
     are int64 while C(support, e) * e! times the product of the e largest
     |c_i|, a bound on every product and on their l1 norm, is below 2^63,
-    and Python ints otherwise.
+    and Python ints otherwise.  ``e`` is nonnegative.
     """
     coeffs = [int(c) for c in coeffs]
     m = len(coeffs) if m is None else m
-    if e < 0:
-        raise InvalidInputError("negative powers are not defined")
     support = [i for i, c in enumerate(coeffs) if c]
     if e > len(support):
         return SquareFreeClass(m, {})
@@ -220,14 +217,12 @@ def linear_power(coeffs, e: int, m: int | None = None) -> SquareFreeClass:
 
 @dataclass(frozen=True)
 class BundleExpr:
-    """Sum of line bundles; each summand is its integer degree vector."""
+    """Sum of at least one line bundle; each summand is its integer degree vector."""
 
     variable_count: int
     summands: tuple
 
     def __post_init__(self):
-        if not self.summands:
-            raise InvalidInputError("a bundle needs at least one line summand")
         for vec in self.summands:
             if len(vec) != self.variable_count:
                 raise InvalidInputError("degree vector length must equal variable count")
@@ -247,9 +242,7 @@ class BundleExpr:
         return len(self.summands)
 
     def require_copies(self, n: int) -> int:
-        """``n`` itself when the n-fold sum has at most a million summands."""
-        if n < 1:
-            raise InvalidInputError("need at least one copy")
+        """``n`` >= 1 itself when the n-fold sum has at most a million summands."""
         if n * self.rank > 1_000_000:
             raise InvalidInputError("repeated bundle would exceed a million summands")
         return n
@@ -381,9 +374,7 @@ def bott_projection_field() -> ozfield.SimplicialField:
 
 
 def _capped(name: str, value: int, limit: int, why: str) -> int:
-    """``value`` itself when 1 <= value <= limit."""
-    if value < 1:
-        raise InvalidInputError(f"{name} must be at least 1")
+    """``value`` >= 1 itself when value <= limit."""
     if value > limit:
         raise InvalidInputError(f"{name} is capped at {limit}: {why}")
     return value

@@ -26,12 +26,7 @@ import numpy as np
 
 from . import claims
 from .errors import InvalidInputError
-from .matcore import (
-    VerificationReport,
-    as_matrix,
-    bound_checks,
-    max_operator_norm,
-)
+from .matcore import VerificationReport, bound_checks, max_operator_norm
 from .selfcomm import self_commutator_factors
 
 # Maximal simplices made by barycentric refinement, summed over its levels.
@@ -43,16 +38,12 @@ FIELD_PAIR_BUDGET = 2 ** 18
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A finite abstract complex given by its maximal simplices."""
+    """A finite abstract complex given by at least one maximal simplex."""
 
     vertex_count: int
     maximal_simplices: tuple
 
     def __post_init__(self):
-        if self.vertex_count <= 0:
-            raise InvalidInputError("vertex_count must be positive")
-        if not self.maximal_simplices:
-            raise InvalidInputError("at least one maximal simplex is required")
         for simplex in self.maximal_simplices:
             if not simplex:
                 raise InvalidInputError("a maximal simplex is empty")
@@ -94,15 +85,13 @@ class VertexColoring:
 
     @classmethod
     def make(cls, colors) -> "VertexColoring":
+        """The coloring of nonnegative ``colors``, one per vertex."""
         colors = tuple(int(c) for c in colors)
-        if any(c < 0 for c in colors):
-            raise InvalidInputError("colors must be nonnegative")
         return cls(colors=colors, color_count=(max(colors) + 1 if colors else 0))
 
 
 def require_proper(complex_: SimplicialComplex, coloring: VertexColoring):
-    if len(coloring.colors) != complex_.vertex_count:
-        raise InvalidInputError("coloring length does not match vertex count")
+    """Refuse a coloring under which two vertices of a simplex share a color."""
     for u, v in sorted(complex_.edges()):
         if coloring.colors[u] == coloring.colors[v]:
             raise InvalidInputError(f"vertices {u} and {v} share a simplex and a color")
@@ -191,34 +180,29 @@ def octahedron_complex() -> SimplicialComplex:
 @dataclass(frozen=True)
 class SimplicialField:
     complex: SimplicialComplex
-    values: tuple  # one square matrix per vertex
+    values: np.ndarray  # read-only (V, n, n) complex: the value at each vertex
 
     @property
     def matrix_size(self) -> int:
-        return self.values[0].shape[0]
+        return self.values.shape[1]
 
 
 def make_field(complex_: SimplicialComplex, values) -> SimplicialField:
-    if len(values) != complex_.vertex_count:
-        raise InvalidInputError("need one matrix per vertex")
-    mats = []
-    size = None
-    for i, v in enumerate(values):
-        m = as_matrix(v, square=True, name=f"value at vertex {i}").copy()
-        if size is None:
-            size = m.shape[0]
-        elif m.shape[0] != size:
-            raise InvalidInputError("all vertex values must share one matrix size")
-        m.setflags(write=False)
-        mats.append(m)
-    return SimplicialField(complex=complex_, values=tuple(mats))
+    """The field of one n x n value per vertex (equal-shape square arrays),
+    copied once into its read-only stack; a non-finite value is invalid."""
+    stack = np.array(values, dtype=complex)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise InvalidInputError(f"value at vertex {int(np.argmin(finite))} has non-finite entries")
+    stack.setflags(write=False)
+    return SimplicialField(complex=complex_, values=stack)
 
 
 def face_means(values, faces) -> np.ndarray:
-    """The stacked mean of ``values`` over each face (``faces`` sorted by size):
-    the sum of values[v] / len(face), which overflows only by rounding."""
-    stack = np.stack(values)
-    return np.concatenate([(stack[np.array(list(group))] / k).sum(axis=1)
+    """The stacked mean of ``values``, a (V, n, n) stack, over each face
+    (``faces`` sorted by size): the sum of values[v] / len(face), which
+    overflows only by rounding."""
+    return np.concatenate([(values[np.array(list(group))] / k).sum(axis=1)
                            for k, group in itertools.groupby(faces, len)])
 
 
@@ -259,9 +243,8 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
     residual, sup_norm and factor norm are exact SVD maxima.
     """
     require_proper(fld.complex, coloring)
-    values = np.stack(fld.values)
     try:
-        x_factors, _ = self_commutator_factors(values)
+        x_factors, _ = self_commutator_factors(fld.values)
     except InvalidInputError as err:
         raise InvalidInputError(f"vertex {err.index}: {err}") from err
 
@@ -272,8 +255,8 @@ def decompose_field(fld: SimplicialField, coloring: VertexColoring) -> FieldDeco
         factors.append(SqrtWeightedFactor(color=k, entries=entries))
 
     x_star = x_factors.conj().swapaxes(1, 2)
-    residual = max_operator_norm(x_star @ x_factors - x_factors @ x_star - values)
-    sup = max_operator_norm(values)
+    residual = max_operator_norm(x_star @ x_factors - x_factors @ x_star - fld.values)
+    sup = max_operator_norm(fld.values)
     norm_sq = max_operator_norm(x_factors) ** 2
 
     checks = bound_checks(claims.field(sup, coloring.color_count), field_residual=residual,

@@ -44,12 +44,10 @@ from .matcore import (
     KIND_GENERAL,
     CommutatorDecomposition,
     VerificationReport,
-    as_matrix,
     bound_checks,
     commutator,
     hermitian_eig,
     operator_norm,
-    require_block_layout,
 )
 from .selfcomm import tight_commutator_factors
 
@@ -188,8 +186,9 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
     NEUMANN_MAX_ITER steps if not before.  The commutators are
     (1/L)[v_ij*, v_ij y] over all blocks, and the remainder collects the
     last K block rows.  Every claim is measured in Q; the pairs and the
-    remainder are returned embedded in M_n, y is not.  ``x_norm``, when the
-    caller already holds ``operator_norm(x)``, saves taking it again.
+    remainder are returned embedded in M_n, y is not.  ``x`` is a complex
+    n x n array; ``x_norm``, when the caller already holds
+    ``operator_norm(x)``, saves taking it again.
 
     That x lies in her((a-eps)_+) is the caller's to check, as
     ``tower_iterate`` does: it checks z0, and each stage's
@@ -198,15 +197,14 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
     reconstruction claim measures norm(x - g x), the Neumann residual and
     norm(x - QQ*xQQ*), the part of x outside Q (exactly 0 on rank towers).
     """
-    xm = as_matrix(x, square=True, name="x")
     if x_norm is None:
-        x_norm = operator_norm(xm)
+        x_norm = operator_norm(x)
     q = np.linalg.qr(np.hstack([a_spec.g.basis, b_support.basis]))[0]
     qh = q.conj().T
     g, plus, b_local = (Support(basis=qh @ s.basis, values=s.values)
                         for s in (a_spec.g, a_spec.plus, b_support))
     v = cuntz_witness(ElementSpectrum(g=g, plus=plus), b_local, L, K)
-    xc = qh @ xm @ q
+    xc = qh @ x @ q
 
     def conjugated(y, rows):  # (1/L) sum of v_ij y v_ij* over the block rows i
         return sum((v[i][j] @ y @ v[i][j].conj().T for i in rows for j in range(L)),
@@ -225,7 +223,7 @@ def push_step(x, a_spec: ElementSpectrum, b_support: Support, L: int,
     pairs = [(v[i][j].conj().T / L, v[i][j] @ y) for i in range(L + K - 1) for j in range(L)]
     remainder = conjugated(y, range(L - 1, L + K - 1))
     recon = sum(commutator(c, d) for c, d in pairs) + remainder
-    recon_err = operator_norm(xc - recon) + operator_norm(xm - q @ xc @ qh)
+    recon_err = operator_norm(xc - recon) + operator_norm(x - q @ xc @ qh)
     rem_norm = operator_norm(remainder)
     worst_product = max(operator_norm(c) * operator_norm(d) for c, d in pairs)
     p_b = b_local.projection
@@ -403,32 +401,28 @@ class BlockSplitResult:
     report: VerificationReport
 
 
-def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
+def block_two_commutator_split(b, d: int, pairs, e) -> BlockSplitResult:
     """Split b in M_d(her) into b' = [S, E] plus b'' with commutator diagonal.
 
     Requires sum_i b_ii = sum_i [x_i, y_i].  S carries the partial sums
     s_i = sum_{j<=i}(b_jj - [x_j, y_j]) on the superdiagonal and E carries e
     on the subdiagonal, where e must act as a unit on every s_i; then
-    [S, E] is exactly the block diagonal of the defects.
+    [S, E] is exactly the block diagonal of the defects.  The complex
+    arrays are in ``require_block_layout``'s layout, as ``decode_input``
+    admits them.
     """
-    bm = as_matrix(b, square=True, name="b")
-    em = as_matrix(e, square=True, name="e")
-    xy = [(as_matrix(x, square=True, name="x"), as_matrix(y, square=True, name="y"))
-          for x, y in pairs]
-    d = int(n_blocks)
-    r = require_block_layout(bm.shape[0], d, xy, em)
-
-    b_norm = operator_norm(bm)
-    diag = [bm[i * r:(i + 1) * r, i * r:(i + 1) * r] for i in range(d)]
-    comms = [commutator(x, y) for x, y in xy]
+    r = b.shape[0] // d
+    b_norm = operator_norm(b)
+    diag = [b[i * r:(i + 1) * r, i * r:(i + 1) * r] for i in range(d)]
+    comms = [commutator(x, y) for x, y in pairs]
     defects = [diag[i] - comms[i] for i in range(d)]
     if d == 1:
         if operator_norm(defects[0]) > claims.one_block_limit(b_norm):
             raise InvalidInputError("with one block, b_11 must itself be [x_1, y_1]")
-        zero = np.zeros_like(bm)
+        zero = np.zeros_like(b)
         report = VerificationReport(bound_checks(claims.split(b_norm, d),
                                                  shift_reconstruction=0.0))
-        return BlockSplitResult(zero, zero.copy(), zero.copy(), bm.copy(), report)
+        return BlockSplitResult(zero, zero.copy(), zero.copy(), b.copy(), report)
     total = operator_norm(sum(defects))
     if total > claims.slack(1e-8, b_norm):
         raise InvalidInputError(
@@ -440,20 +434,18 @@ def block_two_commutator_split(b, n_blocks: int, pairs, e) -> BlockSplitResult:
         acc = acc + defects[i]
         partial.append(acc.copy())
     for i, s in enumerate(partial):
-        defect = max(operator_norm(em @ s - s), operator_norm(s @ em - s))
+        defect = max(operator_norm(e @ s - s), operator_norm(s @ e - s))
         if defect > claims.slack(1e-9, operator_norm(s)):
             raise InvalidInputError(f"e does not act as a unit on partial sum {i + 1}")
 
-    big = np.zeros_like(bm)
-    shift_upper = big.copy()
-    shift_lower = big.copy()
+    shift_upper, shift_lower = np.zeros_like(b), np.zeros_like(b)
     for i in range(d - 1):
         shift_upper[i * r:(i + 1) * r, (i + 1) * r:(i + 2) * r] = partial[i]
-        shift_lower[(i + 1) * r:(i + 2) * r, i * r:(i + 1) * r] = em
-    diag_part = np.zeros_like(bm)
+        shift_lower[(i + 1) * r:(i + 2) * r, i * r:(i + 1) * r] = e
+    diag_part = np.zeros_like(b)
     for i in range(d):
         diag_part[i * r:(i + 1) * r, i * r:(i + 1) * r] = defects[i]
-    rest = bm - diag_part
+    rest = b - diag_part
 
     recon_err = operator_norm(commutator(shift_upper, shift_lower) - diag_part)
     rest_diag_err = max(

@@ -3,6 +3,7 @@ rejects tampered ones and wrong constructions, and runs no constructor."""
 import ast
 import copy
 import pathlib
+import re
 import sys
 
 import jsonschema
@@ -193,7 +194,11 @@ def _changed_leaf(value):
 
 
 def _result_path(path):
-    return "$.result" + "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path)
+    """jsonschema's json_path of a path inside the result: a name as .key,
+    any other key as ['key'] (no key here holds a quote or a backslash)."""
+    return "$.result" + "".join(
+        f"[{p}]" if type(p) is int else f".{p}" if re.match("^[a-zA-Z][a-zA-Z0-9_]*$", p)
+        else f"['{p}']" for p in path)
 
 
 def _exact_outputs():
@@ -374,7 +379,7 @@ def test_verify_means_the_refined_field_by_itself(monkeypatch):
     # a wrong refinement that the command's report cannot see: the factors
     # decompose the values it emits, so only a mean of verify's own finds it
     assert _skewed_refinement_mismatches(monkeypatch, sample_field_doc())[0] == \
-        "$.result.field.values[\"11\"]: differs from the refined input's value"
+        "$.result.field.values['11']: differs from the refined input's value"
 
 
 def test_verify_means_a_tiny_refined_field_by_itself(monkeypatch):
@@ -385,7 +390,7 @@ def test_verify_means_a_tiny_refined_field_by_itself(monkeypatch):
         value["entries"] = [[[1e-20 * part for part in z] for z in row]
                             for row in value["entries"]]
     assert _skewed_refinement_mismatches(monkeypatch, field)[0] == \
-        "$.result.field.values[\"11\"]: differs from the refined input's value"
+        "$.result.field.values['11']: differs from the refined input's value"
 
 
 CONSTRUCTORS = ("self_commutator_decompose", "self_commutator_factors",

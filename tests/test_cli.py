@@ -1092,13 +1092,17 @@ class TestHostileInput:
          "tower mixes rank and matrix blocks: tower.blocks[1] has no entries"),
         ([{"rank": 2, "n": 2, "entries": [[[0, 0], [1]], [[0, 0], [0, 0]]]},
           matrix_to_json(np.eye(2))],
-         "tower.blocks[0]: entry (0,1) is not an [re, im] pair"),
+         "tower.blocks[0] has both a rank and entries: a block is a rank or a matrix"),
         ([matrix_to_json(np.eye(2)), {"rank": 1, "entries": []}],
-         "tower.blocks[1]: malformed matrix document"),
-    ], ids=["rank-first", "rank-between", "junk-entries", "no-n"])
+         "tower.blocks[1] has both a rank and entries: a block is a rank or a matrix"),
+        ([{"rank": 1, "entries": "junk"}, {"rank": 1}],
+         "tower.blocks[0] has both a rank and entries: a block is a rank or a matrix"),
+    ], ids=["rank-first", "rank-between", "junk-entries", "no-n", "all-rank"])
     def test_a_tower_block_that_decodes_to_no_matrix_is_named(self, blocks, error):
-        assert run_cmd("fack-run", {"tower": {"blocks": blocks}})[:2] == (
-            2, {"error": error, "path": "stdin"})
+        doc = {"tower": {"blocks": blocks}, "depth": 0}
+        assert run_cmd("fack-run", doc)[:2] == (2, {"error": error, "path": "stdin"})
+        echo = {"command": "fack-run", "parameters": {}, "input": doc, "result": {}, "report": {}}
+        assert run_cmd("verify", echo)[:2] == (2, {"error": error, "path": "stdin"})
 
     # Each input is refused once, by the schema or by decode_input; its path
     # is a JSON path inside the input, or None for a decoder's error.
@@ -1440,15 +1444,20 @@ class TestHostileInput:
             "$.report.bound_checks[1].name: unknown bound name 'norm_of_nothing'",
             "$.report.bound_checks: no check of norm_sq_over_norm_a"]
 
-    @pytest.mark.parametrize("key", ["0", "1,1", "99", "2,1", "", "x", "1,"])
-    def test_verify_of_an_euler_class_key_outside_the_ring_exits_1(self, key):
+    # a key is written as jsonschema's json_path writes it: .key for a name,
+    # else ['key'], so the empty key and a key that holds "." read plainly
+    @pytest.mark.parametrize("key, path", [
+        ("0", "['0']"), ("1,1", "['1,1']"), ("99", "['99']"), ("2,1", "['2,1']"), ("", "['']"),
+        ("x", ".x"), ("1,", "['1,']"), ("1.2", "['1.2']"), ("a'\\", "['a\\'\\\\']"),
+    ])
+    def test_verify_of_an_euler_class_key_outside_the_ring_exits_1(self, key, path):
         # the class is 2 a_1 a_2: any other key, the unit "" too, is extra
         _, out, _ = run_cmd("obstruct", {"q": {"variables": 2, "summands": [[1, 1]]}, "n": 2})
         out["result"]["euler_class"][key] = 1
         code, vdoc, _ = run_cmd("verify", out)
         assert code == 1
         assert vdoc["result"]["mismatches"] == [
-            f"$.result.euler_class.{key}: is not part of this result"]
+            f"$.result.euler_class{path}: is not part of this result"]
 
     def test_verify_of_an_euler_class_term_with_coefficient_0_exits_1(self):
         # an exact result is compared whole: a zero term is still an extra key
@@ -1456,7 +1465,8 @@ class TestHostileInput:
         out["result"]["euler_class"]["1"] = 0
         code, vdoc, _ = run_cmd("verify", out)
         assert code == 1
-        assert vdoc["result"]["mismatches"] == ["$.result.euler_class.1: is not part of this result"]
+        assert vdoc["result"]["mismatches"] == [
+            "$.result.euler_class['1']: is not part of this result"]
 
     def test_verify_of_an_int_in_the_bott_field_exits_1(self):
         _, out, _ = run_cmd("pp-example", {"m": 1})
@@ -1466,7 +1476,7 @@ class TestHostileInput:
         code, vdoc, _ = run_cmd("verify", out)
         assert code == 1
         assert vdoc["result"]["mismatches"] == [
-            "$.result.field.values.0.entries[0][0][0]: 1, expected 1.0"]
+            "$.result.field.values['0'].entries[0][0][0]: 1, expected 1.0"]
 
     def test_verify_of_a_bundle_over_the_product_budget_exits_2_at_once(self):
         q = {"variables": 24, "summands": [[2 if i == j else 1 for i in range(24)]
@@ -1645,12 +1655,13 @@ class TestSchemaErrorParity:
         assert code == 2
         assert out == {"error": info.value.message, "path": "$.input" + info.value.json_path[1:]}
 
-    def test_rank_block_with_junk_entries_is_accepted(self):
+    def test_rank_block_with_junk_entries_passes_the_schema_and_exits_2(self):
         doc = sample_tower_doc()
         doc["tower"]["blocks"] = [{"rank": 3, "entries": [["junk"]]}] + [{"rank": 3}] * 3
         jsonschema.validate(doc, INPUT_SCHEMAS["fack-run"])
-        code, _, _ = run_cmd("fack-run", doc, "--seed", "9")
-        assert code == 0
+        assert run_cmd("fack-run", doc, "--seed", "9")[:2] == (2, {
+            "error": "tower.blocks[0] has both a rank and entries: a block is a rank or a matrix",
+            "path": "stdin"})
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -2093,8 +2104,13 @@ class TestConfig:
             RunConfig(command="decompose", tol=-1.0)
 
     def test_unknown_command(self):
-        with pytest.raises(Exception):
-            RunConfig(command="nope")
+        # argparse's choices refuse it on the command line, and verify refuses
+        # a document of it
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["nope"])
+        assert exc.value.code == 2
+        assert run_cmd("verify", {"command": "nope", "parameters": {}, "input": {}})[:2] == (
+            2, {"error": "cannot verify output of command 'nope'", "path": "stdin"})
 
     @pytest.mark.parametrize("flag, error", [
         ("--seed", "seed must fit in 64 bits"),

@@ -68,10 +68,6 @@ class TestRing:
     def test_degree_exceeds_variables(self):
         assert power(linear([1, 1, 1]), 4).is_zero()
 
-    def test_variable_count_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            sqfree_mul(SquareFreeClass.one(2), SquareFreeClass.one(3))
-
     def test_ring_axioms_random(self):
         rng = random.Random(7)
         for trial in range(10_000):
@@ -365,8 +361,6 @@ class TestObstructionCertificate:
 
     def test_summand_cap_is_one_rule_and_its_check_builds_no_sum(self, monkeypatch):
         q = {"variables": 1, "summands": [[1], [2]]}
-        with pytest.raises(InvalidInputError, match="need at least one copy"):
-            obstruction_certificate(BundleExpr.from_json(q), 0)
         with pytest.raises(InvalidInputError, match="exceed a million summands"):
             obstruction_certificate(BundleExpr.from_json(q), 500_001)
         monkeypatch.setattr(BundleExpr, "repeated",
@@ -391,10 +385,6 @@ class TestPPExample:
         assert ex.certificate.verdict
         assert ex.certificate.euler_class == SquareFreeClass(3, {monomial(1, 2, 3): 6})
         assert ex.field is None
-
-    def test_m_zero_rejected(self):
-        with pytest.raises(InvalidInputError):
-            pp_example(0)
 
 
 class TestVilladsenTower:
@@ -425,8 +415,6 @@ class TestVilladsenTower:
                     assert first["exponent"] == first["block_variables"]
 
     def test_caps(self):
-        with pytest.raises(InvalidInputError):
-            villadsen_tower(0)
         with pytest.raises(InvalidInputError):
             villadsen_tower(4)
 

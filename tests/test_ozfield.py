@@ -306,7 +306,7 @@ _FACES = sorted((face for r in range(1, 5) for face in itertools.combinations(ra
                 min_size=32, max_size=32))
 def test_face_means_are_finite_and_within_a_few_ulps_of_the_exact_means(parts):
     # every entry, also where the plain sum of the values would overflow
-    values = list(np.array(parts).view(complex).reshape(4, 2, 2))
+    values = np.array(parts).view(complex).reshape(4, 2, 2)
     means = face_means(values, _FACES)
     for face, mean in zip(_FACES, means):
         assert np.isfinite(mean).all()
@@ -524,3 +524,20 @@ def test_mesh_refinement_script_prints_its_table():
     coarse, fine = (float(row[1]) for row in rows)
     assert fine == pytest.approx(circle_refinement_residual(16), rel=1e-6)
     assert float(rows[1][2]) == pytest.approx(fine / coarse, abs=1e-3)
+
+
+def test_a_field_holds_its_values_as_one_read_only_stack():
+    values = [SZ, 2 * SZ, SX]
+    fld = make_field(SimplicialComplex.make(3, [(0, 1), (1, 2)]), values)
+    assert fld.values.shape == (3, 2, 2) and fld.values.dtype == complex
+    assert not fld.values.flags.writeable
+    assert not any(np.shares_memory(fld.values, v) for v in values)  # copied once
+    np.testing.assert_array_equal(fld.values, np.stack(values))
+    sub = barycentric_subdivide(fld.complex)
+    assert not subdivide_field(fld, sub).values.flags.writeable
+
+
+def test_a_non_finite_value_is_named_by_its_first_vertex():
+    bad = [SZ, np.full((2, 2), np.nan), np.full((2, 2), np.inf)]
+    with pytest.raises(InvalidInputError, match=r"^value at vertex 1 has non-finite entries$"):
+        make_field(SimplicialComplex.make(3, [(0, 1), (1, 2)]), bad)
