@@ -65,10 +65,10 @@ def stage(x_norm: float, remainder_norm: float, K: int, count: int) -> dict:
 
 
 def tower(z_norm: float, delta: float | None, count_bound: int) -> dict:
-    """``fack-run``, ``delta`` being delta_depth: None at depth 0."""
-    residual = {} if delta is None else {"residual_norm": (delta, slack(1e-12, z_norm), z_norm)}
-    return {"reconstruction_residual": (slack(1e-8, z_norm), 0.0, z_norm), **residual,
-            "commutator_count": (float(count_bound), 0.0, 1.0)}
+    """``fack-run``, ``delta`` being delta_depth: None at depth 0.  The
+    residual is norm(z0 - sum [x_k, y_k]), measured on the factors."""
+    residual = {} if delta is None else {"residual_norm": (delta, slack(1e-8, z_norm), z_norm)}
+    return {**residual, "commutator_count": (float(count_bound), 0.0, 1.0)}
 
 
 def split(b_norm: float, blocks: int) -> dict:

@@ -32,7 +32,8 @@ stdout, its path the --out path).  The exit code of a full document is
 read off it by ``jsonio.implied_exit_code``, the rule ``verify`` reports
 as its ``inner_exit_code``.  Each fact of a document is stated once, in its
 report or in its result, but for a fack-run's ``result.residual_norm``,
-which its ``residual_norm`` claim measures.  A report is its bound checks
+norm(z0 - sum [x, y]) of its factors, which its ``residual_norm`` claim
+measures and ``verify`` measures again.  A report is its bound checks
 and ``all_passed``: a residual norm or a factor count is the measured
 value of a claim, and a fack-run's depth is its number of stages.  A
 trace is no invalid input: the decompositions leave (tr a/n)*1, which

@@ -247,9 +247,6 @@ class BundleExpr:
             raise InvalidInputError("repeated bundle would exceed a million summands")
         return n
 
-    def repeated(self, n: int) -> "BundleExpr":
-        return BundleExpr(self.variable_count, self.summands * self.require_copies(n))
-
     def trivialization_rank(self) -> int:
         """An n with [bundle] <= n [trivial line]: sum over summands of
         2^(l1 norm of the degree vector)."""
@@ -264,13 +261,15 @@ class BundleExpr:
         return cls.make(doc["variables"], doc["summands"])
 
 
-def euler_class(bundle: BundleExpr) -> SquareFreeClass:
-    """Product over summands of their degree linear forms, in the quotient ring.
+def euler_class(bundle: BundleExpr, copies: int = 1) -> SquareFreeClass:
+    """Product over the summands of ``copies`` copies of ``bundle`` of their
+    degree linear forms, in the quotient ring.
 
-    Equal summands form one linear_power; the running class stays in
-    sqfree_mul's arrays, and its dict is built once, when first read."""
+    Equal summands form one linear_power, their count times ``copies``, so
+    the n-fold sum is never built; the running class stays in sqfree_mul's
+    arrays, and its dict is built once, when first read."""
     m = bundle.variable_count
-    groups = sorted(Counter(bundle.summands).items())
+    groups = sorted((vec, count * copies) for vec, count in Counter(bundle.summands).items())
     require_product_budget(groups)
     out = SquareFreeClass.one(m)
     for vec, count in groups:
@@ -336,7 +335,7 @@ def obstruction_certificate(q: BundleExpr, n: int) -> ObstructionCertificate:
     A unit below n[q] would embed a trivial line into the n-fold sum, giving
     a nowhere-vanishing section; e(q^(+n)) != 0 rules that out.
     """
-    cls = euler_class(q.repeated(n))
+    cls = euler_class(q, n)
     digits = sys.get_int_max_str_digits()  # 0: no limit
     limit = 10 ** digits
     if digits and any(abs(c) >= limit for c in cls.coefficients.values()):
@@ -397,8 +396,8 @@ def pp_example(m: int) -> PPExample:
     """The tensor-power line bundle over (S^2)^m whose m-fold sum has Euler
     class m! * a_1...a_m != 0, so diag(unit, -p) stays at distance >= 1 from
     sums of m self-commutators.  For m = 1 a concrete field over the
-    octahedral sphere is attached for inspection."""
-    require_pp_example_m(m)
+    octahedral sphere is attached for inspection.  ``m`` is at most
+    PP_EXAMPLE_M_LIMIT, as ``decode_input`` admits it."""
     p = BundleExpr.line((1,) * m)
     cert = obstruction_certificate(p, m)
     description = {
@@ -459,9 +458,9 @@ def villadsen_tower(m_max: int) -> TowerSpec:
     smallest block size that keeps every later certificate nonvanishing.
     The stage-(m, n) certificate checks m * M_m * l_j <= k_j for each block
     j = m+1..m+n, which is exactly when the block's linear form survives the
-    required power.
+    required power.  ``m_max`` is at most VILLADSEN_MMAX_LIMIT, as
+    ``decode_input`` admits it.
     """
-    require_tower_m_max(m_max)
     k = [1]
     l = [1]
     big_m = [2]  # l_1 * 2^(k_1)
@@ -520,7 +519,7 @@ def distance_lower_bound_cert(p: BundleExpr, q: BundleExpr, n: int,
         return ObstructionCertificate(
             kind="distance_lower_bound", params=params, euler_class=None,
             verdict=False, failed_hypothesis="p_below_n_times_unit")
-    cls = euler_class(q.repeated(n * m))
+    cls = euler_class(q, n * m)
     if cls.is_zero():
         return ObstructionCertificate(
             kind="distance_lower_bound", params=params, euler_class=cls,

@@ -216,7 +216,7 @@ _BODIES = {
         _obj(color=INTEGER, entries=_list(_obj(vertex=INTEGER, x=MATRIX))))), _report()),
     "fack-run": (_obj(**_factors("general_commutators", "x", "y"), residual_norm=NUMBER,
                       tower_report=_obj(stage_checks=_list(_list(BOUND_CHECK)),
-                                        family_sizes=_list(INTEGER), all_passed=BOOLEAN)),
+                                        all_passed=BOOLEAN)),
                  _report()),
     "block-split": (_obj(shift_upper=MATRIX, shift_lower=MATRIX, rest=MATRIX,
                          diag_part_norm=NUMBER), _report()),

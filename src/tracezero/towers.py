@@ -29,7 +29,8 @@ raises on nothing it builds, nor re-checks that x lies in her((a-eps)_+):
 claim covers the next stage's input.  The collapse is a plain sum.  Its
 precondition, orthogonal blocks, is checked once, by ``TowerModel`` on the
 input, and the merged factors are measured by ``tower_iterate``'s
-reconstruction claim, which ``verify`` measures again.
+``residual_norm`` claim, norm(z0 - sum [x_k, y_k]), which ``verify``
+measures again from the written factors.
 """
 from __future__ import annotations
 
@@ -287,23 +288,20 @@ class TowerModel:
 @dataclass
 class TowerRunReport:
     stage_checks: list  # one list of BoundCheck per push step
-    family_sizes: list
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for checks in self.stage_checks for c in checks)
 
     def to_json(self) -> dict:
-        return {
-            "stage_checks": [[c.to_json() for c in checks] for checks in self.stage_checks],
-            "family_sizes": self.family_sizes,
-            "all_passed": self.all_passed,
-        }
+        return {"stage_checks": [[c.to_json() for c in checks] for checks in self.stage_checks],
+                "all_passed": self.all_passed}
 
 
 @dataclass
 class TowerDecomposition(CommutatorDecomposition):
-    """z0 = sum of commutators + ``residual``, of norm ``residual_norm``."""
+    """z0 = sum of commutators + ``residual``, of norm ``residual_norm``:
+    ``residual`` is z0 - sum [x_k, y_k], measured on the factors."""
 
     residual: np.ndarray
     residual_norm: float
@@ -323,8 +321,8 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     trace-zero Hermitian matrix of the tower's size and ``depth`` lies in
     [0, T], as ``TowerInput`` admits them.
     Returns (``TowerDecomposition``, run report); the decomposition's
-    report measures the reconstruction, the residual against delta_depth
-    and the count.
+    report measures norm(z0 - sum [x_k, y_k]) against delta_depth (at
+    depth >= 1) and the count.
     """
     inp = tower.input
     z_norm = operator_norm(z0)
@@ -333,23 +331,19 @@ def tower_iterate(z0, tower: TowerModel, depth: int):
     if outside > claims.z0_outside_limit(z_norm):
         raise InvalidInputError("z0 is not supported in her((e_0 - eps_0)_+)")
 
-    if depth == 0:
-        factors, residual, run = [], z0.copy(), TowerRunReport([], family_sizes=[0, 0])
-    else:
-        factors, residual, run = _descend(z0, z_norm, tower, depth)
+    factors, run = _descend(z0, z_norm, tower, depth) if depth else ([], TowerRunReport([]))
+    residual = z0 - sum((commutator(c, d) for c, d in factors), np.zeros_like(z0))
     residual_norm = operator_norm(residual) if depth else z_norm
-    unexplained = z0 - sum((commutator(c, d) for c, d in factors), np.zeros_like(z0))
     spec = claims.tower(z_norm, inp.deltas[depth - 1] if depth else None, inp.count_bound)
     report = VerificationReport(bound_checks(
-        spec, reconstruction_residual=operator_norm(unexplained - residual),
-        residual_norm=residual_norm, commutator_count=float(len(factors))))
+        spec, residual_norm=residual_norm, commutator_count=float(len(factors))))
     return TowerDecomposition(kind=KIND_GENERAL, factors=factors, report=report,
                               residual=residual, residual_norm=residual_norm), run
 
 
 def _descend(z0, z_norm: float, tower: TowerModel, depth: int):
     """``tower_iterate``'s push steps, in-block finish and collapse, for
-    depth >= 1: returns (factors, residual, run report)."""
+    depth >= 1: returns (factors, run report)."""
     stage_pairs, stage_checks = [], []
     z, x_norm = z0, z_norm
     for t in range(1, depth + 1):
@@ -368,18 +362,15 @@ def _descend(z0, z_norm: float, tower: TowerModel, depth: int):
     z_small = (z_small + z_small.conj().T) / 2.0
     x_small, y_small, _ = tight_commutator_factors(z_small)
     inblock_pair = (q @ x_small @ q.conj().T, q @ y_small @ q.conj().T)
-    residual = z - commutator(*inblock_pair)
 
     # stage t sits at index t - 1 and the in-block pair at index depth
     stages = stage_pairs + [[inblock_pair]]
-    factors, family_sizes = [], []
+    factors = []
     for items in (stages[0::2], stages[1::2]):  # odd stages, even stages
-        slots = max((len(item) for item in items), default=0)
-        family_sizes.append(slots)
-        for k in range(slots):
+        for k in range(max((len(item) for item in items), default=0)):
             factors.append(collapse([item[k] for item in items if k < len(item)]))
 
-    return factors, residual, TowerRunReport(stage_checks, family_sizes)
+    return factors, TowerRunReport(stage_checks)
 
 
 def collapse(pairs):

@@ -1,16 +1,16 @@
-"""Shared test helpers: running the scripts, the input document of a field, a
-seeded random unitary, the decoded fack-run input of a tower, the dense
-reference of the rank-comparison witness, the Bott bundle, the support of a
-PSD matrix from its own eigendecomposition and the matrix of a support, small
-complexes, a field's value at barycentric weights, the barycentric lattice,
-lattice sampling and hat-function extension of fields, the lattice residual of
-a field decomposition against any target, the smooth-target mesh refinement
-checks, the bitmask keys and frozenset reference of the square-free ring, the
-orthogonality oracle of the tower collapse and a recorder of the slots it
-sums, the list-scan references of the two visiting orders, the per-matrix
-reference of the stacked self-commutator pass, the per-simplex lattice
-reference of the field residual, and the reconstruction error of a
-decomposition measured apart from its report."""
+"""Shared test helpers: a child process's environment, running the scripts,
+the input document of a field, a seeded random unitary, the decoded fack-run
+input of a tower, the dense reference of the rank-comparison witness, the Bott
+bundle, the support of a PSD matrix from its own eigendecomposition and the
+matrix of a support, small complexes, a field's value at barycentric weights,
+the barycentric lattice, lattice sampling and hat-function extension of
+fields, the lattice residual of a field decomposition against any target, the
+smooth-target mesh refinement checks, the bitmask keys and frozenset reference
+of the square-free ring, the orthogonality oracle of the tower collapse and a
+recorder of the slots it sums, the list-scan references of the two visiting
+orders, the per-matrix reference of the stacked self-commutator pass, the
+per-simplex lattice reference of the field residual, and the reconstruction
+error of a decomposition measured apart from its report."""
 
 import itertools
 import math
@@ -46,12 +46,17 @@ SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 LATTICE_ORDER = 8  # of the reference lattice on which field residuals are sampled
 
 
+def src_env() -> dict:
+    """The environment of a child process with this checkout's src/ first on
+    its path: pytest.ini's ``pythonpath`` reaches only the test process."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_script(name: str, *args: str) -> str:
     """stdout of scripts/<name> run with this checkout's src/ on the path."""
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / name), *args],
-        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / name), *args],
+                          capture_output=True, text=True, check=True, env=src_env())
     return proc.stdout
 
 
@@ -398,10 +403,11 @@ def measured(report, name: str) -> float:
 
 
 def reconstruction_error(a, dec) -> float:
-    """norm(a - sum of commutators - residual) of a decomposition, measured
-    here from its matrices: [x*, x] for a single factor x, [x, y] for a pair;
-    only a tower's decomposition has a residual."""
-    total = np.array(getattr(dec, "residual", np.zeros_like(a)), dtype=complex)
+    """norm(a - sum of commutators) of a decomposition, measured here from its
+    factors: [x*, x] for a single factor x, [x, y] for a pair.  A tower's
+    ``residual`` is left out: it is z0 - sum [x_k, y_k] by definition, so
+    subtracting it would measure nothing."""
+    total = np.zeros_like(a, dtype=complex)
     for f in dec.factors:
         total = total + (commutator(f.conj().T, f) if dec.kind == "self_commutators"
                          else commutator(*f))

@@ -28,7 +28,7 @@ from tracezero import claims
 from tracezero.certcheck import barycentric_refinement, euler_class_by_forms
 from tracezero.claims import norm_ratio
 from tracezero.errors import InvalidInputError
-from tracezero.jsonio import implied_exit_code, matrix_to_json
+from tracezero.jsonio import implied_exit_code, matrix_from_json, matrix_to_json
 from tracezero.matcore import (
     BoundCheck,
     CommutatorDecomposition,
@@ -612,6 +612,73 @@ def test_rotated_tower_z0_outside_block_0_is_rejected():
                for m in result["mismatches"])
 
 
+def _fack_run_output():
+    """The ALL_RUNS fack-run output: depth 3, L = K = M = 1, delta_3 = 1/8."""
+    code, doc, _ = run_cmd("fack-run", sample_tower_doc(), "--seed", "9")
+    assert code == 0
+    return doc
+
+
+def test_a_tampered_result_residual_norm_fails_where_it_is_written():
+    doc = _fack_run_output()
+    measured = doc["result"]["residual_norm"]
+    doc["result"]["residual_norm"] = 0.0625
+    assert verify(doc) == (1, {"verified": False, "inner_exit_code": 0, "mismatches": [
+        f"$.result.residual_norm: reported 0.0625 but norm(z0 - sum [x, y]) is {measured!r}"]})
+
+
+def test_a_factor_off_by_more_than_delta_fails_the_residual_claim():
+    # the report and result.residual_norm are left as written: verify measures
+    # norm(z0 - sum [x, y]) on the factors themselves
+    doc = _fack_run_output()
+    x = doc["result"]["factors"][0]["x"]
+    x["entries"] = (2.0 * np.array(x["entries"])).tolist()
+    code, result = verify(doc)
+    assert code == 1
+    check = doc["report"]["bound_checks"][0]
+    assert check["name"] == "residual_norm"
+    z0 = matrix_from_json(doc["input"]["z0"])
+    total = sum(commutator(matrix_from_json(f["x"]), matrix_from_json(f["y"]))
+                for f in doc["result"]["factors"])
+    residual = operator_norm(z0 - total)
+    assert residual > check["claimed_bound"] + check["tolerance"]
+    assert result["mismatches"] == [
+        f"$.report.bound_checks[0].measured_value: residual_norm: reported "
+        f"{check['measured_value']!r} but re-measured {residual!r}",
+        f"$.report.bound_checks[0]: residual_norm: re-measured {residual!r} exceeds claimed "
+        f"bound {check['claimed_bound']!r}",
+        f"$.result.residual_norm: reported {doc['result']['residual_norm']!r} but "
+        f"norm(z0 - sum [x, y]) is {residual!r}"]
+
+
+def _with_a_reconstruction_claim(doc):
+    """A copy of the ALL_RUNS fack-run output ``doc`` in the format written
+    while the residual claim measured norm(z0 - sum - R), for an in-block
+    remainder R that the document does not carry: a ``reconstruction_residual``
+    check first, of bound slack(1e-8, norm(z0)) and measured 0.0 on this run,
+    a residual tolerance of slack(1e-12, norm(z0)), and the tower report's
+    ``family_sizes``, one collapsed pair each of the odd and the even stages."""
+    doc = copy.deepcopy(doc)
+    z_norm = operator_norm(matrix_from_json(doc["input"]["z0"]))
+    checks = doc["report"]["bound_checks"]
+    checks[0]["tolerance"] = claims.slack(1e-12, z_norm)
+    checks.insert(0, {"name": "reconstruction_residual", "measured_value": 0.0,
+                      "claimed_bound": claims.slack(1e-8, z_norm), "tolerance": 0.0,
+                      "passed": True})
+    doc["result"]["tower_report"]["family_sizes"] = [1, 1]
+    return doc
+
+
+def test_a_document_with_the_reconstruction_claim_no_longer_verifies():
+    doc = _with_a_reconstruction_claim(_fack_run_output())
+    assert len(doc["result"]["factors"]) == 2
+    z_norm = operator_norm(matrix_from_json(doc["input"]["z0"]))
+    assert verify(doc) == (1, {"verified": False, "inner_exit_code": 0, "mismatches": [
+        "$.report.bound_checks[0].name: unknown bound name 'reconstruction_residual'",
+        f"$.report.bound_checks[1].tolerance: residual_norm: tolerance "
+        f"{claims.slack(1e-12, z_norm)!r} differs from {claims.slack(1e-8, z_norm)!r}"]})
+
+
 def test_implied_exit_code():
     assert implied_exit_code({"command": "tower", "report": {"all_passed": True}}) == 0
     assert implied_exit_code({"command": "tower", "report": {"all_passed": 1}}) == 1
@@ -646,16 +713,15 @@ def _as_written_before(doc):
     ``verify`` does not read, each a restatement of another fact or a norm
     the document gives: the claimed bounds as ``result.bounds``, a single
     commutator's ``result.residual_norm`` of 0.0, a fack-run's
-    ``tower_report.inblock_residual`` (its result's ``residual_norm``) and
-    ``result.depth`` (its count of stages), a field's ``color_count``, and a
-    report's ``commutator_count`` (its count of factors) and
-    ``residual_norm``, norm(input - sum of commutators).  That norm is the
-    first claim's measured value, except in a fack-run, where it differs
-    from the result's ``residual_norm`` within the reconstruction claim and
-    is set here to that."""
+    ``tower_report.inblock_residual`` and ``result.depth`` (its count of
+    stages), a field's ``color_count``, and a report's ``commutator_count``
+    (its count of factors) and ``residual_norm``.  Each residual norm is
+    norm(input - sum of commutators): a fack-run's ``result.residual_norm``,
+    else the first claim's measured value."""
     doc = copy.deepcopy(doc)
     result, report = doc["result"], doc["report"]
-    report["residual_norm"] = report["bound_checks"][0]["measured_value"]
+    report["residual_norm"] = result.get("residual_norm",
+                                         report["bound_checks"][0]["measured_value"])
     report["commutator_count"] = len(result["factors"])
     if doc["command"] in ("decompose", "decompose-tight", "fack-run"):
         result["bounds"] = {c["name"]: c["claimed_bound"] for c in report["bound_checks"]}
@@ -663,7 +729,6 @@ def _as_written_before(doc):
         result["residual_norm"] = 0.0
     if doc["command"] == "fack-run":
         result["tower_report"]["inblock_residual"] = result["residual_norm"]
-        report["residual_norm"] = result["residual_norm"]
         result["depth"] = len(result["tower_report"]["stage_checks"])
     if doc["command"] == "decompose-field":
         result["color_count"] = max(result["coloring"]) + 1
@@ -711,8 +776,8 @@ MALFORMED = [
      ["$.result.factors[0].entries[0].vertex: 0.0 is not a 'int64'"]),
     ("decompose-field", lambda d: _set(d, ("result", "coloring", 0), 0.0),
      ["$.result.coloring[0]: 0.0 is not a 'int64'"]),
-    ("fack-run", lambda d: _set(d, ("result", "tower_report", "family_sizes", 0), 1.0),
-     ["$.result.tower_report.family_sizes[0]: 1.0 is not a 'int64'"]),
+    ("fack-run", lambda d: _set(d, ("result", "residual_norm"), "small"),
+     ["$.result.residual_norm: 'small' is not of type 'number'"]),
     # an emitted field of another matrix size than the input's
     ("decompose-field", lambda d: d["result"]["field"].update(
         n=3, values=dict.fromkeys(d["result"]["field"]["values"], matrix_to_json(np.eye(3)))),

@@ -25,6 +25,7 @@ from helpers import (
     random_unitary,
     record_collapse,
     run_script,
+    src_env,
 )
 from tracezero import claims, schemas
 from tracezero.cli import RunConfig, build_parser, encode, main, run_from_args
@@ -573,9 +574,10 @@ class TestCommands:
                     hermitian_eig(stack[first.index])
                 assert str(alone.value) == str(first)
 
-    def test_fack_run_measures_a_wrong_collapse_by_its_reconstruction_claim(self, monkeypatch):
+    def test_fack_run_measures_a_wrong_collapse_by_its_residual_claim(self, monkeypatch):
         # the collapse does not check that the merged pair reproduces the sum:
-        # tower_iterate's reconstruction claim measures it, and verify again
+        # tower_iterate's residual claim, norm(z0 - sum [x, y]), measures it,
+        # and verify again
         collapse = tracezero.towers.collapse
 
         def perturbed(pairs):
@@ -587,9 +589,9 @@ class TestCommands:
         code, out_doc, _ = run_cmd("fack-run", doc, "--seed", "4")
         assert code == 1
         residual = out_doc["report"]["bound_checks"][0]
-        assert residual["name"] == "reconstruction_residual"
+        assert residual["name"] == "residual_norm"
         assert residual["passed"] is False
-        assert residual["measured_value"] > 1e-3
+        assert residual["measured_value"] > residual["claimed_bound"]
         monkeypatch.undo()
         vcode, vdoc, _ = run_cmd("verify", out_doc)
         assert vcode == 1
@@ -801,7 +803,7 @@ _CORRUPTED_EIG_RUNS = [
     ("decompose-field", sample_field_doc, ("--refine", "1"), "field_residual"),
     ("fack-run", sample_tower_doc, ("--seed", "9"), "residual_norm"),
     ("fack-run", lambda: _rotated_tower_doc(np.repeat(np.eye(4), 2, axis=1)), ("--seed", "6"),
-     "reconstruction_residual"),
+     "residual_norm"),
 ]
 
 _CAPPED_TOWER = {"tower": {"blocks": [{"rank": 2}] * 3, "L": 2, "K": 1, "M": 1}, "depth": 2}
@@ -1119,6 +1121,8 @@ class TestHostileInput:
          "0 is less than the minimum of 1", ".n"),
         ("pp-example", lambda: {"m": 0}, "0 is less than the minimum of 1", ".m"),
         ("tower", lambda: {"m_max": 0}, "0 is less than the minimum of 1", ".m_max"),
+        ("tower", lambda: {"m_max": 4}, "m_max is capped at 3: stage-5 sizes have "
+         "2^(k_4) ~ 10^120000000 and cannot be emitted", None),
         ("decompose-field", lambda: {"complex": {"vertices": 3, "simplices": [[0, 1], [1, 2]]},
                                      "n": 2, "values": {"0": matrix_to_json(SZ),
                                                         "2": matrix_to_json(SZ)}},
@@ -1126,7 +1130,7 @@ class TestHostileInput:
         ("block-split", _short_block_split_doc, "need one (x, y) pair per diagonal block", None),
         ("fack-run", _ragged_tower_doc, "[0] is too short", ".tower.blocks[1].entries[0][1]"),
     ], ids=["no-vertices", "no-simplices", "no-summands", "no-copies", "pp-m-0",
-            "tower-m-max-0", "missing-value", "too-few-pairs", "ragged-pair"])
+            "tower-m-max-0", "tower-m-max-4", "missing-value", "too-few-pairs", "ragged-pair"])
     def test_an_input_rule_is_checked_once_for_the_command_and_verify(
             self, command, make, error, path):
         doc = make()
@@ -2010,13 +2014,14 @@ class TestVerifyDigest:
         _, _, text = run_cmd("decompose", matrix_to_json(SZ))
         data = text.replace("\n", "\r\n").encode("utf-8")
         proc = subprocess.run([sys.executable, "-m", "tracezero", "verify"], input=data,
-                              capture_output=True, cwd=REPO)
+                              capture_output=True, cwd=REPO, env=src_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["input"] == {"command": "decompose", **_digest(data)}
 
     def test_stdin_that_is_not_utf8_exits_2(self):
         proc = subprocess.run([sys.executable, "-m", "tracezero", "verify"],
-                              input=b'{"command": "\xff"}', capture_output=True, cwd=REPO)
+                              input=b'{"command": "\xff"}', capture_output=True, cwd=REPO,
+                              env=src_env())
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"].startswith("cannot read input: ")
 
@@ -2050,7 +2055,7 @@ class TestEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-m", "tracezero.cli", "decompose"],
             input=json.dumps(matrix_to_json(SZ)), text=True,
-            capture_output=True, cwd=REPO)
+            capture_output=True, cwd=REPO, env=src_env())
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["report"]["all_passed"]

@@ -146,7 +146,7 @@ class TestEulerClass:
         assert euler_class(bott_bundle()) == SquareFreeClass(1, {monomial(1): 1})
 
     def test_two_sphere_product(self):
-        b = BundleExpr.line((1, 1)).repeated(2)
+        b = BundleExpr.make(2, [(1, 1)] * 2)
         assert euler_class(b) == SquareFreeClass(2, {monomial(1, 2): 2})
 
     def test_multiplicative_over_direct_sum(self):
@@ -168,8 +168,10 @@ class TestEulerClass:
         vector = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
         pool = data.draw(st.lists(vector, min_size=1, max_size=4))
         summands = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
-        bundle = BundleExpr.make(m, summands).repeated(data.draw(st.integers(1, 3)))
-        assert euler_class(bundle).to_json() == reference_euler_class(bundle.summands)
+        copies = data.draw(st.integers(1, 3))
+        bundle = BundleExpr.make(m, summands)
+        assert euler_class(bundle, copies).to_json() == reference_euler_class(
+            bundle.summands * copies)
 
     def test_top_coefficient_is_the_permanent(self):
         rng = random.Random(13)
@@ -359,12 +361,23 @@ class TestObstructionCertificate:
             assert cert.euler_class == SquareFreeClass(
                 m, {monomial(*range(1, m + 1)): math.factorial(m)})
 
-    def test_summand_cap_is_one_rule_and_its_check_builds_no_sum(self, monkeypatch):
+    def test_a_million_copies_build_no_n_fold_sum(self, monkeypatch):
+        q = BundleExpr.make(4, [(1, 1, 1, 1)])
+        counter = tracezero.obstruct.Counter
+
+        def short_counter(items):
+            assert len(items) <= q.rank, "the n-fold sum was built"
+            return counter(items)
+
+        monkeypatch.setattr(tracezero.obstruct, "Counter", short_counter)
+        post_init = BundleExpr.__post_init__
+        monkeypatch.setattr(BundleExpr, "__post_init__", lambda self: (
+            pytest.fail("the n-fold sum was built") if self.rank > q.rank else post_init(self)))
+        cert = obstruction_certificate(q, 1_000_000)
+        assert cert.verdict is False and cert.euler_class.is_zero()
+
+    def test_summand_cap_is_the_decoders_one_rule(self):
         q = {"variables": 1, "summands": [[1], [2]]}
-        with pytest.raises(InvalidInputError, match="exceed a million summands"):
-            obstruction_certificate(BundleExpr.from_json(q), 500_001)
-        monkeypatch.setattr(BundleExpr, "repeated",
-                            lambda self, n: pytest.fail("the decoder built the n-fold sum"))
         bundle, n = decode_input("obstruct", {"q": q, "n": 500_000})
         assert (bundle.rank, n) == (2, 500_000)
         with pytest.raises(InvalidInputError, match="exceed a million summands"):
@@ -414,10 +427,6 @@ class TestVilladsenTower:
                 if cert["m"] == spec.m_max:
                     assert first["exponent"] == first["block_variables"]
 
-    def test_caps(self):
-        with pytest.raises(InvalidInputError):
-            villadsen_tower(4)
-
     def test_json_uses_decimal_strings(self):
         doc = villadsen_tower(2).to_json()
         assert all(isinstance(v, str) for v in doc["k"])
@@ -455,7 +464,7 @@ class TestDistanceLowerBound:
             (0, 1, 1) + (0,) * 24,
         ])
         q_vec = (0,) * 3 + (1,) * 24
-        q = BundleExpr.make(variables, [q_vec]).repeated(spec.l[2])
+        q = BundleExpr.make(variables, [q_vec] * spec.l[2])
         cert = distance_lower_bound_cert(p, q, spec.M[1], 2)
         assert cert.params["trivialization_rank_bound"] == spec.M[1] == 6
         assert cert.verdict

@@ -464,12 +464,12 @@ class TestTowerIterate:
         rng = SplitMix64(50)
         inp = fack_run_input([3, 3], z0=embedded_trace_zero(rng, 6, 0, 3))
         dec, report = tower_iterate(inp.z0, TowerModel(inp), 0)
-        assert reconstruction_error(inp.z0, dec) == 0.0
         # with no factors, the residual is z0 itself
-        assert dec.residual_norm == operator_norm(inp.z0)
-        assert report.to_json() == {"stage_checks": [], "family_sizes": [0, 0], "all_passed": True}
+        assert reconstruction_error(inp.z0, dec) == dec.residual_norm == operator_norm(inp.z0)
+        assert report.to_json() == {"stage_checks": [], "all_passed": True}
+        # with no stage, delta_depth is undefined: the report is the count alone
         assert [(c.name, c.measured_value) for c in dec.report.bound_checks] \
-            == [("reconstruction_residual", 0.0), ("commutator_count", 0.0)]
+            == [("commutator_count", 0.0)]
         assert dec.report.all_passed
 
     def test_depth_four_unit_parameters(self, monkeypatch):
@@ -481,6 +481,7 @@ class TestTowerIterate:
         assert len(dec.factors) <= 1 + max(1, 1)
         assert operator_norm(dec.residual) <= inp.deltas[3]  # 1/16
         assert collapse_defect(slots) <= 1e-10
+        # the in-block finish absorbs the last remainder: z0 = sum [x_k, y_k] up to rounding
         assert reconstruction_error(inp.z0, dec) <= 1e-8 * max(1.0, operator_norm(inp.z0))
         assert dec.report.all_passed
         assert report.all_passed
